@@ -4,7 +4,7 @@ Campaigns are pure functions of (config, seed); reports and CSV artifacts
 are byte-identical across runs with the same inputs.  Wall-clock timings are
 logged, never written to artifacts.
 
-Usage:  plap <subcommand> --config <file> --out <dir> [--parallel] [--seed N]
+Usage:  plap <subcommand> --config <file> --out <dir> [--seed N]
 Subcommands: roots | shoot | blowup | martin | grid | bochner | all
 Exit codes: 0 all checks pass, 1 check failure, 2 config/usage error.
 PLAP_LOG in {error, info, debug} selects the log level.
@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import blowup, grid_pde, radial_ode
 from .errors import ConfigError, DomainError
-from .indicial import (ProblemParams, auxiliary_f, eigen_rate_alpha,
+from .indicial import (Nonlinearity, ProblemParams, auxiliary_f, eigen_rate_alpha,
                        hardy_best_constant, indicial_roots, placement_satisfied)
 
 log = logging.getLogger("plap")
@@ -83,20 +82,6 @@ class ExperimentReport:
                          f"{row.tolerance:.17g},{int(row.passed)}\n")
 
 
-@dataclass
-class StepResult:
-    name: str
-    checks: list
-
-    @property
-    def margin(self) -> float:
-        return max((c.margin for c in self.checks), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _shortfall(value, floor):
     """One-sided check helper: 0 when value >= floor, else the gap."""
     return max(0.0, floor - value)
@@ -116,12 +101,17 @@ def _validate_keys(cfg, allowed, required, where):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _campaign_params(cfg, keys, name) -> ProblemParams:
+    """Validate a targeted campaign's config and build its params block."""
+    _validate_keys(cfg, {"params", "seed", *keys}, {"params"}, f"{name} config")
+    return _params_from_config(cfg["params"])
+
+
 def _params_from_config(block) -> ProblemParams:
     _validate_keys(block, {"n", "p", "a", "mu", "lam", "q", "amplitude"},
                    {"n", "p"}, "params block")
     nl = None
     if block.get("q") is not None:
-        from .indicial import Nonlinearity
         nl = Nonlinearity(q=block["q"], amplitude=block.get("amplitude", 1.0))
     try:
         return ProblemParams(n=block["n"], p=block["p"], a=block.get("a", 0.0),
@@ -131,11 +121,67 @@ def _params_from_config(block) -> ProblemParams:
         raise ConfigError(f"invalid params: {exc}") from exc
 
 
+# --- builders shared by the targeted campaigns and the acceptance steps ---
+
+def _p2_roots(n, a, mu):
+    """Closed-form roots of the p=2 index equation; None if they are complex."""
+    d = n - (a + 1.0) * 2.0
+    disc = d * d - 4.0 * mu
+    if disc < 0.0:
+        return None
+    return 0.5 * (d - math.sqrt(disc)), 0.5 * (d + math.sqrt(disc))
+
+
+def _exact_solve(params, alpha, xi, rect, h, tol):
+    """Dirichlet solve, the exact field exp(alpha <x, xi>) and the sup error."""
+    fld, stats = grid_pde.solve_dirichlet(params, xi, rect, h, tol=tol)
+    exact = grid_pde.exponential_field(alpha, xi, rect, h)
+    return fld, stats, exact, float(np.max(np.abs(fld.values - exact.values)))
+
+
+def _two_exp_field(lam, h):
+    """p=2 oracle field e^(a x) + e^(a y) with a = sqrt(lam) (solves the
+    linear eigen-equation exactly)."""
+    a = math.sqrt(lam)
+    rect = (0.0, 0.0, 1.0, 1.0)
+    ex = grid_pde.exponential_field(a, [1.0, 0.0], rect, h)
+    ey = grid_pde.exponential_field(a, [0.0, 1.0], rect, h)
+    return grid_pde.field_from_values(ex.values + ey.values, rect, h)
+
+
+def _order_shortfall(errs):
+    """Shortfall below 1.8 of the smallest order log2(e_h / e_(h/2))."""
+    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    return _shortfall(min(orders), 1.8)
+
+
+def _bochner_trend(h_list, lam):
+    """Oracle-field identity residuals and their refinement-factor shortfall."""
+    resid = [grid_pde.bochner_residual(_two_exp_field(lam, h), 2.0, lam)
+             for h in h_list]
+    ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
+    return resid, _shortfall(min(ratios), 1.5)
+
+
+def _power_fixed_point(gamma, scales):
+    """Origin dilations of the pure power r^-gamma, a rescaling fixed point."""
+    r_pow = np.geomspace(1e-4, 1e2, 900)
+    power_profile = radial_ode.RadialProfile(
+        r=r_pow, u=r_pow ** -gamma, du=-gamma * r_pow ** (-gamma - 1.0),
+        meta={"kind": "power", "gamma": gamma})
+    return blowup.rescale_near_zero(power_profile, scales, gamma)
+
+
 # --- targeted campaigns ----------------------------------------------------
 
+def _write_report(subcommand, rows, cfg, out_dir) -> ExperimentReport:
+    report = ExperimentReport(subcommand, rows, {"config": cfg})
+    report.write_csv(Path(out_dir) / f"{subcommand}_report.csv")
+    return report
+
+
 def run_roots(cfg, out_dir) -> ExperimentReport:
-    _validate_keys(cfg, {"params", "seed"}, {"params"}, "roots config")
-    params = _params_from_config(cfg["params"])
+    params = _campaign_params(cfg, (), "roots")
     data = indicial_roots(params)
     n, p, a, mu = params.n, params.p, params.a, params.mu
     tol = 1e-12 * max(1.0, abs(mu))
@@ -147,23 +193,16 @@ def run_roots(cfg, out_dir) -> ExperimentReport:
         CheckRow("placement_ok", 1.0,
                  float(placement_satisfied(data, n, p, a)), 0.0),
     ]
-    if p == 2.0:
-        d = n - (a + 1.0) * 2.0
-        disc = d * d - 4.0 * mu
-        if disc >= 0.0:
-            q1 = 0.5 * (d - math.sqrt(disc))
-            q2 = 0.5 * (d + math.sqrt(disc))
-            rows.append(CheckRow("gamma1", q1, data.gamma1, 1e-12 * max(1.0, abs(q1))))
-            rows.append(CheckRow("gamma2", q2, data.gamma2, 1e-12 * max(1.0, abs(q2))))
-    report = ExperimentReport("roots", rows, {"config": cfg})
-    report.write_csv(Path(out_dir) / "roots_report.csv")
-    return report
+    roots = _p2_roots(n, a, mu) if p == 2.0 else None
+    if roots is not None:
+        q1, q2 = roots
+        rows.append(CheckRow("gamma1", q1, data.gamma1, 1e-12 * max(1.0, abs(q1))))
+        rows.append(CheckRow("gamma2", q2, data.gamma2, 1e-12 * max(1.0, abs(q2))))
+    return _write_report("roots", rows, cfg, out_dir)
 
 
 def run_shoot(cfg, out_dir) -> ExperimentReport:
-    _validate_keys(cfg, {"params", "r0", "r_max", "grid_points", "seed"},
-                   {"params"}, "shoot config")
-    params = _params_from_config(cfg["params"])
+    params = _campaign_params(cfg, ("r0", "r_max", "grid_points"), "shoot")
     r0 = cfg.get("r0", 1.0)
     r_max = cfg.get("r_max", 40.0)
     shot = radial_ode.radial_exterior_eigen(params.n, params.p, params.lam,
@@ -178,21 +217,16 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
         CheckRow("fit_rms", 0.0, fit.rms, 1e-2),
     ]
     radial_ode.write_profile_csv(shot.profile, Path(out_dir) / "exterior_profile.csv")
-    report = ExperimentReport("shoot", rows, {"config": cfg})
-    report.write_csv(Path(out_dir) / "shoot_report.csv")
-    return report
+    return _write_report("shoot", rows, cfg, out_dir)
 
 
 def run_martin(cfg, out_dir) -> ExperimentReport:
-    _validate_keys(cfg, {"params", "t", "r0", "grid_points", "seed"},
-                   {"params"}, "martin config")
-    params = _params_from_config(cfg["params"])
+    params = _campaign_params(cfg, ("t", "r0", "grid_points"), "martin")
     t = cfg.get("t", 1000.0)
     r0 = cfg.get("r0", 1.0)
     alpha = eigen_rate_alpha(params.lam, params.p)
-    r_max = t + 10.0
     shot = radial_ode.radial_exterior_eigen(
-        params.n, params.p, params.lam, r0, r_max,
+        params.n, params.p, params.lam, r0, t + 10.0,
         grid_points=cfg.get("grid_points", 1400))
     xi = np.zeros(params.n)
     xi[0] = 1.0
@@ -200,27 +234,17 @@ def run_martin(cfg, out_dir) -> ExperimentReport:
     # tolerance carries the O(1/t) bias of the finite-shift ratio
     tol = math.exp(alpha) * (5e-3 + 3.0 / t)
     rows = [CheckRow("kernel_at_xi", math.exp(alpha), est, tol)]
-    report = ExperimentReport("martin", rows, {"config": cfg})
-    report.write_csv(Path(out_dir) / "martin_report.csv")
-    return report
+    return _write_report("martin", rows, cfg, out_dir)
 
 
 def run_blowup(cfg, out_dir) -> ExperimentReport:
-    _validate_keys(cfg, {"params", "gamma", "scales", "shifts", "window", "seed"},
-                   {"params"}, "blowup config")
-    params = _params_from_config(cfg["params"])
+    params = _campaign_params(cfg, ("gamma", "scales", "shifts", "window"), "blowup")
     gamma = cfg.get("gamma", 0.25)
     scales = cfg.get("scales", [1e-1, 1e-2, 1e-3])
     shifts = cfg.get("shifts", [10.0, 20.0, 40.0, 80.0, 160.0])
     window = cfg.get("window", 0.5)
     alpha = eigen_rate_alpha(params.lam, params.p)
-
-    r_pow = np.geomspace(1e-4, 1e2, 900)
-    power_profile = radial_ode.RadialProfile(
-        r=r_pow, u=r_pow ** -gamma, du=-gamma * r_pow ** (-gamma - 1.0),
-        meta={"kind": "power", "gamma": gamma})
-    rep_zero = blowup.rescale_near_zero(power_profile, scales, gamma)
-
+    rep_zero = _power_fixed_point(gamma, scales)
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
         grid_points=1400)
@@ -234,23 +258,17 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
     ]
     blowup.write_rescale_csv(rep_zero, Path(out_dir) / "rescale_origin.csv")
     blowup.write_rescale_csv(rep_inf, Path(out_dir) / "translate_far_field.csv")
-    report = ExperimentReport("blowup", rows, {"config": cfg})
-    report.write_csv(Path(out_dir) / "blowup_report.csv")
-    return report
+    return _write_report("blowup", rows, cfg, out_dir)
 
 
 def run_grid(cfg, out_dir) -> ExperimentReport:
-    _validate_keys(cfg, {"params", "xi", "rect", "h", "tol", "seed"},
-                   {"params"}, "grid config")
-    params = _params_from_config(cfg["params"])
+    params = _campaign_params(cfg, ("xi", "rect", "h", "tol"), "grid")
     xi = np.asarray(cfg.get("xi", [0.6, 0.8]), dtype=float)
     rect = tuple(cfg.get("rect", [0.0, 0.0, 1.0, 1.0]))
     h = cfg.get("h", 1.0 / 64)
     tol = cfg.get("tol", 1e-10)
     alpha = eigen_rate_alpha(params.lam, params.p)
-    fld, stats = grid_pde.solve_dirichlet(params, xi, rect, h, tol=tol)
-    exact = grid_pde.exponential_field(alpha, xi, rect, h)
-    sup_err = float(np.max(np.abs(fld.values - exact.values)))
+    fld, stats, _, sup_err = _exact_solve(params, alpha, xi, rect, h, tol)
     glog = grid_pde.gradient_log_sup(fld)
     max_f, kap = grid_pde.kappa_bound_check(fld, params.p, params.lam)
     rows = [
@@ -262,42 +280,24 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
     ]
     grid_pde.write_field_csv(fld, Path(out_dir) / "dirichlet_field.csv")
     grid_pde.write_field_plf2(fld, Path(out_dir) / "dirichlet_field.plf2")
-    report = ExperimentReport("grid", rows, {"config": cfg})
-    report.write_csv(Path(out_dir) / "grid_report.csv")
-    return report
+    return _write_report("grid", rows, cfg, out_dir)
 
 
 def run_bochner(cfg, out_dir) -> ExperimentReport:
     _validate_keys(cfg, {"h_list", "lam", "seed"}, set(), "bochner config")
     h_list = cfg.get("h_list", [1.0 / 16, 1.0 / 32, 1.0 / 64])
-    lam = cfg.get("lam", 1.0)
-    resid = [grid_pde.bochner_residual(_two_exp_field(lam, h), 2.0, lam)
-             for h in h_list]
-    ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
-    rows = [CheckRow("refinement_factor", 0.0,
-                     _shortfall(min(ratios), 1.5), 0.0)]
+    resid, shortfall = _bochner_trend(h_list, cfg.get("lam", 1.0))
+    rows = [CheckRow("refinement_factor", 0.0, shortfall, 0.0)]
     with open(Path(out_dir) / "bochner_trend.csv", "w", newline="") as fh:
         fh.write("h,residual\n")
         for h, r in zip(h_list, resid):
             fh.write(f"{h:.17g},{r:.17g}\n")
-    report = ExperimentReport("bochner", rows, {"config": cfg})
-    report.write_csv(Path(out_dir) / "bochner_report.csv")
-    return report
-
-
-def _two_exp_field(lam, h):
-    """p=2 oracle field e^(a x) + e^(a y) with a = sqrt(lam) (solves the
-    linear eigen-equation exactly)."""
-    a = math.sqrt(lam)
-    rect = (0.0, 0.0, 1.0, 1.0)
-    x0, y0, nx, ny = grid_pde._grid_shape(rect, h)
-    x = x0 + h * np.arange(nx)
-    y = y0 + h * np.arange(ny)
-    vals = np.exp(a * x)[:, None] + np.exp(a * y)[None, :]
-    return grid_pde.Field2D(nx=nx, ny=ny, h=h, origin=(x0, y0), values=vals)
+    return _write_report("bochner", rows, cfg, out_dir)
 
 
 # --- acceptance steps (the "all" campaign) ---------------------------------
+# Each step returns the CheckRows of one criterion; run_all reports the worst
+# margin among them as that criterion's row.
 
 DEFAULT_ALL = {
     "indicial_trials": 10000,
@@ -332,7 +332,7 @@ def _sample_admissible(rng, force_p2=False):
     return n, p, a, mu
 
 
-def step_indicial(cfg, rng) -> StepResult:
+def step_indicial(cfg, rng):
     trials = cfg["indicial_trials"]
     worst_resid = 0.0
     placement_failures = 0
@@ -347,111 +347,87 @@ def step_indicial(cfg, rng) -> StepResult:
         if not placement_satisfied(data, n, p, a):
             placement_failures += 1
         if p == 2.0 and not data.double_root:
-            d = n - (a + 1.0) * 2.0
-            disc = max(d * d - 4.0 * mu, 0.0)
-            q1 = 0.5 * (d - math.sqrt(disc))
-            q2 = 0.5 * (d + math.sqrt(disc))
+            q1, q2 = _p2_roots(n, a, mu)
             p2_gap = max(p2_gap,
                          abs(data.gamma1 - q1) / max(1.0, abs(q1)),
                          abs(data.gamma2 - q2) / max(1.0, abs(q2)))
-    checks = [
+    return [
         CheckRow("max_relative_residual", 0.0, worst_resid, 1e-12),
         CheckRow("placement_failures", 0.0, float(placement_failures), 0.0),
         CheckRow("p2_oracle_gap", 0.0, p2_gap, 1e-12),
     ]
-    return StepResult("01_indicial_roots", checks)
+
+
+# Tilted p=3 problem of the grid criteria 02-04.  The grid realization is 2-D
+# regardless of n; n=4 just satisfies the p < n parameter invariant.
+GRID_PARAMS = ProblemParams(n=4, p=3.0, lam=2.0)
+GRID_ALPHA = eigen_rate_alpha(2.0, 3.0)
 
 
 def _dirichlet_cache(cfg):
-    """Shared tilted p=3 solves for the grid criteria.
-
-    The grid realization is 2-D regardless of params.n; n=4 just satisfies
-    the p < n parameter invariant."""
-    params = ProblemParams(n=4, p=3.0, lam=2.0)
+    """Solves of the grid problem at each spacing, shared by criteria 02-04."""
     xi = np.array([0.6, 0.8])
     rect = (0.0, 0.0, 1.0, 1.0)
-    alpha = eigen_rate_alpha(2.0, 3.0)
-    cache = []
+    solves = []
     for h in cfg["grid_h"]:
         t0 = time.perf_counter()
         # tol sits far below the O(h^2) discretization error but above the
         # rounding floor of the residual stencils (~eps/h^2)
-        fld, stats = grid_pde.solve_dirichlet(params, xi, rect, h, tol=1e-9)
-        exact = grid_pde.exponential_field(alpha, xi, rect, h)
-        sup_err = float(np.max(np.abs(fld.values - exact.values)))
+        fld, stats, exact, sup_err = _exact_solve(
+            GRID_PARAMS, GRID_ALPHA, xi, rect, h, 1e-9)
         log.info("dirichlet h=%g: %d Newton iters, residual %.3g, sup err %.3g "
                  "(%.2fs)", h, stats.newton_iters, stats.final_residual,
                  sup_err, time.perf_counter() - t0)
-        cache.append({"h": h, "field": fld, "stats": stats, "sup_err": sup_err,
-                      "exact": exact, "alpha": alpha, "p": 3.0, "lam": 2.0,
-                      "xi": xi, "rect": rect})
-    return cache
+        solves.append({"h": h, "field": fld, "exact": exact, "sup_err": sup_err})
+    return solves
 
 
-def step_dirichlet(cfg, cache) -> StepResult:
-    errs = [c["sup_err"] for c in cache]
-    hs = [c["h"] for c in cache]
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    checks = [
-        CheckRow("order_min_shortfall_vs_1.8", 0.0,
-                 _shortfall(min(orders), 1.8), 0.0),
+def step_dirichlet(solves):
+    errs = [c["sup_err"] for c in solves]
+    h_fine = solves[-1]["h"]
+    return [
+        CheckRow("order_min_shortfall_vs_1.8", 0.0, _order_shortfall(errs), 0.0),
         CheckRow("sup_error_finest", 0.0, errs[-1],
-                 5e-4 if hs[-1] <= 1.0 / 128 else 5e-4 * (hs[-1] * 128) ** 2),
+                 5e-4 if h_fine <= 1.0 / 128 else 5e-4 * (h_fine * 128) ** 2),
     ]
-    return StepResult("02_dirichlet_convergence", checks)
 
 
-def step_gradient_bound(cfg, cache) -> StepResult:
-    checks = []
+def step_gradient_bound(solves):
     worst = 0.0
-    for c in cache:
+    for c in solves:
         glog = grid_pde.gradient_log_sup(c["field"])
-        bound = c["alpha"] + 5.0 * c["sup_err"] / c["h"]
-        worst = max(worst, _excess(glog, bound))
-    checks.append(CheckRow("solve_bound_excess", 0.0, worst, 0.0))
-    h_eq = cache[-1]["h"]
-    exact = grid_pde.exponential_field(cache[-1]["alpha"], cache[-1]["xi"],
-                                       cache[-1]["rect"], h_eq)
-    checks.append(CheckRow("equality_case_log_path", cache[-1]["alpha"],
-                           grid_pde.gradient_log_sup(exact), 1e-10))
-    stencil_errs = []
-    for c in cache:
-        ex = grid_pde.exponential_field(c["alpha"], c["xi"], c["rect"], c["h"])
-        stencil_errs.append(abs(grid_pde.gradient_log_sup(ex, via="ratio")
-                                - c["alpha"]))
-    orders = [math.log2(stencil_errs[i] / stencil_errs[i + 1])
-              for i in range(len(stencil_errs) - 1)]
-    checks.append(CheckRow("equality_case_stencil_order_shortfall", 0.0,
-                           _shortfall(min(orders), 1.8), 0.0))
-    return StepResult("03_gradient_log_bound", checks)
+        worst = max(worst, _excess(glog, GRID_ALPHA + 5.0 * c["sup_err"] / c["h"]))
+    stencil_errs = [abs(grid_pde.gradient_log_sup(c["exact"], via="ratio") - GRID_ALPHA)
+                    for c in solves]
+    return [
+        CheckRow("solve_bound_excess", 0.0, worst, 0.0),
+        CheckRow("equality_case_log_path", GRID_ALPHA,
+                 grid_pde.gradient_log_sup(solves[-1]["exact"]), 1e-10),
+        CheckRow("equality_case_stencil_order_shortfall", 0.0,
+                 _order_shortfall(stencil_errs), 0.0),
+    ]
 
 
-def step_kappa(cfg, cache) -> StepResult:
-    c = cache[-1]
-    exact = grid_pde.exponential_field(c["alpha"], c["xi"], c["rect"], c["h"])
-    mf, kap = grid_pde.kappa_bound_check(exact, c["p"], c["lam"])
-    checks = [CheckRow("exact_field_ratio", 1.0, mf / kap, 1e-12)]
-    worst = 0.0
-    mf_s, kap_s = grid_pde.kappa_bound_check(c["field"], c["p"], c["lam"])
-    worst = _excess(mf_s, kap_s * (1.0 + 1e-2))
-    checks.append(CheckRow("solve_bound_excess", 0.0, worst, 0.0))
-    return StepResult("04_kappa_bound", checks)
+def step_kappa(solves):
+    p, lam = GRID_PARAMS.p, GRID_PARAMS.lam
+    mf, kap = grid_pde.kappa_bound_check(solves[-1]["exact"], p, lam)
+    mf_s, kap_s = grid_pde.kappa_bound_check(solves[-1]["field"], p, lam)
+    return [
+        CheckRow("exact_field_ratio", 1.0, mf / kap, 1e-12),
+        CheckRow("solve_bound_excess", 0.0, _excess(mf_s, kap_s * (1.0 + 1e-2)), 0.0),
+    ]
 
 
-def step_bochner(cfg) -> StepResult:
-    resid = [grid_pde.bochner_residual(_two_exp_field(1.0, h), 2.0, 1.0)
-             for h in cfg["bochner_h"]]
-    ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
-    checks = [
+def step_bochner(cfg):
+    resid, shortfall = _bochner_trend(cfg["bochner_h"], 1.0)
+    return [
         CheckRow("monotone_decrease", 0.0,
                  float(_excess(max(np.diff(resid)), 0.0)), 0.0),
-        CheckRow("refinement_factor_shortfall", 0.0,
-                 _shortfall(min(ratios), 1.5), 0.0),
+        CheckRow("refinement_factor_shortfall", 0.0, shortfall, 0.0),
     ]
-    return StepResult("05_bochner_trend", checks)
 
 
-def step_exterior(cfg, out_dir=None) -> StepResult:
+def step_exterior(cfg, out_dir):
     r_max = cfg["shoot_r_max"]
     shot3 = radial_ode.radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max)
     fit3 = radial_ode.fit_decay_exponents(shot3.profile, 1.0)
@@ -462,35 +438,32 @@ def step_exterior(cfg, out_dir=None) -> StepResult:
                                                 grid_points=1600)
     xi = np.array([1.0, 0.0, 0.0])
     est = blowup.martin_kernel_estimate(shot_far.profile, xi, xi, t)
-    checks = [
+    radial_ode.write_profile_csv(shot3.profile,
+                                 Path(out_dir) / "exterior_profile_n3.csv")
+    return [
         CheckRow("n3_rate", 1.0, fit3.rate, 1e-3),
         CheckRow("n3_power", 1.0, fit3.power, 5e-2),
         CheckRow("martin_at_xi", math.e, est, 5e-3),
         CheckRow("n2_power", 0.5, fit2.power, 5e-2),
     ]
-    if out_dir is not None:
-        radial_ode.write_profile_csv(shot3.profile,
-                                     Path(out_dir) / "exterior_profile_n3.csv")
-    return StepResult("06_exterior_decay", checks)
 
 
-def step_exterior_p15(cfg) -> StepResult:
+def step_exterior_p15(cfg):
     r_max = cfg["shoot_r_max"]
     shot = radial_ode.radial_exterior_eigen(3, 1.5, 0.5, 1.0, r_max)
     power_ref = 2.0 / (1.5 * 0.5)
     fit_a = radial_ode.fit_decay_exponents(shot.profile, 1.0)
     fit_b = radial_ode.fit_decay_exponents(shot.profile, 1.0,
                                            window=(r_max / 3.0, r_max))
-    checks = [
+    return [
         CheckRow("rate_window_outer_half", 1.0, fit_a.rate, 5e-3),
         CheckRow("power_window_outer_half", power_ref, fit_a.power, 0.1),
         CheckRow("rate_window_outer_two_thirds", 1.0, fit_b.rate, 5e-3),
         CheckRow("power_window_outer_two_thirds", power_ref, fit_b.power, 0.1),
     ]
-    return StepResult("07_exterior_decay_p15", checks)
 
 
-def step_riccati(cfg) -> StepResult:
+def step_riccati(cfg):
     T = cfg["riccati_T"]
     worst_gap = 0.0
     for p in (1.5, 2.0, 3.0):
@@ -509,11 +482,10 @@ def step_riccati(cfg) -> StepResult:
             else:
                 ref = alpha / np.tanh(alpha * t + math.atanh(alpha / s0))
             oracle_gap = max(oracle_gap, float(np.max(np.abs(s - ref))))
-    checks = [
+    return [
         CheckRow("terminal_gap", 0.0, worst_gap, 1e-6),
         CheckRow("p2_closed_form_gap", 0.0, oracle_gap, 1e-8),
     ]
-    return StepResult("08_ratio_flow_convergence", checks)
 
 
 def _sample_root_instance(rng):
@@ -539,7 +511,7 @@ def _sample_root_instance(rng):
     raise RuntimeError("root-instance sampler failed to find a margin")
 
 
-def step_power_residual(cfg, rng) -> StepResult:
+def step_power_residual(cfg, rng):
     trials = cfg["hardy_trials"]
     r_samples = np.geomspace(1e-2, 1e2, 9)
     worst_root = 0.0
@@ -553,21 +525,15 @@ def step_power_residual(cfg, rng) -> StepResult:
             worst_pert = min(worst_pert,
                              radial_ode.hardy_power_residual(n, p, a, mu,
                                                              g + 0.1, r_samples))
-    checks = [
+    return [
         CheckRow("max_root_residual", 0.0, worst_root, 1e-12),
         CheckRow("min_perturbed_shortfall", 0.0,
                  _shortfall(worst_pert, 1e-3), 0.0),
     ]
-    return StepResult("09_power_solution_residual", checks)
 
 
-def step_rescale(cfg, out_dir=None) -> StepResult:
-    gamma = 0.25
-    r_pow = np.geomspace(1e-4, 1e2, 900)
-    power_profile = radial_ode.RadialProfile(
-        r=r_pow, u=r_pow ** -gamma, du=-gamma * r_pow ** (-gamma - 1.0),
-        meta={"kind": "power", "gamma": gamma})
-    rep_zero = blowup.rescale_near_zero(power_profile, [1e-1, 1e-2, 1e-3], gamma)
+def step_rescale(cfg, out_dir):
+    rep_zero = _power_fixed_point(0.25, [1e-1, 1e-2, 1e-3])
 
     alpha = 1.0
     r_exp = np.geomspace(1.0, 200.0, 2500)
@@ -587,34 +553,18 @@ def step_rescale(cfg, out_dir=None) -> StepResult:
         log_u=-r_mix - np.log(r_mix), ratio=-(1.0 + 1.0 / r_mix))
     rep_mix = blowup.translate_rescale_at_infinity(mix_profile, shifts, alpha,
                                                    window=cfg["translate_window"])
+    blowup.write_rescale_csv(rep_zero, Path(out_dir) / "rescale_origin.csv")
+    blowup.write_rescale_csv(rep_mix, Path(out_dir) / "translate_far_field.csv")
     diffs = np.diff(rep_mix.sup_distance)
-    checks = [
+    return [
         CheckRow("power_fixed_point", 0.0, float(rep_zero.sup_distance.max()), 1e-12),
         CheckRow("exp_fixed_point", 0.0, float(rep_exp.sup_distance.max()), 1e-12),
         CheckRow("translate_monotone", 0.0, float(_excess(diffs.max(), 0.0)), 0.0),
         CheckRow("translate_final", 0.0, float(rep_mix.sup_distance[-1]), 1e-2),
     ]
-    if out_dir is not None:
-        blowup.write_rescale_csv(rep_zero, Path(out_dir) / "rescale_origin.csv")
-        blowup.write_rescale_csv(rep_mix, Path(out_dir) / "translate_far_field.csv")
-    return StepResult("10_rescaling_fixed_points", checks)
 
 
-def step_determinism(cfg, seed, out_dir) -> StepResult:
-    """Byte-compare two runs of the roots campaign with the same config."""
-    sub_cfg = {"params": {"n": 4, "p": 2.0, "a": 0.0, "mu": 0.0}}
-    blobs = []
-    for tag in ("first", "second"):
-        d = Path(out_dir) / f"determinism_{tag}"
-        d.mkdir(parents=True, exist_ok=True)
-        run_roots(sub_cfg, d)
-        blobs.append((d / "roots_report.csv").read_bytes())
-    identical = float(blobs[0] != blobs[1])
-    return StepResult("11_campaign_determinism",
-                      [CheckRow("reports_differ", 0.0, identical, 0.0)])
-
-
-def run_all(cfg, out_dir, seed=0, parallel=False) -> ExperimentReport:
+def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     _validate_keys(cfg, set(DEFAULT_ALL) | {"seed"}, set(), "all config")
     merged = {**DEFAULT_ALL, **{k: v for k, v in cfg.items() if k != "seed"}}
     for key in ("grid_h", "bochner_h"):
@@ -623,45 +573,36 @@ def run_all(cfg, out_dir, seed=0, parallel=False) -> ExperimentReport:
                               "refinement checks")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cache = _dirichlet_cache(merged)
+    solves = _dirichlet_cache(merged)
 
+    # Built per call, so the step names resolve to the module's current
+    # bindings (a tracer may have rebound them).  Each randomized sweep draws
+    # from its own stream [seed, index of its step].
     steps = [
-        ("01_indicial_roots",
-         lambda idx: step_indicial(merged, np.random.default_rng([seed, idx]))),
-        ("02_dirichlet_convergence", lambda idx: step_dirichlet(merged, cache)),
-        ("03_gradient_log_bound", lambda idx: step_gradient_bound(merged, cache)),
-        ("04_kappa_bound", lambda idx: step_kappa(merged, cache)),
-        ("05_bochner_trend", lambda idx: step_bochner(merged)),
-        ("06_exterior_decay", lambda idx: step_exterior(merged, out)),
-        ("07_exterior_decay_p15", lambda idx: step_exterior_p15(merged)),
-        ("08_ratio_flow_convergence", lambda idx: step_riccati(merged)),
-        ("09_power_solution_residual",
-         lambda idx: step_power_residual(merged, np.random.default_rng([seed, idx]))),
-        ("10_rescaling_fixed_points", lambda idx: step_rescale(merged, out)),
-        ("11_campaign_determinism", lambda idx: step_determinism(merged, seed, out)),
+        ("01_indicial_roots", step_indicial, merged,
+         np.random.default_rng([seed, 0])),
+        ("02_dirichlet_convergence", step_dirichlet, solves),
+        ("03_gradient_log_bound", step_gradient_bound, solves),
+        ("04_kappa_bound", step_kappa, solves),
+        ("05_bochner_trend", step_bochner, merged),
+        ("06_exterior_decay", step_exterior, merged, out),
+        ("07_exterior_decay_p15", step_exterior_p15, merged),
+        ("08_ratio_flow_convergence", step_riccati, merged),
+        ("09_power_solution_residual", step_power_residual, merged,
+         np.random.default_rng([seed, 8])),
+        ("10_rescaling_fixed_points", step_rescale, merged, out),
     ]
-
-    def execute(item):
-        idx, (name, fn) = item
-        t0 = time.perf_counter()
-        result = fn(idx)
-        elapsed = time.perf_counter() - t0
-        log.info("step %s finished in %.2fs (margin %.3g)", name, elapsed,
-                 result.margin)
-        return result, elapsed
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(execute, enumerate(steps)))
-    else:
-        results = [execute(item) for item in enumerate(steps)]
-
     rows, details, durations = [], [], {}
-    for res, elapsed in results:
-        rows.append(CheckRow(res.name, 0.0, res.margin, 1.0))
-        durations[res.name] = elapsed
-        for c in res.checks:
-            details.append(f"{res.name}/{c.name}: target={c.target:.17g} "
+    for name, step, *args in steps:
+        t0 = time.perf_counter()
+        checks = step(*args)
+        durations[name] = time.perf_counter() - t0
+        margin = max((c.margin for c in checks), default=0.0)
+        log.info("step %s finished in %.2fs (margin %.3g)", name,
+                 durations[name], margin)
+        rows.append(CheckRow(name, 0.0, margin, 1.0))
+        for c in checks:
+            details.append(f"{name}/{c.name}: target={c.target:.17g} "
                            f"measured={c.measured:.17g} tol={c.tolerance:.17g} "
                            f"pass={int(c.passed)}")
     report = ExperimentReport("all", rows, {"config": merged, "seed": seed},
@@ -680,11 +621,11 @@ CAMPAIGNS = {
 }
 
 
-def run_campaign(subcommand, cfg, out_dir, seed=0, parallel=False) -> ExperimentReport:
+def run_campaign(subcommand, cfg, out_dir, seed=0) -> ExperimentReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if subcommand == "all":
-        return run_all(cfg, out, seed=seed, parallel=parallel)
+        return run_all(cfg, out, seed=seed)
     if subcommand not in CAMPAIGNS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     return CAMPAIGNS[subcommand](cfg, out)
@@ -709,8 +650,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=False,
                         help="JSON config file (defaults to an empty config)")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent steps concurrently")
     parser.add_argument("--seed", type=int, default=0)
     try:
         args = parser.parse_args(argv)
@@ -724,8 +663,7 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
-        report = run_campaign(args.subcommand, cfg, args.out,
-                              seed=args.seed, parallel=args.parallel)
+        report = run_campaign(args.subcommand, cfg, args.out, seed=args.seed)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"plap: config error: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,11 @@ class ProblemParams:
     nonlinearity: Nonlinearity | None = None
 
     def __post_init__(self):
+        for name in ("n", "p", "a", "mu", "lam"):
+            value = getattr(self, name)
+            # ill-typed values are left to the range checks below
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if int(self.n) != self.n or self.n < 2:
             raise DomainError("n must be an integer >= 2")
         if not (1.0 < self.p < self.n):
@@ -235,19 +240,23 @@ def _solve_branches(mu, p, big_d):
 
 
 def _polish(root, mu, n, p, a, lo, hi):
-    """Guarded Newton refinement of a bisected root."""
-    bound = RESIDUAL_RTOL * max(1.0, abs(mu))
+    """Guarded Newton refinement of a bisected root.
+
+    Steps are taken while they stay inside [lo, hi] and strictly reduce the
+    residual, so the root settles at the rounding floor of the index function
+    rather than anywhere inside the acceptance bound."""
+    resid = auxiliary_f(root, n, p, a) - mu
     for _ in range(6):
-        resid = auxiliary_f(root, n, p, a) - mu
-        if abs(resid) <= 0.25 * bound:
-            break
         slope = _auxiliary_f_prime(root, n, p, a)
-        if not math.isfinite(slope) or slope == 0.0:
+        if resid == 0.0 or not math.isfinite(slope) or slope == 0.0:
             break
         cand = root - resid / slope
         if not (lo <= cand <= hi) or cand == root:
             break
-        root = cand
+        cand_resid = auxiliary_f(cand, n, p, a) - mu
+        if abs(cand_resid) >= abs(resid):
+            break
+        root, resid = cand, cand_resid
     return root
 
 

@@ -30,13 +30,19 @@ EXPECTED_ROWS = [
     "08_ratio_flow_convergence",
     "09_power_solution_residual",
     "10_rescaling_fixed_points",
-    "11_campaign_determinism",
 ]
 
 
 def read_tree(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def assert_same_tree(root1, root2):
+    tree1, tree2 = read_tree(root1), read_tree(root2)
+    assert set(tree1) == set(tree2)
+    for name in tree1:
+        assert tree1[name] == tree2[name], name
 
 
 class TestRootsCampaign:
@@ -102,6 +108,20 @@ class TestMainEntry:
         assert code == 2
         assert "p must lie in (1, n)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, params", [
+        ("roots", {"n": 4, "p": 2.0, "mu": float("nan")}),
+        ("roots", {"n": 4, "p": 2.0, "a": float("inf")}),
+        ("shoot", {"n": 3, "p": 2.0, "lam": float("inf")}),
+    ])
+    def test_non_finite_params_exit_2(self, tmp_path, capsys, sub, params):
+        cfg_path = tmp_path / "cfg.json"
+        # json.dumps writes the NaN and Infinity tokens that json.load reads
+        cfg_path.write_text(json.dumps({"params": params}))
+        code = cli.main([sub, "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, tmp_path):
         code = cli.main(["frobnicate", "--out", str(tmp_path)])
         assert code == 2
@@ -153,19 +173,14 @@ class TestAllCampaign:
 
     def test_byte_determinism(self, first_run, tmp_path):
         out1, _ = first_run
-        cli.run_all(LIGHT_ALL, tmp_path, seed=7)
-        tree1, tree2 = read_tree(out1), read_tree(tmp_path)
-        assert set(tree1) == set(tree2)
-        for name in tree1:
-            assert tree1[name] == tree2[name], name
-
-    def test_parallel_matches_sequential(self, first_run, tmp_path):
-        out1, _ = first_run
-        cli.run_all(LIGHT_ALL, tmp_path, seed=7, parallel=True)
-        tree1, tree2 = read_tree(out1), read_tree(tmp_path)
-        assert set(tree1) == set(tree2)
-        for name in tree1:
-            assert tree1[name] == tree2[name], name
+        cli.run_all(LIGHT_ALL, tmp_path / "all", seed=7)
+        assert_same_tree(out1, tmp_path / "all")
+        roots_cfg = {"params": {"n": 4, "p": 2.0, "a": 0.0, "mu": 0.0}}
+        for run in ("roots1", "roots2"):
+            (tmp_path / run).mkdir()
+            cli.run_roots(roots_cfg, tmp_path / run)
+        assert_same_tree(tmp_path / "roots1", tmp_path / "roots2")
+        assert (tmp_path / "roots1" / "roots_report.csv").exists()
 
     def test_seed_changes_report(self, first_run, tmp_path):
         out1, _ = first_run

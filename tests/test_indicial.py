@@ -89,6 +89,15 @@ class TestAuxiliaryF:
 
 
 class TestIndicialRoots:
+    def test_roots_polished_to_rounding_floor(self):
+        # bisection leaves gamma2 at residual 1.1e-12 here; Newton polish
+        # must carry both roots well below the 1e-12 acceptance bound
+        n, p, a, mu = (4, 2.9821398552125684, -1.1058682453504916,
+                       -4.964384945276048)
+        data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
+        for g in (data.gamma1, data.gamma2):
+            assert abs(auxiliary_f(g, n, p, a) - mu) <= 1e-13
+
     def test_mu_zero_factorization(self):
         data = indicial_roots(ProblemParams(n=4, p=2.0))
         assert data.gamma1 == 0.0
@@ -188,6 +197,13 @@ class TestProblemParams:
     def test_rejects_negative_lambda(self):
         with pytest.raises(DomainError):
             ProblemParams(n=3, p=2.0, lam=-1.0)
+
+    @pytest.mark.parametrize("field", ["n", "p", "a", "mu", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"n": 4, "p": 2.0, field: value}
+        with pytest.raises(DomainError, match="must be finite"):
+            ProblemParams(**kwargs)
 
     def test_nonlinearity_window(self):
         ProblemParams(n=3, p=2.0, nonlinearity=Nonlinearity(q=4.0))
