@@ -11,8 +11,7 @@ from .blowup import (Direction, RescaleReport, busemann, busemann_limit,
                      martin_kernel_estimate, rescale_near_zero,
                      translate_rescale_at_infinity)
 from .errors import (ConfigError, DomainError, IllConditioned, NoConvergence,
-                     NoRealRoot, NoSeparatrix, OutOfRange, SingularRatio,
-                     StepFailure)
+                     NoRealRoot, OutOfRange, SingularRatio, StepFailure)
 from .grid_pde import (Field2D, SolveStats, bochner_residual, directional_range,
                        ellipticity_check, exponential_field, gradient_log_sup,
                        kappa, kappa_bound_check, linearized_apply,

@@ -101,6 +101,19 @@ def _validate_keys(cfg, allowed, required, where):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _check_spacings(h_list, key):
+    """A refinement sweep needs at least two grid spacings."""
+    if not isinstance(h_list, (list, tuple)) or len(h_list) < 2:
+        raise ConfigError(f"{key} needs at least two spacings for the "
+                          "refinement checks")
+
+
+def _check_count(value, key):
+    """A sweep size is an int >= 1 (bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+
+
 def _campaign_params(cfg, keys, name) -> ProblemParams:
     """Validate a targeted campaign's config and build its params block."""
     _validate_keys(cfg, {"params", "seed", *keys}, {"params"}, f"{name} config")
@@ -286,7 +299,12 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
 def run_bochner(cfg, out_dir) -> ExperimentReport:
     _validate_keys(cfg, {"h_list", "lam", "seed"}, set(), "bochner config")
     h_list = cfg.get("h_list", [1.0 / 16, 1.0 / 32, 1.0 / 64])
-    resid, shortfall = _bochner_trend(h_list, cfg.get("lam", 1.0))
+    _check_spacings(h_list, "h_list")
+    lam = cfg.get("lam", 1.0)
+    if (isinstance(lam, bool) or not isinstance(lam, (int, float))
+            or not (lam > 0.0 and math.isfinite(lam))):
+        raise ConfigError(f"lam must be a finite number > 0, got {lam!r}")
+    resid, shortfall = _bochner_trend(h_list, lam)
     rows = [CheckRow("refinement_factor", 0.0, shortfall, 0.0)]
     with open(Path(out_dir) / "bochner_trend.csv", "w", newline="") as fh:
         fh.write("h,residual\n")
@@ -568,9 +586,9 @@ def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     _validate_keys(cfg, set(DEFAULT_ALL) | {"seed"}, set(), "all config")
     merged = {**DEFAULT_ALL, **{k: v for k, v in cfg.items() if k != "seed"}}
     for key in ("grid_h", "bochner_h"):
-        if len(merged[key]) < 2:
-            raise ConfigError(f"{key} needs at least two spacings for the "
-                              "refinement checks")
+        _check_spacings(merged[key], key)
+    for key in ("indicial_trials", "hardy_trials"):
+        _check_count(merged[key], key)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solves = _dirichlet_cache(merged)

@@ -9,10 +9,6 @@ class NoRealRoot(DomainError):
     """The index equation has no real root for the requested coefficient."""
 
 
-class NoSeparatrix(RuntimeError):
-    """Shooting bracket endpoints classify identically; no decaying branch isolated."""
-
-
 class StepFailure(RuntimeError):
     """An integrator produced a non-finite state or collapsed its step size."""
 

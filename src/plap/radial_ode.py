@@ -3,11 +3,11 @@
 Exponentially decaying exterior solutions are handled in logarithmic
 amplitude: profiles carry log_u = ln(u) and ratio = u'/u alongside u itself,
 because u underflows float64 once ln(u) drops below about -745 while the
-log-derivative pair stays O(1) on any span.  The decaying branch is isolated
-by bisection on the initial ratio u'(r0)/u(r0); the ratio flow repels that
-branch at rate exp(p*alpha*r) going outward, so the returned profile is
-produced by integrating the same flow in its stable (inward) direction from
-beyond r_max, seeded and cross-checked with the bisected ratio.
+log-derivative pair stays O(1) on any span.  The ratio flow repels the
+decaying branch at rate exp(p*alpha*r) going outward and attracts it at the
+same rate going inward, so the branch is found by one inward integration from
+beyond r_max, seeded with its far-field limit -alpha; no outward shooting or
+bisection on the initial ratio is needed.
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
-from .errors import (DomainError, IllConditioned, NoSeparatrix, SingularRatio,
-                     StepFailure)
+from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 
 OVERFLOW_BARRIER = 1e150
 ZERO_BARRIER = 1e-150
-MAX_BISECT = 200
-BRACKET_WIDTH = 1e-14
 
 
 class ShootClass(Enum):
@@ -264,83 +261,43 @@ def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
     return "none"
 
 
-def radial_exterior_eigen(n, p, lam, r0, r_max, bracket=None,
-                          grid_points=800) -> ShootResult:
+def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
-    Bisects the initial ratio u'(r0)/u(r0) over `bracket` (default
-    [-10*alpha, 0]) between definitive growth and zero-crossing, then realizes
-    the isolated branch on a log-spaced grid via the stable inward integration
-    of the ratio flow.  The profile is normalized to u(r0) = 1.
-
-    Raises NoSeparatrix when both bracket endpoints classify identically
-    (degenerate bracket or span too short to separate the behaviors).
+    One inward DOP853 pass of the ratio flow sigma = u'/u, seeded with the
+    far-field limit sigma = -alpha at r_start = r_max + 35/(p*alpha).  Going
+    inward the decaying branch attracts the flow at rate exp(p*alpha*(r_start
+    - r)), so the seed's error is damped by about e^-35 before r_max and the
+    profile on [r0, r_max] is the branch to integrator precision.  The
+    profile lives on a log-spaced grid and is normalized to u(r0) = 1;
+    shoot_param is the realized initial ratio u'(r0)/u(r0).
     """
     if r0 <= 0.0:
         raise DomainError("r0 must be positive")
     if r_max < 10.0 * r0:
         raise DomainError("r_max must be at least 10*r0")
     alpha = eigen_rate_alpha(lam, p)
-    if bracket is None:
-        bracket = (-10.0 * alpha, 0.0)
-    lo, hi = float(bracket[0]), float(bracket[1])
-
-    sigma_up = -0.5 * alpha
-    sigma_floor = min(lo, -10.0 * alpha) - 1.0
-    r_cap = r_max + 80.0 / (p * alpha)
-
-    def classify(s):
-        return _classify_ratio(n, p, lam, r0, s, sigma_up, sigma_floor, r_cap)
-
-    side_lo, side_hi = classify(lo), classify(hi)
-    if side_lo == side_hi:
-        raise NoSeparatrix(
-            f"bracket endpoints both classify as '{side_lo}'; widen the bracket"
-        )
-    if side_lo == "up":  # orient so lo is the zero-crossing side
-        lo, hi = hi, lo
-
-    iters = 0
-    for _ in range(MAX_BISECT):
-        if abs(hi - lo) <= BRACKET_WIDTH * max(1.0, abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        side = classify(mid)
-        iters += 1
-        if side == "none":
-            break  # trial indistinguishable from the branch at this precision
-        if side == "up":
-            hi = mid
-        else:
-            lo = mid
-    s_star = 0.5 * (lo + hi)
-
-    # Stable inward pass: the decaying branch attracts the ratio flow run
-    # from large radius toward r0, so the transient beyond r_max is forgotten
-    # at rate exp(-p*alpha*(R_start - r)).
-    pad = 35.0 / (p * alpha)
-    r_start = r_max + pad
+    r_start = r_max + 35.0 / (p * alpha)
     r_grid = np.geomspace(r0, r_max, grid_points)
-    rhs = _ratio_rhs(n, p, lam)
-    sol = solve_ivp(rhs, (r_start, r0), [0.0, s_star], method="DOP853",
-                    rtol=1e-12, atol=1e-14, t_eval=r_grid[::-1])
+    sol = solve_ivp(_ratio_rhs(n, p, lam), (r_start, r0), [0.0, -alpha],
+                    method="DOP853", rtol=1e-12, atol=1e-14,
+                    t_eval=r_grid[::-1])
     if not sol.success:
         raise StepFailure(sol.message)
     log_u = sol.y[0][::-1].copy()
     sigma = sol.y[1][::-1].copy()
     log_u -= log_u[0]  # normalize u(r0) = 1
 
-    mismatch = abs(sigma[0] - s_star)
+    shoot_param = float(sigma[0])
     with np.errstate(under="ignore"):
         u = np.exp(log_u)
     meta = {"kind": "radial_exterior_eigen", "n": n, "p": p, "lam": lam,
-            "r0": r0, "r_max": r_max, "alpha": alpha, "shoot_param": s_star,
-            "ratio_mismatch": mismatch, "bracket_final": (lo, hi),
-            "bracket_classes": ("hit_zero", "blow_up")}
+            "r0": r0, "r_max": r_max, "alpha": alpha,
+            "shoot_param": shoot_param}
     profile = RadialProfile(r=r_grid, u=u, du=sigma * u, meta=meta,
                             log_u=log_u, ratio=sigma)
-    return ShootResult(profile=profile, shoot_param=s_star,
-                       bisection_iters=iters, classification=ShootClass.DECAYING)
+    return ShootResult(profile=profile, shoot_param=shoot_param,
+                       bisection_iters=0, classification=ShootClass.DECAYING)
 
 
 def hardy_power_residual(n, p, a, mu, gamma, r_samples) -> float:

@@ -122,6 +122,31 @@ class TestMainEntry:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"lam": -1.0}, "lam must be a finite number > 0"),
+        ({"lam": 0.0}, "lam must be a finite number > 0"),
+        ({"lam": float("inf")}, "lam must be a finite number > 0"),
+        ({"h_list": [0.125]}, "h_list needs at least two spacings"),
+    ])
+    def test_bochner_config_errors_exit_2(self, tmp_path, capsys, cfg,
+                                          message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main(["bochner", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["indicial_trials", "hardy_trials"])
+    @pytest.mark.parametrize("value", [0, "x", True])
+    def test_all_trial_counts_exit_2(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code = cli.main(["all", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must be an integer >= 1" in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, tmp_path):
         code = cli.main(["frobnicate", "--out", str(tmp_path)])
         assert code == 2

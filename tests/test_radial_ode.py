@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kve
 
-from plap.errors import (DomainError, IllConditioned, NoSeparatrix,
-                         SingularRatio)
-from plap.indicial import Nonlinearity, ProblemParams, auxiliary_f
+from plap.errors import DomainError, IllConditioned, SingularRatio
+from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
+                           eigen_rate_alpha)
 from plap.radial_ode import (RadialProfile, ShootClass, eigen_profile_1d,
                              fit_decay_exponents, gradient_ratio_curve,
                              hardy_power_residual, radial_exterior_eigen,
@@ -105,24 +106,38 @@ class TestRadialExteriorEigen:
         rel = np.abs(prof.u / target - 1.0)
         assert np.max(rel[prof.r <= 20.0]) <= 1e-5
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_p2_matches_bessel_oracle(self, n):
+        # for p = 2 the decaying solution is u ~ r^-nu K_nu(r), nu = (n-2)/2,
+        # so u'/u = -K_(nu+1)/K_nu; kve = K e^r keeps the logs finite
+        shot = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 40.0)
+        prof = shot.profile
+        r, nu = prof.r, (n - 2) / 2
+        ratio = -kve(nu + 1, r) / kve(nu, r)
+        log_u = -nu * np.log(r) + np.log(kve(nu, r)) - r
+        log_u -= log_u[0]
+        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-9
+        assert np.max(np.abs(prof.log_u - log_u)) <= 1e-9
+
     def test_shoot_param_is_initial_ratio(self):
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
         # d/dr log(e^-r / r) at r=1 is -(1 + 1/1) = -2
-        assert shot.shoot_param == pytest.approx(-2.0, abs=1e-6)
-        assert shot.profile.meta["ratio_mismatch"] <= 1e-6
+        assert shot.shoot_param == pytest.approx(-2.0, abs=1e-10)
+        assert shot.shoot_param == shot.profile.ratio[0]
 
     def test_final_bracket_straddles(self):
-        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
-        lo, hi = shot.profile.meta["bracket_final"]
-        alpha = 1.0
-        assert _classify_ratio(3, 2.0, 1.0, 1.0, lo, -alpha / 2,
-                               -10 * alpha - 1, 120.0) == "down"
-        assert _classify_ratio(3, 2.0, 1.0, 1.0, hi, -alpha / 2,
-                               -10 * alpha - 1, 120.0) == "up"
-
-    def test_degenerate_bracket(self):
-        with pytest.raises(NoSeparatrix):
-            radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0, bracket=(-0.0, -0.0))
+        # the outward classifier sends a ratio just below the realized
+        # initial ratio to a zero crossing and one just above to growth
+        r_max = 40.0
+        for n, p, lam in [(3, 1.5, 0.5), (3, 2.0, 1.0), (4, 3.0, 2.0),
+                          (2, 1.5, 1.0), (5, 2.9, 0.5)]:
+            alpha = eigen_rate_alpha(lam, p)
+            s = radial_exterior_eigen(n, p, lam, 1.0, r_max).shoot_param
+            corridor = (-alpha / 2, -10 * alpha - 1, r_max + 80 / (p * alpha))
+            assert _classify_ratio(n, p, lam, 1.0, s - 1e-8 * alpha,
+                                   *corridor) == "down"
+            assert _classify_ratio(n, p, lam, 1.0, s + 1e-8 * alpha,
+                                   *corridor) == "up"
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
