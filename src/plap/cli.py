@@ -101,17 +101,39 @@ def _validate_keys(cfg, allowed, required, where):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _check_spacings(h_list, key):
-    """A refinement sweep needs at least two grid spacings."""
-    if not isinstance(h_list, (list, tuple)) or len(h_list) < 2:
-        raise ConfigError(f"{key} needs at least two spacings for the "
-                          "refinement checks")
-
-
 def _check_count(value, key):
     """A sweep size is an int >= 1 (bool is not a count)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _check_positive(value, key):
+    """A length, time or rate is a finite real > 0 (bool is not a number)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (value > 0.0 and math.isfinite(value))):
+        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+
+
+# Domain of the grid criteria and of the bochner campaign.
+UNIT_SQUARE = (0.0, 0.0, 1.0, 1.0)
+
+
+def _check_sweep(values, key, what):
+    """A sweep is a list of at least two finite reals > 0."""
+    if not isinstance(values, (list, tuple)) or len(values) < 2:
+        raise ConfigError(f"{key} needs at least two {what}")
+    for value in values:
+        _check_positive(value, key)
+
+
+def _check_spacings(h_list, key):
+    """A refinement sweep needs at least two spacings of the unit square."""
+    _check_sweep(h_list, key, "spacings for the refinement checks")
+    for h in h_list:
+        try:
+            grid_pde._grid_shape(UNIT_SQUARE, h)
+        except DomainError as exc:
+            raise ConfigError(f"{key} entry {h!r}: {exc}") from exc
 
 
 def _campaign_params(cfg, keys, name) -> ProblemParams:
@@ -156,10 +178,9 @@ def _two_exp_field(lam, h):
     """p=2 oracle field e^(a x) + e^(a y) with a = sqrt(lam) (solves the
     linear eigen-equation exactly)."""
     a = math.sqrt(lam)
-    rect = (0.0, 0.0, 1.0, 1.0)
-    ex = grid_pde.exponential_field(a, [1.0, 0.0], rect, h)
-    ey = grid_pde.exponential_field(a, [0.0, 1.0], rect, h)
-    return grid_pde.field_from_values(ex.values + ey.values, rect, h)
+    ex = grid_pde.exponential_field(a, [1.0, 0.0], UNIT_SQUARE, h)
+    ey = grid_pde.exponential_field(a, [0.0, 1.0], UNIT_SQUARE, h)
+    return grid_pde.field_from_values(ex.values + ey.values, UNIT_SQUARE, h)
 
 
 def _order_shortfall(errs):
@@ -301,9 +322,7 @@ def run_bochner(cfg, out_dir) -> ExperimentReport:
     h_list = cfg.get("h_list", [1.0 / 16, 1.0 / 32, 1.0 / 64])
     _check_spacings(h_list, "h_list")
     lam = cfg.get("lam", 1.0)
-    if (isinstance(lam, bool) or not isinstance(lam, (int, float))
-            or not (lam > 0.0 and math.isfinite(lam))):
-        raise ConfigError(f"lam must be a finite number > 0, got {lam!r}")
+    _check_positive(lam, "lam")
     resid, shortfall = _bochner_trend(h_list, lam)
     rows = [CheckRow("refinement_factor", 0.0, shortfall, 0.0)]
     with open(Path(out_dir) / "bochner_trend.csv", "w", newline="") as fh:
@@ -385,14 +404,13 @@ GRID_ALPHA = eigen_rate_alpha(2.0, 3.0)
 def _dirichlet_cache(cfg):
     """Solves of the grid problem at each spacing, shared by criteria 02-04."""
     xi = np.array([0.6, 0.8])
-    rect = (0.0, 0.0, 1.0, 1.0)
     solves = []
     for h in cfg["grid_h"]:
         t0 = time.perf_counter()
         # tol sits far below the O(h^2) discretization error but above the
         # rounding floor of the residual stencils (~eps/h^2)
         fld, stats, exact, sup_err = _exact_solve(
-            GRID_PARAMS, GRID_ALPHA, xi, rect, h, 1e-9)
+            GRID_PARAMS, GRID_ALPHA, xi, UNIT_SQUARE, h, 1e-9)
         log.info("dirichlet h=%g: %d Newton iters, residual %.3g, sup err %.3g "
                  "(%.2fs)", h, stats.newton_iters, stats.final_residual,
                  sup_err, time.perf_counter() - t0)
@@ -589,6 +607,10 @@ def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
         _check_spacings(merged[key], key)
     for key in ("indicial_trials", "hardy_trials"):
         _check_count(merged[key], key)
+    for key in ("shoot_r_max", "martin_t", "riccati_T", "translate_window"):
+        _check_positive(merged[key], key)
+    _check_sweep(merged["translate_shifts"], "translate_shifts",
+                 "shifts for the monotonicity check")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solves = _dirichlet_cache(merged)

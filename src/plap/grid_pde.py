@@ -112,6 +112,12 @@ def _face_gradients(v, h):
     return dvx, dvy_x, dvy, dvx_y
 
 
+def _centered_grad(w, h):
+    """Centred differences (w_x, w_y) at the interior nodes of w."""
+    return ((w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h),
+            (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h))
+
+
 def p_laplace_residual(field: Field2D, p, lam, epsilon=0.0) -> np.ndarray:
     """Interior residual of -div((|grad v|^2+eps^2)^((p-2)/2) grad v) + lam v^(p-1).
 
@@ -226,8 +232,7 @@ def linearized_apply(field: Field2D, g, p, epsilon=0.0, grad_floor=0.0):
     if g.shape != v.shape:
         raise DomainError("direction field must match the grid shape")
     out = _apply_linearized(v, g, p, h, epsilon)
-    wx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * h)
-    wy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * h)
+    wx, wy = _centered_grad(v, h)
     grad_mag = np.sqrt(wx ** 2 + wy ** 2)
     return np.ma.masked_array(out, mask=grad_mag <= grad_floor)
 
@@ -318,11 +323,9 @@ def gradient_log_sup(field: Field2D, via="log") -> float:
     v, h = field.values, field.h
     if via == "log":
         w = np.log(v)
-        wx = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
-        wy = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+        wx, wy = _centered_grad(w, h)
     elif via == "ratio":
-        vx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2.0 * h)
-        vy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2.0 * h)
+        vx, vy = _centered_grad(v, h)
         wx = vx / v[1:-1, 1:-1]
         wy = vy / v[1:-1, 1:-1]
     else:
@@ -335,8 +338,7 @@ def directional_range(field: Field2D, nu):
     nu = _check_unit(nu)
     w = np.log(field.values)
     h = field.h
-    wx = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
-    wy = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+    wx, wy = _centered_grad(w, h)
     d = nu[0] * wx + nu[1] * wy
     return float(d.min()), float(d.max())
 
@@ -350,8 +352,7 @@ def kappa_bound_check(field: Field2D, p, lam):
     """(max of f, kappa) where f = |grad w|^2, w = -(p-1) log v."""
     w = -(p - 1.0) * np.log(field.values)
     h = field.h
-    wx = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
-    wy = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+    wx, wy = _centered_grad(w, h)
     f = wx ** 2 + wy ** 2
     return float(f.max()), kappa(p, lam)
 
@@ -374,8 +375,7 @@ def bochner_residual(field: Field2D, p, lam, threshold=None) -> float:
         raise DomainError("grid too small for nested stencils")
     w = -(p - 1.0) * np.log(v)
 
-    wx = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)      # nodes [1..nx-2]
-    wy = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+    wx, wy = _centered_grad(w, h)                      # nodes [1..nx-2]
     f_int = wx ** 2 + wy ** 2                          # shape (nx-2, ny-2)
     f_full = np.full_like(w, np.nan)
     f_full[1:-1, 1:-1] = f_int
@@ -390,8 +390,7 @@ def bochner_residual(field: Field2D, p, lam, threshold=None) -> float:
     wxy = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]) / (4.0 * h ** 2)
     wij2 = (wxx ** 2 + 2.0 * wxy ** 2 + wyy ** 2)[1:-1, 1:-1]
 
-    fx = (f_int[2:, 1:-1] - f_int[:-2, 1:-1]) / (2.0 * h)
-    fy = (f_int[1:-1, 2:] - f_int[1:-1, :-2]) / (2.0 * h)
+    fx, fy = _centered_grad(f_int, h)
     grad_f2 = fx ** 2 + fy ** 2
     wf_dot = wx[1:-1, 1:-1] * fx + wy[1:-1, 1:-1] * fy
 

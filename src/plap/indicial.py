@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from scipy.optimize import brentq
+
 from .errors import DomainError, NoRealRoot
 
 # Absolute/relative tolerances fixed once for the whole package.
@@ -132,19 +134,14 @@ def gamma_star(n, p, a=0.0):
 def _f_of(gamma, p, big_d):
     if gamma == 0.0:
         return 0.0
-    return abs(gamma) ** (p - 2.0) * gamma * (big_d - (p - 1.0) * gamma)
+    # |g|^(p-1) sign(g), not |g|^(p-2) g: the latter overflows for subnormal
+    # g when p < 2
+    return math.copysign(abs(gamma) ** (p - 1.0), gamma) * (big_d - (p - 1.0) * gamma)
 
 
 def auxiliary_f(gamma, n, p, a=0.0):
     """Index function |g|^(p-2) g (n-(a+1)p-(p-1)g); f(0) = 0 by continuity."""
     return _f_of(gamma, p, n - (a + 1.0) * p)
-
-
-def _auxiliary_f_prime(gamma, n, p, a):
-    # f'(g) = p (p-1) |g|^(p-2) (g_star - g); infinite at 0 when p < 2
-    if gamma == 0.0:
-        return math.inf if p < 2.0 else (0.0 if p > 2.0 else n - (a + 1.0) * p)
-    return p * (p - 1.0) * abs(gamma) ** (p - 2.0) * (gamma_star(n, p, a) - gamma)
 
 
 def critical_exponent(n, p, a, b):
@@ -158,106 +155,60 @@ def critical_exponent(n, p, a, b):
     return n * p / (n - (a + 1.0 - b) * p)
 
 
-_LOG_FLOOR = -700.0  # ln of the smallest magnitude the solver resolves
-
-
-def _log_bisect(fn, x_lo, x_hi):
-    """Bisect fn (monotone, sign change) over a log-magnitude coordinate."""
-    f_lo, f_hi = fn(x_lo), fn(x_hi)
-    if f_lo == 0.0:
-        return x_lo
-    if f_hi == 0.0:
-        return x_hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise NoRealRoot("no sign change inside the branch bracket")
-    for _ in range(200):
-        if x_hi - x_lo <= 1e-13:
-            break
-        mid = 0.5 * (x_lo + x_hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (f_hi > 0.0):
-            x_hi, f_hi = mid, fm
-        else:
-            x_lo, f_lo = mid, fm
-    return 0.5 * (x_lo + x_hi)
-
-
-def _expand_log(fn, x_start, direction, want_nonpositive=True):
-    """March x by doubling steps until fn crosses to the wanted sign."""
-    step = 1.0
-    x = x_start
-    for _ in range(400):
-        x = x_start + direction * step
-        val = fn(x)
-        if (val <= 0.0) if want_nonpositive else (val >= 0.0):
-            return x
-        if x < _LOG_FLOOR:
-            raise NoRealRoot("root magnitude below representable range")
-        step *= 2.0
-    raise NoRealRoot("bracket expansion failed; no sign change found")
+_LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
 
 
 def _solve_branches(mu, p, big_d):
     """Both roots of the index equation for mu < mu_bar, mu != 0.
 
     Works on the canonical orientation D > 0 (the index function is even
-    under (gamma, D) -> (-gamma, -D)) and bisects in ln|gamma|, which
-    resolves the extreme root magnitudes that appear for p close to 1.
+    under (gamma, D) -> (-gamma, -D)) and solves in x = ln|gamma|, which
+    resolves the extreme root magnitudes that appear for p close to 1.  Each
+    root is bracketed in closed form from the power-law bounds of the index
+    function and found by one brentq call, whose x tolerance of about
+    4 eps |x| leaves a relative error of order eps |ln gamma| in gamma.
+    Logs of ratios are taken as differences, so they stay finite when mu is
+    near the smallest double.
     """
     if big_d < 0.0:
         m1, m2 = _solve_branches(mu, p, -big_d)
         return -m2, -m1
-    gs = big_d / p
-    edge = big_d / (p - 1.0)
+    q = p - 1.0
+    log_d = math.log(big_d)
+    x_star = log_d - math.log(p)
+    x_edge = log_d - math.log(q)
 
-    def f_pos(x):
-        return _f_of(math.exp(x), p, big_d) - mu
-
-    def f_neg_mag(x):
-        g = math.exp(x)
-        return -(g ** (p - 1.0)) * (big_d + (p - 1.0) * g) - mu
+    def root(sign, x_lo, x_hi):
+        """The root sign * e^x with x in [x_lo, x_hi]."""
+        x = brentq(lambda x: _f_of(sign * math.exp(x), p, big_d) - mu,
+                   x_lo, x_hi, xtol=2.0 ** -52, rtol=4.0 * 2.0 ** -52)
+        return sign * math.exp(x)
 
     if mu > 0.0:
-        # both roots positive: (0, gs) on the rising side, (gs, edge) falling.
-        # The outer g2 endpoint sits past the zero crossing at `edge` so its
+        # both roots positive.  On (0, g_star), D g^q / p <= f <= D g^q puts
+        # g1 between (mu/D)^(1/q) and (p mu/D)^(1/q); a g1 below the
+        # smallest double is bracketed up to that double.  g2 lies in
+        # (g_star, edge), whose end is pushed past the zero crossing so its
         # sign does not ride on rounding noise when mu is tiny.
-        x_lo = _expand_log(f_pos, math.log(gs), -1.0)
-        g1 = math.exp(_log_bisect(f_pos, x_lo, math.log(gs)))
-        g2 = math.exp(_log_bisect(f_pos, math.log(gs), math.log(edge) + 1e-7))
+        x_mu = (math.log(mu) - log_d) / q
+        g1 = root(1.0, x_mu - 1.0,
+                  min(x_star, max(x_mu + math.log(p) / q + 1.0, _LOG_TINY)))
+        g2 = root(1.0, x_star, x_edge + 1e-7)
     else:
-        # g1 < 0 with |g1| solving |g|^(p-1)(D+(p-1)|g|) = -mu; g2 > edge.
-        # The inner g2 endpoint is offset below the zero crossing at `edge`
-        # so its sign does not ride on rounding noise when |mu| is tiny.
-        x_hi = _expand_log(f_neg_mag, 0.0, 1.0)
-        x_lo = _expand_log(f_neg_mag, 0.0, -1.0, want_nonpositive=False)
-        g1 = -math.exp(_log_bisect(f_neg_mag, x_lo, x_hi))
-        x_in = math.log(edge) - 1e-7
-        x_hi = _expand_log(f_pos, x_in, 1.0)
-        g2 = math.exp(_log_bisect(f_pos, x_in, x_hi))
+        # g1 < 0 with |g1| solving D g^q + q g^p = M, M = -mu: at the root
+        # neither term exceeds M and the larger is at least M/2.  A root
+        # below the smallest double is bracketed up to that double.  g2 > edge,
+        # where f <= -q g^p / 2 once g >= 2 edge.
+        log_m = math.log(-mu)
+        x_lo = min((log_m - math.log(2.0) - log_d) / q,
+                   (log_m - math.log(2.0 * q)) / p) - 1.0
+        x_hi = max(min((log_m - log_d) / q, (log_m - math.log(q)) / p) + 1.0,
+                   _LOG_TINY)
+        g1 = root(-1.0, x_lo, x_hi)
+        g2 = root(1.0, x_edge - 1e-7,
+                  1.0 + max(math.log(2.0) + x_edge,
+                            (math.log(2.0) + log_m - math.log(q)) / p))
     return g1, g2
-
-
-def _polish(root, mu, n, p, a, lo, hi):
-    """Guarded Newton refinement of a bisected root.
-
-    Steps are taken while they stay inside [lo, hi] and strictly reduce the
-    residual, so the root settles at the rounding floor of the index function
-    rather than anywhere inside the acceptance bound."""
-    resid = auxiliary_f(root, n, p, a) - mu
-    for _ in range(6):
-        slope = _auxiliary_f_prime(root, n, p, a)
-        if resid == 0.0 or not math.isfinite(slope) or slope == 0.0:
-            break
-        cand = root - resid / slope
-        if not (lo <= cand <= hi) or cand == root:
-            break
-        cand_resid = auxiliary_f(cand, n, p, a) - mu
-        if abs(cand_resid) >= abs(resid):
-            break
-        root, resid = cand, cand_resid
-    return root
 
 
 def indicial_roots(params: ProblemParams) -> IndicialData:
@@ -265,7 +216,8 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
 
     Raises NoRealRoot when mu exceeds mu_bar beyond tolerance.  A double root
     gamma1 = gamma2 = gamma_star is reported when |mu - mu_bar| is within the
-    detection tolerance (the two bisection brackets collapse below it).
+    detection tolerance (below it f(gamma_star) - mu, the sign that splits
+    the two root brackets, is too close to rounding noise to trust).
     """
     n, p, a, mu = params.n, params.p, params.a, params.mu
     mu_bar = hardy_best_constant(n, p, a)
@@ -292,10 +244,6 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         double = False
     else:
         g1, g2 = _solve_branches(mu, p, big_d)
-        w1 = max(1e-6, 1e-6 * abs(g1))
-        w2 = max(1e-6, 1e-6 * abs(g2))
-        g1 = _polish(g1, mu, n, p, a, g1 - w1, g1 + w1)
-        g2 = _polish(g2, mu, n, p, a, g2 - w2, g2 + w2)
         double = False
 
     bound = max(RESIDUAL_RTOL * max(1.0, abs(mu)),

@@ -127,6 +127,9 @@ class TestMainEntry:
         ({"lam": 0.0}, "lam must be a finite number > 0"),
         ({"lam": float("inf")}, "lam must be a finite number > 0"),
         ({"h_list": [0.125]}, "h_list needs at least two spacings"),
+        ({"h_list": ["a", "b"]}, "h_list must be a finite number > 0"),
+        ({"h_list": [0.1, 0]}, "h_list must be a finite number > 0"),
+        ({"h_list": [0.3, 0.7]}, "h must divide the rectangle extents"),
     ])
     def test_bochner_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                           message):
@@ -146,6 +149,33 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{key} must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"shoot_r_max": "x"}, "shoot_r_max must be a finite number > 0"),
+        ({"martin_t": -5}, "martin_t must be a finite number > 0"),
+        ({"grid_h": [0.3, 0.1]}, "h must divide the rectangle extents"),
+        ({"riccati_T": -1}, "riccati_T must be a finite number > 0"),
+        ({"translate_window": "w"},
+         "translate_window must be a finite number > 0"),
+        ({"translate_shifts": []}, "translate_shifts needs at least two"),
+    ])
+    def test_all_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main(["all", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_roots_near_one_p_exit_0(self, tmp_path):
+        # gamma1 lies far below the smallest double, so the root solve
+        # evaluates the index function at subnormal gamma
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 1.04, "mu": 1e-30}}))
+        code = cli.main(["roots", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 0
 
     def test_unknown_subcommand_exit_2(self, tmp_path):
         code = cli.main(["frobnicate", "--out", str(tmp_path)])

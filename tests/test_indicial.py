@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,12 @@ class TestAuxiliaryF:
     def test_second_factor_root(self):
         assert auxiliary_f(3.0, 5, 2, 0) == 0.0
 
+    def test_subnormal_gamma_p_below_2(self):
+        # |g|^(p-2) alone overflows at the smallest double when p < 2
+        expected = 5e-324 ** 0.04 * 1.96
+        assert auxiliary_f(5e-324, 3, 1.04) == pytest.approx(expected, rel=1e-14)
+        assert auxiliary_f(-5e-324, 3, 1.04) == pytest.approx(-expected, rel=1e-14)
+
     @given(admissible_params())
     @settings(max_examples=150, deadline=None)
     def test_peak_location_and_value(self, npa):
@@ -90,8 +97,9 @@ class TestAuxiliaryF:
 
 class TestIndicialRoots:
     def test_roots_polished_to_rounding_floor(self):
-        # bisection leaves gamma2 at residual 1.1e-12 here; Newton polish
-        # must carry both roots well below the 1e-12 acceptance bound
+        # a bisection stopped at width 1e-13 in ln|gamma| left gamma2 at
+        # residual 1.1e-12 here; the root solve must carry both roots well
+        # below the 1e-12 acceptance bound
         n, p, a, mu = (4, 2.9821398552125684, -1.1058682453504916,
                        -4.964384945276048)
         data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
@@ -162,6 +170,66 @@ class TestIndicialRoots:
         disc = math.sqrt(max(d * d - 4.0 * mu, 0.0))
         assert data.gamma1 == pytest.approx(0.5 * (d - disc), abs=1e-12 * max(1, abs(d)))
         assert data.gamma2 == pytest.approx(0.5 * (d + disc), abs=1e-12 * max(1, abs(d)))
+
+
+def _oracle_roots(n, p, a, mu):
+    """Both roots of f(gamma) = mu by mpmath.findroot at 50 digits.
+
+    Solves f(+-e^x) = mu on each monotone branch of f, bracketed only by
+    gamma_star, the zero crossing edge = D/(p-1) and wide outer ends.  The
+    residual is taken relative to the size of the terms of f, so that a root
+    of a tiny mu and a root next to the cancellation at edge both resolve.
+    D < 0 reduces to D > 0 by the symmetry (gamma, D) -> (-gamma, -D).
+    """
+    with mpmath.workdps(50):
+        p, mu = mpmath.mpf(p), mpmath.mpf(mu)
+        q = p - 1
+        d = n - (mpmath.mpf(a) + 1) * p
+        flip, d = d < 0, abs(d)
+
+        def solve(sign, x_lo, x_hi):
+            def resid(x):
+                g = mpmath.exp(x)
+                f = sign * g ** q * (d - sign * q * g)
+                return (f - mu) / (g ** q * (d + q * g) + abs(mu))
+            x = mpmath.findroot(resid, (x_lo, x_hi), solver="pegasus",
+                                maxsteps=5000)
+            return sign * mpmath.exp(x)
+
+        x_star, x_edge = mpmath.log(d / p), mpmath.log(d / q)
+        if mu > 0:
+            g1, g2 = solve(1, -3000, x_star), solve(1, x_star, x_edge)
+        else:
+            g1, g2 = solve(-1, -3000, 50), solve(1, x_edge, 50)
+        return (-g2, -g1) if flip else (g1, g2)
+
+
+@pytest.mark.parametrize("n, p, a, mu", [
+    (3, 2.0, 0.0, 0.2),
+    (3, 2.0, 0.0, -3.0),
+    (4, 1.03, 0.0, 1e-3),
+    (5, 1.02, 0.5, -1e-13),
+    (2, 1.05, 1.5, 1e-14),
+    (2, 1.05, 1.5, 0.3),
+    (6, 3.5, 1.0, -7.5),
+    (8, 4.0, -1.5, 30.0),
+    (3, 2.5, -0.4, -1e-12),
+    (3, 1.04, 2.5, -0.5),
+    (7, 1.05, 3.0, 1e-13),
+    (4, 2.9821398552125684, -1.1058682453504916, -4.964384945276048),
+    # mu = 5e-324 * mu_bar rounded: ln(mu / D) would be ln(0)
+    (5, 2.0, 0.4, 5e-324),
+    # |gamma1| ~ 4e-327 lies below the smallest double
+    (2, 1.5, 0.0, -3.17e-164),
+    # gamma2 lies within 1e-15 of edge = 1
+    (3, 2.0, 0.0, -2.2e-16),
+])
+def test_roots_match_mpmath_oracle(n, p, a, mu):
+    data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
+    for got, exact in zip((data.gamma1, data.gamma2), _oracle_roots(n, p, a, mu)):
+        # relative error, or one subnormal step for a root below the
+        # smallest double
+        assert abs(got - exact) <= 1e-13 * abs(exact) + math.ulp(0.0)
 
 
 class TestCriticalExponent:
