@@ -27,7 +27,8 @@ import numpy as np
 from . import blowup, grid_pde, radial_ode
 from .errors import ConfigError, DomainError
 from .indicial import (Nonlinearity, ProblemParams, auxiliary_f, eigen_rate_alpha,
-                       hardy_best_constant, indicial_roots, placement_satisfied)
+                       hardy_best_constant, indicial_roots, placement_satisfied,
+                       step_change)
 
 log = logging.getLogger("plap")
 
@@ -126,14 +127,18 @@ def _check_sweep(values, key, what):
         _check_positive(value, key)
 
 
-def _check_spacings(h_list, key):
-    """A refinement sweep needs at least two spacings of the unit square."""
+def _check_spacings(h_list, key, min_nodes=3):
+    """A refinement sweep needs at least two spacings of the unit square,
+    each with at least min_nodes nodes per axis."""
     _check_sweep(h_list, key, "spacings for the refinement checks")
     for h in h_list:
         try:
-            grid_pde._grid_shape(UNIT_SQUARE, h)
+            nodes = grid_pde._grid_shape(UNIT_SQUARE, h)[2]
         except DomainError as exc:
             raise ConfigError(f"{key} entry {h!r}: {exc}") from exc
+        if nodes < min_nodes:
+            raise ConfigError(f"{key} entry {h!r}: {nodes} nodes per axis, "
+                              f"the checks need at least {min_nodes}")
 
 
 def _campaign_params(cfg, keys, name) -> ProblemParams:
@@ -219,14 +224,12 @@ def run_roots(cfg, out_dir) -> ExperimentReport:
     data = indicial_roots(params)
     n, p, a, mu = params.n, params.p, params.a, params.mu
     tol = 1e-12 * max(1.0, abs(mu))
-    rows = [
-        CheckRow("residual_gamma1", 0.0,
-                 abs(auxiliary_f(data.gamma1, n, p, a) - mu), tol),
-        CheckRow("residual_gamma2", 0.0,
-                 abs(auxiliary_f(data.gamma2, n, p, a) - mu), tol),
-        CheckRow("placement_ok", 1.0,
-                 float(placement_satisfied(data, n, p, a)), 0.0),
-    ]
+    # no double can beat the change of f across one step at the root
+    rows = [CheckRow(f"residual_gamma{k}", 0.0, abs(auxiliary_f(g, n, p, a) - mu),
+                     max(tol, step_change(g, n, p, a)))
+            for k, g in ((1, data.gamma1), (2, data.gamma2))]
+    rows.append(CheckRow("placement_ok", 1.0,
+                         float(placement_satisfied(data, n, p, a)), 0.0))
     roots = _p2_roots(n, a, mu) if p == 2.0 else None
     if roots is not None:
         q1, q2 = roots
@@ -320,7 +323,7 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
 def run_bochner(cfg, out_dir) -> ExperimentReport:
     _validate_keys(cfg, {"h_list", "lam", "seed"}, set(), "bochner config")
     h_list = cfg.get("h_list", [1.0 / 16, 1.0 / 32, 1.0 / 64])
-    _check_spacings(h_list, "h_list")
+    _check_spacings(h_list, "h_list", grid_pde.NESTED_STENCIL_NODES)
     lam = cfg.get("lam", 1.0)
     _check_positive(lam, "lam")
     resid, shortfall = _bochner_trend(h_list, lam)
@@ -603,12 +606,18 @@ def step_rescale(cfg, out_dir):
 def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     _validate_keys(cfg, set(DEFAULT_ALL) | {"seed"}, set(), "all config")
     merged = {**DEFAULT_ALL, **{k: v for k, v in cfg.items() if k != "seed"}}
-    for key in ("grid_h", "bochner_h"):
-        _check_spacings(merged[key], key)
+    _check_spacings(merged["grid_h"], "grid_h")
+    _check_spacings(merged["bochner_h"], "bochner_h",
+                    grid_pde.NESTED_STENCIL_NODES)
     for key in ("indicial_trials", "hardy_trials"):
         _check_count(merged[key], key)
     for key in ("shoot_r_max", "martin_t", "riccati_T", "translate_window"):
         _check_positive(merged[key], key)
+    # shots start at r0 = 1 and need r_max >= 10 r0; the Martin kernel reads
+    # the profile at |xi - t xi| = t - 1, which must not fall below r0
+    for key, low in (("shoot_r_max", 10.0), ("martin_t", 2.0)):
+        if merged[key] < low:
+            raise ConfigError(f"{key} must be >= {low:g}, got {merged[key]!r}")
     _check_sweep(merged["translate_shifts"], "translate_shifts",
                  "shifts for the monotonicity check")
     out = Path(out_dir)

@@ -7,7 +7,11 @@ log-derivative pair stays O(1) on any span.  The ratio flow repels the
 decaying branch at rate exp(p*alpha*r) going outward and attracts it at the
 same rate going inward, so the branch is found by one inward integration from
 beyond r_max, seeded with its far-field limit -alpha; no outward shooting or
-bisection on the initial ratio is needed.
+bisection on the initial ratio is needed.  That inward pass is integrated with
+LSODA: the attraction makes the flow stiff (an explicit Runge-Kutta method is
+held to steps |h| of order 1/(p*alpha) by stability alone, although sigma
+itself varies slowly), and a stiff-switching method takes steps limited only
+by accuracy.
 """
 
 from __future__ import annotations
@@ -90,10 +94,17 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ShootResult:
+    """A shot profile with its classification and integration counters.
+
+    nfev is the number of right-hand-side evaluations of the shot's one
+    solve_ivp pass; bisection_iters is always 0 (no shot bisects).
+    """
+
     profile: RadialProfile
     shoot_param: float
     bisection_iters: int
     classification: ShootClass
+    nfev: int
 
 
 class DecayFit(NamedTuple):
@@ -264,13 +275,19 @@ def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
-    One inward DOP853 pass of the ratio flow sigma = u'/u, seeded with the
+    One inward LSODA pass of the ratio flow sigma = u'/u, seeded with the
     far-field limit sigma = -alpha at r_start = r_max + 35/(p*alpha).  Going
     inward the decaying branch attracts the flow at rate exp(p*alpha*(r_start
     - r)), so the seed's error is damped by about e^-35 before r_max and the
-    profile on [r0, r_max] is the branch to integrator precision.  The
-    profile lives on a log-spaced grid and is normalized to u(r0) = 1;
-    shoot_param is the realized initial ratio u'(r0)/u(r0).
+    profile on [r0, r_max] is the branch to integrator precision.  The same
+    attraction makes the pass stiff: an explicit Runge-Kutta method must keep
+    |h| below about 6/(p*alpha) for stability whatever the accuracy asked,
+    while LSODA switches to a BDF method and takes steps limited only by the
+    smoothness of sigma ~ -alpha - c/r.  rtol = 3e-14 is just above the
+    100*eps at which solve_ivp clamps rtol.  The profile lives on a
+    log-spaced grid and is normalized to u(r0) = 1; shoot_param is the
+    realized initial ratio u'(r0)/u(r0) and nfev counts the pass's RHS
+    evaluations.
     """
     if r0 <= 0.0:
         raise DomainError("r0 must be positive")
@@ -280,7 +297,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     r_start = r_max + 35.0 / (p * alpha)
     r_grid = np.geomspace(r0, r_max, grid_points)
     sol = solve_ivp(_ratio_rhs(n, p, lam), (r_start, r0), [0.0, -alpha],
-                    method="DOP853", rtol=1e-12, atol=1e-14,
+                    method="LSODA", rtol=3e-14, atol=1e-16,
                     t_eval=r_grid[::-1])
     if not sol.success:
         raise StepFailure(sol.message)
@@ -297,7 +314,8 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     profile = RadialProfile(r=r_grid, u=u, du=sigma * u, meta=meta,
                             log_u=log_u, ratio=sigma)
     return ShootResult(profile=profile, shoot_param=shoot_param,
-                       bisection_iters=0, classification=ShootClass.DECAYING)
+                       bisection_iters=0, classification=ShootClass.DECAYING,
+                       nfev=int(sol.nfev))
 
 
 def hardy_power_residual(n, p, a, mu, gamma, r_samples) -> float:
@@ -417,7 +435,7 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
             "gamma1": g1, "c": c, "r_in": r_in, "r_out": r_out}
     profile = RadialProfile(r=r, u=u, du=du, meta=meta)
     return ShootResult(profile=profile, shoot_param=c, bisection_iters=0,
-                       classification=cls)
+                       classification=cls, nfev=int(sol.nfev))
 
 
 def fit_decay_exponents(profile: RadialProfile, alpha=None, window=None) -> DecayFit:

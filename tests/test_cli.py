@@ -130,6 +130,8 @@ class TestMainEntry:
         ({"h_list": ["a", "b"]}, "h_list must be a finite number > 0"),
         ({"h_list": [0.1, 0]}, "h_list must be a finite number > 0"),
         ({"h_list": [0.3, 0.7]}, "h must divide the rectangle extents"),
+        ({"h_list": [0.25, 0.125]}, "5 nodes per axis, the checks need "
+                                    "at least 7"),
     ])
     def test_bochner_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                           message):
@@ -158,6 +160,10 @@ class TestMainEntry:
         ({"translate_window": "w"},
          "translate_window must be a finite number > 0"),
         ({"translate_shifts": []}, "translate_shifts needs at least two"),
+        ({"martin_t": 1.5}, "martin_t must be >= 2"),
+        ({"shoot_r_max": 9.5}, "shoot_r_max must be >= 10"),
+        ({"bochner_h": [0.25, 0.125]}, "5 nodes per axis, the checks need "
+                                       "at least 7"),
     ])
     def test_all_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "cfg.json"
@@ -173,6 +179,17 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"params": {"n": 3, "p": 1.04, "mu": 1e-30}}))
+        code = cli.main(["roots", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 0
+
+    def test_roots_below_smallest_double_exit_0(self, tmp_path):
+        # gamma1 lies below 5e-324 and f - mu jumps by 1e-9 across the one
+        # step from -0.0 to -5e-324, wider than the residual bound
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 2, "p": 1.026975, "a": 0.429235,
+                        "mu": -7.99e-10}}))
         code = cli.main(["roots", "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 0

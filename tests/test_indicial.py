@@ -223,6 +223,9 @@ def _oracle_roots(n, p, a, mu):
     (2, 1.5, 0.0, -3.17e-164),
     # gamma2 lies within 1e-15 of edge = 1
     (3, 2.0, 0.0, -2.2e-16),
+    # gamma1 lies below the smallest double and no double meets the residual
+    # bound: f - mu changes sign between -0.0 and -5e-324
+    (2, 1.026975, 0.429235, -7.99e-10),
 ])
 def test_roots_match_mpmath_oracle(n, p, a, mu):
     data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))

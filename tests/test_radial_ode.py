@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import kve
 
 from plap.errors import DomainError, IllConditioned, SingularRatio
@@ -12,7 +13,7 @@ from plap.radial_ode import (RadialProfile, ShootClass, eigen_profile_1d,
                              hardy_power_residual, radial_exterior_eigen,
                              riccati_ratio_flow, series_start_radius,
                              shoot_singular_profile, write_profile_csv)
-from plap.radial_ode import _classify_ratio
+from plap.radial_ode import _classify_ratio, _ratio_rhs
 
 
 def monotone_profile_t(profile):
@@ -118,6 +119,44 @@ class TestRadialExteriorEigen:
         log_u -= log_u[0]
         assert np.max(np.abs(prof.ratio - ratio)) <= 1e-9
         assert np.max(np.abs(prof.log_u - log_u)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_p2_far_field_matches_bessel_oracle(self, n):
+        # the far-field workload's span: ln u falls to about -2e4, so the
+        # log error is relative to |log_u|
+        shot = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 20010.0)
+        prof = shot.profile
+        r, nu = prof.r, (n - 2) / 2
+        ratio = -kve(nu + 1, r) / kve(nu, r)
+        log_u = -nu * np.log(r) + np.log(kve(nu, r)) - r
+        log_u -= log_u[0]
+        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-9
+        assert np.all(np.abs(prof.log_u - log_u)
+                      <= 1e-10 * np.maximum(1.0, np.abs(log_u)))
+
+    @pytest.mark.parametrize("n,p,lam", [(3, 1.5, 0.5), (4, 3.0, 2.0),
+                                         (2, 1.5, 1.0), (5, 2.9, 0.5),
+                                         (6, 4.5, 3.0)])
+    def test_matches_tight_explicit_reference(self, n, p, lam):
+        # no closed form for p != 2: an explicit DOP853 pass of the same flow
+        # from the same seed, at the tightest rtol solve_ivp accepts
+        r_max = 40.0
+        prof = radial_exterior_eigen(n, p, lam, 1.0, r_max).profile
+        alpha = eigen_rate_alpha(lam, p)
+        sol = solve_ivp(_ratio_rhs(n, p, lam), (r_max + 35 / (p * alpha), 1.0),
+                        [0.0, -alpha], method="DOP853", rtol=2.5e-14,
+                        atol=1e-16, t_eval=prof.r[::-1])
+        sigma = sol.y[1][::-1]
+        log_u = sol.y[0][::-1] - sol.y[0][-1]
+        assert np.max(np.abs(prof.ratio - sigma)) <= 1e-10
+        assert np.max(np.abs(prof.log_u - log_u)) <= 1e-9
+
+    def test_far_field_rhs_evaluations(self):
+        # an explicit method is held to |h| ~ 1/(p*alpha) by stability over
+        # the whole span (about 118k evaluations here); the stiff-switching
+        # pass needs about 4.9k
+        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0, grid_points=1600)
+        assert shot.nfev <= 20000
 
     def test_shoot_param_is_initial_ratio(self):
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
