@@ -108,10 +108,15 @@ def _check_count(value, key):
         raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
 
 
+def _is_finite_real(value):
+    """An int or float that is finite (bool is not a number)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_positive(value, key):
-    """A length, time or rate is a finite real > 0 (bool is not a number)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (value > 0.0 and math.isfinite(value))):
+    """A length, time or rate is a finite real > 0."""
+    if not (_is_finite_real(value) and value > 0.0):
         raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
 
 
@@ -125,6 +130,30 @@ def _check_sweep(values, key, what):
         raise ConfigError(f"{key} needs at least two {what}")
     for value in values:
         _check_positive(value, key)
+
+
+def _check_reals(values, key, size):
+    """A direction or rectangle is a list of `size` finite reals."""
+    if (not isinstance(values, (list, tuple)) or len(values) != size
+            or not all(map(_is_finite_real, values))):
+        raise ConfigError(f"{key} must be a list of {size} finite numbers, "
+                          f"got {values!r}")
+
+
+def _check_grid(xi, rect, h, tol):
+    """Direction, rectangle, spacing and tolerance of the grid campaign."""
+    _check_reals(xi, "xi", 2)
+    _check_reals(rect, "rect", 4)
+    _check_positive(h, "h")
+    _check_positive(tol, "tol")
+    try:
+        grid_pde._check_unit(xi)
+    except DomainError as exc:
+        raise ConfigError(f"xi {xi!r}: {exc}") from exc
+    try:
+        grid_pde._grid_shape(rect, h)
+    except DomainError as exc:
+        raise ConfigError(f"rect {rect!r} with h {h!r}: {exc}") from exc
 
 
 def _check_spacings(h_list, key, min_nodes=3):
@@ -280,6 +309,8 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
     scales = cfg.get("scales", [1e-1, 1e-2, 1e-3])
     shifts = cfg.get("shifts", [10.0, 20.0, 40.0, 80.0, 160.0])
     window = cfg.get("window", 0.5)
+    _check_sweep(shifts, "shifts", "shifts for the monotonicity check")
+    _check_positive(window, "window")
     alpha = eigen_rate_alpha(params.lam, params.p)
     rep_zero = _power_fixed_point(gamma, scales)
     shot = radial_ode.radial_exterior_eigen(
@@ -300,10 +331,11 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
 
 def run_grid(cfg, out_dir) -> ExperimentReport:
     params = _campaign_params(cfg, ("xi", "rect", "h", "tol"), "grid")
-    xi = np.asarray(cfg.get("xi", [0.6, 0.8]), dtype=float)
-    rect = tuple(cfg.get("rect", [0.0, 0.0, 1.0, 1.0]))
+    xi = cfg.get("xi", [0.6, 0.8])
+    rect = cfg.get("rect", list(UNIT_SQUARE))
     h = cfg.get("h", 1.0 / 64)
     tol = cfg.get("tol", 1e-10)
+    _check_grid(xi, rect, h, tol)
     alpha = eigen_rate_alpha(params.lam, params.p)
     fld, stats, _, sup_err = _exact_solve(params, alpha, xi, rect, h, tol)
     glog = grid_pde.gradient_log_sup(fld)
@@ -503,24 +535,22 @@ def step_exterior_p15(cfg):
 
 
 def step_riccati(cfg):
-    T = cfg["riccati_T"]
-    worst_gap = 0.0
-    for p in (1.5, 2.0, 3.0):
-        for lam in (0.5, 1.0, 2.0):
-            alpha = eigen_rate_alpha(lam, p)
-            for s0 in (alpha / 4.0, 4.0 * alpha):
-                _, s = radial_ode.riccati_ratio_flow(lam, p, s0, (0.0, T))
-                worst_gap = max(worst_gap, abs(float(s[-1]) - alpha))
-    oracle_gap = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        alpha = math.sqrt(lam)
-        for s0 in (alpha / 4.0, 4.0 * alpha):
-            t, s = radial_ode.riccati_ratio_flow(lam, 2.0, s0, (0.0, 10.0))
-            if s0 < alpha:
-                ref = alpha * np.tanh(alpha * t + math.atanh(s0 / alpha))
-            else:
-                ref = alpha / np.tanh(alpha * t + math.atanh(alpha / s0))
-            oracle_gap = max(oracle_gap, float(np.max(np.abs(s - ref))))
+    # one vector pass over the (p, lam, s0) grid to T, and one over the p=2
+    # flows, whose closed forms are alpha tanh and alpha coth of
+    # alpha t + atanh(1/4) from s0 = alpha/4 and 4 alpha
+    ps, lams = (1.5, 2.0, 3.0), (0.5, 1.0, 2.0)
+    alpha = np.array([[eigen_rate_alpha(lam, p) for lam in lams] for p in ps])
+    _, s = radial_ode.riccati_ratio_flow(
+        np.array(lams)[:, None], np.array(ps)[:, None, None],
+        alpha[..., None] * [0.25, 4.0], (0.0, cfg["riccati_T"]))
+    worst_gap = float(np.max(np.abs(s[..., -1] - alpha[..., None])))
+    lam = np.array(lams)[:, None]
+    rate = np.sqrt(lam)
+    t, s = radial_ode.riccati_ratio_flow(lam, 2.0, rate * [0.25, 4.0],
+                                         (0.0, 10.0))
+    phase = np.tanh(rate * t + math.atanh(0.25))
+    ref = np.stack([rate * phase, rate / phase], axis=1)
+    oracle_gap = float(np.max(np.abs(s - ref)))
     return [
         CheckRow("terminal_gap", 0.0, worst_gap, 1e-6),
         CheckRow("p2_closed_form_gap", 0.0, oracle_gap, 1e-8),

@@ -191,34 +191,39 @@ def eigen_profile_1d(lam, p, v0, s0, t_span, steps=20000) -> RadialProfile:
 
 
 def riccati_ratio_flow(lam, p, s0, t_span, samples=501):
-    """Flow of the ratio s = v'/v: (p-1) s^(p-2) s' + (p-1) s^p = lam.
+    """Flows of the ratio s = v'/v: (p-1) s^(p-2) s' + (p-1) s^p = lam.
 
-    The unique positive rest point is alpha = (lam/(p-1))^(1/p).  Returns
-    (t, s) sample arrays.  Raises SingularRatio if s reaches zero, where the
-    s^(p-2) coefficient degenerates.
+    The unique positive rest point is alpha = (lam/(p-1))^(1/p).  lam, p and
+    s0 broadcast against each other, and every flow of the broadcast shape
+    is integrated in one vector DOP853 system on the shared samples; a
+    scalar call is a flow of shape ().  Returns (t, s) with t of shape
+    (samples,) and s of shape broadcast + (samples,).  Raises SingularRatio
+    if any flow reaches zero, where the s^(p-2) coefficient degenerates.
     """
-    if s0 <= 0.0:
+    lam, p, s0 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                       for v in (lam, p, s0)))
+    if np.any(s0 <= 0.0):
         raise DomainError("s0 must be positive")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    pm1 = p - 1.0
+    coef = (lam / (p - 1.0)).ravel()
+    expo = (2.0 - p).ravel()
 
-    def rhs(_t, y):
-        s = y[0]
-        return [lam * s ** (2.0 - p) / pm1 - s * s]
+    def rhs(_t, s):
+        return coef * s ** expo - s * s
 
-    def hit_zero(_t, y):
-        return y[0] - 1e-12
+    def hit_zero(_t, s):
+        return s.min() - 1e-12
     hit_zero.terminal = True
     hit_zero.direction = -1
 
     t_eval = np.linspace(t0, t1, samples)
-    sol = solve_ivp(rhs, (t0, t1), [s0], method="DOP853", rtol=1e-11,
+    sol = solve_ivp(rhs, (t0, t1), s0.ravel(), method="DOP853", rtol=1e-11,
                     atol=1e-13, t_eval=t_eval, events=hit_zero)
     if sol.t_events[0].size:
         raise SingularRatio(f"ratio reached zero at t={sol.t_events[0][0]:g}")
     if not sol.success:
         raise StepFailure(sol.message)
-    return sol.t, sol.y[0]
+    return sol.t, sol.y.reshape(s0.shape + sol.t.shape)
 
 
 def _ratio_rhs(n, p, lam):

@@ -173,6 +173,40 @@ class TestMainEntry:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"h": 0.3}, "h must divide the rectangle extents"),
+        ({"h": "abc"}, "h must be a finite number > 0"),
+        ({"xi": [0, 0]}, "direction must be a unit vector"),
+        ({"xi": [1.0]}, "xi must be a list of 2 finite numbers"),
+        ({"tol": -1}, "tol must be a finite number > 0"),
+        ({"rect": [0, 0, -1, 1]}, "rectangle must have positive extent"),
+        ({"rect": [0, 0, 1]}, "rect must be a list of 4 finite numbers"),
+    ])
+    def test_grid_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 2.0, "lam": 1.0}, **cfg}))
+        code = cli.main(["grid", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"window": -1}, "window must be a finite number > 0"),
+        ({"window": 0}, "window must be a finite number > 0"),
+        ({"shifts": []}, "shifts needs at least two"),
+        ({"shifts": [10.0, -20.0]}, "shifts must be a finite number > 0"),
+    ])
+    def test_blowup_config_errors_exit_2(self, tmp_path, capsys, cfg,
+                                         message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 2.0, "lam": 1.0}, **cfg}))
+        code = cli.main(["blowup", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_roots_near_one_p_exit_0(self, tmp_path):
         # gamma1 lies far below the smallest double, so the root solve
         # evaluates the index function at subnormal gamma

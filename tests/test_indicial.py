@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plap import cli
 from plap.errors import DomainError, NoRealRoot
-from plap.indicial import (IndicialData, Nonlinearity, ProblemParams,
-                           RootPlacement, auxiliary_f, critical_exponent,
-                           eigen_rate_alpha, gamma_star, hardy_best_constant,
-                           indicial_roots, placement_satisfied)
+from plap.indicial import (DOUBLE_ROOT_RTOL, IndicialData, Nonlinearity,
+                           ProblemParams, RootPlacement, auxiliary_f,
+                           critical_exponent, eigen_rate_alpha, gamma_star,
+                           hardy_best_constant, indicial_roots,
+                           placement_satisfied)
 
 
 @st.composite
@@ -106,6 +108,14 @@ class TestIndicialRoots:
         for g in (data.gamma1, data.gamma2):
             assert abs(auxiliary_f(g, n, p, a) - mu) <= 1e-13
 
+    @pytest.mark.parametrize("mu", [-1e300, -1.7e308])
+    def test_roots_near_largest_double(self, mu):
+        # |gamma|^p ~ |mu| overflows inside the Newton slope (p-1)(f - |g|^p)
+        data = indicial_roots(ProblemParams(n=8, p=2.0, mu=mu))
+        half_gap = math.sqrt(9.0 - mu)  # gamma (6 - gamma) = mu
+        assert data.gamma1 == pytest.approx(3.0 - half_gap, rel=1e-13)
+        assert data.gamma2 == pytest.approx(3.0 + half_gap, rel=1e-13)
+
     def test_mu_zero_factorization(self):
         data = indicial_roots(ProblemParams(n=4, p=2.0))
         assert data.gamma1 == 0.0
@@ -172,11 +182,12 @@ class TestIndicialRoots:
         assert data.gamma2 == pytest.approx(0.5 * (d + disc), abs=1e-12 * max(1, abs(d)))
 
 
-def _oracle_roots(n, p, a, mu):
+def _oracle_roots(n, p, a, mu, x_floor=-3000):
     """Both roots of f(gamma) = mu by mpmath.findroot at 50 digits.
 
     Solves f(+-e^x) = mu on each monotone branch of f, bracketed only by
-    gamma_star, the zero crossing edge = D/(p-1) and wide outer ends.  The
+    gamma_star, the zero crossing edge = D/(p-1) and wide outer ends (the
+    lower one at x_floor, which must lie below ln|gamma1|).  The
     residual is taken relative to the size of the terms of f, so that a root
     of a tiny mu and a root next to the cancellation at edge both resolve.
     D < 0 reduces to D > 0 by the symmetry (gamma, D) -> (-gamma, -D).
@@ -198,9 +209,9 @@ def _oracle_roots(n, p, a, mu):
 
         x_star, x_edge = mpmath.log(d / p), mpmath.log(d / q)
         if mu > 0:
-            g1, g2 = solve(1, -3000, x_star), solve(1, x_star, x_edge)
+            g1, g2 = solve(1, x_floor, x_star), solve(1, x_star, x_edge)
         else:
-            g1, g2 = solve(-1, -3000, 50), solve(1, x_edge, 50)
+            g1, g2 = solve(-1, x_floor, 50), solve(1, x_edge, 50)
         return (-g2, -g1) if flip else (g1, g2)
 
 
@@ -233,6 +244,39 @@ def test_roots_match_mpmath_oracle(n, p, a, mu):
         # relative error, or one subnormal step for a root below the
         # smallest double
         assert abs(got - exact) <= 1e-13 * abs(exact) + math.ulp(0.0)
+
+
+def _newton_sweep_draws():
+    """Seeded draws whose roots come from the Newton iteration: campaign
+    draws of step 01, then p in [1.02, 1.2] with |mu| down to 1e-300, where
+    gamma1 lies far below the smallest double."""
+    rng = np.random.default_rng(11)
+    draws = [cli._sample_admissible(rng) for _ in range(200)]
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        p = float(rng.uniform(1.02, 1.2))
+        a = (n - p) / p + float(rng.uniform(-2.0, 2.0))
+        mag = 10.0 ** float(rng.uniform(-300.0, 0.0))
+        mu = mag * hardy_best_constant(n, p, a) if rng.random() < 0.5 else -mag
+        draws.append((n, p, a, mu))
+    # the closed forms (double root, mu = 0, D = 0) bypass the iteration
+    return [(n, p, a, mu) for n, p, a, mu in draws
+            if mu != 0.0 and n - (a + 1.0) * p != 0.0
+            and abs(mu - hardy_best_constant(n, p, a))
+            > DOUBLE_ROOT_RTOL * max(1.0, hardy_best_constant(n, p, a))]
+
+
+def test_newton_roots_match_mpmath_sweep():
+    draws = _newton_sweep_draws()
+    assert len(draws) >= 250
+    for n, p, a, mu in draws:
+        data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
+        exact = _oracle_roots(n, p, a, mu, x_floor=-1e5)
+        for got, want in zip((data.gamma1, data.gamma2), exact):
+            # relative error, or one subnormal step for a root below the
+            # smallest double
+            assert abs(got - want) <= 1e-13 * abs(want) + math.ulp(0.0), \
+                (n, p, a, mu)
 
 
 class TestCriticalExponent:

@@ -97,6 +97,31 @@ class TestRiccatiRatioFlow:
         with pytest.raises(DomainError):
             riccati_ratio_flow(1.0, 2.0, 0.0, (0, 1))
 
+    def test_vector_call_matches_scalar_calls(self):
+        # the (p, lam, s0) grid of acceptance criterion 08 in one call
+        p = np.array([1.5, 2.0, 3.0])[:, None, None]
+        lam = np.array([0.5, 1.0, 2.0])[:, None]
+        alpha = (lam / (p - 1.0)) ** (1.0 / p)
+        s0 = alpha * [0.25, 4.0]
+        t, s = riccati_ratio_flow(lam, p, s0, (0, 50), samples=301)
+        assert t.shape == (301,)
+        assert s.shape == (3, 3, 2, 301)
+        lam_b, p_b, s0_b = np.broadcast_arrays(lam, p, s0)
+        for idx in np.ndindex(s0_b.shape):
+            t_one, s_one = riccati_ratio_flow(float(lam_b[idx]), float(p_b[idx]),
+                                              float(s0_b[idx]), (0, 50),
+                                              samples=301)
+            assert s_one.shape == t.shape
+            assert np.array_equal(t_one, t)
+            # the shared step size moves transients at integrator error level
+            assert np.max(np.abs(s[idx] - s_one)) <= 1e-8
+
+    def test_vector_call_rejects_any_nonpositive_start(self):
+        with pytest.raises(DomainError):
+            riccati_ratio_flow([1.0, 2.0], 2.0, [0.5, 0.0], (0, 1))
+        with pytest.raises(DomainError):
+            riccati_ratio_flow(1.0, [1.5, 2.0, 3.0], -1.0, (0, 1))
+
 
 class TestRadialExteriorEigen:
     def test_n3_matches_closed_form(self):
