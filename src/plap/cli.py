@@ -102,10 +102,10 @@ def _validate_keys(cfg, allowed, required, where):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _check_count(value, key):
-    """A sweep size is an int >= 1 (bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+def _check_count(value, key, low=1):
+    """A sweep size is an int >= low (bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _is_finite_real(value):
@@ -118,6 +118,12 @@ def _check_positive(value, key):
     """A length, time or rate is a finite real > 0."""
     if not (_is_finite_real(value) and value > 0.0):
         raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+
+
+def _check_at_least(value, low, key):
+    """A range limit that the solvers need at least `low` for."""
+    if value < low:
+        raise ConfigError(f"{key} must be >= {low:g}, got {value!r}")
 
 
 # Domain of the grid criteria and of the bochner campaign.
@@ -174,6 +180,14 @@ def _campaign_params(cfg, keys, name) -> ProblemParams:
     """Validate a targeted campaign's config and build its params block."""
     _validate_keys(cfg, {"params", "seed", *keys}, {"params"}, f"{name} config")
     return _params_from_config(cfg["params"])
+
+
+def _rate_campaign_params(cfg, keys, name):
+    """Params of a campaign on the eigen-equation, which needs lam > 0, and
+    its rate alpha."""
+    params = _campaign_params(cfg, keys, name)
+    _check_positive(params.lam, "params.lam")
+    return params, eigen_rate_alpha(params.lam, params.p)
 
 
 def _params_from_config(block) -> ProblemParams:
@@ -268,13 +282,18 @@ def run_roots(cfg, out_dir) -> ExperimentReport:
 
 
 def run_shoot(cfg, out_dir) -> ExperimentReport:
-    params = _campaign_params(cfg, ("r0", "r_max", "grid_points"), "shoot")
+    params, alpha = _rate_campaign_params(cfg, ("r0", "r_max", "grid_points"),
+                                          "shoot")
     r0 = cfg.get("r0", 1.0)
     r_max = cfg.get("r_max", 40.0)
+    grid_points = cfg.get("grid_points", 800)
+    _check_positive(r0, "r0")
+    _check_positive(r_max, "r_max")
+    _check_at_least(r_max, 10.0 * r0, "r_max")
+    # the decay fit needs 10 samples in its window
+    _check_count(grid_points, "grid_points", 10)
     shot = radial_ode.radial_exterior_eigen(params.n, params.p, params.lam,
-                                            r0, r_max,
-                                            grid_points=cfg.get("grid_points", 800))
-    alpha = eigen_rate_alpha(params.lam, params.p)
+                                            r0, r_max, grid_points=grid_points)
     fit = radial_ode.fit_decay_exponents(shot.profile, alpha)
     power_ref = (params.n - 1.0) / (params.p * (params.p - 1.0))
     rows = [
@@ -287,13 +306,19 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
 
 
 def run_martin(cfg, out_dir) -> ExperimentReport:
-    params = _campaign_params(cfg, ("t", "r0", "grid_points"), "martin")
+    params, alpha = _rate_campaign_params(cfg, ("t", "r0", "grid_points"),
+                                          "martin")
     t = cfg.get("t", 1000.0)
     r0 = cfg.get("r0", 1.0)
-    alpha = eigen_rate_alpha(params.lam, params.p)
+    grid_points = cfg.get("grid_points", 1400)
+    _check_positive(t, "t")
+    _check_positive(r0, "r0")
+    # the shot runs to t + 10 >= 10 r0, and the kernel reads the profile at
+    # t - 1 >= r0
+    _check_at_least(t, max(r0 + 1.0, 10.0 * r0 - 10.0), "t")
+    _check_count(grid_points, "grid_points", 2)
     shot = radial_ode.radial_exterior_eigen(
-        params.n, params.p, params.lam, r0, t + 10.0,
-        grid_points=cfg.get("grid_points", 1400))
+        params.n, params.p, params.lam, r0, t + 10.0, grid_points=grid_points)
     xi = np.zeros(params.n)
     xi[0] = 1.0
     est = blowup.martin_kernel_estimate(shot.profile, xi, xi, t)
@@ -304,14 +329,14 @@ def run_martin(cfg, out_dir) -> ExperimentReport:
 
 
 def run_blowup(cfg, out_dir) -> ExperimentReport:
-    params = _campaign_params(cfg, ("gamma", "scales", "shifts", "window"), "blowup")
+    params, alpha = _rate_campaign_params(
+        cfg, ("gamma", "scales", "shifts", "window"), "blowup")
     gamma = cfg.get("gamma", 0.25)
     scales = cfg.get("scales", [1e-1, 1e-2, 1e-3])
     shifts = cfg.get("shifts", [10.0, 20.0, 40.0, 80.0, 160.0])
     window = cfg.get("window", 0.5)
     _check_sweep(shifts, "shifts", "shifts for the monotonicity check")
     _check_positive(window, "window")
-    alpha = eigen_rate_alpha(params.lam, params.p)
     rep_zero = _power_fixed_point(gamma, scales)
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
@@ -330,13 +355,13 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
 
 
 def run_grid(cfg, out_dir) -> ExperimentReport:
-    params = _campaign_params(cfg, ("xi", "rect", "h", "tol"), "grid")
+    params, alpha = _rate_campaign_params(cfg, ("xi", "rect", "h", "tol"),
+                                          "grid")
     xi = cfg.get("xi", [0.6, 0.8])
     rect = cfg.get("rect", list(UNIT_SQUARE))
     h = cfg.get("h", 1.0 / 64)
     tol = cfg.get("tol", 1e-10)
     _check_grid(xi, rect, h, tol)
-    alpha = eigen_rate_alpha(params.lam, params.p)
     fld, stats, _, sup_err = _exact_solve(params, alpha, xi, rect, h, tol)
     glog = grid_pde.gradient_log_sup(fld)
     max_f, kap = grid_pde.kappa_bound_check(fld, params.p, params.lam)
@@ -646,8 +671,7 @@ def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     # shots start at r0 = 1 and need r_max >= 10 r0; the Martin kernel reads
     # the profile at |xi - t xi| = t - 1, which must not fall below r0
     for key, low in (("shoot_r_max", 10.0), ("martin_t", 2.0)):
-        if merged[key] < low:
-            raise ConfigError(f"{key} must be >= {low:g}, got {merged[key]!r}")
+        _check_at_least(merged[key], low, key)
     _check_sweep(merged["translate_shifts"], "translate_shifts",
                  "shifts for the monotonicity check")
     out = Path(out_dir)

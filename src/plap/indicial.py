@@ -14,6 +14,7 @@ Everything here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -154,6 +155,7 @@ def critical_exponent(n, p, a, b):
 
 
 _LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
+_LOG_HUGE = math.log(sys.float_info.max)  # ln of the largest double
 # Bisection alone reaches 4 ulp of x from any closed-form bracket in about
 # 60 steps; the cap only bounds roots at x ~ 0, where ulp(x) is far finer
 # than the resolution of gamma itself.
@@ -241,12 +243,20 @@ def _solve_branches(mu, p, big_d):
                    (log_m - math.log(2.0 * q)) / p) - 1.0
         x_hi = max(min((log_m - log_d) / q, (log_m - math.log(q)) / p) + 1.0,
                    _LOG_TINY)
+        x_g2 = (math.log(big_d * math.exp(q * x_edge) - mu) - math.log(q)) / p
+        x_top = 1.0 + max(math.log(2.0) + x_edge,
+                          (math.log(2.0) + log_m - math.log(q)) / p)
+        if x_top > _LOG_HUGE:
+            # g2 > |g1|, so both roots are representable when the lower
+            # bound of g2 is, and then both brackets can end at the largest
+            # double
+            if x_g2 > _LOG_HUGE:
+                raise DomainError(f"root gamma2 >= e^{x_g2:.6g} exceeds the "
+                                  "largest double")
+            x_hi = min(x_hi, _LOG_HUGE)
+            x_top = _LOG_HUGE
         g1 = root(-1.0, x_lo, x_hi, 0.5 * (x_lo + x_hi))
-        g2 = root(1.0, x_edge - 1e-7,
-                  1.0 + max(math.log(2.0) + x_edge,
-                            (math.log(2.0) + log_m - math.log(q)) / p),
-                  (math.log(big_d * math.exp(q * x_edge) - mu)
-                   - math.log(q)) / p)
+        g2 = root(1.0, x_edge - 1e-7, x_top, x_g2)
     return g1, g2
 
 

@@ -207,6 +207,30 @@ class TestMainEntry:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, cfg, message", [
+        ("shoot", {"lam": 0}, "params.lam must be a finite number > 0"),
+        ("martin", {"lam": 0}, "params.lam must be a finite number > 0"),
+        ("blowup", {"lam": 0}, "params.lam must be a finite number > 0"),
+        ("grid", {"lam": 0}, "params.lam must be a finite number > 0"),
+        ("shoot", {"r_max": -5}, "r_max must be a finite number > 0"),
+        ("shoot", {"r_max": 5}, "r_max must be >= 10"),
+        ("shoot", {"r0": 0}, "r0 must be a finite number > 0"),
+        ("shoot", {"grid_points": 1}, "grid_points must be an integer >= 10"),
+        ("martin", {"t": -5}, "t must be a finite number > 0"),
+        ("martin", {"t": 1.5}, "t must be >= 2"),
+    ])
+    def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
+                                                cfg, message):
+        # lam is a params key; every other key sits at the top level
+        params = {"n": 3, "p": 2.0, "lam": cfg.get("lam", 1.0)}
+        top = {k: v for k, v in cfg.items() if k != "lam"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params, **top}))
+        code = cli.main([sub, "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_roots_near_one_p_exit_0(self, tmp_path):
         # gamma1 lies far below the smallest double, so the root solve
         # evaluates the index function at subnormal gamma

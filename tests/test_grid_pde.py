@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
+from plap import grid_pde
 from plap.errors import DomainError, NoConvergence
-from plap.grid_pde import (Field2D, bochner_residual, directional_range,
+from plap.grid_pde import (Field2D, _dissection_rank, _newton_matrix,
+                           bochner_residual, directional_range,
                            ellipticity_check, exponential_field,
                            field_from_values, gradient_log_sup, kappa,
                            kappa_bound_check, linearized_apply,
                            p_laplace_residual, read_field_plf2,
                            representation_field, representation_quadrature,
                            solve_dirichlet, write_field_csv, write_field_plf2)
-from plap.indicial import ProblemParams
+from plap.indicial import ProblemParams, eigen_rate_alpha
 
 RECT = (0.0, 0.0, 1.0, 1.0)
 XI = np.array([0.6, 0.8])
@@ -181,6 +183,97 @@ class TestSolveDirichlet:
         assert np.all(fld.values <= bmax * math.exp(diam) + 1e-12)
 
 
+def natural_newton_matrix(v, p, lam, h, eps, monkeypatch):
+    """_newton_matrix with interior node (k, l) numbered k * mj + l."""
+    with monkeypatch.context() as m:
+        m.setattr(grid_pde, "_dissection_rank",
+                  lambda mi, mj: np.arange(mi * mj).reshape(mi, mj))
+        return _newton_matrix(v, p, lam, h, eps)
+
+
+class SpyLU:
+    """Stands in for grid_pde.splu: counts factorizations and keeps the
+    vector each factor's solve returns."""
+
+    def __init__(self):
+        self.calls = 0
+        self.solutions = []
+
+    def __call__(self, mat, **kwargs):
+        self.calls += 1
+        lu = splu(mat, **kwargs)
+        spy = self
+
+        class Factor:
+            def solve(self, rhs):
+                out = lu.solve(rhs)
+                spy.solutions.append(out)
+                return out
+
+        return Factor()
+
+
+class TestDissectionOrder:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (7, 7),
+                                       (31, 63), (255, 255)])
+    def test_rank_is_a_bijection(self, shape):
+        rank = _dissection_rank(*shape)
+        assert rank.shape == shape
+        assert not rank.flags.writeable
+        assert np.array_equal(np.sort(rank.ravel()),
+                              np.arange(shape[0] * shape[1]))
+
+    def test_matrix_is_symmetric_permutation_of_natural(self, monkeypatch):
+        h, rect = 1 / 8, (0.0, 0.0, 2.0, 1.0)
+        v = exponential_field(1.0, XI, rect, h).values
+        v = v * (1.0 + 0.1 * np.random.default_rng(5).random(v.shape))
+        p, lam, eps = 3.0, 2.0, 1e-8
+        natural = natural_newton_matrix(v, p, lam, h, eps, monkeypatch)
+        dissected = _newton_matrix(v, p, lam, h, eps)
+        # natural row k * mj + l is dissected row rank[k, l]
+        old_of_new = np.argsort(_dissection_rank(15, 7).ravel())
+        permuted = natural[old_of_new][:, old_of_new]
+        assert dissected.shape == permuted.shape == (105, 105)
+        assert (dissected != permuted).nnz == 0
+
+    def test_newton_step_matches_natural_spsolve(self, monkeypatch):
+        # one step on a non-square rectangle against the natural-order
+        # Jacobian solved by spsolve
+        params = ProblemParams(n=4, p=3.0, lam=2.0)
+        h, rect = 1 / 32, (0.0, 0.0, 2.0, 1.0)
+        alpha = eigen_rate_alpha(params.lam, params.p)
+        start = exponential_field(alpha, XI, rect, h)
+        eps = 1e-8 * alpha * float(start.values.max())
+        resid = p_laplace_residual(start, params.p, params.lam, eps)
+        mat = natural_newton_matrix(start.values, params.p, params.lam, h,
+                                    eps, monkeypatch)
+        expected = spsolve(mat.tocsr(), -resid.ravel()).reshape(resid.shape)
+        spy = SpyLU()
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        fld, stats = solve_dirichlet(params, XI, rect, h, tol=1e-6,
+                                     max_iters=1)
+        assert (stats.newton_iters, stats.damping_events) == (1, 0)
+        step = spy.solutions[0][_dissection_rank(*resid.shape)]
+        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(fld.values[1:-1, 1:-1],
+                              start.values[1:-1, 1:-1] + step)
+
+    def test_splu_called_once_per_newton_step(self, monkeypatch):
+        # the benchmark's tracer times grid_pde.splu by rebinding that name
+        runs = []
+        for p, rect, h, tol in ((3.0, (0.0, 0.0, 2.0, 1.0), 1 / 32, 1e-6),
+                                (1.1, RECT, 1 / 4, 1e-9)):
+            spy = SpyLU()
+            monkeypatch.setattr(grid_pde, "splu", spy)
+            _, stats = solve_dirichlet(ProblemParams(n=4, p=p, lam=2.0), XI,
+                                       rect, h, tol=tol)
+            assert spy.calls == stats.newton_iters
+            runs.append((stats.newton_iters, stats.damping_events))
+        (iters_1, damped_1), (iters_2, damped_2) = runs
+        assert (iters_1, damped_1) == (1, 0)
+        assert iters_2 > 1 and damped_2 > 0
+
+
 class TestLinearizedApply:
     def test_partial_derivative_solves_linearization(self):
         # g = dv/dx1 satisfies L_v(g) = (p-1) lam v^(p-2) g for exact v
@@ -218,7 +311,7 @@ class TestLinearizedApply:
 
     def test_newton_matrix_matches_apply(self):
         # the assembled stencil and the matrix-free path share one algebra
-        from plap.grid_pde import _apply_linearized, _newton_matrix
+        from plap.grid_pde import _apply_linearized
         rng = np.random.default_rng(3)
         h = 1 / 8
         f = exponential_field(1.0, XI, RECT, h)
@@ -229,7 +322,11 @@ class TestLinearizedApply:
                   + (p - 1) * lam * f.values[1:-1, 1:-1] ** (p - 2)
                   * g[1:-1, 1:-1])
         mat = _newton_matrix(f.values, p, lam, h, eps)
-        via_matrix = (mat @ g[1:-1, 1:-1].ravel()).reshape(direct.shape)
+        # the matrix numbers interior node (k, l) as rank[k, l]
+        rank = _dissection_rank(*direct.shape)
+        vec = np.empty(direct.size)
+        vec[rank] = g[1:-1, 1:-1]
+        via_matrix = (mat @ vec)[rank]
         assert np.max(np.abs(direct - via_matrix)) <= 1e-9 * np.max(np.abs(direct))
 
 

@@ -116,6 +116,20 @@ class TestIndicialRoots:
         assert data.gamma1 == pytest.approx(3.0 - half_gap, rel=1e-13)
         assert data.gamma2 == pytest.approx(3.0 + half_gap, rel=1e-13)
 
+    def test_root_beyond_largest_double_is_named(self):
+        # gamma2 ~ 10^309.7 has no double
+        with pytest.raises(DomainError, match="exceeds the largest double"):
+            indicial_roots(ProblemParams(n=8, p=1.001, mu=-1e307))
+
+    def test_roots_just_below_largest_double(self):
+        # |gamma| ~ 1.64e308: the closed-form brackets reach past the
+        # largest double, where exp(x) overflows
+        mu = -4.9e307
+        data = indicial_roots(ProblemParams(n=8, p=1.0056, mu=mu))
+        for g in (data.gamma1, data.gamma2):
+            assert 1e308 < abs(g) < math.inf
+            assert abs(auxiliary_f(g, 8, 1.0056, 0.0) - mu) <= 1e-12 * -mu
+
     def test_mu_zero_factorization(self):
         data = indicial_roots(ProblemParams(n=4, p=2.0))
         assert data.gamma1 == 0.0
