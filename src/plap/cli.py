@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blowup, grid_pde, radial_ode
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, OutOfRange
 from .indicial import (Nonlinearity, ProblemParams, auxiliary_f, eigen_rate_alpha,
                        hardy_best_constant, indicial_roots, placement_satisfied,
                        step_change)
@@ -191,8 +191,16 @@ def _rate_campaign_params(cfg, keys, name):
 
 
 def _params_from_config(block) -> ProblemParams:
+    if not isinstance(block, dict):
+        raise ConfigError(f"params must be a JSON object, got {block!r}")
     _validate_keys(block, {"n", "p", "a", "mu", "lam", "q", "amplitude"},
                    {"n", "p"}, "params block")
+    # ProblemParams range-checks by comparison, which a string fails with
+    # TypeError; finiteness is left to it
+    for key, value in block.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number or (key == "q" and value is None)):
+            raise ConfigError(f"params.{key} must be a number, got {value!r}")
     nl = None
     if block.get("q") is not None:
         nl = Nonlinearity(q=block["q"], amplitude=block.get("amplitude", 1.0))
@@ -335,9 +343,18 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
     scales = cfg.get("scales", [1e-1, 1e-2, 1e-3])
     shifts = cfg.get("shifts", [10.0, 20.0, 40.0, 80.0, 160.0])
     window = cfg.get("window", 0.5)
+    if not _is_finite_real(gamma):
+        raise ConfigError(f"gamma must be a finite number, got {gamma!r}")
+    if not isinstance(scales, (list, tuple)) or not scales:
+        raise ConfigError("scales needs at least one dilation scale")
+    for scale in scales:
+        _check_positive(scale, "scales")
     _check_sweep(shifts, "shifts", "shifts for the monotonicity check")
     _check_positive(window, "window")
-    rep_zero = _power_fixed_point(gamma, scales)
+    try:
+        rep_zero = _power_fixed_point(gamma, scales)
+    except OutOfRange as exc:
+        raise ConfigError(f"scales {scales!r}: {exc}") from exc
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
         grid_points=1400)

@@ -309,8 +309,9 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
 
     The initial guess is the extension of the boundary data to the whole
     rectangle.  Regularization eps = 1e-8 * alpha * max(boundary data) is
-    kept under |grad v| throughout.  Raises NoConvergence when max_iters or
-    the damping floor is exhausted before final_residual <= tol.
+    kept under |grad v| throughout.  Raises DomainError when the boundary
+    data or the initial residual are not finite, and NoConvergence when
+    max_iters or the damping floor is exhausted before final_residual <= tol.
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
@@ -320,20 +321,32 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     if lam <= 0.0:
         raise DomainError("lam must be positive")
     alpha = eigen_rate_alpha(lam, p)
-    fld = exponential_field(alpha, xi, rect, h, scale=scale)
+    with np.errstate(over="ignore"):
+        fld = exponential_field(alpha, xi, rect, h, scale=scale)
     v = fld.values
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"boundary data exp({alpha:g} <x, xi>) overflows "
+                          "on the rectangle")
     epsilon = 1e-8 * alpha * float(v.max())
 
     def res_norm(arr):
         return float(np.max(np.abs(arr)))
 
-    resid = p_laplace_residual(fld, p, lam, epsilon)
-    res = res_norm(resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            resid = p_laplace_residual(fld, p, lam, epsilon)
+            res = res_norm(resid)
+        except OverflowError:  # epsilon**2 beyond the largest double
+            res = math.inf
+    if not math.isfinite(res):
+        raise DomainError(f"initial residual is {res:g}: the boundary data "
+                          "exceed the range of the discrete operator")
     rank = _dissection_rank(*resid.shape)
     rhs = np.empty(resid.size)
     iters = 0
     damping_events = 0
-    while res > tol:
+    # `not res <= tol` also keeps iterating on a NaN residual
+    while not res <= tol:
         if iters >= max_iters:
             raise NoConvergence(
                 f"residual {res:g} > tol {tol:g} after {iters} iterations "

@@ -305,8 +305,15 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         g1, g2 = min(0.0, other), max(0.0, other)
         double = False
     elif big_d == 0.0:
-        # degenerate peak: f(gamma) = -(p-1)|gamma|^p, roots symmetric
-        mag = (-mu / (p - 1.0)) ** (1.0 / p)
+        # degenerate peak: f(gamma) = -(p-1)|gamma|^p, roots symmetric; here
+        # mu < -DOUBLE_ROOT_RTOL
+        x_mag = (math.log(-mu) - math.log(p - 1.0)) / p
+        if x_mag > _LOG_HUGE:
+            raise DomainError(f"root gamma2 = e^{x_mag:.6g} exceeds the "
+                              "largest double")
+        ratio = -mu / (p - 1.0)
+        # the ratio itself can overflow below a representable root
+        mag = ratio ** (1.0 / p) if ratio < math.inf else math.exp(x_mag)
         g1, g2 = -mag, mag
         double = False
     else:
@@ -318,9 +325,10 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
     for root in (g1, g2):
         resid = auxiliary_f(root, n, p, a) - mu
         # a sign change of f - mu between root and an adjacent double
-        # resolves the root to one representable step, whatever the residual
-        if abs(resid) > bound and all(
-                resid * (g - mu) > 0.0 for g in _adjacent_f(root, n, p, a)):
+        # resolves the root to one representable step, whatever the residual;
+        # both tests are written to fail on a NaN residual
+        if not abs(resid) <= bound and not any(
+                resid * (g - mu) <= 0.0 for g in _adjacent_f(root, n, p, a)):
             raise RuntimeError(
                 f"root residual {abs(resid):g} exceeds tolerance {bound:g}")
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint, solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
@@ -31,6 +32,11 @@ from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 
 OVERFLOW_BARRIER = 1e150
 ZERO_BARRIER = 1e-150
+# ODEPACK's cap on the steps between two output points of the inward pass.
+# Its default of 500 is below the ~2.3k steps a shot to r_max = 2e4 takes
+# when few output points are asked for.
+_INWARD_MXSTEP = 100_000
+_ODEINT_SUCCESS = "Integration successful."
 
 
 class ShootClass(Enum):
@@ -97,7 +103,7 @@ class ShootResult:
     """A shot profile with its classification and integration counters.
 
     nfev is the number of right-hand-side evaluations of the shot's one
-    solve_ivp pass; bisection_iters is always 0 (no shot bisects).
+    integration pass; bisection_iters is always 0 (no shot bisects).
     """
 
     profile: RadialProfile
@@ -226,21 +232,31 @@ def riccati_ratio_flow(lam, p, s0, t_span, samples=501):
     return sol.t, sol.y.reshape(s0.shape + sol.t.shape)
 
 
-def _ratio_rhs(n, p, lam):
-    """RHS of the radial exterior ratio flow for sigma = u'/u.
+def _ratio_rhs(n, p, lam, inward=False):
+    """RHS of the radial exterior ratio flow for the state (log u, sigma).
 
-    From (r^(n-1)|u'|^(p-2)u')' = lam r^(n-1) u^(p-1):
+    With sigma = u'/u, (r^(n-1)|u'|^(p-2)u')' = lam r^(n-1) u^(p-1) becomes
         sigma' = lam / ((p-1)|sigma|^(p-2)) - sigma^2 - (n-1) sigma / ((p-1) r)
+    and (log u)' = sigma.  With inward=True the independent variable is
+    s = -r, so an inward pass runs forward in s; each component is then the
+    exact negation of the outward one.  The closure works on Python floats
+    and returns a tuple, since a shot evaluates it a few thousand times.
     """
-    pm1 = p - 1.0
-    nm1 = n - 1.0
+    k = lam / (p - 1.0)
+    c = (n - 1.0) / (p - 1.0)
+    e = p - 2.0
 
-    def rhs(r, y):
-        sig = y[1]
-        core = lam / (pm1 * abs(sig) ** (p - 2.0)) if sig != 0.0 else 0.0
-        return [sig, core - sig * sig - nm1 * sig / (pm1 * r)]
+    def outward(r, y):
+        _, sig = y.tolist()
+        core = k / abs(sig) ** e if sig != 0.0 else 0.0
+        return (sig, core - sig * sig - c * sig / r)
 
-    return rhs
+    def inward_in_s(s, y):
+        _, sig = y.tolist()
+        core = k / abs(sig) ** e if sig != 0.0 else 0.0
+        return (-sig, sig * sig - core - c * sig / s)
+
+    return inward_in_s if inward else outward
 
 
 def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
@@ -288,11 +304,17 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     attraction makes the pass stiff: an explicit Runge-Kutta method must keep
     |h| below about 6/(p*alpha) for stability whatever the accuracy asked,
     while LSODA switches to a BDF method and takes steps limited only by the
-    smoothness of sigma ~ -alpha - c/r.  rtol = 3e-14 is just above the
-    100*eps at which solve_ivp clamps rtol.  The profile lives on a
-    log-spaced grid and is normalized to u(r0) = 1; shoot_param is the
-    realized initial ratio u'(r0)/u(r0) and nfev counts the pass's RHS
-    evaluations.
+    smoothness of sigma ~ -alpha - c/r.
+
+    The pass is scipy's odeint, ODEPACK's LSODA with the step loop and the
+    output interpolation in compiled code, at rtol = 3e-14 and atol = 1e-16
+    with its full internally generated Jacobian.  It runs in s = -r, because
+    odeint honours a critical point only for increasing output times:
+    tcrit = -r0 keeps every step inside [r0, r_start].  The profile lives on
+    a log-spaced grid and is normalized to u(r0) = 1; shoot_param is the
+    realized initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
+    evaluations.  Raises StepFailure with ODEPACK's message if the pass
+    stops early.
     """
     if r0 <= 0.0:
         raise DomainError("r0 must be positive")
@@ -301,13 +323,18 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     alpha = eigen_rate_alpha(lam, p)
     r_start = r_max + 35.0 / (p * alpha)
     r_grid = np.geomspace(r0, r_max, grid_points)
-    sol = solve_ivp(_ratio_rhs(n, p, lam), (r_start, r0), [0.0, -alpha],
-                    method="LSODA", rtol=3e-14, atol=1e-16,
-                    t_eval=r_grid[::-1])
-    if not sol.success:
-        raise StepFailure(sol.message)
-    log_u = sol.y[0][::-1].copy()
-    sigma = sol.y[1][::-1].copy()
+    s_out = np.concatenate(([-r_start], -r_grid[::-1]))
+    with warnings.catch_warnings():
+        # a failed pass is reported below from the message in `info`
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(_ratio_rhs(n, p, lam, inward=True), [0.0, -alpha],
+                         s_out, rtol=3e-14, atol=1e-16, tcrit=[-r0],
+                         mxstep=_INWARD_MXSTEP, full_output=True, tfirst=True)
+    if info["message"] != _ODEINT_SUCCESS:
+        raise StepFailure(info["message"])
+    # row 0 is the seed at r_start; the rest run from r_max down to r0
+    log_u = y[:0:-1, 0].copy()
+    sigma = y[:0:-1, 1].copy()
     log_u -= log_u[0]  # normalize u(r0) = 1
 
     shoot_param = float(sigma[0])
@@ -320,7 +347,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
                             log_u=log_u, ratio=sigma)
     return ShootResult(profile=profile, shoot_param=shoot_param,
                        bisection_iters=0, classification=ShootClass.DECAYING,
-                       nfev=int(sol.nfev))
+                       nfev=int(info["nfe"][-1]))
 
 
 def hardy_power_residual(n, p, a, mu, gamma, r_samples) -> float:

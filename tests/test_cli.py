@@ -196,6 +196,10 @@ class TestMainEntry:
         ({"window": 0}, "window must be a finite number > 0"),
         ({"shifts": []}, "shifts needs at least two"),
         ({"shifts": [10.0, -20.0]}, "shifts must be a finite number > 0"),
+        ({"scales": []}, "scales needs at least one dilation scale"),
+        ({"scales": [0.1, "x"]}, "scales must be a finite number > 0"),
+        ({"scales": [1e-6]}, "radius 1e-07 outside sampled span"),
+        ({"gamma": "x"}, "gamma must be a finite number"),
     ])
     def test_blowup_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                          message):
@@ -218,6 +222,9 @@ class TestMainEntry:
         ("shoot", {"grid_points": 1}, "grid_points must be an integer >= 10"),
         ("martin", {"t": -5}, "t must be a finite number > 0"),
         ("martin", {"t": 1.5}, "t must be >= 2"),
+        ("shoot", {"lam": "x"}, "params.lam must be a number, got 'x'"),
+        ("grid", {"lam": [1.0]}, "params.lam must be a number, got [1.0]"),
+        ("blowup", {"lam": None}, "params.lam must be a number, got None"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):
@@ -230,6 +237,33 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n": 3, "p": 2.0, "mu": "x"}, "params.mu must be a number"),
+        ({"n": True, "p": 2.0}, "params.n must be a number"),
+        ([3, 2.0], "params must be a JSON object"),
+    ])
+    def test_ill_typed_params_exit_2(self, tmp_path, capsys, params, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params}))
+        code = cli.main(["roots", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_grid_overflowing_data_exit_1(self, tmp_path, capsys):
+        # alpha = 678.6 at p = 1.2, lam = 500: the boundary data overflow,
+        # and the campaign names that rather than reporting a NaN residual
+        # next to passing bounds
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 1.2, "lam": 500}, "h": 0.125}))
+        code = cli.main(["grid", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "boundary data exp(678.604 <x, xi>) overflows" in captured.err
+        assert "PASS" not in captured.out
 
     def test_roots_near_one_p_exit_0(self, tmp_path):
         # gamma1 lies far below the smallest double, so the root solve

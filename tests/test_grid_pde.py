@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -140,6 +141,22 @@ class TestSolveDirichlet:
         params = ProblemParams(n=4, p=3.0, lam=2.0)
         with pytest.raises(NoConvergence):
             solve_dirichlet(params, XI, RECT, 1 / 16, tol=1e-12, max_iters=1)
+
+    @pytest.mark.parametrize("lam, xi, message", [
+        # alpha = 678.6: exp(alpha <x, xi>) overflows where <x, xi> > 1.05
+        (500.0, XI, "boundary data exp(678.604 <x, xi>) overflows"),
+        # finite data up to e^678.6, but |grad v|^2 overflows
+        (500.0, [1.0, 0.0], "initial residual is inf"),
+        (300.0, XI, "initial residual is inf"),
+    ])
+    def test_non_finite_data_raises(self, lam, xi, message):
+        # a NaN residual fails `res > tol`, so the solve once returned the
+        # overflowed field as converged after 0 iterations
+        params = ProblemParams(n=3, p=1.2, lam=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                solve_dirichlet(params, xi, RECT, 0.125)
 
     def test_scaling_covariance(self):
         # the equation is (p-1)-homogeneous: C * data -> C * solution

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plap import cli
+from plap import cli, indicial
 from plap.errors import DomainError, NoRealRoot
 from plap.indicial import (DOUBLE_ROOT_RTOL, IndicialData, Nonlinearity,
                            ProblemParams, RootPlacement, auxiliary_f,
@@ -120,6 +120,31 @@ class TestIndicialRoots:
         # gamma2 ~ 10^309.7 has no double
         with pytest.raises(DomainError, match="exceeds the largest double"):
             indicial_roots(ProblemParams(n=8, p=1.001, mu=-1e307))
+
+    def test_critical_weight_root_beyond_largest_double_is_named(self):
+        # D = n - (a+1)p = 0 takes the closed form |gamma|^p = -mu/(p-1),
+        # which once returned gamma = -inf, inf here: the NaN residual of an
+        # infinite root passed the residual check
+        p = 1.001
+        params = ProblemParams(n=2, p=p, a=2.0 / p - 1.0, mu=-1e307)
+        assert params.n - (params.a + 1.0) * p == 0.0
+        with pytest.raises(DomainError, match="exceeds the largest double"):
+            indicial_roots(params)
+
+    def test_critical_weight_roots_with_overflowing_ratio(self):
+        # -mu/(p-1) = 3.4e308 overflows, the root 4.87e205 does not
+        p, mu = 1.5, -1.7e308
+        data = indicial_roots(ProblemParams(n=2, p=p, a=2.0 / p - 1.0, mu=mu))
+        mag = math.exp((math.log(-mu) - math.log(p - 1.0)) / p)
+        assert data.gamma2 == pytest.approx(mag, rel=1e-13)
+        assert data.gamma1 == -data.gamma2
+
+    def test_nan_root_fails_residual_check(self, monkeypatch):
+        # abs(nan) > bound is false: the check must not read NaN as a pass
+        monkeypatch.setattr(indicial, "_solve_branches",
+                            lambda mu, p, big_d: (math.nan, math.nan))
+        with pytest.raises(RuntimeError, match="root residual nan"):
+            indicial_roots(ProblemParams(n=3, p=2.5, mu=0.01))
 
     def test_roots_just_below_largest_double(self):
         # |gamma| ~ 1.64e308: the closed-form brackets reach past the

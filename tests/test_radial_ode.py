@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import kve
 
-from plap.errors import DomainError, IllConditioned, SingularRatio
+from plap import radial_ode
+from plap.errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
                            eigen_rate_alpha)
 from plap.radial_ode import (RadialProfile, ShootClass, eigen_profile_1d,
@@ -182,6 +184,73 @@ class TestRadialExteriorEigen:
         # pass needs about 4.9k
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0, grid_points=1600)
         assert shot.nfev <= 20000
+
+    @pytest.mark.parametrize("n,p,lam", [(3, 2.0, 1.0), (3, 1.5, 0.5),
+                                         (5, 2.9, 2.0), (6, 2.2, 0.7),
+                                         (5, 4.5, 3.0)])
+    def test_far_field_matches_solve_ivp_lsoda_pass(self, n, p, lam):
+        # the same LSODA pass driven step by step through solve_ivp, with
+        # the ratio flow as written before it became a float-only closure.
+        # At p = 2 and 1.5 both passes take the same steps and sigma agrees
+        # to 4.4e-16; elsewhere the RHS rounds differently, and the measured
+        # gaps reach 3.3e-13 in sigma and 3.6e-11 relative in log_u
+        r_max = 20010.0
+        prof = radial_exterior_eigen(n, p, lam, 1.0, r_max,
+                                     grid_points=1600).profile
+        alpha = eigen_rate_alpha(lam, p)
+        pm1, nm1 = p - 1.0, n - 1.0
+
+        def rhs(r, y):
+            sig = y[1]
+            core = lam / (pm1 * abs(sig) ** (p - 2.0)) if sig != 0.0 else 0.0
+            return [sig, core - sig * sig - nm1 * sig / (pm1 * r)]
+
+        sol = solve_ivp(rhs, (r_max + 35 / (p * alpha), 1.0), [0.0, -alpha],
+                        method="LSODA", rtol=3e-14, atol=1e-16,
+                        t_eval=prof.r[::-1])
+        assert sol.success
+        sigma = sol.y[1][::-1]
+        log_u = sol.y[0][::-1] - sol.y[0][-1]
+        assert np.max(np.abs(prof.ratio - sigma)) <= 1e-12
+        assert np.all(np.abs(prof.log_u - log_u)
+                      <= 1e-10 * np.maximum(1.0, np.abs(log_u)))
+
+    def test_nfev_is_odepack_count(self, monkeypatch):
+        # nfev is ODEPACK's nfe, which counts every call of the RHS, the
+        # finite-difference Jacobian columns included.  The pass runs in
+        # s = -r with tcrit = -r0, so no call reaches below r0.
+        real_odeint, args_s, seen = radial_ode.odeint, [], {}
+
+        def recording_odeint(func, *args, **kwargs):
+            def recorded(s, y):
+                args_s.append(s)
+                return func(s, y)
+            out = real_odeint(recorded, *args, **kwargs)
+            seen["nfe"] = int(out[1]["nfe"][-1])
+            return out
+
+        monkeypatch.setattr(radial_ode, "odeint", recording_odeint)
+        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0,
+                                     grid_points=1600)
+        assert shot.nfev == seen["nfe"] == len(args_s)
+        assert max(args_s) <= -1.0
+
+    def test_early_stop_raises_step_failure(self, monkeypatch):
+        # a cap of 5 steps between output points, where a 10-point grid to
+        # r_max = 20010 needs hundreds, makes ODEPACK stop early; the failure
+        # surfaces as StepFailure with its message, and its ODEintWarning
+        # does not leak
+        real_odeint = radial_ode.odeint
+
+        def capped_odeint(*args, **kwargs):
+            return real_odeint(*args, **{**kwargs, "mxstep": 5})
+
+        monkeypatch.setattr(radial_ode, "odeint", capped_odeint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match="Excess work done"):
+                radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0,
+                                      grid_points=10)
 
     def test_shoot_param_is_initial_ratio(self):
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
