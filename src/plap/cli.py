@@ -84,13 +84,17 @@ class ExperimentReport:
 
 
 def _shortfall(value, floor):
-    """One-sided check helper: 0 when value >= floor, else the gap."""
-    return max(0.0, floor - value)
+    """One-sided check helper: 0 when value >= floor, else the gap (NaN
+    when either is NaN, where max(0.0, gap) would give 0)."""
+    gap = floor - value
+    return 0.0 if gap <= 0.0 else gap
 
 
 def _excess(value, ceiling):
-    """One-sided check helper: 0 when value <= ceiling, else the gap."""
-    return max(0.0, value - ceiling)
+    """One-sided check helper: 0 when value <= ceiling, else the gap (NaN
+    when either is NaN)."""
+    gap = value - ceiling
+    return 0.0 if gap <= 0.0 else gap
 
 
 def _validate_keys(cfg, allowed, required, where):
@@ -242,15 +246,22 @@ def _two_exp_field(lam, h):
 def _order_shortfall(errs):
     """Shortfall below 1.8 of the smallest order log2(e_h / e_(h/2))."""
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    return _shortfall(min(orders), 1.8)
+    # np.min keeps a NaN order, which the builtin min drops
+    return _shortfall(float(np.min(orders)), 1.8)
 
 
 def _bochner_trend(h_list, lam):
     """Oracle-field identity residuals and their refinement-factor shortfall."""
     resid = [grid_pde.bochner_residual(_two_exp_field(lam, h), 2.0, lam)
              for h in h_list]
+    for h, r in zip(h_list, resid):
+        if r == 0.0:
+            raise DomainError(
+                f"no refinement factor: the bochner residual is 0 at h={h:g}, "
+                f"lam={lam:g} (no node has |grad w|^2 above the threshold, "
+                "or the discrete identity holds exactly)")
     ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
-    return resid, _shortfall(min(ratios), 1.5)
+    return resid, _shortfall(float(np.min(ratios)), 1.5)
 
 
 def _power_fixed_point(gamma, scales):
@@ -426,49 +437,57 @@ DEFAULT_ALL = {
 }
 
 
+def _uniform(rng, low, high):
+    """rng.uniform(low, high) as a float, without its per-call overhead.
+
+    numpy's uniform draws one double x and returns low + (high - low) * x,
+    the same operations on the same draw as here, so the stream and every
+    value are unchanged."""
+    return low + (high - low) * rng.random()
+
+
 def _sample_admissible(rng, force_p2=False):
     """Random (n, p, a, mu) with mu <= mu_bar, covering all placement cases."""
     n = int(rng.integers(3 if force_p2 else 2, 9))
-    p = 2.0 if force_p2 else float(rng.uniform(1.05, min(n - 0.05, 4.0)))
+    p = 2.0 if force_p2 else _uniform(rng, 1.05, min(n - 0.05, 4.0))
     crit = (n - p) / p
     pick = rng.random()
     if pick < 0.1:
         a = crit        # exact critical weight; only mu <= 0 admissible
         mu_bar = 0.0
-        mu = -float(rng.uniform(0.0, 5.0)) if rng.random() < 0.9 else 0.0
+        mu = -_uniform(rng, 0.0, 5.0) if rng.random() < 0.9 else 0.0
     else:
-        a = crit + float(rng.uniform(-2.0, 2.0))
+        a = crit + _uniform(rng, -2.0, 2.0)
         mu_bar = hardy_best_constant(n, p, a)
         if pick < 0.2:
             mu = mu_bar  # double root
         else:
-            mu = float(rng.uniform(-10.0, mu_bar))
+            mu = _uniform(rng, -10.0, mu_bar)
     return n, p, a, mu
 
 
 def step_indicial(cfg, rng):
     trials = cfg["indicial_trials"]
-    worst_resid = 0.0
+    resids = []
     placement_failures = 0
-    p2_gap = 0.0
+    p2_gaps = [0.0]
     for k in range(trials):
         n, p, a, mu = _sample_admissible(rng, force_p2=(k % 5 == 0))
         data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
         scale = max(1.0, abs(mu))
         for g in (data.gamma1, data.gamma2):
-            worst_resid = max(worst_resid,
-                              abs(auxiliary_f(g, n, p, a) - mu) / scale)
+            resids.append(abs(auxiliary_f(g, n, p, a) - mu) / scale)
         if not placement_satisfied(data, n, p, a):
             placement_failures += 1
         if p == 2.0 and not data.double_root:
             q1, q2 = _p2_roots(n, a, mu)
-            p2_gap = max(p2_gap,
-                         abs(data.gamma1 - q1) / max(1.0, abs(q1)),
-                         abs(data.gamma2 - q2) / max(1.0, abs(q2)))
+            p2_gaps.append(abs(data.gamma1 - q1) / max(1.0, abs(q1)))
+            p2_gaps.append(abs(data.gamma2 - q2) / max(1.0, abs(q2)))
+    # np.max keeps a NaN, which the builtin max drops
     return [
-        CheckRow("max_relative_residual", 0.0, worst_resid, 1e-12),
+        CheckRow("max_relative_residual", 0.0, float(np.max(resids)), 1e-12),
         CheckRow("placement_failures", 0.0, float(placement_failures), 0.0),
-        CheckRow("p2_oracle_gap", 0.0, p2_gap, 1e-12),
+        CheckRow("p2_oracle_gap", 0.0, float(np.max(p2_gaps)), 1e-12),
     ]
 
 
@@ -506,10 +525,9 @@ def step_dirichlet(solves):
 
 
 def step_gradient_bound(solves):
-    worst = 0.0
-    for c in solves:
-        glog = grid_pde.gradient_log_sup(c["field"])
-        worst = max(worst, _excess(glog, GRID_ALPHA + 5.0 * c["sup_err"] / c["h"]))
+    worst = float(np.max([
+        _excess(grid_pde.gradient_log_sup(c["field"]),
+                GRID_ALPHA + 5.0 * c["sup_err"] / c["h"]) for c in solves]))
     stencil_errs = [abs(grid_pde.gradient_log_sup(c["exact"], via="ratio") - GRID_ALPHA)
                     for c in solves]
     return [
@@ -535,7 +553,7 @@ def step_bochner(cfg):
     resid, shortfall = _bochner_trend(cfg["bochner_h"], 1.0)
     return [
         CheckRow("monotone_decrease", 0.0,
-                 float(_excess(max(np.diff(resid)), 0.0)), 0.0),
+                 float(_excess(np.max(np.diff(resid)), 0.0)), 0.0),
         CheckRow("refinement_factor_shortfall", 0.0, shortfall, 0.0),
     ]
 
@@ -608,12 +626,12 @@ def _sample_root_instance(rng):
     """
     for _ in range(64):
         n = int(rng.integers(2, 7))
-        p = float(rng.uniform(1.2, min(n - 0.1, 3.0)))
+        p = _uniform(rng, 1.2, min(n - 0.1, 3.0))
         crit = (n - p) / p
-        off = float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)
+        off = _uniform(rng, 0.05, 1.5) * (1 if rng.random() < 0.5 else -1)
         a = crit + off
         mu_bar = hardy_best_constant(n, p, a)
-        mu = float(rng.uniform(-5.0, 0.9 * mu_bar))
+        mu = _uniform(rng, -5.0, 0.9 * mu_bar)
         data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
         pert = min(abs(auxiliary_f(data.gamma1 + 0.1, n, p, a) - mu),
                    abs(auxiliary_f(data.gamma2 + 0.1, n, p, a) - mu))
@@ -625,21 +643,20 @@ def _sample_root_instance(rng):
 def step_power_residual(cfg, rng):
     trials = cfg["hardy_trials"]
     r_samples = np.geomspace(1e-2, 1e2, 9)
-    worst_root = 0.0
-    worst_pert = math.inf
+    # every instance first, then one vector residual call for the roots and
+    # one for the roots + 0.1; each root enters as its own instance
+    inst = []
     for _ in range(trials):
         n, p, a, mu, data = _sample_root_instance(rng)
-        for g in (data.gamma1, data.gamma2):
-            worst_root = max(worst_root,
-                             radial_ode.hardy_power_residual(n, p, a, mu, g,
-                                                             r_samples))
-            worst_pert = min(worst_pert,
-                             radial_ode.hardy_power_residual(n, p, a, mu,
-                                                             g + 0.1, r_samples))
+        inst += [(n, p, a, mu, data.gamma1), (n, p, a, mu, data.gamma2)]
+    n, p, a, mu, gamma = map(np.array, zip(*inst))
+    root = radial_ode.hardy_power_residual(n, p, a, mu, gamma, r_samples)
+    pert = radial_ode.hardy_power_residual(n, p, a, mu, gamma + 0.1, r_samples)
+    # np.max and np.min keep a NaN, which the builtin max and min drop
     return [
-        CheckRow("max_root_residual", 0.0, worst_root, 1e-12),
+        CheckRow("max_root_residual", 0.0, float(np.max(root)), 1e-12),
         CheckRow("min_perturbed_shortfall", 0.0,
-                 _shortfall(worst_pert, 1e-3), 0.0),
+                 _shortfall(float(np.min(pert)), 1e-3), 0.0),
     ]
 
 

@@ -350,27 +350,48 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
                        nfev=int(info["nfe"][-1]))
 
 
-def hardy_power_residual(n, p, a, mu, gamma, r_samples) -> float:
+def hardy_power_residual(n, p, a, mu, gamma, r_samples):
     """Normalized residual of u = r^(-gamma) in the weighted radial equation.
 
     Evaluates -(r^(n-1-ap)|u'|^(p-2)u')' - mu r^(n-1-(a+1)p) u^(p-1) from the
     closed-form derivative at each sample and divides by the common power
-    r^(n-1-(a+1)p-(p-1)gamma); the result is |f(gamma) - mu| up to rounding.
+    r^(n-1-(a+1)p-(p-1)gamma); the result is |f(gamma) - mu| up to rounding
+    (the largest over the samples).
+
+    n, p, a, mu and gamma are scalars, giving a float, or sequences of one
+    length m (scalars among them are repeated), giving an (m,) array whose
+    entry i equals the scalar call on the i-th values bit for bit.
     """
-    r = np.asarray(r_samples, dtype=float)
+    r = np.ravel(np.asarray(r_samples, dtype=float))
     if np.any(r <= 0.0):
         raise DomainError("r_samples must be positive")
-    pm1 = p - 1.0
-    if gamma == 0.0:
-        flux_coef = 0.0
-    else:
-        flux_coef = -abs(gamma) ** (p - 2.0) * gamma  # |u'|^(p-2) u' = c * r^...
-    e_flux = n - 1.0 - a * p - (gamma + 1.0) * pm1
-    lhs = -flux_coef * e_flux * np.power(r, e_flux - 1.0)
-    e_rhs = n - 1.0 - (a + 1.0) * p - gamma * pm1
-    rhs = mu * np.power(r, e_rhs)
-    norm = np.power(r, e_rhs)
-    return float(np.max(np.abs((lhs - rhs) / norm)))
+    args = (n, p, a, mu, gamma)
+    lengths = {len(v) for v in args if np.ndim(v) != 0}
+    if len(lengths) > 1:
+        raise DomainError(f"n, p, a, mu and gamma have lengths {sorted(lengths)}")
+    m = next(iter(lengths), 1)
+    columns = [np.asarray(v, float).tolist() if np.ndim(v) else [float(v)] * m
+               for v in args]
+    # The coefficients stay Python floats: ** is libm's pow, whose bits
+    # np.power (a SIMD routine) does not match on about 5% of inputs.  Only
+    # the powers of r go through np.power, which gives the same bits for an
+    # (m, len(r)) table as for one row at a time.
+    flux, e_flux, e_rhs = [], [], []
+    for n_i, p_i, a_i, _, g_i in zip(*columns):
+        pm1 = p_i - 1.0
+        if g_i == 0.0:
+            flux_coef = 0.0
+        else:
+            flux_coef = -abs(g_i) ** (p_i - 2.0) * g_i  # |u'|^(p-2) u' = c * r^...
+        e_f = n_i - 1.0 - a_i * p_i - (g_i + 1.0) * pm1
+        flux.append(-flux_coef * e_f)
+        e_flux.append(e_f - 1.0)
+        e_rhs.append(n_i - 1.0 - (a_i + 1.0) * p_i - g_i * pm1)
+    lhs = np.array(flux)[:, None] * np.power(r, np.array(e_flux)[:, None])
+    norm = np.power(r, np.array(e_rhs)[:, None])
+    rhs = np.array(columns[3])[:, None] * norm  # mu r^e_rhs
+    resid = np.max(np.abs((lhs - rhs) / norm), axis=1)
+    return float(resid[0]) if not lengths else resid
 
 
 def series_start_radius(params: ProblemParams, c=1.0, rel=1e-8) -> float:

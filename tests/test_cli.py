@@ -1,11 +1,15 @@
 import json
+import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from plap import cli
-from plap.errors import ConfigError
+from plap import cli, radial_ode
+from plap.errors import ConfigError, DomainError
+from plap.indicial import auxiliary_f, hardy_best_constant
 
 LIGHT_ALL = {
     "indicial_trials": 200,
@@ -286,6 +290,31 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 0
 
+    # at lam = 1e6 the oracle field overflows (numpy warns) and every
+    # residual is NaN, which must fail the refinement row rather than pass
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bochner_nan_residuals_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lam": 1e6}))
+        out = tmp_path / "out"
+        code = cli.main(["bochner", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 1
+        trend = (out / "bochner_trend.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in trend[1:]] == ["nan"] * 3
+        assert "refinement_factor,0,nan,0,0" in (
+            out / "bochner_report.csv").read_text()
+        printed = capsys.readouterr().out
+        assert "measured=nan" in printed and "CHECK FAILURE" in printed
+
+    def test_bochner_zero_residual_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lam": 1e-300}))
+        code = cli.main(["bochner", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("no refinement factor: the bochner residual is 0 at "
+                "h=0.0625, lam=1e-300") in capsys.readouterr().err
+
     def test_unknown_subcommand_exit_2(self, tmp_path):
         code = cli.main(["frobnicate", "--out", str(tmp_path)])
         assert code == 2
@@ -370,3 +399,109 @@ class TestCheckRow:
     def test_margin_nan_fails(self):
         row = cli.CheckRow("x", 0.0, float("nan"), 1.0)
         assert not row.passed
+
+
+class TestOneSidedChecks:
+    def test_finite_gaps_are_exact(self):
+        assert cli._excess(3.5, 1.25) == 2.25
+        assert cli._excess(1.25, 3.5) == 0.0
+        assert cli._excess(2.0, 2.0) == 0.0
+        assert cli._shortfall(1.25, 3.5) == 2.25
+        assert cli._shortfall(3.5, 1.25) == 0.0
+        assert cli._shortfall(2.0, 2.0) == 0.0
+        assert cli._excess(math.inf, 0.0) == math.inf
+
+    @pytest.mark.parametrize("value, bound", [
+        (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_passes_through(self, value, bound):
+        assert math.isnan(cli._excess(value, bound))
+        assert math.isnan(cli._shortfall(value, bound))
+        row = cli.CheckRow("x", 0.0, cli._excess(value, bound), 0.0)
+        assert not row.passed and row.margin == math.inf
+
+    def test_nan_order_fails(self):
+        # the builtin min would drop the NaN order and report no shortfall
+        assert cli._order_shortfall([1.0, 0.25, 0.0625]) == 0.0
+        assert math.isnan(cli._order_shortfall([1.0, 0.25, math.nan]))
+
+
+def _uniform_sample_admissible(rng, force_p2=False):
+    """_sample_admissible as written with Generator.uniform."""
+    n = int(rng.integers(3 if force_p2 else 2, 9))
+    p = 2.0 if force_p2 else float(rng.uniform(1.05, min(n - 0.05, 4.0)))
+    crit = (n - p) / p
+    pick = rng.random()
+    if pick < 0.1:
+        a = crit
+        mu = -float(rng.uniform(0.0, 5.0)) if rng.random() < 0.9 else 0.0
+    else:
+        a = crit + float(rng.uniform(-2.0, 2.0))
+        mu_bar = hardy_best_constant(n, p, a)
+        mu = mu_bar if pick < 0.2 else float(rng.uniform(-10.0, mu_bar))
+    return n, p, a, mu
+
+
+def _uniform_sample_root_instance(rng):
+    """_sample_root_instance as written with Generator.uniform."""
+    for _ in range(64):
+        n = int(rng.integers(2, 7))
+        p = float(rng.uniform(1.2, min(n - 0.1, 3.0)))
+        crit = (n - p) / p
+        off = float(rng.uniform(0.05, 1.5)) * (1 if rng.random() < 0.5 else -1)
+        a = crit + off
+        mu_bar = hardy_best_constant(n, p, a)
+        mu = float(rng.uniform(-5.0, 0.9 * mu_bar))
+        data = cli.indicial_roots(cli.ProblemParams(n=n, p=p, a=a, mu=mu))
+        pert = min(abs(auxiliary_f(data.gamma1 + 0.1, n, p, a) - mu),
+                   abs(auxiliary_f(data.gamma2 + 0.1, n, p, a) - mu))
+        if pert >= 2e-3:
+            return n, p, a, mu, data
+    raise RuntimeError("root-instance sampler failed to find a margin")
+
+
+class TestSamplerStreams:
+    """The samplers draw each uniform from rng.random(); the draws and the
+    stream must be those of Generator.uniform (50 seeds x 400 draws here;
+    numpy's uniform is low + (high - low) * next_double)."""
+
+    def test_admissible_stream(self):
+        for seed in range(50):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(400):
+                assert (cli._sample_admissible(new, k % 5 == 0)
+                        == _uniform_sample_admissible(old, k % 5 == 0))
+            assert new.random() == old.random()
+
+    def test_root_instance_stream(self, monkeypatch):
+        # the roots only decide the rare redraws, so cheap stand-ins for the
+        # solver and its parameter record keep the draws fast
+        monkeypatch.setattr(cli, "ProblemParams", SimpleNamespace)
+        monkeypatch.setattr(cli, "indicial_roots", lambda params: SimpleNamespace(
+            gamma1=-0.125 * params.mu, gamma2=0.5))
+        for seed in range(50):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(400):
+                assert (cli._sample_root_instance(new)
+                        == _uniform_sample_root_instance(old))
+            assert new.random() == old.random()
+
+
+class TestPowerResidualStep:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_rows_match_per_call_loop(self, seed):
+        trials = 300
+        rng = np.random.default_rng([seed, 8])
+        r_samples = np.geomspace(1e-2, 1e2, 9)
+        worst_root, worst_pert = 0.0, math.inf
+        for _ in range(trials):
+            n, p, a, mu, data = _uniform_sample_root_instance(rng)
+            for g in (data.gamma1, data.gamma2):
+                worst_root = max(worst_root, radial_ode.hardy_power_residual(
+                    n, p, a, mu, g, r_samples))
+                worst_pert = min(worst_pert, radial_ode.hardy_power_residual(
+                    n, p, a, mu, g + 0.1, r_samples))
+        rows = cli.step_power_residual({"hardy_trials": trials},
+                                       np.random.default_rng([seed, 8]))
+        assert [(r.name, r.measured) for r in rows] == [
+            ("max_root_residual", worst_root),
+            ("min_perturbed_shortfall", max(0.0, 1e-3 - worst_pert))]

@@ -311,6 +311,60 @@ class TestHardyPowerResidual:
         r2 = hardy_power_residual(n, p, a, mu, g, 7.3 * r)
         assert r1 == pytest.approx(r2, rel=1e-6, abs=1e-14)
 
+    @staticmethod
+    def _one_instance(n, p, a, mu, gamma, r):
+        """The residual of one instance, written out with a scalar exponent
+        in every np.power call."""
+        pm1 = p - 1.0
+        flux_coef = 0.0 if gamma == 0.0 else -abs(gamma) ** (p - 2.0) * gamma
+        e_flux = n - 1.0 - a * p - (gamma + 1.0) * pm1
+        lhs = -flux_coef * e_flux * np.power(r, e_flux - 1.0)
+        e_rhs = n - 1.0 - (a + 1.0) * p - gamma * pm1
+        norm = np.power(r, e_rhs)
+        return float(np.max(np.abs((lhs - mu * norm) / norm)))
+
+    def test_vector_call_matches_scalar_calls_bitwise(self):
+        from plap.cli import _sample_root_instance
+        rng = np.random.default_rng(2024)
+        inst = [(3, 2.0, 0.0, 0.0, 0.0), (4, 1.8, -0.5, 0.7, -0.25)]
+        for _ in range(1000):
+            n, p, a, mu, data = _sample_root_instance(rng)
+            inst += [(n, p, a, mu, data.gamma1), (n, p, a, mu, data.gamma2)]
+        inst += [(n, p, a, mu, g + 0.1) for n, p, a, mu, g in inst]
+        assert len(inst) >= 4000
+        assert any(g < 0.0 for *_, g in inst) and any(g > 0.0 for *_, g in inst)
+        r = np.geomspace(1e-2, 1e2, 9)
+        cols = [np.array(c) for c in zip(*inst)]
+        vec = hardy_power_residual(*cols, r)
+        assert vec.shape == (len(inst),)
+        scalar = [hardy_power_residual(*i, r) for i in inst]
+        reference = [self._one_instance(*i, r) for i in inst]
+        assert vec.tolist() == scalar == reference
+        assert vec[0] == 0.0
+
+    def test_scalars_broadcast_against_sequences(self):
+        r = np.geomspace(1e-2, 1e2, 9)
+        gammas = [-1.5, 0.0, 0.4]
+        out = hardy_power_residual(5, 2.5, 0.3, 0.3, gammas, r)
+        assert out.tolist() == [hardy_power_residual(5, 2.5, 0.3, 0.3, g, r)
+                                for g in gammas]
+
+    def test_scalar_call_returns_float(self):
+        r = np.geomspace(1e-2, 1e2, 9)
+        out = hardy_power_residual(np.int64(5), 2.5, 0.3, np.float64(0.3),
+                                   0.4, r)
+        assert type(out) is float
+
+    def test_mismatched_lengths_raise(self):
+        r = np.geomspace(1e-2, 1e2, 9)
+        with pytest.raises(DomainError, match=r"lengths \[2, 3\]"):
+            hardy_power_residual([3, 4], 2.0, 0.0, 0.0, [0.1, 0.2, 0.3], r)
+
+    @pytest.mark.parametrize("gamma", [0.4, [0.4, 0.5]])
+    def test_nonpositive_radius_raises(self, gamma):
+        with pytest.raises(DomainError, match="must be positive"):
+            hardy_power_residual(3, 2.0, 0.0, 0.0, gamma, [1.0, 0.0])
+
 
 class TestShootSingularProfile:
     def test_constant_solution_exact(self):
