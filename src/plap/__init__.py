@@ -7,23 +7,21 @@ grid_pde   -- 2-D finite-difference solver and pointwise-identity diagnostics
 cli        -- reproducible CSV-emitting verification campaigns
 """
 
-from .blowup import (Direction, RescaleReport, busemann, busemann_limit,
-                     martin_kernel_estimate, rescale_near_zero,
-                     translate_rescale_at_infinity)
+from .blowup import (Direction, RescaleReport, martin_kernel_estimate,
+                     rescale_near_zero, translate_rescale_at_infinity)
 from .errors import (ConfigError, DomainError, IllConditioned, NoConvergence,
                      NoRealRoot, OutOfRange, SingularRatio, StepFailure)
 from .grid_pde import (Field2D, SolveStats, bochner_residual, directional_range,
-                       ellipticity_check, exponential_field, gradient_log_sup,
-                       kappa, kappa_bound_check, linearized_apply,
-                       p_laplace_residual, representation_field,
-                       representation_quadrature, solve_dirichlet)
+                       exponential_field, gradient_log_sup, kappa,
+                       kappa_bound_check, p_laplace_residual,
+                       representation_field, representation_quadrature,
+                       solve_dirichlet)
 from .indicial import (IndicialData, Nonlinearity, ProblemParams, RootPlacement,
-                       auxiliary_f, critical_exponent, eigen_rate_alpha,
-                       gamma_star, hardy_best_constant, indicial_roots,
+                       auxiliary_f, eigen_rate_alpha, gamma_star,
+                       hardy_best_constant, indicial_roots,
                        placement_satisfied)
 from .radial_ode import (DecayFit, RadialProfile, ShootClass, ShootResult,
-                         eigen_profile_1d, fit_decay_exponents,
-                         gradient_ratio_curve, hardy_power_residual,
+                         fit_decay_exponents, hardy_power_residual,
                          radial_exterior_eigen, riccati_ratio_flow,
                          series_start_radius, shoot_singular_profile)
 

@@ -1,9 +1,9 @@
 """Translation and dilation rescaling limits of radial profiles.
 
-Realizes the limit objects behind the asymptotic arguments: the affine
-limit of distance differences along a direction, the far-field kernel ratio
-u(x - t*xi)/u(-t*xi), the origin blow-up u(R s)/u(R) against a pure power,
-and the far-field translate u(t + s)/u(t) against a pure exponential.
+Realizes the limit objects behind the asymptotic arguments: the far-field
+kernel ratio u(x - t*xi)/u(-t*xi), the origin blow-up u(R s)/u(R) against a
+pure power, and the far-field translate u(t + s)/u(t) against a pure
+exponential.
 Profiles are interpolated with a monotone cubic in the coordinates where
 each limit family is exactly linear: (ln r, ln u) for dilations and the
 kernel ratio, (r, ln u) for translations.
@@ -59,23 +59,6 @@ def write_rescale_csv(report: RescaleReport, path):
         fh.write("scale,sup_distance,grad_distance\n")
         for k, s, g in zip(report.scales, report.sup_distance, report.grad_distance):
             fh.write(f"{k:.17g},{s:.17g},{g:.17g}\n")
-
-
-def busemann(x, xi, t) -> float:
-    """Distance gauge t - |x - t*xi| along direction xi, for t > |x|."""
-    x = np.asarray(x, dtype=float)
-    xi = Direction(xi).xi
-    t = float(t)
-    if t <= float(np.linalg.norm(x)):
-        raise DomainError("t must exceed |x|")
-    return t - float(np.linalg.norm(x - t * xi))
-
-
-def busemann_limit(x, xi) -> float:
-    """Affine limit <x, xi> of the distance gauge as t grows."""
-    x = np.asarray(x, dtype=float)
-    xi = Direction(xi).xi
-    return float(np.dot(x, xi))
 
 
 def _interp_pair(profile: RadialProfile):

@@ -182,7 +182,7 @@ def _check_spacings(h_list, key, min_nodes=3):
 
 def _campaign_params(cfg, keys, name) -> ProblemParams:
     """Validate a targeted campaign's config and build its params block."""
-    _validate_keys(cfg, {"params", "seed", *keys}, {"params"}, f"{name} config")
+    _validate_keys(cfg, {"params", *keys}, {"params"}, f"{name} config")
     return _params_from_config(cfg["params"])
 
 
@@ -369,8 +369,11 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
         grid_points=1400)
-    rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts, alpha,
-                                                   window=window)
+    try:
+        rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts,
+                                                       alpha, window=window)
+    except OutOfRange as exc:
+        raise ConfigError(f"shifts {shifts!r} with window {window!r}: {exc}") from exc
     diffs = np.diff(rep_inf.sup_distance)
     rows = [
         CheckRow("power_fixed_point_sup", 0.0, float(rep_zero.sup_distance.max()), 1e-12),
@@ -406,7 +409,7 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
 
 
 def run_bochner(cfg, out_dir) -> ExperimentReport:
-    _validate_keys(cfg, {"h_list", "lam", "seed"}, set(), "bochner config")
+    _validate_keys(cfg, {"h_list", "lam"}, set(), "bochner config")
     h_list = cfg.get("h_list", [1.0 / 16, 1.0 / 32, 1.0 / 64])
     _check_spacings(h_list, "h_list", grid_pde.NESTED_STENCIL_NODES)
     lam = cfg.get("lam", 1.0)
@@ -669,9 +672,7 @@ def step_rescale(cfg, out_dir):
         r=r_exp, u=np.exp(-alpha * r_exp), du=-alpha * np.exp(-alpha * r_exp),
         meta={"kind": "exponential", "alpha": alpha},
         log_u=-alpha * r_exp, ratio=np.full_like(r_exp, -alpha))
-    shifts = cfg["translate_shifts"]
-    rep_exp = blowup.translate_rescale_at_infinity(exp_profile, shifts, alpha,
-                                                   window=cfg["translate_window"])
+    shifts, window = cfg["translate_shifts"], cfg["translate_window"]
 
     r_mix = np.geomspace(1.0, max(shifts) + 10.0, 3000)
     mix_profile = radial_ode.RadialProfile(
@@ -679,8 +680,14 @@ def step_rescale(cfg, out_dir):
         du=-(1.0 + 1.0 / r_mix) * np.exp(-r_mix) / r_mix,
         meta={"kind": "exp_over_r"},
         log_u=-r_mix - np.log(r_mix), ratio=-(1.0 + 1.0 / r_mix))
-    rep_mix = blowup.translate_rescale_at_infinity(mix_profile, shifts, alpha,
-                                                   window=cfg["translate_window"])
+    try:
+        rep_exp = blowup.translate_rescale_at_infinity(exp_profile, shifts,
+                                                       alpha, window=window)
+        rep_mix = blowup.translate_rescale_at_infinity(mix_profile, shifts,
+                                                       alpha, window=window)
+    except OutOfRange as exc:
+        raise ConfigError(f"translate_shifts {shifts!r} with translate_window "
+                          f"{window!r}: {exc}") from exc
     blowup.write_rescale_csv(rep_zero, Path(out_dir) / "rescale_origin.csv")
     blowup.write_rescale_csv(rep_mix, Path(out_dir) / "translate_far_field.csv")
     diffs = np.diff(rep_mix.sup_distance)
@@ -693,8 +700,8 @@ def step_rescale(cfg, out_dir):
 
 
 def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
-    _validate_keys(cfg, set(DEFAULT_ALL) | {"seed"}, set(), "all config")
-    merged = {**DEFAULT_ALL, **{k: v for k, v in cfg.items() if k != "seed"}}
+    _validate_keys(cfg, DEFAULT_ALL, set(), "all config")
+    merged = {**DEFAULT_ALL, **cfg}
     _check_spacings(merged["grid_h"], "grid_h")
     _check_spacings(merged["bochner_h"], "bochner_h",
                     grid_pde.NESTED_STENCIL_NODES)
@@ -790,6 +797,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -6,7 +6,7 @@ averaging the four neighboring centered differences), nonlinear diffusivity
 (|grad v|^2 + eps^2)^((p-2)/2) evaluated per face, divergence by face-flux
 differences.  The formally linearized operator uses the same face geometry
 with the rank-one tensor correction, which makes the damped Newton iteration
-and the linearized-operator diagnostics share one discretization.
+and the second-order (Bochner) identity check share one discretization.
 """
 
 from __future__ import annotations
@@ -269,38 +269,6 @@ def _newton_matrix(v, p, lam, h, epsilon):
         shape=(mi * mj, mi * mj),
     )
     return mat.tocsc()
-
-
-def linearized_apply(field: Field2D, g, p, epsilon=0.0, grad_floor=0.0):
-    """Discrete linearized operator L_v(g); masked where |grad v| <= grad_floor.
-
-    g is a full (nx, ny) array (its boundary values enter the stencils).
-    Returns a masked (nx-2, ny-2) array over the interior nodes.
-    """
-    v, h = field.values, field.h
-    g = np.asarray(g, dtype=float)
-    if g.shape != v.shape:
-        raise DomainError("direction field must match the grid shape")
-    out = _apply_linearized(v, g, p, h, epsilon)
-    wx, wy = _centered_grad(v, h)
-    grad_mag = np.sqrt(wx ** 2 + wy ** 2)
-    return np.ma.masked_array(out, mask=grad_mag <= grad_floor)
-
-
-def ellipticity_check(grad_v, grad_g, p) -> float:
-    """Rayleigh ratio <A(grad_g), grad_g>/|grad_g|^2 of the linearized tensor.
-
-    Equals 1 + (p-2) cos^2(angle between the gradients); always at least
-    min(1, p-1).
-    """
-    gv = np.asarray(grad_v, dtype=float)
-    gg = np.asarray(grad_g, dtype=float)
-    nv2 = float(np.dot(gv, gv))
-    ng2 = float(np.dot(gg, gg))
-    if nv2 <= 0.0 or ng2 <= 0.0:
-        raise DomainError("both gradients must be nonzero")
-    dot = float(np.dot(gv, gg))
-    return 1.0 + (p - 2.0) * dot * dot / (nv2 * ng2)
 
 
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,

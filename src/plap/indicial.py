@@ -143,17 +143,6 @@ def auxiliary_f(gamma, n, p, a=0.0):
     return _f_of(gamma, p, n - (a + 1.0) * p)
 
 
-def critical_exponent(n, p, a, b):
-    """Largest admissible source exponent n*p/(n - (a+1-b)p) for the weighted problem."""
-    if not (1.0 < p < n):
-        raise DomainError("p must lie in (1, n)")
-    if not (0.0 <= a < (n - p) / p):
-        raise DomainError("a must lie in [0, (n-p)/p)")
-    if not (a <= b < a + 1.0):
-        raise DomainError("b must lie in [a, a+1)")
-    return n * p / (n - (a + 1.0 - b) * p)
-
-
 _LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
 _LOG_HUGE = math.log(sys.float_info.max)  # ln of the largest double
 # Bisection alone reaches 4 ulp of x from any closed-form bracket in about

@@ -82,9 +82,6 @@ class RadialProfile:
     def log_values(self) -> np.ndarray:
         return self.log_u if self.log_u is not None else np.log(self.u)
 
-    def ratio_values(self) -> np.ndarray:
-        return self.ratio if self.ratio is not None else self.du / self.u
-
     def log_interp(self) -> PchipInterpolator:
         """Monotone cubic interpolant of ln u against ln r."""
         return PchipInterpolator(np.log(self.r), self.log_values())
@@ -127,73 +124,6 @@ def write_profile_csv(profile: RadialProfile, path):
         fh.write("r,u,du\n")
         for r, u, du in zip(profile.r, profile.u, profile.du):
             fh.write(f"{r:.17g},{u:.17g},{du:.17g}\n")
-
-
-def _rk4_path(rhs, t0, t1, y0, steps):
-    """Classical fixed-step RK4; raises StepFailure on a non-finite state."""
-    h = (t1 - t0) / steps
-    ts = t0 + h * np.arange(steps + 1)
-    y = np.array(y0, dtype=float)
-    out = np.empty((steps + 1, y.size))
-    out[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            t = ts[k]
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise StepFailure(f"non-finite state at t={t + h:g}")
-            out[k + 1] = y
-    return ts, out
-
-
-def eigen_profile_1d(lam, p, v0, s0, t_span, steps=20000) -> RadialProfile:
-    """Monotone 1-D profile of ((v')^(p-1))' = lam v^(p-1).
-
-    Integrates the first-order pair (v, m) with m = (v')^(p-1), m(t0) =
-    (s0*v0)^(p-1), by fixed-step RK4 so that halving the step shrinks the
-    error by the scheme's full fourth order.
-
-    Args:
-        lam: eigenvalue coefficient, > 0
-        p: exponent, > 1
-        v0: initial value, > 0
-        s0: initial ratio v'(t0)/v(t0), >= 0 (monotone regime)
-        t_span: (t0, t1) integration interval
-        steps: number of RK4 steps
-
-    Returns:
-        RadialProfile sampled on the uniform grid (r holds t).
-    """
-    if v0 <= 0.0:
-        raise DomainError("v0 must be positive")
-    if s0 < 0.0:
-        raise DomainError("s0 must be >= 0 in the monotone regime")
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise DomainError("t_span must be increasing")
-
-    pm1 = p - 1.0
-
-    def rhs(_t, y):
-        v, m = y
-        dv = max(m, 0.0) ** (1.0 / pm1)
-        return np.array([dv, lam * v ** pm1])
-
-    m0 = (s0 * v0) ** pm1 if s0 > 0.0 else 0.0
-    ts, ys = _rk4_path(rhs, t0, t1, (v0, m0), steps)
-    v = ys[:, 0]
-    dv = np.maximum(ys[:, 1], 0.0) ** (1.0 / pm1)
-    # the grid is shifted to positive abscissae if t0 <= 0 (r must be > 0)
-    shift = 0.0 if t0 > 0.0 else 1.0 - t0
-    meta = {"kind": "eigen_profile_1d", "lam": lam, "p": p, "v0": v0, "s0": s0,
-            "t0": t0, "t1": t1, "steps": steps, "t_shift": shift}
-    return RadialProfile(r=ts + shift, u=v, du=dv, meta=meta)
 
 
 def riccati_ratio_flow(lam, p, s0, t_span, samples=501):
@@ -513,13 +443,3 @@ def fit_decay_exponents(profile: RadialProfile, alpha=None, window=None) -> Deca
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return DecayFit(rate=float(coef[0]), power=float(coef[1]),
                     log_scale=float(coef[2]), rms=rms)
-
-
-def gradient_ratio_curve(profile: RadialProfile, mode="scaled") -> np.ndarray:
-    """Pairs (r, ratio) with ratio = r|u'|/u ('scaled') or |u'|/u ('plain')."""
-    ratio = np.abs(profile.ratio_values())
-    if mode == "scaled":
-        ratio = profile.r * ratio
-    elif mode != "plain":
-        raise DomainError("mode must be 'scaled' or 'plain'")
-    return np.column_stack([profile.r, ratio])

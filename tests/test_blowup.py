@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from plap.blowup import (Direction, RescaleReport, busemann, busemann_limit,
-                         martin_kernel_estimate, rescale_near_zero,
-                         translate_rescale_at_infinity, write_rescale_csv)
+from plap.blowup import (Direction, RescaleReport, martin_kernel_estimate,
+                         rescale_near_zero, translate_rescale_at_infinity,
+                         write_rescale_csv)
 from plap.errors import DomainError, OutOfRange
 from plap.radial_ode import RadialProfile
 
@@ -33,42 +32,6 @@ class TestDirection:
     def test_rejects_non_unit(self):
         with pytest.raises(DomainError):
             Direction(np.array([1.0, 1.0]))
-
-
-class TestBusemann:
-    def test_origin(self):
-        for t in (2.0, 10.0, 1e4):
-            assert busemann([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], t) == 0.0
-
-    def test_collinear(self):
-        assert busemann([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 10.0) == 1.0
-
-    def test_perpendicular(self):
-        val = busemann([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], 1e3)
-        assert abs(val) == pytest.approx(5.0e-4, rel=1e-3)
-        assert busemann_limit([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]) == 0.0
-
-    def test_requires_t_beyond_x(self):
-        with pytest.raises(DomainError):
-            busemann([2.0, 0.0], [1.0, 0.0], 1.0)
-
-    @given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
-           st.floats(0.0, 1.0), st.floats(10.0, 1e5))
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_and_bounded(self, x, angle_frac, t):
-        xi = np.array([math.cos(2 * math.pi * angle_frac),
-                       math.sin(2 * math.pi * angle_frac)])
-        xi /= np.linalg.norm(xi)
-        x = np.asarray(x)
-        limit = busemann_limit(x, xi)
-        b1 = busemann(x, xi, t)
-        b2 = busemann(x, xi, 2.0 * t)
-        # t - |x - t*xi| cancels catastrophically, so slack scales with eps*t
-        slack = 1e-12 + 1e-14 * t
-        assert b1 <= b2 + slack
-        bound = float(x @ x) / (2.0 * (t - np.linalg.norm(x)))
-        assert b1 <= limit + slack
-        assert abs(b1 - limit) <= bound + slack
 
 
 class TestMartinKernelEstimate:

@@ -319,6 +319,45 @@ class TestMainEntry:
         code = cli.main(["frobnicate", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("sub", sorted(cli.CAMPAIGNS) + ["all"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, sub):
+        code = cli.main([sub, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", sorted(cli.CAMPAIGNS) + ["all"])
+    def test_seed_config_key_exit_2(self, tmp_path, capsys, sub):
+        # the seed is set by --seed alone
+        cfg = {"seed": 5}
+        if sub not in ("all", "bochner"):
+            cfg["params"] = {"n": 3, "p": 2.0, "lam": 1.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main([sub, "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown key(s) ['seed']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, cfg, message", [
+        ("blowup", {"window": 20}, "with window 20: "),
+        ("blowup", {"shifts": [1, 2]}, "shifts [1, 2] with window 0.5: "),
+        ("all", {"translate_window": 20}, "with translate_window 20: "),
+        # the exponential profile of step 10 ends at r = 200
+        ("all", {"translate_shifts": [10.0, 500.0]},
+         "translate_shifts [10.0, 500.0] with translate_window 0.5: "),
+    ])
+    def test_translation_outside_profile_exit_2(self, tmp_path, capsys, sub,
+                                                cfg, message):
+        if sub == "blowup":
+            cfg = {"params": {"n": 3, "p": 2.0, "lam": 1.0}, **cfg}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main([sub, "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "outside sampled span" in err
+
     def test_passing_campaign_exit_0(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(

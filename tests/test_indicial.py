@@ -9,9 +9,8 @@ from plap import cli, indicial
 from plap.errors import DomainError, NoRealRoot
 from plap.indicial import (DOUBLE_ROOT_RTOL, IndicialData, Nonlinearity,
                            ProblemParams, RootPlacement, auxiliary_f,
-                           critical_exponent, eigen_rate_alpha, gamma_star,
-                           hardy_best_constant, indicial_roots,
-                           placement_satisfied)
+                           eigen_rate_alpha, gamma_star, hardy_best_constant,
+                           indicial_roots, placement_satisfied)
 
 
 @st.composite
@@ -316,25 +315,6 @@ def test_newton_roots_match_mpmath_sweep():
             # smallest double
             assert abs(got - want) <= 1e-13 * abs(want) + math.ulp(0.0), \
                 (n, p, a, mu)
-
-
-class TestCriticalExponent:
-    def test_hand_values(self):
-        assert critical_exponent(3, 2, 0, 0) == pytest.approx(6.0, abs=1e-14)
-        assert critical_exponent(4, 2, 0, 0) == pytest.approx(4.0, abs=1e-14)
-        assert critical_exponent(5, 2, 0.5, 0.5) == pytest.approx(10 / 3, abs=1e-14)
-
-    def test_range(self):
-        val = critical_exponent(5, 2, 0.3, 0.9)
-        assert 2.0 < val <= 5 * 2 / (5 - 2)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            critical_exponent(4, 2, 0, 1.0)  # b = a+1 excluded
-        with pytest.raises(DomainError):
-            critical_exponent(4, 2, 1.0, 1.0)  # a at the critical weight
-        with pytest.raises(DomainError):
-            critical_exponent(4, 2, 0.5, 0.2)  # b < a
 
 
 class TestProblemParams:

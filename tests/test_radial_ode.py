@@ -10,61 +10,11 @@ from plap import radial_ode
 from plap.errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
                            eigen_rate_alpha)
-from plap.radial_ode import (RadialProfile, ShootClass, eigen_profile_1d,
-                             fit_decay_exponents, gradient_ratio_curve,
+from plap.radial_ode import (RadialProfile, ShootClass, fit_decay_exponents,
                              hardy_power_residual, radial_exterior_eigen,
                              riccati_ratio_flow, series_start_radius,
                              shoot_singular_profile, write_profile_csv)
 from plap.radial_ode import _classify_ratio, _ratio_rhs
-
-
-def monotone_profile_t(profile):
-    return profile.r - profile.meta["t_shift"]
-
-
-class TestEigenProfile1D:
-    def test_p2_exponential(self):
-        prof = eigen_profile_1d(1.0, 2.0, 1.0, 1.0, (0, 10), steps=40000)
-        t = monotone_profile_t(prof)
-        assert np.max(np.abs(prof.u - np.exp(t))) <= 1e-8
-
-    def test_p3_exponential(self):
-        # (p-1) alpha^p = lam with alpha = 1: e^t solves the p=3 flow
-        prof = eigen_profile_1d(2.0, 3.0, 1.0, 1.0, (0, 10), steps=40000)
-        t = monotone_profile_t(prof)
-        assert np.max(np.abs(prof.u - np.exp(t))) <= 1e-8
-
-    def test_flat_start_gives_cosh(self):
-        prof = eigen_profile_1d(1.0, 2.0, 1.0, 0.0, (0, 10), steps=40000)
-        t = monotone_profile_t(prof)
-        assert np.max(np.abs(prof.u - np.cosh(t))) <= 1e-8
-
-    def test_fourth_order_step_halving(self):
-        errs = []
-        for steps in (1000, 2000):
-            prof = eigen_profile_1d(1.0, 2.0, 1.0, 1.0, (0, 5), steps=steps)
-            t = monotone_profile_t(prof)
-            errs.append(np.max(np.abs(prof.u - np.exp(t))))
-        assert errs[0] / errs[1] >= 2 ** 4 / 2
-
-    def test_derivative_consistent_with_samples(self):
-        prof = eigen_profile_1d(1.0, 2.0, 1.0, 0.0, (0, 5), steps=2000)
-        centered = (prof.u[2:] - prof.u[:-2]) / (prof.r[2:] - prof.r[:-2])
-        scale = np.abs(prof.du[1:-1]) + 1.0
-        assert np.max(np.abs(centered - prof.du[1:-1]) / scale) <= 1e-5
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            eigen_profile_1d(1.0, 2.0, -1.0, 1.0, (0, 1))
-        with pytest.raises(DomainError):
-            eigen_profile_1d(1.0, 2.0, 1.0, -0.5, (0, 1))
-        with pytest.raises(DomainError):
-            eigen_profile_1d(1.0, 2.0, 1.0, 1.0, (1, 1))
-
-    def test_overflow_raises_step_failure(self):
-        from plap.errors import StepFailure
-        with pytest.raises(StepFailure):
-            eigen_profile_1d(1.0, 2.0, 1.0, 1.0, (0, 2000), steps=4000)
 
 
 class TestRiccatiRatioFlow:
@@ -427,33 +377,6 @@ class TestFitDecayExponents:
         prof = RadialProfile(r=r, u=r ** -1.0, du=-r ** -2.0, meta={})
         with pytest.raises(IllConditioned):
             fit_decay_exponents(prof, window=(29.9, 30.0))
-
-
-class TestGradientRatioCurve:
-    def test_power_profile_scaled(self):
-        r = np.geomspace(0.01, 10, 200)
-        prof = RadialProfile(r=r, u=r ** -0.75, du=-0.75 * r ** -1.75, meta={})
-        curve = gradient_ratio_curve(prof, mode="scaled")
-        assert np.allclose(curve[:, 1], 0.75, atol=1e-12)
-
-    def test_exp_profile_plain(self):
-        r = np.geomspace(1, 30, 200)
-        prof = RadialProfile(r=r, u=np.exp(-2 * r), du=-2 * np.exp(-2 * r),
-                             meta={})
-        curve = gradient_ratio_curve(prof, mode="plain")
-        assert np.allclose(curve[:, 1], 2.0, atol=1e-12)
-
-    def test_shoot_profile_near_alpha(self):
-        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
-        curve = gradient_ratio_curve(shot.profile, mode="plain")
-        k = np.argmin(np.abs(curve[:, 0] - 20.0))
-        assert abs(curve[k, 1] - 1.0) <= 0.06
-
-    def test_bad_mode(self):
-        r = np.geomspace(1, 2, 20)
-        prof = RadialProfile(r=r, u=r, du=np.ones_like(r), meta={})
-        with pytest.raises(DomainError):
-            gradient_ratio_curve(prof, mode="weird")
 
 
 class TestRadialProfile:
