@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plap import cli, radial_ode
 from plap.errors import ConfigError, DomainError
@@ -246,6 +251,7 @@ class TestMainEntry:
         ({"n": 3, "p": 2.0, "mu": "x"}, "params.mu must be a number"),
         ({"n": True, "p": 2.0}, "params.n must be a number"),
         ([3, 2.0], "params must be a JSON object"),
+        ({"n": 3, "p": 2.0, "q": 4.0}, "unknown key(s) ['q'] in params block"),
     ])
     def test_ill_typed_params_exit_2(self, tmp_path, capsys, params, message):
         cfg_path = tmp_path / "cfg.json"
@@ -357,6 +363,7 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "outside sampled span" in err
+        assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))
 
     def test_passing_campaign_exit_0(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -383,6 +390,77 @@ class TestMainEntry:
         code = cli.main(["roots", "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+# A params block that every campaign taking one accepts.
+VALID_PARAMS = {"n": 3, "p": 2.0, "lam": 1.0}
+BAD_SCALARS = ["x", None, [1.0], True, math.nan, math.inf, -math.inf]
+
+
+def default_config(sub):
+    return {key: copy.deepcopy(VALID_PARAMS if spec[0] is cli.REQUIRED
+                               else spec[0])
+            for key, spec in cli.CONFIGS[sub].items()}
+
+
+@st.composite
+def mutated_config(draw, sub):
+    """The default config of `sub` with one value ill-typed or non-finite: a
+    scalar, one entry of params, or a list or one of its entries."""
+    cfg = default_config(sub)
+    key = draw(st.sampled_from(sorted(cfg)))
+    value = cfg[key]
+    if isinstance(value, dict):
+        value[draw(st.sampled_from(sorted(value)))] = draw(
+            st.sampled_from(BAD_SCALARS))
+    elif isinstance(value, list) and draw(st.booleans()):
+        value[draw(st.integers(0, len(value) - 1))] = draw(
+            st.sampled_from(BAD_SCALARS))
+    elif isinstance(value, list):
+        cfg[key] = draw(st.sampled_from(["x", None, True, 1.0, math.nan]))
+    else:
+        cfg[key] = draw(st.sampled_from(BAD_SCALARS))
+    return cfg
+
+
+@pytest.mark.parametrize("sub", sorted(cli.CONFIGS))
+def test_config_defaults_accepted(sub):
+    cli._read_config(default_config(sub), sub)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@pytest.mark.parametrize("sub", sorted(cli.CONFIGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ill_typed_config_value_exit_2(config_dir, sub, data):
+    cfg = data.draw(mutated_config(sub))
+    # the read rejects the draw, so main below exits before any campaign work
+    with pytest.raises(ConfigError):
+        cli._read_config(cfg, sub)
+    cfg_path = config_dir / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([sub, "--config", str(cfg_path),
+                         "--out", str(config_dir / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("plap: config error")
+    assert "Traceback" not in err.getvalue()
+
+
+def test_readme_tables_name_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys")[1].split("\n## ")[0]
+    tables = {}
+    for part in section.split("\n#### ")[1:]:
+        title, body = part.split("\n", 1)
+        tables[title] = re.findall(r"^\| `(\w+)` \|", body, re.MULTILINE)
+    assert tables.pop("params") == list(cli.PARAMS_KEYS)
+    assert tables == {sub: list(table) for sub, table in cli.CONFIGS.items()}
 
 
 @pytest.fixture(scope="module")
