@@ -14,8 +14,7 @@ from .errors import (ConfigError, DomainError, IllConditioned, NoConvergence,
 from .grid_pde import (Field2D, SolveStats, bochner_residual, directional_range,
                        exponential_field, gradient_log_sup, kappa,
                        kappa_bound_check, p_laplace_residual,
-                       representation_field, representation_quadrature,
-                       solve_dirichlet)
+                       representation_field, solve_dirichlet)
 from .indicial import (IndicialData, Nonlinearity, ProblemParams, RootPlacement,
                        auxiliary_f, eigen_rate_alpha, gamma_star,
                        hardy_best_constant, indicial_roots,

@@ -61,11 +61,6 @@ def write_rescale_csv(report: RescaleReport, path):
             fh.write(f"{k:.17g},{s:.17g},{g:.17g}\n")
 
 
-def _interp_pair(profile: RadialProfile):
-    interp = profile.log_interp()
-    return interp, interp.derivative()
-
-
 def _check_radius(profile: RadialProfile, r, what):
     if r < profile.r_min or r > profile.r_max:
         raise OutOfRange(
@@ -95,14 +90,11 @@ def rescale_near_zero(profile: RadialProfile, scales, gamma1,
     its s-derivative) to the power limit is recorded.
     """
     scales = np.asarray(list(scales), dtype=float)
-    if scales.size == 0:
-        empty = np.empty(0)
-        return RescaleReport(scales=scales, sup_distance=empty.copy(),
-                             grad_distance=empty.copy())
     s = np.geomspace(1.0 / window, window, samples)
     target = s ** (-gamma1)
     dtarget = -gamma1 * s ** (-gamma1 - 1.0)
-    interp, dinterp = _interp_pair(profile)
+    interp = profile.log_interp()
+    dinterp = interp.derivative()
     sup_d = np.empty(scales.size)
     grad_d = np.empty(scales.size)
     for k, R in enumerate(scales):
@@ -126,10 +118,6 @@ def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
     family is exactly linear there, so the fixed point is exact to rounding.
     """
     shifts = np.asarray(list(shifts), dtype=float)
-    if shifts.size == 0:
-        empty = np.empty(0)
-        return RescaleReport(scales=shifts, sup_distance=empty.copy(),
-                             grad_distance=empty.copy())
     s = np.linspace(-window, window, samples) if window > 0.0 else np.zeros(1)
     target = np.exp(-alpha * s)
     dtarget = -alpha * target

@@ -116,9 +116,10 @@ def _check_count(value, key, low=1):
 
 
 def _is_finite_real(value):
-    """An int or float that is finite (bool is not a number)."""
+    """An int or float that is finite (bool is not a number, and an int
+    beyond the float range is not finite)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_finite(value, key):
@@ -304,15 +305,6 @@ def _exact_solve(params, alpha, xi, rect, h, tol):
     return fld, stats, exact, float(np.max(np.abs(fld.values - exact.values)))
 
 
-def _two_exp_field(lam, h):
-    """p=2 oracle field e^(a x) + e^(a y) with a = sqrt(lam) (solves the
-    linear eigen-equation exactly)."""
-    a = math.sqrt(lam)
-    ex = grid_pde.exponential_field(a, [1.0, 0.0], UNIT_SQUARE, h)
-    ey = grid_pde.exponential_field(a, [0.0, 1.0], UNIT_SQUARE, h)
-    return grid_pde.field_from_values(ex.values + ey.values, UNIT_SQUARE, h)
-
-
 def _order_shortfall(errs):
     """Shortfall below 1.8 of the smallest order log2(e_h / e_(h/2))."""
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -320,10 +312,16 @@ def _order_shortfall(errs):
     return _shortfall(float(np.min(orders)), 1.8)
 
 
+# Atoms of the p=2 oracle field e^(a x) + e^(a y), a = sqrt(lam), which
+# solves the linear eigen-equation exactly.
+BOCHNER_ATOMS = (((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0))
+
+
 def _bochner_trend(h_list, lam):
     """Oracle-field identity residuals and their refinement-factor shortfall."""
-    resid = [grid_pde.bochner_residual(_two_exp_field(lam, h), 2.0, lam)
-             for h in h_list]
+    resid = [grid_pde.bochner_residual(
+        grid_pde.representation_field(BOCHNER_ATOMS, lam, UNIT_SQUARE, h),
+        2.0, lam) for h in h_list]
     for h, r in zip(h_list, resid):
         if r == 0.0:
             raise DomainError(
@@ -375,6 +373,7 @@ def _write_report(subcommand, rows, cfg, out_dir) -> ExperimentReport:
 
 def run_roots(cfg, out_dir) -> ExperimentReport:
     params = _read_config(cfg, "roots")["params"]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     data = indicial_roots(params)
     n, p, a, mu = params.n, params.p, params.a, params.mu
     tol = 1e-12 * max(1.0, abs(mu))
@@ -396,6 +395,7 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "shoot")
     params, r0, r_max = c["params"], c["r0"], c["r_max"]
     _check_at_least(r_max, "r_max", 10.0 * r0)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
     shot = radial_ode.radial_exterior_eigen(params.n, params.p, params.lam, r0,
                                             r_max, grid_points=c["grid_points"])
@@ -416,6 +416,7 @@ def run_martin(cfg, out_dir) -> ExperimentReport:
     # the shot runs to t + 10 >= 10 r0, and the kernel reads the profile at
     # t - 1 >= r0
     _check_at_least(t, "t", max(r0 + 1.0, 10.0 * r0 - 10.0))
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, r0, t + 10.0, grid_points=c["grid_points"])
@@ -435,6 +436,7 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
         rep_zero = _power_fixed_point(c["gamma"], c["scales"])
     except OutOfRange as exc:
         raise ConfigError(f"scales {c['scales']!r}: {exc}") from exc
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
@@ -451,6 +453,7 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "grid")
     params, xi, rect, h, tol = c["params"], c["xi"], c["rect"], c["h"], c["tol"]
     _check_grid(xi, rect, h)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
     fld, stats, _, sup_err = _exact_solve(params, alpha, xi, rect, h, tol)
     rows = [
@@ -467,6 +470,7 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
 
 def run_bochner(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "bochner")
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     resid, shortfall = _bochner_trend(c["h_list"], c["lam"])
     rows = [CheckRow("refinement_factor", 0.0, shortfall, 0.0)]
     with open(Path(out_dir) / "bochner_trend.csv", "w", newline="") as fh:
@@ -781,6 +785,7 @@ def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     return report
 
 
+# Each campaign creates --out only after its config passes every check.
 CAMPAIGNS = {
     "roots": run_roots,
     "shoot": run_shoot,
@@ -828,7 +833,6 @@ def main(argv=None) -> int:
         if args.subcommand == "all":
             report = run_all(cfg, args.out, seed=args.seed)
         else:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
             report = CAMPAIGNS[args.subcommand](cfg, args.out)
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"plap: config error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,13 +415,8 @@ def bochner_residual(field: Field2D, p, lam, threshold=None) -> float:
 
     wx, wy = _centered_grad(w, h)                      # nodes [1..nx-2]
     f_int = wx ** 2 + wy ** 2                          # shape (nx-2, ny-2)
-    f_full = np.full_like(w, np.nan)
-    f_full[1:-1, 1:-1] = f_int
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # NaN border rows
-        lhs_all = _apply_linearized(w, f_full, p, h, 0.0)
-    lhs = lhs_all[1:-1, 1:-1]                          # nodes [2..nx-3]
+    # L_w(f) at nodes [2..nx-3] reads w and f at nodes [1..nx-2] only
+    lhs = _apply_linearized(w[1:-1, 1:-1], f_int, p, h, 0.0)
 
     wxx = (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / h ** 2
     wyy = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / h ** 2
@@ -444,41 +438,15 @@ def bochner_residual(field: Field2D, p, lam, threshold=None) -> float:
     return float(np.max(np.abs(lhs[mask] - rhs)))
 
 
-def representation_quadrature(atoms, lam, x, p=2.0) -> float:
-    """Finite-atom superposition sum_i mu_i exp(alpha <x, xi_i>), p = 2 only.
-
-    Warns and returns 0 for an empty atom list (the result is then not a
-    positive field).
-    """
-    if p != 2.0:
-        raise DomainError("representation formula is available for p = 2 only")
-    alpha = eigen_rate_alpha(lam, p)
-    x = np.asarray(x, dtype=float)
-    atoms = list(atoms)
-    if not atoms:
-        warnings.warn("empty atom list: result is not a positive field",
-                      stacklevel=2)
-        return 0.0
-    total = 0.0
-    for xi, weight in atoms:
-        xi = _check_unit(xi)
-        if weight <= 0.0:
-            raise DomainError("atom weights must be positive")
-        total += weight * math.exp(alpha * float(np.dot(x, xi)))
-    return total
-
-
 def representation_field(atoms, lam, rect, h) -> Field2D:
-    """Grid sampling of the finite-atom superposition (p = 2)."""
-    x0, y0, nx, ny = _grid_shape(rect, h)
-    alpha = eigen_rate_alpha(lam, 2.0)
-    x = x0 + h * np.arange(nx)
-    y = y0 + h * np.arange(ny)
-    vals = np.zeros((nx, ny))
-    for xi, weight in atoms:
-        xi = _check_unit(xi)
-        vals += weight * np.exp(alpha * (xi[0] * x[:, None] + xi[1] * y[None, :]))
-    return Field2D(nx=nx, ny=ny, h=h, origin=(x0, y0), values=vals)
+    """Superposition sum_i w_i exp(sqrt(lam) <x, xi_i>) of (xi, w) atoms on
+    the rectangle grid; it solves -Lap v + lam v = 0, the p = 2 equation."""
+    # math.sqrt, not eigen_rate_alpha: its lam ** 0.5 differs from sqrt in
+    # the last bit at some lam (e.g. 2.315)
+    alpha = math.sqrt(lam)
+    values = sum(exponential_field(alpha, xi, rect, h, scale=w).values
+                 for xi, w in atoms)
+    return field_from_values(values, rect, h)
 
 
 # --- serialization --------------------------------------------------------

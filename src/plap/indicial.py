@@ -56,8 +56,10 @@ class ProblemParams:
     def __post_init__(self):
         for name in ("n", "p", "a", "mu", "lam"):
             value = getattr(self, name)
-            # ill-typed values are left to the range checks below
-            if isinstance(value, (int, float)) and not math.isfinite(value):
+            # ill-typed values are left to the range checks below; an int
+            # beyond the float range is not finite
+            if (isinstance(value, (int, float))
+                    and not abs(value) <= sys.float_info.max):
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if int(self.n) != self.n or self.n < 2:
             raise DomainError("n must be an integer >= 2")

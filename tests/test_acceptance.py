@@ -115,8 +115,11 @@ def test_criterion_04_kappa_bound(dirichlet_solves):
 
 
 def test_criterion_05_bochner_trend():
-    resid = [grid_pde.bochner_residual(cli._two_exp_field(1.0, h), 2.0, 1.0)
-             for h in (1 / 16, 1 / 32, 1 / 64)]
+    # the p=2 oracle e^x + e^y, a two-atom superposition at lam = 1
+    atoms = [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)]
+    resid = [grid_pde.bochner_residual(
+        grid_pde.representation_field(atoms, 1.0, (0.0, 0.0, 1.0, 1.0), h),
+        2.0, 1.0) for h in (1 / 16, 1 / 32, 1 / 64)]
     ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
     ok = all(np.diff(resid) < 0) and min(ratios) >= 1.5
     report(5, ok, f"residuals {resid[0]:.2e} -> {resid[-1]:.2e}, "

@@ -121,6 +121,10 @@ class TestMainEntry:
         ("roots", {"n": 4, "p": 2.0, "mu": float("nan")}),
         ("roots", {"n": 4, "p": 2.0, "a": float("inf")}),
         ("shoot", {"n": 3, "p": 2.0, "lam": float("inf")}),
+        # json writes and reads 10 ** 400 as an integer literal beyond the
+        # float range
+        ("shoot", {"n": 3, "p": 2.0, "lam": 10 ** 400}),
+        ("roots", {"n": 4, "p": 2.0, "mu": -10 ** 400}),
     ])
     def test_non_finite_params_exit_2(self, tmp_path, capsys, sub, params):
         cfg_path = tmp_path / "cfg.json"
@@ -173,6 +177,7 @@ class TestMainEntry:
         ({"shoot_r_max": 9.5}, "shoot_r_max must be >= 10"),
         ({"bochner_h": [0.25, 0.125]}, "5 nodes per axis, the checks need "
                                        "at least 7"),
+        ({"martin_t": 10 ** 400}, "martin_t must be a finite number > 0"),
     ])
     def test_all_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "cfg.json"
@@ -209,6 +214,7 @@ class TestMainEntry:
         ({"scales": [0.1, "x"]}, "scales must be a finite number > 0"),
         ({"scales": [1e-6]}, "radius 1e-07 outside sampled span"),
         ({"gamma": "x"}, "gamma must be a finite number"),
+        ({"shifts": [10.0, 10 ** 400]}, "shifts must be a finite number > 0"),
     ])
     def test_blowup_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                          message):
@@ -234,6 +240,7 @@ class TestMainEntry:
         ("shoot", {"lam": "x"}, "params.lam must be a number, got 'x'"),
         ("grid", {"lam": [1.0]}, "params.lam must be a number, got [1.0]"),
         ("blowup", {"lam": None}, "params.lam must be a number, got None"),
+        ("shoot", {"r0": 10 ** 400}, "r0 must be a finite number > 0"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):
@@ -260,6 +267,25 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, cfg", [
+        ("roots", {"params": {"n": 3, "p": 5.0}}),
+        ("shoot", {"params": {"n": 3, "p": 2.0, "lam": -1}}),
+        ("martin", {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "t": 1.5}),
+        ("blowup", {"params": {"n": 3, "p": 2.0, "lam": 1.0},
+                    "scales": [1e-6]}),
+        ("grid", {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "h": 0.3}),
+        ("bochner", {"lam": -1}),
+        ("all", {"martin_t": 1.5}),
+    ])
+    def test_config_error_creates_no_out_dir(self, tmp_path, sub, cfg):
+        # the read, cross-key and scale checks all run before --out exists
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main([sub, "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_grid_overflowing_data_exit_1(self, tmp_path, capsys):
         # alpha = 678.6 at p = 1.2, lam = 500: the boundary data overflow,

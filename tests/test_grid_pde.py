@@ -14,8 +14,8 @@ from plap.grid_pde import (Field2D, _apply_linearized, _dissection_rank,
                            exponential_field, field_from_values,
                            gradient_log_sup, kappa, kappa_bound_check,
                            p_laplace_residual, read_field_plf2,
-                           representation_field, representation_quadrature,
-                           solve_dirichlet, write_field_csv, write_field_plf2)
+                           representation_field, solve_dirichlet,
+                           write_field_csv, write_field_plf2)
 from plap.indicial import ProblemParams, eigen_rate_alpha
 
 RECT = (0.0, 0.0, 1.0, 1.0)
@@ -406,6 +406,49 @@ class TestBochnerResidual:
         f = exponential_field(1.0, XI, RECT, 1 / 16)
         assert bochner_residual(f, 3.0, 2.0, threshold=1e9) == 0.0
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_matches_nan_border_version(self, p):
+        # bochner_residual as written before L_w(f) was taken over the
+        # interior only: f padded with a NaN border, L_w applied on the
+        # whole grid and the border of the result dropped
+        def nan_border_residual(field, p, lam):
+            v, h = field.values, field.h
+            w = -(p - 1.0) * np.log(v)
+            wx = (w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h)
+            wy = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h)
+            f_int = wx ** 2 + wy ** 2
+            f_full = np.full_like(w, np.nan)
+            f_full[1:-1, 1:-1] = f_int
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                lhs = _apply_linearized(w, f_full, p, h, 0.0)[1:-1, 1:-1]
+            wxx = (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / h ** 2
+            wyy = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / h ** 2
+            wxy = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]) / (
+                4.0 * h ** 2)
+            wij2 = (wxx ** 2 + 2.0 * wxy ** 2 + wyy ** 2)[1:-1, 1:-1]
+            fx = (f_int[2:, 1:-1] - f_int[:-2, 1:-1]) / (2.0 * h)
+            fy = (f_int[1:-1, 2:] - f_int[1:-1, :-2]) / (2.0 * h)
+            grad_f2 = fx ** 2 + fy ** 2
+            wf_dot = wx[1:-1, 1:-1] * fx + wy[1:-1, 1:-1] * fy
+            f = f_int[1:-1, 1:-1]
+            mask = f > 1e-6 * kappa(p, lam)
+            fm = f[mask]
+            rhs = (2.0 * fm ** (p / 2.0 - 1.0) * wij2[mask]
+                   + (p / 2.0 - 1.0) * grad_f2[mask] * fm ** (p / 2.0 - 2.0)
+                   + p * fm ** (p / 2.0 - 1.0) * wf_dot[mask])
+            return float(np.max(np.abs(lhs[mask] - rhs)))
+
+        atoms = [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)]
+        fields = [(representation_field(atoms, lam, RECT, h), lam)
+                  for lam in (1.0, 2.315) for h in (1 / 8, 1 / 32)]
+        fields += [(solve_dirichlet(ProblemParams(n=5, p=p, lam=lam), xi,
+                                    RECT, 1 / 16, tol=1e-9)[0], lam)
+                   for lam, xi in ((0.5, XI), (2.0, np.array([1.0, 0.0])))]
+        for field, lam in fields:
+            assert bochner_residual(field, p, lam) == nan_border_residual(
+                field, p, lam)
+
 
 class TestKappaBound:
     def test_exact_exponential_saturates(self):
@@ -424,11 +467,11 @@ class TestKappaBound:
         assert kappa(2.0, 1.0) == 1.0
 
 
-class TestRepresentationQuadrature:
+class TestRepresentationField:
     def test_single_atom(self):
         xi = np.array([1.0, 0.0])
-        val = representation_quadrature([(xi, 1.0)], 1.0, [0.3, 0.4])
-        assert val == pytest.approx(math.exp(0.3), rel=1e-15)
+        f = representation_field([(xi, 1.0)], 1.0, RECT, 0.1)
+        assert f.values[3, 4] == pytest.approx(math.exp(0.3), rel=1e-15)
 
     def test_antipodal_pair_solves_p2(self):
         atoms = [(np.array([1.0, 0.0]), 1.0), (np.array([-1.0, 0.0]), 1.0)]
@@ -438,17 +481,7 @@ class TestRepresentationQuadrature:
             errs.append(float(np.max(np.abs(p_laplace_residual(f, 2.0, 1.0)))))
         assert errs[0] / errs[1] >= 3.0
 
-    def test_empty_atoms_warns(self):
-        with pytest.warns(UserWarning):
-            val = representation_quadrature([], 1.0, [0.0, 0.0])
-        assert val == 0.0
-
-    def test_rejects_p_not_2(self):
-        with pytest.raises(DomainError):
-            representation_quadrature([(np.array([1.0, 0.0]), 1.0)], 1.0,
-                                      [0.0, 0.0], p=3.0)
-
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DomainError):
-            representation_quadrature([(np.array([1.0, 0.0]), -1.0)], 1.0,
-                                      [0.0, 0.0])
+            representation_field([(np.array([1.0, 0.0]), -1.0)], 1.0, RECT,
+                                 0.25)

@@ -333,7 +333,11 @@ class TestProblemParams:
             ProblemParams(n=3, p=2.0, lam=-1.0)
 
     @pytest.mark.parametrize("field", ["n", "p", "a", "mu", "lam"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # an int beyond the float range counts as infinite
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="int_1e400"),
+        pytest.param(-10 ** 400, id="int_-1e400")])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"n": 4, "p": 2.0, field: value}
         with pytest.raises(DomainError, match="must be finite"):
