@@ -121,7 +121,7 @@ def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
     s = np.linspace(-window, window, samples) if window > 0.0 else np.zeros(1)
     target = np.exp(-alpha * s)
     dtarget = -alpha * target
-    interp = PchipInterpolator(profile.r, profile.log_values())
+    interp = PchipInterpolator(profile.r, profile.log_u)
     dinterp = interp.derivative()
     sup_d = np.empty(shifts.size)
     grad_d = np.empty(shifts.size)

@@ -1,17 +1,16 @@
 """Radial and 1-D reductions: integration, shooting, and decay-rate fitting.
 
-Exponentially decaying exterior solutions are handled in logarithmic
-amplitude: profiles carry log_u = ln(u) and ratio = u'/u alongside u itself,
-because u underflows float64 once ln(u) drops below about -745 while the
-log-derivative pair stays O(1) on any span.  The ratio flow repels the
-decaying branch at rate exp(p*alpha*r) going outward and attracts it at the
-same rate going inward, so the branch is found by one inward integration from
-beyond r_max, seeded with its far-field limit -alpha; no outward shooting or
-bisection on the initial ratio is needed.  That inward pass is integrated with
-LSODA: the attraction makes the flow stiff (an explicit Runge-Kutta method is
-held to steps |h| of order 1/(p*alpha) by stability alone, although sigma
-itself varies slowly), and a stiff-switching method takes steps limited only
-by accuracy.
+Every profile is carried in logarithmic amplitude, as log_u = ln(u) and
+ratio = u'/u; u and u' are derived from them.  u underflows float64 once
+ln(u) drops below about -745, while the log-derivative pair stays O(1) on
+any span.  The ratio flow repels the decaying branch at rate exp(p*alpha*r)
+going outward and attracts it at the same rate going inward, so the branch
+is found by one inward integration from beyond r_max, seeded with its
+far-field limit -alpha; no outward shooting or bisection on the initial
+ratio is needed.  That inward pass is integrated with LSODA: the attraction
+makes the flow stiff (an explicit Runge-Kutta method is held to steps |h| of
+order 1/(p*alpha) by stability alone, although sigma itself varies slowly),
+and a stiff-switching method takes steps limited only by accuracy.
 """
 
 from __future__ import annotations
@@ -47,44 +46,47 @@ class ShootClass(Enum):
 
 @dataclass
 class RadialProfile:
-    """Sampled radial solution u(r) with derivative on an increasing grid.
+    """Sampled radial solution as (r, ln u, u'/u) on an increasing grid.
 
-    log_u and ratio (= u'/u), when present, are the primary data and stay
-    finite even where u itself underflows to zero.
+    log_u and ratio are the data and stay finite where u itself underflows
+    to zero; u and du are derived from them on each read.
     """
 
     r: np.ndarray
-    u: np.ndarray
-    du: np.ndarray
+    log_u: np.ndarray
+    ratio: np.ndarray
     meta: dict = field(default_factory=dict)
-    log_u: np.ndarray | None = None
-    ratio: np.ndarray | None = None
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.du = np.asarray(self.du, dtype=float)
-        if self.r.ndim != 1 or self.r.shape != self.u.shape or self.r.shape != self.du.shape:
-            raise DomainError("r, u, du must be 1-D arrays of equal length")
+        self.log_u = np.asarray(self.log_u, dtype=float)
+        self.ratio = np.asarray(self.ratio, dtype=float)
+        if (self.r.ndim != 1 or self.r.shape != self.log_u.shape
+                or self.r.shape != self.ratio.shape):
+            raise DomainError("r, log_u, ratio must be 1-D arrays of equal length")
         if not np.all(np.diff(self.r) > 0.0):
             raise DomainError("r must be strictly increasing")
         if np.any(self.r <= 0.0):
             raise DomainError("r must be positive")
-        if self.log_u is not None:
-            self.log_u = np.asarray(self.log_u, dtype=float)
-            if not np.all(np.isfinite(self.log_u)):
-                raise DomainError("log_u must be finite")
-        elif not np.all(self.u > 0.0):
-            raise DomainError("u must be positive")
-        if self.ratio is not None:
-            self.ratio = np.asarray(self.ratio, dtype=float)
+        if not np.all(np.isfinite(self.log_u)):
+            raise DomainError("log_u must be finite")
+        if not np.all(np.isfinite(self.ratio)):
+            raise DomainError("ratio must be finite")
 
-    def log_values(self) -> np.ndarray:
-        return self.log_u if self.log_u is not None else np.log(self.u)
+    @property
+    def u(self) -> np.ndarray:
+        """exp(log_u), zero where it underflows."""
+        with np.errstate(under="ignore"):
+            return np.exp(self.log_u)
+
+    @property
+    def du(self) -> np.ndarray:
+        """u' = ratio * u."""
+        return self.ratio * self.u
 
     def log_interp(self) -> PchipInterpolator:
         """Monotone cubic interpolant of ln u against ln r."""
-        return PchipInterpolator(np.log(self.r), self.log_values())
+        return PchipInterpolator(np.log(self.r), self.log_u)
 
     @property
     def r_min(self) -> float:
@@ -189,40 +191,6 @@ def _ratio_rhs(n, p, lam, inward=False):
     return inward_in_s if inward else outward
 
 
-def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
-                    rtol=1e-9):
-    """Side on which a trial ratio trajectory leaves the decaying corridor.
-
-    'up' is definitive growth (sigma above the decaying branch can only rise:
-    once u' >= 0 the flux stays positive and u grows to the overflow barrier);
-    'down' is definitive vanishing (sigma below the branch dives to -inf,
-    i.e. u crosses zero at finite radius).
-    """
-    if sigma0 >= sigma_up:
-        return "up"
-    if sigma0 <= sigma_floor:
-        return "down"
-    rhs = _ratio_rhs(n, p, lam)
-
-    def up(_r, y):
-        return y[1] - sigma_up
-    up.terminal = True
-    up.direction = 1
-
-    def down(_r, y):
-        return y[1] - sigma_floor
-    down.terminal = True
-    down.direction = -1
-
-    sol = solve_ivp(rhs, (r0, r_cap), [0.0, sigma0], method="RK45",
-                    rtol=rtol, atol=1e-12, events=(up, down))
-    if sol.t_events[0].size:
-        return "up"
-    if sol.t_events[1].size:
-        return "down"
-    return "none"
-
-
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
@@ -244,7 +212,9 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     a log-spaced grid and is normalized to u(r0) = 1; shoot_param is the
     realized initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
     evaluations.  Raises StepFailure with ODEPACK's message if the pass
-    stops early.
+    stops early, and naming the first radius at which the state is no longer
+    finite if it leaves the double range (sigma ~ -c/r overflows its square
+    near r ~ 1e-154).
     """
     if r0 <= 0.0:
         raise DomainError("r0 must be positive")
@@ -262,19 +232,21 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
                          mxstep=_INWARD_MXSTEP, full_output=True, tfirst=True)
     if info["message"] != _ODEINT_SUCCESS:
         raise StepFailure(info["message"])
+    # ODEPACK reports success on a state that overflowed to inf or NaN
+    bad = ~np.isfinite(y).all(axis=1)
+    if bad.any():
+        raise StepFailure("inward pass left the double range at "
+                          f"r = {-s_out[np.argmax(bad)]:g}")
     # row 0 is the seed at r_start; the rest run from r_max down to r0
     log_u = y[:0:-1, 0].copy()
     sigma = y[:0:-1, 1].copy()
     log_u -= log_u[0]  # normalize u(r0) = 1
 
     shoot_param = float(sigma[0])
-    with np.errstate(under="ignore"):
-        u = np.exp(log_u)
     meta = {"kind": "radial_exterior_eigen", "n": n, "p": p, "lam": lam,
             "r0": r0, "r_max": r_max, "alpha": alpha,
             "shoot_param": shoot_param}
-    profile = RadialProfile(r=r_grid, u=u, du=sigma * u, meta=meta,
-                            log_u=log_u, ratio=sigma)
+    profile = RadialProfile(r=r_grid, log_u=log_u, ratio=sigma, meta=meta)
     return ShootResult(profile=profile, shoot_param=shoot_param,
                        bisection_iters=0, classification=ShootClass.DECAYING,
                        nfev=int(info["nfe"][-1]))
@@ -358,7 +330,9 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
     in log-radius with the divergence-form flux m = r^(n-1)|u'|^(p-2)u' as a
     state variable, starting from u = c r^(-gamma1), u' = -gamma1 c
     r^(-gamma1-1) at r_in.  Classification is BLOW_UP/HIT_ZERO at the
-    1e150 / 1e-150 barriers, DECAYING when r_out is reached.
+    1e150 / 1e-150 barriers, DECAYING when r_out is reached.  The state is
+    (u, m) and the profile is its (ln u, u'/u); raises DomainError if any
+    sampled u is not positive.
     """
     if not r_in < r_out:
         raise DomainError("r_in must be < r_out")
@@ -411,12 +385,14 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
         raise StepFailure(sol.message)
 
     ts, u, m = sol.t, sol.y[0], sol.y[1]
+    if not np.all(u > 0.0):
+        raise DomainError("u must be positive")
     r = np.exp(ts)
     du = np.sign(m) * np.abs(m) ** (1.0 / pm1) * r ** (-(n - 1.0) / pm1)
     meta = {"kind": "shoot_singular_profile", "n": n, "p": p, "mu": mu,
             "lam": lam, "a": params.a, "q": q or None, "amplitude": amp or None,
             "gamma1": g1, "c": c, "r_in": r_in, "r_out": r_out}
-    profile = RadialProfile(r=r, u=u, du=du, meta=meta)
+    profile = RadialProfile(r=r, log_u=np.log(u), ratio=du / u, meta=meta)
     return ShootResult(profile=profile, shoot_param=c, bisection_iters=0,
                        classification=cls, nfev=int(sol.nfev))
 
@@ -436,7 +412,7 @@ def fit_decay_exponents(profile: RadialProfile, alpha=None, window=None) -> Deca
     if int(mask.sum()) < 10:
         raise IllConditioned(f"only {int(mask.sum())} samples in window {window}")
     r = profile.r[mask]
-    log_u = profile.log_values()[mask]
+    log_u = profile.log_u[mask]
     design = np.column_stack([-r, -np.log(r), np.ones_like(r)])
     coef, *_ = np.linalg.lstsq(design, log_u, rcond=None)
     resid = design @ coef - log_u

@@ -199,22 +199,21 @@ def test_criterion_09_power_solution_residual():
 def test_criterion_10_rescaling_fixed_points():
     gamma = 0.25
     r = np.geomspace(1e-4, 1e2, 900)
-    power = radial_ode.RadialProfile(r=r, u=r ** -gamma,
-                                     du=-gamma * r ** (-gamma - 1.0), meta={})
+    u, du = r ** -gamma, -gamma * r ** (-gamma - 1.0)
+    power = radial_ode.RadialProfile(r=r, log_u=np.log(u), ratio=du / u,
+                                     meta={})
     rep_pow = blowup.rescale_near_zero(power, [1e-1, 1e-2, 1e-3], gamma)
 
     alpha = 1.0
     r2 = np.geomspace(1.0, 200.0, 2500)
     expo = radial_ode.RadialProfile(
-        r=r2, u=np.exp(-r2), du=-np.exp(-r2), meta={},
-        log_u=-r2, ratio=-np.ones_like(r2))
+        r=r2, log_u=-r2, ratio=-np.ones_like(r2), meta={})
     rep_exp = blowup.translate_rescale_at_infinity(expo, [10.0, 40.0, 120.0],
                                                    alpha)
 
     r3 = np.geomspace(1.0, 170.0, 3000)
     mix = radial_ode.RadialProfile(
-        r=r3, u=np.exp(-r3) / r3, du=-(1 + 1 / r3) * np.exp(-r3) / r3,
-        meta={}, log_u=-r3 - np.log(r3), ratio=-(1 + 1 / r3))
+        r=r3, log_u=-r3 - np.log(r3), ratio=-(1 + 1 / r3), meta={})
     rep_mix = blowup.translate_rescale_at_infinity(
         mix, [10.0, 20.0, 40.0, 80.0, 160.0], alpha, window=0.5)
 

@@ -13,15 +13,14 @@ from plap.radial_ode import RadialProfile
 def exp_over_r_profile(r_max, points=3000):
     """Exact samples of e^(-r)/r with log-amplitude data."""
     r = np.geomspace(1.0, r_max, points)
-    return RadialProfile(r=r, u=np.exp(-r) / r,
-                         du=-(1.0 + 1.0 / r) * np.exp(-r) / r,
-                         meta={"kind": "exp_over_r"},
-                         log_u=-r - np.log(r), ratio=-(1.0 + 1.0 / r))
+    return RadialProfile(r=r, log_u=-r - np.log(r), ratio=-(1.0 + 1.0 / r),
+                         meta={"kind": "exp_over_r"})
 
 
 def power_profile(gamma, r_lo=1e-4, r_hi=1e2, points=900):
     r = np.geomspace(r_lo, r_hi, points)
-    return RadialProfile(r=r, u=r ** -gamma, du=-gamma * r ** (-gamma - 1.0),
+    u, du = r ** -gamma, -gamma * r ** (-gamma - 1.0)
+    return RadialProfile(r=r, log_u=np.log(u), ratio=du / u,
                          meta={"kind": "power", "gamma": gamma})
 
 
@@ -61,8 +60,8 @@ class TestMartinKernelEstimate:
         xi = np.array([1.0, 0.0, 0.0])
         vals = []
         for c in (1.0, 8.25e3):
-            prof = RadialProfile(r=r, u=c * np.exp(-r) / r,
-                                 du=-c * (1 + 1 / r) * np.exp(-r) / r, meta={})
+            u, du = c * np.exp(-r) / r, -c * (1 + 1 / r) * np.exp(-r) / r
+            prof = RadialProfile(r=r, log_u=np.log(u), ratio=du / u, meta={})
             vals.append(martin_kernel_estimate(prof, xi, xi, 50.0))
         assert vals[0] == pytest.approx(vals[1], rel=1e-13)
 
@@ -90,8 +89,8 @@ class TestRescaleNearZero:
         r = np.geomspace(1e-4, 1e2, 900)
         reps = []
         for c in (1.0, 3.3e2):
-            prof = RadialProfile(r=r, u=c * r ** -gamma,
-                                 du=-c * gamma * r ** (-gamma - 1.0), meta={})
+            u, du = c * r ** -gamma, -c * gamma * r ** (-gamma - 1.0)
+            prof = RadialProfile(r=r, log_u=np.log(u), ratio=du / u, meta={})
             reps.append(rescale_near_zero(prof, [1e-2], gamma))
         assert reps[0].sup_distance[0] == pytest.approx(
             reps[1].sup_distance[0], abs=1e-13)
@@ -105,7 +104,8 @@ class TestRescaleNearZero:
         gamma = 0.25
         r = np.geomspace(1e-6, 1e2, 1200)
         u = r ** -gamma * (1.0 + 0.2 * r)
-        prof = RadialProfile(r=r, u=u, du=np.gradient(u, r), meta={})
+        prof = RadialProfile(r=r, log_u=np.log(u), ratio=np.gradient(u, r) / u,
+                             meta={})
         rep = rescale_near_zero(prof, [1e-1, 1e-2, 1e-3, 1e-4], gamma)
         assert np.all(np.diff(rep.sup_distance) < 0)
 
@@ -124,10 +124,8 @@ class TestTranslateRescaleAtInfinity:
     def test_exponential_is_fixed_point(self):
         alpha = 0.8
         r = np.geomspace(1.0, 200.0, 2500)
-        prof = RadialProfile(r=r, u=np.exp(-alpha * r),
-                             du=-alpha * np.exp(-alpha * r), meta={},
-                             log_u=-alpha * r,
-                             ratio=np.full_like(r, -alpha))
+        prof = RadialProfile(r=r, log_u=-alpha * r,
+                             ratio=np.full_like(r, -alpha), meta={})
         rep = translate_rescale_at_infinity(prof, [10.0, 40.0, 120.0], alpha)
         assert np.max(rep.sup_distance) <= 1e-12
         assert np.max(rep.grad_distance) <= 1e-12

@@ -301,6 +301,28 @@ class TestMainEntry:
         assert "boundary data exp(678.604 <x, xi>) overflows" in captured.err
         assert "PASS" not in captured.out
 
+    def test_martin_overflowing_kernel_exit_1(self, tmp_path, capsys):
+        # alpha = 1000 at p = 2, lam = 1e6: e^alpha is beyond the largest
+        # double, and the campaign names that before the shot
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 2.0, "lam": 1e6}}))
+        code = cli.main(["martin", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("kernel limit exp(1000) and its tolerance overflow float64"
+                in capsys.readouterr().err)
+
+    def test_shoot_leaving_double_range_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "r0": 1e-300}))
+        code = cli.main(["shoot", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("inward pass left the double range at r = 5.07137e-155"
+                in capsys.readouterr().err)
+
     def test_roots_near_one_p_exit_0(self, tmp_path):
         # gamma1 lies far below the smallest double, so the root solve
         # evaluates the index function at subnormal gamma

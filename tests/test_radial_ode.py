@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.special import kve
 
 from plap import radial_ode
@@ -14,7 +15,7 @@ from plap.radial_ode import (RadialProfile, ShootClass, fit_decay_exponents,
                              hardy_power_residual, radial_exterior_eigen,
                              riccati_ratio_flow, series_start_radius,
                              shoot_singular_profile, write_profile_csv)
-from plap.radial_ode import _classify_ratio, _ratio_rhs
+from plap.radial_ode import _ratio_rhs
 
 
 class TestRiccatiRatioFlow:
@@ -208,6 +209,40 @@ class TestRadialExteriorEigen:
         assert shot.shoot_param == pytest.approx(-2.0, abs=1e-10)
         assert shot.shoot_param == shot.profile.ratio[0]
 
+    @staticmethod
+    def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
+                        rtol=1e-9):
+        """Side on which a trial ratio trajectory leaves the decaying corridor.
+
+        'up' is definitive growth (sigma above the decaying branch can only
+        rise: once u' >= 0 the flux stays positive and u grows to the
+        overflow barrier); 'down' is definitive vanishing (sigma below the
+        branch dives to -inf, i.e. u crosses zero at finite radius).
+        """
+        if sigma0 >= sigma_up:
+            return "up"
+        if sigma0 <= sigma_floor:
+            return "down"
+        rhs = _ratio_rhs(n, p, lam)
+
+        def up(_r, y):
+            return y[1] - sigma_up
+        up.terminal = True
+        up.direction = 1
+
+        def down(_r, y):
+            return y[1] - sigma_floor
+        down.terminal = True
+        down.direction = -1
+
+        sol = solve_ivp(rhs, (r0, r_cap), [0.0, sigma0], method="RK45",
+                        rtol=rtol, atol=1e-12, events=(up, down))
+        if sol.t_events[0].size:
+            return "up"
+        if sol.t_events[1].size:
+            return "down"
+        return "none"
+
     def test_final_bracket_straddles(self):
         # the outward classifier sends a ratio just below the realized
         # initial ratio to a zero crossing and one just above to growth
@@ -217,10 +252,17 @@ class TestRadialExteriorEigen:
             alpha = eigen_rate_alpha(lam, p)
             s = radial_exterior_eigen(n, p, lam, 1.0, r_max).shoot_param
             corridor = (-alpha / 2, -10 * alpha - 1, r_max + 80 / (p * alpha))
-            assert _classify_ratio(n, p, lam, 1.0, s - 1e-8 * alpha,
-                                   *corridor) == "down"
-            assert _classify_ratio(n, p, lam, 1.0, s + 1e-8 * alpha,
-                                   *corridor) == "up"
+            assert self._classify_ratio(n, p, lam, 1.0, s - 1e-8 * alpha,
+                                        *corridor) == "down"
+            assert self._classify_ratio(n, p, lam, 1.0, s + 1e-8 * alpha,
+                                        *corridor) == "up"
+
+    def test_leaving_double_range_raises_step_failure(self):
+        # going inward sigma ~ -c/r, whose square overflows near r ~ 5e-155;
+        # ODEPACK still reports success, so the pass checks its state
+        with pytest.raises(StepFailure,
+                           match=r"left the double range at r = 5\.07137e-155"):
+            radial_exterior_eigen(3, 2.0, 1.0, 1e-300, 40.0)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -352,7 +394,8 @@ class TestFitDecayExponents:
         for c in (1.0, 3.7e4, 2.2e-6):
             r = np.geomspace(1.0, 40.0, 800)
             u = c * r ** -beta * np.exp(-alpha * r)
-            prof = RadialProfile(r=r, u=u, du=np.gradient(u, r), meta={})
+            prof = RadialProfile(r=r, log_u=np.log(u),
+                                 ratio=np.gradient(u, r) / u, meta={})
             fit = fit_decay_exponents(prof)
             assert abs(fit.rate - alpha) <= 1e-10
             assert abs(fit.power - beta) <= 1e-10
@@ -361,7 +404,8 @@ class TestFitDecayExponents:
 
     def test_pure_power(self):
         r = np.geomspace(1.0, 30.0, 400)
-        prof = RadialProfile(r=r, u=r ** -2.0, du=-2 * r ** -3.0, meta={})
+        u, du = r ** -2.0, -2 * r ** -3.0
+        prof = RadialProfile(r=r, log_u=np.log(u), ratio=du / u, meta={})
         fit = fit_decay_exponents(prof, alpha=123.0)  # alpha plays no role
         assert abs(fit.rate) <= 1e-12
         assert abs(fit.power - 2.0) <= 1e-11
@@ -374,7 +418,8 @@ class TestFitDecayExponents:
 
     def test_window_too_small(self):
         r = np.geomspace(1.0, 30.0, 400)
-        prof = RadialProfile(r=r, u=r ** -1.0, du=-r ** -2.0, meta={})
+        u, du = r ** -1.0, -r ** -2.0
+        prof = RadialProfile(r=r, log_u=np.log(u), ratio=du / u, meta={})
         with pytest.raises(IllConditioned):
             fit_decay_exponents(prof, window=(29.9, 30.0))
 
@@ -383,23 +428,55 @@ class TestRadialProfile:
     def test_validation(self):
         r = np.array([1.0, 2.0, 3.0])
         with pytest.raises(DomainError):
-            RadialProfile(r=r[::-1].copy(), u=r, du=r, meta={})
+            RadialProfile(r=r[::-1].copy(), log_u=r, ratio=r, meta={})
+        with pytest.raises(DomainError, match="log_u must be finite"):
+            RadialProfile(r=r, log_u=np.array([0.0, -np.inf, 1.0]), ratio=r,
+                          meta={})
         with pytest.raises(DomainError):
-            RadialProfile(r=r, u=np.array([1.0, -1.0, 1.0]), du=r, meta={})
-        with pytest.raises(DomainError):
-            RadialProfile(r=np.array([0.0, 1.0, 2.0]), u=r, du=r, meta={})
+            RadialProfile(r=np.array([0.0, 1.0, 2.0]), log_u=r, ratio=r,
+                          meta={})
+
+    def test_rejects_non_finite_ratio(self):
+        r = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="ratio must be finite"):
+            RadialProfile(r=r, log_u=r, ratio=np.array([1.0, np.nan, 1.0]),
+                          meta={})
+
+    def test_rejects_unequal_lengths(self):
+        r = np.array([1.0, 2.0, 3.0])
+        for log_u, ratio in ((r[:2], r), (r, r[:2])):
+            with pytest.raises(DomainError, match="equal length"):
+                RadialProfile(r=r, log_u=log_u, ratio=ratio, meta={})
+
+    def test_ratio_is_log_derivative_of_shots(self):
+        # d(log_u)/d(ln r) of a cubic spline through log_u against r * ratio,
+        # on exterior shots and on singular shots at p <= 2, where
+        # u' = sign(m)|m|^(1/(p-1)) stays smooth through a zero of the flux m
+        profiles = [radial_exterior_eigen(n, p, lam, 1.0, 40.0).profile
+                    for n, p, lam in [(3, 2.0, 1.0), (3, 1.5, 0.5),
+                                      (5, 2.9, 0.5)]]
+        for params in [ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0,
+                                     nonlinearity=Nonlinearity(q=3.0,
+                                                               amplitude=0.05)),
+                       ProblemParams(n=3, p=1.5, mu=0.01, lam=0.5)]:
+            profiles.append(shoot_singular_profile(
+                params, series_start_radius(params), 1.2).profile)
+        for prof in profiles:
+            t = np.log(prof.r)
+            slope = CubicSpline(t, prof.log_u).derivative()(t)
+            assert np.max(np.abs(slope - prof.r * prof.ratio)) <= 1e-5
 
     def test_log_backed_profile_tolerates_underflow(self):
         r = np.array([1.0, 500.0, 1000.0])
-        log_u = -r
-        prof = RadialProfile(r=r, u=np.exp(log_u), du=-np.exp(log_u), meta={},
-                             log_u=log_u, ratio=-np.ones_like(r))
+        prof = RadialProfile(r=r, log_u=-r, ratio=-np.ones_like(r), meta={})
         assert prof.u[-1] == 0.0  # underflowed but log data intact
-        assert prof.log_values()[-1] == -1000.0
+        assert prof.du[-1] == 0.0
+        assert prof.log_u[-1] == -1000.0
 
     def test_csv_roundtrip(self, tmp_path):
         r = np.geomspace(1, 10, 50)
-        prof = RadialProfile(r=r, u=r ** -1.0, du=-r ** -2.0,
+        u, du = r ** -1.0, -r ** -2.0
+        prof = RadialProfile(r=r, log_u=np.log(u), ratio=du / u,
                              meta={"kind": "power", "gamma": 1.0})
         path = tmp_path / "profile.csv"
         write_profile_csv(prof, path)

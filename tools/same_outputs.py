@@ -1,0 +1,112 @@
+"""Byte-compare plap's outputs at a git revision with the working tree.
+
+Usage:  python tools/same_outputs.py REV
+
+Checks REV out into a temporary `git worktree`, runs the same plap commands
+on that tree and on the working tree, and compares their output trees, stdout
+and exit codes byte for byte.  Prints each difference; exits 1 if there is
+one and 0 otherwise.  The commands are:
+- `plap all --seed s` for s = 0..19;
+- `roots` and `grid` on README's example configs;
+- `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
+- `bochner` on {}.
+Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
+The worktree and all outputs live under one temporary directory (set TMPDIR
+to move it), removed on exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SEEDS = range(20)
+SHOT_PARAMS = {"params": {"n": 3, "p": 2.0, "lam": 1.0}}
+CONFIGS = {
+    "roots": {"params": {"n": 4, "p": 2.0, "a": 0.0, "mu": 0.75}},
+    "grid": {"params": {"n": 4, "p": 3.0, "lam": 2.0}, "xi": [0.6, 0.8],
+             "rect": [0.0, 0.0, 1.0, 1.0], "h": 0.015625, "tol": 1e-9},
+    "shoot": SHOT_PARAMS,
+    "martin": SHOT_PARAMS,
+    "blowup": SHOT_PARAMS,
+    "bochner": {},
+}
+
+
+def commands():
+    """(name, plap arguments before --out, config or None) of each run."""
+    for seed in SEEDS:
+        yield f"all_seed{seed}", ["all", "--seed", str(seed)], None
+    for sub, cfg in CONFIGS.items():
+        yield sub, [sub], cfg
+
+
+def read_tree(root):
+    """Relative path -> bytes of every file under root ({} if absent)."""
+    if not root.is_dir():
+        return {}
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def run(tree, work, args, cfg):
+    """Exit code, stdout and output tree of one plap run from `tree`."""
+    work.mkdir(parents=True)
+    argv = [sys.executable, "-m", "plap.cli", *args, "--out", str(work / "out")]
+    if cfg is not None:
+        (work / "config.json").write_text(json.dumps(cfg))
+        argv += ["--config", str(work / "config.json")]
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+    return proc.returncode, proc.stdout, read_tree(work / "out")
+
+
+def differences(name, base, head):
+    """One line per differing exit code, stdout or output file."""
+    (code_b, out_b, files_b), (code_h, out_h, files_h) = base, head
+    diffs = []
+    if code_b != code_h:
+        diffs.append(f"{name}: exit code {code_b} -> {code_h}")
+    if out_b != out_h:
+        diffs.append(f"{name}: stdout differs")
+    for path in sorted(set(files_b) | set(files_h)):
+        if path not in files_h:
+            diffs.append(f"{name}: {path} only at the revision")
+        elif path not in files_b:
+            diffs.append(f"{name}: {path} only in the working tree")
+        elif files_b[path] != files_h[path]:
+            diffs.append(f"{name}: {path} differs")
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        base_tree = Path(tmp) / "rev"
+        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach",
+                        "--quiet", str(base_tree), args.rev], check=True)
+        runs, diffs = list(commands()), []
+        try:
+            for name, plap_args, cfg in runs:
+                base = run(base_tree, Path(tmp) / "base" / name, plap_args, cfg)
+                head = run(REPO, Path(tmp) / "head" / name, plap_args, cfg)
+                diffs += differences(name, base, head)
+        finally:
+            subprocess.run(["git", "-C", str(REPO), "worktree", "remove",
+                            "--force", str(base_tree)], check=True)
+    for line in diffs:
+        print(line)
+    print(f"{len(runs)} commands, {len(diffs)} difference(s) against {args.rev}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
