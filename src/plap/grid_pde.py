@@ -25,6 +25,11 @@ from .indicial import ProblemParams, eigen_rate_alpha
 
 PLF2_MAGIC = b"PLF2"
 DAMPING_FLOOR = 2.0 ** -30
+# refinement of a Newton step from its float32 factor stops once a
+# correction is within this many float64 ulps of the step
+REFINE_ULPS = 4.0
+EPS64 = float(np.finfo(np.float64).eps)
+EPS32 = float(np.finfo(np.float32).eps)
 # nodes per axis that bochner_residual's nested stencils need: the identity
 # is compared on nodes 2..nx-3
 NESTED_STENCIL_NODES = 7
@@ -66,6 +71,10 @@ class SolveStats:
     final_residual: float
     damping_events: int
     epsilon: float
+    # triangular solves, refinement included, and float64 factorizations
+    # made because a float32 one failed (see _solve_refined)
+    linear_solves: int
+    float64_refactors: int
 
 
 def _check_unit(vec):
@@ -238,36 +247,122 @@ def _dissection_rank(mi, mj):
     return rank
 
 
+# the 3x3 stencil offsets (di, dj), in _stencil_coefficients' order
+STENCIL_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                   (1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def _stencil_block(mi, mj, di, dj):
+    """Slices of the interior nodes (k, l) whose neighbour (k+di, l+dj) is
+    interior too, and of those neighbours."""
+    ks = slice(max(0, -di), mi - max(0, di))
+    ls = slice(max(0, -dj), mj - max(0, dj))
+    return (ks, ls), (slice(ks.start + di, ks.stop + di),
+                      slice(ls.start + dj, ls.stop + dj))
+
+
+@functools.lru_cache(maxsize=4)
+def _newton_pattern(mi, mj, rank_bytes):
+    """CSC pattern of the Newton matrix for one numbering of the interior.
+
+    rank_bytes is the buffer of the intp rank array, so a pattern is cached
+    per shape and numbering.  Returns read-only (indices, indptr, order):
+    the matrix data is the concatenation of the stencil blocks in
+    STENCIL_OFFSETS order, gathered by `order`.  The mass term rides on
+    the (0, 0) block, so no entry repeats.
+    """
+    rank = np.frombuffer(rank_bytes, dtype=np.intp).reshape(mi, mj)
+    rows, cols = [], []
+    for off in STENCIL_OFFSETS:
+        nodes, neighbours = _stencil_block(mi, mj, *off)
+        rows.append(rank[nodes].ravel())
+        cols.append(rank[neighbours].ravel())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((rows, cols))
+    indices = rows[order].astype(np.int32)
+    indptr = np.zeros(mi * mj + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=mi * mj), out=indptr[1:])
+    for arr in (indices, indptr, order):
+        arr.setflags(write=False)
+    return indices, indptr, order
+
+
 def _newton_matrix(v, p, lam, h, epsilon):
     """Sparse matrix of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta (interior).
 
     Unknowns are numbered by _dissection_rank: interior node (k, l) is row
-    and column rank[k, l].
+    and column rank[k, l].  The values fill the cached _newton_pattern,
+    bit for bit the entries a COO build summing the (0, 0) block and the
+    mass diagonal gives.  The matrix holds its own copies of the index
+    arrays: splu rewrites those of a matrix not flagged canonical in place,
+    and that must never reach the cache.
     """
     nx, ny = v.shape
     mi, mj = nx - 2, ny - 2
     sten = _stencil_coefficients(v, p, h, epsilon)
     idx = _dissection_rank(mi, mj)
-    rows, cols, vals = [], [], []
-    for (di, dj), coef in sten.items():
-        # neighbor (i+di, j+dj) in interior coordinates (k+di, l+dj)
-        k_lo, k_hi = max(0, -di), mi - max(0, di)
-        l_lo, l_hi = max(0, -dj), mj - max(0, dj)
-        sub_rows = idx[k_lo:k_hi, l_lo:l_hi]
-        sub_cols = idx[k_lo + di:k_hi + di, l_lo + dj:l_hi + dj]
-        sub_vals = -coef[k_lo:k_hi, l_lo:l_hi]  # Newton operator is -L_v + mass
-        rows.append(sub_rows.ravel())
-        cols.append(sub_cols.ravel())
-        vals.append(sub_vals.ravel())
+    indices, indptr, order = _newton_pattern(
+        mi, mj, idx.astype(np.intp, copy=False).tobytes())
     mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(mass.ravel())
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mi * mj, mi * mj),
-    )
-    return mat.tocsc()
+    # Newton operator is -L_v + mass
+    vals = [(mass - sten[0, 0]).ravel()]
+    vals += [-sten[off][_stencil_block(mi, mj, *off)[0]].ravel()
+             for off in STENCIL_OFFSETS[1:]]
+    return sparse.csc_matrix((np.concatenate(vals)[order], indices.copy(),
+                              indptr.copy()), shape=(mi * mj, mi * mj))
+
+
+def _solve_refined(mat, rhs):
+    """Solution of mat @ x = rhs from one float32 LU, refined in float64.
+
+    mat / max|mat| is factored in single precision by SuperLU in natural
+    order, and each correction solves the float64 residual rhs - mat @ x,
+    scaled to unit size before the cast (Langou et al., SC 2006; Carson &
+    Higham, SIAM J. Sci. Comput. 40, 2018).  Refinement stops once a
+    correction is within REFINE_ULPS float64 ulps of x, or when it fails
+    to halve the one before while below float32 resolution of x: that is
+    the rounding floor.  x comes from one float64 LU of mat instead when
+    the float32 factor is exactly singular, or a correction is not finite
+    or fails to halve the one before above float32 resolution.  No factor
+    outlives the call, and the float32 one is freed before the float64 one
+    is made.
+
+    Returns (x, triangular solves, float64 factorizations).
+    """
+    scale = float(np.max(np.abs(mat.data)))
+    single = sparse.csc_matrix(
+        ((mat.data / scale).astype(np.float32), mat.indices, mat.indptr),
+        shape=mat.shape)
+    try:
+        lu = splu(single, permc_spec="NATURAL")
+    except RuntimeError:  # exactly singular in float32
+        lu = None
+    x = np.zeros_like(rhs)
+    resid, solves, last = rhs, 0, math.inf
+    while lu is not None:
+        size = float(np.max(np.abs(resid)))
+        if size == 0.0:
+            return x, solves, 0
+        corr = (size / scale) * lu.solve(
+            (resid / size).astype(np.float32)).astype(np.float64)
+        solves += 1
+        step = float(np.max(np.abs(corr)))
+        if not math.isfinite(step):
+            break
+        x += corr
+        x_size = float(np.max(np.abs(x)))
+        if step <= REFINE_ULPS * EPS64 * x_size:
+            return x, solves, 0
+        if step > 0.5 * last:
+            # stalled: at the rounding floor once x is resolved beyond
+            # float32, else the float32 factor is too inaccurate to converge
+            if step <= EPS32 * x_size:
+                return x, solves, 0
+            break
+        last = step
+        resid = rhs - mat @ x
+    lu = None  # the float32 factor is freed before the float64 one is made
+    return splu(mat, permc_spec="NATURAL").solve(rhs), solves + 1, 1
 
 
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
@@ -279,6 +374,13 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     kept under |grad v| throughout.  Raises DomainError when the boundary
     data or the initial residual are not finite, and NoConvergence when
     max_iters or the damping floor is exhausted before final_residual <= tol.
+
+    Each Newton step assembles the Jacobian into the cached CSC pattern of
+    its grid shape and solves it with _solve_refined: one float32 LU,
+    refined in float64 until a correction reaches rounding, or one float64
+    LU when that fails.  The step's factor is freed before the next one is
+    made.  SolveStats counts the triangular solves (linear_solves) and the
+    float64 fallbacks (float64_refactors).
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
@@ -310,8 +412,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                           "exceed the range of the discrete operator")
     rank = _dissection_rank(*resid.shape)
     rhs = np.empty(resid.size)
-    iters = 0
-    damping_events = 0
+    iters = damping_events = linear_solves = float64_refactors = 0
     # `not res <= tol` also keeps iterating on a NaN residual
     while not res <= tol:
         if iters >= max_iters:
@@ -319,14 +420,16 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 f"residual {res:g} > tol {tol:g} after {iters} iterations "
                 "(h too coarse or damping floor hit)"
             )
-        mat = _newton_matrix(v, p, lam, fld.h, epsilon)
-        # the matrix is assembled in nested-dissection order, so SuperLU
-        # does no ordering work; at h = 1/256 the LU has 5.24M nonzeros
-        # against 5.51M under minimum degree on A^T + A (MMD_AT_PLUS_A), and
-        # the factorization takes about 0.24 s against 0.38 s
-        lu = splu(mat, permc_spec="NATURAL")
         rhs[rank] = -resid
-        delta = lu.solve(rhs)[rank]
+        # the matrix is assembled in nested-dissection order, so SuperLU
+        # does no ordering work; at h = 1/256 its float32 LU has 5.24M
+        # nonzeros, as the float64 one has, against 5.51M under minimum
+        # degree on A^T + A (MMD_AT_PLUS_A)
+        x, solves, refactors = _solve_refined(
+            _newton_matrix(v, p, lam, fld.h, epsilon), rhs)
+        delta = x[rank]
+        linear_solves += solves
+        float64_refactors += refactors
         theta = 1.0
         while True:
             if theta < DAMPING_FLOOR:
@@ -347,7 +450,9 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         resid, res = resid_try, res_try
         iters += 1
     stats = SolveStats(newton_iters=iters, final_residual=res,
-                       damping_events=damping_events, epsilon=epsilon)
+                       damping_events=damping_events, epsilon=epsilon,
+                       linear_solves=linear_solves,
+                       float64_refactors=float64_refactors)
     return fld, stats
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -101,6 +102,19 @@ class TestOtherCampaigns:
         report = cli.run_grid(cfg, tmp_path)
         assert report.all_passed
         assert (tmp_path / "dirichlet_field.plf2").exists()
+
+    def test_grid_logs_solver_counters(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="plap")
+        cfg = {"params": {"n": 4, "p": 3.0, "lam": 2.0}, "h": 1 / 16,
+               "tol": 1e-9}
+        cli.run_grid(cfg, tmp_path)
+        lines = [r.getMessage() for r in caplog.records]
+        assert any(re.match(r"dirichlet h=0\.0625: [1-9]\d* Newton iters, [1-9]\d* "
+                            r"linear solves, 0 float64 refactors", line)
+                   for line in lines), lines
+        # logged, never written under the output directory
+        for path in tmp_path.rglob("*"):
+            assert b"linear solves" not in path.read_bytes()
 
     def test_bochner(self, tmp_path):
         report = cli.run_bochner({"h_list": [1 / 8, 1 / 16]}, tmp_path)

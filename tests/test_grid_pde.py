@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -207,25 +208,62 @@ def natural_newton_matrix(v, p, lam, h, eps, monkeypatch):
 
 
 class SpyLU:
-    """Stands in for grid_pde.splu: counts factorizations and keeps the
-    vector each factor's solve returns."""
+    """Stands in for grid_pde.splu: records the dtype of each matrix it
+    factors and, at each call, how many factors it returned before are
+    still alive."""
 
     def __init__(self):
         self.calls = 0
-        self.solutions = []
+        self.dtypes = []
+        self.alive_at_call = []
+        self._factors = []
 
     def __call__(self, mat, **kwargs):
         self.calls += 1
-        lu = splu(mat, **kwargs)
-        spy = self
+        self.dtypes.append(mat.dtype)
+        self.alive_at_call.append(
+            sum(ref() is not None for ref in self._factors))
+        factor = Factor(splu(mat, **kwargs))
+        self._factors.append(weakref.ref(factor))
+        return factor
 
-        class Factor:
-            def solve(self, rhs):
-                out = lu.solve(rhs)
-                spy.solutions.append(out)
-                return out
 
-        return Factor()
+class Factor:
+    """Weakly referenceable stand-in for a SuperLU factor."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def coo_newton_matrix(v, p, lam, h, eps):
+    """The Newton matrix built through COO, each stencil block and the mass
+    diagonal as separate triplets that tocsc sums."""
+    mi, mj = v.shape[0] - 2, v.shape[1] - 2
+    sten = grid_pde._stencil_coefficients(v, p, h, eps)
+    idx = _dissection_rank(mi, mj)
+    rows, cols, vals = [idx.ravel()], [idx.ravel()], [
+        ((p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)).ravel()]
+    for (di, dj), coef in sten.items():
+        k_lo, k_hi = max(0, -di), mi - max(0, di)
+        l_lo, l_hi = max(0, -dj), mj - max(0, dj)
+        rows.append(idx[k_lo:k_hi, l_lo:l_hi].ravel())
+        cols.append(idx[k_lo + di:k_hi + di, l_lo + dj:l_hi + dj].ravel())
+        vals.append(-coef[k_lo:k_hi, l_lo:l_hi].ravel())
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mi * mj, mi * mj)).tocsc()
+
+
+def newton_system(p, h, lam=2.0):
+    """Newton matrix and right-hand side at a perturbed exponential field."""
+    alpha = eigen_rate_alpha(lam, p)
+    v = exponential_field(alpha, XI, RECT, h).values
+    v = v * (1.0 + 0.01 * np.random.default_rng(7).random(v.shape))
+    eps = 1e-8 * alpha * float(v.max())
+    resid = p_laplace_residual(field_from_values(v, RECT, h), p, lam, eps)
+    rhs = np.empty(resid.size)
+    rhs[_dissection_rank(*resid.shape)] = -resid
+    return _newton_matrix(v, p, lam, h, eps), rhs
 
 
 class TestDissectionOrder:
@@ -263,12 +301,19 @@ class TestDissectionOrder:
         mat = natural_newton_matrix(start.values, params.p, params.lam, h,
                                     eps, monkeypatch)
         expected = spsolve(mat.tocsr(), -resid.ravel()).reshape(resid.shape)
-        spy = SpyLU()
-        monkeypatch.setattr(grid_pde, "splu", spy)
+        solutions = []
+
+        def spy(mat, rhs):
+            out = solve_refined(mat, rhs)
+            solutions.append(out[0])
+            return out
+
+        solve_refined = grid_pde._solve_refined
+        monkeypatch.setattr(grid_pde, "_solve_refined", spy)
         fld, stats = solve_dirichlet(params, XI, rect, h, tol=1e-6,
                                      max_iters=1)
         assert (stats.newton_iters, stats.damping_events) == (1, 0)
-        step = spy.solutions[0][_dissection_rank(*resid.shape)]
+        step = solutions[0][_dissection_rank(*resid.shape)]
         assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(fld.values[1:-1, 1:-1],
                               start.values[1:-1, 1:-1] + step)
@@ -287,6 +332,67 @@ class TestDissectionOrder:
         (iters_1, damped_1), (iters_2, damped_2) = runs
         assert (iters_1, damped_1) == (1, 0)
         assert iters_2 > 1 and damped_2 > 0
+
+
+class TestNewtonLinearLayer:
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 4), (17, 12),
+                                       (66, 34)])
+    def test_matrix_matches_coo_build_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        v = np.exp(rng.random(shape))
+        for p in (1.5, 3.0, 4.0):
+            new = _newton_matrix(v, p, 2.0, 1 / 64, 1e-8)
+            ref = coo_newton_matrix(v, p, 2.0, 1 / 64, 1e-8)
+            assert np.array_equal(new.indptr, ref.indptr)
+            assert np.array_equal(new.indices, ref.indices)
+            assert new.data.tobytes() == ref.data.tobytes()
+
+    def test_cached_pattern_survives_a_factorization(self):
+        mat_a, _ = newton_system(3.0, 1 / 64)
+        rank = _dissection_rank(63, 63)
+        cached = grid_pde._newton_pattern(63, 63, rank.tobytes())
+        assert not any(arr.flags.writeable for arr in cached)
+        assert not np.shares_memory(mat_a.indices, cached[0])
+        assert not np.shares_memory(mat_a.indptr, cached[1])
+        splu(mat_a)
+        mat_b, _ = newton_system(3.0, 1 / 64)
+        assert np.array_equal(mat_a.indptr, mat_b.indptr)
+        assert np.array_equal(mat_a.indices, mat_b.indices)
+        assert mat_a.data.tobytes() == mat_b.data.tobytes()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_refined_solve_matches_float64_lu(self, p, monkeypatch):
+        mat, rhs = newton_system(p, 1 / 64)
+        expected = splu(mat, permc_spec="NATURAL").solve(rhs)
+        spy = SpyLU()
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs)
+        assert spy.dtypes == [np.float32] and refactors == 0
+        assert solves >= 2
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_singular_float32_factor_falls_back_to_float64(self, monkeypatch):
+        # 1 + 2^-30 rounds to 1 in float32, so the float32 copy is singular
+        mat = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -30]]))
+        rhs = np.array([1.0, 2.0])
+        expected = splu(mat, permc_spec="NATURAL").solve(rhs)
+        assert np.all(np.isfinite(expected))
+        spy = SpyLU()
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs)
+        assert spy.dtypes == [np.float32, np.float64]
+        assert (solves, refactors) == (1, 1)
+        assert np.array_equal(x, expected)
+
+    def test_one_factor_alive_at_a_time(self, monkeypatch):
+        spy = SpyLU()
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        _, stats = solve_dirichlet(ProblemParams(n=4, p=1.1, lam=2.0), XI,
+                                   RECT, 1 / 4, tol=1e-9)
+        assert spy.calls == stats.newton_iters > 1
+        assert spy.alive_at_call == [0] * spy.calls
+        assert stats.float64_refactors == 0
+        assert stats.linear_solves >= 2 * stats.newton_iters
 
 
 class TestLinearizedApply:
