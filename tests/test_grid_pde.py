@@ -199,14 +199,6 @@ class TestSolveDirichlet:
         assert np.all(fld.values <= bmax * math.exp(diam) + 1e-12)
 
 
-def natural_newton_matrix(v, p, lam, h, eps, monkeypatch):
-    """_newton_matrix with interior node (k, l) numbered k * mj + l."""
-    with monkeypatch.context() as m:
-        m.setattr(grid_pde, "_dissection_rank",
-                  lambda mi, mj: np.arange(mi * mj).reshape(mi, mj))
-        return _newton_matrix(v, p, lam, h, eps)
-
-
 class SpyLU:
     """Stands in for grid_pde.splu: records the dtype of each matrix it
     factors and, at each call, how many factors it returned before are
@@ -235,12 +227,14 @@ class Factor:
         self.solve = lu.solve
 
 
-def coo_newton_matrix(v, p, lam, h, eps):
+def coo_newton_matrix(v, p, lam, h, eps, natural=False):
     """The Newton matrix built through COO, each stencil block and the mass
-    diagonal as separate triplets that tocsc sums."""
+    diagonal as separate triplets that tocsc sums.  Interior node (k, l) is
+    numbered k * mj + l if natural, else by _dissection_rank."""
     mi, mj = v.shape[0] - 2, v.shape[1] - 2
     sten = grid_pde._stencil_coefficients(v, p, h, eps)
-    idx = _dissection_rank(mi, mj)
+    idx = (np.arange(mi * mj).reshape(mi, mj) if natural
+           else _dissection_rank(mi, mj))
     rows, cols, vals = [idx.ravel()], [idx.ravel()], [
         ((p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)).ravel()]
     for (di, dj), coef in sten.items():
@@ -276,12 +270,12 @@ class TestDissectionOrder:
         assert np.array_equal(np.sort(rank.ravel()),
                               np.arange(shape[0] * shape[1]))
 
-    def test_matrix_is_symmetric_permutation_of_natural(self, monkeypatch):
+    def test_matrix_is_symmetric_permutation_of_natural(self):
         h, rect = 1 / 8, (0.0, 0.0, 2.0, 1.0)
         v = exponential_field(1.0, XI, rect, h).values
         v = v * (1.0 + 0.1 * np.random.default_rng(5).random(v.shape))
         p, lam, eps = 3.0, 2.0, 1e-8
-        natural = natural_newton_matrix(v, p, lam, h, eps, monkeypatch)
+        natural = coo_newton_matrix(v, p, lam, h, eps, natural=True)
         dissected = _newton_matrix(v, p, lam, h, eps)
         # natural row k * mj + l is dissected row rank[k, l]
         old_of_new = np.argsort(_dissection_rank(15, 7).ravel())
@@ -298,8 +292,8 @@ class TestDissectionOrder:
         start = exponential_field(alpha, XI, rect, h)
         eps = 1e-8 * alpha * float(start.values.max())
         resid = p_laplace_residual(start, params.p, params.lam, eps)
-        mat = natural_newton_matrix(start.values, params.p, params.lam, h,
-                                    eps, monkeypatch)
+        mat = coo_newton_matrix(start.values, params.p, params.lam, h, eps,
+                                natural=True)
         expected = spsolve(mat.tocsr(), -resid.ravel()).reshape(resid.shape)
         solutions = []
 
@@ -349,8 +343,7 @@ class TestNewtonLinearLayer:
 
     def test_cached_pattern_survives_a_factorization(self):
         mat_a, _ = newton_system(3.0, 1 / 64)
-        rank = _dissection_rank(63, 63)
-        cached = grid_pde._newton_pattern(63, 63, rank.tobytes())
+        cached = grid_pde._newton_pattern(63, 63)
         assert not any(arr.flags.writeable for arr in cached)
         assert not np.shares_memory(mat_a.indices, cached[0])
         assert not np.shares_memory(mat_a.indptr, cached[1])
@@ -382,6 +375,36 @@ class TestNewtonLinearLayer:
         x, solves, refactors = grid_pde._solve_refined(mat, rhs)
         assert spy.dtypes == [np.float32, np.float64]
         assert (solves, refactors) == (1, 1)
+        assert np.array_equal(x, expected)
+
+    def test_stall_above_rounding_floor_falls_back_to_float64(
+            self, monkeypatch):
+        # a float32 factor whose corrections take 90% of the remaining error
+        # for nine solves and 30% after: they stall at 2.1e-10 of |x|, above
+        # the rounding floor and below float32 resolution
+        mat, rhs = newton_system(3.0, 1 / 8)
+        expected = splu(mat, permc_spec="NATURAL").solve(rhs)
+        spy = SpyLU()
+
+        def slow_splu(m, **kwargs):
+            factor = spy(m, **kwargs)
+            if m.dtype == np.float32:
+                exact = splu(m.astype(np.float64), **kwargs)
+                calls = []
+
+                def solve(b):
+                    calls.append(b)
+                    gain = 0.9 if len(calls) <= 9 else 0.3
+                    return (gain * exact.solve(b.astype(np.float64))
+                            ).astype(np.float32)
+
+                factor.solve = solve
+            return factor
+
+        monkeypatch.setattr(grid_pde, "splu", slow_splu)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs)
+        assert spy.dtypes == [np.float32, np.float64]
+        assert (solves, refactors) == (11 + 1, 1)  # the fallback solves once
         assert np.array_equal(x, expected)
 
     def test_one_factor_alive_at_a_time(self, monkeypatch):

@@ -2,15 +2,15 @@
 
 Usage:  python tools/bench_pairs.py REV --out BENCH_n.json
             [--pairs grid_fine=10 campaign=5 far_field=5]
-            [--first-seed 1011] [--seconds 25] [--description TEXT]
+            [--description TEXT]
 
-Exports REV with `git archive` into a temporary directory (set TMPDIR to
-move it, removed on exit) and runs `bench/run.py` from the root of that tree
-and of the working tree, each importing plap from its own src/.  For each
-workload the pairs use seeds first_seed, first_seed + 1, ...; REV runs first
-in the 1st, 3rd, ... pair and the working tree first in the others.  Then
-each side runs once with `--trace 1` on the first seed.  The pairs and the
-traced runs go workload by workload, in the order given.
+Checks REV out into a temporary `git worktree` (set TMPDIR to move it,
+removed on exit) and runs `bench/run.py` from the root of that tree and of
+the working tree, each importing plap from its own src/, for BENCHMARK.json's
+`run_seconds`.  For each workload the pairs use seeds 1011, 1012, ...; REV
+runs first in the 1st, 3rd, ... pair and the working tree first in the
+others.  Then each side runs once with `--trace 1` on seed 1011.  The pairs
+and the traced runs go workload by workload, in the order given.
 
 The JSON file written holds, per workload: the seeds; each side's `failed`
 and `correct` per run; whether the lines naming failed operations are the
@@ -25,26 +25,18 @@ interquartile range (the gap a claimed gain must exceed).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from revision import REPO, worktree
+
 SIDES = ("parent", "change")
-
-
-def export(rev, dest):
-    """Write the files of `rev` under dest, without touching the repository."""
-    archive = subprocess.run(["git", "-C", str(REPO), "archive", rev],
-                             check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+FIRST_SEED = 1011
 
 
 def bench(tree, workload, seed, seconds, trace):
@@ -133,8 +125,6 @@ def main(argv=None) -> int:
                         default=["grid_fine=10", "campaign=10",
                                  "far_field=10"],
                         help="pairs per workload, run in this order")
-    parser.add_argument("--first-seed", type=int, default=1011)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--description", default="")
     args = parser.parse_args(argv)
     try:
@@ -143,6 +133,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     metric_units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     rev = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--short",
                           args.rev], check=True, capture_output=True,
                          text=True).stdout.strip()
@@ -150,24 +141,24 @@ def main(argv=None) -> int:
     out = {"description": args.description,
            "command": (
                f"python3 bench/run.py --workload W --seed S --seconds "
-               f"{args.seconds:g} --trace 0, run from the root of each tree "
-               f"(parent: git archive of {rev}; change: the working tree); "
-               f"seeds {args.first_seed}, {args.first_seed + 1}, ..., one "
+               f"{seconds:g} --trace 0, run from the root of each tree "
+               f"(parent: git worktree of {rev}; change: the working tree); "
+               f"seeds {FIRST_SEED}, {FIRST_SEED + 1}, ..., one "
                "pair per seed, parent first in the 1st, 3rd, ... pair; "
                f"workloads in the order {', '.join(pairs)}. Traced rows: "
-               f"--trace 1, seed {args.first_seed}, one run per side."),
+               f"--trace 1, seed {FIRST_SEED}, one run per side."),
            "machine": None, "workloads": {},
-           f"traced_seed_{args.first_seed}": {}, "notes": []}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": REPO}
-        export(args.rev, trees["parent"])
+           f"traced_seed_{FIRST_SEED}": {}, "notes": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp, \
+            worktree(args.rev, Path(tmp) / "parent") as parent_tree:
+        trees = {"parent": parent_tree, "change": REPO}
         for workload, count in pairs.items():
-            seeds = [args.first_seed + i for i in range(count)]
+            seeds = [FIRST_SEED + i for i in range(count)]
             runs = {s: [] for s in SIDES}
             for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                     result, machine, failed_ops = bench(
-                        trees[side], workload, seed, args.seconds, 0)
+                        trees[side], workload, seed, seconds, 0)
                     runs[side].append((result, failed_ops))
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(result['metrics'])}", flush=True)
@@ -178,12 +169,12 @@ def main(argv=None) -> int:
                              for name, m in entry["metrics"].items()]
             traced = {}
             for side in SIDES:
-                result, _, _ = bench(trees[side], workload, args.first_seed,
-                                     args.seconds, 1)
+                result, _, _ = bench(trees[side], workload, FIRST_SEED,
+                                     seconds, 1)
                 traced[side] = {
                     "correct": result["correct"], "failed": result["failed"],
                     **{k: v["value"] for k, v in result["metrics"].items()}}
-            out[f"traced_seed_{args.first_seed}"][workload] = traced
+            out[f"traced_seed_{FIRST_SEED}"][workload] = traced
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     for line in out["notes"]:
         print(line)

@@ -25,7 +25,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from revision import REPO, worktree
+
 SEEDS = range(20)
 SHOT_PARAMS = {"params": {"n": 3, "p": 2.0, "lam": 1.0}}
 CONFIGS = {
@@ -90,18 +91,12 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        base_tree = Path(tmp) / "rev"
-        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach",
-                        "--quiet", str(base_tree), args.rev], check=True)
         runs, diffs = list(commands()), []
-        try:
+        with worktree(args.rev, Path(tmp) / "rev") as base_tree:
             for name, plap_args, cfg in runs:
                 base = run(base_tree, Path(tmp) / "base" / name, plap_args, cfg)
                 head = run(REPO, Path(tmp) / "head" / name, plap_args, cfg)
                 diffs += differences(name, base, head)
-        finally:
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove",
-                            "--force", str(base_tree)], check=True)
     for line in diffs:
         print(line)
     print(f"{len(runs)} commands, {len(diffs)} difference(s) against {args.rev}")
