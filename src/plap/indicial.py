@@ -76,11 +76,6 @@ class ProblemParams:
     def sobolev_critical(self) -> float:
         return self.n * self.p / (self.n - self.p)
 
-    @property
-    def weight_critical(self) -> float:
-        """Weight exponent at which the index peak crosses zero."""
-        return (self.n - self.p) / self.p
-
 
 class RootPlacement(Enum):
     """Which side of the case table a root pair falls on."""

@@ -1,16 +1,19 @@
 """Radial and 1-D reductions: integration, shooting, and decay-rate fitting.
 
-Every profile is carried in logarithmic amplitude, as log_u = ln(u) and
-ratio = u'/u; u and u' are derived from them.  u underflows float64 once
-ln(u) drops below about -745, while the log-derivative pair stays O(1) on
-any span.  The ratio flow repels the decaying branch at rate exp(p*alpha*r)
-going outward and attracts it at the same rate going inward, so the branch
-is found by one inward integration from beyond r_max, seeded with its
-far-field limit -alpha; no outward shooting or bisection on the initial
-ratio is needed.  That inward pass is integrated with LSODA: the attraction
-makes the flow stiff (an explicit Runge-Kutta method is held to steps |h| of
-order 1/(p*alpha) by stability alone, although sigma itself varies slowly),
-and a stiff-switching method takes steps limited only by accuracy.
+Every radial solver carries ln u and a log-derivative state, and every
+profile is (r, ln u, ratio = u'/u); u and u' are derived from them.  u
+underflows float64 once ln(u) drops below about -745, while the pair stays
+finite on any span.  The ratio flow repels the decaying branch at rate
+exp(p*alpha*r) going outward and attracts it at the same rate going inward,
+so the branch is found by one inward integration from beyond r_max, seeded
+with its far-field limit -alpha; no outward shooting or bisection on the
+initial ratio is needed.  That inward pass is integrated with LSODA: the
+attraction makes the flow stiff (an explicit Runge-Kutta method is held to
+steps |h| of order 1/(p*alpha) by stability alone, although sigma itself
+varies slowly), and a stiff-switching method takes steps limited only by
+accuracy.  The singular outward shot carries w = |sigma|^(p-2) sigma, not
+sigma: the sigma equation divides by |sigma|^(p-2), singular where u turns
+for p > 2, while the w equation only has the Hoelder term |w|^(1/(p-1)).
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 
-OVERFLOW_BARRIER = 1e150
-ZERO_BARRIER = 1e-150
 # ODEPACK's cap on the steps between two output points of the inward pass.
 # Its default of 500 is below the ~2.3k steps a shot to r_max = 2e4 takes
 # when few output points are asked for.
@@ -40,7 +41,7 @@ _ODEINT_SUCCESS = "Integration successful."
 
 class ShootClass(Enum):
     DECAYING = "decaying"
-    BLOW_UP = "blow_up"
+    TURNS_UP = "turns_up"
     HIT_ZERO = "hit_zero"
 
 
@@ -101,6 +102,8 @@ class RadialProfile:
 class ShootResult:
     """A shot profile with its classification and integration counters.
 
+    classification is DECAYING, TURNS_UP (u' turns positive: no ground
+    state) or HIT_ZERO (u provably reaches 0); see shoot_singular_profile.
     nfev is the number of right-hand-side evaluations of the shot's one
     integration pass; bisection_iters is always 0 (no shot bisects).
     """
@@ -327,72 +330,78 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
     Solves the radial form of the perturbed equation
         -(r^(n-1)|u'|^(p-2)u')' = r^(n-1) [mu r^(-p) u^(p-1) - lam u^(p-1)
                                            + A u^(q-1)]
-    in log-radius with the divergence-form flux m = r^(n-1)|u'|^(p-2)u' as a
-    state variable, starting from u = c r^(-gamma1), u' = -gamma1 c
-    r^(-gamma1-1) at r_in.  Classification is BLOW_UP/HIT_ZERO at the
-    1e150 / 1e-150 barriers, DECAYING when r_out is reached.  The state is
-    (u, m) and the profile is its (ln u, u'/u); raises DomainError if any
-    sampled u is not positive.
+    as (ln u, w = |sigma|^(p-2) sigma), sigma = u'/u, in t = ln r: one LSODA
+    pass (rtol 1e-10, atol 1e-12) from u = c r^(-gamma1), sigma = -gamma1/r
+    at r_in, or for mu = 0 from the regular start w = (lam - A c^(q-p)) r/n.
+
+    TURNS_UP: w crosses 0 upwards, first at meta["r_turn"] (r_in if w starts
+    positive); the pass goes on to r_out.  HIT_ZERO: the pass stops where
+    sigma < 0, |sigma| >= max(4(n-1)/((p-1)r), (4B)^(1/p)) with
+    B = (lam + mu r^(-p) + A u^(q-p))/(p-1).  There sigma' <= -sigma^2/2 and
+    the region is invariant (r^-1, r^-p and u fall), so u reaches 0 before
+    r + 2/|sigma|.  DECAYING otherwise, as for lam = mu = A = 0 (w stays 0).
     """
     if not r_in < r_out:
         raise DomainError("r_in must be < r_out")
     if params.a != 0.0:
         raise DomainError("singular shoot is posed for the unweighted case a = 0")
-    mu_bar = ((params.n - params.p) / params.p) ** params.p
-    if not (0.0 <= params.mu < mu_bar):
+    roots = indicial_roots(params)  # NoRealRoot above mu_bar
+    if not (0.0 <= params.mu < roots.mu_bar):
         raise DomainError("mu must lie in [0, mu_bar)")
-    n, p, mu, lam = params.n, params.p, params.mu, params.lam
-    pm1 = p - 1.0
-    g1 = indicial_roots(params).gamma1
+    n, p, mu, lam, g1 = params.n, params.p, params.mu, params.lam, roots.gamma1
+    nl, e = params.nonlinearity, 1.0 / (p - 1.0)
+    amp, q = (nl.amplitude, nl.q) if nl is not None else (0.0, 0.0)
 
-    amp, q = 0.0, 0.0
-    if params.nonlinearity is not None:
-        amp, q = params.nonlinearity.amplitude, params.nonlinearity.q
+    def sigma(w):
+        return math.copysign(abs(w) ** e, w)
+
+    def source(log_u):  # A u^(q-p)
+        return amp * math.exp((q - p) * log_u) if amp else 0.0
 
     def rhs(t, y):
-        u, m = y
+        # (ln u)' = sigma and, as |w|^(p/(p-1)) = |w sigma|,
+        # w' = lam - mu r^-p - A u^(q-p) - (n-1) w/r - (p-1)|w|^(p/(p-1)),
+        # both times dr/dt = r; no division by |sigma|^(p-2)
+        log_u, w = y.tolist()
+        r, s = math.exp(t), sigma(w)
+        return (r * s, r * (lam - mu * r ** -p - source(log_u)
+                            - (p - 1.0) * abs(w * s)) - (n - 1.0) * w)
+
+    def vanish(t, y):
+        log_u, w = np.asarray(y).tolist()
         r = math.exp(t)
-        du_dt = math.copysign(abs(m) ** (1.0 / pm1), m) * r ** (1.0 - (n - 1.0) / pm1)
-        zero_order = lam * u ** pm1 - mu * r ** (-p) * u ** pm1
-        if amp:
-            zero_order -= amp * u ** (q - 1.0)
-        return [du_dt, r ** n * zero_order]
-
-    def overflow(_t, y):
-        return y[0] - OVERFLOW_BARRIER
-    overflow.terminal = True
-    overflow.direction = 1
-
-    def vanish(_t, y):
-        return y[0] - ZERO_BARRIER
+        b = (lam + mu * r ** -p + source(log_u)) * e
+        return -sigma(w) - max(4.0 * (n - 1.0) * e / r, (4.0 * b) ** (1.0 / p))
     vanish.terminal = True
-    vanish.direction = -1
+    vanish.direction = 1
+
+    def turn(_t, y):
+        return y[1]
+    turn.direction = 1
 
     t_in, t_out = math.log(r_in), math.log(r_out)
-    u_in = c * r_in ** (-g1)
-    m_in = -((g1 * c) ** pm1) * r_in ** (n - 1.0 - (g1 + 1.0) * pm1) if g1 > 0.0 else 0.0
-    t_eval = np.linspace(t_in, t_out, grid_points)
-    sol = solve_ivp(rhs, (t_in, t_out), [u_in, m_in], method="DOP853",
-                    rtol=1e-10, atol=1e-12, t_eval=t_eval,
-                    events=(overflow, vanish))
-    if sol.t_events[0].size:
-        cls = ShootClass.BLOW_UP
-    elif sol.t_events[1].size:
-        cls = ShootClass.HIT_ZERO
-    elif sol.success:
-        cls = ShootClass.DECAYING
-    else:
+    w_in = (-(g1 / r_in) ** (p - 1.0) if g1 > 0.0
+            else (lam - source(math.log(c))) * r_in / n)
+    # a turn event can be bracketed only from w < 0
+    events = [vanish, turn] if w_in < 0.0 else [vanish]
+    sol = solve_ivp(rhs, (t_in, t_out), [math.log(c) - g1 * t_in, w_in],
+                    method="LSODA", rtol=1e-10, atol=1e-12,
+                    t_eval=np.linspace(t_in, t_out, grid_points),
+                    events=events)
+    if sol.status < 0:
         raise StepFailure(sol.message)
+    turns = sol.t_events[1] if w_in < 0.0 else []
+    r_turn = r_in if w_in > 0.0 else math.exp(turns[0]) if len(turns) else None
+    cls = (ShootClass.TURNS_UP if r_turn is not None else ShootClass.HIT_ZERO
+           if sol.status == 1 else ShootClass.DECAYING)
 
-    ts, u, m = sol.t, sol.y[0], sol.y[1]
-    if not np.all(u > 0.0):
-        raise DomainError("u must be positive")
-    r = np.exp(ts)
-    du = np.sign(m) * np.abs(m) ** (1.0 / pm1) * r ** (-(n - 1.0) / pm1)
     meta = {"kind": "shoot_singular_profile", "n": n, "p": p, "mu": mu,
             "lam": lam, "a": params.a, "q": q or None, "amplitude": amp or None,
-            "gamma1": g1, "c": c, "r_in": r_in, "r_out": r_out}
-    profile = RadialProfile(r=r, log_u=np.log(u), ratio=du / u, meta=meta)
+            "gamma1": g1, "c": c, "r_in": r_in, "r_out": r_out,
+            "r_turn": r_turn}
+    log_u, w = sol.y
+    profile = RadialProfile(r=np.exp(sol.t), log_u=log_u,
+                            ratio=np.copysign(np.abs(w) ** e, w), meta=meta)
     return ShootResult(profile=profile, shoot_param=c, bisection_iters=0,
                        classification=cls, nfev=int(sol.nfev))
 

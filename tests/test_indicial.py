@@ -353,4 +353,3 @@ class TestProblemParams:
     def test_derived_quantities(self):
         params = ProblemParams(n=4, p=2.0)
         assert params.sobolev_critical == 4.0
-        assert params.weight_critical == 1.0

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import kve
@@ -10,7 +11,7 @@ from scipy.special import kve
 from plap import radial_ode
 from plap.errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
-                           eigen_rate_alpha)
+                           eigen_rate_alpha, indicial_roots)
 from plap.radial_ode import (RadialProfile, ShootClass, fit_decay_exponents,
                              hardy_power_residual, radial_exterior_eigen,
                              riccati_ratio_flow, series_start_radius,
@@ -358,11 +359,58 @@ class TestHardyPowerResidual:
             hardy_power_residual(3, 2.0, 0.0, 0.0, gamma, [1.0, 0.0])
 
 
+def flux_shot(params, r_in, r_out, c=1.0, grid_points=600):
+    """(r, ln u, u'/u) of the singular shot integrated as (u, m) in ln r.
+
+    The earlier form of shoot_singular_profile, m = r^(n-1)|u'|^(p-2)u'
+    with DOP853 at rtol 1e-10, atol 1e-12, kept as an independent
+    reference for shots that neither vanish nor overflow (its barriers at
+    u = 1e150 and 1e-150 are left out).
+    """
+    n, p, mu, lam = params.n, params.p, params.mu, params.lam
+    pm1 = p - 1.0
+    g1 = indicial_roots(params).gamma1
+    amp, q = 0.0, 0.0
+    if params.nonlinearity is not None:
+        amp, q = params.nonlinearity.amplitude, params.nonlinearity.q
+
+    def rhs(t, y):
+        u, m = y
+        r = math.exp(t)
+        du_dt = math.copysign(abs(m) ** (1.0 / pm1), m) * r ** (1.0 - (n - 1.0) / pm1)
+        zero_order = lam * u ** pm1 - mu * r ** (-p) * u ** pm1
+        if amp:
+            zero_order -= amp * u ** (q - 1.0)
+        return [du_dt, r ** n * zero_order]
+
+    t_in, t_out = math.log(r_in), math.log(r_out)
+    u_in = c * r_in ** (-g1)
+    m_in = -((g1 * c) ** pm1) * r_in ** (n - 1.0 - (g1 + 1.0) * pm1) if g1 > 0.0 else 0.0
+    sol = solve_ivp(rhs, (t_in, t_out), [u_in, m_in], method="DOP853",
+                    rtol=1e-10, atol=1e-12,
+                    t_eval=np.linspace(t_in, t_out, grid_points))
+    assert sol.success
+    u, m = sol.y
+    r = np.exp(sol.t)
+    du = np.sign(m) * np.abs(m) ** (1.0 / pm1) * r ** (-(n - 1.0) / pm1)
+    return r, np.log(u), du / u
+
+
+def source_params(n, p, mu, q, amp=1.0, lam=1.0):
+    return ProblemParams(n=n, p=p, mu=mu, lam=lam,
+                         nonlinearity=Nonlinearity(q=q, amplitude=amp))
+
+
+SUITE_SHOTS = [source_params(3, 2.0, 0.1875, 3.0, amp=0.05),
+               ProblemParams(n=3, p=1.5, mu=0.01, lam=0.5)]
+
+
 class TestShootSingularProfile:
     def test_constant_solution_exact(self):
         params = ProblemParams(n=3, p=2.0, mu=0.0, lam=0.0)
         res = shoot_singular_profile(params, 0.01, 1.0)
         assert res.classification is ShootClass.DECAYING
+        assert res.profile.meta["r_turn"] is None
         assert np.max(np.abs(res.profile.u - 1.0)) == 0.0
 
     def test_pure_power_propagates(self):
@@ -373,12 +421,120 @@ class TestShootSingularProfile:
         assert np.max(drift) <= 1e-7
 
     def test_nonlinearity_stays_positive(self):
-        params = ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0,
-                               nonlinearity=Nonlinearity(q=3.0, amplitude=0.1))
+        # u' turns positive inside the span: the reference's ratio changes
+        # sign between two grid radii near 0.87, and the turn lies there
+        params = source_params(3, 2.0, 0.1875, 3.0, amp=0.1)
         r_in = series_start_radius(params, 1.0)
         res = shoot_singular_profile(params, r_in, 1.0)
-        assert res.classification is ShootClass.DECAYING
+        assert res.classification is ShootClass.TURNS_UP
         assert np.all(res.profile.u > 0)
+        r, _, ratio = flux_shot(params, r_in, 1.0)
+        up = np.argmax(ratio > 0.0)
+        assert r[up - 1] < res.profile.meta["r_turn"] < r[up]
+
+    @pytest.mark.parametrize("params,r_in,r_out,c,log_tol,rs_tol", [
+        # the suite's shots: measured gaps 9.9e-9 (ln u), 6.5e-10 (r sigma)
+        (SUITE_SHOTS[0], None, 1.2, 1.0, 3e-8, 2e-9),
+        (SUITE_SHOTS[1], None, 1.2, 1.0, 3e-8, 2e-9),
+        # long shots that turn up: measured gaps up to 8.5e-9 and 7.5e-9
+        # (p = 2), 1.4e-8 and 3.4e-8 (p = 1.5)
+        (source_params(3, 2.0, 0.1, 3.0), 1e-3, 30.0, 0.01, 3e-8, 2.5e-8),
+        (source_params(3, 2.0, 0.1, 3.0), 1e-3, 30.0, 3.16, 3e-8, 2.5e-8),
+        (source_params(3, 1.5, 0.05, 2.5), 1e-3, 30.0, 0.01, 4e-8, 1e-7),
+        (source_params(3, 1.5, 0.05, 2.5), 1e-3, 30.0, 10.0, 4e-8, 1e-7),
+    ])
+    def test_matches_flux_form_reference(self, params, r_in, r_out, c,
+                                         log_tol, rs_tol):
+        r_in = r_in or series_start_radius(params)
+        prof = shoot_singular_profile(params, r_in, r_out, c).profile
+        r, log_u, ratio = flux_shot(params, r_in, r_out, c)
+        assert np.array_equal(prof.r, r)
+        assert np.max(np.abs(prof.log_u - log_u)) <= log_tol
+        assert np.max(np.abs(r * (prof.ratio - ratio))) <= rs_tol
+
+    @pytest.mark.parametrize("params,turning", [
+        (source_params(3, 1.5, 0.05, 2.5), 9),  # switch in (10, 31.6)
+        (source_params(3, 2.0, 0.1, 3.0), 8),   # in (3.16, 10)
+        (source_params(4, 3.0, 0.02, 4.0), 7),  # in (1, 3.16)
+    ], ids=["p1.5", "p2", "p3"])
+    def test_label_scan_switches_once(self, params, turning):
+        # on c = 10^(-3 + i/2), i = 0..12, the first `turning` shots turn up
+        # and the rest vanish: one switch.  Under filterwarnings = error the
+        # vanishing shots raise no warning and no StepFailure (the earlier
+        # (u, m) shot crashed at p = 1.5 and c >= 31.6 once u went
+        # negative, and labelled the turning p = 2 shots DECAYING)
+        g1 = indicial_roots(params).gamma1
+        labels = []
+        for c in np.geomspace(1e-3, 1e3, 13):
+            res = shoot_singular_profile(params, 1e-3, 30.0, c)
+            prof = res.profile
+            assert prof.r[0] * prof.ratio[0] == pytest.approx(-g1, rel=1e-14)
+            labels.append(res.classification)
+            if res.classification is ShootClass.TURNS_UP:
+                assert prof.r[-1] == pytest.approx(30.0)
+            else:  # the pass stops inside the vanishing region
+                assert prof.r[-1] < 30.0
+                assert np.all(np.diff(prof.log_u) < 0.0)
+        assert labels == ([ShootClass.TURNS_UP] * turning
+                          + [ShootClass.HIT_ZERO] * (13 - turning))
+
+    def test_regular_start_at_mu_zero(self):
+        # mu = 0 gives gamma1 = 0; w starts from (lam - A c^(q-p)) r_in / n,
+        # so a shot with lam > A c^(q-p) rises from r_in and one below falls
+        params = source_params(3, 2.0, 0.0, 3.0)
+        rising = shoot_singular_profile(params, 1e-3, 5.0, 0.5)
+        assert rising.classification is ShootClass.TURNS_UP
+        assert rising.profile.meta["r_turn"] == 1e-3
+        falling = shoot_singular_profile(params, 1e-3, 5.0, 100.0)
+        assert falling.classification is ShootClass.HIT_ZERO
+        assert falling.profile.ratio[0] < 0.0
+
+    @given(n=st.integers(2, 5), p_frac=st.floats(0.0, 1.0),
+           mu_frac=st.floats(0.05, 0.9), lam=st.floats(0.5, 2.0),
+           amp=st.floats(0.0, 1.5), q_frac=st.floats(0.0, 0.9),
+           log_c=st.floats(-3.0, 3.0), log_k=st.floats(-1.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_lambda_scaling(self, n, p_frac, mu_frac, lam, amp, q_frac,
+                            log_c, log_k):
+        # u_k(r) = u(kr) solves the problem with (lam k^p, A k^p) from
+        # c k^(-gamma1) at r_in/k, so ln u_k(r) = ln u(kr),
+        # ratio_k(r) = k ratio(kr) and the turn radius scales by 1/k.  The
+        # ratio is compared through W = |r sigma|^(p-2) r sigma, the
+        # dimensionless form of the flux w that the integrator carries: at
+        # p > 2 the map W -> r sigma is only Hoelder at a turn.
+        # Tolerance: LSODA holds each step's local error to rtol = 1e-10 of
+        # the state, and a shot here takes at most a few thousand steps, so
+        # with at most linear error growth each shot is within 5e3 rtol and
+        # the pair within 1e4 rtol = 1e-6, relative to max(1, |value|).
+        # Over 800 random draws the largest gaps were 2.2e-8 (ln u),
+        # 6.6e-8 (W) and 1.5e-9 (turn radius).
+        p = 1.3 + p_frac * (min(n - 0.3, 3.0) - 1.3)
+        mu = mu_frac * ((n - p) / p) ** p
+        q = p + 0.1 + q_frac * (min(n * p / (n - p), p + 2.0) - p - 0.1)
+        c, k = math.exp(log_c), math.exp(log_k)
+        params = source_params(n, p, mu, q, amp=amp, lam=lam)
+        scaled = source_params(n, p, mu, q, amp=amp * k ** p, lam=lam * k ** p)
+        g1 = indicial_roots(params).gamma1
+        a = shoot_singular_profile(params, 1e-3, 5.0, c)
+        b = shoot_singular_profile(scaled, 1e-3 / k, 5.0 / k, c * k ** -g1)
+        assert a.classification is b.classification
+        pa, pb = a.profile, b.profile
+        # two vanishing shots may stop one grid radius apart
+        m = min(pa.r.size, pb.r.size)
+
+        def gap(x, y):
+            return np.max(np.abs(x[:m] - y[:m]) / np.maximum(1.0, np.abs(x[:m])))
+
+        def flux(prof):
+            rs = prof.r * prof.ratio
+            return np.sign(rs) * np.abs(rs) ** (p - 1.0)
+
+        assert np.allclose(pb.r[:m] * k, pa.r[:m], rtol=1e-13, atol=0.0)
+        assert gap(pa.log_u, pb.log_u) <= 1e-6
+        assert gap(flux(pa), flux(pb)) <= 1e-6
+        if a.classification is ShootClass.TURNS_UP:
+            r_turn = a.profile.meta["r_turn"]
+            assert abs(k * b.profile.meta["r_turn"] - r_turn) <= 1e-6 * r_turn
 
     def test_rejects_reversed_span(self):
         params = ProblemParams(n=3, p=2.0, mu=0.1, lam=0.0)
@@ -455,10 +611,7 @@ class TestRadialProfile:
         profiles = [radial_exterior_eigen(n, p, lam, 1.0, 40.0).profile
                     for n, p, lam in [(3, 2.0, 1.0), (3, 1.5, 0.5),
                                       (5, 2.9, 0.5)]]
-        for params in [ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0,
-                                     nonlinearity=Nonlinearity(q=3.0,
-                                                               amplitude=0.05)),
-                       ProblemParams(n=3, p=1.5, mu=0.01, lam=0.5)]:
+        for params in SUITE_SHOTS:
             profiles.append(shoot_singular_profile(
                 params, series_start_radius(params), 1.2).profile)
         for prof in profiles:
