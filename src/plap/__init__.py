@@ -7,8 +7,8 @@ grid_pde   -- 2-D finite-difference solver and pointwise-identity diagnostics
 cli        -- reproducible CSV-emitting verification campaigns
 """
 
-from .blowup import (Direction, RescaleReport, martin_kernel_estimate,
-                     rescale_near_zero, translate_rescale_at_infinity)
+from .blowup import (RescaleReport, martin_kernel_estimate, rescale_near_zero,
+                     translate_rescale_at_infinity)
 from .errors import (ConfigError, DomainError, IllConditioned, NoConvergence,
                      NoRealRoot, OutOfRange, SingularRatio, StepFailure)
 from .grid_pde import (Field2D, SolveStats, bochner_residual, directional_range,

@@ -18,22 +18,12 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, OutOfRange
+from .grid_pde import _check_unit
 from .radial_ode import RadialProfile
 
 ORIGIN_WINDOW = 10.0      # default half-decade span s in [1/10, 10] for dilations
 TRANSLATE_WINDOW = 2.0    # default ray half-width s in [-2, 2] for translations
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit vector; the norm must be 1 within 1e-14."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if abs(float(np.linalg.norm(self.xi)) - 1.0) > 1e-14:
-            raise DomainError("direction must be a unit vector")
+WINDOW_SAMPLES = 201      # points of s on each rescaled window
 
 
 @dataclass(frozen=True)
@@ -72,7 +62,7 @@ def _check_radius(profile: RadialProfile, r, what):
 def martin_kernel_estimate(profile: RadialProfile, x, xi, t) -> float:
     """Far-field kernel ratio u(|x - t*xi|)/u(t) from a radial profile."""
     x = np.asarray(x, dtype=float)
-    xi = Direction(xi).xi
+    xi = _check_unit(xi)
     t = float(t)
     r1 = float(np.linalg.norm(x - t * xi))
     _check_radius(profile, r1, "martin_kernel_estimate")
@@ -82,7 +72,7 @@ def martin_kernel_estimate(profile: RadialProfile, x, xi, t) -> float:
 
 
 def rescale_near_zero(profile: RadialProfile, scales, gamma1,
-                      window=ORIGIN_WINDOW, samples=201) -> RescaleReport:
+                      window=ORIGIN_WINDOW) -> RescaleReport:
     """Dilation family u(R s)/u(R) against the pure power s^(-gamma1).
 
     For each R in `scales`, the normalized dilate is evaluated on the fixed
@@ -90,7 +80,7 @@ def rescale_near_zero(profile: RadialProfile, scales, gamma1,
     its s-derivative) to the power limit is recorded.
     """
     scales = np.asarray(list(scales), dtype=float)
-    s = np.geomspace(1.0 / window, window, samples)
+    s = np.geomspace(1.0 / window, window, WINDOW_SAMPLES)
     target = s ** (-gamma1)
     dtarget = -gamma1 * s ** (-gamma1 - 1.0)
     interp = profile.log_interp()
@@ -109,7 +99,7 @@ def rescale_near_zero(profile: RadialProfile, scales, gamma1,
 
 
 def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
-                                  window=TRANSLATE_WINDOW, samples=201) -> RescaleReport:
+                                  window=TRANSLATE_WINDOW) -> RescaleReport:
     """Translation family u(t + s)/u(t) against the pure exponential e^(-alpha s).
 
     For each t in `shifts`, the normalized translate on s in [-window, window]
@@ -118,7 +108,8 @@ def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
     family is exactly linear there, so the fixed point is exact to rounding.
     """
     shifts = np.asarray(list(shifts), dtype=float)
-    s = np.linspace(-window, window, samples) if window > 0.0 else np.zeros(1)
+    s = (np.linspace(-window, window, WINDOW_SAMPLES) if window > 0.0
+         else np.zeros(1))
     target = np.exp(-alpha * s)
     dtarget = -alpha * target
     interp = PchipInterpolator(profile.r, profile.log_u)

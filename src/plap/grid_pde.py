@@ -83,6 +83,7 @@ class SolveStats:
 
 
 def _check_unit(vec):
+    """vec as a float array; a direction must have norm 1 within 1e-14."""
     vec = np.asarray(vec, dtype=float)
     if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-14:
         raise DomainError("direction must be a unit vector")

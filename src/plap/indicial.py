@@ -24,6 +24,7 @@ from .errors import DomainError, NoRealRoot
 RESIDUAL_RTOL = 1e-12        # |f(root) - mu| <= RESIDUAL_RTOL * max(1, |mu|)
 DOUBLE_ROOT_RTOL = 1e-10     # |mu - mu_bar| below this collapses the bracket
 CRITICAL_WEIGHT_ATOL = 1e-14  # exact-zero tolerance on a - (n-p)/p
+PLACEMENT_TOL = 1e-10        # slack of each case-table inequality
 
 
 @dataclass(frozen=True)
@@ -332,8 +333,9 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
                         placement=placement, double_root=double)
 
 
-def placement_satisfied(data: IndicialData, n, p, a, tol=1e-10) -> bool:
-    """Check the case-table inequalities with non-strict comparisons at tol."""
+def placement_satisfied(data: IndicialData, n, p, a) -> bool:
+    """Check the case-table inequalities, non-strict at PLACEMENT_TOL."""
+    tol = PLACEMENT_TOL
     g1, g2, gs = data.gamma1, data.gamma2, data.gamma_star
     edge = (n - (a + 1.0) * p) / (p - 1.0)
     case = data.placement

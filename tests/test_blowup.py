@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from plap.blowup import (Direction, RescaleReport, martin_kernel_estimate,
+from plap.blowup import (RescaleReport, martin_kernel_estimate,
                          rescale_near_zero, translate_rescale_at_infinity,
                          write_rescale_csv)
 from plap.errors import DomainError, OutOfRange
+from plap.grid_pde import _check_unit
 from plap.radial_ode import RadialProfile
 
 
@@ -25,12 +26,18 @@ def power_profile(gamma, r_lo=1e-4, r_hi=1e2, points=900):
 
 
 class TestDirection:
+    """The unit-vector check that martin_kernel_estimate and the grid solver
+    share."""
+
     def test_accepts_unit_vector(self):
-        Direction(np.array([0.6, 0.8]))
+        _check_unit(np.array([0.6, 0.8]))
 
     def test_rejects_non_unit(self):
-        with pytest.raises(DomainError):
-            Direction(np.array([1.0, 1.0]))
+        with pytest.raises(DomainError, match="direction must be a unit vector"):
+            _check_unit(np.array([1.0, 1.0]))
+        with pytest.raises(DomainError, match="direction must be a unit vector"):
+            martin_kernel_estimate(exp_over_r_profile(50.0), np.zeros(3),
+                                   np.array([1.0, 1.0, 0.0]), 20.0)
 
 
 class TestMartinKernelEstimate:

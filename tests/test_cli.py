@@ -17,16 +17,18 @@ from plap import cli, radial_ode
 from plap.errors import ConfigError, DomainError
 from plap.indicial import auxiliary_f, hardy_best_constant
 
-LIGHT_ALL = {
-    "indicial_trials": 200,
-    "hardy_trials": 30,
-    "grid_h": [1 / 16, 1 / 32],
-    "bochner_h": [1 / 8, 1 / 16],
-    "shoot_r_max": 30.0,
-    "martin_t": 100.0,
+# The nine config keys that `plap all` took, at their defaults; the campaign
+# now runs with exactly these settings and takes no key.
+FORMER_ALL_DEFAULTS = {
+    "indicial_trials": 10000,
+    "hardy_trials": 1000,
+    "grid_h": [1 / 32, 1 / 64, 1 / 128],
+    "bochner_h": [1 / 16, 1 / 32, 1 / 64],
+    "shoot_r_max": 40.0,
+    "martin_t": 1000.0,
     "riccati_T": 50.0,
     "translate_window": 0.5,
-    "translate_shifts": [10.0, 20.0, 40.0],
+    "translate_shifts": [10.0, 20.0, 40.0, 80.0, 160.0],
 }
 
 EXPECTED_ROWS = [
@@ -159,6 +161,11 @@ class TestMainEntry:
         ({"h_list": [0.3, 0.7]}, "h must divide the rectangle extents"),
         ({"h_list": [0.25, 0.125]}, "5 nodes per axis, the checks need "
                                     "at least 7"),
+        # each refinement factor divides a residual by the next finer one,
+        # so a sweep that coarsens or repeats a spacing has none to check
+        ({"h_list": [1 / 64, 1 / 32, 1 / 16]},
+         "h_list must be strictly decreasing"),
+        ({"h_list": [1 / 16, 1 / 16]}, "h_list must be strictly decreasing"),
     ])
     def test_bochner_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                           message):
@@ -168,38 +175,20 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["indicial_trials", "hardy_trials"])
-    @pytest.mark.parametrize("value", [0, "x", True])
-    def test_all_trial_counts_exit_2(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key", sorted(FORMER_ALL_DEFAULTS))
+    def test_all_former_key_exit_2(self, tmp_path, capsys, key):
+        # the campaign's settings are pinned in source, so a key is unknown
+        # even at the value the campaign runs with
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: value}))
+        cfg_path.write_text(json.dumps({key: FORMER_ALL_DEFAULTS[key]}))
         code = cli.main(["all", "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"{key} must be an integer >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("cfg, message", [
-        ({"shoot_r_max": "x"}, "shoot_r_max must be a finite number > 0"),
-        ({"martin_t": -5}, "martin_t must be a finite number > 0"),
-        ({"grid_h": [0.3, 0.1]}, "h must divide the rectangle extents"),
-        ({"riccati_T": -1}, "riccati_T must be a finite number > 0"),
-        ({"translate_window": "w"},
-         "translate_window must be a finite number > 0"),
-        ({"translate_shifts": []}, "translate_shifts needs at least two"),
-        ({"martin_t": 1.5}, "martin_t must be >= 2"),
-        ({"shoot_r_max": 9.5}, "shoot_r_max must be >= 10"),
-        ({"bochner_h": [0.25, 0.125]}, "5 nodes per axis, the checks need "
-                                       "at least 7"),
-        ({"martin_t": 10 ** 400}, "martin_t must be a finite number > 0"),
-    ])
-    def test_all_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code = cli.main(["all", "--config", str(cfg_path),
-                        "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert message in capsys.readouterr().err
+        assert (f"unknown key(s) ['{key}'] in all config"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cfg, message", [
         ({"h": 0.3}, "h must divide the rectangle extents"),
@@ -409,17 +398,12 @@ class TestMainEntry:
     @pytest.mark.parametrize("sub, cfg, message", [
         ("blowup", {"window": 20}, "with window 20: "),
         ("blowup", {"shifts": [1, 2]}, "shifts [1, 2] with window 0.5: "),
-        ("all", {"translate_window": 20}, "with translate_window 20: "),
-        # the exponential profile of step 10 ends at r = 200
-        ("all", {"translate_shifts": [10.0, 500.0]},
-         "translate_shifts [10.0, 500.0] with translate_window 0.5: "),
     ])
     def test_translation_outside_profile_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):
-        if sub == "blowup":
-            cfg = {"params": {"n": 3, "p": 2.0, "lam": 1.0}, **cfg}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 2.0, "lam": 1.0}, **cfg}))
         code = cli.main([sub, "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 2
@@ -495,7 +479,9 @@ def config_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("configs")
 
 
-@pytest.mark.parametrize("sub", sorted(cli.CONFIGS))
+# `all` takes no keys, so there is no value of it to mutate
+@pytest.mark.parametrize("sub", sorted(sub for sub, table in cli.CONFIGS.items()
+                                       if table))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_ill_typed_config_value_exit_2(config_dir, sub, data):
@@ -525,10 +511,24 @@ def test_readme_tables_name_every_config_key():
     assert tables == {sub: list(table) for sub, table in cli.CONFIGS.items()}
 
 
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    roots, fit, kernel = capsys.readouterr().out.splitlines()
+    gamma1, gamma2 = map(float, roots.split())
+    assert abs(gamma1 - 0.5) <= 1e-12 and abs(gamma2 - 1.5) <= 1e-12
+    fields = dict(re.findall(r"(\w+)=([^,)]+)", fit))
+    assert abs(float(fields["rate"]) - 1.0) <= 1e-6
+    assert abs(float(fields["power"]) - 1.0) <= 1e-6
+    assert abs(float(kernel) - math.e) <= 5e-3 * math.e
+
+
 @pytest.fixture(scope="module")
 def first_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("all_first")
-    report = cli.run_all(LIGHT_ALL, out, seed=7)
+    report = cli.run_all({}, out, seed=7)
     return out, report
 
 
@@ -543,10 +543,15 @@ class TestAllCampaign:
         for row in report.rows:
             assert row.passed == (abs(row.measured - row.target) <= row.tolerance)
 
-    def test_byte_determinism(self, first_run, tmp_path):
-        out1, _ = first_run
-        cli.run_all(LIGHT_ALL, tmp_path / "all", seed=7)
-        assert_same_tree(out1, tmp_path / "all")
+    def test_config_echo(self, first_run):
+        # report.csv records the settings the campaign ran with
+        out, _ = first_run
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[1] == "# config: " + json.dumps(FORMER_ALL_DEFAULTS,
+                                                     sort_keys=True)
+
+    def test_byte_determinism(self, tmp_path):
+        # the campaign's own determinism is acceptance criterion 11
         roots_cfg = {"params": {"n": 4, "p": 2.0, "a": 0.0, "mu": 0.0}}
         for run in ("roots1", "roots2"):
             (tmp_path / run).mkdir()
@@ -556,7 +561,7 @@ class TestAllCampaign:
 
     def test_seed_changes_report(self, first_run, tmp_path):
         out1, _ = first_run
-        cli.run_all(LIGHT_ALL, tmp_path, seed=8)
+        cli.run_all({}, tmp_path, seed=8)
         rep1 = (out1 / "report.csv").read_text()
         rep2 = (tmp_path / "report.csv").read_text()
         assert rep1 != rep2  # randomized sweeps see the seed
