@@ -25,15 +25,26 @@ from .indicial import ProblemParams, eigen_rate_alpha
 
 PLF2_MAGIC = b"PLF2"
 DAMPING_FLOOR = 2.0 ** -30
-# refinement of a Newton step from its float32 factor stops once a
-# correction is within this many float64 ulps of the step
+# refinement of a Newton step by V-cycles stops once a correction is
+# within this many float64 ulps of the step
 REFINE_ULPS = 4.0
 # a correction that fails to halve the one before is the rounding floor
-# when within this many float64 ulps of the step, else the float32 factor
-# has failed.  The floor reached (the stalled correction over ulp(max|x|))
-# measured at most 16 at h = 1/32, 123 at h = 1/256 and 189 at h = 1/512
-# on the grid_fine draws of the benchmark
+# when within this many float64 ulps of the step, else the V-cycle has
+# failed.  The floor reached (the stalled correction over ulp(max|x|))
+# measured at most 14 at h = 1/32, 52 at h = 1/256 and 166 at h = 1/512
+# on draws like the benchmark's grid_fine ones
 STALL_ULPS = 1024.0
+# multigrid V-cycle of a Newton step: damped Jacobi smoothing with this
+# weight and sweep counts, coarsening while both axes have more than
+# COARSEST_NODES nodes.  The cycle contracts the error by 0.08-0.15 for
+# p in {1.5, 2.7, 4}; undamped Jacobi gives 0.91
+JACOBI_OMEGA = 0.8
+PRE_SWEEPS = 3
+POST_SWEEPS = 3
+COARSEST_NODES = 16
+# SuperLU column ordering of the coarsest level and of the float64
+# fallback: minimum degree on A^T + A suits the 9-point stencil
+DIRECT_ORDERING = "MMD_AT_PLUS_A"
 EPS64 = float(np.finfo(np.float64).eps)
 # nodes per axis that bochner_residual's nested stencils need: the identity
 # is compared on nodes 2..nx-3
@@ -76,8 +87,8 @@ class SolveStats:
     final_residual: float
     damping_events: int
     epsilon: float
-    # triangular solves, refinement included, and float64 factorizations
-    # made because a float32 one failed (see _solve_refined)
+    # V-cycles plus fallback solves, and float64 factorizations made
+    # because the V-cycles failed (see _solve_refined)
     linear_solves: int
     float64_refactors: int
 
@@ -211,48 +222,6 @@ def _stencil_coefficients(base, p, h, epsilon):
     return sten
 
 
-# blocks of at most this many nodes are numbered in natural order
-DISSECTION_LEAF = 16
-
-
-@functools.lru_cache(maxsize=None)
-def _dissection_rank(mi, mj):
-    """Nested-dissection position of each node of an (mi, mj) grid.
-
-    George's nested dissection of a regular grid: a block splits across its
-    longer side along one grid line, which also separates the 9-point
-    stencil, both halves are numbered recursively and the separator line
-    after them; blocks of at most DISSECTION_LEAF nodes keep natural order.
-    Returns a read-only (mi, mj) int array, cached per shape.
-    """
-    rank = np.empty((mi, mj), dtype=np.intp)
-    count = 0
-
-    def number(i0, i1, j0, j1):
-        """Number block [i0, i1) x [j0, j1) from position `count` on."""
-        nonlocal count
-        if (i1 - i0) * (j1 - j0) > DISSECTION_LEAF:
-            # number both halves, then narrow the block to the separator
-            if i1 - i0 >= j1 - j0:
-                mid = (i0 + i1) // 2
-                number(i0, mid, j0, j1)
-                number(mid + 1, i1, j0, j1)
-                i0, i1 = mid, mid + 1
-            else:
-                mid = (j0 + j1) // 2
-                number(i0, i1, j0, mid)
-                number(i0, i1, mid + 1, j1)
-                j0, j1 = mid, mid + 1
-        size = (i1 - i0) * (j1 - j0)
-        rank[i0:i1, j0:j1] = np.arange(count, count + size).reshape(
-            i1 - i0, j1 - j0)
-        count += size
-
-    number(0, mi, 0, mj)
-    rank.setflags(write=False)
-    return rank
-
-
 # the 3x3 stencil offsets (di, dj), in _stencil_coefficients' order
 STENCIL_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
                    (1, 1), (-1, -1), (1, -1), (-1, 1))
@@ -269,20 +238,20 @@ def _stencil_block(mi, mj, di, dj):
 
 @functools.lru_cache(maxsize=4)
 def _newton_pattern(mi, mj):
-    """CSC pattern of the Newton matrix on an mi x mj interior, numbered by
-    _dissection_rank.
+    """CSC pattern of the Newton matrix on an mi x mj interior, whose node
+    (k, l) is row and column k * mj + l.
 
     Returns read-only (indices, indptr, order): the matrix data is the
     concatenation of the stencil blocks in STENCIL_OFFSETS order, gathered
     by `order`.  The mass term rides on the (0, 0) block, so no entry
     repeats.
     """
-    rank = _dissection_rank(mi, mj)
+    number = np.arange(mi * mj).reshape(mi, mj)
     rows, cols = [], []
     for off in STENCIL_OFFSETS:
         nodes, neighbours = _stencil_block(mi, mj, *off)
-        rows.append(rank[nodes].ravel())
-        cols.append(rank[neighbours].ravel())
+        rows.append(number[nodes].ravel())
+        cols.append(number[neighbours].ravel())
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.lexsort((rows, cols))
     indices = rows[order].astype(np.int32)
@@ -296,12 +265,11 @@ def _newton_pattern(mi, mj):
 def _newton_matrix(v, p, lam, h, epsilon):
     """Sparse matrix of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta (interior).
 
-    Unknowns are numbered by _dissection_rank: interior node (k, l) is row
-    and column rank[k, l].  The values fill the cached _newton_pattern,
-    bit for bit the entries a COO build summing the (0, 0) block and the
-    mass diagonal gives.  The matrix holds its own copies of the index
-    arrays: splu rewrites those of a matrix not flagged canonical in place,
-    and that must never reach the cache.
+    Interior node (k, l) is row and column k * mj + l.  The values fill the
+    cached _newton_pattern, bit for bit the entries a COO build summing the
+    (0, 0) block and the mass diagonal gives.  The matrix holds its own
+    copies of the index arrays: splu rewrites those of a matrix not flagged
+    canonical in place, and that must never reach the cache.
     """
     nx, ny = v.shape
     mi, mj = nx - 2, ny - 2
@@ -316,57 +284,111 @@ def _newton_matrix(v, p, lam, h, epsilon):
                               indptr.copy()), shape=(mi * mj, mi * mj))
 
 
-def _solve_refined(mat, rhs):
-    """Solution of mat @ x = rhs from one float32 LU, refined in float64.
+def _prolongation(m):
+    """Linear interpolation from m // 2 coarse nodes to m fine ones.
 
-    mat / max|mat| is factored in single precision by SuperLU in natural
-    order, and each correction solves the float64 residual rhs - mat @ x,
-    scaled to unit size before the cast (Langou et al., SC 2006; Carson &
-    Higham, SIAM J. Sci. Comput. 40, 2018).  Refinement stops once a
+    Coarse node I sits on fine node 2I + 1 and gives weight 1/2 to fine
+    nodes 2I and 2I + 2; the boundary beyond either end is zero.  Returns
+    a CSR (m, m // 2) matrix.
+    """
+    coarse = np.arange(m // 2)
+    rows = np.concatenate([2 * coarse + 1, 2 * coarse, 2 * coarse + 2])
+    cols = np.tile(coarse, 3)
+    vals = np.repeat([1.0, 0.5, 0.5], m // 2)
+    inside = rows < m
+    return sparse.csr_matrix((vals[inside], (rows[inside], cols[inside])),
+                             shape=(m, m // 2))
+
+
+def _multigrid_hierarchy(mat, mi, mj):
+    """Galerkin levels of the CSR matrix mat on an mi x mj interior, or None.
+
+    Level k holds (A_k, JACOBI_OMEGA / diag(A_k), P_k, P_k^T), where P_k
+    interpolates kron-wise from the (mi // 2, mj // 2) grid below and
+    A_{k+1} = P_k^T A_k P_k.  Coarsening stops once an axis has at most
+    COARSEST_NODES nodes; that level is factored by splu.  Returns
+    (levels, coarsest factor), or None when a Jacobi weight is not finite
+    or the coarsest matrix is exactly singular.
+    """
+    levels = []
+    while min(mi, mj) > COARSEST_NODES:
+        with np.errstate(divide="ignore"):
+            weight = JACOBI_OMEGA / mat.diagonal()
+        if not np.all(np.isfinite(weight)):
+            return None
+        prol = sparse.kron(_prolongation(mi), _prolongation(mj),
+                           format="csr")
+        restr = prol.T.tocsr()
+        levels.append((mat, weight, prol, restr))
+        mat = restr @ mat @ prol
+        mi, mj = mi // 2, mj // 2
+    try:
+        return levels, splu(mat.tocsc(), permc_spec=DIRECT_ORDERING)
+    except RuntimeError:  # exactly singular
+        return None
+
+
+def _vcycle(levels, coarsest, rhs):
+    """One V-cycle from a zero guess for levels[0]'s matrix: PRE_SWEEPS
+    damped Jacobi sweeps, the coarse-grid correction, POST_SWEEPS sweeps."""
+    if not levels:
+        return coarsest.solve(rhs)
+    mat, weight, prol, restr = levels[0]
+    x = weight * rhs  # the first sweep from zero
+    for _ in range(PRE_SWEEPS - 1):
+        x += weight * (rhs - mat @ x)
+    x += prol @ _vcycle(levels[1:], coarsest, restr @ (rhs - mat @ x))
+    for _ in range(POST_SWEEPS):
+        x += weight * (rhs - mat @ x)
+    return x
+
+
+def _solve_refined(mat, rhs, shape):
+    """Solution of mat @ x = rhs by multigrid V-cycles, refined in float64.
+
+    mat is the Newton matrix of an interior of the given shape, numbered
+    k * mj + l.  The Galerkin hierarchy (_multigrid_hierarchy) is built
+    once, and each correction is one V-cycle (_vcycle) on the float64
+    residual rhs - mat @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
+    Oosterlee & Schueller, Multigrid, 2001).  Refinement stops once a
     correction is within REFINE_ULPS float64 ulps of x, or when it fails
     to halve the one before while within STALL_ULPS ulps of x: that is
     the rounding floor.  x comes from one float64 LU of mat instead when
-    the float32 factor is exactly singular, or a correction is not finite
-    or fails to halve the one before above STALL_ULPS ulps of x.  No factor
-    outlives the call, and the float32 one is freed before the float64 one
-    is made.
+    the hierarchy cannot be built (a Jacobi weight is not finite or the
+    coarsest matrix is singular), or a correction is not finite or fails
+    to halve the one before above STALL_ULPS ulps of x.  No hierarchy
+    outlives the call, and it is freed before the float64 LU is made.
 
-    Returns (x, triangular solves, float64 factorizations).
+    Returns (x, V-cycles plus fallback solves, float64 factorizations).
     """
-    scale = float(np.max(np.abs(mat.data)))
-    single = sparse.csc_matrix(
-        ((mat.data / scale).astype(np.float32), mat.indices, mat.indptr),
-        shape=mat.shape)
-    try:
-        lu = splu(single, permc_spec="NATURAL")
-    except RuntimeError:  # exactly singular in float32
-        lu = None
+    fine = mat.tocsr()  # its products are faster than the CSC ones
+    hierarchy = _multigrid_hierarchy(fine, *shape)
     x = np.zeros_like(rhs)
-    resid, solves, last = rhs, 0, math.inf
-    while lu is not None:
-        size = float(np.max(np.abs(resid)))
-        if size == 0.0:
-            return x, solves, 0
-        corr = (size / scale) * lu.solve(
-            (resid / size).astype(np.float32)).astype(np.float64)
-        solves += 1
+    resid, cycles, last = rhs, 0, math.inf
+    while hierarchy is not None:
+        if not np.any(resid):
+            return x, cycles, 0
+        # a correction that overflows is not finite and goes to the fallback
+        with np.errstate(invalid="ignore", over="ignore"):
+            corr = _vcycle(*hierarchy, resid)
+        cycles += 1
         step = float(np.max(np.abs(corr)))
         if not math.isfinite(step):
             break
         x += corr
         x_size = float(np.max(np.abs(x)))
         if step <= REFINE_ULPS * EPS64 * x_size:
-            return x, solves, 0
+            return x, cycles, 0
         if step > 0.5 * last:
             # stalled: at the rounding floor, or above it because the
-            # float32 factor is too inaccurate to converge
+            # cycle does not contract on this matrix
             if step <= STALL_ULPS * EPS64 * x_size:
-                return x, solves, 0
+                return x, cycles, 0
             break
         last = step
-        resid = rhs - mat @ x
-    lu = None  # the float32 factor is freed before the float64 one is made
-    return splu(mat, permc_spec="NATURAL").solve(rhs), solves + 1, 1
+        resid = rhs - fine @ x
+    hierarchy = None  # freed before the float64 LU is made
+    return splu(mat, permc_spec=DIRECT_ORDERING).solve(rhs), cycles + 1, 1
 
 
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
@@ -380,11 +402,12 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     max_iters or the damping floor is exhausted before final_residual <= tol.
 
     Each Newton step assembles the Jacobian into the cached CSC pattern of
-    its grid shape and solves it with _solve_refined: one float32 LU,
-    refined in float64 until a correction reaches rounding, or one float64
-    LU when that fails.  The step's factor is freed before the next one is
-    made.  SolveStats counts the triangular solves (linear_solves) and the
-    float64 fallbacks (float64_refactors).
+    its grid shape and solves it with _solve_refined: multigrid V-cycles
+    on the float64 residual until a correction reaches rounding, or one
+    float64 LU when they fail.  The step's multigrid hierarchy is freed
+    before the next one is built.  SolveStats counts the V-cycles and
+    fallback solves (linear_solves) and the float64 fallbacks
+    (float64_refactors).
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
@@ -414,8 +437,6 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     if not math.isfinite(res):
         raise DomainError(f"initial residual is {res:g}: the boundary data "
                           "exceed the range of the discrete operator")
-    rank = _dissection_rank(*resid.shape)
-    rhs = np.empty(resid.size)
     iters = damping_events = linear_solves = float64_refactors = 0
     # `not res <= tol` also keeps iterating on a NaN residual
     while not res <= tol:
@@ -424,14 +445,10 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 f"residual {res:g} > tol {tol:g} after {iters} iterations "
                 "(h too coarse or damping floor hit)"
             )
-        rhs[rank] = -resid
-        # the matrix is assembled in nested-dissection order, so SuperLU
-        # does no ordering work; at h = 1/256 its float32 LU has 5.24M
-        # nonzeros, as the float64 one has, against 5.51M under minimum
-        # degree on A^T + A (MMD_AT_PLUS_A)
         x, solves, refactors = _solve_refined(
-            _newton_matrix(v, p, lam, fld.h, epsilon), rhs)
-        delta = x[rank]
+            _newton_matrix(v, p, lam, fld.h, epsilon), -resid.ravel(),
+            resid.shape)
+        delta = x.reshape(resid.shape)
         linear_solves += solves
         float64_refactors += refactors
         theta = 1.0

@@ -143,6 +143,9 @@ def auxiliary_f(gamma, n, p, a=0.0):
 
 _LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
 _LOG_HUGE = math.log(sys.float_info.max)  # ln of the largest double
+# relative accuracy wanted of a root: one ulp of x = ln|gamma| is this
+# coarse in gamma once |x| >= 64, and such roots take a Newton step on gamma
+_ROOT_RTOL = 1e-14
 # Bisection alone reaches 4 ulp of x from any closed-form bracket in about
 # 60 steps; the cap only bounds roots at x ~ 0, where ulp(x) is far finer
 # than the resolution of gamma itself.
@@ -164,6 +167,8 @@ def _solve_branches(mu, p, big_d):
     of the root clipped to its bracket, stops after evaluating the first
     step within 4 ulp of x, and returns the iterate of smallest |g|; over
     the draws of `plap all` a root takes 6.3 evaluations of f on average.
+    Where one ulp of x exceeds _ROOT_RTOL, one Newton step on gamma itself
+    follows (_newton_on_gamma).
     Logs of ratios are taken as differences, so they stay finite when mu is
     near the smallest double.
     """
@@ -206,6 +211,8 @@ def _solve_branches(mu, p, big_d):
                 step = 0.5 * (x_lo + x_hi) - x
                 last = abs(step) <= tol
             x += step
+        if math.ulp(best_x) > _ROOT_RTOL:
+            return _newton_on_gamma(sign * math.exp(best_x), mu, q, big_d)
         return sign * math.exp(best_x)
 
     if mu > 0.0:
@@ -245,6 +252,25 @@ def _solve_branches(mu, p, big_d):
         g1 = root(-1.0, x_lo, x_hi, 0.5 * (x_lo + x_hi))
         g2 = root(1.0, x_edge - 1e-7, x_top, x_g2)
     return g1, g2
+
+
+def _newton_on_gamma(gamma, mu, q, big_d):
+    """gamma after one Newton step on g = f(gamma) - mu, or gamma itself
+    when the step does not lower |g|.
+
+    With t = |gamma| and a = t^q, f = sign(gamma) a (D - q gamma) and
+    dg/dgamma = q a ((D - q gamma)/t - sign(gamma)); a step that overflows
+    or divides by zero is dropped.
+    """
+    sign, t = math.copysign(1.0, gamma), abs(gamma)
+    try:
+        a = t ** q
+        g = sign * a * (big_d - q * gamma) - mu
+        new = gamma - g / (q * a * ((big_d - q * gamma) / t - sign))
+        new_g = math.copysign(abs(new) ** q, new) * (big_d - q * new) - mu
+    except (OverflowError, ZeroDivisionError):
+        return gamma
+    return new if abs(new_g) < abs(g) else gamma
 
 
 def _adjacent_f(gamma, n, p, a):

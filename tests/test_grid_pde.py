@@ -5,13 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
 from plap import grid_pde
 from plap.errors import DomainError, NoConvergence
-from plap.grid_pde import (Field2D, _apply_linearized, _dissection_rank,
-                           _newton_matrix, bochner_residual, directional_range,
+from plap.grid_pde import (Field2D, _apply_linearized, _newton_matrix,
+                           bochner_residual, directional_range,
                            exponential_field, field_from_values,
                            gradient_log_sup, kappa, kappa_bound_check,
                            p_laplace_residual, read_field_plf2,
@@ -200,19 +201,21 @@ class TestSolveDirichlet:
 
 
 class SpyLU:
-    """Stands in for grid_pde.splu: records the dtype of each matrix it
-    factors and, at each call, how many factors it returned before are
-    still alive."""
+    """Stands in for grid_pde.splu: records the dtype and shape of each
+    matrix it factors and, at each call, how many factors it returned
+    before are still alive."""
 
     def __init__(self):
         self.calls = 0
         self.dtypes = []
+        self.shapes = []
         self.alive_at_call = []
         self._factors = []
 
     def __call__(self, mat, **kwargs):
         self.calls += 1
         self.dtypes.append(mat.dtype)
+        self.shapes.append(mat.shape)
         self.alive_at_call.append(
             sum(ref() is not None for ref in self._factors))
         factor = Factor(splu(mat, **kwargs))
@@ -227,14 +230,13 @@ class Factor:
         self.solve = lu.solve
 
 
-def coo_newton_matrix(v, p, lam, h, eps, natural=False):
+def coo_newton_matrix(v, p, lam, h, eps):
     """The Newton matrix built through COO, each stencil block and the mass
     diagonal as separate triplets that tocsc sums.  Interior node (k, l) is
-    numbered k * mj + l if natural, else by _dissection_rank."""
+    numbered k * mj + l."""
     mi, mj = v.shape[0] - 2, v.shape[1] - 2
     sten = grid_pde._stencil_coefficients(v, p, h, eps)
-    idx = (np.arange(mi * mj).reshape(mi, mj) if natural
-           else _dissection_rank(mi, mj))
+    idx = np.arange(mi * mj).reshape(mi, mj)
     rows, cols, vals = [idx.ravel()], [idx.ravel()], [
         ((p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)).ravel()]
     for (di, dj), coef in sten.items():
@@ -248,40 +250,35 @@ def coo_newton_matrix(v, p, lam, h, eps, natural=False):
         shape=(mi * mj, mi * mj)).tocsc()
 
 
-def newton_system(p, h, lam=2.0):
-    """Newton matrix and right-hand side at a perturbed exponential field."""
+def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
+    """Newton matrix, right-hand side and interior shape at an exponential
+    field perturbed by up to `noise` relative at each node (noise = 0 gives
+    the first Newton step of solve_dirichlet)."""
     alpha = eigen_rate_alpha(lam, p)
-    v = exponential_field(alpha, XI, RECT, h).values
-    v = v * (1.0 + 0.01 * np.random.default_rng(7).random(v.shape))
+    v = exponential_field(alpha, XI, rect, h).values
+    v = v * (1.0 + noise * np.random.default_rng(7).random(v.shape))
     eps = 1e-8 * alpha * float(v.max())
-    resid = p_laplace_residual(field_from_values(v, RECT, h), p, lam, eps)
-    rhs = np.empty(resid.size)
-    rhs[_dissection_rank(*resid.shape)] = -resid
-    return _newton_matrix(v, p, lam, h, eps), rhs
+    resid = p_laplace_residual(field_from_values(v, rect, h), p, lam, eps)
+    return _newton_matrix(v, p, lam, h, eps), -resid.ravel(), resid.shape
+
+
+def direct_solve(mat, rhs):
+    """The float64 LU solve that _solve_refined falls back to."""
+    return splu(mat, permc_spec=grid_pde.DIRECT_ORDERING).solve(rhs)
 
 
 class TestDissectionOrder:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (7, 7),
-                                       (31, 63), (255, 255)])
-    def test_rank_is_a_bijection(self, shape):
-        rank = _dissection_rank(*shape)
-        assert rank.shape == shape
-        assert not rank.flags.writeable
-        assert np.array_equal(np.sort(rank.ravel()),
-                              np.arange(shape[0] * shape[1]))
-
     def test_matrix_is_symmetric_permutation_of_natural(self):
+        # the Newton matrix numbers interior node (k, l) as k * mj + l: the
+        # identity permutation of the natural COO build
         h, rect = 1 / 8, (0.0, 0.0, 2.0, 1.0)
         v = exponential_field(1.0, XI, rect, h).values
         v = v * (1.0 + 0.1 * np.random.default_rng(5).random(v.shape))
         p, lam, eps = 3.0, 2.0, 1e-8
-        natural = coo_newton_matrix(v, p, lam, h, eps, natural=True)
-        dissected = _newton_matrix(v, p, lam, h, eps)
-        # natural row k * mj + l is dissected row rank[k, l]
-        old_of_new = np.argsort(_dissection_rank(15, 7).ravel())
-        permuted = natural[old_of_new][:, old_of_new]
-        assert dissected.shape == permuted.shape == (105, 105)
-        assert (dissected != permuted).nnz == 0
+        natural = coo_newton_matrix(v, p, lam, h, eps)
+        mat = _newton_matrix(v, p, lam, h, eps)
+        assert mat.shape == natural.shape == (105, 105)
+        assert (mat != natural).nnz == 0
 
     def test_newton_step_matches_natural_spsolve(self, monkeypatch):
         # one step on a non-square rectangle against the natural-order
@@ -292,13 +289,12 @@ class TestDissectionOrder:
         start = exponential_field(alpha, XI, rect, h)
         eps = 1e-8 * alpha * float(start.values.max())
         resid = p_laplace_residual(start, params.p, params.lam, eps)
-        mat = coo_newton_matrix(start.values, params.p, params.lam, h, eps,
-                                natural=True)
+        mat = coo_newton_matrix(start.values, params.p, params.lam, h, eps)
         expected = spsolve(mat.tocsr(), -resid.ravel()).reshape(resid.shape)
         solutions = []
 
-        def spy(mat, rhs):
-            out = solve_refined(mat, rhs)
+        def spy(mat, rhs, shape):
+            out = solve_refined(mat, rhs, shape)
             solutions.append(out[0])
             return out
 
@@ -307,13 +303,14 @@ class TestDissectionOrder:
         fld, stats = solve_dirichlet(params, XI, rect, h, tol=1e-6,
                                      max_iters=1)
         assert (stats.newton_iters, stats.damping_events) == (1, 0)
-        step = solutions[0][_dissection_rank(*resid.shape)]
+        step = solutions[0].reshape(resid.shape)
         assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(fld.values[1:-1, 1:-1],
                               start.values[1:-1, 1:-1] + step)
 
     def test_splu_called_once_per_newton_step(self, monkeypatch):
-        # the benchmark's tracer times grid_pde.splu by rebinding that name
+        # the benchmark's tracer times grid_pde.splu by rebinding that name;
+        # each step factors its coarsest multigrid level once
         runs = []
         for p, rect, h, tol in ((3.0, (0.0, 0.0, 2.0, 1.0), 1 / 32, 1e-6),
                                 (1.1, RECT, 1 / 4, 1e-9)):
@@ -342,80 +339,124 @@ class TestNewtonLinearLayer:
             assert new.data.tobytes() == ref.data.tobytes()
 
     def test_cached_pattern_survives_a_factorization(self):
-        mat_a, _ = newton_system(3.0, 1 / 64)
+        mat_a, _, _ = newton_system(3.0, 1 / 64)
         cached = grid_pde._newton_pattern(63, 63)
         assert not any(arr.flags.writeable for arr in cached)
         assert not np.shares_memory(mat_a.indices, cached[0])
         assert not np.shares_memory(mat_a.indptr, cached[1])
         splu(mat_a)
-        mat_b, _ = newton_system(3.0, 1 / 64)
+        mat_b, _, _ = newton_system(3.0, 1 / 64)
         assert np.array_equal(mat_a.indptr, mat_b.indptr)
         assert np.array_equal(mat_a.indices, mat_b.indices)
         assert mat_a.data.tobytes() == mat_b.data.tobytes()
 
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_cached_pattern_unchanged_by_a_solve(self, fallback,
+                                                 monkeypatch):
+        # splu sorts the index arrays of a matrix not flagged canonical in
+        # place; neither the V-cycles nor the float64 fallback, which
+        # factors the Newton matrix itself, may reach the cache
+        if fallback:
+            monkeypatch.setattr(grid_pde, "_multigrid_hierarchy",
+                                lambda mat, mi, mj: None)
+        rect, h = (0.0, 0.0, 2.0, 1.0), 1 / 32
+        cached = grid_pde._newton_pattern(63, 31)
+        before = [arr.copy() for arr in cached]
+        _, stats = solve_dirichlet(ProblemParams(n=4, p=1.5, lam=2.0), XI,
+                                   rect, h, tol=1e-9)
+        assert stats.float64_refactors == (stats.newton_iters if fallback
+                                           else 0)
+        after = grid_pde._newton_pattern(63, 31)
+        assert all(a is b for a, b in zip(after, cached))
+        assert not any(arr.flags.writeable for arr in after)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("m, expected", [
+        (5, [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 0.5]]),
+        (4, [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),
+    ])
+    def test_prolongation_weights(self, m, expected):
+        # coarse node I sits on fine node 2I + 1; odd and even axes both
+        # coarsen to m // 2 nodes, with a zero boundary beyond either end
+        assert np.array_equal(grid_pde._prolongation(m).toarray(), expected)
+
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_refined_solve_matches_float64_lu(self, p, monkeypatch):
-        mat, rhs = newton_system(p, 1 / 64)
+        mat, rhs, shape = newton_system(p, 1 / 64)
         expected = splu(mat, permc_spec="NATURAL").solve(rhs)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs)
-        assert spy.dtypes == [np.float32] and refactors == 0
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        # one factor, of the coarsest level, and no fallback
+        assert spy.dtypes == [np.float64] and refactors == 0
+        assert spy.shapes[0][0] < mat.shape[0]
         assert solves >= 2
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_singular_float32_factor_falls_back_to_float64(self, monkeypatch):
-        # 1 + 2^-30 rounds to 1 in float32, so the float32 copy is singular
-        mat = sparse.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -30]]))
-        rhs = np.array([1.0, 2.0])
-        expected = splu(mat, permc_spec="NATURAL").solve(rhs)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 80), st.integers(3, 80), st.floats(1.2, 4.0),
+           st.floats(0.5, 3.0))
+    @example(49, 74, 1.5, 2.5)  # an even axis, coarsened by the m // 2 rule
+    @example(63, 31, 4.0, 0.5)
+    def test_refined_step_matches_spsolve(self, mi, mj, p, lam):
+        # the first Newton step, which the V-cycles solve without fallback
+        h = 1 / 64
+        rect = (0.0, 0.0, (mi + 1) * h, (mj + 1) * h)
+        mat, rhs, shape = newton_system(p, h, lam, rect, noise=0.0)
+        assert shape == (mi, mj)
+        expected = spsolve(mat.tocsr(), rhs)
+        x, _, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        assert refactors == 0
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_zero_diagonal_falls_back_to_float64(self, monkeypatch):
+        # a zero diagonal entry makes its Jacobi weight infinite, so no
+        # hierarchy is built and the step comes from one float64 LU
+        mat, rhs, shape = newton_system(3.0, 1 / 64)
+        mat[0, 0] = 0.0
+        expected = direct_solve(mat, rhs)
         assert np.all(np.isfinite(expected))
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs)
-        assert spy.dtypes == [np.float32, np.float64]
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        assert spy.dtypes == [np.float64] and spy.shapes == [mat.shape]
         assert (solves, refactors) == (1, 1)
         assert np.array_equal(x, expected)
 
     def test_stall_above_rounding_floor_falls_back_to_float64(
             self, monkeypatch):
-        # a float32 factor whose corrections take 90% of the remaining error
-        # for nine solves and 30% after: they stall at 2.1e-10 of |x|, above
-        # the rounding floor and below float32 resolution
-        mat, rhs = newton_system(3.0, 1 / 8)
-        expected = splu(mat, permc_spec="NATURAL").solve(rhs)
+        # V-cycles that take 90% of the remaining error for nine cycles and
+        # 30% after: they stall at 2.1e-10 of |x|, above the rounding floor
+        mat, rhs, shape = newton_system(3.0, 1 / 64)
+        expected = direct_solve(mat, rhs)
+        exact = splu(mat, permc_spec="NATURAL")
+        calls = []
+
+        def slow_vcycle(levels, coarsest, resid):
+            calls.append(resid)
+            gain = 0.9 if len(calls) <= 9 else 0.3
+            return gain * exact.solve(resid)
+
         spy = SpyLU()
-
-        def slow_splu(m, **kwargs):
-            factor = spy(m, **kwargs)
-            if m.dtype == np.float32:
-                exact = splu(m.astype(np.float64), **kwargs)
-                calls = []
-
-                def solve(b):
-                    calls.append(b)
-                    gain = 0.9 if len(calls) <= 9 else 0.3
-                    return (gain * exact.solve(b.astype(np.float64))
-                            ).astype(np.float32)
-
-                factor.solve = solve
-            return factor
-
-        monkeypatch.setattr(grid_pde, "splu", slow_splu)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs)
-        assert spy.dtypes == [np.float32, np.float64]
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        monkeypatch.setattr(grid_pde, "_vcycle", slow_vcycle)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        # the coarsest level's factor, then the fallback after it is freed
+        assert spy.dtypes == [np.float64, np.float64]
+        assert spy.alive_at_call == [0, 0]
         assert (solves, refactors) == (11 + 1, 1)  # the fallback solves once
         assert np.array_equal(x, expected)
 
     def test_one_factor_alive_at_a_time(self, monkeypatch):
-        spy = SpyLU()
-        monkeypatch.setattr(grid_pde, "splu", spy)
-        _, stats = solve_dirichlet(ProblemParams(n=4, p=1.1, lam=2.0), XI,
-                                   RECT, 1 / 4, tol=1e-9)
-        assert spy.calls == stats.newton_iters > 1
-        assert spy.alive_at_call == [0] * spy.calls
-        assert stats.float64_refactors == 0
-        assert stats.linear_solves >= 2 * stats.newton_iters
+        for h in (1 / 4, 1 / 32):
+            spy = SpyLU()
+            monkeypatch.setattr(grid_pde, "splu", spy)
+            _, stats = solve_dirichlet(ProblemParams(n=4, p=1.1, lam=2.0),
+                                       XI, RECT, h, tol=1e-9)
+            assert spy.calls == stats.newton_iters > 1
+            assert spy.alive_at_call == [0] * spy.calls
+            assert stats.float64_refactors == 0
+            assert stats.linear_solves >= 2 * stats.newton_iters
 
 
 class TestLinearizedApply:
@@ -459,11 +500,8 @@ class TestLinearizedApply:
                   + (p - 1) * lam * f.values[1:-1, 1:-1] ** (p - 2)
                   * g[1:-1, 1:-1])
         mat = _newton_matrix(f.values, p, lam, h, eps)
-        # the matrix numbers interior node (k, l) as rank[k, l]
-        rank = _dissection_rank(*direct.shape)
-        vec = np.empty(direct.size)
-        vec[rank] = g[1:-1, 1:-1]
-        via_matrix = (mat @ vec)[rank]
+        # the matrix numbers interior node (k, l) as k * mj + l
+        via_matrix = (mat @ g[1:-1, 1:-1].ravel()).reshape(direct.shape)
         assert np.max(np.abs(direct - via_matrix)) <= 1e-9 * np.max(np.abs(direct))
 
 

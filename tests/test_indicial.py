@@ -154,6 +154,24 @@ class TestIndicialRoots:
             assert 1e308 < abs(g) < math.inf
             assert abs(auxiliary_f(g, 8, 1.0056, 0.0) - mu) <= 1e-12 * -mu
 
+    def test_newton_on_gamma_keeps_only_a_better_finite_step(self):
+        q, big_d = 0.05, 8.0 - 1.05
+        exact = 4.168968054720113e293
+
+        def g(gamma):
+            return math.copysign(abs(gamma) ** q, gamma) * (big_d - q * gamma)
+
+        mu = g(exact)
+        # 1e-13 off the root, the step lands within rounding of it
+        start = exact * (1.0 + 1e-13)
+        new = indicial._newton_on_gamma(start, mu, q, big_d)
+        assert abs(g(new) - mu) < abs(g(start) - mu)
+        assert new == pytest.approx(exact, rel=1e-15)
+        # at the root no step lowers |g|
+        assert indicial._newton_on_gamma(exact, mu, q, big_d) == exact
+        # |gamma|^q overflows for q > 1: the step is dropped
+        assert indicial._newton_on_gamma(1e300, -1e307, 2.0, 1.0) == 1e300
+
     def test_mu_zero_factorization(self):
         data = indicial_roots(ProblemParams(n=4, p=2.0))
         assert data.gamma1 == 0.0
@@ -220,12 +238,13 @@ class TestIndicialRoots:
         assert data.gamma2 == pytest.approx(0.5 * (d + disc), abs=1e-12 * max(1, abs(d)))
 
 
-def _oracle_roots(n, p, a, mu, x_floor=-3000):
+def _oracle_roots(n, p, a, mu, x_floor=-3000, x_ceil=710):
     """Both roots of f(gamma) = mu by mpmath.findroot at 50 digits.
 
     Solves f(+-e^x) = mu on each monotone branch of f, bracketed only by
     gamma_star, the zero crossing edge = D/(p-1) and wide outer ends (the
-    lower one at x_floor, which must lie below ln|gamma1|).  The
+    lower one at x_floor, which must lie below ln|gamma1|, the upper one
+    at x_ceil, just above the log of the largest double).  The
     residual is taken relative to the size of the terms of f, so that a root
     of a tiny mu and a root next to the cancellation at edge both resolve.
     D < 0 reduces to D > 0 by the symmetry (gamma, D) -> (-gamma, -D).
@@ -249,7 +268,7 @@ def _oracle_roots(n, p, a, mu, x_floor=-3000):
         if mu > 0:
             g1, g2 = solve(1, x_floor, x_star), solve(1, x_star, x_edge)
         else:
-            g1, g2 = solve(-1, x_floor, 50), solve(1, x_edge, 50)
+            g1, g2 = solve(-1, x_floor, x_ceil), solve(1, x_edge, x_ceil)
         return (-g2, -g1) if flip else (g1, g2)
 
 
@@ -275,6 +294,8 @@ def _oracle_roots(n, p, a, mu, x_floor=-3000):
     # gamma1 lies below the smallest double and no double meets the residual
     # bound: f - mu changes sign between -0.0 and -5e-324
     (2, 1.026975, 0.429235, -7.99e-10),
+    # |gamma| ~ 4e293: one ulp of ln|gamma| ~ 675 is 1.1e-13 of gamma
+    (8, 1.05, 0.0, -1e307),
 ])
 def test_roots_match_mpmath_oracle(n, p, a, mu):
     data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))

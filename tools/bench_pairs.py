@@ -13,8 +13,9 @@ others.  Then each side runs once with `--trace 1` on seed 1011.  The pairs
 and the traced runs go workload by workload, in the order given.
 
 The JSON file written holds, per workload: the seeds; each side's `failed`
-and `correct` per run; whether the lines naming failed operations are the
-same on both sides in every pair; and for each end-to-end metric of
+and `correct` per run and the raw `# seconds:` line bench/run.py prints;
+whether the lines naming failed operations are the same on both sides in
+every pair; and for each end-to-end metric of
 BENCHMARK.json each side's runs, quartiles and median, and the number of
 pairs in which the working tree reads lower and higher.  It also holds both
 sides' traced metrics per workload, and one summary line per workload and
@@ -40,7 +41,8 @@ FIRST_SEED = 1011
 
 
 def bench(tree, workload, seed, seconds, trace):
-    """(result JSON, machine info, lines naming failed operations) of one run."""
+    """(result JSON, machine info, lines naming failed operations, the
+    `# seconds:` line or None for a traced run) of one run."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
@@ -52,7 +54,9 @@ def bench(tree, workload, seed, seconds, trace):
     machine = next(json.loads(line[len("# machine "):]) for line in lines
                    if line.startswith("# machine "))
     failed_ops = [line for line in lines if line.startswith("# op ")]
-    return json.loads(lines[-1]), machine, failed_ops
+    seconds = next((line for line in lines if line.startswith("# seconds:")),
+                   None)
+    return json.loads(lines[-1]), machine, failed_ops, seconds
 
 
 def cpu_name():
@@ -75,14 +79,16 @@ def workload_entry(seeds, runs, metric_units):
     """The per-workload record: runs[side] lists each pair's bench results."""
     entry = {
         "seeds": seeds,
-        "failed": {s: [r["failed"] for r, _ in runs[s]] for s in SIDES},
-        "correct": {s: [r["correct"] for r, _ in runs[s]] for s in SIDES},
+        "failed": {s: [r["failed"] for r, _, _ in runs[s]] for s in SIDES},
+        "correct": {s: [r["correct"] for r, _, _ in runs[s]] for s in SIDES},
+        "seconds": {s: [sec for _, _, sec in runs[s]] for s in SIDES},
         "metrics": {},
         "failed_ops_identical": all(
-            a == b for (_, a), (_, b) in zip(runs["parent"], runs["change"])),
+            a == b for (_, a, _), (_, b, _) in zip(runs["parent"],
+                                                   runs["change"])),
     }
     for name, unit in metric_units.items():
-        vals = {s: [r["metrics"][name]["value"] for r, _ in runs[s]]
+        vals = {s: [r["metrics"][name]["value"] for r, _, _ in runs[s]]
                 for s in SIDES}
         pairs = list(zip(vals["parent"], vals["change"]))
         entry["metrics"][name] = {
@@ -157,10 +163,10 @@ def main(argv=None) -> int:
             runs = {s: [] for s in SIDES}
             for i, seed in enumerate(seeds):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    result, machine, failed_ops = bench(
+                    result, machine, failed_ops, secs = bench(
                         trees[side], workload, seed, seconds, 0)
-                    runs[side].append((result, failed_ops))
-                    print(f"{workload} seed {seed} {side}: "
+                    runs[side].append((result, failed_ops, secs))
+                    print(f"{workload} seed {seed} {side}: {secs} "
                           f"{json.dumps(result['metrics'])}", flush=True)
             out["machine"] = {**machine, "cpu": cpu_name()}
             entry = workload_entry(seeds, runs, metric_units)
@@ -169,8 +175,8 @@ def main(argv=None) -> int:
                              for name, m in entry["metrics"].items()]
             traced = {}
             for side in SIDES:
-                result, _, _ = bench(trees[side], workload, FIRST_SEED,
-                                     seconds, 1)
+                result, _, _, _ = bench(trees[side], workload, FIRST_SEED,
+                                        seconds, 1)
                 traced[side] = {
                     "correct": result["correct"], "failed": result["failed"],
                     **{k: v["value"] for k, v in result["metrics"].items()}}

@@ -7,7 +7,8 @@ on that tree and on the working tree, and compares their output trees, stdout
 and exit codes byte for byte.  Prints each difference; exits 1 if there is
 one and 0 otherwise.  The commands are:
 - `plap all --seed s` for s = 0..19;
-- `roots` and `grid` on README's example configs;
+- `roots` and `grid` on README's example configs, and `grid` on a 49 x 74
+  interior, whose even axis the multigrid coarsens by the m // 2 rule;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {}.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
@@ -40,12 +41,17 @@ CONFIGS = {
 }
 
 
+GRID_EVEN_AXIS = {"params": {"n": 4, "p": 1.5, "lam": 2.5}, "xi": [0.6, 0.8],
+                  "rect": [0, 0, 1, 1.5], "h": 0.02, "tol": 1e-9}
+
+
 def commands():
     """(name, plap arguments before --out, config or None) of each run."""
     for seed in SEEDS:
         yield f"all_seed{seed}", ["all", "--seed", str(seed)], None
     for sub, cfg in CONFIGS.items():
         yield sub, [sub], cfg
+    yield "grid_even_axis", ["grid"], GRID_EVEN_AXIS
 
 
 def read_tree(root):
