@@ -11,7 +11,6 @@ and the second-order (Bochner) identity check share one discretization.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -222,66 +221,34 @@ def _stencil_coefficients(base, p, h, epsilon):
     return sten
 
 
-# the 3x3 stencil offsets (di, dj), in _stencil_coefficients' order
-STENCIL_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-                   (1, 1), (-1, -1), (1, -1), (-1, 1))
-
-
-def _stencil_block(mi, mj, di, dj):
-    """Slices of the interior nodes (k, l) whose neighbour (k+di, l+dj) is
-    interior too, and of those neighbours."""
-    ks = slice(max(0, -di), mi - max(0, di))
-    ls = slice(max(0, -dj), mj - max(0, dj))
-    return (ks, ls), (slice(ks.start + di, ks.stop + di),
-                      slice(ls.start + dj, ls.stop + dj))
-
-
-@functools.lru_cache(maxsize=4)
-def _newton_pattern(mi, mj):
-    """CSC pattern of the Newton matrix on an mi x mj interior, whose node
-    (k, l) is row and column k * mj + l.
-
-    Returns read-only (indices, indptr, order): the matrix data is the
-    concatenation of the stencil blocks in STENCIL_OFFSETS order, gathered
-    by `order`.  The mass term rides on the (0, 0) block, so no entry
-    repeats.
-    """
-    number = np.arange(mi * mj).reshape(mi, mj)
-    rows, cols = [], []
-    for off in STENCIL_OFFSETS:
-        nodes, neighbours = _stencil_block(mi, mj, *off)
-        rows.append(number[nodes].ravel())
-        cols.append(number[neighbours].ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    order = np.lexsort((rows, cols))
-    indices = rows[order].astype(np.int32)
-    indptr = np.zeros(mi * mj + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=mi * mj), out=indptr[1:])
-    for arr in (indices, indptr, order):
-        arr.setflags(write=False)
-    return indices, indptr, order
-
-
 def _newton_matrix(v, p, lam, h, epsilon):
-    """Sparse matrix of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta (interior).
+    """CSR matrix of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta (interior).
 
-    Interior node (k, l) is row and column k * mj + l.  The values fill the
-    cached _newton_pattern, bit for bit the entries a COO build summing the
-    (0, 0) block and the mass diagonal gives.  The matrix holds its own
-    copies of the index arrays: splu rewrites those of a matrix not flagged
-    canonical in place, and that must never reach the cache.
+    Interior node (k, l) is row and column k * mj + l, so stencil entry
+    (di, dj) lies on diagonal di * mj + dj.  Couplings to boundary nodes are
+    zeroed before each stencil array is laid on its diagonal; entries that
+    share a diagonal (mj <= 2) are summed, and exact zeros are left out.
     """
     nx, ny = v.shape
     mi, mj = nx - 2, ny - 2
-    sten = _stencil_coefficients(v, p, h, epsilon)
-    indices, indptr, order = _newton_pattern(mi, mj)
+    size = mi * mj
     mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
-    # Newton operator is -L_v + mass
-    vals = [(mass - sten[0, 0]).ravel()]
-    vals += [-sten[off][_stencil_block(mi, mj, *off)[0]].ravel()
-             for off in STENCIL_OFFSETS[1:]]
-    return sparse.csc_matrix((np.concatenate(vals)[order], indices.copy(),
-                              indptr.copy()), shape=(mi * mj, mi * mj))
+    diagonals = {}
+    for (di, dj), coef in _stencil_coefficients(v, p, h, epsilon).items():
+        # Newton operator is -L_v + mass
+        coef = mass - coef if (di, dj) == (0, 0) else -coef
+        if di:
+            coef[mi - 1 if di > 0 else 0, :] = 0.0
+        if dj:
+            coef[:, mj - 1 if dj > 0 else 0] = 0.0
+        off = di * mj + dj
+        if abs(off) >= size:  # no interior pair on it (mi = 1)
+            continue
+        flat = coef.ravel()
+        diag = flat[:size - off] if off >= 0 else flat[-off:]
+        diagonals[off] = diagonals[off] + diag if off in diagonals else diag
+    return sparse.diags(list(diagonals.values()), list(diagonals),
+                        shape=(size, size), format="csr")
 
 
 def _prolongation(m):
@@ -346,23 +313,22 @@ def _vcycle(levels, coarsest, rhs):
 def _solve_refined(mat, rhs, shape):
     """Solution of mat @ x = rhs by multigrid V-cycles, refined in float64.
 
-    mat is the Newton matrix of an interior of the given shape, numbered
+    mat is the CSR Newton matrix of an interior of the given shape, numbered
     k * mj + l.  The Galerkin hierarchy (_multigrid_hierarchy) is built
     once, and each correction is one V-cycle (_vcycle) on the float64
     residual rhs - mat @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
     Oosterlee & Schueller, Multigrid, 2001).  Refinement stops once a
-    correction is within REFINE_ULPS float64 ulps of x, or when it fails
-    to halve the one before while within STALL_ULPS ulps of x: that is
-    the rounding floor.  x comes from one float64 LU of mat instead when
-    the hierarchy cannot be built (a Jacobi weight is not finite or the
-    coarsest matrix is singular), or a correction is not finite or fails
-    to halve the one before above STALL_ULPS ulps of x.  No hierarchy
-    outlives the call, and it is freed before the float64 LU is made.
+    correction is within REFINE_ULPS float64 ulps of x, or when it fails to
+    halve the one before while within STALL_ULPS ulps of x: that is the
+    rounding floor.  x comes from one float64 LU of mat instead when the
+    hierarchy cannot be built (a Jacobi weight is not finite or the coarsest
+    matrix is singular), or a correction is not finite or fails to halve the
+    one before above STALL_ULPS ulps of x.  No hierarchy outlives the call,
+    and it is freed before the float64 LU is made.
 
     Returns (x, V-cycles plus fallback solves, float64 factorizations).
     """
-    fine = mat.tocsr()  # its products are faster than the CSC ones
-    hierarchy = _multigrid_hierarchy(fine, *shape)
+    hierarchy = _multigrid_hierarchy(mat, *shape)
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
     while hierarchy is not None:
@@ -386,9 +352,10 @@ def _solve_refined(mat, rhs, shape):
                 return x, cycles, 0
             break
         last = step
-        resid = rhs - fine @ x
+        resid = rhs - mat @ x
     hierarchy = None  # freed before the float64 LU is made
-    return splu(mat, permc_spec=DIRECT_ORDERING).solve(rhs), cycles + 1, 1
+    return (splu(mat.tocsc(), permc_spec=DIRECT_ORDERING).solve(rhs),
+            cycles + 1, 1)
 
 
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
@@ -401,8 +368,8 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     data or the initial residual are not finite, and NoConvergence when
     max_iters or the damping floor is exhausted before final_residual <= tol.
 
-    Each Newton step assembles the Jacobian into the cached CSC pattern of
-    its grid shape and solves it with _solve_refined: multigrid V-cycles
+    Each Newton step assembles the Jacobian as CSR from its nine stencil
+    diagonals and solves it with _solve_refined: multigrid V-cycles
     on the float64 residual until a correction reaches rounding, or one
     float64 LU when they fail.  The step's multigrid hierarchy is freed
     before the next one is built.  SolveStats counts the V-cycles and

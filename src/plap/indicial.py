@@ -256,16 +256,20 @@ def _solve_branches(mu, p, big_d):
 
 def _newton_on_gamma(gamma, mu, q, big_d):
     """gamma after one Newton step on g = f(gamma) - mu, or gamma itself
-    when the step does not lower |g|.
+    when |g| is within the rounding of f or the step does not lower |g|.
 
     With t = |gamma| and a = t^q, f = sign(gamma) a (D - q gamma) and
     dg/dgamma = q a ((D - q gamma)/t - sign(gamma)); a step that overflows
-    or divides by zero is dropped.
+    or divides by zero is dropped.  f is rounded by about
+    eps a (|D| + q t), and where f is flat in gamma (p near 1) a step from
+    a g that small moves gamma by rounding noise.
     """
     sign, t = math.copysign(1.0, gamma), abs(gamma)
     try:
         a = t ** q
         g = sign * a * (big_d - q * gamma) - mu
+        if abs(g) <= 4.0 * sys.float_info.epsilon * a * (abs(big_d) + q * t):
+            return gamma
         new = gamma - g / (q * a * ((big_d - q * gamma) / t - sign))
         new_g = math.copysign(abs(new) ** q, new) * (big_d - q * new) - mu
     except (OverflowError, ZeroDivisionError):

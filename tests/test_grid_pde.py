@@ -232,7 +232,7 @@ class Factor:
 
 def coo_newton_matrix(v, p, lam, h, eps):
     """The Newton matrix built through COO, each stencil block and the mass
-    diagonal as separate triplets that tocsc sums.  Interior node (k, l) is
+    diagonal as separate triplets that tocsr sums.  Interior node (k, l) is
     numbered k * mj + l."""
     mi, mj = v.shape[0] - 2, v.shape[1] - 2
     sten = grid_pde._stencil_coefficients(v, p, h, eps)
@@ -247,39 +247,45 @@ def coo_newton_matrix(v, p, lam, h, eps):
         vals.append(-coef[k_lo:k_hi, l_lo:l_hi].ravel())
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mi * mj, mi * mj)).tocsc()
+        shape=(mi * mj, mi * mj)).tocsr()
+
+
+def newton_field(p, h, lam=2.0, rect=RECT, noise=0.01, xi=XI):
+    """solve_dirichlet's boundary data extended to the rectangle, perturbed
+    by up to `noise` relative at each node, and its epsilon."""
+    alpha = eigen_rate_alpha(lam, p)
+    v = exponential_field(alpha, xi, rect, h).values
+    v = v * (1.0 + noise * np.random.default_rng(7).random(v.shape))
+    return v, 1e-8 * alpha * float(v.max())
 
 
 def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
-    """Newton matrix, right-hand side and interior shape at an exponential
-    field perturbed by up to `noise` relative at each node (noise = 0 gives
-    the first Newton step of solve_dirichlet)."""
-    alpha = eigen_rate_alpha(lam, p)
-    v = exponential_field(alpha, XI, rect, h).values
-    v = v * (1.0 + noise * np.random.default_rng(7).random(v.shape))
-    eps = 1e-8 * alpha * float(v.max())
+    """Newton matrix, right-hand side and interior shape at newton_field
+    (noise = 0 gives the first Newton step of solve_dirichlet)."""
+    v, eps = newton_field(p, h, lam, rect, noise)
     resid = p_laplace_residual(field_from_values(v, rect, h), p, lam, eps)
     return _newton_matrix(v, p, lam, h, eps), -resid.ravel(), resid.shape
 
 
 def direct_solve(mat, rhs):
     """The float64 LU solve that _solve_refined falls back to."""
-    return splu(mat, permc_spec=grid_pde.DIRECT_ORDERING).solve(rhs)
+    return splu(mat.tocsc(), permc_spec=grid_pde.DIRECT_ORDERING).solve(rhs)
 
 
-class TestDissectionOrder:
-    def test_matrix_is_symmetric_permutation_of_natural(self):
-        # the Newton matrix numbers interior node (k, l) as k * mj + l: the
-        # identity permutation of the natural COO build
-        h, rect = 1 / 8, (0.0, 0.0, 2.0, 1.0)
-        v = exponential_field(1.0, XI, rect, h).values
-        v = v * (1.0 + 0.1 * np.random.default_rng(5).random(v.shape))
-        p, lam, eps = 3.0, 2.0, 1e-8
-        natural = coo_newton_matrix(v, p, lam, h, eps)
-        mat = _newton_matrix(v, p, lam, h, eps)
-        assert mat.shape == natural.shape == (105, 105)
-        assert (mat != natural).nnz == 0
+def random_inputs(shape):
+    """_newton_matrix arguments at a random positive field of the given
+    shape, for p in 1.5, 3 and 4."""
+    v = np.exp(np.random.default_rng(11).random(shape))
+    return [(v, p, 2.0, 1 / 64, 1e-8) for p in (1.5, 3.0, 4.0)]
 
+
+def field_inputs(p, h, rect=RECT, noise=0.0, xi=XI):
+    """_newton_matrix arguments at newton_field with lam = 2."""
+    v, eps = newton_field(p, h, 2.0, rect, noise, xi)
+    return [(v, p, 2.0, h, eps)]
+
+
+class TestNewtonStep:
     def test_newton_step_matches_natural_spsolve(self, monkeypatch):
         # one step on a non-square rectangle against the natural-order
         # Jacobian solved by spsolve
@@ -290,7 +296,7 @@ class TestDissectionOrder:
         eps = 1e-8 * alpha * float(start.values.max())
         resid = p_laplace_residual(start, params.p, params.lam, eps)
         mat = coo_newton_matrix(start.values, params.p, params.lam, h, eps)
-        expected = spsolve(mat.tocsr(), -resid.ravel()).reshape(resid.shape)
+        expected = spsolve(mat, -resid.ravel()).reshape(resid.shape)
         solutions = []
 
         def spy(mat, rhs, shape):
@@ -326,50 +332,28 @@ class TestDissectionOrder:
 
 
 class TestNewtonLinearLayer:
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 9), (9, 4), (17, 12),
-                                       (66, 34)])
-    def test_matrix_matches_coo_build_bit_for_bit(self, shape):
-        rng = np.random.default_rng(11)
-        v = np.exp(rng.random(shape))
-        for p in (1.5, 3.0, 4.0):
-            new = _newton_matrix(v, p, 2.0, 1 / 64, 1e-8)
-            ref = coo_newton_matrix(v, p, 2.0, 1 / 64, 1e-8)
+    @pytest.mark.parametrize("inputs, dropped", [
+        *(pytest.param(random_inputs(shape), 0, id=f"shape{k}")
+          for k, shape in enumerate([(3, 3), (3, 9), (9, 4), (17, 12),
+                                     (66, 34), (9, 3)])),
+        pytest.param(field_inputs(3.0, 1 / 8, (0.0, 0.0, 2.0, 1.0), 0.1), 0,
+                     id="rect_2x1"),
+        # c2 = 0 on every face, so the four corner couplings are exact
+        # zeros, left out of the matrix
+        pytest.param(field_inputs(3.0, 1 / 16, xi=(1.0, 0.0)), 784,
+                     id="xi_1_0"),
+        pytest.param(field_inputs(2.0, 1 / 16), 784, id="p_2"),
+    ])
+    def test_matrix_matches_coo_build_bit_for_bit(self, inputs, dropped):
+        for v, p, lam, h, eps in inputs:
+            new = _newton_matrix(v, p, lam, h, eps)
+            ref = coo_newton_matrix(v, p, lam, h, eps)
+            assert (new != ref).nnz == 0
+            assert ref.nnz - new.nnz == dropped
+            ref.eliminate_zeros()
             assert np.array_equal(new.indptr, ref.indptr)
             assert np.array_equal(new.indices, ref.indices)
             assert new.data.tobytes() == ref.data.tobytes()
-
-    def test_cached_pattern_survives_a_factorization(self):
-        mat_a, _, _ = newton_system(3.0, 1 / 64)
-        cached = grid_pde._newton_pattern(63, 63)
-        assert not any(arr.flags.writeable for arr in cached)
-        assert not np.shares_memory(mat_a.indices, cached[0])
-        assert not np.shares_memory(mat_a.indptr, cached[1])
-        splu(mat_a)
-        mat_b, _, _ = newton_system(3.0, 1 / 64)
-        assert np.array_equal(mat_a.indptr, mat_b.indptr)
-        assert np.array_equal(mat_a.indices, mat_b.indices)
-        assert mat_a.data.tobytes() == mat_b.data.tobytes()
-
-    @pytest.mark.parametrize("fallback", [False, True])
-    def test_cached_pattern_unchanged_by_a_solve(self, fallback,
-                                                 monkeypatch):
-        # splu sorts the index arrays of a matrix not flagged canonical in
-        # place; neither the V-cycles nor the float64 fallback, which
-        # factors the Newton matrix itself, may reach the cache
-        if fallback:
-            monkeypatch.setattr(grid_pde, "_multigrid_hierarchy",
-                                lambda mat, mi, mj: None)
-        rect, h = (0.0, 0.0, 2.0, 1.0), 1 / 32
-        cached = grid_pde._newton_pattern(63, 31)
-        before = [arr.copy() for arr in cached]
-        _, stats = solve_dirichlet(ProblemParams(n=4, p=1.5, lam=2.0), XI,
-                                   rect, h, tol=1e-9)
-        assert stats.float64_refactors == (stats.newton_iters if fallback
-                                           else 0)
-        after = grid_pde._newton_pattern(63, 31)
-        assert all(a is b for a, b in zip(after, cached))
-        assert not any(arr.flags.writeable for arr in after)
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     @pytest.mark.parametrize("m, expected", [
         (5, [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 0.5]]),
@@ -383,7 +367,7 @@ class TestNewtonLinearLayer:
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_refined_solve_matches_float64_lu(self, p, monkeypatch):
         mat, rhs, shape = newton_system(p, 1 / 64)
-        expected = splu(mat, permc_spec="NATURAL").solve(rhs)
+        expected = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
         x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
@@ -404,7 +388,7 @@ class TestNewtonLinearLayer:
         rect = (0.0, 0.0, (mi + 1) * h, (mj + 1) * h)
         mat, rhs, shape = newton_system(p, h, lam, rect, noise=0.0)
         assert shape == (mi, mj)
-        expected = spsolve(mat.tocsr(), rhs)
+        expected = spsolve(mat, rhs)
         x, _, refactors = grid_pde._solve_refined(mat, rhs, shape)
         assert refactors == 0
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -429,7 +413,7 @@ class TestNewtonLinearLayer:
         # 30% after: they stall at 2.1e-10 of |x|, above the rounding floor
         mat, rhs, shape = newton_system(3.0, 1 / 64)
         expected = direct_solve(mat, rhs)
-        exact = splu(mat, permc_spec="NATURAL")
+        exact = splu(mat.tocsc(), permc_spec="NATURAL")
         calls = []
 
         def slow_vcycle(levels, coarsest, resid):

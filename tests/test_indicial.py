@@ -296,6 +296,8 @@ def _oracle_roots(n, p, a, mu, x_floor=-3000, x_ceil=710):
     (2, 1.026975, 0.429235, -7.99e-10),
     # |gamma| ~ 4e293: one ulp of ln|gamma| ~ 675 is 1.1e-13 of gamma
     (8, 1.05, 0.0, -1e307),
+    # gamma1 ~ 1e-118 with p near 1 (test_no_newton_step_within_rounding)
+    (3, 1.0062569971562056, 1.0327012427440763, 0.17435110706076715),
 ])
 def test_roots_match_mpmath_oracle(n, p, a, mu):
     data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
@@ -303,6 +305,16 @@ def test_roots_match_mpmath_oracle(n, p, a, mu):
         # relative error, or one subnormal step for a root below the
         # smallest double
         assert abs(got - exact) <= 1e-13 * abs(exact) + math.ulp(0.0)
+
+
+def test_no_newton_step_within_rounding():
+    # f ~ D gamma^(p-1) is so flat at gamma1 that a Newton step from a g
+    # within f's rounding moves gamma by about eps / (p - 1): taking it
+    # left gamma1 2.9e-14 from the oracle, the x solve alone 3.2e-15
+    n, p, a, mu = 3, 1.0062569971562056, 1.0327012427440763, 0.17435110706076715
+    got = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu)).gamma1
+    exact = _oracle_roots(n, p, a, mu)[0]
+    assert abs(got - exact) <= 1e-14 * abs(exact)
 
 
 def _newton_sweep_draws():

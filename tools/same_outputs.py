@@ -8,7 +8,9 @@ and exit codes byte for byte.  Prints each difference; exits 1 if there is
 one and 0 otherwise.  The commands are:
 - `plap all --seed s` for s = 0..19;
 - `roots` and `grid` on README's example configs, and `grid` on a 49 x 74
-  interior, whose even axis the multigrid coarsens by the m // 2 rule;
+  interior, whose even axis the multigrid coarsens by the m // 2 rule, and
+  at xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
+  couplings;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {}.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
@@ -41,8 +43,15 @@ CONFIGS = {
 }
 
 
-GRID_EVEN_AXIS = {"params": {"n": 4, "p": 1.5, "lam": 2.5}, "xi": [0.6, 0.8],
-                  "rect": [0, 0, 1, 1.5], "h": 0.02, "tol": 1e-9}
+GRID_EXTRA = {
+    "grid_even_axis": {"params": {"n": 4, "p": 1.5, "lam": 2.5},
+                       "xi": [0.6, 0.8], "rect": [0, 0, 1, 1.5], "h": 0.02,
+                       "tol": 1e-9},
+    "grid_xi_1_0": {"params": {"n": 4, "p": 3.0, "lam": 2.0}, "xi": [1.0, 0.0],
+                    "rect": [0, 0, 1, 1], "h": 0.03125, "tol": 1e-9},
+    "grid_p2": {"params": {"n": 4, "p": 2.0, "lam": 2.0}, "xi": [0.6, 0.8],
+                "rect": [0, 0, 1, 1], "h": 0.03125, "tol": 1e-9},
+}
 
 
 def commands():
@@ -51,7 +60,8 @@ def commands():
         yield f"all_seed{seed}", ["all", "--seed", str(seed)], None
     for sub, cfg in CONFIGS.items():
         yield sub, [sub], cfg
-    yield "grid_even_axis", ["grid"], GRID_EVEN_AXIS
+    for name, cfg in GRID_EXTRA.items():
+        yield name, ["grid"], cfg
 
 
 def read_tree(root):
