@@ -315,11 +315,20 @@ def _order_shortfall(errs):
 BOCHNER_ATOMS = (((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0))
 
 
+def _oracle_residual(h, lam):
+    """Bochner identity residual of the oracle field at spacing h; NaN when
+    that field overflows (e^sqrt(lam) beyond the largest double), so the
+    refinement row fails."""
+    try:
+        fld = grid_pde.representation_field(BOCHNER_ATOMS, lam, UNIT_SQUARE, h)
+    except DomainError:  # h and lam are checked by the config already
+        return math.nan
+    return grid_pde.bochner_residual(fld, 2.0, lam)
+
+
 def _bochner_trend(h_list, lam):
     """Oracle-field identity residuals and their refinement-factor shortfall."""
-    resid = [grid_pde.bochner_residual(
-        grid_pde.representation_field(BOCHNER_ATOMS, lam, UNIT_SQUARE, h),
-        2.0, lam) for h in h_list]
+    resid = [_oracle_residual(h, lam) for h in h_list]
     for h, r in zip(h_list, resid):
         if r == 0.0:
             raise DomainError(

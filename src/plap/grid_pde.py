@@ -25,7 +25,8 @@ from .indicial import ProblemParams, eigen_rate_alpha
 PLF2_MAGIC = b"PLF2"
 DAMPING_FLOOR = 2.0 ** -30
 # refinement of a Newton step by V-cycles stops once a correction is
-# within this many float64 ulps of the step
+# within this many float64 ulps of the field the step updates, at every
+# node: the update v + theta * delta rounds the rest away
 REFINE_ULPS = 4.0
 # a correction that fails to halve the one before is the rounding floor
 # when within this many float64 ulps of the step, else the V-cycle has
@@ -67,10 +68,9 @@ class Field2D:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.nx, self.ny):
             raise DomainError("values must have shape (nx, ny)")
-        if self.h <= 0.0:
-            raise DomainError("h must be positive")
-        if not np.all(self.values > 0.0):
-            raise DomainError("field values must be positive")
+        _check_spacing(self.h)
+        if not _positive_finite(self.values):
+            raise DomainError("field values must be positive and finite")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
 
     def x_coords(self) -> np.ndarray:
@@ -100,7 +100,18 @@ def _check_unit(vec):
     return vec
 
 
+def _positive_finite(values) -> bool:
+    # `values > 0` alone lets +inf through
+    return bool(np.all((values > 0.0) & np.isfinite(values)))
+
+
+def _check_spacing(h):
+    if not (h > 0.0 and math.isfinite(h)):
+        raise DomainError("h must be positive and finite")
+
+
 def _grid_shape(rect, h):
+    _check_spacing(h)
     x0, y0, x1, y1 = (float(c) for c in rect)
     if not (x1 > x0 and y1 > y0):
         raise DomainError("rectangle must have positive extent")
@@ -114,14 +125,20 @@ def _grid_shape(rect, h):
     return x0, y0, nx, ny
 
 
-def exponential_field(alpha, xi, rect, h, scale=1.0) -> Field2D:
-    """Field scale*exp(alpha*<x, xi>) sampled on the rectangle grid."""
+def _exponential_values(alpha, xi, rect, h, scale=1.0) -> np.ndarray:
+    """Values scale*exp(alpha*<x, xi>) at the rectangle grid's nodes."""
     xi = _check_unit(xi)
     x0, y0, nx, ny = _grid_shape(rect, h)
     x = x0 + h * np.arange(nx)
     y = y0 + h * np.arange(ny)
     phase = alpha * (xi[0] * x[:, None] + xi[1] * y[None, :])
-    return Field2D(nx=nx, ny=ny, h=h, origin=(x0, y0), values=scale * np.exp(phase))
+    return scale * np.exp(phase)
+
+
+def exponential_field(alpha, xi, rect, h, scale=1.0) -> Field2D:
+    """Field scale*exp(alpha*<x, xi>) sampled on the rectangle grid."""
+    return field_from_values(_exponential_values(alpha, xi, rect, h, scale),
+                             rect, h)
 
 
 def field_from_values(values, rect, h) -> Field2D:
@@ -310,25 +327,32 @@ def _vcycle(levels, coarsest, rhs):
     return x
 
 
-def _solve_refined(mat, rhs, shape):
-    """Solution of mat @ x = rhs by multigrid V-cycles, refined in float64.
+def _solve_refined(mat, rhs, interior):
+    """Newton step x solving mat @ x = rhs, by multigrid V-cycles refined in
+    float64.
 
-    mat is the CSR Newton matrix of an interior of the given shape, numbered
-    k * mj + l.  The Galerkin hierarchy (_multigrid_hierarchy) is built
-    once, and each correction is one V-cycle (_vcycle) on the float64
-    residual rhs - mat @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
-    Oosterlee & Schueller, Multigrid, 2001).  Refinement stops once a
-    correction is within REFINE_ULPS float64 ulps of x, or when it fails to
+    interior holds the (mi, mj) positive interior values of the field the
+    step updates, and mat is the CSR Newton matrix on those nodes, node
+    (k, l) being row k * mj + l.  The Galerkin hierarchy (_multigrid_hierarchy)
+    is built once, and each correction is one V-cycle (_vcycle) on the
+    float64 residual rhs - mat @ x (Brandt, Math. Comp. 31, 1977;
+    Trottenberg, Oosterlee & Schueller, Multigrid, 2001).  Refinement stops
+    once a correction is within REFINE_ULPS float64 ulps of the field at
+    every node, |corr| <= REFINE_ULPS * eps * interior: the update
+    interior + x rounds finer digits of x away, so x is accurate to a few
+    ulps of the field, not of itself (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 12).  It also stops when a correction fails to
     halve the one before while within STALL_ULPS ulps of x: that is the
-    rounding floor.  x comes from one float64 LU of mat instead when the
-    hierarchy cannot be built (a Jacobi weight is not finite or the coarsest
-    matrix is singular), or a correction is not finite or fails to halve the
-    one before above STALL_ULPS ulps of x.  No hierarchy outlives the call,
-    and it is freed before the float64 LU is made.
+    rounding floor of x.  x comes from one float64 LU of mat instead when
+    the hierarchy cannot be built (a Jacobi weight is not finite or the
+    coarsest matrix is singular), or a correction is not finite or fails to
+    halve the one before above STALL_ULPS ulps of x.  No hierarchy outlives
+    the call, and it is freed before the float64 LU is made.
 
     Returns (x, V-cycles plus fallback solves, float64 factorizations).
     """
-    hierarchy = _multigrid_hierarchy(mat, *shape)
+    hierarchy = _multigrid_hierarchy(mat, *interior.shape)
+    done = REFINE_ULPS * EPS64 * interior.ravel()
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
     while hierarchy is not None:
@@ -338,17 +362,17 @@ def _solve_refined(mat, rhs, shape):
         with np.errstate(invalid="ignore", over="ignore"):
             corr = _vcycle(*hierarchy, resid)
         cycles += 1
-        step = float(np.max(np.abs(corr)))
+        size = np.abs(corr)
+        step = float(np.max(size))
         if not math.isfinite(step):
             break
         x += corr
-        x_size = float(np.max(np.abs(x)))
-        if step <= REFINE_ULPS * EPS64 * x_size:
+        if np.all(size <= done):
             return x, cycles, 0
         if step > 0.5 * last:
             # stalled: at the rounding floor, or above it because the
             # cycle does not contract on this matrix
-            if step <= STALL_ULPS * EPS64 * x_size:
+            if step <= STALL_ULPS * EPS64 * float(np.max(np.abs(x))):
                 return x, cycles, 0
             break
         last = step
@@ -369,9 +393,12 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     max_iters or the damping floor is exhausted before final_residual <= tol.
 
     Each Newton step assembles the Jacobian as CSR from its nine stencil
-    diagonals and solves it with _solve_refined: multigrid V-cycles
-    on the float64 residual until a correction reaches rounding, or one
-    float64 LU when they fail.  The step's multigrid hierarchy is freed
+    diagonals and solves it with _solve_refined: multigrid V-cycles on the
+    float64 residual until a correction is within REFINE_ULPS ulps of the
+    interior of v, the field the step updates, or one float64 LU when they
+    fail.  The updated field is then within a few ulps of the one an exact
+    step gives, while the step itself may be accurate only to those ulps of
+    v rather than to its own.  The step's multigrid hierarchy is freed
     before the next one is built.  SolveStats counts the V-cycles and
     fallback solves (linear_solves) and the float64 fallbacks
     (float64_refactors).
@@ -385,11 +412,12 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         raise DomainError("lam must be positive")
     alpha = eigen_rate_alpha(lam, p)
     with np.errstate(over="ignore"):
-        fld = exponential_field(alpha, xi, rect, h, scale=scale)
-    v = fld.values
+        v = _exponential_values(alpha, xi, rect, h, scale=scale)
+    # checked before Field2D, which rejects the overflow without naming it
     if not np.all(np.isfinite(v)):
         raise DomainError(f"boundary data exp({alpha:g} <x, xi>) overflows "
                           "on the rectangle")
+    fld = field_from_values(v, rect, h)
     epsilon = 1e-8 * alpha * float(v.max())
 
     def res_norm(arr):
@@ -414,7 +442,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
             )
         x, solves, refactors = _solve_refined(
             _newton_matrix(v, p, lam, fld.h, epsilon), -resid.ravel(),
-            resid.shape)
+            v[1:-1, 1:-1])
         delta = x.reshape(resid.shape)
         linear_solves += solves
         float64_refactors += refactors
@@ -424,7 +452,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 raise NoConvergence("damping floor reached without residual decrease")
             v_try = v.copy()
             v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
-            if np.all(v_try > 0.0):
+            if _positive_finite(v_try):
                 try_field = Field2D(nx=fld.nx, ny=fld.ny, h=fld.h,
                                     origin=fld.origin, values=v_try)
                 resid_try = p_laplace_residual(try_field, p, lam, epsilon)
@@ -537,7 +565,7 @@ def representation_field(atoms, lam, rect, h) -> Field2D:
     # math.sqrt, not eigen_rate_alpha: its lam ** 0.5 differs from sqrt in
     # the last bit at some lam (e.g. 2.315)
     alpha = math.sqrt(lam)
-    values = sum(exponential_field(alpha, xi, rect, h, scale=w).values
+    values = sum(_exponential_values(alpha, xi, rect, h, scale=w)
                  for xi, w in atoms)
     return field_from_values(values, rect, h)
 

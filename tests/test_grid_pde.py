@@ -22,6 +22,19 @@ from plap.indicial import ProblemParams, eigen_rate_alpha
 
 RECT = (0.0, 0.0, 1.0, 1.0)
 XI = np.array([0.6, 0.8])
+# a refined Newton step updates the field to within this many ulps of the
+# field an exact step gives: its last correction is within REFINE_ULPS *
+# eps * v <= 2 * REFINE_ULPS ulps of v at every node, the correction norms
+# at least halve, so the error left is no larger, and both updates round
+# to whole ulps (measured: 1 ulp at an exact start, 4 at noise 0.01)
+FIELD_ULPS = 2 * grid_pde.REFINE_ULPS
+
+
+def field_gap_ulps(base, step, expected):
+    """Largest gap between base + step and base + expected, in ulps of
+    base."""
+    return float(np.max(np.abs((base + step) - (base + expected))
+                        / np.spacing(base)))
 
 
 def two_exp_field(h, lam=1.0):
@@ -65,6 +78,26 @@ class TestField2D:
             Field2D(nx=3, ny=3, h=-0.5, origin=(0, 0), values=np.ones((3, 3)))
         with pytest.raises(DomainError):
             Field2D(nx=4, ny=3, h=0.5, origin=(0, 0), values=np.ones((3, 3)))
+
+    @pytest.mark.parametrize("h, value, message", [
+        (math.nan, 1.0, "h must be positive and finite"),
+        (math.inf, 1.0, "h must be positive and finite"),
+        (0.5, math.inf, "field values must be positive and finite"),
+        (0.5, math.nan, "field values must be positive and finite"),
+    ])
+    def test_rejects_non_finite(self, h, value, message):
+        values = np.ones((3, 3))
+        values[1, 2] = value
+        with pytest.raises(DomainError, match=message):
+            Field2D(nx=3, ny=3, h=h, origin=(0, 0), values=values)
+
+    def test_plf2_rejects_non_finite_values(self, tmp_path):
+        f = exponential_field(1.0, XI, RECT, 0.5)
+        f.values[1, 1] = math.inf
+        path = tmp_path / "inf.plf2"
+        write_field_plf2(f, path)
+        with pytest.raises(DomainError, match="positive and finite"):
+            read_field_plf2(path)
 
     def test_coords(self):
         f = exponential_field(1.0, XI, RECT, 0.25)
@@ -157,6 +190,12 @@ class TestSolveDirichlet:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=re.escape(message)):
                 solve_dirichlet(params, xi, RECT, 0.125)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -0.125])
+    def test_bad_spacing_raises(self, h):
+        # round(nan) in _grid_shape once raised a bare ValueError
+        with pytest.raises(DomainError, match="h must be positive and finite"):
+            solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), XI, RECT, h)
 
     def test_scaling_covariance(self):
         # the equation is (p-1)-homogeneous: C * data -> C * solution
@@ -260,11 +299,12 @@ def newton_field(p, h, lam=2.0, rect=RECT, noise=0.01, xi=XI):
 
 
 def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
-    """Newton matrix, right-hand side and interior shape at newton_field
-    (noise = 0 gives the first Newton step of solve_dirichlet)."""
+    """Newton matrix, right-hand side and the interior of newton_field, the
+    field the step updates (noise = 0 gives the first Newton step of
+    solve_dirichlet)."""
     v, eps = newton_field(p, h, lam, rect, noise)
     resid = p_laplace_residual(field_from_values(v, rect, h), p, lam, eps)
-    return _newton_matrix(v, p, lam, h, eps), -resid.ravel(), resid.shape
+    return _newton_matrix(v, p, lam, h, eps), -resid.ravel(), v[1:-1, 1:-1]
 
 
 def direct_solve(mat, rhs):
@@ -299,8 +339,8 @@ class TestNewtonStep:
         expected = spsolve(mat, -resid.ravel()).reshape(resid.shape)
         solutions = []
 
-        def spy(mat, rhs, shape):
-            out = solve_refined(mat, rhs, shape)
+        def spy(mat, rhs, interior):
+            out = solve_refined(mat, rhs, interior)
             solutions.append(out[0])
             return out
 
@@ -310,9 +350,34 @@ class TestNewtonStep:
                                      max_iters=1)
         assert (stats.newton_iters, stats.damping_events) == (1, 0)
         step = solutions[0].reshape(resid.shape)
-        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert np.array_equal(fld.values[1:-1, 1:-1],
-                              start.values[1:-1, 1:-1] + step)
+        base = start.values[1:-1, 1:-1]
+        assert field_gap_ulps(base, step, expected) <= FIELD_ULPS
+        assert np.array_equal(fld.values[1:-1, 1:-1], base + step)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+    def test_solve_matches_spsolve_newton(self, p):
+        # Newton from the same start with every step from spsolve, stopped
+        # by the same residual test; no step is damped on either side
+        params = ProblemParams(n=5, p=p, lam=2.0)
+        h, tol = 1 / 32, 1e-10
+        fld, stats = solve_dirichlet(params, XI, RECT, h, tol=tol)
+        alpha = eigen_rate_alpha(params.lam, p)
+        ref = exponential_field(alpha, XI, RECT, h)
+        eps = 1e-8 * alpha * float(ref.values.max())
+        iters = 0
+        resid = p_laplace_residual(ref, p, params.lam, eps)
+        while np.max(np.abs(resid)) > tol and iters <= stats.newton_iters:
+            step = spsolve(coo_newton_matrix(ref.values, p, params.lam, h, eps),
+                           -resid.ravel()).reshape(resid.shape)
+            values = ref.values.copy()
+            values[1:-1, 1:-1] += step
+            ref = field_from_values(values, RECT, h)
+            resid = p_laplace_residual(ref, p, params.lam, eps)
+            iters += 1
+        assert (stats.newton_iters, stats.damping_events) == (iters, 0)
+        assert iters >= 1
+        gap = np.abs(fld.values - ref.values) / np.spacing(ref.values)
+        assert float(np.max(gap)) <= FIELD_ULPS
 
     def test_splu_called_once_per_newton_step(self, monkeypatch):
         # the benchmark's tracer times grid_pde.splu by rebinding that name;
@@ -366,11 +431,11 @@ class TestNewtonLinearLayer:
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_refined_solve_matches_float64_lu(self, p, monkeypatch):
-        mat, rhs, shape = newton_system(p, 1 / 64)
+        mat, rhs, base = newton_system(p, 1 / 64)
         expected = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
         # one factor, of the coarsest level, and no fallback
         assert spy.dtypes == [np.float64] and refactors == 0
         assert spy.shapes[0][0] < mat.shape[0]
@@ -383,26 +448,59 @@ class TestNewtonLinearLayer:
     @example(49, 74, 1.5, 2.5)  # an even axis, coarsened by the m // 2 rule
     @example(63, 31, 4.0, 0.5)
     def test_refined_step_matches_spsolve(self, mi, mj, p, lam):
-        # the first Newton step, which the V-cycles solve without fallback
+        # the first Newton step, which the V-cycles solve without fallback;
+        # the step is 1e-7 to 1e-5 of the field, so its own digits below
+        # the field's rounding are not resolved
         h = 1 / 64
         rect = (0.0, 0.0, (mi + 1) * h, (mj + 1) * h)
-        mat, rhs, shape = newton_system(p, h, lam, rect, noise=0.0)
-        assert shape == (mi, mj)
+        mat, rhs, base = newton_system(p, h, lam, rect, noise=0.0)
+        assert base.shape == (mi, mj)
         expected = spsolve(mat, rhs)
-        x, _, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        x, _, refactors = grid_pde._solve_refined(mat, rhs, base)
         assert refactors == 0
-        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert field_gap_ulps(base.ravel(), x, expected) <= FIELD_ULPS
+
+    @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
+    def test_refinement_stops_at_the_field_rounding(self, p, monkeypatch):
+        # the returned step's last correction is the first within
+        # REFINE_ULPS ulps of the field at every node; at this exact start
+        # that takes 7-10 V-cycles, where stopping within REFINE_ULPS ulps
+        # of the step itself took 14-16
+        mat, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
+        vcycle, calls = grid_pde._vcycle, []
+
+        def spy(levels, coarsest, resid):
+            calls.append((len(levels), vcycle(levels, coarsest, resid)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(grid_pde, "_vcycle", spy)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
+        # _vcycle recurses through the spy; the finest level's calls are
+        # the corrections
+        top = max(depth for depth, _ in calls)
+        corrections = [corr for depth, corr in calls if depth == top]
+        done = grid_pde.REFINE_ULPS * grid_pde.EPS64 * base.ravel()
+        within = [bool(np.all(np.abs(c) <= done)) for c in corrections]
+        assert within[-1] and not any(within[:-1])
+        assert (solves, refactors) == (len(corrections), 0)
+        assert solves <= 11
+        total = np.zeros_like(x)
+        for corr in corrections:
+            total += corr
+        assert np.array_equal(x, total)
+        last = float(np.max(np.abs(corrections[-1])))
+        assert last > grid_pde.REFINE_ULPS * grid_pde.EPS64 * np.max(np.abs(x))
 
     def test_zero_diagonal_falls_back_to_float64(self, monkeypatch):
         # a zero diagonal entry makes its Jacobi weight infinite, so no
         # hierarchy is built and the step comes from one float64 LU
-        mat, rhs, shape = newton_system(3.0, 1 / 64)
+        mat, rhs, base = newton_system(3.0, 1 / 64)
         mat[0, 0] = 0.0
         expected = direct_solve(mat, rhs)
         assert np.all(np.isfinite(expected))
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
         assert spy.dtypes == [np.float64] and spy.shapes == [mat.shape]
         assert (solves, refactors) == (1, 1)
         assert np.array_equal(x, expected)
@@ -411,7 +509,7 @@ class TestNewtonLinearLayer:
             self, monkeypatch):
         # V-cycles that take 90% of the remaining error for nine cycles and
         # 30% after: they stall at 2.1e-10 of |x|, above the rounding floor
-        mat, rhs, shape = newton_system(3.0, 1 / 64)
+        mat, rhs, base = newton_system(3.0, 1 / 64)
         expected = direct_solve(mat, rhs)
         exact = splu(mat.tocsc(), permc_spec="NATURAL")
         calls = []
@@ -424,7 +522,7 @@ class TestNewtonLinearLayer:
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
         monkeypatch.setattr(grid_pde, "_vcycle", slow_vcycle)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, shape)
+        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
         # the coarsest level's factor, then the fallback after it is freed
         assert spy.dtypes == [np.float64, np.float64]
         assert spy.alive_at_call == [0, 0]

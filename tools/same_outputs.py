@@ -5,7 +5,10 @@ Usage:  python tools/same_outputs.py REV
 Checks REV out into a temporary `git worktree`, runs the same plap commands
 on that tree and on the working tree, and compares their output trees, stdout
 and exit codes byte for byte.  Prints each difference; exits 1 if there is
-one and 0 otherwise.  The commands are:
+one and 0 otherwise.  A CSV or PLF2 file that differs only in its numbers
+is reported with how many of them differ and the largest gap in float64
+ulps (the count of doubles from one value to the other), so that a change
+at rounding level reads as one.  The commands are:
 - `plap all --seed s` for s = 0..19;
 - `roots` and `grid` on README's example configs, and `grid` on a 49 x 74
   interior, whose even axis the multigrid coarsens by the m // 2 rule, and
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -84,6 +89,63 @@ def run(tree, work, args, cfg):
     return proc.returncode, proc.stdout, read_tree(work / "out")
 
 
+PLF2_HEADER = "<4sIIddd"  # magic, nx, ny, h, origin
+
+
+def csv_fields(data):
+    """(text fields with None where a number stood, numbers) of a CSV
+    file's bytes, split into lines and on commas."""
+    text, numbers = [], []
+    for line in data.decode().splitlines():
+        for field in line.split(","):
+            try:
+                numbers.append(float(field))
+                text.append(None)
+            except ValueError:
+                text.append(field)
+        text.append("\n")
+    return text, numbers
+
+
+def plf2_fields(data):
+    """(magic, nx, ny and length, then h, the origin and the values) of a
+    PLF2 grid file's bytes."""
+    magic, nx, ny, *numbers = struct.unpack_from(PLF2_HEADER, data)
+    values = data[struct.calcsize(PLF2_HEADER):]
+    numbers += struct.unpack(f"<{len(values) // 8}d", values)
+    return [magic, nx, ny, len(data)], numbers
+
+
+def ulp_gap(a, b):
+    """Number of float64 steps from a to b (0 if equal or both NaN, inf if
+    only one is NaN)."""
+    if math.isnan(a) or math.isnan(b):
+        return 0 if math.isnan(a) and math.isnan(b) else math.inf
+    # sign-magnitude bit patterns onto one ordered integer line
+    ia, ib = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    ia, ib = (i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF) for i in (ia, ib))
+    return abs(ia - ib)
+
+
+def number_gaps(path, old, new):
+    """(numbers that differ, numbers, largest gap in ulps) between two
+    versions of a CSV or PLF2 file, or None when they differ in more than
+    their numbers or the file is of another kind."""
+    split = {".csv": csv_fields, ".plf2": plf2_fields}.get(Path(path).suffix)
+    if split is None:
+        return None
+    try:
+        (layout_old, numbers_old), (layout_new, numbers_new) = (
+            split(old), split(new))
+    except (UnicodeDecodeError, struct.error):
+        return None
+    if layout_old != layout_new or len(numbers_old) != len(numbers_new):
+        return None
+    gaps = [ulp_gap(a, b) for a, b in zip(numbers_old, numbers_new)]
+    differ = [gap for gap in gaps if gap]
+    return len(differ), len(gaps), max(differ, default=0)
+
+
 def differences(name, base, head):
     """One line per differing exit code, stdout or output file."""
     (code_b, out_b, files_b), (code_h, out_h, files_h) = base, head
@@ -98,7 +160,11 @@ def differences(name, base, head):
         elif path not in files_b:
             diffs.append(f"{name}: {path} only in the working tree")
         elif files_b[path] != files_h[path]:
-            diffs.append(f"{name}: {path} differs")
+            gaps = number_gaps(path, files_b[path], files_h[path])
+            detail = "" if gaps is None else (
+                f" in {gaps[0]} of {gaps[1]} numbers, by at most "
+                f"{gaps[2]} ulps")
+            diffs.append(f"{name}: {path} differs{detail}")
     return diffs
 
 
