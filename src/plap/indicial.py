@@ -107,9 +107,13 @@ class IndicialData:
 def hardy_best_constant(n, p, a=0.0):
     """Best constant |(n-(a+1)p)/p|^p of the two-weight Hardy inequality.
 
-    Vanishes exactly at a = (n-p)/p.
+    Vanishes exactly at a = (n-p)/p.  n, p and a may also be arrays that
+    broadcast; every p must then lie in (1, n).  numpy's array power may
+    differ from the scalar one in the last bit.
     """
-    if not (1.0 < p < n):
+    inside = (1.0 < p) & (p < n)
+    # a Python bool for scalars, which skips numpy's per-call cost
+    if not (inside if isinstance(inside, bool) else inside.all()):
         raise DomainError("p must lie in (1, n)")
     return abs((n - (a + 1.0) * p) / p) ** p
 

@@ -52,8 +52,8 @@ def test_criterion_01_indicial_roots():
     worst = 0.0
     placement_ok = True
     p2_gap = 0.0
-    for k in range(trials):
-        n, p, a, mu = cli._sample_admissible(rng, force_p2=(k % 5 == 0))
+    draws = cli._sample_admissible(rng, trials)
+    for n, p, a, mu in zip(*(x.tolist() for x in draws)):
         data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
         scale = max(1.0, abs(mu))
         for g in (data.gamma1, data.gamma2):

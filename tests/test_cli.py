@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from plap import cli, radial_ode
 from plap.errors import ConfigError, DomainError
-from plap.indicial import auxiliary_f, hardy_best_constant
+from plap.indicial import (RESIDUAL_RTOL, RootPlacement, auxiliary_f,
+                           hardy_best_constant)
 
 # The nine config keys that `plap all` took, at their defaults; the campaign
 # now runs with exactly these settings and takes no key.
@@ -609,22 +610,6 @@ class TestOneSidedChecks:
         assert math.isnan(cli._order_shortfall([1.0, 0.25, math.nan]))
 
 
-def _uniform_sample_admissible(rng, force_p2=False):
-    """_sample_admissible as written with Generator.uniform."""
-    n = int(rng.integers(3 if force_p2 else 2, 9))
-    p = 2.0 if force_p2 else float(rng.uniform(1.05, min(n - 0.05, 4.0)))
-    crit = (n - p) / p
-    pick = rng.random()
-    if pick < 0.1:
-        a = crit
-        mu = -float(rng.uniform(0.0, 5.0)) if rng.random() < 0.9 else 0.0
-    else:
-        a = crit + float(rng.uniform(-2.0, 2.0))
-        mu_bar = hardy_best_constant(n, p, a)
-        mu = mu_bar if pick < 0.2 else float(rng.uniform(-10.0, mu_bar))
-    return n, p, a, mu
-
-
 def _uniform_sample_root_instance(rng):
     """_sample_root_instance as written with Generator.uniform."""
     for _ in range(64):
@@ -644,17 +629,9 @@ def _uniform_sample_root_instance(rng):
 
 
 class TestSamplerStreams:
-    """The samplers draw each uniform from rng.random(); the draws and the
-    stream must be those of Generator.uniform (50 seeds x 400 draws here;
-    numpy's uniform is low + (high - low) * next_double)."""
-
-    def test_admissible_stream(self):
-        for seed in range(50):
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for k in range(400):
-                assert (cli._sample_admissible(new, k % 5 == 0)
-                        == _uniform_sample_admissible(old, k % 5 == 0))
-            assert new.random() == old.random()
+    """Step 09's sampler draws each uniform from rng.random(); the draws and
+    the stream must be those of Generator.uniform (50 seeds x 400 draws
+    here; numpy's uniform is low + (high - low) * next_double)."""
 
     def test_root_instance_stream(self, monkeypatch):
         # the roots only decide the rare redraws, so cheap stand-ins for the
@@ -668,6 +645,98 @@ class TestSamplerStreams:
                 assert (cli._sample_root_instance(new)
                         == _uniform_sample_root_instance(old))
             assert new.random() == old.random()
+
+
+class TestAdmissibleSampler:
+    """The law of step 01's draws, on 10 000 of them."""
+
+    TRIALS = 10_000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return cli._sample_admissible(np.random.default_rng(2026), self.TRIALS)
+
+    def test_ranges(self, draws):
+        n, p, a, mu = draws
+        assert set(n.tolist()) == set(range(2, 9))
+        assert np.all((1.0 < p) & (p < n) & (p >= 1.05))
+        general = p != 2.0
+        assert np.all(p[general] <= np.minimum(n[general] - 0.05, 4.0))
+        # below mu_bar within the tolerance of indicial_roots' NoRealRoot
+        for n_k, p_k, a_k, mu_k in zip(*(x.tolist() for x in draws)):
+            mu_bar = hardy_best_constant(n_k, p_k, a_k)
+            assert mu_k <= mu_bar + RESIDUAL_RTOL * max(1.0, mu_bar)
+
+    def test_every_fifth_draw_at_p2(self, draws):
+        n, p, _, _ = draws
+        assert np.all(p[::5] == 2.0) and np.all(n[::5] >= 3)
+        # a general p lands on 2 with probability 0
+        assert np.count_nonzero(p == 2.0) == self.TRIALS // 5
+
+    def test_case_shares(self, draws):
+        n, p, a, mu = draws
+        critical = a == (n - p) / p
+        double = ~critical & (mu == hardy_best_constant(n, p, a))
+        # binomial(10 000, 0.1) has sd 30 and binomial(1000, 0.1) about 9.5:
+        # these bounds sit 5 sd out
+        assert abs(np.count_nonzero(critical) - 1000) <= 150
+        assert abs(np.count_nonzero(double) - 1000) <= 150
+        assert np.all(mu[critical] <= 0.0)
+        assert abs(np.count_nonzero(mu[critical] == 0.0) - 100) <= 50
+
+    def test_all_placements_occur(self, draws):
+        seen = {cli.indicial_roots(cli.ProblemParams(*draw)).placement
+                for draw in zip(*(x.tolist() for x in draws))}
+        assert seen == set(RootPlacement)
+
+    def test_seed_repeats(self, draws):
+        again = cli._sample_admissible(np.random.default_rng(2026), self.TRIALS)
+        for old, new in zip(draws, again):
+            assert np.array_equal(old, new)
+
+
+class TestIndicialStep:
+    def test_one_root_solve_per_trial(self, monkeypatch):
+        # bench/run.py's traced self-check counts the indicial_roots calls
+        # made from step_indicial
+        calls = []
+        solve = cli.indicial_roots
+
+        def counting(params):
+            calls.append(params)
+            return solve(params)
+
+        monkeypatch.setattr(cli, "indicial_roots", counting)
+        rows = cli.step_indicial({"indicial_trials": 500},
+                                 np.random.default_rng(7))
+        assert len(calls) == 500
+        assert all(row.passed for row in rows)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_rows_match_per_draw_loop(self, seed):
+        trials = 2000
+        draws = cli._sample_admissible(np.random.default_rng([seed, 0]), trials)
+        worst, gap, failures = 0.0, 0.0, 0
+        for n, p, a, mu in zip(*(x.tolist() for x in draws)):
+            data = cli.indicial_roots(cli.ProblemParams(n, p, a, mu))
+            roots = (data.gamma1, data.gamma2)
+            for g in roots:
+                worst = max(worst, abs(auxiliary_f(g, n, p, a) - mu)
+                            / max(1.0, abs(mu)))
+            failures += not cli.placement_satisfied(data, n, p, a)
+            if p == 2.0 and not data.double_root:
+                for g, q in zip(roots, cli._p2_roots(n, a, mu)):
+                    gap = max(gap, abs(g - q) / max(1.0, abs(q)))
+        rows = {row.name: row.measured for row in cli.step_indicial(
+            {"indicial_trials": trials}, np.random.default_rng([seed, 0]))}
+        assert rows["placement_failures"] == failures
+        # the array power may differ from libm's pow by one ulp, which
+        # moves a relative residual by at most 2 eps (derived in CHANGES.md)
+        eps = np.finfo(float).eps
+        assert abs(rows["max_relative_residual"] - worst) <= 4 * eps
+        # the closed form takes the same correctly rounded operations on
+        # the same doubles
+        assert rows["p2_oracle_gap"] == gap
 
 
 class TestPowerResidualStep:

@@ -35,6 +35,17 @@ class TestHardyBestConstant:
         with pytest.raises(DomainError):
             hardy_best_constant(3, 1.0, 0)
 
+    def test_arrays_match_scalar(self):
+        # numpy's array power may differ from libm's pow in the last bit
+        n, p, a, _ = cli._sample_admissible(np.random.default_rng(5), 2000)
+        got = hardy_best_constant(n, p, a)
+        want = np.array([hardy_best_constant(*draw)
+                         for draw in zip(n.tolist(), p.tolist(), a.tolist())])
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+        for bad in (1.0, 3.0):
+            with pytest.raises(DomainError):
+                hardy_best_constant(np.array([3, 3]), np.array([2.0, bad]))
+
 
 class TestEigenRateAlpha:
     def test_hand_values(self):
@@ -322,7 +333,7 @@ def _newton_sweep_draws():
     draws of step 01, then p in [1.02, 1.2] with |mu| down to 1e-300, where
     gamma1 lies far below the smallest double."""
     rng = np.random.default_rng(11)
-    draws = [cli._sample_admissible(rng) for _ in range(200)]
+    draws = list(zip(*(x.tolist() for x in cli._sample_admissible(rng, 200))))
     for _ in range(100):
         n = int(rng.integers(2, 9))
         p = float(rng.uniform(1.02, 1.2))
