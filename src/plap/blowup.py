@@ -44,13 +44,6 @@ class RescaleReport:
             raise DomainError("distances must be nonnegative")
 
 
-def write_rescale_csv(report: RescaleReport, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("scale,sup_distance,grad_distance\n")
-        for k, s, g in zip(report.scales, report.sup_distance, report.grad_distance):
-            fh.write(f"{k:.17g},{s:.17g},{g:.17g}\n")
-
-
 def _check_radius(profile: RadialProfile, r, what):
     if r < profile.r_min or r > profile.r_max:
         raise OutOfRange(

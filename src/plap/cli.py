@@ -58,6 +58,19 @@ class CheckRow:
         return 0.0 if gap == 0.0 else 1.0 + gap
 
 
+def _write_csv(path, header, rows, comments=()):
+    """Write a `# ` line per comment, the header, then one line per row.
+
+    Every artifact under --out is written here.  Each number is written
+    with 17 significant digits, which read back as the same double."""
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(header))
+    lines += [",".join(v if isinstance(v, str) else format(v, ".17g")
+                       for v in row) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @dataclass
 class ExperimentReport:
     subcommand: str
@@ -72,16 +85,13 @@ class ExperimentReport:
         return all(row.passed for row in self.rows)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# plap report: {self.subcommand}\n")
-            for key in sorted(self.metadata):
-                fh.write(f"# {key}: {json.dumps(self.metadata[key], sort_keys=True)}\n")
-            for line in self.details:
-                fh.write(f"# {line}\n")
-            fh.write("name,target,measured,tolerance,pass\n")
-            for row in self.rows:
-                fh.write(f"{row.name},{row.target:.17g},{row.measured:.17g},"
-                         f"{row.tolerance:.17g},{int(row.passed)}\n")
+        metadata = [f"{key}: {json.dumps(self.metadata[key], sort_keys=True)}"
+                    for key in sorted(self.metadata)]
+        _write_csv(path, ("name", "target", "measured", "tolerance", "pass"),
+                   [(row.name, row.target, row.measured, row.tolerance,
+                     int(row.passed)) for row in self.rows],
+                   [f"plap report: {self.subcommand}", *metadata,
+                    *self.details])
 
 
 def _shortfall(value, floor):
@@ -280,12 +290,19 @@ def _check_translates(shifts, window):
 # --- builders shared by the targeted campaigns and the acceptance steps ---
 
 def _p2_roots(n, a, mu):
-    """Closed-form roots of the p=2 index equation; None if they are complex."""
+    """Closed-form roots (d -+ sqrt(d^2 - 4 mu)) / 2, d = n - 2 (a + 1), of
+    the p=2 index equation, elementwise over arrays; the caller checks that
+    d^2 - 4 mu >= 0."""
     d = n - (a + 1.0) * 2.0
-    disc = d * d - 4.0 * mu
-    if disc < 0.0:
-        return None
-    return 0.5 * (d - math.sqrt(disc)), 0.5 * (d + math.sqrt(disc))
+    root_disc = np.sqrt(d * d - 4.0 * mu)
+    return 0.5 * (d - root_disc), 0.5 * (d + root_disc)
+
+
+def _write_profile(profile, path):
+    """Columns r,u,du under a comment carrying the profile's meta as JSON."""
+    _write_csv(path, ("r", "u", "du"),
+               zip(profile.r, profile.u, profile.du),
+               [json.dumps(profile.meta, sort_keys=True, default=str)])
 
 
 def _exact_solve(params, alpha, xi, rect, h, tol):
@@ -350,8 +367,11 @@ def _power_fixed_point(gamma, scales):
 
 def _translate_rows(rep_zero, rep_far, out_dir):
     """Rows of the far-field translates; writes both rescaling reports."""
-    blowup.write_rescale_csv(rep_zero, Path(out_dir) / "rescale_origin.csv")
-    blowup.write_rescale_csv(rep_far, Path(out_dir) / "translate_far_field.csv")
+    for rep, name in ((rep_zero, "rescale_origin.csv"),
+                      (rep_far, "translate_far_field.csv")):
+        _write_csv(Path(out_dir) / name,
+                   ("scale", "sup_distance", "grad_distance"),
+                   zip(rep.scales, rep.sup_distance, rep.grad_distance))
     diffs = np.diff(rep_far.sup_distance)
     return [
         CheckRow("translate_monotone", 0.0, float(_excess(diffs.max(), 0.0)), 0.0),
@@ -390,9 +410,10 @@ def run_roots(cfg, out_dir) -> ExperimentReport:
             for k, g in ((1, data.gamma1), (2, data.gamma2))]
     rows.append(CheckRow("placement_ok", 1.0,
                          float(placement_satisfied(data, n, p, a)), 0.0))
-    roots = _p2_roots(n, a, mu) if p == 2.0 else None
-    if roots is not None:
-        q1, q2 = roots
+    d = n - (a + 1.0) * 2.0
+    # np.sqrt of a negative discriminant warns; the roots are then complex
+    if p == 2.0 and d * d - 4.0 * mu >= 0.0:
+        q1, q2 = _p2_roots(n, a, mu)
         rows.append(CheckRow("gamma1", q1, data.gamma1, 1e-12 * max(1.0, abs(q1))))
         rows.append(CheckRow("gamma2", q2, data.gamma2, 1e-12 * max(1.0, abs(q2))))
     return _write_report("roots", rows, cfg, out_dir)
@@ -413,7 +434,7 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
         CheckRow("fit_power", power_ref, fit.power, 0.1),
         CheckRow("fit_rms", 0.0, fit.rms, 1e-2),
     ]
-    radial_ode.write_profile_csv(shot.profile, Path(out_dir) / "exterior_profile.csv")
+    _write_profile(shot.profile, Path(out_dir) / "exterior_profile.csv")
     return _write_report("shoot", rows, cfg, out_dir)
 
 
@@ -474,8 +495,12 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
                  _gradient_log_excess(fld, alpha, sup_err, h), 0.0),
         CheckRow("kappa_bound", 0.0, _kappa_excess(fld, params.p, params.lam), 0.0),
     ]
-    grid_pde.write_field_csv(fld, Path(out_dir) / "dirichlet_field.csv")
-    grid_pde.write_field_plf2(fld, Path(out_dir) / "dirichlet_field.plf2")
+    # columns x,y,v in row-major node order
+    _write_csv(Path(out_dir) / "dirichlet_field.csv", ("x", "y", "v"),
+               zip(np.repeat(fld.x_coords(), fld.ny),
+                   np.tile(fld.y_coords(), fld.nx), fld.values.ravel()),
+               [f"nx={fld.nx} ny={fld.ny} h={fld.h:.17g} "
+                f"origin=({fld.origin[0]:.17g},{fld.origin[1]:.17g})"])
     return _write_report("grid", rows, cfg, out_dir)
 
 
@@ -484,10 +509,8 @@ def run_bochner(cfg, out_dir) -> ExperimentReport:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     resid, shortfall = _bochner_trend(c["h_list"], c["lam"])
     rows = [CheckRow("refinement_factor", 0.0, shortfall, 0.0)]
-    with open(Path(out_dir) / "bochner_trend.csv", "w", newline="") as fh:
-        fh.write("h,residual\n")
-        for h, r in zip(c["h_list"], resid):
-            fh.write(f"{h:.17g},{r:.17g}\n")
+    _write_csv(Path(out_dir) / "bochner_trend.csv", ("h", "residual"),
+               zip(c["h_list"], resid))
     return _write_report("bochner", rows, cfg, out_dir)
 
 
@@ -552,11 +575,9 @@ def step_indicial(cfg, rng):
     q = p - 1.0
     f = np.copysign(np.abs(g) ** q, g) * (n - (a + 1.0) * p - q * g)
     resid = np.abs(f - mu) / np.maximum(1.0, np.abs(mu))
-    # closed-form roots (d -+ sqrt(d^2 - 4 mu)) / 2 of the p = 2 draws
+    # closed-form roots of the p = 2 draws
     oracle = (p == 2.0) & ~double
-    d = n[oracle] - (a[oracle] + 1.0) * 2.0
-    root_disc = np.sqrt(d * d - 4.0 * mu[oracle])
-    exact = 0.5 * np.array([d - root_disc, d + root_disc])
+    exact = np.array(_p2_roots(n[oracle], a[oracle], mu[oracle]))
     gap = np.abs(g[:, oracle] - exact) / np.maximum(1.0, np.abs(exact))
     # np.max keeps a NaN, which the builtin max drops
     return [
@@ -638,8 +659,7 @@ def step_exterior(cfg, out_dir):
                                                 grid_points=1600)
     xi = np.array([1.0, 0.0, 0.0])
     est = blowup.martin_kernel_estimate(shot_far.profile, xi, xi, t)
-    radial_ode.write_profile_csv(shot3.profile,
-                                 Path(out_dir) / "exterior_profile_n3.csv")
+    _write_profile(shot3.profile, Path(out_dir) / "exterior_profile_n3.csv")
     return [
         CheckRow("n3_rate", 1.0, fit3.rate, 1e-3),
         CheckRow("n3_power", 1.0, fit3.power, 5e-2),

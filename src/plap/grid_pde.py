@@ -12,7 +12,6 @@ and the second-order (Bochner) identity check share one discretization.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from scipy.sparse.linalg import splu
 from .errors import DomainError, NoConvergence
 from .indicial import ProblemParams, eigen_rate_alpha
 
-PLF2_MAGIC = b"PLF2"
 DAMPING_FLOOR = 2.0 ** -30
 # refinement of a Newton step by V-cycles stops once a correction is
 # within this many float64 ulps of the field the step updates, at every
@@ -569,38 +567,3 @@ def representation_field(atoms, lam, rect, h) -> Field2D:
                  for xi, w in atoms)
     return field_from_values(values, rect, h)
 
-
-# --- serialization --------------------------------------------------------
-
-def write_field_csv(field: Field2D, path):
-    """Columns x,y,v in row-major node order."""
-    x = field.x_coords()
-    y = field.y_coords()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# nx={field.nx} ny={field.ny} h={field.h:.17g} "
-                 f"origin=({field.origin[0]:.17g},{field.origin[1]:.17g})\n")
-        fh.write("x,y,v\n")
-        for i in range(field.nx):
-            for j in range(field.ny):
-                fh.write(f"{x[i]:.17g},{y[j]:.17g},{field.values[i, j]:.17g}\n")
-
-
-def write_field_plf2(field: Field2D, path):
-    """Compact binary grid: magic 'PLF2', uint32 nx, ny, f64 h, ox, oy, then
-    nx*ny little-endian f64 values row-major."""
-    header = PLF2_MAGIC + struct.pack("<IIddd", field.nx, field.ny, field.h,
-                                      field.origin[0], field.origin[1])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(field.values.astype("<f8").tobytes(order="C"))
-
-
-def read_field_plf2(path) -> Field2D:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != PLF2_MAGIC:
-            raise DomainError(f"bad magic {magic!r}; not a PLF2 grid file")
-        nx, ny, h, ox, oy = struct.unpack("<IIddd", fh.read(32))
-        data = np.frombuffer(fh.read(8 * nx * ny), dtype="<f8")
-    return Field2D(nx=nx, ny=ny, h=h, origin=(ox, oy),
-                   values=data.reshape(nx, ny).copy())

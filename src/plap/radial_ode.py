@@ -18,7 +18,6 @@ for p > 2, while the w equation only has the Hoelder term |w|^(1/(p-1)).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -109,7 +108,6 @@ class ShootResult:
     """
 
     profile: RadialProfile
-    shoot_param: float
     bisection_iters: int
     classification: ShootClass
     nfev: int
@@ -120,15 +118,6 @@ class DecayFit(NamedTuple):
     power: float
     log_scale: float
     rms: float
-
-
-def write_profile_csv(profile: RadialProfile, path):
-    """Columns r,u,du with a leading '#' comment carrying the parameters."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(profile.meta, sort_keys=True, default=str) + "\n")
-        fh.write("r,u,du\n")
-        for r, u, du in zip(profile.r, profile.u, profile.du):
-            fh.write(f"{r:.17g},{u:.17g},{du:.17g}\n")
 
 
 def riccati_ratio_flow(lam, p, s0, t_span, samples=501):
@@ -212,8 +201,8 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     with its full internally generated Jacobian.  It runs in s = -r, because
     odeint honours a critical point only for increasing output times:
     tcrit = -r0 keeps every step inside [r0, r_start].  The profile lives on
-    a log-spaced grid and is normalized to u(r0) = 1; shoot_param is the
-    realized initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
+    a log-spaced grid and is normalized to u(r0) = 1; meta["shoot_param"] is
+    the realized initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
     evaluations.  Raises StepFailure with ODEPACK's message if the pass
     stops early, and naming the first radius at which the state is no longer
     finite if it leaves the double range (sigma ~ -c/r overflows its square
@@ -245,13 +234,12 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     sigma = y[:0:-1, 1].copy()
     log_u -= log_u[0]  # normalize u(r0) = 1
 
-    shoot_param = float(sigma[0])
     meta = {"kind": "radial_exterior_eigen", "n": n, "p": p, "lam": lam,
             "r0": r0, "r_max": r_max, "alpha": alpha,
-            "shoot_param": shoot_param}
+            "shoot_param": float(sigma[0])}
     profile = RadialProfile(r=r_grid, log_u=log_u, ratio=sigma, meta=meta)
-    return ShootResult(profile=profile, shoot_param=shoot_param,
-                       bisection_iters=0, classification=ShootClass.DECAYING,
+    return ShootResult(profile=profile, bisection_iters=0,
+                       classification=ShootClass.DECAYING,
                        nfev=int(info["nfe"][-1]))
 
 
@@ -402,7 +390,7 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
     log_u, w = sol.y
     profile = RadialProfile(r=np.exp(sol.t), log_u=log_u,
                             ratio=np.copysign(np.abs(w) ** e, w), meta=meta)
-    return ShootResult(profile=profile, shoot_param=c, bisection_iters=0,
+    return ShootResult(profile=profile, bisection_iters=0,
                        classification=cls, nfev=int(sol.nfev))
 
 

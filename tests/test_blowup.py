@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from plap import cli
 from plap.blowup import (RescaleReport, martin_kernel_estimate,
-                         rescale_near_zero, translate_rescale_at_infinity,
-                         write_rescale_csv)
+                         rescale_near_zero, translate_rescale_at_infinity)
 from plap.errors import DomainError, OutOfRange
 from plap.grid_pde import _check_unit
 from plap.radial_ode import RadialProfile
@@ -167,14 +167,14 @@ class TestTranslateRescaleAtInfinity:
 
 class TestRescaleReport:
     def test_csv_columns(self, tmp_path):
-        rep = RescaleReport(scales=np.array([1.0, 2.0]),
-                            sup_distance=np.array([0.5, 0.25]),
-                            grad_distance=np.array([0.1, 0.05]))
-        path = tmp_path / "rescale.csv"
-        write_rescale_csv(rep, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "scale,sup_distance,grad_distance"
-        assert lines[1].startswith("1,")
+        # the campaign's rescaling artifacts: one row per scale or shift
+        cli.step_rescale(cli.ALL_SETTINGS, tmp_path)
+        for name, first in (("rescale_origin.csv", "0.10000000000000001,"),
+                            ("translate_far_field.csv", "10,")):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == "scale,sup_distance,grad_distance"
+            assert lines[1].startswith(first)
+            assert all(len(line.split(",")) == 3 for line in lines[1:])
 
     def test_validation(self):
         with pytest.raises(DomainError):

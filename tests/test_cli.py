@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import importlib
 import io
 import json
 import logging
@@ -104,7 +105,7 @@ class TestOtherCampaigns:
                "tol": 1e-9}
         report = cli.run_grid(cfg, tmp_path)
         assert report.all_passed
-        assert (tmp_path / "dirichlet_field.plf2").exists()
+        assert (tmp_path / "dirichlet_field.csv").exists()
 
     def test_grid_logs_solver_counters(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="plap")
@@ -758,3 +759,34 @@ class TestPowerResidualStep:
         assert [(r.name, r.measured) for r in rows] == [
             ("max_root_residual", worst_root),
             ("min_perturbed_shortfall", max(0.0, 1e-3 - worst_pert))]
+
+
+class TestSameOutputs:
+    """tools/same_outputs.py counts the numbers on report.csv's comments."""
+
+    @pytest.fixture
+    def same_outputs(self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "tools"))
+        return importlib.import_module("same_outputs")
+
+    @staticmethod
+    def report(measured):
+        return ("# plap report: all\n"
+                "# seed: 0\n"
+                "# 01_indicial_roots/max_relative_residual: target=0 "
+                f"measured={measured:.17g} tol=9.9999999999999998e-13 pass=1\n"
+                "name,target,measured,tolerance,pass\n"
+                "01_indicial_roots,0,0.014210854715202004,1,1\n").encode()
+
+    def test_detail_line_gap_in_ulps(self, same_outputs):
+        x = 1.4210854715202004e-14
+        old, new = self.report(x), self.report(np.nextafter(x, 1.0))
+        assert old != new
+        # numbers: the seed, four on the detail line and four in the row
+        assert same_outputs.number_gaps("report.csv", old, new) == (1, 9, 1)
+
+    def test_text_change_has_no_gap(self, same_outputs):
+        old = self.report(0.5)
+        new = old.replace(b"pass=1", b"pass=x")
+        assert same_outputs.number_gaps("report.csv", old, new) is None

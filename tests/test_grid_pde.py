@@ -9,15 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu, spsolve
 
-from plap import grid_pde
+from plap import cli, grid_pde
 from plap.errors import DomainError, NoConvergence
 from plap.grid_pde import (Field2D, _apply_linearized, _newton_matrix,
                            bochner_residual, directional_range,
                            exponential_field, field_from_values,
                            gradient_log_sup, kappa, kappa_bound_check,
-                           p_laplace_residual, read_field_plf2,
-                           representation_field, solve_dirichlet,
-                           write_field_csv, write_field_plf2)
+                           p_laplace_residual, representation_field,
+                           solve_dirichlet)
 from plap.indicial import ProblemParams, eigen_rate_alpha
 
 RECT = (0.0, 0.0, 1.0, 1.0)
@@ -91,41 +90,39 @@ class TestField2D:
         with pytest.raises(DomainError, match=message):
             Field2D(nx=3, ny=3, h=h, origin=(0, 0), values=values)
 
-    def test_plf2_rejects_non_finite_values(self, tmp_path):
-        f = exponential_field(1.0, XI, RECT, 0.5)
-        f.values[1, 1] = math.inf
-        path = tmp_path / "inf.plf2"
-        write_field_plf2(f, path)
-        with pytest.raises(DomainError, match="positive and finite"):
-            read_field_plf2(path)
-
     def test_coords(self):
         f = exponential_field(1.0, XI, RECT, 0.25)
         assert np.allclose(f.x_coords(), [0, 0.25, 0.5, 0.75, 1.0])
 
-    def test_plf2_roundtrip(self, tmp_path):
-        f = exponential_field(1.3, XI, RECT, 1 / 8)
-        path = tmp_path / "field.plf2"
-        write_field_plf2(f, path)
-        g = read_field_plf2(path)
-        assert g.nx == f.nx and g.ny == f.ny and g.h == f.h
-        assert g.origin == f.origin
-        assert np.array_equal(g.values, f.values)
+    # plap grid on a 6 x 9 grid whose origin is off zero
+    GRID_CONFIG = {"params": {"n": 4, "p": 3.0, "lam": 2.0},
+                   "rect": [0.5, -1.0, 1.75, 1.0], "h": 0.25, "tol": 1e-9}
 
-    def test_plf2_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.plf2"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(DomainError):
-            read_field_plf2(path)
+    def test_csv_roundtrip(self, tmp_path):
+        # the field artifact reads back as the solved field, bit for bit
+        cli.run_grid(self.GRID_CONFIG, tmp_path)
+        fld, _ = solve_dirichlet(ProblemParams(n=4, p=3.0, lam=2.0), XI,
+                                 self.GRID_CONFIG["rect"], 0.25, tol=1e-9)
+        lines = (tmp_path / "dirichlet_field.csv").read_text().splitlines()
+        head = re.fullmatch(r"# nx=(\d+) ny=(\d+) h=(\S+) origin=\((\S+),(\S+)\)",
+                            lines[0])
+        nx, ny = int(head[1]), int(head[2])
+        assert (nx, ny, float(head[3])) == (fld.nx, fld.ny, fld.h)
+        assert (float(head[4]), float(head[5])) == fld.origin
+        data = np.array([[float(v) for v in line.split(",")]
+                         for line in lines[2:]])
+        assert np.array_equal(data[:, 2].reshape(nx, ny), fld.values)
+        assert np.array_equal(data[:, 0].reshape(nx, ny)[:, 0], fld.x_coords())
+        assert np.array_equal(data[:, 1].reshape(nx, ny)[0], fld.y_coords())
 
     def test_csv_layout(self, tmp_path):
-        f = exponential_field(1.0, XI, RECT, 0.5)
-        path = tmp_path / "field.csv"
-        write_field_csv(f, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# nx=3 ny=3")
+        cli.run_grid(self.GRID_CONFIG, tmp_path)
+        lines = (tmp_path / "dirichlet_field.csv").read_text().splitlines()
+        assert lines[0].startswith("# nx=6 ny=9 h=0.25 origin=(0.5,-1)")
         assert lines[1] == "x,y,v"
-        assert len(lines) == 2 + 9
+        assert len(lines) == 2 + 54
+        # row-major node order: y runs fastest
+        assert lines[2].startswith("0.5,-1,") and lines[3].startswith("0.5,-0.75,")
 
 
 class TestPLaplaceResidual:

@@ -8,14 +8,14 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import kve
 
-from plap import radial_ode
+from plap import cli, radial_ode
 from plap.errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
                            eigen_rate_alpha, indicial_roots)
 from plap.radial_ode import (RadialProfile, ShootClass, fit_decay_exponents,
                              hardy_power_residual, radial_exterior_eigen,
                              riccati_ratio_flow, series_start_radius,
-                             shoot_singular_profile, write_profile_csv)
+                             shoot_singular_profile)
 from plap.radial_ode import _ratio_rhs
 
 
@@ -207,8 +207,8 @@ class TestRadialExteriorEigen:
     def test_shoot_param_is_initial_ratio(self):
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
         # d/dr log(e^-r / r) at r=1 is -(1 + 1/1) = -2
-        assert shot.shoot_param == pytest.approx(-2.0, abs=1e-10)
-        assert shot.shoot_param == shot.profile.ratio[0]
+        assert shot.profile.ratio[0] == pytest.approx(-2.0, abs=1e-10)
+        assert shot.profile.meta["shoot_param"] == shot.profile.ratio[0]
 
     @staticmethod
     def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
@@ -251,7 +251,7 @@ class TestRadialExteriorEigen:
         for n, p, lam in [(3, 1.5, 0.5), (3, 2.0, 1.0), (4, 3.0, 2.0),
                           (2, 1.5, 1.0), (5, 2.9, 0.5)]:
             alpha = eigen_rate_alpha(lam, p)
-            s = radial_exterior_eigen(n, p, lam, 1.0, r_max).shoot_param
+            s = radial_exterior_eigen(n, p, lam, 1.0, r_max).profile.ratio[0]
             corridor = (-alpha / 2, -10 * alpha - 1, r_max + 80 / (p * alpha))
             assert self._classify_ratio(n, p, lam, 1.0, s - 1e-8 * alpha,
                                         *corridor) == "down"
@@ -627,16 +627,16 @@ class TestRadialProfile:
         assert prof.log_u[-1] == -1000.0
 
     def test_csv_roundtrip(self, tmp_path):
-        r = np.geomspace(1, 10, 50)
-        u, du = r ** -1.0, -r ** -2.0
-        prof = RadialProfile(r=r, log_u=np.log(u), ratio=du / u,
-                             meta={"kind": "power", "gamma": 1.0})
-        path = tmp_path / "profile.csv"
-        write_profile_csv(prof, path)
-        lines = path.read_text().splitlines()
+        # plap shoot's profile artifact reads back as the shot, bit for bit
+        cli.run_shoot({"params": {"n": 3, "p": 2.0, "lam": 1.0},
+                       "grid_points": 50}, tmp_path)
+        prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0,
+                                     grid_points=50).profile
+        lines = (tmp_path / "exterior_profile.csv").read_text().splitlines()
         assert lines[0].startswith("#")
-        assert "gamma" in lines[0]
+        assert '"shoot_param": ' in lines[0]
         assert lines[1] == "r,u,du"
         data = np.loadtxt(lines[2:], delimiter=",")
         assert np.array_equal(data[:, 0], prof.r)
         assert np.array_equal(data[:, 1], prof.u)
+        assert np.array_equal(data[:, 2], prof.du)

@@ -5,10 +5,12 @@ Usage:  python tools/same_outputs.py REV
 Checks REV out into a temporary `git worktree`, runs the same plap commands
 on that tree and on the working tree, and compares their output trees, stdout
 and exit codes byte for byte.  Prints each difference; exits 1 if there is
-one and 0 otherwise.  A CSV or PLF2 file that differs only in its numbers
-is reported with how many of them differ and the largest gap in float64
-ulps (the count of doubles from one value to the other), so that a change
-at rounding level reads as one.  The commands are:
+one and 0 otherwise.  A CSV file that differs only in its numbers is
+reported with how many of them differ and the largest gap in float64 ulps
+(the count of doubles from one value to the other), so that a change at
+rounding level reads as one.  Fields are split on commas, `=` and
+whitespace, so the numbers on comment lines such as report.csv's
+`# 01_indicial_roots/...: target=0 measured=... tol=...` count as numbers.  The commands are:
 - `plap all --seed s` for s = 0..19;
 - `roots` and `grid` on README's example configs, and `grid` on a 49 x 74
   interior, whose even axis the multigrid coarsens by the m // 2 rule, and
@@ -27,6 +29,7 @@ import argparse
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -89,15 +92,13 @@ def run(tree, work, args, cfg):
     return proc.returncode, proc.stdout, read_tree(work / "out")
 
 
-PLF2_HEADER = "<4sIIddd"  # magic, nx, ny, h, origin
-
-
 def csv_fields(data):
-    """(text fields with None where a number stood, numbers) of a CSV
-    file's bytes, split into lines and on commas."""
+    """(text fields and separators with None where a number stood, numbers)
+    of a CSV file's bytes, split into lines and on commas, `=` and
+    whitespace."""
     text, numbers = [], []
     for line in data.decode().splitlines():
-        for field in line.split(","):
+        for field in re.split(r"([,=\s])", line):
             try:
                 numbers.append(float(field))
                 text.append(None)
@@ -105,15 +106,6 @@ def csv_fields(data):
                 text.append(field)
         text.append("\n")
     return text, numbers
-
-
-def plf2_fields(data):
-    """(magic, nx, ny and length, then h, the origin and the values) of a
-    PLF2 grid file's bytes."""
-    magic, nx, ny, *numbers = struct.unpack_from(PLF2_HEADER, data)
-    values = data[struct.calcsize(PLF2_HEADER):]
-    numbers += struct.unpack(f"<{len(values) // 8}d", values)
-    return [magic, nx, ny, len(data)], numbers
 
 
 def ulp_gap(a, b):
@@ -129,15 +121,14 @@ def ulp_gap(a, b):
 
 def number_gaps(path, old, new):
     """(numbers that differ, numbers, largest gap in ulps) between two
-    versions of a CSV or PLF2 file, or None when they differ in more than
-    their numbers or the file is of another kind."""
-    split = {".csv": csv_fields, ".plf2": plf2_fields}.get(Path(path).suffix)
-    if split is None:
+    versions of a CSV file, or None when they differ in more than their
+    numbers or the file is of another kind."""
+    if Path(path).suffix != ".csv":
         return None
     try:
         (layout_old, numbers_old), (layout_new, numbers_new) = (
-            split(old), split(new))
-    except (UnicodeDecodeError, struct.error):
+            csv_fields(old), csv_fields(new))
+    except UnicodeDecodeError:
         return None
     if layout_old != layout_new or len(numbers_old) != len(numbers_new):
         return None
