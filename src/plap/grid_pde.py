@@ -47,6 +47,10 @@ EPS64 = float(np.finfo(np.float64).eps)
 # nodes per axis that bochner_residual's nested stencils need: the identity
 # is compared on nodes 2..nx-3
 NESTED_STENCIL_NODES = 7
+# largest grid, nx * ny nodes, that _grid_shape accepts: a Dirichlet solve
+# peaked at 220 MB at h = 1/512 (263 169 nodes), about 840 B per node, so
+# 2^22 nodes take about 3.5 GB
+MAX_GRID_NODES = 2 ** 22
 
 
 @dataclass
@@ -120,6 +124,9 @@ def _grid_shape(rect, h):
         raise DomainError("h must divide the rectangle extents")
     if nx < 3 or ny < 3:
         raise DomainError("grid needs at least one interior node per axis")
+    if nx * ny > MAX_GRID_NODES:
+        raise DomainError(f"grid of nx={nx} by ny={ny} nodes exceeds the cap "
+                          f"of {MAX_GRID_NODES} nodes")
     return x0, y0, nx, ny
 
 
@@ -236,74 +243,130 @@ def _stencil_coefficients(base, p, h, epsilon):
     return sten
 
 
-def _newton_matrix(v, p, lam, h, epsilon):
-    """CSR matrix of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta (interior).
+def _newton_stencil(v, p, lam, h, epsilon):
+    """Stencil arrays of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta.
 
-    Interior node (k, l) is row and column k * mj + l, so stencil entry
-    (di, dj) lies on diagonal di * mj + dj.  Couplings to boundary nodes are
-    zeroed before each stencil array is laid on its diagonal; entries that
-    share a diagonal (mj <= 2) are summed, and exact zeros are left out.
+    Returns a (3, 3, mi, mj) array over the mi x mj interior nodes:
+    sten[di + 1, dj + 1, k, l] couples node (k, l) to node (k + di, l + dj).
+    Couplings to boundary nodes are zeroed, so the arrays hold the operator
+    on the interior alone.
     """
-    nx, ny = v.shape
-    mi, mj = nx - 2, ny - 2
-    size = mi * mj
     mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
-    diagonals = {}
+    sten = np.empty((3, 3) + mass.shape)
     for (di, dj), coef in _stencil_coefficients(v, p, h, epsilon).items():
         # Newton operator is -L_v + mass
-        coef = mass - coef if (di, dj) == (0, 0) else -coef
+        out = sten[di + 1, dj + 1]
+        out[...] = mass - coef if (di, dj) == (0, 0) else -coef
         if di:
-            coef[mi - 1 if di > 0 else 0, :] = 0.0
+            out[-1 if di > 0 else 0, :] = 0.0
         if dj:
-            coef[:, mj - 1 if dj > 0 else 0] = 0.0
-        off = di * mj + dj
+            out[:, -1 if dj > 0 else 0] = 0.0
+    return sten
+
+
+def _stencil_csr(sten):
+    """CSR matrix of the (3, 3, mi, mj) stencil arrays sten.
+
+    Node (k, l) is row and column k * mj + l, so stencil entry (di, dj) lies
+    on diagonal di * mj + dj.  Arrays that share a diagonal (mj <= 2) are
+    summed, and exact zeros are left out.
+    """
+    mi, mj = sten.shape[2:]
+    size = mi * mj
+    diagonals = {}
+    for a, b in np.ndindex(3, 3):
+        off = (a - 1) * mj + b - 1
         if abs(off) >= size:  # no interior pair on it (mi = 1)
             continue
-        flat = coef.ravel()
+        flat = sten[a, b].ravel()
         diag = flat[:size - off] if off >= 0 else flat[-off:]
         diagonals[off] = diagonals[off] + diag if off in diagonals else diag
     return sparse.diags(list(diagonals.values()), list(diagonals),
                         shape=(size, size), format="csr")
 
 
-def _prolongation(m):
-    """Linear interpolation from m // 2 coarse nodes to m fine ones.
+# Coarse node I of an axis of m fine nodes sits on fine node 2I + 1 and
+# interpolates to fine nodes 2I, 2I + 1 and 2I + 2 with weights 1/2, 1 and
+# 1/2; the boundary beyond either end is zero, so odd and even axes both
+# coarsen to m // 2 nodes.
 
-    Coarse node I sits on fine node 2I + 1 and gives weight 1/2 to fine
-    nodes 2I and 2I + 2; the boundary beyond either end is zero.  Returns
-    a CSR (m, m // 2) matrix.
+def _coarsen_axis(sten, axis):
+    """Galerkin product P^T S P of the stencil arrays sten along node axis
+    0 or 1, where P interpolates linearly from the m // 2 coarse nodes.
+
+    Along the axis, coarse entry D at node K sums w_a w_b S_d[2K + 1 + a]
+    over the offsets a, d, b in {-1, 0, 1} with a + d = 2D + b, where
+    w_0 = 1 and w_-1 = w_1 = 1/2; the other axis is left as it is.  Entries
+    that point past either end are zeroed.
     """
-    coarse = np.arange(m // 2)
-    rows = np.concatenate([2 * coarse + 1, 2 * coarse, 2 * coarse + 2])
-    cols = np.tile(coarse, 3)
-    vals = np.repeat([1.0, 0.5, 0.5], m // 2)
-    inside = rows < m
-    return sparse.csr_matrix((vals[inside], (rows[inside], cols[inside])),
-                             shape=(m, m // 2))
+    # the coarsened axis first: its offsets on axis 0, its nodes on axis 2
+    s = sten.transpose(1, 0, 3, 2) if axis else sten
+    n = s.shape[2] // 2
+    if s.shape[2] % 2 == 0:  # the boundary node beyond an even axis
+        s = np.concatenate([s, np.zeros(s.shape[:2] + (1,) + s.shape[3:])],
+                           axis=2)
+    lo, mid, hi = s[:, :, 0:2 * n:2], s[:, :, 1::2], s[:, :, 2::2]
+    coarse = np.empty((3,) + mid.shape[1:])
+    coarse[0] = 0.5 * (lo[0] + mid[0]) + 0.25 * lo[1]
+    coarse[1] = (mid[1] + 0.25 * (lo[1] + hi[1])
+                 + 0.5 * (lo[2] + mid[0] + mid[2] + hi[0]))
+    coarse[2] = 0.5 * (mid[2] + hi[2]) + 0.25 * hi[1]
+    coarse[0, :, 0] = 0.0
+    coarse[2, :, -1] = 0.0
+    return coarse.transpose(1, 0, 3, 2) if axis else coarse
 
 
-def _multigrid_hierarchy(mat, mi, mj):
-    """Galerkin levels of the CSR matrix mat on an mi x mj interior, or None.
+def _prolong(c, mi, mj):
+    """P c: the (mi, mj) linear interpolation of the (mi // 2, mj // 2)
+    array c, one axis at a time."""
+    for m in (mi, mj):
+        n = c.shape[0]
+        fine = np.empty((m,) + c.shape[1:])
+        half = 0.5 * c
+        fine[1::2] = c
+        fine[0] = half[0]
+        np.add(half[:-1], half[1:], out=fine[2:2 * n:2])
+        if m % 2:
+            fine[-1] = half[-1]
+        c = fine.T  # the next pass interpolates the other axis
+    return c
 
-    Level k holds (A_k, JACOBI_OMEGA / diag(A_k), P_k, P_k^T), where P_k
-    interpolates kron-wise from the (mi // 2, mj // 2) grid below and
-    A_{k+1} = P_k^T A_k P_k.  Coarsening stops once an axis has at most
-    COARSEST_NODES nodes; that level is factored by splu.  Returns
-    (levels, coarsest factor), or None when a Jacobi weight is not finite
-    or the coarsest matrix is exactly singular.
+
+def _restrict(r):
+    """P^T r: the (mi // 2, mj // 2) array whose node (I, J) weights the
+    (mi, mj) array r about node (2I + 1, 2J + 1) as _prolong does."""
+    for _ in range(2):
+        n = r.shape[0] // 2
+        coarse = r[1::2] + 0.5 * r[0:2 * n:2]
+        tail = r[2::2]  # n rows on an odd axis, n - 1 on an even one
+        coarse[:len(tail)] += 0.5 * tail
+        r = coarse.T  # the next pass restricts the other axis
+    return r
+
+
+def _multigrid_hierarchy(mat, sten):
+    """Galerkin levels of the stencil arrays sten, or None; mat is their
+    CSR matrix (_stencil_csr).
+
+    Level k holds (A_k, JACOBI_OMEGA / diag(A_k), (mi, mj)), where A_k is
+    the CSR matrix of the level's stencil arrays on its mi x mj interior,
+    its diagonal is their centre array, and the next level's arrays are
+    the Galerkin product P_k^T A_k P_k, formed by _coarsen_axis along both
+    axes since P_k interpolates kron-wise from the (mi // 2, mj // 2) grid
+    below.  Coarsening stops once an axis has at most COARSEST_NODES nodes;
+    that level is factored by splu.  Returns (levels, coarsest factor), or
+    None when a Jacobi weight is not finite or the coarsest matrix is
+    exactly singular.
     """
     levels = []
-    while min(mi, mj) > COARSEST_NODES:
+    while min(sten.shape[2:]) > COARSEST_NODES:
         with np.errstate(divide="ignore"):
-            weight = JACOBI_OMEGA / mat.diagonal()
+            weight = JACOBI_OMEGA / sten[1, 1].ravel()
         if not np.all(np.isfinite(weight)):
             return None
-        prol = sparse.kron(_prolongation(mi), _prolongation(mj),
-                           format="csr")
-        restr = prol.T.tocsr()
-        levels.append((mat, weight, prol, restr))
-        mat = restr @ mat @ prol
-        mi, mj = mi // 2, mj // 2
+        levels.append((mat, weight, sten.shape[2:]))
+        sten = _coarsen_axis(_coarsen_axis(sten, 0), 1)
+        mat = _stencil_csr(sten)
     try:
         return levels, splu(mat.tocsc(), permc_spec=DIRECT_ORDERING)
     except RuntimeError:  # exactly singular
@@ -312,44 +375,51 @@ def _multigrid_hierarchy(mat, mi, mj):
 
 def _vcycle(levels, coarsest, rhs):
     """One V-cycle from a zero guess for levels[0]'s matrix: PRE_SWEEPS
-    damped Jacobi sweeps, the coarse-grid correction, POST_SWEEPS sweeps."""
+    damped Jacobi sweeps, the coarse-grid correction, POST_SWEEPS sweeps.
+    The residual goes down by _restrict and the correction comes up by
+    _prolong, on the level's (mi, mj) node array."""
     if not levels:
         return coarsest.solve(rhs)
-    mat, weight, prol, restr = levels[0]
+    mat, weight, (mi, mj) = levels[0]
     x = weight * rhs  # the first sweep from zero
     for _ in range(PRE_SWEEPS - 1):
         x += weight * (rhs - mat @ x)
-    x += prol @ _vcycle(levels[1:], coarsest, restr @ (rhs - mat @ x))
+    coarse = _vcycle(levels[1:], coarsest,
+                     _restrict((rhs - mat @ x).reshape(mi, mj)).ravel())
+    x += _prolong(coarse.reshape(mi // 2, mj // 2), mi, mj).ravel()
     for _ in range(POST_SWEEPS):
         x += weight * (rhs - mat @ x)
     return x
 
 
-def _solve_refined(mat, rhs, interior):
-    """Newton step x solving mat @ x = rhs, by multigrid V-cycles refined in
-    float64.
+def _solve_refined(sten, rhs, interior):
+    """Newton step x solving A x = rhs, by multigrid V-cycles refined in
+    float64, where A is the matrix of the stencil arrays sten.
 
     interior holds the (mi, mj) positive interior values of the field the
-    step updates, and mat is the CSR Newton matrix on those nodes, node
-    (k, l) being row k * mj + l.  The Galerkin hierarchy (_multigrid_hierarchy)
-    is built once, and each correction is one V-cycle (_vcycle) on the
-    float64 residual rhs - mat @ x (Brandt, Math. Comp. 31, 1977;
-    Trottenberg, Oosterlee & Schueller, Multigrid, 2001).  Refinement stops
-    once a correction is within REFINE_ULPS float64 ulps of the field at
-    every node, |corr| <= REFINE_ULPS * eps * interior: the update
-    interior + x rounds finer digits of x away, so x is accurate to a few
-    ulps of the field, not of itself (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 12).  It also stops when a correction fails to
-    halve the one before while within STALL_ULPS ulps of x: that is the
-    rounding floor of x.  x comes from one float64 LU of mat instead when
-    the hierarchy cannot be built (a Jacobi weight is not finite or the
-    coarsest matrix is singular), or a correction is not finite or fails to
-    halve the one before above STALL_ULPS ulps of x.  No hierarchy outlives
-    the call, and it is freed before the float64 LU is made.
+    step updates, and sten the Newton operator's (3, 3, mi, mj) stencil
+    arrays on those nodes (_newton_stencil), node (k, l) being row
+    k * mj + l of the CSR matrix A = _stencil_csr(sten).  The Galerkin
+    hierarchy (_multigrid_hierarchy) is built once from sten, and each
+    correction is one V-cycle (_vcycle) on the float64 residual rhs - A @ x
+    (Brandt, Math. Comp. 31, 1977; Trottenberg, Oosterlee & Schueller,
+    Multigrid, 2001).  Refinement stops once a correction is within
+    REFINE_ULPS float64 ulps of the field at every node,
+    |corr| <= REFINE_ULPS * eps * interior: the update interior + x rounds
+    finer digits of x away, so x is accurate to a few ulps of the field,
+    not of itself (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 12).  It also stops when a correction fails to halve the one
+    before while within STALL_ULPS ulps of x: that is the rounding floor
+    of x.  x comes from one float64 LU of A instead when the hierarchy
+    cannot be built (a Jacobi weight is not finite or the coarsest matrix
+    is singular), or a correction is not finite or fails to halve the one
+    before above STALL_ULPS ulps of x.  No hierarchy outlives the call, and
+    it is freed before the float64 LU is made.
 
     Returns (x, V-cycles plus fallback solves, float64 factorizations).
     """
-    hierarchy = _multigrid_hierarchy(mat, *interior.shape)
+    mat = _stencil_csr(sten)
+    hierarchy = _multigrid_hierarchy(mat, sten)
     done = REFINE_ULPS * EPS64 * interior.ravel()
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
@@ -390,11 +460,11 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     data or the initial residual are not finite, and NoConvergence when
     max_iters or the damping floor is exhausted before final_residual <= tol.
 
-    Each Newton step assembles the Jacobian as CSR from its nine stencil
-    diagonals and solves it with _solve_refined: multigrid V-cycles on the
-    float64 residual until a correction is within REFINE_ULPS ulps of the
-    interior of v, the field the step updates, or one float64 LU when they
-    fail.  The updated field is then within a few ulps of the one an exact
+    Each Newton step assembles the Jacobian as its nine stencil arrays
+    (_newton_stencil) and solves it with _solve_refined: multigrid V-cycles
+    on a hierarchy coarsened from those arrays, on the float64 residual
+    until a correction is within REFINE_ULPS ulps of the interior of v, the
+    field the step updates, or one float64 LU when they fail.  The updated field is then within a few ulps of the one an exact
     step gives, while the step itself may be accurate only to those ulps of
     v rather than to its own.  The step's multigrid hierarchy is freed
     before the next one is built.  SolveStats counts the V-cycles and
@@ -439,7 +509,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 "(h too coarse or damping floor hit)"
             )
         x, solves, refactors = _solve_refined(
-            _newton_matrix(v, p, lam, fld.h, epsilon), -resid.ravel(),
+            _newton_stencil(v, p, lam, fld.h, epsilon), -resid.ravel(),
             v[1:-1, 1:-1])
         delta = x.reshape(resid.shape)
         linear_solves += solves

@@ -168,6 +168,10 @@ class TestMainEntry:
         ({"h_list": [1 / 64, 1 / 32, 1 / 16]},
          "h_list must be strictly decreasing"),
         ({"h_list": [1 / 16, 1 / 16]}, "h_list must be strictly decreasing"),
+        # a grid too large for memory is a usage error, not a failed check
+        ({"h_list": [1 / 16, 2 ** -20]},
+         "grid of nx=1048577 by ny=1048577 nodes exceeds the cap of "
+         "4194304 nodes"),
     ])
     def test_bochner_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                           message):
@@ -200,6 +204,10 @@ class TestMainEntry:
         ({"tol": -1}, "tol must be a finite number > 0"),
         ({"rect": [0, 0, -1, 1]}, "rectangle must have positive extent"),
         ({"rect": [0, 0, 1]}, "rect must be a list of 4 finite numbers"),
+        # np.arange over 2^20 + 1 nodes per axis once failed as the check
+        # "Unable to allocate 8.00 TiB" (exit 1)
+        ({"h": 2 ** -20}, "grid of nx=1048577 by ny=1048577 nodes exceeds "
+                          "the cap of 4194304 nodes"),
     ])
     def test_grid_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "cfg.json"

@@ -11,8 +11,8 @@ from scipy.sparse.linalg import splu, spsolve
 
 from plap import cli, grid_pde
 from plap.errors import DomainError, NoConvergence
-from plap.grid_pde import (Field2D, _apply_linearized, _newton_matrix,
-                           bochner_residual, directional_range,
+from plap.grid_pde import (Field2D, _apply_linearized, _newton_stencil,
+                           _stencil_csr, bochner_residual, directional_range,
                            exponential_field, field_from_values,
                            gradient_log_sup, kappa, kappa_bound_check,
                            p_laplace_residual, representation_field,
@@ -286,6 +286,38 @@ def coo_newton_matrix(v, p, lam, h, eps):
         shape=(mi * mj, mi * mj)).tocsr()
 
 
+def newton_matrix(v, p, lam, h, eps):
+    """The CSR Newton matrix that _solve_refined builds from the stencil."""
+    return _stencil_csr(_newton_stencil(v, p, lam, h, eps))
+
+
+def prolongation(m):
+    """Linear interpolation from m // 2 coarse nodes to m fine ones.
+
+    Coarse node I sits on fine node 2I + 1 and gives weight 1/2 to fine
+    nodes 2I and 2I + 2; the boundary beyond either end is zero.  Returns
+    a CSR (m, m // 2) matrix; the 2-D interpolation is its kron product.
+    """
+    coarse = np.arange(m // 2)
+    rows = np.concatenate([2 * coarse + 1, 2 * coarse, 2 * coarse + 2])
+    cols = np.tile(coarse, 3)
+    vals = np.repeat([1.0, 0.5, 0.5], m // 2)
+    inside = rows < m
+    return sparse.csr_matrix((vals[inside], (rows[inside], cols[inside])),
+                             shape=(m, m // 2))
+
+
+def transfer_matrices(mi, mj):
+    """The matrices of _prolong and _restrict on an mi x mj grid, read off
+    their action on unit vectors."""
+    ni, nj = mi // 2, mj // 2
+    prol = np.column_stack([grid_pde._prolong(e.reshape(ni, nj), mi, mj).ravel()
+                            for e in np.eye(ni * nj)])
+    restr = np.column_stack([grid_pde._restrict(e.reshape(mi, mj)).ravel()
+                             for e in np.eye(mi * mj)])
+    return prol, restr
+
+
 def newton_field(p, h, lam=2.0, rect=RECT, noise=0.01, xi=XI):
     """solve_dirichlet's boundary data extended to the rectangle, perturbed
     by up to `noise` relative at each node, and its epsilon."""
@@ -296,12 +328,13 @@ def newton_field(p, h, lam=2.0, rect=RECT, noise=0.01, xi=XI):
 
 
 def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
-    """Newton matrix, right-hand side and the interior of newton_field, the
-    field the step updates (noise = 0 gives the first Newton step of
-    solve_dirichlet)."""
+    """Newton stencil arrays, right-hand side and the interior of
+    newton_field, the field the step updates (noise = 0 gives the first
+    Newton step of solve_dirichlet)."""
     v, eps = newton_field(p, h, lam, rect, noise)
     resid = p_laplace_residual(field_from_values(v, rect, h), p, lam, eps)
-    return _newton_matrix(v, p, lam, h, eps), -resid.ravel(), v[1:-1, 1:-1]
+    return (_newton_stencil(v, p, lam, h, eps), -resid.ravel(),
+            v[1:-1, 1:-1])
 
 
 def direct_solve(mat, rhs):
@@ -310,14 +343,14 @@ def direct_solve(mat, rhs):
 
 
 def random_inputs(shape):
-    """_newton_matrix arguments at a random positive field of the given
+    """_newton_stencil arguments at a random positive field of the given
     shape, for p in 1.5, 3 and 4."""
     v = np.exp(np.random.default_rng(11).random(shape))
     return [(v, p, 2.0, 1 / 64, 1e-8) for p in (1.5, 3.0, 4.0)]
 
 
 def field_inputs(p, h, rect=RECT, noise=0.0, xi=XI):
-    """_newton_matrix arguments at newton_field with lam = 2."""
+    """_newton_stencil arguments at newton_field with lam = 2."""
     v, eps = newton_field(p, h, 2.0, rect, noise, xi)
     return [(v, p, 2.0, h, eps)]
 
@@ -336,8 +369,8 @@ class TestNewtonStep:
         expected = spsolve(mat, -resid.ravel()).reshape(resid.shape)
         solutions = []
 
-        def spy(mat, rhs, interior):
-            out = solve_refined(mat, rhs, interior)
+        def spy(sten, rhs, interior):
+            out = solve_refined(sten, rhs, interior)
             solutions.append(out[0])
             return out
 
@@ -408,7 +441,7 @@ class TestNewtonLinearLayer:
     ])
     def test_matrix_matches_coo_build_bit_for_bit(self, inputs, dropped):
         for v, p, lam, h, eps in inputs:
-            new = _newton_matrix(v, p, lam, h, eps)
+            new = newton_matrix(v, p, lam, h, eps)
             ref = coo_newton_matrix(v, p, lam, h, eps)
             assert (new != ref).nnz == 0
             assert ref.nnz - new.nnz == dropped
@@ -423,16 +456,55 @@ class TestNewtonLinearLayer:
     ])
     def test_prolongation_weights(self, m, expected):
         # coarse node I sits on fine node 2I + 1; odd and even axes both
-        # coarsen to m // 2 nodes, with a zero boundary beyond either end
-        assert np.array_equal(grid_pde._prolongation(m).toarray(), expected)
+        # coarsen to m // 2 nodes, with a zero boundary beyond either end.
+        # On either axis of a 2-D grid _prolong is the kron product with
+        # the 3-node axis's weights, and _restrict its transpose
+        assert np.array_equal(prolongation(m).toarray(), expected)
+        three = prolongation(3).toarray()
+        for mi, mj, kron in ((m, 3, np.kron(expected, three)),
+                             (3, m, np.kron(three, expected))):
+            prol, restr = transfer_matrices(mi, mj)
+            assert np.array_equal(prol, kron)
+            assert np.array_equal(restr, kron.T)
+
+    @pytest.mark.parametrize("inputs", [
+        pytest.param(random_inputs((65, 65)), id="63x63"),
+        pytest.param(random_inputs((51, 76)), id="49x74"),
+        pytest.param(random_inputs((36, 38)), id="34x36"),
+        pytest.param(random_inputs((19, 35)), id="17x33"),
+        pytest.param(field_inputs(3.0, 1 / 64, xi=(1.0, 0.0)), id="xi_1_0"),
+        pytest.param(field_inputs(2.0, 1 / 64), id="p_2"),
+    ])
+    def test_coarsening_matches_galerkin_product(self, inputs):
+        # each coarsening down to a single node on an axis, against P^T A P
+        # with the kron prolongation: within a few ulps of each row's
+        # largest entry, with the same entries once exact zeros are dropped
+        for v, p, lam, h, eps in inputs:
+            sten = _newton_stencil(v, p, lam, h, eps)
+            while min(sten.shape[2:]) >= 2:
+                mi, mj = sten.shape[2:]
+                prol = sparse.kron(prolongation(mi), prolongation(mj),
+                                   format="csr")
+                ref = (prol.T @ _stencil_csr(sten) @ prol).tocsr()
+                sten = grid_pde._coarsen_axis(
+                    grid_pde._coarsen_axis(sten, 0), 1)
+                assert sten.shape[2:] == (mi // 2, mj // 2)
+                new = _stencil_csr(sten)
+                row_max = abs(ref).max(axis=1).toarray()
+                gap = abs(new - ref).max(axis=1).toarray()
+                assert np.all(gap <= 8 * grid_pde.EPS64 * row_max)
+                ref.eliminate_zeros()
+                assert np.array_equal(new.indptr, ref.indptr)
+                assert np.array_equal(new.indices, ref.indices)
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_refined_solve_matches_float64_lu(self, p, monkeypatch):
-        mat, rhs, base = newton_system(p, 1 / 64)
+        sten, rhs, base = newton_system(p, 1 / 64)
+        mat = _stencil_csr(sten)
         expected = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
         # one factor, of the coarsest level, and no fallback
         assert spy.dtypes == [np.float64] and refactors == 0
         assert spy.shapes[0][0] < mat.shape[0]
@@ -444,16 +516,19 @@ class TestNewtonLinearLayer:
            st.floats(0.5, 3.0))
     @example(49, 74, 1.5, 2.5)  # an even axis, coarsened by the m // 2 rule
     @example(63, 31, 4.0, 0.5)
+    # the smallest interiors that coarsen, one axis odd and one even
+    @example(17, 18, 2.5, 1.0)
+    @example(18, 17, 2.5, 1.0)
     def test_refined_step_matches_spsolve(self, mi, mj, p, lam):
         # the first Newton step, which the V-cycles solve without fallback;
         # the step is 1e-7 to 1e-5 of the field, so its own digits below
         # the field's rounding are not resolved
         h = 1 / 64
         rect = (0.0, 0.0, (mi + 1) * h, (mj + 1) * h)
-        mat, rhs, base = newton_system(p, h, lam, rect, noise=0.0)
+        sten, rhs, base = newton_system(p, h, lam, rect, noise=0.0)
         assert base.shape == (mi, mj)
-        expected = spsolve(mat, rhs)
-        x, _, refactors = grid_pde._solve_refined(mat, rhs, base)
+        expected = spsolve(_stencil_csr(sten), rhs)
+        x, _, refactors = grid_pde._solve_refined(sten, rhs, base)
         assert refactors == 0
         assert field_gap_ulps(base.ravel(), x, expected) <= FIELD_ULPS
 
@@ -463,7 +538,7 @@ class TestNewtonLinearLayer:
         # REFINE_ULPS ulps of the field at every node; at this exact start
         # that takes 7-10 V-cycles, where stopping within REFINE_ULPS ulps
         # of the step itself took 14-16
-        mat, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
+        sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
         vcycle, calls = grid_pde._vcycle, []
 
         def spy(levels, coarsest, resid):
@@ -471,7 +546,7 @@ class TestNewtonLinearLayer:
             return calls[-1][1]
 
         monkeypatch.setattr(grid_pde, "_vcycle", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
         # _vcycle recurses through the spy; the finest level's calls are
         # the corrections
         top = max(depth for depth, _ in calls)
@@ -489,15 +564,16 @@ class TestNewtonLinearLayer:
         assert last > grid_pde.REFINE_ULPS * grid_pde.EPS64 * np.max(np.abs(x))
 
     def test_zero_diagonal_falls_back_to_float64(self, monkeypatch):
-        # a zero diagonal entry makes its Jacobi weight infinite, so no
-        # hierarchy is built and the step comes from one float64 LU
-        mat, rhs, base = newton_system(3.0, 1 / 64)
-        mat[0, 0] = 0.0
+        # a zero centre stencil entry makes its Jacobi weight infinite, so
+        # no hierarchy is built and the step comes from one float64 LU
+        sten, rhs, base = newton_system(3.0, 1 / 64)
+        sten[1, 1, 0, 0] = 0.0
+        mat = _stencil_csr(sten)
         expected = direct_solve(mat, rhs)
         assert np.all(np.isfinite(expected))
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
         assert spy.dtypes == [np.float64] and spy.shapes == [mat.shape]
         assert (solves, refactors) == (1, 1)
         assert np.array_equal(x, expected)
@@ -506,7 +582,8 @@ class TestNewtonLinearLayer:
             self, monkeypatch):
         # V-cycles that take 90% of the remaining error for nine cycles and
         # 30% after: they stall at 2.1e-10 of |x|, above the rounding floor
-        mat, rhs, base = newton_system(3.0, 1 / 64)
+        sten, rhs, base = newton_system(3.0, 1 / 64)
+        mat = _stencil_csr(sten)
         expected = direct_solve(mat, rhs)
         exact = splu(mat.tocsc(), permc_spec="NATURAL")
         calls = []
@@ -519,7 +596,7 @@ class TestNewtonLinearLayer:
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
         monkeypatch.setattr(grid_pde, "_vcycle", slow_vcycle)
-        x, solves, refactors = grid_pde._solve_refined(mat, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
         # the coarsest level's factor, then the fallback after it is freed
         assert spy.dtypes == [np.float64, np.float64]
         assert spy.alive_at_call == [0, 0]
@@ -578,7 +655,7 @@ class TestLinearizedApply:
         direct = (-_apply_linearized(f.values, g, p, h, eps)
                   + (p - 1) * lam * f.values[1:-1, 1:-1] ** (p - 2)
                   * g[1:-1, 1:-1])
-        mat = _newton_matrix(f.values, p, lam, h, eps)
+        mat = newton_matrix(f.values, p, lam, h, eps)
         # the matrix numbers interior node (k, l) as k * mj + l
         via_matrix = (mat @ g[1:-1, 1:-1].ravel()).reshape(direct.shape)
         assert np.max(np.abs(direct - via_matrix)) <= 1e-9 * np.max(np.abs(direct))
