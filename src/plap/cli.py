@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import blowup, grid_pde, radial_ode
-from .errors import ConfigError, DomainError, OutOfRange
+from .errors import (ConfigError, DomainError, IllConditioned, NoRealRoot,
+                     OutOfRange)
 from .indicial import (ProblemParams, auxiliary_f, eigen_rate_alpha,
                        hardy_best_constant, indicial_roots, placement_satisfied,
                        step_change)
@@ -61,12 +62,14 @@ class CheckRow:
 def _write_csv(path, header, rows, comments=()):
     """Write a `# ` line per comment, the header, then one line per row.
 
-    Every artifact under --out is written here.  Each number is written
-    with 17 significant digits, which read back as the same double."""
+    Every artifact under --out is written here, and --out is created by the
+    first one.  Each number is written with 17 significant digits, which
+    read back as the same double."""
     lines = [f"# {line}" for line in comments]
     lines.append(",".join(header))
     lines += [",".join(v if isinstance(v, str) else format(v, ".17g")
                        for v in row) for row in rows]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -145,13 +148,6 @@ def _check_positive(value, key):
         raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
 
 
-def _check_at_least(value, key, low):
-    """A length or time that the solvers need at least `low` of."""
-    _check_positive(value, key)
-    if value < low:
-        raise ConfigError(f"{key} must be >= {low:g}, got {value!r}")
-
-
 # Domain of the grid criteria and of the bochner campaign.
 UNIT_SQUARE = (0.0, 0.0, 1.0, 1.0)
 
@@ -216,8 +212,9 @@ def _params_from_config(block, key, rate) -> ProblemParams:
 REQUIRED = object()  # the default of a key that every config must set
 
 # The config of each subcommand: key -> (default, check, *extra check args).
-# _read_config runs the checks in this order; a key's cross-key check runs
-# in its campaign right after the read.
+# _read_config runs the checks in this order; the rules that tie keys
+# together are the solvers' own, and each campaign turns a solver's range
+# error into a ConfigError before it writes any file.
 CONFIGS = {
     "roots": {"params": (REQUIRED, _params_from_config, False)},
     "shoot": {
@@ -272,19 +269,6 @@ def _check_grid(xi, rect, h):
         grid_pde._grid_shape(rect, h)
     except DomainError as exc:
         raise ConfigError(f"xi {xi!r}, rect {rect!r}, h {h!r}: {exc}") from exc
-
-
-def _check_translates(shifts, window):
-    """blowup.translate_rescale_at_infinity's test, made before any work: each
-    window [t - window, t + window] lies in [1, max(shifts) + 10], the span
-    of run_blowup's shot."""
-    end = max(shifts) + 10.0
-    for r in [float(t) + s for t in shifts for s in (-window, window)]:
-        if not 1.0 <= r <= end:
-            raise ConfigError(
-                f"shifts {shifts!r} with window {window!r}: "
-                f"translate_rescale_at_infinity: radius {r:g} outside "
-                f"sampled span [1, {end:g}]")
 
 
 # --- builders shared by the targeted campaigns and the acceptance steps ---
@@ -400,8 +384,10 @@ def _write_report(subcommand, rows, cfg, out_dir) -> ExperimentReport:
 
 def run_roots(cfg, out_dir) -> ExperimentReport:
     params = _read_config(cfg, "roots")["params"]
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    data = indicial_roots(params)
+    try:
+        data = indicial_roots(params)
+    except NoRealRoot as exc:
+        raise ConfigError(f"invalid params: {exc}") from exc
     n, p, a, mu = params.n, params.p, params.a, params.mu
     tol = 1e-12 * max(1.0, abs(mu))
     # no double can beat the change of f across one step at the root
@@ -422,12 +408,15 @@ def run_roots(cfg, out_dir) -> ExperimentReport:
 def run_shoot(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "shoot")
     params, r0, r_max = c["params"], c["r0"], c["r_max"]
-    _check_at_least(r_max, "r_max", 10.0 * r0)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
-    shot = radial_ode.radial_exterior_eigen(params.n, params.p, params.lam, r0,
-                                            r_max, grid_points=c["grid_points"])
-    fit = radial_ode.fit_decay_exponents(shot.profile, alpha)
+    try:
+        shot = radial_ode.radial_exterior_eigen(
+            params.n, params.p, params.lam, r0, r_max,
+            grid_points=c["grid_points"])
+        fit = radial_ode.fit_decay_exponents(shot.profile, alpha)
+    except (DomainError, IllConditioned) as exc:
+        raise ConfigError(f"r0 {r0!r}, r_max {r_max!r}, grid_points "
+                          f"{c['grid_points']!r}: {exc}") from exc
     power_ref = (params.n - 1.0) / (params.p * (params.p - 1.0))
     rows = [
         CheckRow("fit_rate", alpha, fit.rate, 5e-3 * max(1.0, alpha)),
@@ -441,20 +430,22 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
 def run_martin(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "martin")
     params, t, r0 = c["params"], c["t"], c["r0"]
-    # the shot runs to t + 10 >= 10 r0, and the kernel reads the profile at
-    # t - 1 >= r0
-    _check_at_least(t, "t", max(r0 + 1.0, 10.0 * r0 - 10.0))
     alpha = eigen_rate_alpha(params.lam, params.p)
     # tolerance carries the O(1/t) bias of the finite-shift ratio
     tol_rel = 5e-3 + 3.0 / t
     if alpha + math.log1p(tol_rel) > math.log(sys.float_info.max):
         raise DomainError(f"kernel limit exp({alpha:g}) and its tolerance "
                           "overflow float64")
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    shot = radial_ode.radial_exterior_eigen(
-        params.n, params.p, params.lam, r0, t + 10.0, grid_points=c["grid_points"])
     xi = np.eye(params.n)[0]
-    est = blowup.martin_kernel_estimate(shot.profile, xi, xi, t)
+    # radial_exterior_eigen needs t + 10 >= 10 r0, and martin_kernel_estimate
+    # needs the radii |1 - t| and t on the shot's span [r0, t + 10]
+    try:
+        shot = radial_ode.radial_exterior_eigen(
+            params.n, params.p, params.lam, r0, t + 10.0,
+            grid_points=c["grid_points"])
+        est = blowup.martin_kernel_estimate(shot.profile, xi, xi, t)
+    except (DomainError, OutOfRange) as exc:
+        raise ConfigError(f"t {t!r}, r0 {r0!r}: {exc}") from exc
     tol = math.exp(alpha) * tol_rel
     rows = [CheckRow("kernel_at_xi", math.exp(alpha), est, tol)]
     return _write_report("martin", rows, cfg, out_dir)
@@ -462,19 +453,21 @@ def run_martin(cfg, out_dir) -> ExperimentReport:
 
 def run_blowup(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "blowup")
-    params, shifts = c["params"], c["shifts"]
-    _check_translates(shifts, c["window"])
+    params, shifts, window = c["params"], c["shifts"], c["window"]
     try:
         rep_zero = _power_fixed_point(c["gamma"], c["scales"])
     except OutOfRange as exc:
         raise ConfigError(f"scales {c['scales']!r}: {exc}") from exc
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
         grid_points=1400)
-    rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts,
-                                                   alpha, window=c["window"])
+    try:
+        rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts,
+                                                       alpha, window=window)
+    except OutOfRange as exc:
+        raise ConfigError(
+            f"shifts {shifts!r} with window {window!r}: {exc}") from exc
     rows = [CheckRow("power_fixed_point_sup", 0.0,
                      float(rep_zero.sup_distance.max()), 1e-12),
             *_translate_rows(rep_zero, rep_inf, out_dir)]
@@ -485,7 +478,6 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "grid")
     params, xi, rect, h, tol = c["params"], c["xi"], c["rect"], c["h"], c["tol"]
     _check_grid(xi, rect, h)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     alpha = eigen_rate_alpha(params.lam, params.p)
     fld, stats, _, sup_err = _exact_solve(params, alpha, xi, rect, h, tol)
     rows = [
@@ -506,7 +498,6 @@ def run_grid(cfg, out_dir) -> ExperimentReport:
 
 def run_bochner(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "bochner")
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     resid, shortfall = _bochner_trend(c["h_list"], c["lam"])
     rows = [CheckRow("refinement_factor", 0.0, shortfall, 0.0)]
     _write_csv(Path(out_dir) / "bochner_trend.csv", ("h", "residual"),
@@ -793,7 +784,6 @@ def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     _read_config(cfg, "all")  # rejects every key: the campaign takes none
     values = ALL_SETTINGS
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     solves = _dirichlet_cache(values)
 
     # Built per call, so the step names resolve to the module's current
@@ -832,7 +822,8 @@ def run_all(cfg, out_dir, seed=0) -> ExperimentReport:
     return report
 
 
-# Each campaign creates --out only after its config passes every check.
+# Each campaign checks its config and computes before it writes any file;
+# --out is created with the first artifact.
 CAMPAIGNS = {
     "roots": run_roots,
     "shoot": run_shoot,

@@ -221,28 +221,6 @@ def _apply_linearized(base, g, p, h, epsilon):
     return (gx[1:, :] - gx[:-1, :]) / h + (gy[:, 1:] - gy[:, :-1]) / h
 
 
-def _stencil_coefficients(base, p, h, epsilon):
-    """3x3 stencil of the linearized operator at each interior node."""
-    c1x, c2x, c1y, c2y = _linearized_face_coeffs(base, p, h, epsilon)
-    e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
-    w1, w2 = c1x[:-1, :], c2x[:-1, :]
-    n1, n2 = c1y[:, 1:], c2y[:, 1:]
-    s1, s2 = c1y[:, :-1], c2y[:, :-1]
-    h2 = h * h
-    sten = {
-        (0, 0): -(e1 + w1 + n1 + s1) / h2,
-        (1, 0): (e1 + 0.25 * (n2 - s2)) / h2,
-        (-1, 0): (w1 - 0.25 * (n2 - s2)) / h2,
-        (0, 1): (n1 + 0.25 * (e2 - w2)) / h2,
-        (0, -1): (s1 - 0.25 * (e2 - w2)) / h2,
-        (1, 1): 0.25 * (e2 + n2) / h2,
-        (-1, -1): 0.25 * (w2 + s2) / h2,
-        (1, -1): -0.25 * (e2 + s2) / h2,
-        (-1, 1): -0.25 * (w2 + n2) / h2,
-    }
-    return sten
-
-
 def _newton_stencil(v, p, lam, h, epsilon):
     """Stencil arrays of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta.
 
@@ -251,16 +229,28 @@ def _newton_stencil(v, p, lam, h, epsilon):
     Couplings to boundary nodes are zeroed, so the arrays hold the operator
     on the interior alone.
     """
+    c1x, c2x, c1y, c2y = _linearized_face_coeffs(v, p, h, epsilon)
+    e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
+    w1, w2 = c1x[:-1, :], c2x[:-1, :]
+    n1, n2 = c1y[:, 1:], c2y[:, 1:]
+    s1, s2 = c1y[:, :-1], c2y[:, :-1]
+    h2 = h * h
     mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
+    # the Newton operator is -L_v + mass, L_v's stencil negated
     sten = np.empty((3, 3) + mass.shape)
-    for (di, dj), coef in _stencil_coefficients(v, p, h, epsilon).items():
-        # Newton operator is -L_v + mass
-        out = sten[di + 1, dj + 1]
-        out[...] = mass - coef if (di, dj) == (0, 0) else -coef
-        if di:
-            out[-1 if di > 0 else 0, :] = 0.0
-        if dj:
-            out[:, -1 if dj > 0 else 0] = 0.0
+    sten[1, 1] = mass + (e1 + w1 + n1 + s1) / h2
+    sten[2, 1] = -(e1 + 0.25 * (n2 - s2)) / h2
+    sten[0, 1] = -(w1 - 0.25 * (n2 - s2)) / h2
+    sten[1, 2] = -(n1 + 0.25 * (e2 - w2)) / h2
+    sten[1, 0] = -(s1 - 0.25 * (e2 - w2)) / h2
+    sten[2, 2] = -0.25 * (e2 + n2) / h2
+    sten[0, 0] = -0.25 * (w2 + s2) / h2
+    sten[2, 0] = 0.25 * (e2 + s2) / h2
+    sten[0, 2] = 0.25 * (w2 + n2) / h2
+    sten[2, :, -1] = 0.0
+    sten[0, :, 0] = 0.0
+    sten[:, 2, :, -1] = 0.0
+    sten[:, 0, :, 0] = 0.0
     return sten
 
 
@@ -476,8 +466,6 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     """
     xi = _check_unit(xi)
     p, lam = params.p, params.lam
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
     alpha = eigen_rate_alpha(lam, p)
     with np.errstate(over="ignore"):
         v = _exponential_values(alpha, xi, rect, h, scale=scale)

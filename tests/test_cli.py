@@ -245,27 +245,37 @@ class TestMainEntry:
         ("blowup", {"lam": 0}, "params.lam must be a finite number > 0"),
         ("grid", {"lam": 0}, "params.lam must be a finite number > 0"),
         ("shoot", {"r_max": -5}, "r_max must be a finite number > 0"),
-        ("shoot", {"r_max": 5}, "r_max must be >= 10"),
+        ("shoot", {"r_max": 5}, "r_max must be at least 10*r0"),
         ("shoot", {"r0": 0}, "r0 must be a finite number > 0"),
         ("shoot", {"grid_points": 1}, "grid_points must be an integer >= 10"),
         ("martin", {"t": -5}, "t must be a finite number > 0"),
-        ("martin", {"t": 1.5}, "t must be >= 2"),
+        ("martin", {"t": 1.5}, "radius 0.5 outside sampled span"),
         ("shoot", {"lam": "x"}, "params.lam must be a number, got 'x'"),
         ("grid", {"lam": [1.0]}, "params.lam must be a number, got [1.0]"),
         ("blowup", {"lam": None}, "params.lam must be a number, got None"),
         ("shoot", {"r0": 10 ** 400}, "r0 must be a finite number > 0"),
+        # range errors of the solvers, raised before any file is written
+        ("roots", {"n": 4, "mu": 5.0}, "invalid params: mu=5.0 exceeds the "
+                                       "admissible maximum mu_bar=1.0"),
+        ("shoot", {"grid_points": 30}, "r0 1.0, r_max 40.0, grid_points 30: "
+                                       "only 6 samples in window"),
+        ("martin", {"t": 5, "r0": 2}, "t 5, r0 2: r_max must be at least "
+                                      "10*r0"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):
-        # lam is a params key; every other key sits at the top level
-        params = {"n": 3, "p": 2.0, "lam": cfg.get("lam", 1.0)}
-        top = {k: v for k, v in cfg.items() if k != "lam"}
+        # n, mu and lam are params keys; every other key sits at the top
+        # level
+        params = {"n": 3, "p": 2.0, "lam": 1.0}
+        params.update((k, v) for k, v in cfg.items() if k in ("n", "mu", "lam"))
+        top = {k: v for k, v in cfg.items() if k not in params}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"params": params, **top}))
         code = cli.main([sub, "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params, message", [
         ({"n": 3, "p": 2.0, "mu": "x"}, "params.mu must be a number"),
@@ -292,7 +302,7 @@ class TestMainEntry:
         ("all", {"martin_t": 1.5}),
     ])
     def test_config_error_creates_no_out_dir(self, tmp_path, sub, cfg):
-        # the read, cross-key and scale checks all run before --out exists
+        # every check runs before the first file, which creates --out
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         code = cli.main([sub, "--config", str(cfg_path),
@@ -313,6 +323,7 @@ class TestMainEntry:
         assert code == 1
         assert "boundary data exp(678.604 <x, xi>) overflows" in captured.err
         assert "PASS" not in captured.out
+        assert not (tmp_path / "out").exists()
 
     def test_martin_overflowing_kernel_exit_1(self, tmp_path, capsys):
         # alpha = 1000 at p = 2, lam = 1e6: e^alpha is beyond the largest
@@ -335,6 +346,7 @@ class TestMainEntry:
         assert code == 1
         assert ("inward pass left the double range at r = 5.07137e-155"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_roots_near_one_p_exit_0(self, tmp_path):
         # gamma1 lies far below the smallest double, so the root solve
@@ -419,7 +431,7 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and "outside sampled span" in err
-        assert not any(p.is_file() for p in (tmp_path / "out").rglob("*"))
+        assert not (tmp_path / "out").exists()
 
     def test_passing_campaign_exit_0(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

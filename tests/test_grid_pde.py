@@ -194,6 +194,11 @@ class TestSolveDirichlet:
         with pytest.raises(DomainError, match="h must be positive and finite"):
             solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), XI, RECT, h)
 
+    def test_zero_lam_raises(self):
+        # eigen_rate_alpha owns the rule lam > 0; ProblemParams admits 0
+        with pytest.raises(DomainError, match="rate defined for lam > 0 only"):
+            solve_dirichlet(ProblemParams(n=3, p=2.0, lam=0.0), XI, RECT, 0.125)
+
     def test_scaling_covariance(self):
         # the equation is (p-1)-homogeneous: C * data -> C * solution
         params = ProblemParams(n=4, p=3.0, lam=2.0)
@@ -266,12 +271,34 @@ class Factor:
         self.solve = lu.solve
 
 
+def stencil_coefficients(v, p, h, eps):
+    """3x3 stencil of the linearized operator L_v at each interior node,
+    by offset (di, dj), from the face coefficients of the flux."""
+    c1x, c2x, c1y, c2y = grid_pde._linearized_face_coeffs(v, p, h, eps)
+    e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
+    w1, w2 = c1x[:-1, :], c2x[:-1, :]
+    n1, n2 = c1y[:, 1:], c2y[:, 1:]
+    s1, s2 = c1y[:, :-1], c2y[:, :-1]
+    h2 = h * h
+    return {
+        (0, 0): -(e1 + w1 + n1 + s1) / h2,
+        (1, 0): (e1 + 0.25 * (n2 - s2)) / h2,
+        (-1, 0): (w1 - 0.25 * (n2 - s2)) / h2,
+        (0, 1): (n1 + 0.25 * (e2 - w2)) / h2,
+        (0, -1): (s1 - 0.25 * (e2 - w2)) / h2,
+        (1, 1): 0.25 * (e2 + n2) / h2,
+        (-1, -1): 0.25 * (w2 + s2) / h2,
+        (1, -1): -0.25 * (e2 + s2) / h2,
+        (-1, 1): -0.25 * (w2 + n2) / h2,
+    }
+
+
 def coo_newton_matrix(v, p, lam, h, eps):
     """The Newton matrix built through COO, each stencil block and the mass
     diagonal as separate triplets that tocsr sums.  Interior node (k, l) is
     numbered k * mj + l."""
     mi, mj = v.shape[0] - 2, v.shape[1] - 2
-    sten = grid_pde._stencil_coefficients(v, p, h, eps)
+    sten = stencil_coefficients(v, p, h, eps)
     idx = np.arange(mi * mj).reshape(mi, mj)
     rows, cols, vals = [idx.ravel()], [idx.ravel()], [
         ((p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)).ravel()]

@@ -17,7 +17,12 @@ whitespace, so the numbers on comment lines such as report.csv's
   at xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
   couplings;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
-- `bochner` on {}.
+- `bochner` on {};
+- five error paths, so that a change that moves an exit code shows up:
+  `roots` with mu above mu_bar, `shoot` with 30 grid points (6 in the decay
+  fit's window), `martin` at t = 1.5 (a kernel radius of 0.5 below r0) and
+  `blowup` with window 20 (translates outside the shot), each a config
+  error, and `grid` on boundary data that overflow float64, a failed check.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
 The worktree and all outputs live under one temporary directory (set TMPDIR
 to move it), removed on exit.
@@ -62,6 +67,17 @@ GRID_EXTRA = {
 }
 
 
+ERROR_PATHS = {
+    "roots_mu_above_mu_bar": ("roots",
+                              {"params": {"n": 4, "p": 2.0, "mu": 5.0}}),
+    "shoot_grid_points_30": ("shoot", {**SHOT_PARAMS, "grid_points": 30}),
+    "martin_t_1.5": ("martin", {**SHOT_PARAMS, "t": 1.5}),
+    "blowup_window_20": ("blowup", {**SHOT_PARAMS, "window": 20}),
+    "grid_overflowing_data": ("grid", {"params": {"n": 3, "p": 1.2,
+                                                  "lam": 500}, "h": 0.125}),
+}
+
+
 def commands():
     """(name, plap arguments before --out, config or None) of each run."""
     for seed in SEEDS:
@@ -70,6 +86,8 @@ def commands():
         yield sub, [sub], cfg
     for name, cfg in GRID_EXTRA.items():
         yield name, ["grid"], cfg
+    for name, (sub, cfg) in ERROR_PATHS.items():
+        yield name, [sub], cfg
 
 
 def read_tree(root):
