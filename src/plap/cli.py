@@ -212,9 +212,10 @@ def _params_from_config(block, key, rate) -> ProblemParams:
 REQUIRED = object()  # the default of a key that every config must set
 
 # The config of each subcommand: key -> (default, check, *extra check args).
-# _read_config runs the checks in this order; the rules that tie keys
-# together are the solvers' own, and each campaign turns a solver's range
-# error into a ConfigError before it writes any file.
+# _read_config runs the checks in this order; a rule that ties keys
+# together is its solver's own where one checks it (martin's t >= r0 + 1
+# is not), and each campaign turns a solver's range error into a
+# ConfigError before it writes any file.
 CONFIGS = {
     "roots": {"params": (REQUIRED, _params_from_config, False)},
     "shoot": {
@@ -430,6 +431,11 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
 def run_martin(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "martin")
     params, t, r0 = c["params"], c["t"], c["r0"]
+    # the ratio approaches the kernel as t grows with xi between the origin
+    # and the pole t*xi; martin_kernel_estimate only checks that |1 - t| and
+    # t lie on the shot, which t in [r0, 1 - r0] also passes
+    if t < r0 + 1.0:
+        raise ConfigError(f"t must be >= {r0 + 1.0:g} (r0 + 1), got {t!r}")
     alpha = eigen_rate_alpha(params.lam, params.p)
     # tolerance carries the O(1/t) bias of the finite-shift ratio
     tol_rel = 5e-3 + 3.0 / t

@@ -249,7 +249,7 @@ class TestMainEntry:
         ("shoot", {"r0": 0}, "r0 must be a finite number > 0"),
         ("shoot", {"grid_points": 1}, "grid_points must be an integer >= 10"),
         ("martin", {"t": -5}, "t must be a finite number > 0"),
-        ("martin", {"t": 1.5}, "radius 0.5 outside sampled span"),
+        ("martin", {"t": 1.5}, "t must be >= 2"),
         ("shoot", {"lam": "x"}, "params.lam must be a number, got 'x'"),
         ("grid", {"lam": [1.0]}, "params.lam must be a number, got [1.0]"),
         ("blowup", {"lam": None}, "params.lam must be a number, got None"),
@@ -261,6 +261,10 @@ class TestMainEntry:
                                        "only 6 samples in window"),
         ("martin", {"t": 5, "r0": 2}, "t 5, r0 2: r_max must be at least "
                                       "10*r0"),
+        # xi past the pole: both radii lie on the shot, so only cli's own
+        # t >= r0 + 1 rejects it
+        ("martin", {"t": 0.5, "r0": 0.1}, "t must be >= 1.1 (r0 + 1), "
+                                          "got 0.5"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):

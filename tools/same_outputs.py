@@ -20,9 +20,9 @@ whitespace, so the numbers on comment lines such as report.csv's
 - `bochner` on {};
 - five error paths, so that a change that moves an exit code shows up:
   `roots` with mu above mu_bar, `shoot` with 30 grid points (6 in the decay
-  fit's window), `martin` at t = 1.5 (a kernel radius of 0.5 below r0) and
-  `blowup` with window 20 (translates outside the shot), each a config
-  error, and `grid` on boundary data that overflow float64, a failed check.
+  fit's window), `martin` at t = 1.5 (below r0 + 1) and `blowup` with
+  window 20 (translates outside the shot), each a config error, and `grid`
+  on boundary data that overflow float64, a failed check.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
 The worktree and all outputs live under one temporary directory (set TMPDIR
 to move it), removed on exit.
