@@ -88,7 +88,7 @@ class SolveStats:
     final_residual: float
     damping_events: int
     epsilon: float
-    # V-cycles plus fallback solves, and float64 factorizations made
+    # corrections plus fallback solves, and float64 factorizations made
     # because the V-cycles failed (see _solve_refined)
     linear_solves: int
     float64_refactors: int
@@ -175,30 +175,38 @@ def p_laplace_residual(field: Field2D, p, lam, epsilon=0.0) -> np.ndarray:
     for smooth positive fields away from critical points when epsilon = 0.
     """
     v, h = field.values, field.h
+    return _residual(v, p, lam, h, _face_terms(v, p, h, epsilon))
+
+
+def _face_terms(v, p, h, epsilon):
+    """(bn, bt, s2, k) on the x- and y-faces of v: normal and transverse
+    gradient, s2 = bn^2 + bt^2 + eps^2, k = s2^((p-2)/2)."""
     dvx, dvy_x, dvy, dvx_y = _face_gradients(v, h)
-    kx = (dvx ** 2 + dvy_x ** 2 + epsilon ** 2) ** ((p - 2.0) / 2.0)
-    ky = (dvy ** 2 + dvx_y ** 2 + epsilon ** 2) ** ((p - 2.0) / 2.0)
-    fx = kx * dvx
-    fy = ky * dvy
+    s2x = dvx ** 2 + dvy_x ** 2 + epsilon ** 2
+    s2y = dvy ** 2 + dvx_y ** 2 + epsilon ** 2
+    with np.errstate(divide="ignore"):  # k = inf on a flat face at p < 2
+        return ((dvx, dvy_x, s2x, s2x ** ((p - 2.0) / 2.0)),
+                (dvy, dvx_y, s2y, s2y ** ((p - 2.0) / 2.0)))
+
+
+def _residual(v, p, lam, h, faces):
+    """p_laplace_residual of the values v from their _face_terms."""
+    (dvx, _, _, kx), (dvy, _, _, ky) = faces
+    fx, fy = kx * dvx, ky * dvy
     div = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
     return -div + lam * v[1:-1, 1:-1] ** (p - 1.0)
 
 
-def _linearized_face_coeffs(base, p, h, epsilon):
-    """Per-face coefficients of the linearized diffusion tensor at `base`.
-
-    On each face the linearized flux in direction g is
-        c1 * (normal dg) + c2 * (transverse dg)
-    with c1 = k (1 + (p-2) bn^2/s2), c2 = k (p-2) bn bt / s2,
-    k = s2^((p-2)/2), s2 = |grad base|^2 + eps^2 at the face.
+def _linearized_face_coeffs(faces, p):
+    """Per-face coefficients of the linearized diffusion tensor of a field
+    whose _face_terms are faces.  On each face the linearized flux in
+    direction g is c1 * (normal dg) + c2 * (transverse dg), with
+    c1 = k (1 + (p-2) bn^2/s2) and c2 = k (p-2) bn bt / s2.
     """
-    dbx, dby_x, dby, dbx_y = _face_gradients(base, h)
     pm2 = p - 2.0
 
-    def coeffs(bn, bt):
-        s2 = bn ** 2 + bt ** 2 + epsilon ** 2
+    def coeffs(bn, bt, s2, k):
         with np.errstate(divide="ignore", invalid="ignore"):
-            k = s2 ** (pm2 / 2.0)
             c1 = k * (1.0 + pm2 * bn ** 2 / s2)
             c2 = k * pm2 * bn * bt / s2
         flat = s2 == 0.0
@@ -207,29 +215,30 @@ def _linearized_face_coeffs(base, p, h, epsilon):
             c2 = np.where(flat, 0.0, c2)
         return c1, c2
 
-    c1x, c2x = coeffs(dbx, dby_x)
-    c1y, c2y = coeffs(dby, dbx_y)
+    (c1x, c2x), (c1y, c2y) = (coeffs(*terms) for terms in faces)
     return c1x, c2x, c1y, c2y
 
 
 def _apply_linearized(base, g, p, h, epsilon):
     """Matrix-free action of the linearized divergence operator on g (interior)."""
-    c1x, c2x, c1y, c2y = _linearized_face_coeffs(base, p, h, epsilon)
+    c1x, c2x, c1y, c2y = _linearized_face_coeffs(
+        _face_terms(base, p, h, epsilon), p)
     dgx, dgy_x, dgy, dgx_y = _face_gradients(g, h)
     gx = c1x * dgx + c2x * dgy_x
     gy = c1y * dgy + c2y * dgx_y
     return (gx[1:, :] - gx[:-1, :]) / h + (gy[:, 1:] - gy[:, :-1]) / h
 
 
-def _newton_stencil(v, p, lam, h, epsilon):
-    """Stencil arrays of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta.
+def _newton_stencil(v, p, lam, h, faces):
+    """Stencil arrays of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta,
+    from faces, the _face_terms of v.
 
     Returns a (3, 3, mi, mj) array over the mi x mj interior nodes:
     sten[di + 1, dj + 1, k, l] couples node (k, l) to node (k + di, l + dj).
     Couplings to boundary nodes are zeroed, so the arrays hold the operator
     on the interior alone.
     """
-    c1x, c2x, c1y, c2y = _linearized_face_coeffs(v, p, h, epsilon)
+    c1x, c2x, c1y, c2y = _linearized_face_coeffs(faces, p)
     e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
     w1, w2 = c1x[:-1, :], c2x[:-1, :]
     n1, n2 = c1y[:, 1:], c2y[:, 1:]
@@ -254,12 +263,13 @@ def _newton_stencil(v, p, lam, h, epsilon):
     return sten
 
 
-def _stencil_csr(sten):
-    """CSR matrix of the (3, 3, mi, mj) stencil arrays sten.
+def _stencil_matrix(sten):
+    """DIA matrix of the (3, 3, mi, mj) stencil arrays sten.
 
     Node (k, l) is row and column k * mj + l, so stencil entry (di, dj) lies
     on diagonal di * mj + dj.  Arrays that share a diagonal (mj <= 2) are
-    summed, and exact zeros are left out.
+    summed.  Its products add each row's terms in ascending column order,
+    bit for bit as with its CSR form, which leaves exact zeros out.
     """
     mi, mj = sten.shape[2:]
     size = mi * mj
@@ -272,7 +282,7 @@ def _stencil_csr(sten):
         diag = flat[:size - off] if off >= 0 else flat[-off:]
         diagonals[off] = diagonals[off] + diag if off in diagonals else diag
     return sparse.diags(list(diagonals.values()), list(diagonals),
-                        shape=(size, size), format="csr")
+                        shape=(size, size), format="dia")
 
 
 # Coarse node I of an axis of m fine nodes sits on fine node 2I + 1 and
@@ -336,10 +346,10 @@ def _restrict(r):
 
 def _multigrid_hierarchy(mat, sten):
     """Galerkin levels of the stencil arrays sten, or None; mat is their
-    CSR matrix (_stencil_csr).
+    DIA matrix (_stencil_matrix).
 
     Level k holds (A_k, JACOBI_OMEGA / diag(A_k), (mi, mj)), where A_k is
-    the CSR matrix of the level's stencil arrays on its mi x mj interior,
+    the DIA matrix of the level's stencil arrays on its mi x mj interior,
     its diagonal is their centre array, and the next level's arrays are
     the Galerkin product P_k^T A_k P_k, formed by _coarsen_axis along both
     axes since P_k interpolates kron-wise from the (mi // 2, mj // 2) grid
@@ -356,7 +366,7 @@ def _multigrid_hierarchy(mat, sten):
             return None
         levels.append((mat, weight, sten.shape[2:]))
         sten = _coarsen_axis(_coarsen_axis(sten, 0), 1)
-        mat = _stencil_csr(sten)
+        mat = _stencil_matrix(sten)
     try:
         return levels, splu(mat.tocsc(), permc_spec=DIRECT_ORDERING)
     except RuntimeError:  # exactly singular
@@ -382,18 +392,30 @@ def _vcycle(levels, coarsest, rhs):
     return x
 
 
+def _fmg(levels, coarsest, rhs):
+    """Full multigrid for levels[0]'s matrix: the coarsest LU solve, then on
+    each finer level the prolonged coarse solution plus one V-cycle."""
+    if not levels:
+        return coarsest.solve(rhs)
+    mat, _, (mi, mj) = levels[0]
+    coarse = _fmg(levels[1:], coarsest, _restrict(rhs.reshape(mi, mj)).ravel())
+    x = _prolong(coarse.reshape(mi // 2, mj // 2), mi, mj).ravel()
+    return x + _vcycle(levels, coarsest, rhs - mat @ x)
+
+
 def _solve_refined(sten, rhs, interior):
-    """Newton step x solving A x = rhs, by multigrid V-cycles refined in
+    """Newton step x solving A x = rhs, by multigrid corrections refined in
     float64, where A is the matrix of the stencil arrays sten.
 
     interior holds the (mi, mj) positive interior values of the field the
     step updates, and sten the Newton operator's (3, 3, mi, mj) stencil
     arrays on those nodes (_newton_stencil), node (k, l) being row
-    k * mj + l of the CSR matrix A = _stencil_csr(sten).  The Galerkin
-    hierarchy (_multigrid_hierarchy) is built once from sten, and each
-    correction is one V-cycle (_vcycle) on the float64 residual rhs - A @ x
-    (Brandt, Math. Comp. 31, 1977; Trottenberg, Oosterlee & Schueller,
-    Multigrid, 2001).  Refinement stops once a correction is within
+    k * mj + l of the DIA matrix A = _stencil_matrix(sten).  The Galerkin
+    hierarchy (_multigrid_hierarchy) is built once from sten.  The first
+    correction is one full-multigrid pass (_fmg) on rhs, and each later one
+    is one V-cycle (_vcycle) on the float64 residual rhs - A @ x (Brandt,
+    Math. Comp. 31, 1977; Trottenberg, Oosterlee & Schueller, Multigrid,
+    2001, ch. 2).  Refinement stops once a correction is within
     REFINE_ULPS float64 ulps of the field at every node,
     |corr| <= REFINE_ULPS * eps * interior: the update interior + x rounds
     finer digits of x away, so x is accurate to a few ulps of the field,
@@ -406,9 +428,9 @@ def _solve_refined(sten, rhs, interior):
     before above STALL_ULPS ulps of x.  No hierarchy outlives the call, and
     it is freed before the float64 LU is made.
 
-    Returns (x, V-cycles plus fallback solves, float64 factorizations).
+    Returns (x, corrections plus fallback solves, float64 factorizations).
     """
-    mat = _stencil_csr(sten)
+    mat = _stencil_matrix(sten)
     hierarchy = _multigrid_hierarchy(mat, sten)
     done = REFINE_ULPS * EPS64 * interior.ravel()
     x = np.zeros_like(rhs)
@@ -418,7 +440,7 @@ def _solve_refined(sten, rhs, interior):
             return x, cycles, 0
         # a correction that overflows is not finite and goes to the fallback
         with np.errstate(invalid="ignore", over="ignore"):
-            corr = _vcycle(*hierarchy, resid)
+            corr = (_vcycle if cycles else _fmg)(*hierarchy, resid)
         cycles += 1
         size = np.abs(corr)
         step = float(np.max(size))
@@ -451,15 +473,17 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     max_iters or the damping floor is exhausted before final_residual <= tol.
 
     Each Newton step assembles the Jacobian as its nine stencil arrays
-    (_newton_stencil) and solves it with _solve_refined: multigrid V-cycles
-    on a hierarchy coarsened from those arrays, on the float64 residual
-    until a correction is within REFINE_ULPS ulps of the interior of v, the
-    field the step updates, or one float64 LU when they fail.  The updated field is then within a few ulps of the one an exact
-    step gives, while the step itself may be accurate only to those ulps of
-    v rather than to its own.  The step's multigrid hierarchy is freed
-    before the next one is built.  SolveStats counts the V-cycles and
-    fallback solves (linear_solves) and the float64 fallbacks
-    (float64_refactors).
+    (_newton_stencil), from the face terms of the residual that accepted
+    v, and solves it with _solve_refined: a full-multigrid pass, then
+    V-cycles, on a hierarchy coarsened from those arrays, on the float64
+    residual until a correction is within REFINE_ULPS ulps of the interior
+    of v, the field the step updates, or one float64 LU when they fail.
+    The updated field is then within a few ulps of the one an exact step
+    gives, while the step itself may be accurate only to those ulps of v
+    rather than to its own.  The step's multigrid hierarchy is freed
+    before the next one is built.  SolveStats counts the corrections and
+    fallback solves (linear_solves; the full-multigrid pass counts as one
+    correction) and the float64 fallbacks (float64_refactors).
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
@@ -473,16 +497,14 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     if not np.all(np.isfinite(v)):
         raise DomainError(f"boundary data exp({alpha:g} <x, xi>) overflows "
                           "on the rectangle")
-    fld = field_from_values(v, rect, h)
+    field_from_values(v, rect, h)  # rejects data that are not positive
     epsilon = 1e-8 * alpha * float(v.max())
-
-    def res_norm(arr):
-        return float(np.max(np.abs(arr)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            resid = p_laplace_residual(fld, p, lam, epsilon)
-            res = res_norm(resid)
+            faces = _face_terms(v, p, h, epsilon)
+            resid = _residual(v, p, lam, h, faces)
+            res = float(np.max(np.abs(resid)))
         except OverflowError:  # epsilon**2 beyond the largest double
             res = math.inf
     if not math.isfinite(res):
@@ -496,9 +518,10 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 f"residual {res:g} > tol {tol:g} after {iters} iterations "
                 "(h too coarse or damping floor hit)"
             )
-        x, solves, refactors = _solve_refined(
-            _newton_stencil(v, p, lam, fld.h, epsilon), -resid.ravel(),
-            v[1:-1, 1:-1])
+        sten = _newton_stencil(v, p, lam, h, faces)
+        faces = None  # freed before the step's hierarchy is built
+        x, solves, refactors = _solve_refined(sten, -resid.ravel(),
+                                              v[1:-1, 1:-1])
         delta = x.reshape(resid.shape)
         linear_solves += solves
         float64_refactors += refactors
@@ -509,23 +532,21 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
             v_try = v.copy()
             v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
             if _positive_finite(v_try):
-                try_field = Field2D(nx=fld.nx, ny=fld.ny, h=fld.h,
-                                    origin=fld.origin, values=v_try)
-                resid_try = p_laplace_residual(try_field, p, lam, epsilon)
-                res_try = res_norm(resid_try)
+                faces = _face_terms(v_try, p, h, epsilon)
+                resid_try = _residual(v_try, p, lam, h, faces)
+                res_try = float(np.max(np.abs(resid_try)))
                 if res_try < res or res_try <= tol:
                     break
             theta *= 0.5
             damping_events += 1
         v = v_try
-        fld = try_field
         resid, res = resid_try, res_try
         iters += 1
     stats = SolveStats(newton_iters=iters, final_residual=res,
                        damping_events=damping_events, epsilon=epsilon,
                        linear_solves=linear_solves,
                        float64_refactors=float64_refactors)
-    return fld, stats
+    return field_from_values(v, rect, h), stats
 
 
 def gradient_log_sup(field: Field2D, via="log") -> float:

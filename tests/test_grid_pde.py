@@ -11,12 +11,12 @@ from scipy.sparse.linalg import splu, spsolve
 
 from plap import cli, grid_pde
 from plap.errors import DomainError, NoConvergence
-from plap.grid_pde import (Field2D, _apply_linearized, _newton_stencil,
-                           _stencil_csr, bochner_residual, directional_range,
-                           exponential_field, field_from_values,
-                           gradient_log_sup, kappa, kappa_bound_check,
-                           p_laplace_residual, representation_field,
-                           solve_dirichlet)
+from plap.grid_pde import (Field2D, _apply_linearized, _face_terms,
+                           _newton_stencil, _stencil_matrix, bochner_residual,
+                           directional_range, exponential_field,
+                           field_from_values, gradient_log_sup, kappa,
+                           kappa_bound_check, p_laplace_residual,
+                           representation_field, solve_dirichlet)
 from plap.indicial import ProblemParams, eigen_rate_alpha
 
 RECT = (0.0, 0.0, 1.0, 1.0)
@@ -274,7 +274,8 @@ class Factor:
 def stencil_coefficients(v, p, h, eps):
     """3x3 stencil of the linearized operator L_v at each interior node,
     by offset (di, dj), from the face coefficients of the flux."""
-    c1x, c2x, c1y, c2y = grid_pde._linearized_face_coeffs(v, p, h, eps)
+    c1x, c2x, c1y, c2y = grid_pde._linearized_face_coeffs(
+        _face_terms(v, p, h, eps), p)
     e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
     w1, w2 = c1x[:-1, :], c2x[:-1, :]
     n1, n2 = c1y[:, 1:], c2y[:, 1:]
@@ -313,9 +314,15 @@ def coo_newton_matrix(v, p, lam, h, eps):
         shape=(mi * mj, mi * mj)).tocsr()
 
 
+def newton_stencil(v, p, lam, h, eps):
+    """_newton_stencil from the face terms of v."""
+    return _newton_stencil(v, p, lam, h, _face_terms(v, p, h, eps))
+
+
 def newton_matrix(v, p, lam, h, eps):
-    """The CSR Newton matrix that _solve_refined builds from the stencil."""
-    return _stencil_csr(_newton_stencil(v, p, lam, h, eps))
+    """The Newton matrix that _solve_refined builds from the stencil, in
+    CSR."""
+    return _stencil_matrix(newton_stencil(v, p, lam, h, eps)).tocsr()
 
 
 def prolongation(m):
@@ -360,7 +367,7 @@ def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
     Newton step of solve_dirichlet)."""
     v, eps = newton_field(p, h, lam, rect, noise)
     resid = p_laplace_residual(field_from_values(v, rect, h), p, lam, eps)
-    return (_newton_stencil(v, p, lam, h, eps), -resid.ravel(),
+    return (newton_stencil(v, p, lam, h, eps), -resid.ravel(),
             v[1:-1, 1:-1])
 
 
@@ -369,15 +376,38 @@ def direct_solve(mat, rhs):
     return splu(mat.tocsc(), permc_spec=grid_pde.DIRECT_ORDERING).solve(rhs)
 
 
+def spy_corrections(monkeypatch):
+    """The corrections _solve_refined takes, in order: the values returned
+    by the calls of _fmg and _vcycle that it makes itself, not those they
+    make inside each other."""
+    corrections, depth = [], [0]
+
+    def spying(solve):
+        def spy(levels, coarsest, resid):
+            depth[0] += 1
+            try:
+                corr = solve(levels, coarsest, resid)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                corrections.append(corr)
+            return corr
+        return spy
+
+    for name in ("_fmg", "_vcycle"):
+        monkeypatch.setattr(grid_pde, name, spying(getattr(grid_pde, name)))
+    return corrections
+
+
 def random_inputs(shape):
-    """_newton_stencil arguments at a random positive field of the given
+    """newton_stencil arguments at a random positive field of the given
     shape, for p in 1.5, 3 and 4."""
     v = np.exp(np.random.default_rng(11).random(shape))
     return [(v, p, 2.0, 1 / 64, 1e-8) for p in (1.5, 3.0, 4.0)]
 
 
 def field_inputs(p, h, rect=RECT, noise=0.0, xi=XI):
-    """_newton_stencil arguments at newton_field with lam = 2."""
+    """newton_stencil arguments at newton_field with lam = 2."""
     v, eps = newton_field(p, h, 2.0, rect, noise, xi)
     return [(v, p, 2.0, h, eps)]
 
@@ -410,6 +440,35 @@ class TestNewtonStep:
         base = start.values[1:-1, 1:-1]
         assert field_gap_ulps(base, step, expected) <= FIELD_ULPS
         assert np.array_equal(fld.values[1:-1, 1:-1], base + step)
+
+    def test_steps_take_the_accepted_fields_face_terms(self, monkeypatch):
+        # each step's stencil and right-hand side come from the face terms
+        # of the residual that accepted the field, bit for bit those of
+        # the field itself; here a step rejects a positive trial whose
+        # residual grew before it accepts a damped one
+        p, lam, h = 1.05, 1.0, 1 / 4
+        xi = np.array([math.cos(0.3), math.sin(0.3)])
+        alpha = eigen_rate_alpha(lam, p)
+        start = exponential_field(alpha, xi, RECT, h).values
+        eps = 1e-8 * alpha * float(start.max())
+        steps = []
+
+        def spy(sten, rhs, interior):
+            v = start.copy()
+            v[1:-1, 1:-1] = interior
+            resid = p_laplace_residual(field_from_values(v, RECT, h), p, lam,
+                                       eps)
+            assert np.array_equal(sten, newton_stencil(v, p, lam, h, eps))
+            assert np.array_equal(rhs, -resid.ravel())
+            steps.append(interior)
+            return solve_refined(sten, rhs, interior)
+
+        solve_refined = grid_pde._solve_refined
+        monkeypatch.setattr(grid_pde, "_solve_refined", spy)
+        _, stats = solve_dirichlet(ProblemParams(n=4, p=p, lam=lam), xi, RECT,
+                                   h, tol=1e-9)
+        assert stats.newton_iters == len(steps) > 1
+        assert stats.damping_events > 0
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
     def test_solve_matches_spsolve_newton(self, p):
@@ -477,6 +536,29 @@ class TestNewtonLinearLayer:
             assert np.array_equal(new.indices, ref.indices)
             assert new.data.tobytes() == ref.data.tobytes()
 
+    @pytest.mark.parametrize("inputs", [
+        *(pytest.param(random_inputs(shape), id=f"shape{k}")
+          for k, shape in enumerate([(3, 3), (3, 9), (9, 4), (17, 12),
+                                     (66, 34), (9, 3)])),
+        pytest.param(field_inputs(3.0, 1 / 16, xi=(1.0, 0.0)), id="xi_1_0"),
+    ])
+    def test_dia_product_matches_csr_bit_for_bit(self, inputs):
+        # every level's products are DIA ones; they add each row's terms in
+        # the order the CSR product does, whose matrix leaves exact zeros
+        # out (xi_1_0), on each level down to a single node on an axis
+        x = np.random.default_rng(5).standard_normal(64 * 32)
+        for v, p, lam, h, eps in inputs:
+            sten = newton_stencil(v, p, lam, h, eps)
+            while True:
+                mat = _stencil_matrix(sten)
+                assert mat.format == "dia"
+                y = x[:mat.shape[0]]
+                assert np.array_equal(mat @ y, mat.tocsr() @ y)
+                if min(sten.shape[2:]) < 2:
+                    break
+                sten = grid_pde._coarsen_axis(
+                    grid_pde._coarsen_axis(sten, 0), 1)
+
     @pytest.mark.parametrize("m, expected", [
         (5, [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.0, 0.5]]),
         (4, [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),
@@ -507,16 +589,16 @@ class TestNewtonLinearLayer:
         # with the kron prolongation: within a few ulps of each row's
         # largest entry, with the same entries once exact zeros are dropped
         for v, p, lam, h, eps in inputs:
-            sten = _newton_stencil(v, p, lam, h, eps)
+            sten = newton_stencil(v, p, lam, h, eps)
             while min(sten.shape[2:]) >= 2:
                 mi, mj = sten.shape[2:]
                 prol = sparse.kron(prolongation(mi), prolongation(mj),
                                    format="csr")
-                ref = (prol.T @ _stencil_csr(sten) @ prol).tocsr()
+                ref = (prol.T @ _stencil_matrix(sten).tocsr() @ prol).tocsr()
                 sten = grid_pde._coarsen_axis(
                     grid_pde._coarsen_axis(sten, 0), 1)
                 assert sten.shape[2:] == (mi // 2, mj // 2)
-                new = _stencil_csr(sten)
+                new = _stencil_matrix(sten).tocsr()
                 row_max = abs(ref).max(axis=1).toarray()
                 gap = abs(new - ref).max(axis=1).toarray()
                 assert np.all(gap <= 8 * grid_pde.EPS64 * row_max)
@@ -527,7 +609,7 @@ class TestNewtonLinearLayer:
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_refined_solve_matches_float64_lu(self, p, monkeypatch):
         sten, rhs, base = newton_system(p, 1 / 64)
-        mat = _stencil_csr(sten)
+        mat = _stencil_matrix(sten)
         expected = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
@@ -554,7 +636,7 @@ class TestNewtonLinearLayer:
         rect = (0.0, 0.0, (mi + 1) * h, (mj + 1) * h)
         sten, rhs, base = newton_system(p, h, lam, rect, noise=0.0)
         assert base.shape == (mi, mj)
-        expected = spsolve(_stencil_csr(sten), rhs)
+        expected = spsolve(_stencil_matrix(sten).tocsr(), rhs)
         x, _, refactors = grid_pde._solve_refined(sten, rhs, base)
         assert refactors == 0
         assert field_gap_ulps(base.ravel(), x, expected) <= FIELD_ULPS
@@ -563,26 +645,17 @@ class TestNewtonLinearLayer:
     def test_refinement_stops_at_the_field_rounding(self, p, monkeypatch):
         # the returned step's last correction is the first within
         # REFINE_ULPS ulps of the field at every node; at this exact start
-        # that takes 7-10 V-cycles, where stopping within REFINE_ULPS ulps
-        # of the step itself took 14-16
+        # that takes 8-9 corrections (9-10 V-cycles without the
+        # full-multigrid start), where stopping within REFINE_ULPS ulps of
+        # the step itself took 14-16
         sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
-        vcycle, calls = grid_pde._vcycle, []
-
-        def spy(levels, coarsest, resid):
-            calls.append((len(levels), vcycle(levels, coarsest, resid)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(grid_pde, "_vcycle", spy)
+        corrections = spy_corrections(monkeypatch)
         x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
-        # _vcycle recurses through the spy; the finest level's calls are
-        # the corrections
-        top = max(depth for depth, _ in calls)
-        corrections = [corr for depth, corr in calls if depth == top]
         done = grid_pde.REFINE_ULPS * grid_pde.EPS64 * base.ravel()
         within = [bool(np.all(np.abs(c) <= done)) for c in corrections]
         assert within[-1] and not any(within[:-1])
         assert (solves, refactors) == (len(corrections), 0)
-        assert solves <= 11
+        assert solves <= 9
         total = np.zeros_like(x)
         for corr in corrections:
             total += corr
@@ -590,12 +663,44 @@ class TestNewtonLinearLayer:
         last = float(np.max(np.abs(corrections[-1])))
         assert last > grid_pde.REFINE_ULPS * grid_pde.EPS64 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+    @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
+    def test_full_multigrid_start_takes_fewer_corrections(self, p, h,
+                                                          monkeypatch):
+        # the first Newton step from the exact start, with the first
+        # correction from _fmg and with plain V-cycles throughout
+        sten, rhs, base = newton_system(p, h, lam=2.5, noise=0.0)
+        expected = spsolve(_stencil_matrix(sten).tocsr(), rhs)
+        runs = [grid_pde._solve_refined(sten, rhs, base)]
+        monkeypatch.setattr(grid_pde, "_fmg", grid_pde._vcycle)
+        runs.append(grid_pde._solve_refined(sten, rhs, base))
+        (x, solves, refactors), (x_plain, solves_plain, refactors_plain) = runs
+        assert refactors == refactors_plain == 0
+        assert solves < solves_plain
+        for step in (x, x_plain):
+            assert field_gap_ulps(base.ravel(), step, expected) <= FIELD_ULPS
+
+    def test_full_multigrid_start_keeps_the_fallbacks(self, monkeypatch):
+        # on 1%-perturbed fields the V-cycle contracts slowly at large p
+        # and small lam, and the same solves fall back to the float64 LU
+        # with the full-multigrid start as without it
+        systems = [newton_system(p, 1 / 64, lam)
+                   for p in (1.5, 2.7, 3.9, 4.0) for lam in (0.3, 0.5, 2.0)]
+
+        def fallbacks():
+            return [grid_pde._solve_refined(*system)[2] for system in systems]
+
+        with_fmg = fallbacks()
+        monkeypatch.setattr(grid_pde, "_fmg", grid_pde._vcycle)
+        assert fallbacks() == with_fmg
+        assert sum(with_fmg) == 4
+
     def test_zero_diagonal_falls_back_to_float64(self, monkeypatch):
         # a zero centre stencil entry makes its Jacobi weight infinite, so
         # no hierarchy is built and the step comes from one float64 LU
         sten, rhs, base = newton_system(3.0, 1 / 64)
         sten[1, 1, 0, 0] = 0.0
-        mat = _stencil_csr(sten)
+        mat = _stencil_matrix(sten)
         expected = direct_solve(mat, rhs)
         assert np.all(np.isfinite(expected))
         spy = SpyLU()
@@ -610,7 +715,7 @@ class TestNewtonLinearLayer:
         # V-cycles that take 90% of the remaining error for nine cycles and
         # 30% after: they stall at 2.1e-10 of |x|, above the rounding floor
         sten, rhs, base = newton_system(3.0, 1 / 64)
-        mat = _stencil_csr(sten)
+        mat = _stencil_matrix(sten)
         expected = direct_solve(mat, rhs)
         exact = splu(mat.tocsc(), permc_spec="NATURAL")
         calls = []
@@ -622,6 +727,8 @@ class TestNewtonLinearLayer:
 
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
+        # the first correction as well as the later ones
+        monkeypatch.setattr(grid_pde, "_fmg", slow_vcycle)
         monkeypatch.setattr(grid_pde, "_vcycle", slow_vcycle)
         x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
         # the coarsest level's factor, then the fallback after it is freed
