@@ -29,8 +29,9 @@ REFINE_ULPS = 4.0
 # a correction that fails to halve the one before is the rounding floor
 # when within this many float64 ulps of the step, else the V-cycle has
 # failed.  The floor reached (the stalled correction over ulp(max|x|))
-# measured at most 14 at h = 1/32, 52 at h = 1/256 and 166 at h = 1/512
-# on draws like the benchmark's grid_fine ones
+# measured at most 29 at h = 1/32, 198 at h = 1/256 and 319 at h = 1/512
+# with float32 levels, on 320, 112 and 16 draws like the benchmark's
+# grid_fine ones
 STALL_ULPS = 1024.0
 # multigrid V-cycle of a Newton step: damped Jacobi smoothing with this
 # weight and sweep counts, coarsening while both axes have more than
@@ -303,10 +304,10 @@ def _coarsen_axis(sten, axis):
     s = sten.transpose(1, 0, 3, 2) if axis else sten
     n = s.shape[2] // 2
     if s.shape[2] % 2 == 0:  # the boundary node beyond an even axis
-        s = np.concatenate([s, np.zeros(s.shape[:2] + (1,) + s.shape[3:])],
-                           axis=2)
+        s = np.concatenate(
+            [s, np.zeros(s.shape[:2] + (1,) + s.shape[3:], s.dtype)], axis=2)
     lo, mid, hi = s[:, :, 0:2 * n:2], s[:, :, 1::2], s[:, :, 2::2]
-    coarse = np.empty((3,) + mid.shape[1:])
+    coarse = np.empty((3,) + mid.shape[1:], s.dtype)
     coarse[0] = 0.5 * (lo[0] + mid[0]) + 0.25 * lo[1]
     coarse[1] = (mid[1] + 0.25 * (lo[1] + hi[1])
                  + 0.5 * (lo[2] + mid[0] + mid[2] + hi[0]))
@@ -318,10 +319,10 @@ def _coarsen_axis(sten, axis):
 
 def _prolong(c, mi, mj):
     """P c: the (mi, mj) linear interpolation of the (mi // 2, mj // 2)
-    array c, one axis at a time."""
+    array c, one axis at a time, in c's dtype."""
     for m in (mi, mj):
         n = c.shape[0]
-        fine = np.empty((m,) + c.shape[1:])
+        fine = np.empty((m,) + c.shape[1:], c.dtype)
         half = 0.5 * c
         fine[1::2] = c
         fine[0] = half[0]
@@ -344,31 +345,45 @@ def _restrict(r):
     return r
 
 
-def _multigrid_hierarchy(mat, sten):
-    """Galerkin levels of the stencil arrays sten, or None; mat is their
-    DIA matrix (_stencil_matrix).
+def _binary_exponent(a):
+    """e such that 2^-e a has its largest magnitude in [0.5, 1) (0 when a
+    is all zeros or not finite)."""
+    return int(np.frexp(np.max(np.abs(a)))[1])
 
+
+def _multigrid_hierarchy(sten):
+    """float32 Galerkin levels of the float64 stencil arrays sten, or None.
+
+    The levels hold 2^-shift sten, shift = _binary_exponent(sten[1, 1]),
+    so that the largest centre entry lies in [0.5, 1): the power-of-two
+    scale is exact, and a system whose magnitudes fit float64 also fits
+    float32's range unless its own entries spread wider than that range.
     Level k holds (A_k, JACOBI_OMEGA / diag(A_k), (mi, mj)), where A_k is
-    the DIA matrix of the level's stencil arrays on its mi x mj interior,
-    its diagonal is their centre array, and the next level's arrays are
-    the Galerkin product P_k^T A_k P_k, formed by _coarsen_axis along both
-    axes since P_k interpolates kron-wise from the (mi // 2, mj // 2) grid
-    below.  Coarsening stops once an axis has at most COARSEST_NODES nodes;
-    that level is factored by splu.  Returns (levels, coarsest factor), or
-    None when a Jacobi weight is not finite or the coarsest matrix is
-    exactly singular.
+    the DIA matrix (_stencil_matrix) of the level's float32 stencil arrays
+    on its mi x mj interior, its diagonal is their centre array, and the
+    next level's arrays are the Galerkin product P_k^T A_k P_k, formed by
+    _coarsen_axis along both axes since P_k interpolates kron-wise from the
+    (mi // 2, mj // 2) grid below.  Coarsening stops once an axis has at
+    most COARSEST_NODES nodes; that level is factored by splu in float32.
+    Returns (levels, coarsest factor, shift), or None when a Jacobi weight
+    is not finite (a centre entry is zero, or underflows float32) or the
+    coarsest matrix is exactly singular.
     """
-    levels = []
-    while min(sten.shape[2:]) > COARSEST_NODES:
-        with np.errstate(divide="ignore"):
+    shift = _binary_exponent(sten[1, 1])
+    # scaled in float64, stored in float32: an entry beyond float32's range
+    # becomes inf, and one below it zero, an infinite Jacobi weight
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sten = np.ldexp(sten, -shift, out=np.empty(sten.shape, np.float32))
+        levels = []
+        while min(sten.shape[2:]) > COARSEST_NODES:
             weight = JACOBI_OMEGA / sten[1, 1].ravel()
-        if not np.all(np.isfinite(weight)):
-            return None
-        levels.append((mat, weight, sten.shape[2:]))
-        sten = _coarsen_axis(_coarsen_axis(sten, 0), 1)
-        mat = _stencil_matrix(sten)
+            if not np.all(np.isfinite(weight)):
+                return None
+            levels.append((_stencil_matrix(sten), weight, sten.shape[2:]))
+            sten = _coarsen_axis(_coarsen_axis(sten, 0), 1)
     try:
-        return levels, splu(mat.tocsc(), permc_spec=DIRECT_ORDERING)
+        return (levels, splu(_stencil_matrix(sten).tocsc(),
+                             permc_spec=DIRECT_ORDERING), shift)
     except RuntimeError:  # exactly singular
         return None
 
@@ -377,7 +392,8 @@ def _vcycle(levels, coarsest, rhs):
     """One V-cycle from a zero guess for levels[0]'s matrix: PRE_SWEEPS
     damped Jacobi sweeps, the coarse-grid correction, POST_SWEEPS sweeps.
     The residual goes down by _restrict and the correction comes up by
-    _prolong, on the level's (mi, mj) node array."""
+    _prolong, on the level's (mi, mj) node array.  Runs in the levels'
+    float32, on a float32 rhs."""
     if not levels:
         return coarsest.solve(rhs)
     mat, weight, (mi, mj) = levels[0]
@@ -394,7 +410,8 @@ def _vcycle(levels, coarsest, rhs):
 
 def _fmg(levels, coarsest, rhs):
     """Full multigrid for levels[0]'s matrix: the coarsest LU solve, then on
-    each finer level the prolonged coarse solution plus one V-cycle."""
+    each finer level the prolonged coarse solution plus one V-cycle.  Runs
+    in float32, as _vcycle does."""
     if not levels:
         return coarsest.solve(rhs)
     mat, _, (mi, mj) = levels[0]
@@ -403,19 +420,36 @@ def _fmg(levels, coarsest, rhs):
     return x + _vcycle(levels, coarsest, rhs - mat @ x)
 
 
+def _correction(cycle, hierarchy, resid):
+    """The float64 correction that cycle (_fmg or _vcycle) on the float32
+    levels of hierarchy gives for the float64 residual resid.  resid is
+    scaled by the power of two that puts its largest magnitude in [0.5, 1)
+    before the cast to float32, and the cycle's result is scaled back by it
+    and by the levels' shift, both exactly."""
+    levels, coarsest, shift = hierarchy
+    scale = _binary_exponent(resid)
+    y = cycle(levels, coarsest, np.ldexp(resid, -scale).astype(np.float32))
+    return np.ldexp(y, scale - shift, dtype=np.float64)
+
+
 def _solve_refined(sten, rhs, interior):
-    """Newton step x solving A x = rhs, by multigrid corrections refined in
-    float64, where A is the matrix of the stencil arrays sten.
+    """Newton step x solving A x = rhs, by float32 multigrid corrections
+    refined in float64, where A is the matrix of the stencil arrays sten.
 
     interior holds the (mi, mj) positive interior values of the field the
     step updates, and sten the Newton operator's (3, 3, mi, mj) stencil
     arrays on those nodes (_newton_stencil), node (k, l) being row
-    k * mj + l of the DIA matrix A = _stencil_matrix(sten).  The Galerkin
-    hierarchy (_multigrid_hierarchy) is built once from sten.  The first
-    correction is one full-multigrid pass (_fmg) on rhs, and each later one
-    is one V-cycle (_vcycle) on the float64 residual rhs - A @ x (Brandt,
-    Math. Comp. 31, 1977; Trottenberg, Oosterlee & Schueller, Multigrid,
-    2001, ch. 2).  Refinement stops once a correction is within
+    k * mj + l of the float64 DIA matrix A = _stencil_matrix(sten).  The
+    Galerkin hierarchy (_multigrid_hierarchy) is built once from sten, in
+    float32.  The first correction is one full-multigrid pass (_fmg) on
+    rhs, and each later one is one V-cycle (_vcycle) on the float64
+    residual rhs - A @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
+    Oosterlee & Schueller, Multigrid, 2001, ch. 2), each cast to float32
+    and back by _correction.  The cycles only have to contract the error,
+    and float32 suffices for that, since x, A and the residual that
+    decide the answer stay float64: mixed-precision iterative refinement
+    (Goeddeke, Strzodka & Turek, IJPEDS 22, 2007; Carson & Higham, SIAM J.
+    Sci. Comput. 40, 2018).  Refinement stops once a correction is within
     REFINE_ULPS float64 ulps of the field at every node,
     |corr| <= REFINE_ULPS * eps * interior: the update interior + x rounds
     finer digits of x away, so x is accurate to a few ulps of the field,
@@ -431,7 +465,7 @@ def _solve_refined(sten, rhs, interior):
     Returns (x, corrections plus fallback solves, float64 factorizations).
     """
     mat = _stencil_matrix(sten)
-    hierarchy = _multigrid_hierarchy(mat, sten)
+    hierarchy = _multigrid_hierarchy(sten)
     done = REFINE_ULPS * EPS64 * interior.ravel()
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
@@ -440,7 +474,7 @@ def _solve_refined(sten, rhs, interior):
             return x, cycles, 0
         # a correction that overflows is not finite and goes to the fallback
         with np.errstate(invalid="ignore", over="ignore"):
-            corr = (_vcycle if cycles else _fmg)(*hierarchy, resid)
+            corr = _correction(_vcycle if cycles else _fmg, hierarchy, resid)
         cycles += 1
         size = np.abs(corr)
         step = float(np.max(size))
@@ -475,10 +509,11 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the face terms of the residual that accepted
     v, and solves it with _solve_refined: a full-multigrid pass, then
-    V-cycles, on a hierarchy coarsened from those arrays, on the float64
-    residual until a correction is within REFINE_ULPS ulps of the interior
-    of v, the field the step updates, or one float64 LU when they fail.
-    The updated field is then within a few ulps of the one an exact step
+    V-cycles, in float32 on a hierarchy coarsened from a float32 copy of
+    those arrays, each on the float64 residual, until a correction is
+    within REFINE_ULPS ulps of the interior of v, the field the step
+    updates, or one float64 LU when they fail.  v, its residual and the
+    returned field are float64.  The updated field is then within a few ulps of the one an exact step
     gives, while the step itself may be accurate only to those ulps of v
     rather than to its own.  The step's multigrid hierarchy is freed
     before the next one is built.  SolveStats counts the corrections and

@@ -377,25 +377,17 @@ def direct_solve(mat, rhs):
 
 
 def spy_corrections(monkeypatch):
-    """The corrections _solve_refined takes, in order: the values returned
-    by the calls of _fmg and _vcycle that it makes itself, not those they
-    make inside each other."""
-    corrections, depth = [], [0]
+    """The corrections _solve_refined takes, in order: the float64 values
+    that _correction returns from the float32 cycles of _fmg and _vcycle."""
+    corrections = []
 
-    def spying(solve):
-        def spy(levels, coarsest, resid):
-            depth[0] += 1
-            try:
-                corr = solve(levels, coarsest, resid)
-            finally:
-                depth[0] -= 1
-            if depth[0] == 0:
-                corrections.append(corr)
-            return corr
-        return spy
+    def spy(cycle, hierarchy, resid):
+        corr = correction(cycle, hierarchy, resid)
+        corrections.append(corr)
+        return corr
 
-    for name in ("_fmg", "_vcycle"):
-        monkeypatch.setattr(grid_pde, name, spying(getattr(grid_pde, name)))
+    correction = grid_pde._correction
+    monkeypatch.setattr(grid_pde, "_correction", spy)
     return corrections
 
 
@@ -614,11 +606,57 @@ class TestNewtonLinearLayer:
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
         x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
-        # one factor, of the coarsest level, and no fallback
-        assert spy.dtypes == [np.float64] and refactors == 0
+        # one float32 factor, of the coarsest level, and no fallback
+        assert spy.dtypes == [np.float32] and refactors == 0
         assert spy.shapes[0][0] < mat.shape[0]
         assert solves >= 2
         assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_levels_are_float32_and_the_step_float64(self):
+        # the levels, their Jacobi weights and the coarsest factor are
+        # float32; the step and the solved field are float64
+        sten, rhs, base = newton_system(2.7, 1 / 128)
+        levels, coarsest, _ = grid_pde._multigrid_hierarchy(sten)
+        assert len(levels) == 3  # 127, 63 and 31 nodes per axis
+        for mat, weight, _ in levels:
+            assert mat.format == "dia"
+            assert mat.dtype == weight.dtype == np.float32
+        assert coarsest.L.dtype == coarsest.U.dtype == np.float32
+        x, _, refactors = grid_pde._solve_refined(sten, rhs, base)
+        assert x.dtype == np.float64 and refactors == 0
+        fld, _ = solve_dirichlet(ProblemParams(n=4, p=2.7, lam=2.5), XI, RECT,
+                                 1 / 64, tol=1e-9)
+        assert fld.values.dtype == np.float64
+
+    @pytest.mark.parametrize("a, b", [(150, -150), (-150, 150), (-200, -160),
+                                      (170, 240)])
+    @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
+    def test_power_of_two_scaling_gives_the_scaled_step(self, p, a, b):
+        # 2^a A y = 2^b rhs is solved by y = 2^(b-a) x exactly: the levels
+        # and the residuals are scaled by powers of two into float32's
+        # range, which an unscaled cast would overflow or flush to zero
+        sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        y, solves_y, refactors_y = grid_pde._solve_refined(
+            np.ldexp(sten, a), np.ldexp(rhs, b), np.ldexp(base, b - a))
+        assert refactors == refactors_y == 0 and solves_y == solves
+        assert np.array_equal(y, np.ldexp(x, b - a))
+
+    @pytest.mark.parametrize("entry, power", [((1, 1, 0, 0), -200),
+                                              ((2, 1, 5, 5), 200)])
+    def test_stencil_wider_than_float32_falls_back_to_float64(self, entry,
+                                                              power):
+        # one centre entry 2^-200 of the others flushes to zero in float32
+        # (an infinite Jacobi weight), and one coupling 2^200 above them
+        # overflows it (infinite entries down to the coarsest level): both
+        # systems take the float64 LU
+        sten, rhs, base = newton_system(3.0, 1 / 64)
+        sten[entry] = math.ldexp(sten[entry], power)
+        expected = direct_solve(_stencil_matrix(sten), rhs)
+        assert np.all(np.isfinite(expected))
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        assert refactors == 1 and solves >= 1
+        assert np.array_equal(x, expected)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 80), st.integers(3, 80), st.floats(1.2, 4.0),
@@ -712,15 +750,16 @@ class TestNewtonLinearLayer:
 
     def test_stall_above_rounding_floor_falls_back_to_float64(
             self, monkeypatch):
-        # V-cycles that take 90% of the remaining error for nine cycles and
-        # 30% after: they stall at 2.1e-10 of |x|, above the rounding floor
+        # corrections that take 90% of the remaining error for nine cycles
+        # and 30% after: they stall at 2.1e-10 of |x|, above the rounding
+        # floor
         sten, rhs, base = newton_system(3.0, 1 / 64)
         mat = _stencil_matrix(sten)
         expected = direct_solve(mat, rhs)
         exact = splu(mat.tocsc(), permc_spec="NATURAL")
         calls = []
 
-        def slow_vcycle(levels, coarsest, resid):
+        def slow_correction(cycle, hierarchy, resid):
             calls.append(resid)
             gain = 0.9 if len(calls) <= 9 else 0.3
             return gain * exact.solve(resid)
@@ -728,11 +767,11 @@ class TestNewtonLinearLayer:
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
         # the first correction as well as the later ones
-        monkeypatch.setattr(grid_pde, "_fmg", slow_vcycle)
-        monkeypatch.setattr(grid_pde, "_vcycle", slow_vcycle)
+        monkeypatch.setattr(grid_pde, "_correction", slow_correction)
         x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
-        # the coarsest level's factor, then the fallback after it is freed
-        assert spy.dtypes == [np.float64, np.float64]
+        # the coarsest level's float32 factor, then the float64 fallback
+        # after it is freed
+        assert spy.dtypes == [np.float32, np.float64]
         assert spy.alive_at_call == [0, 0]
         assert (solves, refactors) == (11 + 1, 1)  # the fallback solves once
         assert np.array_equal(x, expected)
