@@ -12,36 +12,25 @@ kernel ratio, (r, ln u) for translations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, OutOfRange
+from .errors import OutOfRange
 from .grid_pde import _check_unit
 from .radial_ode import RadialProfile
 
-ORIGIN_WINDOW = 10.0      # default half-decade span s in [1/10, 10] for dilations
-TRANSLATE_WINDOW = 2.0    # default ray half-width s in [-2, 2] for translations
+ORIGIN_WINDOW = 10.0      # dilations are compared on s in [1/10, 10]
 WINDOW_SAMPLES = 201      # points of s on each rescaled window
 
 
-@dataclass(frozen=True)
-class RescaleReport:
+class RescaleReport(NamedTuple):
     """Per-scale sup-norm distances of a rescaled family to its limit."""
 
     scales: np.ndarray
     sup_distance: np.ndarray
     grad_distance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=float))
-        object.__setattr__(self, "sup_distance", np.asarray(self.sup_distance, dtype=float))
-        object.__setattr__(self, "grad_distance", np.asarray(self.grad_distance, dtype=float))
-        if not (self.scales.shape == self.sup_distance.shape == self.grad_distance.shape):
-            raise DomainError("report columns must have equal length")
-        if np.any(self.sup_distance < 0.0) or np.any(self.grad_distance < 0.0):
-            raise DomainError("distances must be nonnegative")
 
 
 def _check_radius(profile: RadialProfile, r, what):
@@ -64,16 +53,15 @@ def martin_kernel_estimate(profile: RadialProfile, x, xi, t) -> float:
     return float(math.exp(interp(math.log(r1)) - interp(math.log(t))))
 
 
-def rescale_near_zero(profile: RadialProfile, scales, gamma1,
-                      window=ORIGIN_WINDOW) -> RescaleReport:
+def rescale_near_zero(profile: RadialProfile, scales, gamma1) -> RescaleReport:
     """Dilation family u(R s)/u(R) against the pure power s^(-gamma1).
 
     For each R in `scales`, the normalized dilate is evaluated on the fixed
-    window s in [1/window, window] and its sup-distance (and the distance of
-    its s-derivative) to the power limit is recorded.
+    window s in [1/ORIGIN_WINDOW, ORIGIN_WINDOW] and its sup-distance (and
+    the distance of its s-derivative) to the power limit is recorded.
     """
     scales = np.asarray(list(scales), dtype=float)
-    s = np.geomspace(1.0 / window, window, WINDOW_SAMPLES)
+    s = np.geomspace(1.0 / ORIGIN_WINDOW, ORIGIN_WINDOW, WINDOW_SAMPLES)
     target = s ** (-gamma1)
     dtarget = -gamma1 * s ** (-gamma1 - 1.0)
     interp = profile.log_interp()
@@ -81,8 +69,8 @@ def rescale_near_zero(profile: RadialProfile, scales, gamma1,
     sup_d = np.empty(scales.size)
     grad_d = np.empty(scales.size)
     for k, R in enumerate(scales):
-        _check_radius(profile, R / window, "rescale_near_zero")
-        _check_radius(profile, R * window, "rescale_near_zero")
+        _check_radius(profile, R / ORIGIN_WINDOW, "rescale_near_zero")
+        _check_radius(profile, R * ORIGIN_WINDOW, "rescale_near_zero")
         log_r = np.log(R * s)
         u_k = np.exp(interp(log_r) - interp(math.log(R)))
         du_k = u_k * dinterp(log_r) / s
@@ -92,7 +80,7 @@ def rescale_near_zero(profile: RadialProfile, scales, gamma1,
 
 
 def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
-                                  window=TRANSLATE_WINDOW) -> RescaleReport:
+                                  window) -> RescaleReport:
     """Translation family u(t + s)/u(t) against the pure exponential e^(-alpha s).
 
     For each t in `shifts`, the normalized translate on s in [-window, window]
@@ -101,8 +89,7 @@ def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
     family is exactly linear there, so the fixed point is exact to rounding.
     """
     shifts = np.asarray(list(shifts), dtype=float)
-    s = (np.linspace(-window, window, WINDOW_SAMPLES) if window > 0.0
-         else np.zeros(1))
+    s = np.linspace(-window, window, WINDOW_SAMPLES)
     target = np.exp(-alpha * s)
     dtarget = -alpha * target
     interp = PchipInterpolator(profile.r, profile.log_u)

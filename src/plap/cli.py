@@ -97,16 +97,10 @@ class ExperimentReport:
                     *self.details])
 
 
-def _shortfall(value, floor):
-    """One-sided check helper: 0 when value >= floor, else the gap (NaN
-    when either is NaN, where max(0.0, gap) would give 0)."""
-    gap = floor - value
-    return 0.0 if gap <= 0.0 else gap
-
-
 def _excess(value, ceiling):
     """One-sided check helper: 0 when value <= ceiling, else the gap (NaN
-    when either is NaN)."""
+    when either is NaN, where max(0.0, gap) would give 0).  The shortfall
+    of a value below a floor is _excess(floor, value)."""
     gap = value - ceiling
     return 0.0 if gap <= 0.0 else gap
 
@@ -309,7 +303,7 @@ def _order_shortfall(errs):
     """Shortfall below 1.8 of the smallest order log2(e_h / e_(h/2))."""
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     # np.min keeps a NaN order, which the builtin min drops
-    return _shortfall(float(np.min(orders)), 1.8)
+    return _excess(1.8, float(np.min(orders)))
 
 
 # Atoms of the p=2 oracle field e^(a x) + e^(a y), a = sqrt(lam), which
@@ -338,7 +332,7 @@ def _bochner_trend(h_list, lam):
                 f"lam={lam:g} (no node has |grad w|^2 above the threshold, "
                 "or the discrete identity holds exactly)")
     ratios = [resid[i] / resid[i + 1] for i in range(len(resid) - 1)]
-    return resid, _shortfall(float(np.min(ratios)), 1.5)
+    return resid, _excess(1.5, float(np.min(ratios)))
 
 
 def _power_fixed_point(gamma, scales):
@@ -414,7 +408,7 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
         shot = radial_ode.radial_exterior_eigen(
             params.n, params.p, params.lam, r0, r_max,
             grid_points=c["grid_points"])
-        fit = radial_ode.fit_decay_exponents(shot.profile, alpha)
+        fit = radial_ode.fit_decay_exponents(shot.profile)
     except (DomainError, IllConditioned) as exc:
         raise ConfigError(f"r0 {r0!r}, r_max {r_max!r}, grid_points "
                           f"{c['grid_points']!r}: {exc}") from exc
@@ -648,9 +642,9 @@ def step_bochner(cfg):
 def step_exterior(cfg, out_dir):
     r_max = cfg["shoot_r_max"]
     shot3 = radial_ode.radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max)
-    fit3 = radial_ode.fit_decay_exponents(shot3.profile, 1.0)
+    fit3 = radial_ode.fit_decay_exponents(shot3.profile)
     shot2 = radial_ode.radial_exterior_eigen(2, 2.0, 1.0, 1.0, r_max)
-    fit2 = radial_ode.fit_decay_exponents(shot2.profile, 1.0)
+    fit2 = radial_ode.fit_decay_exponents(shot2.profile)
     t = cfg["martin_t"]
     shot_far = radial_ode.radial_exterior_eigen(3, 2.0, 1.0, 1.0, t + 50.0,
                                                 grid_points=1600)
@@ -669,8 +663,8 @@ def step_exterior_p15(cfg):
     r_max = cfg["shoot_r_max"]
     shot = radial_ode.radial_exterior_eigen(3, 1.5, 0.5, 1.0, r_max)
     power_ref = 2.0 / (1.5 * 0.5)
-    fit_a = radial_ode.fit_decay_exponents(shot.profile, 1.0)
-    fit_b = radial_ode.fit_decay_exponents(shot.profile, 1.0,
+    fit_a = radial_ode.fit_decay_exponents(shot.profile)
+    fit_b = radial_ode.fit_decay_exponents(shot.profile,
                                            window=(r_max / 3.0, r_max))
     return [
         CheckRow("rate_window_outer_half", 1.0, fit_a.rate, 5e-3),
@@ -742,7 +736,7 @@ def step_power_residual(cfg, rng):
     return [
         CheckRow("max_root_residual", 0.0, float(np.max(root)), 1e-12),
         CheckRow("min_perturbed_shortfall", 0.0,
-                 _shortfall(float(np.min(pert)), 1e-3), 0.0),
+                 _excess(1e-3, float(np.min(pert))), 0.0),
     ]
 
 

@@ -88,7 +88,6 @@ class SolveStats:
     newton_iters: int
     final_residual: float
     damping_events: int
-    epsilon: float
     # corrections plus fallback solves, and float64 factorizations made
     # because the V-cycles failed (see _solve_refined)
     linear_solves: int
@@ -141,10 +140,9 @@ def _exponential_values(alpha, xi, rect, h, scale=1.0) -> np.ndarray:
     return scale * np.exp(phase)
 
 
-def exponential_field(alpha, xi, rect, h, scale=1.0) -> Field2D:
-    """Field scale*exp(alpha*<x, xi>) sampled on the rectangle grid."""
-    return field_from_values(_exponential_values(alpha, xi, rect, h, scale),
-                             rect, h)
+def exponential_field(alpha, xi, rect, h) -> Field2D:
+    """Field exp(alpha*<x, xi>) sampled on the rectangle grid."""
+    return field_from_values(_exponential_values(alpha, xi, rect, h), rect, h)
 
 
 def field_from_values(values, rect, h) -> Field2D:
@@ -523,7 +521,6 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
     """
-    xi = _check_unit(xi)
     p, lam = params.p, params.lam
     alpha = eigen_rate_alpha(lam, p)
     with np.errstate(over="ignore"):
@@ -578,7 +575,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         resid, res = resid_try, res_try
         iters += 1
     stats = SolveStats(newton_iters=iters, final_residual=res,
-                       damping_events=damping_events, epsilon=epsilon,
+                       damping_events=damping_events,
                        linear_solves=linear_solves,
                        float64_refactors=float64_refactors)
     return field_from_values(v, rect, h), stats
@@ -628,18 +625,16 @@ def kappa_bound_check(field: Field2D, p, lam):
     return float(f.max()), kappa(p, lam)
 
 
-def bochner_residual(field: Field2D, p, lam, threshold=None) -> float:
+def bochner_residual(field: Field2D, p, lam) -> float:
     """Max pointwise gap in the second-order identity for f = |grad w|^2.
 
     With w = -(p-1) log v the identity reads
         L_w(f) = 2 f^(p/2-1) w_ij^2 + (p/2-1) |grad f|^2 f^(p/2-2)
                  + p f^(p/2-1) <grad w, grad f>.
     Both sides are discretized (third derivatives by nested second-order
-    stencils, hence O(h) overall) and compared where f > threshold
-    (default 1e-6 * kappa).  Returns 0 when the mask is empty.
+    stencils, hence O(h) overall) and compared where f > 1e-6 * kappa.
+    Returns 0 when that mask is empty.
     """
-    if threshold is None:
-        threshold = 1e-6 * kappa(p, lam)
     v, h = field.values, field.h
     nx, ny = v.shape
     if nx < NESTED_STENCIL_NODES or ny < NESTED_STENCIL_NODES:
@@ -661,7 +656,7 @@ def bochner_residual(field: Field2D, p, lam, threshold=None) -> float:
     wf_dot = wx[1:-1, 1:-1] * fx + wy[1:-1, 1:-1] * fy
 
     f = f_int[1:-1, 1:-1]
-    mask = f > threshold
+    mask = f > 1e-6 * kappa(p, lam)
     if not np.any(mask):
         return 0.0
     fm = f[mask]

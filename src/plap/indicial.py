@@ -132,17 +132,14 @@ def gamma_star(n, p, a=0.0):
     return (n - (a + 1.0) * p) / p
 
 
-def _f_of(gamma, p, big_d):
+def auxiliary_f(gamma, n, p, a=0.0):
+    """Index function |g|^(p-2) g (n-(a+1)p-(p-1)g); f(0) = 0 by continuity."""
+    big_d = n - (a + 1.0) * p
     if gamma == 0.0:
         return 0.0
     # |g|^(p-1) sign(g), not |g|^(p-2) g: the latter overflows for subnormal
     # g when p < 2
     return math.copysign(abs(gamma) ** (p - 1.0), gamma) * (big_d - (p - 1.0) * gamma)
-
-
-def auxiliary_f(gamma, n, p, a=0.0):
-    """Index function |g|^(p-2) g (n-(a+1)p-(p-1)g); f(0) = 0 by continuity."""
-    return _f_of(gamma, p, n - (a + 1.0) * p)
 
 
 _LOG_TINY = math.log(5e-324)  # ln of the smallest positive double

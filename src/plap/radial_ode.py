@@ -36,6 +36,7 @@ from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 # when few output points are asked for.
 _INWARD_MXSTEP = 100_000
 _ODEINT_SUCCESS = "Integration successful."
+RICCATI_SAMPLES = 501  # points of t at which riccati_ratio_flow reports s
 
 
 class ShootClass(Enum):
@@ -120,15 +121,16 @@ class DecayFit(NamedTuple):
     rms: float
 
 
-def riccati_ratio_flow(lam, p, s0, t_span, samples=501):
+def riccati_ratio_flow(lam, p, s0, t_span):
     """Flows of the ratio s = v'/v: (p-1) s^(p-2) s' + (p-1) s^p = lam.
 
     The unique positive rest point is alpha = (lam/(p-1))^(1/p).  lam, p and
     s0 broadcast against each other, and every flow of the broadcast shape
     is integrated in one vector DOP853 system on the shared samples; a
     scalar call is a flow of shape ().  Returns (t, s) with t of shape
-    (samples,) and s of shape broadcast + (samples,).  Raises SingularRatio
-    if any flow reaches zero, where the s^(p-2) coefficient degenerates.
+    (RICCATI_SAMPLES,) and s of shape broadcast + t.shape.  Raises
+    SingularRatio if any flow reaches zero, where the s^(p-2) coefficient
+    degenerates.
     """
     lam, p, s0 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                        for v in (lam, p, s0)))
@@ -146,7 +148,7 @@ def riccati_ratio_flow(lam, p, s0, t_span, samples=501):
     hit_zero.terminal = True
     hit_zero.direction = -1
 
-    t_eval = np.linspace(t0, t1, samples)
+    t_eval = np.linspace(t0, t1, RICCATI_SAMPLES)
     sol = solve_ivp(rhs, (t0, t1), s0.ravel(), method="DOP853", rtol=1e-11,
                     atol=1e-13, t_eval=t_eval, events=hit_zero)
     if sol.t_events[0].size:
@@ -397,10 +399,9 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
 def fit_decay_exponents(profile: RadialProfile, alpha=None, window=None) -> DecayFit:
     """Least-squares fit of ln u = -rate*r - power*ln r + c on a radial window.
 
-    The window defaults to the outer half [r_max/2, r_max].  `alpha` is the
-    reference exponential rate carried through for reporting; it does not
-    enter the fit.  Raises IllConditioned when fewer than 10 samples fall in
-    the window.
+    The window defaults to the outer half [r_max/2, r_max].  `alpha` is
+    accepted and ignored: the fit neither reads nor returns it.  Raises
+    IllConditioned when fewer than 10 samples fall in the window.
     """
     if window is None:
         window = (0.5 * profile.r_max, profile.r_max)

@@ -209,7 +209,7 @@ def test_criterion_10_rescaling_fixed_points():
     expo = radial_ode.RadialProfile(
         r=r2, log_u=-r2, ratio=-np.ones_like(r2), meta={})
     rep_exp = blowup.translate_rescale_at_infinity(expo, [10.0, 40.0, 120.0],
-                                                   alpha)
+                                                   alpha, window=2.0)
 
     r3 = np.geomspace(1.0, 170.0, 3000)
     mix = radial_ode.RadialProfile(

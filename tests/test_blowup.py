@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from plap import cli
-from plap.blowup import (RescaleReport, martin_kernel_estimate,
-                         rescale_near_zero, translate_rescale_at_infinity)
+from plap.blowup import (martin_kernel_estimate, rescale_near_zero,
+                         translate_rescale_at_infinity)
 from plap.errors import DomainError, OutOfRange
 from plap.grid_pde import _check_unit
 from plap.radial_ode import RadialProfile
@@ -133,7 +133,8 @@ class TestTranslateRescaleAtInfinity:
         r = np.geomspace(1.0, 200.0, 2500)
         prof = RadialProfile(r=r, log_u=-alpha * r,
                              ratio=np.full_like(r, -alpha), meta={})
-        rep = translate_rescale_at_infinity(prof, [10.0, 40.0, 120.0], alpha)
+        rep = translate_rescale_at_infinity(prof, [10.0, 40.0, 120.0], alpha,
+                                            window=2.0)
         assert np.max(rep.sup_distance) <= 1e-12
         assert np.max(rep.grad_distance) <= 1e-12
 
@@ -151,10 +152,11 @@ class TestTranslateRescaleAtInfinity:
         assert rep.sup_distance[-1] <= 2.0 * rep.sup_distance[-2] / 2.0
 
     def test_exp_over_r_default_window(self):
-        # doubling shifts roughly halve the deviation at the default window
+        # doubling shifts roughly halve the deviation at window 2, the
+        # campaign's translate_window
         prof = exp_over_r_profile(700.0)
         shifts = [10.0 * 2 ** k for k in range(6)]
-        rep = translate_rescale_at_infinity(prof, shifts, 1.0)
+        rep = translate_rescale_at_infinity(prof, shifts, 1.0, window=2.0)
         assert np.all(np.diff(rep.sup_distance) < 0)
         ratios = rep.sup_distance[:-1] / rep.sup_distance[1:]
         assert np.all(ratios[1:] >= 1.5)
@@ -162,7 +164,7 @@ class TestTranslateRescaleAtInfinity:
     def test_out_of_range(self):
         prof = exp_over_r_profile(100.0)
         with pytest.raises(OutOfRange):
-            translate_rescale_at_infinity(prof, [99.5], 1.0)
+            translate_rescale_at_infinity(prof, [99.5], 1.0, window=2.0)
 
 
 class TestRescaleReport:
@@ -175,13 +177,3 @@ class TestRescaleReport:
             assert lines[0] == "scale,sup_distance,grad_distance"
             assert lines[1].startswith(first)
             assert all(len(line.split(",")) == 3 for line in lines[1:])
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            RescaleReport(scales=np.array([1.0]),
-                          sup_distance=np.array([0.1, 0.2]),
-                          grad_distance=np.array([0.1]))
-        with pytest.raises(DomainError):
-            RescaleReport(scales=np.array([1.0]),
-                          sup_distance=np.array([-0.1]),
-                          grad_distance=np.array([0.1]))

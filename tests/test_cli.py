@@ -616,16 +616,13 @@ class TestOneSidedChecks:
         assert cli._excess(3.5, 1.25) == 2.25
         assert cli._excess(1.25, 3.5) == 0.0
         assert cli._excess(2.0, 2.0) == 0.0
-        assert cli._shortfall(1.25, 3.5) == 2.25
-        assert cli._shortfall(3.5, 1.25) == 0.0
-        assert cli._shortfall(2.0, 2.0) == 0.0
         assert cli._excess(math.inf, 0.0) == math.inf
 
     @pytest.mark.parametrize("value, bound", [
         (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
     def test_nan_passes_through(self, value, bound):
         assert math.isnan(cli._excess(value, bound))
-        assert math.isnan(cli._shortfall(value, bound))
+        assert math.isnan(cli._excess(bound, value))
         row = cli.CheckRow("x", 0.0, cli._excess(value, bound), 0.0)
         assert not row.passed and row.margin == math.inf
 

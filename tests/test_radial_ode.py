@@ -57,14 +57,13 @@ class TestRiccatiRatioFlow:
         lam = np.array([0.5, 1.0, 2.0])[:, None]
         alpha = (lam / (p - 1.0)) ** (1.0 / p)
         s0 = alpha * [0.25, 4.0]
-        t, s = riccati_ratio_flow(lam, p, s0, (0, 50), samples=301)
-        assert t.shape == (301,)
-        assert s.shape == (3, 3, 2, 301)
+        t, s = riccati_ratio_flow(lam, p, s0, (0, 50))
+        assert t.shape == (501,)
+        assert s.shape == (3, 3, 2, 501)
         lam_b, p_b, s0_b = np.broadcast_arrays(lam, p, s0)
         for idx in np.ndindex(s0_b.shape):
             t_one, s_one = riccati_ratio_flow(float(lam_b[idx]), float(p_b[idx]),
-                                              float(s0_b[idx]), (0, 50),
-                                              samples=301)
+                                              float(s0_b[idx]), (0, 50))
             assert s_one.shape == t.shape
             assert np.array_equal(t_one, t)
             # the shared step size moves transients at integrator error level
@@ -209,6 +208,31 @@ class TestRadialExteriorEigen:
         # d/dr log(e^-r / r) at r=1 is -(1 + 1/1) = -2
         assert shot.profile.ratio[0] == pytest.approx(-2.0, abs=1e-10)
         assert shot.profile.meta["shoot_param"] == shot.profile.ratio[0]
+
+    @given(n=st.integers(2, 5), p_frac=st.floats(0.0, 1.0),
+           lam=st.floats(0.3, 3.0), log_k=st.floats(-1.5, 1.5))
+    @settings(max_examples=25, deadline=None)
+    def test_lambda_scaling(self, n, p_frac, lam, log_k):
+        # u_k(r) = u(kr) solves the equation with lam k^p, so the shot over
+        # [r0/k, r_max/k] gives the grid r/k, ln u_k(r) = ln u(kr) (both
+        # normalized at r0) and ratio_k(r) = k ratio(kr).
+        # Tolerance: LSODA holds each step's local error to rtol = 3e-14 of
+        # the state, a shot to r_max = 40 over these ranges takes at most
+        # about 2e3 steps (1949 the most over 400 draws), and the inward
+        # flow attracts the branch, so its errors add at most linearly: each
+        # shot is within 2e3 * 3e-14 = 6e-11 and the pair within 1.2e-10,
+        # relative to |ratio| and to max(1, |ln u|).  Over 400 random draws
+        # the largest gaps were 2.1e-12 (ratio), 3.0e-12 (ln u) and 1.5e-15
+        # (grid, rounding of the two geomspace calls).
+        p = 1.2 + p_frac * (min(n - 0.05, 4.0) - 1.2)
+        k = math.exp(log_k)
+        pa = radial_exterior_eigen(n, p, lam, 1.0, 40.0).profile
+        pb = radial_exterior_eigen(n, p, lam * k ** p, 1.0 / k, 40.0 / k).profile
+        assert np.allclose(pb.r * k, pa.r, rtol=1e-13, atol=0.0)
+        ratio = k * pa.ratio
+        assert np.max(np.abs(pb.ratio - ratio) / np.abs(ratio)) <= 1.2e-10
+        assert np.max(np.abs(pb.log_u - pa.log_u)
+                      / np.maximum(1.0, np.abs(pa.log_u))) <= 1.2e-10
 
     @staticmethod
     def _classify_ratio(n, p, lam, r0, sigma0, sigma_up, sigma_floor, r_cap,
