@@ -563,6 +563,11 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 raise NoConvergence("damping floor reached without residual decrease")
             v_try = v.copy()
             v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
+            # rounding is monotone: once theta * delta rounds away at every
+            # node it does so for every smaller theta, and the residual
+            # can never fall
+            if np.array_equal(v_try, v):
+                raise NoConvergence("damping floor reached without residual decrease")
             if _positive_finite(v_try):
                 faces = _face_terms(v_try, p, h, epsilon)
                 resid_try = _residual(v_try, p, lam, h, faces)

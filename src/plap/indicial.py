@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, NoRealRoot
 
@@ -25,6 +26,8 @@ RESIDUAL_RTOL = 1e-12        # |f(root) - mu| <= RESIDUAL_RTOL * max(1, |mu|)
 DOUBLE_ROOT_RTOL = 1e-10     # |mu - mu_bar| below this collapses the bracket
 CRITICAL_WEIGHT_ATOL = 1e-14  # exact-zero tolerance on a - (n-p)/p
 PLACEMENT_TOL = 1e-10        # slack of each case-table inequality
+
+_FMAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,18 @@ class ProblemParams:
     nonlinearity: Nonlinearity | None = None
 
     def __post_init__(self):
-        for name in ("n", "p", "a", "mu", "lam"):
-            value = getattr(self, name)
+        n, p, lam = self.n, self.p, self.lam
+        for name, value in (("n", n), ("p", p), ("a", self.a),
+                            ("mu", self.mu), ("lam", lam)):
             # ill-typed values are left to the range checks below; an int
             # beyond the float range is not finite
-            if (isinstance(value, (int, float))
-                    and not abs(value) <= sys.float_info.max):
+            if isinstance(value, (int, float)) and not -_FMAX <= value <= _FMAX:
                 raise DomainError(f"{name} must be finite, got {value!r}")
-        if int(self.n) != self.n or self.n < 2:
+        if int(n) != n or n < 2:
             raise DomainError("n must be an integer >= 2")
-        if not (1.0 < self.p < self.n):
+        if not (1.0 < p < n):
             raise DomainError("p must lie in (1, n)")
-        if self.lam < 0.0:
+        if lam < 0.0:
             raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
         if self.nonlinearity is not None:
             q = self.nonlinearity.q
@@ -88,8 +91,7 @@ class RootPlacement(Enum):
     ABOVE_CRITICAL_NEG_MU = "a > (n-p)/p, mu < 0"
 
 
-@dataclass(frozen=True)
-class IndicialData:
+class IndicialData(NamedTuple):
     """Solved root pair with its classification.
 
     gamma1 <= gamma_star <= gamma2 always; all three coincide exactly when
@@ -143,7 +145,7 @@ def auxiliary_f(gamma, n, p, a=0.0):
 
 
 _LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
-_LOG_HUGE = math.log(sys.float_info.max)  # ln of the largest double
+_LOG_HUGE = math.log(_FMAX)  # ln of the largest double
 # relative accuracy wanted of a root: one ulp of x = ln|gamma| is this
 # coarse in gamma once |x| >= 64, and such roots take a Newton step on gamma
 _ROOT_RTOL = 1e-14
@@ -180,20 +182,24 @@ def _solve_branches(mu, p, big_d):
     log_d = math.log(big_d)
     x_star = log_d - math.log(p)
     x_edge = log_d - math.log(q)
+    exp, ulp, inf = math.exp, math.ulp, math.inf
 
     def root(sign, x_lo, x_hi, x, rising=False):
         """The root sign * e^x with x in [x_lo, x_hi], started from x; g
         rises with x on the bracket if rising and falls on it otherwise."""
         x = min(max(x, x_lo), x_hi)
-        best_x, best_g = x, math.inf
+        best_x, best_g = x, inf
         last = False
+        positive = sign > 0.0
         for _ in range(_MAX_STEPS):
-            t = math.exp(x)
+            t = exp(x)
             a = t ** q
-            f = math.copysign(a, sign) * (big_d - q * (sign * t))
+            # sign * a * (D - q * sign * t); negating is exact
+            f = a * (big_d - q * t) if positive else -(a * (big_d + q * t))
             g = f - mu
-            if abs(g) < best_g:
-                best_x, best_g = x, abs(g)
+            size = abs(g)
+            if size < best_g:
+                best_x, best_g = x, size
             if g == 0.0 or last:
                 break
             if (g < 0.0) == rising:
@@ -203,18 +209,18 @@ def _solve_branches(mu, p, big_d):
             slope = q * (f - a * t)
             # a slope that vanishes (gamma below the smallest double) or
             # overflows (|gamma|^p near the largest double) gives no step
-            step = -g / slope if 0.0 < abs(slope) < math.inf else math.inf
-            tol = 4.0 * math.ulp(x)
+            step = -g / slope if 0.0 < abs(slope) < inf else inf
+            tol = 4.0 * ulp(x)
             # a step this small lands within rounding of the root: take it,
             # evaluate there once more and stop
-            last = abs(step) <= tol
+            last = -tol <= step <= tol
             if not last and not x_lo < x + step < x_hi:
                 step = 0.5 * (x_lo + x_hi) - x
-                last = abs(step) <= tol
+                last = -tol <= step <= tol
             x += step
-        if math.ulp(best_x) > _ROOT_RTOL:
-            return _newton_on_gamma(sign * math.exp(best_x), mu, q, big_d)
-        return sign * math.exp(best_x)
+        if ulp(best_x) > _ROOT_RTOL:
+            return _newton_on_gamma(sign * exp(best_x), mu, q, big_d)
+        return sign * exp(best_x)
 
     if mu > 0.0:
         # both roots positive.  On (0, g_star), D g^q / p <= f <= D g^q puts
@@ -305,15 +311,17 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
     the two root brackets, is too close to rounding noise to trust).
     """
     n, p, a, mu = params.n, params.p, params.a, params.mu
-    mu_bar = hardy_best_constant(n, p, a)
-    gs = gamma_star(n, p, a)
+    # the expressions of gamma_star and hardy_best_constant, whose range
+    # check ProblemParams has made
+    big_d = n - (a + 1.0) * p
+    gs = big_d / p
+    mu_bar = abs(gs) ** p
 
     if mu > mu_bar + RESIDUAL_RTOL * max(1.0, mu_bar):
         raise NoRealRoot(
             f"mu={mu!r} exceeds the admissible maximum mu_bar={mu_bar!r}"
         )
 
-    big_d = n - (a + 1.0) * p
     if abs(mu - mu_bar) <= DOUBLE_ROOT_RTOL * max(1.0, mu_bar):
         g1 = g2 = gs
         double = True
@@ -338,8 +346,9 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         g1, g2 = _solve_branches(mu, p, big_d)
         double = False
 
-    bound = max(RESIDUAL_RTOL * max(1.0, abs(mu)),
-                DOUBLE_ROOT_RTOL * max(1.0, mu_bar) if double else 0.0)
+    bound = RESIDUAL_RTOL * max(1.0, abs(mu))
+    if double:
+        bound = max(bound, DOUBLE_ROOT_RTOL * max(1.0, mu_bar))
     for root in (g1, g2):
         resid = auxiliary_f(root, n, p, a) - mu
         # a sign change of f - mu between root and an adjacent double
@@ -360,8 +369,7 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         placement = (RootPlacement.ABOVE_CRITICAL_NONNEG_MU if mu >= 0.0
                      else RootPlacement.ABOVE_CRITICAL_NEG_MU)
 
-    return IndicialData(mu_bar=mu_bar, gamma_star=gs, gamma1=g1, gamma2=g2,
-                        placement=placement, double_root=double)
+    return IndicialData(mu_bar, gs, g1, g2, placement, double)
 
 
 def placement_satisfied(data: IndicialData, n, p, a) -> bool:
@@ -371,13 +379,11 @@ def placement_satisfied(data: IndicialData, n, p, a) -> bool:
     edge = (n - (a + 1.0) * p) / (p - 1.0)
     case = data.placement
     if case is RootPlacement.BELOW_CRITICAL_NONNEG_MU:
-        chain = (-tol <= g1, g1 <= gs + tol, gs <= g2 + tol, g2 <= edge + tol)
-    elif case is RootPlacement.BELOW_CRITICAL_NEG_MU:
-        chain = (g1 <= tol, 0.0 <= edge + tol, edge <= g2 + tol)
-    elif case is RootPlacement.AT_CRITICAL:
-        chain = (g1 <= tol, -tol <= g2)
-    elif case is RootPlacement.ABOVE_CRITICAL_NONNEG_MU:
-        chain = (edge - tol <= g1, g1 <= gs + tol, gs <= g2 + tol, g2 <= tol)
-    else:
-        chain = (g1 <= edge + tol, edge <= tol, -tol <= g2)
-    return all(chain)
+        return -tol <= g1 <= gs + tol and gs <= g2 + tol and g2 <= edge + tol
+    if case is RootPlacement.BELOW_CRITICAL_NEG_MU:
+        return g1 <= tol and 0.0 <= edge + tol and edge <= g2 + tol
+    if case is RootPlacement.AT_CRITICAL:
+        return g1 <= tol and -tol <= g2
+    if case is RootPlacement.ABOVE_CRITICAL_NONNEG_MU:
+        return edge - tol <= g1 <= gs + tol and gs <= g2 + tol and g2 <= tol
+    return g1 <= edge + tol and edge <= tol and -tol <= g2

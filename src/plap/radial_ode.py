@@ -31,10 +31,10 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 
-# ODEPACK's cap on the steps between two output points of the inward pass.
+# ODEPACK's cap on the steps between two output points of an odeint pass.
 # Its default of 500 is below the ~2.3k steps a shot to r_max = 2e4 takes
 # when few output points are asked for.
-_INWARD_MXSTEP = 100_000
+_ODEINT_MXSTEP = 100_000
 _ODEINT_SUCCESS = "Integration successful."
 RICCATI_SAMPLES = 501  # points of t at which riccati_ratio_flow reports s
 
@@ -126,36 +126,57 @@ def riccati_ratio_flow(lam, p, s0, t_span):
 
     The unique positive rest point is alpha = (lam/(p-1))^(1/p).  lam, p and
     s0 broadcast against each other, and every flow of the broadcast shape
-    is integrated in one vector DOP853 system on the shared samples; a
-    scalar call is a flow of shape ().  Returns (t, s) with t of shape
-    (RICCATI_SAMPLES,) and s of shape broadcast + t.shape.  Raises
-    SingularRatio if any flow reaches zero, where the s^(p-2) coefficient
-    degenerates.
+    is integrated in one vector system on the shared samples; a scalar call
+    is a flow of shape ().  Returns (t, s) with t of shape (RICCATI_SAMPLES,)
+    and s of shape broadcast + t.shape.
+
+    The system is the same flow in w = s^(p-1), w' = lam - (p-1) w^(p/(p-1)),
+    whose right-hand side stays bounded and C^1 where s reaches zero (the
+    s^(2-p) term of s' is singular there for p > 2, and the step size
+    collapses before s gets to zero).  Below zero w^(p/(p-1)) is taken as 0,
+    so a flow that crosses zero goes on linearly instead of blowing up.  The
+    pass is scipy's odeint (ODEPACK's LSODA, its step loop in compiled code)
+    at rtol = 1e-12 and atol = 1e-14, with a diagonal banded Jacobian since
+    the flows are independent.  Raises StepFailure with ODEPACK's message if
+    the pass stops early, and SingularRatio naming the first sample time at
+    which a flow is at or below 1e-12 (or not finite); lam < 0 drives every
+    flow to zero by t0 + s0^(p-1)/|lam|.
     """
     lam, p, s0 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                        for v in (lam, p, s0)))
     if np.any(s0 <= 0.0):
         raise DomainError("s0 must be positive")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    coef = (lam / (p - 1.0)).ravel()
-    expo = (2.0 - p).ravel()
+    if np.any(p <= 1.0):
+        raise DomainError("p must exceed 1")
+    q = (p - 1.0).ravel()
+    lam_flat, expo = lam.ravel(), p.ravel() / q
+    with np.errstate(over="ignore"):
+        w0 = s0.ravel() ** q
+        # w moves monotonically to lam/(p-1), so its largest power
+        # w^(p/(p-1)) = s^p in the right-hand side is at the start or there
+        top = w0 ** expo
+    if not np.all(top < math.inf):
+        raise DomainError("s0^p must be below the largest double")
 
-    def rhs(_t, s):
-        return coef * s ** expo - s * s
+    def rhs(_t, w):
+        return lam_flat - q * np.maximum(w, 0.0) ** expo
 
-    def hit_zero(_t, s):
-        return s.min() - 1e-12
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-
-    t_eval = np.linspace(t0, t1, RICCATI_SAMPLES)
-    sol = solve_ivp(rhs, (t0, t1), s0.ravel(), method="DOP853", rtol=1e-11,
-                    atol=1e-13, t_eval=t_eval, events=hit_zero)
-    if sol.t_events[0].size:
-        raise SingularRatio(f"ratio reached zero at t={sol.t_events[0][0]:g}")
-    if not sol.success:
-        raise StepFailure(sol.message)
-    return sol.t, sol.y.reshape(s0.shape + sol.t.shape)
+    t = np.linspace(float(t_span[0]), float(t_span[1]), RICCATI_SAMPLES)
+    with warnings.catch_warnings():
+        # a failed pass is reported below from the message in `info`
+        warnings.simplefilter("ignore", ODEintWarning)
+        w, info = odeint(rhs, w0, t, ml=0, mu=0, rtol=1e-12, atol=1e-14,
+                         mxstep=_ODEINT_MXSTEP, full_output=True, tfirst=True)
+    if info["message"] != _ODEINT_SUCCESS:
+        raise StepFailure(info["message"])
+    s = np.maximum(w, 0.0) ** (1.0 / q)
+    # w0 rounds s0, or underflows for a tiny s0; the start is not checked
+    s[0] = s0.ravel()
+    zero = ~((s[1:] > 1e-12) & (s[1:] < math.inf)).all(axis=1)
+    if zero.any():
+        raise SingularRatio("ratio reached zero by "
+                            f"t={float(t[1 + np.argmax(zero)])!r}")
+    return t, s.T.reshape(s0.shape + t.shape)
 
 
 def _ratio_rhs(n, p, lam, inward=False):
@@ -223,7 +244,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
         warnings.simplefilter("ignore", ODEintWarning)
         y, info = odeint(_ratio_rhs(n, p, lam, inward=True), [0.0, -alpha],
                          s_out, rtol=3e-14, atol=1e-16, tcrit=[-r0],
-                         mxstep=_INWARD_MXSTEP, full_output=True, tfirst=True)
+                         mxstep=_ODEINT_MXSTEP, full_output=True, tfirst=True)
     if info["message"] != _ODEINT_SUCCESS:
         raise StepFailure(info["message"])
     # ODEPACK reports success on a state that overflowed to inf or NaN

@@ -462,6 +462,27 @@ class TestNewtonStep:
         assert stats.newton_iters == len(steps) > 1
         assert stats.damping_events > 0
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-30])
+    def test_unchanged_field_ends_the_damping_search(self, monkeypatch, scale):
+        # a step that rounds away at every node leaves the field and its
+        # residual unchanged at every smaller theta too, so the search
+        # stops at its first trial instead of halving theta down to
+        # DAMPING_FLOOR; the start's residual is the only face-terms call
+        calls = []
+        face_terms = grid_pde._face_terms
+
+        def counting(*args):
+            calls.append(args)
+            return face_terms(*args)
+
+        monkeypatch.setattr(grid_pde, "_face_terms", counting)
+        monkeypatch.setattr(grid_pde, "_solve_refined",
+                            lambda sten, rhs, interior: (scale * rhs, 1, 0))
+        with pytest.raises(NoConvergence, match="damping floor reached"):
+            solve_dirichlet(ProblemParams(n=4, p=3.0, lam=2.0), XI, RECT,
+                            1 / 16, tol=1e-9)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
     def test_solve_matches_spsolve_newton(self, p):
         # Newton from the same start with every step from spsolve, stopped

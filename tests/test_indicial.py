@@ -1,4 +1,6 @@
 import math
+import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -361,6 +363,37 @@ def test_newton_roots_match_mpmath_sweep():
                 (n, p, a, mu)
 
 
+# each field's draws for the check oracle: non-finite floats, ints beyond
+# the float range, the largest doubles, bools, strings and in-range values
+FIELD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
+                     sys.float_info.max, -sys.float_info.max, True, False,
+                     "3", "x", ""]),
+    st.integers(-3, 10),
+    st.floats(-12.0, 12.0))
+
+
+def per_field_checks(params):
+    """ProblemParams' input rules as a loop of getattr over the field
+    names, each finiteness test on abs(value); the oracle of the one-pass
+    checks in __post_init__."""
+    for name in ("n", "p", "a", "mu", "lam"):
+        value = getattr(params, name)
+        if (isinstance(value, (int, float))
+                and not abs(value) <= sys.float_info.max):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+    if int(params.n) != params.n or params.n < 2:
+        raise DomainError("n must be an integer >= 2")
+    if not (1.0 < params.p < params.n):
+        raise DomainError("p must lie in (1, n)")
+    if params.lam < 0.0:
+        raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
+    if params.nonlinearity is not None:
+        q = params.nonlinearity.q
+        if not (params.p < q < params.n * params.p / (params.n - params.p)):
+            raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
+
+
 class TestProblemParams:
     def test_rejects_bad_p(self):
         with pytest.raises(DomainError):
@@ -397,3 +430,22 @@ class TestProblemParams:
     def test_derived_quantities(self):
         params = ProblemParams(n=4, p=2.0)
         assert params.sobolev_critical == 4.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.fixed_dictionaries(
+        {name: FIELD_VALUES for name in ("n", "p", "a", "mu", "lam")},
+        optional={"nonlinearity": st.sampled_from(
+            [None, Nonlinearity(q=2.5), Nonlinearity(q=50.0)])}))
+    def test_checks_match_the_per_field_loop(self, fields):
+        # the same exception type and message as per_field_checks, or
+        # acceptance by both
+        def outcome(check):
+            try:
+                check()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return None
+
+        record = SimpleNamespace(**{"nonlinearity": None, **fields})
+        assert (outcome(lambda: ProblemParams(**fields))
+                == outcome(lambda: per_field_checks(record)))

@@ -12,10 +12,10 @@ from plap import cli, radial_ode
 from plap.errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
                            eigen_rate_alpha, indicial_roots)
-from plap.radial_ode import (RadialProfile, ShootClass, fit_decay_exponents,
-                             hardy_power_residual, radial_exterior_eigen,
-                             riccati_ratio_flow, series_start_radius,
-                             shoot_singular_profile)
+from plap.radial_ode import (RICCATI_SAMPLES, RadialProfile, ShootClass,
+                             fit_decay_exponents, hardy_power_residual,
+                             radial_exterior_eigen, riccati_ratio_flow,
+                             series_start_radius, shoot_singular_profile)
 from plap.radial_ode import _ratio_rhs
 
 
@@ -51,6 +51,14 @@ class TestRiccatiRatioFlow:
         with pytest.raises(DomainError):
             riccati_ratio_flow(1.0, 2.0, 0.0, (0, 1))
 
+    @pytest.mark.parametrize("p, s0", [(1.0, 1.0), (0.5, 1.0), (10.0, 1e40),
+                                       (3.0, 1e120)])
+    def test_rejects_p_at_most_one_and_overflowing_start(self, p, s0):
+        # the flow is integrated in w = s^(p-1), which needs p > 1, and its
+        # right-hand side holds w^(p/(p-1)) = s^p, which must not overflow
+        with pytest.raises(DomainError):
+            riccati_ratio_flow(1.0, p, s0, (0, 1))
+
     def test_vector_call_matches_scalar_calls(self):
         # the (p, lam, s0) grid of acceptance criterion 08 in one call
         p = np.array([1.5, 2.0, 3.0])[:, None, None]
@@ -68,6 +76,24 @@ class TestRiccatiRatioFlow:
             assert np.array_equal(t_one, t)
             # the shared step size moves transients at integrator error level
             assert np.max(np.abs(s[idx] - s_one)) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [-1.0, -2.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_negative_lam_reaches_zero(self, p, lam):
+        # lam < 0 lowers s^(p-1) at rate at least |lam|, so from s0 = 1 the
+        # flow reaches zero by t = 1/|lam|; at p = 2 the flow is
+        # sqrt|lam| tan(atan(s0/sqrt|lam|) - sqrt|lam| t), zero at t_star
+        spacing = 10.0 / (RICCATI_SAMPLES - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularRatio, match="reached zero") as err:
+                riccati_ratio_flow(lam, p, 1.0, (0, 10))
+        t_hit = float(str(err.value).rsplit("t=", 1)[1])
+        assert 0.0 < t_hit <= 1.0 / -lam + spacing
+        if p == 2.0:
+            rate = math.sqrt(-lam)
+            t_star = math.atan(1.0 / rate) / rate
+            assert abs(t_hit - t_star) <= spacing
 
     def test_vector_call_rejects_any_nonpositive_start(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,10 @@ rounding level reads as one.  Fields are split on commas, `=` and
 whitespace, so the numbers on comment lines such as report.csv's
 `# 01_indicial_roots/...: target=0 measured=... tol=...` count as numbers.  The commands are:
 - `plap all --seed s` for s = 0..19;
-- `roots` and `grid` on README's example configs, and `grid` on a 49 x 74
+- `roots` and `grid` on README's example configs, `roots` at n = 8,
+  p = 1.05, mu = -1e307 (a Newton step on gamma itself), at the critical
+  weight n = 4, p = 2, a = 1, mu = -3 and at n = 5, p = 1.05, a = 0.5,
+  mu = 1e-300 (a root below the smallest double), and `grid` on a 49 x 74
   interior, whose even axis the multigrid coarsens by the m // 2 rule, and
   at xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
   couplings;
@@ -67,6 +70,18 @@ GRID_EXTRA = {
 }
 
 
+# roots on the branches plap all rarely draws: the Newton step on gamma
+# itself (one ulp of ln|gamma| above _ROOT_RTOL), the critical weight
+# a = (n-p)/p with its closed form, and a root below the smallest double
+ROOTS_EXTRA = {
+    "roots_newton_on_gamma": {"params": {"n": 8, "p": 1.05, "mu": -1e307}},
+    "roots_critical_weight": {"params": {"n": 4, "p": 2.0, "a": 1.0,
+                                         "mu": -3.0}},
+    "roots_tiny_root": {"params": {"n": 5, "p": 1.05, "a": 0.5,
+                                   "mu": 1e-300}},
+}
+
+
 ERROR_PATHS = {
     "roots_mu_above_mu_bar": ("roots",
                               {"params": {"n": 4, "p": 2.0, "mu": 5.0}}),
@@ -84,6 +99,8 @@ def commands():
         yield f"all_seed{seed}", ["all", "--seed", str(seed)], None
     for sub, cfg in CONFIGS.items():
         yield sub, [sub], cfg
+    for name, cfg in ROOTS_EXTRA.items():
+        yield name, ["roots"], cfg
     for name, cfg in GRID_EXTRA.items():
         yield name, ["grid"], cfg
     for name, (sub, cfg) in ERROR_PATHS.items():
