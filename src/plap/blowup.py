@@ -34,7 +34,7 @@ class RescaleReport(NamedTuple):
 
 
 def _check_radius(profile: RadialProfile, r, what):
-    if r < profile.r_min or r > profile.r_max:
+    if not profile.r_min <= r <= profile.r_max:  # NaN fails it too
         raise OutOfRange(
             f"{what}: radius {r:g} outside sampled span "
             f"[{profile.r_min:g}, {profile.r_max:g}]"

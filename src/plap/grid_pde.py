@@ -115,6 +115,8 @@ def _check_spacing(h):
 def _grid_shape(rect, h):
     _check_spacing(h)
     x0, y0, x1, y1 = (float(c) for c in rect)
+    if not all(map(math.isfinite, (x0, y0, x1, y1))):
+        raise DomainError("rectangle corners must be finite")
     if not (x1 > x0 and y1 > y0):
         raise DomainError("rectangle must have positive extent")
     nx = int(round((x1 - x0) / h)) + 1
@@ -500,9 +502,10 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
 
     The initial guess is the extension of the boundary data to the whole
     rectangle.  Regularization eps = 1e-8 * alpha * max(boundary data) is
-    kept under |grad v| throughout.  Raises DomainError when the boundary
-    data or the initial residual are not finite, and NoConvergence when
-    max_iters or the damping floor is exhausted before final_residual <= tol.
+    kept under |grad v| throughout.  Raises DomainError when tol is
+    negative or when tol, the boundary data or the initial residual are
+    not finite, and NoConvergence when max_iters or the damping floor
+    is exhausted before final_residual <= tol.
 
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the face terms of the residual that accepted
@@ -521,6 +524,8 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
     """
+    if not 0.0 <= tol < math.inf:  # NaN fails it too
+        raise DomainError("tol must be finite and >= 0")
     p, lam = params.p, params.lam
     alpha = eigen_rate_alpha(lam, p)
     with np.errstate(over="ignore"):

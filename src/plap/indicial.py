@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from typing import NamedTuple
 
 from .errors import DomainError, NoRealRoot
@@ -28,6 +29,14 @@ CRITICAL_WEIGHT_ATOL = 1e-14  # exact-zero tolerance on a - (n-p)/p
 PLACEMENT_TOL = 1e-10        # slack of each case-table inequality
 
 _FMAX = sys.float_info.max
+
+
+def _finite(value) -> bool:
+    """math.isfinite of a real number, False beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int or Fraction too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -61,9 +70,12 @@ class ProblemParams:
         n, p, lam = self.n, self.p, self.lam
         for name, value in (("n", n), ("p", p), ("a", self.a),
                             ("mu", self.mu), ("lam", lam)):
-            # ill-typed values are left to the range checks below; an int
-            # beyond the float range is not finite
-            if isinstance(value, (int, float)) and not -_FMAX <= value <= _FMAX:
+            # ill-typed values are left to the range checks below; a number
+            # beyond the float range is not finite.  int and float take the
+            # cheaper path, as step 01 builds 10 000 of these
+            if (not -_FMAX <= value <= _FMAX
+                    if isinstance(value, (int, float))
+                    else isinstance(value, Real) and not _finite(value)):
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if int(n) != n or n < 2:
             raise DomainError("n must be an integer >= 2")
@@ -122,10 +134,13 @@ def hardy_best_constant(n, p, a=0.0):
 
 def eigen_rate_alpha(lam, p):
     """Exponential rate (lam/(p-1))^(1/p) of entire eigenfunctions, lam > 0."""
-    if lam <= 0.0:
+    # written so that NaN fails each rule
+    if not lam > 0.0:
         raise DomainError("rate defined for lam > 0 only")
-    if p <= 1.0:
-        raise DomainError("p must exceed 1")
+    if not lam < math.inf:
+        raise DomainError("lam must be finite")
+    if not 1.0 < p < math.inf:
+        raise DomainError("p must exceed 1 and be finite")
     return (lam / (p - 1.0)) ** (1.0 / p)
 
 

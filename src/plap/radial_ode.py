@@ -121,6 +121,21 @@ class DecayFit(NamedTuple):
     rms: float
 
 
+def _odeint(rhs, y0, t, **options):
+    """(y, nfev) of one odeint pass (ODEPACK's LSODA) of rhs(t, y) over t,
+    increasing or decreasing; nfev counts every RHS call, the Jacobian's
+    included.  Raises StepFailure with ODEPACK's message if the pass stops
+    early.  The state is not checked: an overflow still reports success."""
+    with warnings.catch_warnings():
+        # a failed pass is reported from the message in `info`
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(rhs, y0, t, mxstep=_ODEINT_MXSTEP, full_output=True,
+                         tfirst=True, **options)
+    if info["message"] != _ODEINT_SUCCESS:
+        raise StepFailure(info["message"])
+    return y, int(info["nfe"][-1])
+
+
 def riccati_ratio_flow(lam, p, s0, t_span):
     """Flows of the ratio s = v'/v: (p-1) s^(p-2) s' + (p-1) s^p = lam.
 
@@ -144,10 +159,13 @@ def riccati_ratio_flow(lam, p, s0, t_span):
     """
     lam, p, s0 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                        for v in (lam, p, s0)))
-    if np.any(s0 <= 0.0):
+    # written so that NaN fails each rule
+    if not np.all(s0 > 0.0):
         raise DomainError("s0 must be positive")
-    if np.any(p <= 1.0):
-        raise DomainError("p must exceed 1")
+    if not np.all((p > 1.0) & (p < math.inf)):
+        raise DomainError("p must exceed 1 and be finite")
+    if not (np.isfinite(lam).all() and np.isfinite(t_span).all()):
+        raise DomainError("lam and t_span must be finite")
     q = (p - 1.0).ravel()
     lam_flat, expo = lam.ravel(), p.ravel() / q
     with np.errstate(over="ignore"):
@@ -162,13 +180,7 @@ def riccati_ratio_flow(lam, p, s0, t_span):
         return lam_flat - q * np.maximum(w, 0.0) ** expo
 
     t = np.linspace(float(t_span[0]), float(t_span[1]), RICCATI_SAMPLES)
-    with warnings.catch_warnings():
-        # a failed pass is reported below from the message in `info`
-        warnings.simplefilter("ignore", ODEintWarning)
-        w, info = odeint(rhs, w0, t, ml=0, mu=0, rtol=1e-12, atol=1e-14,
-                         mxstep=_ODEINT_MXSTEP, full_output=True, tfirst=True)
-    if info["message"] != _ODEINT_SUCCESS:
-        raise StepFailure(info["message"])
+    w, _ = _odeint(rhs, w0, t, ml=0, mu=0, rtol=1e-12, atol=1e-14)
     s = np.maximum(w, 0.0) ** (1.0 / q)
     # w0 rounds s0, or underflows for a tiny s0; the start is not checked
     s[0] = s0.ravel()
@@ -179,31 +191,25 @@ def riccati_ratio_flow(lam, p, s0, t_span):
     return t, s.T.reshape(s0.shape + t.shape)
 
 
-def _ratio_rhs(n, p, lam, inward=False):
+def _ratio_rhs(n, p, lam):
     """RHS of the radial exterior ratio flow for the state (log u, sigma).
 
     With sigma = u'/u, (r^(n-1)|u'|^(p-2)u')' = lam r^(n-1) u^(p-1) becomes
         sigma' = lam / ((p-1)|sigma|^(p-2)) - sigma^2 - (n-1) sigma / ((p-1) r)
-    and (log u)' = sigma.  With inward=True the independent variable is
-    s = -r, so an inward pass runs forward in s; each component is then the
-    exact negation of the outward one.  The closure works on Python floats
-    and returns a tuple, since a shot evaluates it a few thousand times.
+    and (log u)' = sigma, regular for every r > 0, so one closure serves a
+    pass in either direction.  It works on Python floats and returns a
+    tuple, since a shot evaluates it a few thousand times.
     """
     k = lam / (p - 1.0)
     c = (n - 1.0) / (p - 1.0)
     e = p - 2.0
 
-    def outward(r, y):
+    def rhs(r, y):
         _, sig = y.tolist()
         core = k / abs(sig) ** e if sig != 0.0 else 0.0
         return (sig, core - sig * sig - c * sig / r)
 
-    def inward_in_s(s, y):
-        _, sig = y.tolist()
-        core = k / abs(sig) ** e if sig != 0.0 else 0.0
-        return (-sig, sig * sig - core - c * sig / s)
-
-    return inward_in_s if inward else outward
+    return rhs
 
 
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
@@ -221,37 +227,31 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
 
     The pass is scipy's odeint, ODEPACK's LSODA with the step loop and the
     output interpolation in compiled code, at rtol = 3e-14 and atol = 1e-16
-    with its full internally generated Jacobian.  It runs in s = -r, because
-    odeint honours a critical point only for increasing output times:
-    tcrit = -r0 keeps every step inside [r0, r_start].  The profile lives on
-    a log-spaced grid and is normalized to u(r0) = 1; meta["shoot_param"] is
-    the realized initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
+    with its full internally generated Jacobian, over the decreasing radii
+    r_start, r_max, ..., r0; its last step may end below r0, by less than a
+    step, where the flow is as regular.  The profile lives on a log-spaced
+    grid and is normalized to u(r0) = 1; meta["shoot_param"] is the realized
+    initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
     evaluations.  Raises StepFailure with ODEPACK's message if the pass
     stops early, and naming the first radius at which the state is no longer
     finite if it leaves the double range (sigma ~ -c/r overflows its square
     near r ~ 1e-154).
     """
-    if r0 <= 0.0:
-        raise DomainError("r0 must be positive")
+    if not (math.isfinite(n) and r0 > 0.0 and r_max < math.inf):
+        raise DomainError("n and r_max must be finite and r0 positive")
     if r_max < 10.0 * r0:
         raise DomainError("r_max must be at least 10*r0")
     alpha = eigen_rate_alpha(lam, p)
     r_start = r_max + 35.0 / (p * alpha)
     r_grid = np.geomspace(r0, r_max, grid_points)
-    s_out = np.concatenate(([-r_start], -r_grid[::-1]))
-    with warnings.catch_warnings():
-        # a failed pass is reported below from the message in `info`
-        warnings.simplefilter("ignore", ODEintWarning)
-        y, info = odeint(_ratio_rhs(n, p, lam, inward=True), [0.0, -alpha],
-                         s_out, rtol=3e-14, atol=1e-16, tcrit=[-r0],
-                         mxstep=_ODEINT_MXSTEP, full_output=True, tfirst=True)
-    if info["message"] != _ODEINT_SUCCESS:
-        raise StepFailure(info["message"])
+    r_out = np.concatenate(([r_start], r_grid[::-1]))
+    y, nfev = _odeint(_ratio_rhs(n, p, lam), [0.0, -alpha], r_out,
+                      rtol=3e-14, atol=1e-16)
     # ODEPACK reports success on a state that overflowed to inf or NaN
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         raise StepFailure("inward pass left the double range at "
-                          f"r = {-s_out[np.argmax(bad)]:g}")
+                          f"r = {r_out[np.argmax(bad)]:g}")
     # row 0 is the seed at r_start; the rest run from r_max down to r0
     log_u = y[:0:-1, 0].copy()
     sigma = y[:0:-1, 1].copy()
@@ -262,8 +262,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
             "shoot_param": float(sigma[0])}
     profile = RadialProfile(r=r_grid, log_u=log_u, ratio=sigma, meta=meta)
     return ShootResult(profile=profile, bisection_iters=0,
-                       classification=ShootClass.DECAYING,
-                       nfev=int(info["nfe"][-1]))
+                       classification=ShootClass.DECAYING, nfev=nfev)
 
 
 def hardy_power_residual(n, p, a, mu, gamma, r_samples):
@@ -279,8 +278,8 @@ def hardy_power_residual(n, p, a, mu, gamma, r_samples):
     entry i equals the scalar call on the i-th values bit for bit.
     """
     r = np.ravel(np.asarray(r_samples, dtype=float))
-    if np.any(r <= 0.0):
-        raise DomainError("r_samples must be positive")
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise DomainError("r_samples must be positive and finite")
     args = (n, p, a, mu, gamma)
     lengths = {len(v) for v in args if np.ndim(v) != 0}
     if len(lengths) > 1:

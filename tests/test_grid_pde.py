@@ -194,6 +194,20 @@ class TestSolveDirichlet:
         with pytest.raises(DomainError, match="h must be positive and finite"):
             solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), XI, RECT, h)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_bad_tol_raises(self, tol):
+        # a NaN tol once ran Newton steps until the damping floor
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), XI, RECT,
+                            0.125, tol=tol)
+
+    @pytest.mark.parametrize("rect", [(0, 0, math.inf, 1), (0, 0, 1, math.nan),
+                                      (-math.inf, 0, 1, 1)])
+    def test_non_finite_corner_raises(self, rect):
+        # int(round(inf)) in _grid_shape once raised OverflowError
+        with pytest.raises(DomainError, match="corners must be finite"):
+            exponential_field(1.0, [1, 0], rect, 0.1)
+
     def test_zero_lam_raises(self):
         # eigen_rate_alpha owns the rule lam > 0; ProblemParams admits 0
         with pytest.raises(DomainError, match="rate defined for lam > 0 only"):

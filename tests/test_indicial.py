@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -449,3 +450,20 @@ class TestProblemParams:
         record = SimpleNamespace(**{"nonlinearity": None, **fields})
         assert (outcome(lambda: ProblemParams(**fields))
                 == outcome(lambda: per_field_checks(record)))
+
+    @pytest.mark.parametrize("field", ["n", "p", "a", "mu", "lam"])
+    # numpy's float32(inf) compares <= the largest double, which numpy casts
+    # to float32 inf; a Fraction beyond the float range overflows float()
+    @pytest.mark.parametrize("value", [
+        np.float32("nan"), np.float32("inf"), np.float16("-inf"),
+        np.longdouble("inf"), pytest.param(Fraction(10 ** 400), id="frac")])
+    def test_rejects_non_finite_real_types(self, field, value):
+        kwargs = {"n": 4, "p": 2.0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            ProblemParams(**kwargs)
+
+    def test_accepts_finite_numpy_scalars(self):
+        # the fields keep their types, so the roots carry float32 rounding
+        params = ProblemParams(n=np.int64(4), p=np.float32(2.0),
+                               mu=np.float32(0.75), lam=np.float16(1.0))
+        assert indicial_roots(params).gamma1 == pytest.approx(0.5, rel=1e-6)

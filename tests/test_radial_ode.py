@@ -8,8 +8,9 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.special import kve
 
-from plap import cli, radial_ode
-from plap.errors import DomainError, IllConditioned, SingularRatio, StepFailure
+from plap import blowup, cli, radial_ode
+from plap.errors import (DomainError, IllConditioned, OutOfRange, SingularRatio,
+                         StepFailure)
 from plap.indicial import (Nonlinearity, ProblemParams, auxiliary_f,
                            eigen_rate_alpha, indicial_roots)
 from plap.radial_ode import (RICCATI_SAMPLES, RadialProfile, ShootClass,
@@ -17,6 +18,65 @@ from plap.radial_ode import (RICCATI_SAMPLES, RadialProfile, ShootClass,
                              radial_exterior_eigen, riccati_ratio_flow,
                              series_start_radius, shoot_singular_profile)
 from plap.radial_ode import _ratio_rhs
+
+
+NAN, INF = math.nan, math.inf
+XI = [1.0, 0.0]
+
+
+# each call with a NaN or infinite input, and the error its range rule
+# raises; the profile argument is the shot of (3, 2, 1) over [1, 40].
+# Before these rules the calls returned NaN or a report, or failed later
+# with scipy's ValueError, StepFailure or SingularRatio
+NON_FINITE_CALLS = {
+    "alpha_lam_nan": (lambda _: eigen_rate_alpha(NAN, 2.0), DomainError),
+    "alpha_lam_inf": (lambda _: eigen_rate_alpha(INF, 2.0), DomainError),
+    "alpha_p_nan": (lambda _: eigen_rate_alpha(1.0, NAN), DomainError),
+    "shot_r0_nan": (lambda _: radial_exterior_eigen(3, 2.0, 1.0, NAN, 40.0),
+                    DomainError),
+    "shot_r_max_inf": (lambda _: radial_exterior_eigen(3, 2.0, 1.0, 1.0, INF),
+                       DomainError),
+    "shot_r_max_nan": (lambda _: radial_exterior_eigen(3, 2.0, 1.0, 1.0, NAN),
+                       DomainError),
+    "shot_lam_nan": (lambda _: radial_exterior_eigen(3, 2.0, NAN, 1.0, 40.0),
+                     DomainError),
+    "shot_n_nan": (lambda _: radial_exterior_eigen(NAN, 2.0, 1.0, 1.0, 40.0),
+                   DomainError),
+    "shot_n_inf": (lambda _: radial_exterior_eigen(INF, 2.0, 1.0, 1.0, 40.0),
+                   DomainError),
+    "riccati_lam_nan": (lambda _: riccati_ratio_flow(NAN, 2.0, 1.0, (0, 1)),
+                        DomainError),
+    "riccati_p_nan": (lambda _: riccati_ratio_flow(1.0, NAN, 1.0, (0, 1)),
+                      DomainError),
+    "riccati_s0_nan": (lambda _: riccati_ratio_flow(1.0, 2.0, NAN, (0, 1)),
+                       DomainError),
+    "riccati_t_nan": (lambda _: riccati_ratio_flow(1.0, 2.0, 1.0, (0, NAN)),
+                      DomainError),
+    "riccati_t_inf": (lambda _: riccati_ratio_flow(1.0, 2.0, 1.0, (0, INF)),
+                      DomainError),
+    "martin_t_nan": (lambda prof: blowup.martin_kernel_estimate(prof, XI, XI,
+                                                                NAN),
+                     OutOfRange),
+    "near_zero_scale_nan": (
+        lambda prof: blowup.rescale_near_zero(prof, [NAN], 0.25), OutOfRange),
+    "translate_window_nan": (
+        lambda prof: blowup.translate_rescale_at_infinity(prof, [10, 20], 1.0,
+                                                          window=NAN),
+        OutOfRange),
+    "hardy_r_nan": (lambda _: hardy_power_residual(3, 2.0, 0, 0, 0.5, [NAN]),
+                    DomainError),
+    "hardy_r_inf": (lambda _: hardy_power_residual(3, 2.0, 0, 0, 0.5, [INF]),
+                    DomainError),
+}
+
+
+@pytest.mark.parametrize("call,error", NON_FINITE_CALLS.values(),
+                         ids=NON_FINITE_CALLS.keys())
+def test_non_finite_input_fails_its_range_rule(call, error):
+    prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0).profile
+    with pytest.raises(error) as caught:
+        call(prof)
+    assert type(caught.value) is error
 
 
 class TestRiccatiRatioFlow:
@@ -194,23 +254,29 @@ class TestRadialExteriorEigen:
 
     def test_nfev_is_odepack_count(self, monkeypatch):
         # nfev is ODEPACK's nfe, which counts every call of the RHS, the
-        # finite-difference Jacobian columns included.  The pass runs in
-        # s = -r with tcrit = -r0, so no call reaches below r0.
-        real_odeint, args_s, seen = radial_ode.odeint, [], {}
+        # finite-difference Jacobian columns included.  The pass runs in r
+        # from r_start down to r0 = 1 without a critical point, so its last
+        # step may end below r0, by at most that step's size hu; no call
+        # lies outside [r0 - |hu|, r_start].
+        real_odeint, args_r, seen = radial_ode.odeint, [], {}
 
         def recording_odeint(func, *args, **kwargs):
-            def recorded(s, y):
-                args_s.append(s)
-                return func(s, y)
+            def recorded(r, y):
+                args_r.append(r)
+                return func(r, y)
             out = real_odeint(recorded, *args, **kwargs)
             seen["nfe"] = int(out[1]["nfe"][-1])
+            seen["hu"] = float(out[1]["hu"][-1])
             return out
 
         monkeypatch.setattr(radial_ode, "odeint", recording_odeint)
-        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0,
+        r_max, alpha = 20010.0, eigen_rate_alpha(1.0, 2.0)
+        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max,
                                      grid_points=1600)
-        assert shot.nfev == seen["nfe"] == len(args_s)
-        assert max(args_s) <= -1.0
+        assert shot.nfev == seen["nfe"] == len(args_r)
+        r_start = r_max + 35.0 / (2.0 * alpha)
+        assert 1.0 - abs(seen["hu"]) <= min(args_r)
+        assert max(args_r) <= r_start
 
     def test_early_stop_raises_step_failure(self, monkeypatch):
         # a cap of 5 steps between output points, where a 10-point grid to

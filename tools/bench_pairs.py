@@ -4,13 +4,14 @@ Usage:  python tools/bench_pairs.py REV --out BENCH_n.json
             [--pairs grid_fine=10 campaign=5 far_field=5]
             [--description TEXT]
 
-Checks REV out into a temporary `git worktree` (set TMPDIR to move it,
-removed on exit) and runs `bench/run.py` from the root of that tree and of
-the working tree, each importing plap from its own src/, for BENCHMARK.json's
-`run_seconds`.  For each workload the pairs use seeds 1011, 1012, ...; REV
-runs first in the 1st, 3rd, ... pair and the working tree first in the
-others.  Then each side runs once with `--trace 1` on seed 1011.  The pairs
-and the traced runs go workload by workload, in the order given.
+Extracts REV's files with `git archive` into a temporary directory (set
+TMPDIR to move it, removed on exit; nothing is written under .git) and
+runs `bench/run.py` from the root of that tree and of the working tree,
+each importing plap from its own src/, for BENCHMARK.json's `run_seconds`.
+For each workload the pairs use seeds 1011, 1012, ...; REV runs first in
+the 1st, 3rd, ... pair and the working tree first in the others.  Then
+each side runs once with `--trace 1` on seed 1011.  The pairs and the
+traced runs go workload by workload, in the order given.
 
 The JSON file written holds, per workload: the seeds; each side's `failed`
 and `correct` per run and the raw `# seconds:` line bench/run.py prints;
@@ -34,7 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from revision import REPO, worktree
+from revision import REPO, extract
 
 SIDES = ("parent", "change")
 FIRST_SEED = 1011
@@ -148,16 +149,16 @@ def main(argv=None) -> int:
            "command": (
                f"python3 bench/run.py --workload W --seed S --seconds "
                f"{seconds:g} --trace 0, run from the root of each tree "
-               f"(parent: git worktree of {rev}; change: the working tree); "
+               f"(parent: git archive of {rev}; change: the working tree); "
                f"seeds {FIRST_SEED}, {FIRST_SEED + 1}, ..., one "
                "pair per seed, parent first in the 1st, 3rd, ... pair; "
                f"workloads in the order {', '.join(pairs)}. Traced rows: "
                f"--trace 1, seed {FIRST_SEED}, one run per side."),
            "machine": None, "workloads": {},
            f"traced_seed_{FIRST_SEED}": {}, "notes": []}
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp, \
-            worktree(args.rev, Path(tmp) / "parent") as parent_tree:
-        trees = {"parent": parent_tree, "change": REPO}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {"parent": extract(args.rev, Path(tmp) / "parent"),
+                 "change": REPO}
         for workload, count in pairs.items():
             seeds = [FIRST_SEED + i for i in range(count)]
             runs = {s: [] for s in SIDES}

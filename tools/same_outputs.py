@@ -2,15 +2,17 @@
 
 Usage:  python tools/same_outputs.py REV
 
-Checks REV out into a temporary `git worktree`, runs the same plap commands
-on that tree and on the working tree, and compares their output trees, stdout
-and exit codes byte for byte.  Prints each difference; exits 1 if there is
-one and 0 otherwise.  A CSV file that differs only in its numbers is
-reported with how many of them differ and the largest gap in float64 ulps
-(the count of doubles from one value to the other), so that a change at
-rounding level reads as one.  Fields are split on commas, `=` and
-whitespace, so the numbers on comment lines such as report.csv's
-`# 01_indicial_roots/...: target=0 measured=... tol=...` count as numbers.  The commands are:
+Extracts REV's files with `git archive` into a temporary directory, runs
+the same plap commands on that tree and on the working tree, and compares
+their output trees, stdout and exit codes byte for byte.  Prints each
+difference; exits 1 if there is one and 0 otherwise.  A CSV file that
+differs only in its numbers is reported with how many of them differ and
+the largest gap in float64 ulps (the count of doubles from one value to the
+other), so that a change at rounding level reads as one.  Fields are split on commas, `=`, whitespace
+and the JSON characters `{}[]:"`, so the numbers on comment lines such as
+report.csv's `# 01_indicial_roots/...: target=0 measured=... tol=...` and
+a profile CSV's `# {"alpha": 1.0, ..., "shoot_param": -2.0}` count as
+numbers.  The commands are:
 - `plap all --seed s` for s = 0..19;
 - `roots` and `grid` on README's example configs, `roots` at n = 8,
   p = 1.05, mu = -1e307 (a Newton step on gamma itself), at the critical
@@ -27,8 +29,8 @@ whitespace, so the numbers on comment lines such as report.csv's
   window 20 (translates outside the shot), each a config error, and `grid`
   on boundary data that overflow float64, a failed check.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
-The worktree and all outputs live under one temporary directory (set TMPDIR
-to move it), removed on exit.
+The extracted tree and all outputs live under one temporary directory (set
+TMPDIR to move it), removed on exit; nothing is written under .git.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from revision import REPO, worktree
+from revision import REPO, extract
 
 SEEDS = range(20)
 SHOT_PARAMS = {"params": {"n": 3, "p": 2.0, "lam": 1.0}}
@@ -129,11 +131,11 @@ def run(tree, work, args, cfg):
 
 def csv_fields(data):
     """(text fields and separators with None where a number stood, numbers)
-    of a CSV file's bytes, split into lines and on commas, `=` and
-    whitespace."""
+    of a CSV file's bytes, split into lines and on commas, `=`, whitespace
+    and the JSON characters `{}[]:"`."""
     text, numbers = [], []
     for line in data.decode().splitlines():
-        for field in re.split(r"([,=\s])", line):
+        for field in re.split(r'([,=\s{}\[\]:"])', line):
             try:
                 numbers.append(float(field))
                 text.append(None)
@@ -200,11 +202,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         runs, diffs = list(commands()), []
-        with worktree(args.rev, Path(tmp) / "rev") as base_tree:
-            for name, plap_args, cfg in runs:
-                base = run(base_tree, Path(tmp) / "base" / name, plap_args, cfg)
-                head = run(REPO, Path(tmp) / "head" / name, plap_args, cfg)
-                diffs += differences(name, base, head)
+        base_tree = extract(args.rev, Path(tmp) / "rev")
+        for name, plap_args, cfg in runs:
+            base = run(base_tree, Path(tmp) / "base" / name, plap_args, cfg)
+            head = run(REPO, Path(tmp) / "head" / name, plap_args, cfg)
+            diffs += differences(name, base, head)
     for line in diffs:
         print(line)
     print(f"{len(runs)} commands, {len(diffs)} difference(s) against {args.rev}")
