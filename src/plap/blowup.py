@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import OutOfRange
+from .errors import DomainError, OutOfRange
 from .grid_pde import _check_unit
 from .radial_ode import RadialProfile
 
@@ -31,6 +31,11 @@ class RescaleReport(NamedTuple):
     scales: np.ndarray
     sup_distance: np.ndarray
     grad_distance: np.ndarray
+
+
+def _check_finite(value, name):
+    if not -math.inf < value < math.inf:  # NaN fails it too
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _check_radius(profile: RadialProfile, r, what):
@@ -59,7 +64,9 @@ def rescale_near_zero(profile: RadialProfile, scales, gamma1) -> RescaleReport:
     For each R in `scales`, the normalized dilate is evaluated on the fixed
     window s in [1/ORIGIN_WINDOW, ORIGIN_WINDOW] and its sup-distance (and
     the distance of its s-derivative) to the power limit is recorded.
+    Raises DomainError if gamma1 is not finite.
     """
+    _check_finite(gamma1, "gamma1")
     scales = np.asarray(list(scales), dtype=float)
     s = np.geomspace(1.0 / ORIGIN_WINDOW, ORIGIN_WINDOW, WINDOW_SAMPLES)
     target = s ** (-gamma1)
@@ -87,7 +94,9 @@ def translate_rescale_at_infinity(profile: RadialProfile, shifts, alpha,
     is compared with exp(-alpha*s) in sup norm, together with its s-derivative.
     Interpolation is in (r, ln u) rather than log-log: the exponential limit
     family is exactly linear there, so the fixed point is exact to rounding.
+    Raises DomainError if alpha is not finite.
     """
+    _check_finite(alpha, "alpha")
     shifts = np.asarray(list(shifts), dtype=float)
     s = np.linspace(-window, window, WINDOW_SAMPLES)
     target = np.exp(-alpha * s)

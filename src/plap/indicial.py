@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
+from numbers import Integral, Real
 from typing import NamedTuple
 
 from .errors import DomainError, NoRealRoot
@@ -67,16 +67,23 @@ class ProblemParams:
     nonlinearity: Nonlinearity | None = None
 
     def __post_init__(self):
-        n, p, lam = self.n, self.p, self.lam
-        for name, value in (("n", n), ("p", p), ("a", self.a),
-                            ("mu", self.mu), ("lam", lam)):
-            # ill-typed values are left to the range checks below; a number
-            # beyond the float range is not finite.  int and float take the
-            # cheaper path, as step 01 builds 10 000 of these
-            if (not -_FMAX <= value <= _FMAX
-                    if isinstance(value, (int, float))
-                    else isinstance(value, Real) and not _finite(value)):
+        for name in ("n", "p", "a", "mu", "lam"):
+            value = getattr(self, name)
+            # a number beyond the float range is not finite.  int and float
+            # take the cheaper path, as step 01 builds 10 000 of these
+            if type(value) is float or type(value) is int:
+                if not -_FMAX <= value <= _FMAX:
+                    raise DomainError(f"{name} must be finite, got {value!r}")
+                continue
+            if not isinstance(value, Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            if not _finite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
+            # numpy scalars and other reals become int or float, so that a
+            # float32 field does not carry its rounding into the roots
+            object.__setattr__(self, name, int(value)
+                               if isinstance(value, Integral) else float(value))
+        n, p, lam = self.n, self.p, self.lam
         if int(n) != n or n < 2:
             raise DomainError("n must be an integer >= 2")
         if not (1.0 < p < n):

@@ -1,19 +1,21 @@
 """Radial and 1-D reductions: integration, shooting, and decay-rate fitting.
 
-Every radial solver carries ln u and a log-derivative state, and every
-profile is (r, ln u, ratio = u'/u); u and u' are derived from them.  u
-underflows float64 once ln(u) drops below about -745, while the pair stays
-finite on any span.  The ratio flow repels the decaying branch at rate
-exp(p*alpha*r) going outward and attracts it at the same rate going inward,
-so the branch is found by one inward integration from beyond r_max, seeded
-with its far-field limit -alpha; no outward shooting or bisection on the
-initial ratio is needed.  That inward pass is integrated with LSODA: the
-attraction makes the flow stiff (an explicit Runge-Kutta method is held to
-steps |h| of order 1/(p*alpha) by stability alone, although sigma itself
-varies slowly), and a stiff-switching method takes steps limited only by
-accuracy.  The singular outward shot carries w = |sigma|^(p-2) sigma, not
-sigma: the sigma equation divides by |sigma|^(p-2), singular where u turns
-for p > 2, while the w equation only has the Hoelder term |w|^(1/(p-1)).
+Every radial solver works with ln u and a log-derivative, never u itself,
+and every profile is (r, ln u, ratio = u'/u); u and u' are derived from
+them.  u underflows float64 once ln(u) drops below about -745, while the
+pair stays finite on any span.  The ratio flow repels the decaying branch
+at rate exp(p*alpha*r) going outward and attracts it at the same rate going
+inward, so the branch is found by one inward integration from beyond r_max,
+seeded with its far-field limit -alpha; no outward shooting or bisection on
+the initial ratio is needed.  That inward pass is integrated with LSODA in
+s = 1/r, where the branch is a regular series: the attraction makes the
+flow stiff (an explicit Runge-Kutta method is held to steps |h| of order
+1/(p*alpha) in r by stability alone, although sigma itself varies slowly),
+and a stiff-switching method takes steps limited only by accuracy.  ln u is
+then a quadrature of sigma.  The singular outward shot carries
+w = |sigma|^(p-2) sigma, not sigma: the sigma equation divides by
+|sigma|^(p-2), singular where u turns for p > 2, while the w equation only
+has the Hoelder term |w|^(1/(p-1)).
 """
 
 from __future__ import annotations
@@ -31,12 +33,22 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 
-# ODEPACK's cap on the steps between two output points of an odeint pass.
-# Its default of 500 is below the ~2.3k steps a shot to r_max = 2e4 takes
-# when few output points are asked for.
+# ODEPACK's cap on the steps between two output points of an odeint pass,
+# raised from its default of 500 so that no pass stops for it: the exterior
+# shot took about 2.3k steps between two outputs in r, and in s it still
+# takes up to about 210 (its first output interval at (6, 2.2, 0.7)).
 _ODEINT_MXSTEP = 100_000
 _ODEINT_SUCCESS = "Integration successful."
 RICCATI_SAMPLES = 501  # points of t at which riccati_ratio_flow reports s
+# The exterior shot's pass in s = 1/r takes steps of at most 1/(400 r0).
+# Uncapped, LSODA's BDF steps where sigma turns from -alpha to its 1/r
+# growth near r0 each spend the whole tolerance, and their errors add up to
+# 1.3e-12 in sigma(r0) at (n, p, lam) = (6, 2.2, 0.7) against a 20-digit
+# reference (1.9e-13 with the cap; about 2% more RHS evaluations on the
+# far-field workload).
+_S_STEP_MAX = 1.0 / 400.0
+# its quadrature of ln u takes steps of ln r of at most 1/200
+_QUAD_STEPS_PER_UNIT_LOG_R = 200
 
 
 class ShootClass(Enum):
@@ -191,51 +203,89 @@ def riccati_ratio_flow(lam, p, s0, t_span):
     return t, s.T.reshape(s0.shape + t.shape)
 
 
-def _ratio_rhs(n, p, lam):
-    """RHS of the radial exterior ratio flow for the state (log u, sigma).
+def _ratio_rhs_s(n, p, lam):
+    """RHS of the radial exterior ratio flow in s = 1/r.
 
     With sigma = u'/u, (r^(n-1)|u'|^(p-2)u')' = lam r^(n-1) u^(p-1) becomes
-        sigma' = lam / ((p-1)|sigma|^(p-2)) - sigma^2 - (n-1) sigma / ((p-1) r)
-    and (log u)' = sigma, regular for every r > 0, so one closure serves a
-    pass in either direction.  It works on Python floats and returns a
-    tuple, since a shot evaluates it a few thousand times.
+        dsigma/dr = k |sigma|^(2-p) - sigma^2 - c sigma / r,
+    k = lam/(p-1) and c = (n-1)/(p-1), and with dr/ds = -1/s^2
+        dsigma/ds = (sigma^2 + c sigma s - k |sigma|^(2-p)) / s^2,
+    whose decaying branch is the regular series -alpha - (c/p) s - ... near
+    s = 0.  It works on Python floats and returns a tuple, since a shot
+    evaluates it about a thousand times.
     """
     k = lam / (p - 1.0)
     c = (n - 1.0) / (p - 1.0)
     e = p - 2.0
 
-    def rhs(r, y):
-        _, sig = y.tolist()
+    def rhs(s, y):
+        sig, = y.tolist()
         core = k / abs(sig) ** e if sig != 0.0 else 0.0
-        return (sig, core - sig * sig - c * sig / r)
+        return ((sig * (sig + c * s) - core) / s / s,)
 
     return rhs
+
+
+def _log_u_quadrature(r, sigma, n, p, lam):
+    """ln u(r) - ln u(r[0]) on the increasing radii r from sigma = u'/u.
+
+    Each interval [r_a, r_b], h = r_b - r_a, takes the two-point quintic
+    Hermite rule
+        h/2 (sigma_a + sigma_b) + h^2/10 (sigma'_a - sigma'_b)
+        + h^3/120 (sigma''_a + sigma''_b),
+    with sigma' and sigma'' in closed form from the flow.  They are carried
+    as y = r sigma, r^2 sigma' and r^3 sigma'', against the powers of h/r_a
+    and h/r_b, which stay finite wherever sigma does.
+    """
+    k = lam / (p - 1.0)
+    c = (n - 1.0) / (p - 1.0)
+    y = r * sigma
+    g = k * r * r * np.abs(sigma) ** (2.0 - p)  # r^2 k |sigma|^(2-p)
+    y1 = g - y * y - c * y                      # r^2 sigma'
+    y2 = c * y + ((2.0 - p) * g / y - 2.0 * y - c) * y1  # r^3 sigma''
+    h = np.diff(r)
+    a, b = h / r[:-1], h / r[1:]
+    pieces = ((a * y[:-1] + b * y[1:]) / 2.0
+              + (a * a * y1[:-1] - b * b * y1[1:]) / 10.0
+              + (a ** 3 * y2[:-1] + b ** 3 * y2[1:]) / 120.0)
+    return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
-    One inward LSODA pass of the ratio flow sigma = u'/u, seeded with the
-    far-field limit sigma = -alpha at r_start = r_max + 35/(p*alpha).  Going
-    inward the decaying branch attracts the flow at rate exp(p*alpha*(r_start
-    - r)), so the seed's error is damped by about e^-35 before r_max and the
-    profile on [r0, r_max] is the branch to integrator precision.  The same
-    attraction makes the pass stiff: an explicit Runge-Kutta method must keep
-    |h| below about 6/(p*alpha) for stability whatever the accuracy asked,
-    while LSODA switches to a BDF method and takes steps limited only by the
-    smoothness of sigma ~ -alpha - c/r.
+    One inward LSODA pass of the ratio flow sigma = u'/u in s = 1/r, seeded
+    with the far-field limit sigma = -alpha at r_start = r_max + 35/(p*alpha).
+    Going inward the decaying branch attracts the flow at rate
+    exp(p*alpha*(r_start - r)), so the seed's error is damped by about e^-35
+    before r_max and the profile on [r0, r_max] is the branch to integrator
+    precision.  The same attraction makes the pass stiff: an explicit
+    Runge-Kutta method must keep |h| below about 6/(p*alpha) in r for
+    stability whatever the accuracy asked, while LSODA switches to a BDF
+    method and takes steps limited only by the smoothness of sigma.  In s
+    the branch is the regular series -alpha - (n-1)/(p(p-1)) s - ..., where
+    in r its 1/r tail keeps the steps short: a shot to r_max = 2e4 takes
+    about a thousand RHS evaluations in s where one in r took about five
+    thousand.
 
     The pass is scipy's odeint, ODEPACK's LSODA with the step loop and the
     output interpolation in compiled code, at rtol = 3e-14 and atol = 1e-16
-    with its full internally generated Jacobian, over the decreasing radii
-    r_start, r_max, ..., r0; its last step may end below r0, by less than a
-    step, where the flow is as regular.  The profile lives on a log-spaced
-    grid and is normalized to u(r0) = 1; meta["shoot_param"] is the realized
-    initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
-    evaluations.  Raises StepFailure with ODEPACK's message if the pass
-    stops early, and naming the first radius at which the state is no longer
-    finite if it leaves the double range (sigma ~ -c/r overflows its square
-    near r ~ 1e-154).
+    with its internally generated Jacobian, over the increasing s from
+    1/r_start to 1/r0 with steps of at most 1/(400 r0) (see _S_STEP_MAX).
+    ln u is then the integral of sigma in r by a two-point quintic Hermite
+    rule (see _log_u_quadrature) on an internal grid that holds every
+    profile radius and splits each profile interval into equal steps of
+    ln r of at most 1/200, so that a coarse profile grid does not set the
+    quadrature's error; sigma is read from the pass on that grid too.  The
+    rule's sigma' and sigma'' pass on the rounding of sigma amplified by
+    the flow's stiffness, so the relative error of ln u grows like
+    (alpha r_max)^2: about 4e-13 at alpha r_max = 1e5, 2e-7 at 1e8 and
+    2e-3 at 1e10.  The profile lives on a log-spaced grid and is
+    normalized to u(r0) = 1; meta["shoot_param"] is the realized initial
+    ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS evaluations.
+    Raises StepFailure with ODEPACK's message if the pass stops early, and
+    naming the first radius at which sigma is no longer finite if it leaves
+    the double range (sigma ~ -c/r overflows its square near r ~ 1e-154).
     """
     if not (math.isfinite(n) and r0 > 0.0 and r_max < math.inf):
         raise DomainError("n and r_max must be finite and r0 positive")
@@ -244,18 +294,28 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     alpha = eigen_rate_alpha(lam, p)
     r_start = r_max + 35.0 / (p * alpha)
     r_grid = np.geomspace(r0, r_max, grid_points)
-    r_out = np.concatenate(([r_start], r_grid[::-1]))
-    y, nfev = _odeint(_ratio_rhs(n, p, lam), [0.0, -alpha], r_out,
-                      rtol=3e-14, atol=1e-16)
+    # the quadrature grid splits each profile interval into m equal steps
+    # of ln r, each at most 1/200, and holds every profile radius exactly
+    m = math.ceil(_QUAD_STEPS_PER_UNIT_LOG_R * math.log(r_max / r0)
+                  / max(grid_points - 1, 1))
+    log_r = np.log(r_grid)
+    r_fine = np.append(np.exp(log_r[:-1, None] + np.diff(log_r)[:, None]
+                              * (np.arange(m) / m)).ravel(), r_max)
+    r_fine[::m] = r_grid
+    r_out = np.concatenate(([r_start], r_fine[::-1]))
+    s_out = 1.0 / r_out
+    y, nfev = _odeint(_ratio_rhs_s(n, p, lam), [-alpha], s_out,
+                      tcrit=s_out[-1:], hmax=_S_STEP_MAX / r0, rtol=3e-14,
+                      atol=1e-16)
     # ODEPACK reports success on a state that overflowed to inf or NaN
     bad = ~np.isfinite(y).all(axis=1)
     if bad.any():
         raise StepFailure("inward pass left the double range at "
                           f"r = {r_out[np.argmax(bad)]:g}")
     # row 0 is the seed at r_start; the rest run from r_max down to r0
-    log_u = y[:0:-1, 0].copy()
-    sigma = y[:0:-1, 1].copy()
-    log_u -= log_u[0]  # normalize u(r0) = 1
+    sigma_fine = y[:0:-1, 0]
+    log_u = _log_u_quadrature(r_fine, sigma_fine, n, p, lam)[::m].copy()
+    sigma = sigma_fine[::m].copy()
 
     meta = {"kind": "radial_exterior_eigen", "n": n, "p": p, "lam": lam,
             "r0": r0, "r_max": r_max, "alpha": alpha,

@@ -106,6 +106,12 @@ class TestRescaleNearZero:
         with pytest.raises(OutOfRange):
             rescale_near_zero(power_profile(0.5), [1e-4], 0.5)  # needs R/10
 
+    @pytest.mark.parametrize("gamma1", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, gamma1):
+        # the distances to s^(-gamma1) were all NaN before this rule
+        with pytest.raises(DomainError, match="gamma1 must be finite"):
+            rescale_near_zero(power_profile(0.5), [1.0], gamma1)
+
     def test_shrinking_distance_for_perturbed_profile(self):
         # power plus a higher-order correction loses the correction as R -> 0
         gamma = 0.25
@@ -165,6 +171,14 @@ class TestTranslateRescaleAtInfinity:
         prof = exp_over_r_profile(100.0)
         with pytest.raises(OutOfRange):
             translate_rescale_at_infinity(prof, [99.5], 1.0, window=2.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, alpha):
+        # the distances to e^(-alpha s) were all NaN before this rule
+        prof = exp_over_r_profile(100.0)
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            translate_rescale_at_infinity(prof, [10.0, 20.0], alpha,
+                                          window=1.0)
 
 
 class TestRescaleReport:

@@ -348,7 +348,7 @@ class TestMainEntry:
         code = cli.main(["shoot", "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 1
-        assert ("inward pass left the double range at r = 5.07137e-155"
+        assert ("inward pass left the double range at r = 2.44616e-154"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 

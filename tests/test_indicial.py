@@ -1,6 +1,7 @@
 import math
 import sys
 from fractions import Fraction
+from numbers import Real
 from types import SimpleNamespace
 
 import mpmath
@@ -380,8 +381,9 @@ def per_field_checks(params):
     checks in __post_init__."""
     for name in ("n", "p", "a", "mu", "lam"):
         value = getattr(params, name)
-        if (isinstance(value, (int, float))
-                and not abs(value) <= sys.float_info.max):
+        if not isinstance(value, Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:
             raise DomainError(f"{name} must be finite, got {value!r}")
     if int(params.n) != params.n or params.n < 2:
         raise DomainError("n must be an integer >= 2")
@@ -463,7 +465,21 @@ class TestProblemParams:
             ProblemParams(**kwargs)
 
     def test_accepts_finite_numpy_scalars(self):
-        # the fields keep their types, so the roots carry float32 rounding
+        # numpy fields become int and float, so a float32 field carries no
+        # float32 rounding into the roots: they equal the plain call's
         params = ProblemParams(n=np.int64(4), p=np.float32(2.0),
                                mu=np.float32(0.75), lam=np.float16(1.0))
-        assert indicial_roots(params).gamma1 == pytest.approx(0.5, rel=1e-6)
+        assert [type(v) for v in (params.n, params.p, params.mu, params.lam)] \
+            == [int, float, float, float]
+        plain = ProblemParams(n=4, p=2.0, mu=0.75, lam=1.0)
+        assert params == plain
+        assert indicial_roots(params) == indicial_roots(plain)
+        assert type(ProblemParams(n=4, p=np.float64(2.5)).p) is float
+
+    @pytest.mark.parametrize("field,value", [("a", "x"), ("mu", "x"),
+                                             ("mu", 1j), ("a", None)])
+    def test_rejects_non_real_field(self, field, value):
+        # a and mu have no range rule; a string mu used to construct and
+        # fail later in indicial_roots with TypeError
+        with pytest.raises(DomainError, match=f"{field} must be a real number"):
+            ProblemParams(n=4, p=2.0, **{field: value})

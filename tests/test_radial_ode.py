@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +18,59 @@ from plap.radial_ode import (RICCATI_SAMPLES, RadialProfile, ShootClass,
                              fit_decay_exponents, hardy_power_residual,
                              radial_exterior_eigen, riccati_ratio_flow,
                              series_start_radius, shoot_singular_profile)
-from plap.radial_ode import _ratio_rhs
 
 
 NAN, INF = math.nan, math.inf
 XI = [1.0, 0.0]
+
+
+def ratio_rhs_in_r(n, p, lam):
+    """The exterior ratio flow in r for the state (ln u, sigma):
+        sigma' = lam / ((p-1)|sigma|^(p-2)) - sigma^2 - (n-1) sigma / ((p-1) r)
+    and (ln u)' = sigma, for reference passes with solve_ivp."""
+    k, c = lam / (p - 1.0), (n - 1.0) / (p - 1.0)
+
+    def rhs(r, y):
+        sig = y[1]
+        core = k / abs(sig) ** (p - 2.0) if sig != 0.0 else 0.0
+        return [sig, core - sig * sig - c * sig / r]
+
+    return rhs
+
+
+def bessel_branch(n, r):
+    """(sigma, ln u - ln u(r[0])) of the decaying branch at p = 2, lam = 1:
+    u ~ r^-nu K_nu(r), nu = (n-2)/2, so u'/u = -K_(nu+1)/K_nu; kve = K e^r
+    keeps the logs finite."""
+    nu = (n - 2) / 2
+    log_u = -nu * np.log(r) + np.log(kve(nu, r)) - r
+    return -kve(nu + 1, r) / kve(nu, r), log_u - log_u[0]
+
+
+def mpmath_branch(n, p, lam, r):
+    """(sigma, ln u - ln u(r[0])) of the decaying branch at the increasing
+    radii r in [1, 40], from mpmath's Taylor-series integrator at 16 digits
+    (degree 14) in t = -r, seeded with -alpha at r = 40 + 35/(p alpha) as
+    radial_exterior_eigen seeds it.  Against a 20-digit run of degree 33
+    it is within 4.4e-16 in sigma and 7.1e-15 in ln u at (6, 2.2, 0.7),
+    (5, 2.9, 2) and (5, 4.5, 3)."""
+    alpha = eigen_rate_alpha(lam, p)
+    with mpmath.workdps(16):
+        k = mpmath.mpf(lam) / (p - 1.0)
+        c = mpmath.mpf(n - 1.0) / (p - 1.0)
+        e = mpmath.mpf(p) - 2
+
+        def flow(t, y):  # t = -r
+            return [-y[1], -(k / abs(y[1]) ** e - y[1] ** 2 + c * y[1] / t)]
+
+        sol = mpmath.odefun(flow, -(40.0 + 35.0 / (p * alpha)),
+                            [mpmath.mpf(0), mpmath.mpf(-alpha)], degree=14)
+        # odefun extends its series towards larger t, so r runs downwards
+        states = [sol(-mpmath.mpf(x)) for x in r[::-1]]
+        log_u0 = states[-1][0]
+        sigma = np.array([float(y[1]) for y in states[::-1]])
+        log_u = np.array([float(y[0] - log_u0) for y in states[::-1]])
+    return sigma, log_u
 
 
 # each call with a NaN or infinite input, and the error its range rule
@@ -173,30 +222,38 @@ class TestRadialExteriorEigen:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_p2_matches_bessel_oracle(self, n):
-        # for p = 2 the decaying solution is u ~ r^-nu K_nu(r), nu = (n-2)/2,
-        # so u'/u = -K_(nu+1)/K_nu; kve = K e^r keeps the logs finite
-        shot = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 40.0)
-        prof = shot.profile
-        r, nu = prof.r, (n - 2) / 2
-        ratio = -kve(nu + 1, r) / kve(nu, r)
-        log_u = -nu * np.log(r) + np.log(kve(nu, r)) - r
-        log_u -= log_u[0]
-        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-9
-        assert np.max(np.abs(prof.log_u - log_u)) <= 1e-9
+        # measured gaps: 8.1e-14 in sigma and 5.0e-13 in ln u (n = 5)
+        prof = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 40.0).profile
+        ratio, log_u = bessel_branch(n, prof.r)
+        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-12
+        assert np.max(np.abs(prof.log_u - log_u)) <= 1e-11
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_p2_far_field_matches_bessel_oracle(self, n):
         # the far-field workload's span: ln u falls to about -2e4, so the
-        # log error is relative to |log_u|
-        shot = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 20010.0)
-        prof = shot.profile
-        r, nu = prof.r, (n - 2) / 2
-        ratio = -kve(nu + 1, r) / kve(nu, r)
-        log_u = -nu * np.log(r) + np.log(kve(nu, r)) - r
-        log_u -= log_u[0]
-        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-9
+        # log error is relative to |log_u|.  Measured gaps: 8.1e-14 in
+        # sigma and 3.6e-13 relative in ln u (n = 5)
+        prof = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 20010.0).profile
+        ratio, log_u = bessel_branch(n, prof.r)
+        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-12
         assert np.all(np.abs(prof.log_u - log_u)
-                      <= 1e-10 * np.maximum(1.0, np.abs(log_u)))
+                      <= 1e-11 * np.maximum(1.0, np.abs(log_u)))
+
+    @pytest.mark.parametrize("n,r_max,grid_points", [(2, 40.0, 10),
+                                                     (3, 40.0, 10),
+                                                     (5, 20010.0, 50)])
+    def test_p2_coarse_grid_matches_bessel_oracle(self, n, r_max,
+                                                  grid_points):
+        # ln u is integrated on an internal grid of steps of ln r of at
+        # most 1/200, not on the profile's: the quintic rule on 10 points
+        # over [1, 40] alone is off by about 1e-4.  Measured gaps: 8.0e-14
+        # in sigma and 4.9e-13 relative in ln u (n = 5)
+        prof = radial_exterior_eigen(n, 2.0, 1.0, 1.0, r_max,
+                                     grid_points=grid_points).profile
+        ratio, log_u = bessel_branch(n, prof.r)
+        assert np.max(np.abs(prof.ratio - ratio)) <= 1e-12
+        assert np.all(np.abs(prof.log_u - log_u)
+                      <= 1e-11 * np.maximum(1.0, np.abs(log_u)))
 
     @pytest.mark.parametrize("n,p,lam", [(3, 1.5, 0.5), (4, 3.0, 2.0),
                                          (2, 1.5, 1.0), (5, 2.9, 0.5),
@@ -207,7 +264,8 @@ class TestRadialExteriorEigen:
         r_max = 40.0
         prof = radial_exterior_eigen(n, p, lam, 1.0, r_max).profile
         alpha = eigen_rate_alpha(lam, p)
-        sol = solve_ivp(_ratio_rhs(n, p, lam), (r_max + 35 / (p * alpha), 1.0),
+        sol = solve_ivp(ratio_rhs_in_r(n, p, lam),
+                        (r_max + 35 / (p * alpha), 1.0),
                         [0.0, -alpha], method="DOP853", rtol=2.5e-14,
                         atol=1e-16, t_eval=prof.r[::-1])
         sigma = sol.y[1][::-1]
@@ -218,71 +276,63 @@ class TestRadialExteriorEigen:
     def test_far_field_rhs_evaluations(self):
         # an explicit method is held to |h| ~ 1/(p*alpha) by stability over
         # the whole span (about 118k evaluations here); the stiff-switching
-        # pass needs about 4.9k
+        # pass took about 4.9k in r and takes about 700 in s = 1/r
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0, grid_points=1600)
-        assert shot.nfev <= 20000
+        assert shot.nfev <= 1000
 
     @pytest.mark.parametrize("n,p,lam", [(3, 2.0, 1.0), (3, 1.5, 0.5),
                                          (5, 2.9, 2.0), (6, 2.2, 0.7),
                                          (5, 4.5, 3.0)])
     def test_far_field_matches_solve_ivp_lsoda_pass(self, n, p, lam):
-        # the same LSODA pass driven step by step through solve_ivp, with
-        # the ratio flow as written before it became a float-only closure.
-        # At p = 2 and 1.5 both passes take the same steps and sigma agrees
-        # to 4.4e-16; elsewhere the RHS rounds differently, and the measured
-        # gaps reach 3.3e-13 in sigma and 3.6e-11 relative in log_u
+        # The far-field shot against a reference more accurate than it: the
+        # Bessel branch over the whole span at p = 2, and mpmath_branch on
+        # [1, 40] elsewhere (the shot's error there carries over from the
+        # far part of the pass).  The name is from the earlier reference, an
+        # LSODA pass in r through solve_ivp, which is itself 2-7e-12 from
+        # these in sigma.  Measured gaps: 1.9e-13 in sigma and 7.6e-14
+        # relative in ln u, at (6, 2.2, 0.7)
         r_max = 20010.0
         prof = radial_exterior_eigen(n, p, lam, 1.0, r_max,
                                      grid_points=1600).profile
-        alpha = eigen_rate_alpha(lam, p)
-        pm1, nm1 = p - 1.0, n - 1.0
-
-        def rhs(r, y):
-            sig = y[1]
-            core = lam / (pm1 * abs(sig) ** (p - 2.0)) if sig != 0.0 else 0.0
-            return [sig, core - sig * sig - nm1 * sig / (pm1 * r)]
-
-        sol = solve_ivp(rhs, (r_max + 35 / (p * alpha), 1.0), [0.0, -alpha],
-                        method="LSODA", rtol=3e-14, atol=1e-16,
-                        t_eval=prof.r[::-1])
-        assert sol.success
-        sigma = sol.y[1][::-1]
-        log_u = sol.y[0][::-1] - sol.y[0][-1]
-        assert np.max(np.abs(prof.ratio - sigma)) <= 1e-12
-        assert np.all(np.abs(prof.log_u - log_u)
+        if p == 2.0:
+            r = prof.r
+            sigma, log_u = bessel_branch(n, r)
+        else:
+            r = prof.r[prof.r <= 40.0]
+            sigma, log_u = mpmath_branch(n, p, lam, r)
+        assert np.max(np.abs(prof.ratio[:r.size] - sigma)) <= 1e-12
+        assert np.all(np.abs(prof.log_u[:r.size] - log_u)
                       <= 1e-10 * np.maximum(1.0, np.abs(log_u)))
 
     def test_nfev_is_odepack_count(self, monkeypatch):
         # nfev is ODEPACK's nfe, which counts every call of the RHS, the
-        # finite-difference Jacobian columns included.  The pass runs in r
-        # from r_start down to r0 = 1 without a critical point, so its last
-        # step may end below r0, by at most that step's size hu; no call
-        # lies outside [r0 - |hu|, r_start].
-        real_odeint, args_r, seen = radial_ode.odeint, [], {}
+        # finite-difference Jacobian columns included.  The pass runs in
+        # s = 1/r from 1/r_start up to 1/r0 = 1, its critical point, so no
+        # call lies outside [1/r_start, 1/r0].
+        real_odeint, args_s, seen = radial_ode.odeint, [], {}
 
         def recording_odeint(func, *args, **kwargs):
-            def recorded(r, y):
-                args_r.append(r)
-                return func(r, y)
+            def recorded(s, y):
+                args_s.append(s)
+                return func(s, y)
             out = real_odeint(recorded, *args, **kwargs)
             seen["nfe"] = int(out[1]["nfe"][-1])
-            seen["hu"] = float(out[1]["hu"][-1])
             return out
 
         monkeypatch.setattr(radial_ode, "odeint", recording_odeint)
         r_max, alpha = 20010.0, eigen_rate_alpha(1.0, 2.0)
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max,
                                      grid_points=1600)
-        assert shot.nfev == seen["nfe"] == len(args_r)
+        assert shot.nfev == seen["nfe"] == len(args_s)
         r_start = r_max + 35.0 / (2.0 * alpha)
-        assert 1.0 - abs(seen["hu"]) <= min(args_r)
-        assert max(args_r) <= r_start
+        assert 1.0 / r_start <= min(args_s)
+        assert max(args_s) <= 1.0
 
     def test_early_stop_raises_step_failure(self, monkeypatch):
-        # a cap of 5 steps between output points, where a 10-point grid to
-        # r_max = 20010 needs hundreds, makes ODEPACK stop early; the failure
-        # surfaces as StepFailure with its message, and its ODEintWarning
-        # does not leak
+        # a cap of 5 steps between output points, where the pass to
+        # r_max = 20010 takes about 130 before its first output, makes
+        # ODEPACK stop early; the failure surfaces as StepFailure with its
+        # message, and its ODEintWarning does not leak
         real_odeint = radial_ode.odeint
 
         def capped_odeint(*args, **kwargs):
@@ -340,7 +390,7 @@ class TestRadialExteriorEigen:
             return "up"
         if sigma0 <= sigma_floor:
             return "down"
-        rhs = _ratio_rhs(n, p, lam)
+        rhs = ratio_rhs_in_r(n, p, lam)
 
         def up(_r, y):
             return y[1] - sigma_up
@@ -375,10 +425,10 @@ class TestRadialExteriorEigen:
                                         *corridor) == "up"
 
     def test_leaving_double_range_raises_step_failure(self):
-        # going inward sigma ~ -c/r, whose square overflows near r ~ 5e-155;
+        # going inward sigma ~ -c/r, whose square overflows near r ~ 1e-154;
         # ODEPACK still reports success, so the pass checks its state
         with pytest.raises(StepFailure,
-                           match=r"left the double range at r = 5\.07137e-155"):
+                           match=r"left the double range at r = 2\.44616e-154"):
             radial_exterior_eigen(3, 2.0, 1.0, 1e-300, 40.0)
 
     def test_preconditions(self):
