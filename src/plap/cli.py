@@ -459,9 +459,12 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
     except OutOfRange as exc:
         raise ConfigError(f"scales {c['scales']!r}: {exc}") from exc
     alpha = eigen_rate_alpha(params.lam, params.p)
-    shot = radial_ode.radial_exterior_eigen(
-        params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
-        grid_points=1400)
+    try:
+        shot = radial_ode.radial_exterior_eigen(
+            params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
+            grid_points=1400)
+    except DomainError as exc:
+        raise ConfigError(f"shifts {shifts!r}: {exc}") from exc
     try:
         rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts,
                                                        alpha, window=window)

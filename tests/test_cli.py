@@ -228,6 +228,8 @@ class TestMainEntry:
         ({"scales": [1e-6]}, "radius 1e-07 outside sampled span"),
         ({"gamma": "x"}, "gamma must be a finite number"),
         ({"shifts": [10.0, 10 ** 400]}, "shifts must be a finite number > 0"),
+        ({"shifts": [10.0, 1e6]}, "shifts [10.0, 1000000.0]: p*alpha*r_max "
+                                  "must be at most 200000"),
     ])
     def test_blowup_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                          message):
@@ -265,6 +267,12 @@ class TestMainEntry:
         # t >= r0 + 1 rejects it
         ("martin", {"t": 0.5, "r0": 0.1}, "t must be >= 1.1 (r0 + 1), "
                                           "got 0.5"),
+        # past the span on which the shot's ln u quadrature is accurate
+        ("shoot", {"r_max": 1e12}, "r0 1.0, r_max 1000000000000.0, "
+                                   "grid_points 800: p*alpha*r_max must be "
+                                   "at most 200000, got 2e+12"),
+        ("martin", {"t": 1e6}, "t 1000000.0, r0 1.0: p*alpha*r_max must be "
+                               "at most 200000"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):

@@ -303,6 +303,23 @@ class TestRadialExteriorEigen:
         assert np.max(np.abs(prof.ratio[:r.size] - sigma)) <= 1e-12
         assert np.all(np.abs(prof.log_u[:r.size] - log_u)
                       <= 1e-10 * np.maximum(1.0, np.abs(log_u)))
+        # On r >= 5e3 the branch is sigma = -alpha + a1/r + a2/r^2 + a3/r^3
+        # up to a4/r^4 < 1e-14, and ln u + alpha r - a1 ln r + a2/r
+        # + a3/(2 r^2) is a constant, at p != 2 too.  Measured gaps over
+        # seven cases: 4.4e-14 in sigma and 7.3e-13 relative to |ln u| in
+        # the constant, at (5, 4.5, 3.0)
+        alpha = eigen_rate_alpha(lam, p)
+        c = (n - 1.0) / (p - 1.0)
+        a1 = -c / p
+        a2 = c * (2.0 - (p - 1.0) * c) / (2.0 * alpha * p ** 2)
+        a3 = -c * ((p - 1.0) * (p - 2.0) * c * c - 3.0 * (2.0 * p - 3.0) * c
+                   + 6.0) / (3.0 * alpha ** 2 * p ** 3)
+        far = prof.r >= 5e3
+        r, log_u = prof.r[far], prof.log_u[far]
+        series = -alpha + a1 / r + a2 / r ** 2 + a3 / r ** 3
+        assert np.max(np.abs(prof.ratio[far] - series)) <= 1e-12
+        const = log_u + alpha * r - a1 * np.log(r) + a2 / r + a3 / (2 * r * r)
+        assert np.all(np.abs(const - const[-1]) <= 1e-11 * np.abs(log_u))
 
     def test_nfev_is_odepack_count(self, monkeypatch):
         # nfev is ODEPACK's nfe, which counts every call of the RHS, the
@@ -436,6 +453,21 @@ class TestRadialExteriorEigen:
             radial_exterior_eigen(3, 2.0, 1.0, 0.0, 40.0)
         with pytest.raises(DomainError):
             radial_exterior_eigen(3, 2.0, 1.0, 1.0, 5.0)
+
+    def test_span_past_limit_raises_domain_error(self):
+        # the ln u quadrature's relative error grows like (p*alpha*r_max)^2:
+        # 4e-13 at the limit 2e5 here, 29 at r_max = 1e12, and at
+        # 1e100 the profile came out finite and wrong, ln u = +8e193
+        prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 1e5).profile
+        assert np.all(np.abs(prof.log_u - (1.0 - prof.r - np.log(prof.r)))
+                      <= 1e-11 * np.maximum(1.0, np.abs(prof.log_u)))
+        for r_max in (1.0001e5, 1e12, 1e100):
+            with pytest.raises(DomainError, match=r"p\*alpha\*r_max must be "
+                               r"at most 200000"):
+                radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max)
+        # the limit is on the stiff span, so the eigenvalue moves it
+        with pytest.raises(DomainError, match="got 400000"):
+            radial_exterior_eigen(3, 2.0, 4.0, 1.0, 1e5)
 
 
 class TestHardyPowerResidual:
