@@ -24,11 +24,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint, solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
 from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
@@ -103,10 +103,6 @@ class RadialProfile:
     def du(self) -> np.ndarray:
         """u' = ratio * u."""
         return self.ratio * self.u
-
-    def log_interp(self) -> PchipInterpolator:
-        """Monotone cubic interpolant of ln u against ln r."""
-        return PchipInterpolator(np.log(self.r), self.log_u)
 
     @property
     def r_min(self) -> float:
@@ -289,7 +285,8 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     (alpha r_max)^2: about 4e-13 at alpha r_max = 1e5, 2e-7 at 1e8 and
     2e-3 at 1e10.  The shot therefore takes p*alpha*r_max only up to 2e5
     (see _MAX_STIFF_SPAN), where the error is below about 1e-11.  The
-    profile lives on a log-spaced grid and is
+    profile lives on a log-spaced grid of grid_points radii from r0 to
+    r_max, an integer of at least 2 (DomainError otherwise), and is
     normalized to u(r0) = 1; meta["shoot_param"] is the realized initial
     ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS evaluations.
     Raises StepFailure with ODEPACK's message if the pass stops early, and
@@ -300,6 +297,9 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
         raise DomainError("n and r_max must be finite and r0 positive")
     if r_max < 10.0 * r0:
         raise DomainError("r_max must be at least 10*r0")
+    if not (isinstance(grid_points, Integral) and grid_points >= 2):
+        raise DomainError("grid_points must be an integer >= 2, "
+                          f"got {grid_points!r}")
     alpha = eigen_rate_alpha(lam, p)
     if not p * alpha * r_max <= _MAX_STIFF_SPAN:
         raise DomainError(f"p*alpha*r_max must be at most {_MAX_STIFF_SPAN:g}"
@@ -309,7 +309,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     # the quadrature grid splits each profile interval into m equal steps
     # of ln r, each at most 1/200, and holds every profile radius exactly
     m = math.ceil(_QUAD_STEPS_PER_UNIT_LOG_R * math.log(r_max / r0)
-                  / max(grid_points - 1, 1))
+                  / (grid_points - 1))
     r_fine = np.geomspace(r0, r_max, (grid_points - 1) * m + 1)
     r_fine[::m] = r_grid
     r_out = np.concatenate(([r_start], r_fine[::-1]))

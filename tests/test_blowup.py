@@ -1,14 +1,21 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from plap import cli
-from plap.blowup import (martin_kernel_estimate, rescale_near_zero,
-                         translate_rescale_at_infinity)
+from plap.blowup import (_hermite, _pchip_slopes, martin_kernel_estimate,
+                         rescale_near_zero, translate_rescale_at_infinity)
 from plap.errors import DomainError, OutOfRange
 from plap.grid_pde import _check_unit
-from plap.radial_ode import RadialProfile
+from plap.radial_ode import RadialProfile, radial_exterior_eigen
 
 
 def exp_over_r_profile(r_max, points=3000):
@@ -191,3 +198,116 @@ class TestRescaleReport:
             assert lines[0] == "scale,sup_distance,grad_distance"
             assert lines[1].startswith(first)
             assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+def assert_matches_scipy(x, y, xq):
+    """The kernel's values and derivatives at xq equal scipy's
+    PchipInterpolator and its derivative() bit for bit."""
+    x, y, xq = (np.asarray(v, dtype=float) for v in (x, y, xq))
+    value, slope = _hermite(x, y, _pchip_slopes(x, y), xq)
+    interp = PchipInterpolator(x, y)
+    np.testing.assert_array_equal(value, interp(xq))
+    np.testing.assert_array_equal(slope, interp.derivative()(xq))
+
+
+@st.composite
+def pchip_data(draw):
+    """Grids of 2 to 12 nodes with uneven steps, values that mix flat
+    segments and secant sign changes, and queries at every node, at the
+    last node and inside the span."""
+    size = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=size - 1,
+                          max_size=size - 1))
+    x = draw(st.floats(-50.0, 50.0)) + np.cumsum([0.0] + steps)
+    # no magnitudes below 1e-200, whose secants overflow w1/m in scipy too
+    y = draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                                st.floats(-1e3, 1e3).filter(
+                                    lambda v: v == 0.0 or abs(v) > 1e-200)),
+                      min_size=size, max_size=size))
+    inside = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    xq = np.concatenate((x, x[-1:], x[0] + (x[-1] - x[0]) * np.array(inside)))
+    return x, y, xq
+
+
+# (n, p, lam, r_max, grid_points): step 06's Martin shot, a p = 1.5 shot
+# as in step 07, and a shot of the far-field benchmark workload
+EXTERIOR_SHOTS = [(3, 2.0, 1.0, 1050.0, 1600), (3, 1.5, 0.5, 40.0, 800),
+                  (5, 2.8, 1.7, 20010.0, 1600)]
+
+
+@functools.cache
+def exterior_profile(n, p, lam, r_max, points):
+    return radial_exterior_eigen(n, p, lam, 1.0, r_max,
+                                 grid_points=points).profile
+
+
+class TestPchipKernel:
+    """_pchip_slopes and _hermite reproduce scipy's PchipInterpolator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pchip_data())
+    @example(([0.0, 1.0], [2.0, -1.0], [0.0, 0.25, 1.0]))  # secant, both ends
+    @example(([0.0, 1.0, 3.0], [0.0, 1.0, 1.0], [0.0, 0.5, 1.0, 2.0, 3.0]))
+    @example(([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 0.0, 2.0],
+              [0.0, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0]))
+    @example(([0.0, 1.0, 2.0], [0.0, 1.0, 5.0], [0.0, 1.0, 2.0]))  # end to 0
+    @example(([0.0, 1.0, 2.0], [0.0, 1.0, -9.0], [0.0, 1.0, 2.0]))  # to 3*m0
+    def test_matches_scipy(self, data):
+        assert_matches_scipy(*data)
+
+    def test_interior_slope_is_zero_at_flat_or_turning_secants(self):
+        # a turn at node 1, a flat secant beside nodes 2 and 3, a rise at 4
+        x = np.arange(6.0)
+        y = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 3.0])
+        d = _pchip_slopes(x, y)
+        assert d[1:4].tolist() == [0.0, 0.0, 0.0]
+        assert d[4] != 0.0
+        assert_matches_scipy(x, y, np.linspace(0.0, 5.0, 41))
+
+    @pytest.mark.parametrize("y,end", [
+        # three-point slope (3*1 - 4)/2 = -0.5 against the secant 1
+        ([0.0, 1.0, 5.0], 0.0),
+        # secants 1 and -10 differ in sign; (3*1 + 10)/2 = 6.5 > 3*1
+        ([0.0, 1.0, -9.0], 3.0),
+    ])
+    def test_end_clamps(self, y, end):
+        x = np.array([0.0, 1.0, 2.0])
+        y = np.array(y)
+        assert _pchip_slopes(x, y)[0] == end
+        # mirrored, the same clamp sets the last slope
+        assert _pchip_slopes(-x[::-1], y[::-1])[-1] == -end
+        assert_matches_scipy(x, y, [0.0, 0.5, 1.0, 1.5, 2.0])
+        assert_matches_scipy(-x[::-1], y[::-1], [-2.0, -1.0, -0.25, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(EXTERIOR_SHOTS), st.booleans(),
+           st.lists(st.floats(0.0, 1.0), max_size=200))
+    def test_matches_scipy_on_exterior_profiles(self, shot, in_log_r, inside):
+        # the grids blowup reads: ln r for dilations and the kernel ratio,
+        # r for translations
+        prof = exterior_profile(*shot)
+        x = np.log(prof.r) if in_log_r else prof.r
+        xq = np.concatenate((x, x[0] + (x[-1] - x[0]) * np.array(inside)))
+        assert_matches_scipy(x, prof.log_u, xq)
+
+    def test_fewer_than_two_nodes_raise_domain_error(self):
+        # scipy raised ValueError: x must contain at least 2 elements
+        prof = RadialProfile(r=[1.0], log_u=[0.0], ratio=[0.0])
+        with pytest.raises(DomainError, match="at least 2 nodes, got 1"):
+            rescale_near_zero(prof, [1.0], 0.5)
+        with pytest.raises(DomainError, match="at least 2 nodes, got 1"):
+            translate_rescale_at_infinity(prof, [], 1.0, window=0.0)
+        with pytest.raises(DomainError, match="at least 2 nodes, got 1"):
+            martin_kernel_estimate(prof, np.zeros(2), [1.0, 0.0], 1.0)
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # a fresh interpreter, importing plap from this checkout's src/
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, plap.cli; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

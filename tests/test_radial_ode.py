@@ -454,6 +454,22 @@ class TestRadialExteriorEigen:
         with pytest.raises(DomainError):
             radial_exterior_eigen(3, 2.0, 1.0, 1.0, 5.0)
 
+    @pytest.mark.parametrize("grid_points", [1, 0, -5, 2.5, 800.0, "800"])
+    def test_grid_points_must_be_integer_of_at_least_two(self, grid_points):
+        # 1 gave a one-node profile r = [1.0] that never reached r_max, 0
+        # and below numpy's ValueError, and 2.5 a TypeError
+        with pytest.raises(DomainError,
+                           match="grid_points must be an integer >= 2"):
+            radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0,
+                                  grid_points=grid_points)
+
+    def test_two_grid_points_span_r0_to_r_max(self):
+        prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0,
+                                     grid_points=np.int64(2)).profile
+        assert prof.r.tolist() == [1.0, 40.0]
+        assert prof.log_u[1] == pytest.approx(1.0 - 40.0 - math.log(40.0),
+                                              rel=1e-12)
+
     def test_span_past_limit_raises_domain_error(self):
         # the ln u quadrature's relative error grows like (p*alpha*r_max)^2:
         # 4e-13 at the limit 2e5 here, 29 at r_max = 1e12, and at
