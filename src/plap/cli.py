@@ -28,9 +28,9 @@ import numpy as np
 from . import blowup, grid_pde, radial_ode
 from .errors import (ConfigError, DomainError, IllConditioned, NoRealRoot,
                      OutOfRange)
-from .indicial import (ProblemParams, auxiliary_f, eigen_rate_alpha,
-                       hardy_best_constant, indicial_roots, placement_satisfied,
-                       step_change)
+from .indicial import (IndicialData, ProblemParams, auxiliary_f,
+                       eigen_rate_alpha, hardy_best_constant, indicial_roots,
+                       placement_satisfied, step_change)
 
 log = logging.getLogger("plap")
 
@@ -546,31 +546,40 @@ def _sample_admissible(rng, trials):
     return n, p, a, mu
 
 
+# IndicialData as one numpy record: its numbers stored as doubles and the
+# placement as a reference to its RootPlacement member
+_INDICIAL_RECORD = np.dtype([
+    ("mu_bar", float), ("gamma_star", float), ("gamma1", float),
+    ("gamma2", float), ("placement", object), ("double_root", bool)])
+
+
 def step_indicial(cfg, rng):
     """Criterion 01: both index roots of `indicial_trials` admissible draws.
 
-    Each draw is one scalar indicial_roots call, which raises on a root
-    whose residual exceeds its tolerance, and one placement check.  The
-    largest relative residual and, on the p = 2 draws without a double
-    root, the gap to the closed-form roots are then taken over arrays of
-    all roots; numpy's power may differ from the scalar one in the last bit.
+    The per-draw body is one scalar indicial_roots call, which raises on a
+    root whose residual exceeds its tolerance.  np.fromiter stores each
+    result as one _INDICIAL_RECORD as it is made, so no IndicialData tuple
+    or float object outlives its draw.  The placement check, the largest
+    relative residual and, on the p = 2 draws without a double root, the
+    gap to the closed-form roots are then taken over arrays of all draws.
+    The placement check is placement_satisfied's array form, equal
+    elementwise to the scalar one; numpy's power may differ from the scalar
+    one in the last bit.
     """
     trials = cfg["indicial_trials"]
     n, p, a, mu = _sample_admissible(rng, trials)
-    g = np.empty((2, trials))
-    double = np.empty(trials, dtype=bool)
-    placement_failures = 0
-    for k, draw in enumerate(zip(n.tolist(), p.tolist(), a.tolist(),
-                                 mu.tolist())):
-        data = indicial_roots(ProblemParams(*draw))
-        g[0, k], g[1, k] = data.gamma1, data.gamma2
-        double[k] = data.double_root
-        placement_failures += not placement_satisfied(data, *draw[:3])
+    solved = np.fromiter(
+        (indicial_roots(ProblemParams(*draw))
+         for draw in zip(n.tolist(), p.tolist(), a.tolist(), mu.tolist())),
+        dtype=_INDICIAL_RECORD, count=trials)
+    data = IndicialData(*(solved[name] for name in IndicialData._fields))
+    placement_failures = np.count_nonzero(~placement_satisfied(data, n, p, a))
+    g = np.array([data.gamma1, data.gamma2])
     q = p - 1.0
     f = np.copysign(np.abs(g) ** q, g) * (n - (a + 1.0) * p - q * g)
     resid = np.abs(f - mu) / np.maximum(1.0, np.abs(mu))
     # closed-form roots of the p = 2 draws
-    oracle = (p == 2.0) & ~double
+    oracle = (p == 2.0) & ~data.double_root
     exact = np.array(_p2_roots(n[oracle], a[oracle], mu[oracle]))
     gap = np.abs(g[:, oracle] - exact) / np.maximum(1.0, np.abs(exact))
     # np.max keeps a NaN, which the builtin max drops

@@ -29,6 +29,7 @@ CRITICAL_WEIGHT_ATOL = 1e-14  # exact-zero tolerance on a - (n-p)/p
 PLACEMENT_TOL = 1e-10        # slack of each case-table inequality
 
 _FMAX = sys.float_info.max
+_PLAIN = (float, int)  # the types ProblemParams stores unconverted
 
 
 def _finite(value) -> bool:
@@ -67,11 +68,20 @@ class ProblemParams:
     nonlinearity: Nonlinearity | None = None
 
     def __post_init__(self):
+        n, p, a, mu, lam = self.n, self.p, self.a, self.mu, self.lam
+        # step 01 builds 10 000 of these: a draw of plain ints and floats
+        # that meets every rule below passes this one test, and any other
+        # takes the per-field checks, which name the rule it breaks
+        if (type(n) is int and type(p) in _PLAIN and type(a) in _PLAIN
+                and type(mu) in _PLAIN and type(lam) in _PLAIN
+                and 2 <= n <= _FMAX and 1.0 < p < n
+                and -_FMAX <= a <= _FMAX and -_FMAX <= mu <= _FMAX
+                and 0.0 <= lam <= _FMAX and self.nonlinearity is None):
+            return
         for name in ("n", "p", "a", "mu", "lam"):
             value = getattr(self, name)
-            # a number beyond the float range is not finite.  int and float
-            # take the cheaper path, as step 01 builds 10 000 of these
-            if type(value) is float or type(value) is int:
+            # a number beyond the float range is not finite
+            if type(value) in _PLAIN:
                 if not -_FMAX <= value <= _FMAX:
                     raise DomainError(f"{name} must be finite, got {value!r}")
                 continue
@@ -90,9 +100,17 @@ class ProblemParams:
             raise DomainError("p must lie in (1, n)")
         if lam < 0.0:
             raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
-        if self.nonlinearity is not None:
-            q = self.nonlinearity.q
-            if not (self.p < q < self.sobolev_critical):
+        term = self.nonlinearity
+        if term is not None:
+            if not isinstance(term, Nonlinearity):
+                raise DomainError("nonlinearity must be None or a "
+                                  f"Nonlinearity, got {term!r}")
+            for name in ("q", "amplitude"):
+                value = getattr(term, name)
+                if not (isinstance(value, Real) and _finite(value)):
+                    raise DomainError(f"nonlinearity.{name} must be a finite "
+                                      f"real number, got {value!r}")
+            if not (self.p < term.q < self.sobolev_critical):
                 raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
 
     @property
@@ -158,16 +176,25 @@ def gamma_star(n, p, a=0.0):
 
 def auxiliary_f(gamma, n, p, a=0.0):
     """Index function |g|^(p-2) g (n-(a+1)p-(p-1)g); f(0) = 0 by continuity."""
-    big_d = n - (a + 1.0) * p
+    return _index_f(gamma, p - 1.0, n - (a + 1.0) * p)
+
+
+def _index_f(gamma, q, big_d):
+    """The index function at gamma from q = p-1 and D = n-(a+1)p.
+
+    The one evaluation of |g|^q sign(g) (D - q g) shared by auxiliary_f,
+    the residual check of indicial_roots and _newton_on_gamma.
+    """
     if gamma == 0.0:
         return 0.0
     # |g|^(p-1) sign(g), not |g|^(p-2) g: the latter overflows for subnormal
     # g when p < 2
-    return math.copysign(abs(gamma) ** (p - 1.0), gamma) * (big_d - (p - 1.0) * gamma)
+    return math.copysign(abs(gamma) ** q, gamma) * (big_d - q * gamma)
 
 
 _LOG_TINY = math.log(5e-324)  # ln of the smallest positive double
 _LOG_HUGE = math.log(_FMAX)  # ln of the largest double
+_LOG_2 = math.log(2.0)
 # relative accuracy wanted of a root: one ulp of x = ln|gamma| is this
 # coarse in gamma once |x| >= 64, and such roots take a Newton step on gamma
 _ROOT_RTOL = 1e-14
@@ -201,9 +228,9 @@ def _solve_branches(mu, p, big_d):
         m1, m2 = _solve_branches(mu, p, -big_d)
         return -m2, -m1
     q = p - 1.0
-    log_d = math.log(big_d)
-    x_star = log_d - math.log(p)
-    x_edge = log_d - math.log(q)
+    log_d, log_p, log_q = math.log(big_d), math.log(p), math.log(q)
+    x_star = log_d - log_p
+    x_edge = log_d - log_q
     exp, ulp, inf = math.exp, math.ulp, math.inf
 
     def root(sign, x_lo, x_hi, x, rising=False):
@@ -252,7 +279,7 @@ def _solve_branches(mu, p, big_d):
         # sign does not ride on rounding noise when mu is tiny.
         x_mu = (math.log(mu) - log_d) / q
         g1 = root(1.0, x_mu - 1.0,
-                  min(x_star, max(x_mu + math.log(p) / q + 1.0, _LOG_TINY)),
+                  min(x_star, max(x_mu + log_p / q + 1.0, _LOG_TINY)),
                   x_mu, rising=True)
         g2 = root(1.0, x_star, x_edge + 1e-7, x_edge)
     else:
@@ -262,13 +289,12 @@ def _solve_branches(mu, p, big_d):
         # where f <= -q g^p / 2 once g >= 2 edge; it starts from the lower
         # bound q g^p = M + D g^q >= M + D edge^q.
         log_m = math.log(-mu)
-        x_lo = min((log_m - math.log(2.0) - log_d) / q,
+        x_lo = min((log_m - _LOG_2 - log_d) / q,
                    (log_m - math.log(2.0 * q)) / p) - 1.0
-        x_hi = max(min((log_m - log_d) / q, (log_m - math.log(q)) / p) + 1.0,
+        x_hi = max(min((log_m - log_d) / q, (log_m - log_q) / p) + 1.0,
                    _LOG_TINY)
-        x_g2 = (math.log(big_d * math.exp(q * x_edge) - mu) - math.log(q)) / p
-        x_top = 1.0 + max(math.log(2.0) + x_edge,
-                          (math.log(2.0) + log_m - math.log(q)) / p)
+        x_g2 = (math.log(big_d * math.exp(q * x_edge) - mu) - log_q) / p
+        x_top = 1.0 + max(_LOG_2 + x_edge, (_LOG_2 + log_m - log_q) / p)
         if x_top > _LOG_HUGE:
             # g2 > |g1|, so both roots are representable when the lower
             # bound of g2 is, and then both brackets can end at the largest
@@ -296,11 +322,11 @@ def _newton_on_gamma(gamma, mu, q, big_d):
     sign, t = math.copysign(1.0, gamma), abs(gamma)
     try:
         a = t ** q
-        g = sign * a * (big_d - q * gamma) - mu
+        g = _index_f(gamma, q, big_d) - mu
         if abs(g) <= 4.0 * sys.float_info.epsilon * a * (abs(big_d) + q * t):
             return gamma
         new = gamma - g / (q * a * ((big_d - q * gamma) / t - sign))
-        new_g = math.copysign(abs(new) ** q, new) * (big_d - q * new) - mu
+        new_g = _index_f(new, q, big_d) - mu
     except (OverflowError, ZeroDivisionError):
         return gamma
     return new if abs(new_g) < abs(g) else gamma
@@ -371,8 +397,9 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
     bound = RESIDUAL_RTOL * max(1.0, abs(mu))
     if double:
         bound = max(bound, DOUBLE_ROOT_RTOL * max(1.0, mu_bar))
+    q = p - 1.0
     for root in (g1, g2):
-        resid = auxiliary_f(root, n, p, a) - mu
+        resid = _index_f(root, q, big_d) - mu
         # a sign change of f - mu between root and an adjacent double
         # resolves the root to one representable step, whatever the residual;
         # both tests are written to fail on a NaN residual
@@ -394,18 +421,28 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
     return IndicialData(mu_bar, gs, g1, g2, placement, double)
 
 
-def placement_satisfied(data: IndicialData, n, p, a) -> bool:
-    """Check the case-table inequalities, non-strict at PLACEMENT_TOL."""
+def placement_satisfied(data: IndicialData, n, p, a):
+    """Check the case-table inequalities, non-strict at PLACEMENT_TOL.
+
+    Scalars give a bool.  data's gamma1, gamma2, gamma_star and placement
+    may also be arrays, broadcasting with n, p and a (placement an object
+    array of RootPlacement members); the result is then a bool array, equal
+    elementwise to the scalar check, as every inequality is the same
+    comparison of the same doubles.
+    """
     tol = PLACEMENT_TOL
     g1, g2, gs = data.gamma1, data.gamma2, data.gamma_star
     edge = (n - (a + 1.0) * p) / (p - 1.0)
     case = data.placement
-    if case is RootPlacement.BELOW_CRITICAL_NONNEG_MU:
-        return -tol <= g1 <= gs + tol and gs <= g2 + tol and g2 <= edge + tol
-    if case is RootPlacement.BELOW_CRITICAL_NEG_MU:
-        return g1 <= tol and 0.0 <= edge + tol and edge <= g2 + tol
-    if case is RootPlacement.AT_CRITICAL:
-        return g1 <= tol and -tol <= g2
-    if case is RootPlacement.ABOVE_CRITICAL_NONNEG_MU:
-        return edge - tol <= g1 <= gs + tol and gs <= g2 + tol and g2 <= tol
-    return g1 <= edge + tol and edge <= tol and -tol <= g2
+    # every case's inequalities are evaluated and the placement picks one;
+    # & and | act on Python bools as on numpy bool arrays
+    return (
+        (case == RootPlacement.BELOW_CRITICAL_NONNEG_MU) & (-tol <= g1)
+        & (g1 <= gs + tol) & (gs <= g2 + tol) & (g2 <= edge + tol)
+        | (case == RootPlacement.BELOW_CRITICAL_NEG_MU) & (g1 <= tol)
+        & (0.0 <= edge + tol) & (edge <= g2 + tol)
+        | (case == RootPlacement.AT_CRITICAL) & (g1 <= tol) & (-tol <= g2)
+        | (case == RootPlacement.ABOVE_CRITICAL_NONNEG_MU) & (edge - tol <= g1)
+        & (g1 <= gs + tol) & (gs <= g2 + tol) & (g2 <= tol)
+        | (case == RootPlacement.ABOVE_CRITICAL_NEG_MU) & (g1 <= edge + tol)
+        & (edge <= tol) & (-tol <= g2))

@@ -742,6 +742,22 @@ class TestIndicialStep:
         assert len(calls) == 500
         assert all(row.passed for row in rows)
 
+    def test_draws_are_plain_ints_and_floats(self, monkeypatch):
+        # ProblemParams accepts such a draw in one combined test; steps 01
+        # and 09 must not hand it numpy scalars, which take the per-field
+        # checks
+        kinds = set()
+        build = cli.ProblemParams
+
+        def record(*args, **kwargs):
+            kinds.add(tuple(map(type, (*args, *kwargs.values()))))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProblemParams", record)
+        cli.step_indicial({"indicial_trials": 500}, np.random.default_rng(7))
+        cli.step_power_residual({"hardy_trials": 50}, np.random.default_rng(7))
+        assert kinds == {(int, float, float, float)}
+
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_rows_match_per_draw_loop(self, seed):
         trials = 2000

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from plap import cli, indicial
 from plap.errors import DomainError, NoRealRoot
-from plap.indicial import (DOUBLE_ROOT_RTOL, IndicialData, Nonlinearity,
+from plap.indicial import (CRITICAL_WEIGHT_ATOL, DOUBLE_ROOT_RTOL,
+                           PLACEMENT_TOL, IndicialData, Nonlinearity,
                            ProblemParams, RootPlacement, auxiliary_f,
                            eigen_rate_alpha, gamma_star, hardy_best_constant,
                            indicial_roots, placement_satisfied)
@@ -392,6 +394,15 @@ def per_field_checks(params):
     if params.lam < 0.0:
         raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
     if params.nonlinearity is not None:
+        if not isinstance(params.nonlinearity, Nonlinearity):
+            raise DomainError("nonlinearity must be None or a Nonlinearity, "
+                              f"got {params.nonlinearity!r}")
+        for name in ("q", "amplitude"):
+            value = getattr(params.nonlinearity, name)
+            if (not isinstance(value, Real)
+                    or not abs(value) <= sys.float_info.max):
+                raise DomainError(f"nonlinearity.{name} must be a finite real "
+                                  f"number, got {value!r}")
         q = params.nonlinearity.q
         if not (params.p < q < params.n * params.p / (params.n - params.p)):
             raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
@@ -430,6 +441,24 @@ class TestProblemParams:
         with pytest.raises(DomainError):
             ProblemParams(n=3, p=2.0, nonlinearity=Nonlinearity(q=1.5))
 
+    def test_nonlinearity_must_be_a_nonlinearity(self):
+        with pytest.raises(DomainError, match="nonlinearity must be None or a "
+                           "Nonlinearity, got 3.0"):
+            ProblemParams(n=3, p=2.0, nonlinearity=3.0)
+
+    @pytest.mark.parametrize("field", ["q", "amplitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="int_1e400"),
+                                       "3", None])
+    def test_nonlinearity_fields_must_be_finite_reals(self, field, value):
+        # an infinite amplitude used to be accepted and then sent
+        # series_start_radius to 0.0 and the singular shot to a math
+        # domain error; a NaN amplitude failed the shot's log_u check
+        term = Nonlinearity(**{"q": 3.0, field: value})
+        with pytest.raises(DomainError,
+                           match=f"nonlinearity.{field} must be a finite real"):
+            ProblemParams(n=3, p=2.0, nonlinearity=term)
+
     def test_derived_quantities(self):
         params = ProblemParams(n=4, p=2.0)
         assert params.sobolev_critical == 4.0
@@ -438,7 +467,9 @@ class TestProblemParams:
     @given(st.fixed_dictionaries(
         {name: FIELD_VALUES for name in ("n", "p", "a", "mu", "lam")},
         optional={"nonlinearity": st.sampled_from(
-            [None, Nonlinearity(q=2.5), Nonlinearity(q=50.0)])}))
+            [None, Nonlinearity(q=2.5), Nonlinearity(q=50.0), 3.0,
+             Nonlinearity(q=math.nan), Nonlinearity(q=2.5, amplitude=math.inf),
+             Nonlinearity(q=2.5, amplitude="1")])}))
     def test_checks_match_the_per_field_loop(self, fields):
         # the same exception type and message as per_field_checks, or
         # acceptance by both
@@ -483,3 +514,142 @@ class TestProblemParams:
         # fail later in indicial_roots with TypeError
         with pytest.raises(DomainError, match=f"{field} must be a real number"):
             ProblemParams(n=4, p=2.0, **{field: value})
+
+
+def _placement_by_case(data, n, p, a):
+    """The case-table check as a branch per placement: the reference of
+    placement_satisfied."""
+    tol = PLACEMENT_TOL
+    g1, g2, gs = data.gamma1, data.gamma2, data.gamma_star
+    edge = (n - (a + 1.0) * p) / (p - 1.0)
+    case = data.placement
+    if case is RootPlacement.BELOW_CRITICAL_NONNEG_MU:
+        return -tol <= g1 <= gs + tol and gs <= g2 + tol and g2 <= edge + tol
+    if case is RootPlacement.BELOW_CRITICAL_NEG_MU:
+        return g1 <= tol and 0.0 <= edge + tol and edge <= g2 + tol
+    if case is RootPlacement.AT_CRITICAL:
+        return g1 <= tol and -tol <= g2
+    if case is RootPlacement.ABOVE_CRITICAL_NONNEG_MU:
+        return edge - tol <= g1 <= gs + tol and gs <= g2 + tol and g2 <= tol
+    return g1 <= edge + tol and edge <= tol and -tol <= g2
+
+
+def _check_placements(cases):
+    """Assert that placement_satisfied over arrays of `cases`, a list of
+    (IndicialData, n, p, a), equals its scalar form and the reference on
+    each case."""
+    n, p, a = (np.array(x) for x in zip(*(case[1:] for case in cases)))
+    columns = zip(*(case[0] for case in cases))
+    data = IndicialData(*(np.array(col, dtype=object if k == 4 else None)
+                          for k, col in enumerate(columns)))
+    got = placement_satisfied(data, n, p, a)
+    assert got.dtype == bool and got.shape == (len(cases),)
+    scalar = [placement_satisfied(*case) for case in cases]
+    assert all(type(ok) is bool for ok in scalar)
+    assert got.tolist() == scalar == [_placement_by_case(*case)
+                                      for case in cases]
+
+
+# draws that reach every closed-form branch of indicial_roots: each
+# placement, the critical weight and offsets within CRITICAL_WEIGHT_ATOL of
+# it, double roots (mu = mu_bar) and mu = 0 on both sides of it
+HAND_DRAWS = [
+    (4, 2.0, 0.0, 0.75), (4, 2.0, 0.0, -3.0), (4, 2.0, 1.0, -3.0),
+    (4, 2.0, 1.5, 0.2), (4, 2.0, 1.5, -3.0), (4, 2.0, 1.0, 0.0),
+    (4, 2.0, 1.0 + 0.5 * CRITICAL_WEIGHT_ATOL, -2.0),
+    (4, 2.0, 1.0 - 0.5 * CRITICAL_WEIGHT_ATOL, -2.0),
+    (4, 2.0, 1.0 + 4.0 * CRITICAL_WEIGHT_ATOL, -2.0),
+    (3, 2.0, 0.0, 0.25), (5, 2.5, -0.5, hardy_best_constant(5, 2.5, -0.5)),
+    (6, 3.0, 2.0, hardy_best_constant(6, 3.0, 2.0)),
+    (4, 2.0, 0.0, 0.0), (4, 2.0, 1.5, 0.0), (3, 1.05, 0.0, 0.0),
+]
+
+
+@st.composite
+def boundary_cases(draw):
+    """(IndicialData, n, p, a) with gamma1 and gamma2 at each case-table
+    bound exactly, one double either side of it, or anywhere."""
+    n, p, a = draw(admissible_params())
+    tol = PLACEMENT_TOL
+    gs = gamma_star(n, p, a)
+    edge = (n - (a + 1.0) * p) / (p - 1.0)
+    # the values that meet each inequality with equality: g1 = -tol,
+    # g1 = gs + tol, g2 + tol = gs, g2 = edge + tol, ...
+    bounds = [-tol, tol, gs + tol, gs - tol, edge + tol, edge - tol, 0.0,
+              gs, edge]
+    near = st.sampled_from(bounds).flatmap(lambda x: st.sampled_from(
+        [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]))
+    value = st.one_of(near, st.floats(-10.0, 10.0), st.just(math.nan))
+    data = IndicialData(0.0, gs, draw(value), draw(value),
+                        draw(st.sampled_from(RootPlacement)), False)
+    return data, n, p, a
+
+
+class TestVectorPlacement:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_sampled_draws(self, seed):
+        draws = cli._sample_admissible(np.random.default_rng(seed), 200)
+        _check_placements([
+            (indicial_roots(ProblemParams(*draw)), *draw[:3])
+            for draw in zip(*(x.tolist() for x in draws))])
+
+    def test_hand_draws(self):
+        cases = [(indicial_roots(ProblemParams(*draw)), *draw[:3])
+                 for draw in HAND_DRAWS]
+        placements = [data.placement for data, *_ in cases]
+        assert set(placements) == set(RootPlacement)
+        assert placements[6:8] == [RootPlacement.AT_CRITICAL] * 2
+        assert placements[8] is not RootPlacement.AT_CRITICAL
+        assert sum(data.double_root for data, *_ in cases) >= 4
+        _check_placements(cases)
+
+    @given(st.lists(boundary_cases(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_boundaries(self, cases):
+        _check_placements(cases)
+
+
+def _step01_draws():
+    """The step-01 draws of `plap all` at seeds 0-7, 80 000 in all."""
+    draws = []
+    for seed in range(8):
+        arrays = cli._sample_admissible(np.random.default_rng([seed, 0]),
+                                        cli.ALL_SETTINGS["indicial_trials"])
+        draws += zip(*(x.tolist() for x in arrays))
+    return draws
+
+
+class TestSharedIndexKernel:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        draws = _step01_draws()
+        return draws, [indicial_roots(ProblemParams(*draw)) for draw in draws]
+
+    def test_roots_unchanged(self, solved):
+        # sha256 of the float64 roots (gamma1, gamma2 per draw) computed
+        # while the index function was written out three times, in
+        # auxiliary_f, the residual check and _newton_on_gamma (x86-64,
+        # glibc libm): the shared kernel moves no bit of any root
+        _, roots = solved
+        pairs = np.array([(data.gamma1, data.gamma2) for data in roots])
+        assert pairs.shape == (80_000, 2)
+        assert hashlib.sha256(pairs.tobytes()).hexdigest() == (
+            "d4626dc2fda324e9c5f256b783035ce947e8c186b7093d683df0e30b02fb0c8a")
+
+    def test_kernel_matches_auxiliary_f(self, solved):
+        def written_out(g, n, p, a):
+            """auxiliary_f's arithmetic as it stood before the kernel."""
+            if g == 0.0:
+                return 0.0
+            big_d = n - (a + 1.0) * p
+            return math.copysign(abs(g) ** (p - 1.0), g) * (big_d - (p - 1.0) * g)
+
+        def bits(x):
+            return np.float64(x).view(np.uint64)
+
+        for (n, p, a, mu), data in zip(*solved):
+            for g in (data.gamma1, data.gamma2):
+                kernel = indicial._index_f(g, p - 1.0, n - (a + 1.0) * p) - mu
+                assert bits(kernel) == bits(auxiliary_f(g, n, p, a) - mu) \
+                    == bits(written_out(g, n, p, a) - mu), (n, p, a, mu)

@@ -82,3 +82,67 @@ class TestNumberGaps:
     def test_other_files_are_none(self):
         assert same_outputs.number_gaps("p.json", b"1.0", b"2.0") is None
         assert same_outputs.number_gaps("p.csv", b"\xff", b"\xfe") is None
+
+
+bench_pairs = _load("bench_pairs")
+
+
+def _metric(parent, change, unit="ref"):
+    """bench_pairs' record of one metric over the pairs
+    (parent[i], change[i])."""
+    def result(value):
+        return ({"failed": 0, "correct": True,
+                 "metrics": {"m": {"value": value}}}, [], None)
+    runs = {"parent": [result(v) for v in parent],
+            "change": [result(v) for v in change]}
+    seeds = list(range(len(parent)))
+    return bench_pairs.workload_entry(seeds, runs, {"m": unit})["metrics"]["m"]
+
+
+PARENT = [20.0, 20.2, 19.8, 20.4, 19.6, 20.1, 19.9, 20.3, 19.7, 20.0]
+
+
+class TestVerdict:
+    def word(self, change, better="lower", bound=0.25, parent=PARENT):
+        line = bench_pairs.verdict("campaign", "m", _metric(parent, change),
+                                   better, bound)
+        assert line.startswith("campaign m: ")
+        return line[len("campaign m: "):].split(" (")[0]
+
+    def test_gain_needs_nine_of_ten_pairs_and_the_iqr(self):
+        # parent IQR is 0.375: a drop of 1.8 in every pair is a gain
+        assert self.word([v - 1.8 for v in PARENT]) == "gain shown"
+        # lower in 8 of 10 pairs only
+        assert self.word([v - 1.8 for v in PARENT[:8]] + PARENT[8:]) \
+            == "no gain shown, within bound"
+        # lower in every pair, but by less than the parent IQR
+        assert self.word([v - 0.2 for v in PARENT]) \
+            == "no gain shown, within bound"
+
+    def test_ties_count_for_neither_side(self):
+        # 9 pairs lower, 1 tie: 9 of 10
+        assert self.word([v - 1.8 for v in PARENT[:9]] + PARENT[9:]) \
+            == "gain shown"
+
+    def test_regression_is_beyond_the_bound(self):
+        assert self.word([v * 1.3 for v in PARENT]) == "regressed"
+        assert self.word([v * 1.2 for v in PARENT]) \
+            == "no gain shown, within bound"
+
+    def test_direction_follows_better(self):
+        # op_count-like: higher is better
+        assert self.word([v + 1.8 for v in PARENT], better="higher") \
+            == "gain shown"
+        assert self.word([v * 0.9 for v in PARENT], better="higher",
+                         bound=0.05) == "regressed"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        wide = [10.0, 30.0, 12.0, 28.0, 20.0, 14.0, 26.0, 16.0, 24.0, 20.0]
+        assert self.word(wide, bound=0.05) == "unresolved"
+        # unless every change run reads better than every parent run; a
+        # median gap of 10.1 within the parent IQR of 20 shows no gain
+        split = [10.0] * 5 + [30.0] * 5
+        assert self.word([9.9] * 10, parent=split, bound=0.05) \
+            == "no gain shown, within bound"
+        assert self.word([10.0] + [9.9] * 9, parent=split, bound=0.05) \
+            == "unresolved"

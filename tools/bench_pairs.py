@@ -21,7 +21,8 @@ BENCHMARK.json each side's runs, quartiles and median, and the number of
 pairs in which the working tree reads lower and higher.  It also holds both
 sides' traced metrics per workload, and one summary line per workload and
 end-to-end metric with the median ratio, the pair counts and the parent's
-interquartile range (the gap a claimed gain must exceed).
+interquartile range (the gap a claimed gain must exceed), each followed by
+a verdict line (see `verdict`).
 """
 
 from __future__ import annotations
@@ -114,6 +115,43 @@ def summary(workload, name, m):
             f"{m['parent']['q3'] - m['parent']['q1']:.3g}")
 
 
+def verdict(workload, name, m, better, bound):
+    """One line judging a metric of one workload in BENCHMARK.json's
+    direction `better` ("lower" or "higher"):
+    - "gain shown" when the change reads better in at least 9 of 10 pairs
+      (ties count for neither side) and its median is better than the
+      parent's by more than the parent's interquartile range;
+    - "regressed" when its median is worse than the parent's by more than
+      `bound` times the parent's median;
+    - "unresolved" when neither holds and either side's interquartile
+      range is wider than that bound, so the runs cannot tell a regression,
+      unless every run of the change reads better than every run of the
+      parent;
+    - "no gain shown, within bound" otherwise."""
+    base, new = m["parent"]["median"], m["change"]["median"]
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
+    spread = max(iqr, m["change"]["q3"] - m["change"]["q1"])
+    pairs = len(m["runs_parent"])
+    lower = better == "lower"
+    wins = m["change_lower_pairs"] if lower else m["change_higher_pairs"]
+    gap = base - new if lower else new - base  # > 0 when the change is better
+    limit = bound * abs(base)
+    runs, base_runs = m["runs_change"], m["runs_parent"]
+    all_better = (max(runs) < min(base_runs) if lower
+                  else min(runs) > max(base_runs))
+    if 10 * wins >= 9 * pairs and gap > iqr:
+        word = "gain shown"
+    elif -gap > limit:
+        word = "regressed"
+    elif spread > limit and not all_better:
+        word = "unresolved"
+    else:
+        word = "no gain shown, within bound"
+    return (f"{workload} {name}: {word} ({better} is better; better in "
+            f"{wins} of {pairs} pairs, median gap {gap:.3g} against parent "
+            f"IQR {iqr:.3g}, bound {limit:.3g})")
+
+
 def parse_pairs(items):
     pairs = {}
     for item in items:
@@ -140,6 +178,8 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
     metric_units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    metric_rules = {m["name"]: (m["better"], m["bound"])
+                    for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     rev = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--short",
                           args.rev], check=True, capture_output=True,
@@ -172,8 +212,10 @@ def main(argv=None) -> int:
             out["machine"] = {**machine, "cpu": cpu_name()}
             entry = workload_entry(seeds, runs, metric_units)
             out["workloads"][workload] = entry
-            out["notes"] += [summary(workload, name, m)
-                             for name, m in entry["metrics"].items()]
+            for name, m in entry["metrics"].items():
+                out["notes"] += [summary(workload, name, m),
+                                 verdict(workload, name, m,
+                                         *metric_rules[name])]
             traced = {}
             for side in SIDES:
                 result, _, _, _ = bench(trees[side], workload, FIRST_SEED,
