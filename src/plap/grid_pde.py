@@ -22,6 +22,8 @@ from .errors import DomainError, NoConvergence
 from .indicial import ProblemParams, eigen_rate_alpha
 
 DAMPING_FLOOR = 2.0 ** -30
+# Newton steps solve_dirichlet takes before it raises NoConvergence
+MAX_NEWTON_ITERS = 40
 # refinement of a Newton step by V-cycles stops once a correction is
 # within this many float64 ulps of the field the step updates, at every
 # node: the update v + theta * delta rounds the rest away
@@ -58,23 +60,32 @@ MAX_GRID_NODES = 2 ** 22
 class Field2D:
     """Positive scalar grid function on a rectangle with uniform spacing h.
 
-    values[i, j] sits at (origin[0] + i*h, origin[1] + j*h).
+    values[i, j] sits at (origin[0] + i*h, origin[1] + j*h); the grid has
+    nx by ny nodes, the shape of values.
     """
 
-    nx: int
-    ny: int
     h: float
     origin: tuple
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.nx, self.ny):
-            raise DomainError("values must have shape (nx, ny)")
+        if self.values.ndim != 2:
+            raise DomainError("values must be a 2-D array")
         _check_spacing(self.h)
         if not _positive_finite(self.values):
             raise DomainError("field values must be positive and finite")
         self.origin = (float(self.origin[0]), float(self.origin[1]))
+        if not all(map(math.isfinite, self.origin)):
+            raise DomainError("origin must be finite")
+
+    @property
+    def nx(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.values.shape[1]
 
     def x_coords(self) -> np.ndarray:
         return self.origin[0] + self.h * np.arange(self.nx)
@@ -148,8 +159,13 @@ def exponential_field(alpha, xi, rect, h) -> Field2D:
 
 
 def field_from_values(values, rect, h) -> Field2D:
+    """Field of values on the rectangle grid, one value per node."""
     x0, y0, nx, ny = _grid_shape(rect, h)
-    return Field2D(nx=nx, ny=ny, h=h, origin=(x0, y0), values=values)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (nx, ny):
+        raise DomainError(f"values of shape {values.shape} do not match the "
+                          f"grid's {nx} by {ny} nodes")
+    return Field2D(h=h, origin=(x0, y0), values=values)
 
 
 # --- face machinery -------------------------------------------------------
@@ -470,8 +486,6 @@ def _solve_refined(sten, rhs, interior):
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
     while hierarchy is not None:
-        if not np.any(resid):
-            return x, cycles, 0
         # a correction that overflows is not finite and goes to the fallback
         with np.errstate(invalid="ignore", over="ignore"):
             corr = _correction(_vcycle if cycles else _fmg, hierarchy, resid)
@@ -497,15 +511,15 @@ def _solve_refined(sten, rhs, interior):
 
 
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
-                    max_iters=40, scale=1.0):
+                    scale=1.0):
     """Damped Newton solve with boundary data scale*exp(alpha <x, xi>).
 
     The initial guess is the extension of the boundary data to the whole
     rectangle.  Regularization eps = 1e-8 * alpha * max(boundary data) is
     kept under |grad v| throughout.  Raises DomainError when tol is
     negative or when tol, the boundary data or the initial residual are
-    not finite, and NoConvergence when max_iters or the damping floor
-    is exhausted before final_residual <= tol.
+    not finite, and NoConvergence when MAX_NEWTON_ITERS steps or the
+    damping floor are exhausted before final_residual <= tol.
 
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the face terms of the residual that accepted
@@ -550,7 +564,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     iters = damping_events = linear_solves = float64_refactors = 0
     # `not res <= tol` also keeps iterating on a NaN residual
     while not res <= tol:
-        if iters >= max_iters:
+        if iters >= MAX_NEWTON_ITERS:
             raise NoConvergence(
                 f"residual {res:g} > tol {tol:g} after {iters} iterations "
                 "(h too coarse or damping floor hit)"
@@ -679,6 +693,8 @@ def bochner_residual(field: Field2D, p, lam) -> float:
 def representation_field(atoms, lam, rect, h) -> Field2D:
     """Superposition sum_i w_i exp(sqrt(lam) <x, xi_i>) of (xi, w) atoms on
     the rectangle grid; it solves -Lap v + lam v = 0, the p = 2 equation."""
+    if not 0.0 <= lam < math.inf:  # NaN fails it too
+        raise DomainError(f"lam must be finite and >= 0, got {lam!r}")
     # math.sqrt, not eigen_rate_alpha: its lam ** 0.5 differs from sqrt in
     # the last bit at some lam (e.g. 2.315)
     alpha = math.sqrt(lam)

@@ -85,7 +85,8 @@ class ProblemParams:
                 if not -_FMAX <= value <= _FMAX:
                     raise DomainError(f"{name} must be finite, got {value!r}")
                 continue
-            if not isinstance(value, Real):
+            # a bool is an Integral, but not a number here
+            if isinstance(value, bool) or not isinstance(value, Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
             if not _finite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")

@@ -56,6 +56,11 @@ _QUAD_STEPS_PER_UNIT_LOG_R = 200
 # cases with 1.05 <= p <= 10, 2.3e-3 at 2e10 and 29 at 2e12 (n = 3, p = 2,
 # lam = 1).  The far-field workload reaches about 7.6e4.
 _MAX_STIFF_SPAN = 2e5
+# largest profile that radial_exterior_eigen returns, in grid_points radii:
+# `plap shoot` peaked at about 286 B per profile point (tracemalloc, 2e4
+# and 2e5 points) and took about 2.2 s per 1e5 points, so 2^22 points take
+# about 1.2 GB and 90 s
+MAX_PROFILE_POINTS = 2 ** 22
 
 
 class ShootClass(Enum):
@@ -286,9 +291,10 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     2e-3 at 1e10.  The shot therefore takes p*alpha*r_max only up to 2e5
     (see _MAX_STIFF_SPAN), where the error is below about 1e-11.  The
     profile lives on a log-spaced grid of grid_points radii from r0 to
-    r_max, an integer of at least 2 (DomainError otherwise), and is
-    normalized to u(r0) = 1; meta["shoot_param"] is the realized initial
-    ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS evaluations.
+    r_max, an integer from 2 to MAX_PROFILE_POINTS (DomainError otherwise),
+    and is normalized to u(r0) = 1; meta["shoot_param"] is the realized
+    initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
+    evaluations.
     Raises StepFailure with ODEPACK's message if the pass stops early, and
     naming the first radius at which sigma is no longer finite if it leaves
     the double range (sigma ~ -c/r overflows its square near r ~ 1e-154).
@@ -300,6 +306,9 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     if not (isinstance(grid_points, Integral) and grid_points >= 2):
         raise DomainError("grid_points must be an integer >= 2, "
                           f"got {grid_points!r}")
+    if grid_points > MAX_PROFILE_POINTS:
+        raise DomainError(f"grid_points {grid_points} exceeds the cap of "
+                          f"{MAX_PROFILE_POINTS} profile points")
     alpha = eigen_rate_alpha(lam, p)
     if not p * alpha * r_max <= _MAX_STIFF_SPAN:
         raise DomainError(f"p*alpha*r_max must be at most {_MAX_STIFF_SPAN:g}"

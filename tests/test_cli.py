@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -82,6 +83,18 @@ class TestMartinCampaign:
         assert row.name == "kernel_at_xi"
         assert abs(row.target - 2.718281828459045) < 1e-12
         assert row.passed
+
+    def test_memory_does_not_grow_with_n(self, tmp_path):
+        # e_1 in R^n takes n doubles; the row of an n x n identity peaked
+        # at 30.7 MB for n = 2000, against 0.2 MB at n = 3
+        cfg = {"params": {"n": 2000, "p": 2.0, "lam": 1.0}}
+        tracemalloc.start()
+        try:
+            cli.run_martin(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestOtherCampaigns:
@@ -208,6 +221,7 @@ class TestMainEntry:
         # "Unable to allocate 8.00 TiB" (exit 1)
         ({"h": 2 ** -20}, "grid of nx=1048577 by ny=1048577 nodes exceeds "
                           "the cap of 4194304 nodes"),
+        ({"h": 1.0}, "grid needs at least one interior node per axis"),
     ])
     def test_grid_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "cfg.json"
@@ -252,9 +266,12 @@ class TestMainEntry:
         ("shoot", {"grid_points": 1}, "grid_points must be an integer >= 10"),
         ("martin", {"t": -5}, "t must be a finite number > 0"),
         ("martin", {"t": 1.5}, "t must be >= 2"),
-        ("shoot", {"lam": "x"}, "params.lam must be a number, got 'x'"),
-        ("grid", {"lam": [1.0]}, "params.lam must be a number, got [1.0]"),
-        ("blowup", {"lam": None}, "params.lam must be a number, got None"),
+        ("shoot", {"lam": "x"}, "invalid params: lam must be a real number, "
+                                "got 'x'"),
+        ("grid", {"lam": [1.0]}, "invalid params: lam must be a real number, "
+                                 "got [1.0]"),
+        ("blowup", {"lam": None}, "invalid params: lam must be a real "
+                                  "number, got None"),
         ("shoot", {"r0": 10 ** 400}, "r0 must be a finite number > 0"),
         # range errors of the solvers, raised before any file is written
         ("roots", {"n": 4, "mu": 5.0}, "invalid params: mu=5.0 exceeds the "
@@ -290,10 +307,18 @@ class TestMainEntry:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params, message", [
-        ({"n": 3, "p": 2.0, "mu": "x"}, "params.mu must be a number"),
-        ({"n": True, "p": 2.0}, "params.n must be a number"),
+        ({"n": 3, "p": 2.0, "mu": "x"},
+         "invalid params: mu must be a real number, got 'x'"),
+        ({"n": True, "p": 2.0}, "invalid params: n must be a real number, "
+                                "got True"),
         ([3, 2.0], "params must be a JSON object"),
         ({"n": 3, "p": 2.0, "q": 4.0}, "unknown key(s) ['q'] in params block"),
+        # a bool is not a number, though it is an int, and True would
+        # otherwise pass as 1
+        ({"n": 3, "p": 2.0, "a": True}, "invalid params: a must be a real "
+                                        "number, got True"),
+        ({"n": 3, "p": 2.0, "lam": False}, "invalid params: lam must be a "
+                                           "real number, got False"),
     ])
     def test_ill_typed_params_exit_2(self, tmp_path, capsys, params, message):
         cfg_path = tmp_path / "cfg.json"
@@ -302,6 +327,41 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        (None, "missing key(s) ['params'] in roots config"),
+        ("[1, 2]", "config must be a JSON object"),
+    ])
+    def test_roots_config_file_errors_exit_2(self, tmp_path, capsys, config,
+                                             message):
+        # no --config reads as {}, which lacks the required params
+        args = ["roots", "--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert cli.main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sub", ["shoot", "martin"])
+    def test_grid_points_above_cap_exit_2(self, tmp_path, capsys,
+                                          monkeypatch, sub):
+        # the shot refuses the size before it allocates its grid
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the profile grid was allocated")
+
+        monkeypatch.setattr(radial_ode.np, "geomspace", no_grid)
+        points = radial_ode.MAX_PROFILE_POINTS + 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": {"n": 3, "p": 2.0,
+                                                   "lam": 1.0},
+                                        "grid_points": points}))
+        code = cli.main([sub, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert (f"grid_points {points} exceeds the cap of "
+                f"{radial_ode.MAX_PROFILE_POINTS} profile points"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("sub, cfg", [
         ("roots", {"params": {"n": 3, "p": 5.0}}),
@@ -675,6 +735,14 @@ class TestSamplerStreams:
                 assert (cli._sample_root_instance(new)
                         == _uniform_sample_root_instance(old))
             assert new.random() == old.random()
+
+
+def test_root_instance_sampler_gives_up(monkeypatch):
+    # with no perturbed gap above 2e-3 (here NaN, which fails it too) the
+    # sampler stops after its 64 redraws
+    monkeypatch.setattr(cli, "auxiliary_f", lambda gamma, n, p, a: math.nan)
+    with pytest.raises(RuntimeError, match="root-instance sampler failed"):
+        cli._sample_root_instance(np.random.default_rng(0))
 
 
 class TestAdmissibleSampler:

@@ -72,11 +72,27 @@ def laplace_mass_solve(h, lam, xi):
 class TestField2D:
     def test_validation(self):
         with pytest.raises(DomainError):
-            Field2D(nx=3, ny=3, h=0.5, origin=(0, 0), values=np.zeros((3, 3)))
+            Field2D(h=0.5, origin=(0, 0), values=np.zeros((3, 3)))
         with pytest.raises(DomainError):
-            Field2D(nx=3, ny=3, h=-0.5, origin=(0, 0), values=np.ones((3, 3)))
-        with pytest.raises(DomainError):
-            Field2D(nx=4, ny=3, h=0.5, origin=(0, 0), values=np.ones((3, 3)))
+            Field2D(h=-0.5, origin=(0, 0), values=np.ones((3, 3)))
+        with pytest.raises(DomainError, match="values must be a 2-D array"):
+            Field2D(h=0.5, origin=(0, 0), values=np.ones(9))
+        # the rect's grid has 4 x 3 nodes
+        with pytest.raises(DomainError, match=re.escape(
+                "values of shape (3, 3) do not match the grid's 4 by 3 "
+                "nodes")):
+            field_from_values(np.ones((3, 3)), (0.0, 0.0, 1.5, 1.0), 0.5)
+
+    def test_shape_is_the_values_shape(self):
+        # nx and ny are read from values, so a reassigned values cannot
+        # leave them stale, and they cannot be set apart from it
+        f = exponential_field(1.0, XI, RECT, 0.25)
+        assert (f.nx, f.ny) == (5, 5)
+        f.values = np.ones((4, 6))
+        assert (f.nx, f.ny) == (4, 6)
+        assert f.x_coords().shape == (4,) and f.y_coords().shape == (6,)
+        with pytest.raises(AttributeError):
+            f.nx = 5
 
     @pytest.mark.parametrize("h, value, message", [
         (math.nan, 1.0, "h must be positive and finite"),
@@ -88,7 +104,15 @@ class TestField2D:
         values = np.ones((3, 3))
         values[1, 2] = value
         with pytest.raises(DomainError, match=message):
-            Field2D(nx=3, ny=3, h=h, origin=(0, 0), values=values)
+            Field2D(h=h, origin=(0, 0), values=values)
+
+    @pytest.mark.parametrize("origin", [(math.nan, 0.0), (0.0, math.inf),
+                                        (-math.inf, math.nan)])
+    def test_rejects_non_finite_origin(self, origin):
+        # the corners field_from_values takes are checked by _grid_shape; a
+        # field built directly once kept a NaN origin and all-NaN x_coords
+        with pytest.raises(DomainError, match="origin must be finite"):
+            Field2D(h=0.5, origin=origin, values=np.ones((3, 3)))
 
     def test_coords(self):
         f = exponential_field(1.0, XI, RECT, 0.25)
@@ -167,10 +191,19 @@ class TestSolveDirichlet:
             errs.append(float(np.max(np.abs(fld.values - exact.values))))
         assert errs[0] / errs[1] >= 3.0
 
-    def test_no_convergence_with_one_iteration(self):
+    def test_no_convergence_with_one_iteration(self, monkeypatch):
         params = ProblemParams(n=4, p=3.0, lam=2.0)
-        with pytest.raises(NoConvergence):
-            solve_dirichlet(params, XI, RECT, 1 / 16, tol=1e-12, max_iters=1)
+        monkeypatch.setattr(grid_pde, "MAX_NEWTON_ITERS", 1)
+        with pytest.raises(NoConvergence, match="after 1 iterations"):
+            solve_dirichlet(params, XI, RECT, 1 / 16, tol=1e-12)
+
+    def test_damping_floor_raises(self, monkeypatch):
+        # with the floor above theta = 1 the first trial step is already
+        # below it
+        monkeypatch.setattr(grid_pde, "DAMPING_FLOOR", 2.0)
+        with pytest.raises(NoConvergence, match="damping floor reached"):
+            solve_dirichlet(ProblemParams(n=4, p=3.0, lam=2.0), XI, RECT,
+                            1 / 16, tol=1e-9)
 
     @pytest.mark.parametrize("lam, xi, message", [
         # alpha = 678.6: exp(alpha <x, xi>) overflows where <x, xi> > 1.05
@@ -439,8 +472,8 @@ class TestNewtonStep:
 
         solve_refined = grid_pde._solve_refined
         monkeypatch.setattr(grid_pde, "_solve_refined", spy)
-        fld, stats = solve_dirichlet(params, XI, rect, h, tol=1e-6,
-                                     max_iters=1)
+        monkeypatch.setattr(grid_pde, "MAX_NEWTON_ITERS", 1)
+        fld, stats = solve_dirichlet(params, XI, rect, h, tol=1e-6)
         assert (stats.newton_iters, stats.damping_events) == (1, 0)
         step = solutions[0].reshape(resid.shape)
         base = start.values[1:-1, 1:-1]
@@ -811,6 +844,47 @@ class TestNewtonLinearLayer:
         assert (solves, refactors) == (11 + 1, 1)  # the fallback solves once
         assert np.array_equal(x, expected)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_correction_falls_back_to_float64(self, monkeypatch,
+                                                         bad):
+        # a correction that overflows is not added to the step: the step
+        # comes from one float64 LU, made after the hierarchy is freed
+        sten, rhs, base = newton_system(3.0, 1 / 64)
+        expected = direct_solve(_stencil_matrix(sten), rhs)
+        spy = SpyLU()
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        monkeypatch.setattr(grid_pde, "_correction",
+                            lambda cycle, hierarchy, resid:
+                            np.full_like(resid, bad))
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        assert spy.dtypes == [np.float32, np.float64]
+        assert spy.alive_at_call == [0, 0]
+        assert (solves, refactors) == (1 + 1, 1)
+        assert np.array_equal(x, expected)
+
+    def test_stall_at_rounding_floor_keeps_the_refined_step(self,
+                                                            monkeypatch):
+        # a field perturbed by up to 30% at p = 1.5, lam = 1: the
+        # corrections stop halving a few ulps of x above the field's
+        # rounding, which is x's own floor, so the step is kept and no
+        # float64 LU is made
+        sten, rhs, base = newton_system(1.5, 1 / 64, lam=1.0, noise=0.3)
+        corrections = spy_corrections(monkeypatch)
+        spy = SpyLU()
+        monkeypatch.setattr(grid_pde, "splu", spy)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        assert spy.dtypes == [np.float32]
+        assert (solves, refactors) == (len(corrections), 0)
+        before, last = (float(np.max(np.abs(c))) for c in corrections[-2:])
+        done = grid_pde.REFINE_ULPS * grid_pde.EPS64 * base.ravel()
+        assert not np.all(np.abs(corrections[-1]) <= done)
+        assert 0.5 * before < last <= (grid_pde.STALL_ULPS * grid_pde.EPS64
+                                       * float(np.max(np.abs(x))))
+        total = np.zeros_like(x)
+        for corr in corrections:
+            total += corr
+        assert np.array_equal(x, total)
+
     def test_one_factor_alive_at_a_time(self, monkeypatch):
         for h in (1 / 4, 1 / 32):
             spy = SpyLU()
@@ -886,6 +960,11 @@ class TestGradientLogSup:
         assert errs[0] / errs[1] >= 3.5
         assert errs[1] / errs[2] >= 3.5
 
+    def test_rejects_unknown_via(self):
+        f = exponential_field(1.0, XI, RECT, 1 / 8)
+        with pytest.raises(DomainError, match="via must be 'log' or 'ratio'"):
+            gradient_log_sup(f, via="exp")
+
 
 class TestDirectionalRange:
     def test_aligned(self):
@@ -932,6 +1011,14 @@ class TestBochnerResidual:
                  for h in (1 / 8, 1 / 16, 1 / 32)]
         assert resid[0] / resid[1] >= 1.5
         assert resid[1] / resid[2] >= 1.5
+
+    @pytest.mark.parametrize("rect", [(0.0, 0.0, 1.0, 1.0),
+                                      (0.0, 0.0, 1.5, 1.0)])
+    def test_rejects_grid_below_nested_stencil_nodes(self, rect):
+        # 5 x 5 and 7 x 5 nodes at h = 0.25: an axis has fewer than 7
+        f = exponential_field(1.0, XI, rect, 0.25)
+        with pytest.raises(DomainError, match="grid too small"):
+            bochner_residual(f, 3.0, 2.0)
 
     def test_threshold_masks_everything(self):
         # a flat field has f = 0 at every node, below the 1e-6 * kappa mask
@@ -1012,6 +1099,14 @@ class TestRepresentationField:
             f = representation_field(atoms, 1.0, (-0.5, -0.5, 0.5, 0.5), h)
             errs.append(float(np.max(np.abs(p_laplace_residual(f, 2.0, 1.0)))))
         assert errs[0] / errs[1] >= 3.0
+
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_lam(self, lam):
+        # lam = -1 once raised a bare math domain error, and NaN or inf
+        # a RuntimeWarning before the positivity check of the values
+        with pytest.raises(DomainError, match="lam must be finite and >= 0"):
+            representation_field([(np.array([1.0, 0.0]), 1.0)], lam, RECT,
+                                 0.25)
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DomainError):

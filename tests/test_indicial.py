@@ -383,7 +383,7 @@ def per_field_checks(params):
     checks in __post_init__."""
     for name in ("n", "p", "a", "mu", "lam"):
         value = getattr(params, name)
-        if not isinstance(value, Real):
+        if isinstance(value, bool) or not isinstance(value, Real):
             raise DomainError(f"{name} must be a real number, got {value!r}")
         if not abs(value) <= sys.float_info.max:
             raise DomainError(f"{name} must be finite, got {value!r}")
@@ -508,10 +508,12 @@ class TestProblemParams:
         assert type(ProblemParams(n=4, p=np.float64(2.5)).p) is float
 
     @pytest.mark.parametrize("field,value", [("a", "x"), ("mu", "x"),
-                                             ("mu", 1j), ("a", None)])
+                                             ("mu", 1j), ("a", None),
+                                             ("a", True), ("lam", False)])
     def test_rejects_non_real_field(self, field, value):
         # a and mu have no range rule; a string mu used to construct and
-        # fail later in indicial_roots with TypeError
+        # fail later in indicial_roots with TypeError, and a = True
+        # constructed as a = 1 and lam = False as lam = 0
         with pytest.raises(DomainError, match=f"{field} must be a real number"):
             ProblemParams(n=4, p=2.0, **{field: value})
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -463,6 +464,18 @@ class TestRadialExteriorEigen:
             radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0,
                                   grid_points=grid_points)
 
+    def test_grid_points_above_cap_raise_before_allocating(self,
+                                                           monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the profile grid was allocated")
+
+        monkeypatch.setattr(radial_ode.np, "geomspace", no_grid)
+        with pytest.raises(DomainError, match="exceeds the cap of 4194304 "
+                                              "profile points"):
+            radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0,
+                                  grid_points=radial_ode.MAX_PROFILE_POINTS
+                                  + 1)
+
     def test_two_grid_points_span_r0_to_r_max(self):
         prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0,
                                      grid_points=np.int64(2)).profile
@@ -756,6 +769,40 @@ class TestShootSingularProfile:
             shoot_singular_profile(params, 1.0, 1.0)
         with pytest.raises(DomainError):
             shoot_singular_profile(params, 2.0, 1.0)
+
+    @pytest.mark.parametrize("params, message", [
+        (ProblemParams(n=3, p=2.0, a=0.5, mu=0.01), "unweighted case a = 0"),
+        # mu_bar = 0.25 here
+        (ProblemParams(n=3, p=2.0, mu=-0.5), r"mu must lie in \[0, mu_bar\)"),
+        (ProblemParams(n=3, p=2.0, mu=0.25), r"mu must lie in \[0, mu_bar\)"),
+    ])
+    def test_rejects_params_outside_the_singular_problem(self, params,
+                                                         message):
+        with pytest.raises(DomainError, match=message):
+            shoot_singular_profile(params, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("params, message", [
+        (ProblemParams(n=3, p=2.0, mu=0.0, lam=1.0), "needs mu > 0"),
+        (ProblemParams(n=3, p=2.0, mu=-0.5, lam=1.0), "needs mu > 0"),
+        # neither lam nor a source term perturbs the leading power
+        (ProblemParams(n=3, p=2.0, mu=0.1), "no perturbation terms active"),
+        (ProblemParams(n=3, p=2.0, mu=0.1,
+                       nonlinearity=Nonlinearity(q=3.0, amplitude=0.0)),
+         "no perturbation terms active"),
+    ])
+    def test_series_start_radius_preconditions(self, params, message):
+        with pytest.raises(DomainError, match=message):
+            series_start_radius(params)
+
+    def test_failed_pass_raises_step_failure(self, monkeypatch):
+        def failed(*args, **kwargs):
+            return SimpleNamespace(status=-1, message="Required step size "
+                                   "is less than spacing between numbers.")
+
+        monkeypatch.setattr(radial_ode, "solve_ivp", failed)
+        with pytest.raises(StepFailure, match="Required step size"):
+            shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
+                                   1e-3, 1.0)
 
 
 class TestFitDecayExponents:

@@ -23,11 +23,13 @@ numbers.  The commands are:
   couplings;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
-- five error paths, so that a change that moves an exit code shows up:
-  `roots` with mu above mu_bar, `shoot` with 30 grid points (6 in the decay
-  fit's window), `martin` at t = 1.5 (below r0 + 1) and `blowup` with
-  window 20 (translates outside the shot), each a config error, and `grid`
-  on boundary data that overflow float64, a failed check.
+- seven error paths, so that a change that moves an exit code shows up:
+  `roots` with mu above mu_bar and with a = true (a bool is not a number),
+  `shoot` with 30 grid points (6 in the decay fit's window), `martin` at
+  t = 1.5 (below r0 + 1) and `blowup` with window 20 (translates outside
+  the shot), each a config error, and two failed checks: `grid` on
+  boundary data that overflow float64, and `martin` at n = 2000, whose
+  direction e_1 has 2000 coordinates.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
 The extracted tree and all outputs live under one temporary directory (set
 TMPDIR to move it), removed on exit; nothing is written under .git.
@@ -87,11 +89,13 @@ ROOTS_EXTRA = {
 ERROR_PATHS = {
     "roots_mu_above_mu_bar": ("roots",
                               {"params": {"n": 4, "p": 2.0, "mu": 5.0}}),
+    "roots_a_true": ("roots", {"params": {"n": 4, "p": 2.0, "a": True}}),
     "shoot_grid_points_30": ("shoot", {**SHOT_PARAMS, "grid_points": 30}),
     "martin_t_1.5": ("martin", {**SHOT_PARAMS, "t": 1.5}),
     "blowup_window_20": ("blowup", {**SHOT_PARAMS, "window": 20}),
     "grid_overflowing_data": ("grid", {"params": {"n": 3, "p": 1.2,
                                                   "lam": 500}, "h": 0.125}),
+    "martin_n2000": ("martin", {"params": {"n": 2000, "p": 2.0, "lam": 1.0}}),
 }
 
 
