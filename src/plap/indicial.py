@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
@@ -29,15 +30,26 @@ CRITICAL_WEIGHT_ATOL = 1e-14  # exact-zero tolerance on a - (n-p)/p
 PLACEMENT_TOL = 1e-10        # slack of each case-table inequality
 
 _FMAX = sys.float_info.max
-_PLAIN = (float, int)  # the types ProblemParams stores unconverted
 
 
-def _finite(value) -> bool:
-    """math.isfinite of a real number, False beyond the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int or Fraction too large for a float
-        return False
+def _real(value, name):
+    """value as an int or a float; DomainError unless a finite real number."""
+    number = value
+    # plain ints and floats, all that step 01 draws, skip the type tests
+    if type(value) is not float and type(value) is not int:
+        # a bool is an Integral, but not a number here
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+        try:
+            # numpy scalars and other reals become int or float, so that a
+            # float32 field does not carry its rounding into the roots
+            number = int(value) if isinstance(value, Integral) else float(value)
+        except OverflowError:  # a Fraction beyond the float range
+            number = math.inf
+    # an int beyond the float range is not finite either
+    if not -_FMAX <= number <= _FMAX:
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -48,9 +60,9 @@ class Nonlinearity:
     amplitude: float = 1.0
 
 
-@dataclass(frozen=True)
-class ProblemParams:
-    """Equation parameters shared by every module.
+class ProblemParams(namedtuple("ProblemParams", "n p a mu lam nonlinearity",
+                               defaults=(0.0, 0.0, 0.0, None))):
+    """Equation parameters shared by every module, checked on construction.
 
     n    -- space dimension (integer, >= 2)
     p    -- quasi-linear exponent, 1 < p < n
@@ -58,61 +70,35 @@ class ProblemParams:
     mu   -- coefficient of the singular zero-order term
     lam  -- eigenvalue coefficient (>= 0 where used)
     nonlinearity -- optional power-type source term descriptor
+
+    An immutable tuple of these six fields: _make and _replace, pickle and
+    copy all build it through __new__, so every record has passed its checks.
     """
 
-    n: int
-    p: float
-    a: float = 0.0
-    mu: float = 0.0
-    lam: float = 0.0
-    nonlinearity: Nonlinearity | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, p, a, mu, lam = self.n, self.p, self.a, self.mu, self.lam
-        # step 01 builds 10 000 of these: a draw of plain ints and floats
-        # that meets every rule below passes this one test, and any other
-        # takes the per-field checks, which name the rule it breaks
-        if (type(n) is int and type(p) in _PLAIN and type(a) in _PLAIN
-                and type(mu) in _PLAIN and type(lam) in _PLAIN
-                and 2 <= n <= _FMAX and 1.0 < p < n
-                and -_FMAX <= a <= _FMAX and -_FMAX <= mu <= _FMAX
-                and 0.0 <= lam <= _FMAX and self.nonlinearity is None):
-            return
-        for name in ("n", "p", "a", "mu", "lam"):
-            value = getattr(self, name)
-            # a number beyond the float range is not finite
-            if type(value) in _PLAIN:
-                if not -_FMAX <= value <= _FMAX:
-                    raise DomainError(f"{name} must be finite, got {value!r}")
-                continue
-            # a bool is an Integral, but not a number here
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            if not _finite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            # numpy scalars and other reals become int or float, so that a
-            # float32 field does not carry its rounding into the roots
-            object.__setattr__(self, name, int(value)
-                               if isinstance(value, Integral) else float(value))
-        n, p, lam = self.n, self.p, self.lam
+    def __new__(cls, n, p, a=0.0, mu=0.0, lam=0.0, nonlinearity=None):
+        n, p, a, mu, lam = (_real(n, "n"), _real(p, "p"), _real(a, "a"),
+                            _real(mu, "mu"), _real(lam, "lam"))
         if int(n) != n or n < 2:
             raise DomainError("n must be an integer >= 2")
         if not (1.0 < p < n):
             raise DomainError("p must lie in (1, n)")
         if lam < 0.0:
             raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
-        term = self.nonlinearity
-        if term is not None:
-            if not isinstance(term, Nonlinearity):
+        if nonlinearity is not None:
+            if not isinstance(nonlinearity, Nonlinearity):
                 raise DomainError("nonlinearity must be None or a "
-                                  f"Nonlinearity, got {term!r}")
-            for name in ("q", "amplitude"):
-                value = getattr(term, name)
-                if not (isinstance(value, Real) and _finite(value)):
-                    raise DomainError(f"nonlinearity.{name} must be a finite "
-                                      f"real number, got {value!r}")
-            if not (self.p < term.q < self.sobolev_critical):
+                                  f"Nonlinearity, got {nonlinearity!r}")
+            q = _real(nonlinearity.q, "nonlinearity.q")
+            _real(nonlinearity.amplitude, "nonlinearity.amplitude")
+            if not (p < q < n * p / (n - p)):
                 raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
+        return tuple.__new__(cls, (n, p, a, mu, lam, nonlinearity))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def sobolev_critical(self) -> float:

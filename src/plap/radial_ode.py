@@ -56,7 +56,7 @@ _QUAD_STEPS_PER_UNIT_LOG_R = 200
 # cases with 1.05 <= p <= 10, 2.3e-3 at 2e10 and 29 at 2e12 (n = 3, p = 2,
 # lam = 1).  The far-field workload reaches about 7.6e4.
 _MAX_STIFF_SPAN = 2e5
-# largest profile that radial_exterior_eigen returns, in grid_points radii:
+# largest profile that a shot returns, in grid_points radii:
 # `plap shoot` peaked at about 286 B per profile point (tracemalloc, 2e4
 # and 2e5 points) and took about 2.2 s per 1e5 points, so 2^22 points take
 # about 1.2 GB and 90 s
@@ -259,6 +259,17 @@ def _log_u_quadrature(r, sigma, n, p, lam):
     return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
+def _check_grid_points(grid_points):
+    """DomainError unless a shot's grid_points is an integer from 2 to
+    MAX_PROFILE_POINTS."""
+    if not (isinstance(grid_points, Integral) and grid_points >= 2):
+        raise DomainError("grid_points must be an integer >= 2, "
+                          f"got {grid_points!r}")
+    if grid_points > MAX_PROFILE_POINTS:
+        raise DomainError(f"grid_points {grid_points} exceeds the cap of "
+                          f"{MAX_PROFILE_POINTS} profile points")
+
+
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
@@ -303,12 +314,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
         raise DomainError("n and r_max must be finite and r0 positive")
     if r_max < 10.0 * r0:
         raise DomainError("r_max must be at least 10*r0")
-    if not (isinstance(grid_points, Integral) and grid_points >= 2):
-        raise DomainError("grid_points must be an integer >= 2, "
-                          f"got {grid_points!r}")
-    if grid_points > MAX_PROFILE_POINTS:
-        raise DomainError(f"grid_points {grid_points} exceeds the cap of "
-                          f"{MAX_PROFILE_POINTS} profile points")
+    _check_grid_points(grid_points)
     alpha = eigen_rate_alpha(lam, p)
     if not p * alpha * r_max <= _MAX_STIFF_SPAN:
         raise DomainError(f"p*alpha*r_max must be at most {_MAX_STIFF_SPAN:g}"
@@ -429,9 +435,13 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
     B = (lam + mu r^(-p) + A u^(q-p))/(p-1).  There sigma' <= -sigma^2/2 and
     the region is invariant (r^-1, r^-p and u fall), so u reaches 0 before
     r + 2/|sigma|.  DECAYING otherwise, as for lam = mu = A = 0 (w stays 0).
+    The profile samples t = ln r at grid_points equally spaced values from
+    ln r_in to ln r_out (2 to MAX_PROFILE_POINTS of them, DomainError
+    otherwise), those the pass reached.
     """
     if not r_in < r_out:
         raise DomainError("r_in must be < r_out")
+    _check_grid_points(grid_points)
     if params.a != 0.0:
         raise DomainError("singular shoot is posed for the unweighted case a = 0")
     roots = indicial_roots(params)  # NoRealRoot above mu_bar

@@ -811,9 +811,9 @@ class TestIndicialStep:
         assert all(row.passed for row in rows)
 
     def test_draws_are_plain_ints_and_floats(self, monkeypatch):
-        # ProblemParams accepts such a draw in one combined test; steps 01
-        # and 09 must not hand it numpy scalars, which take the per-field
-        # checks
+        # ProblemParams skips the type tests and conversion for plain ints
+        # and floats; steps 01 and 09 must not hand it numpy scalars, which
+        # take them
         kinds = set()
         build = cli.ProblemParams
 

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import sys
 from fractions import Fraction
 from numbers import Real
@@ -377,16 +379,20 @@ FIELD_VALUES = st.one_of(
     st.floats(-12.0, 12.0))
 
 
+def real_number_check(value, name):
+    """The number rule of ProblemParams written out: a bool or a non-Real
+    is not a real number, and the finiteness test is on abs(value)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def per_field_checks(params):
     """ProblemParams' input rules as a loop of getattr over the field
-    names, each finiteness test on abs(value); the oracle of the one-pass
-    checks in __post_init__."""
+    names; the oracle of the checks in ProblemParams.__new__."""
     for name in ("n", "p", "a", "mu", "lam"):
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:
-            raise DomainError(f"{name} must be finite, got {value!r}")
+        real_number_check(getattr(params, name), name)
     if int(params.n) != params.n or params.n < 2:
         raise DomainError("n must be an integer >= 2")
     if not (1.0 < params.p < params.n):
@@ -398,11 +404,8 @@ def per_field_checks(params):
             raise DomainError("nonlinearity must be None or a Nonlinearity, "
                               f"got {params.nonlinearity!r}")
         for name in ("q", "amplitude"):
-            value = getattr(params.nonlinearity, name)
-            if (not isinstance(value, Real)
-                    or not abs(value) <= sys.float_info.max):
-                raise DomainError(f"nonlinearity.{name} must be a finite real "
-                                  f"number, got {value!r}")
+            real_number_check(getattr(params.nonlinearity, name),
+                              f"nonlinearity.{name}")
         q = params.nonlinearity.q
         if not (params.p < q < params.n * params.p / (params.n - params.p)):
             raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
@@ -449,14 +452,16 @@ class TestProblemParams:
     @pytest.mark.parametrize("field", ["q", "amplitude"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
                                        pytest.param(10 ** 400, id="int_1e400"),
-                                       "3", None])
+                                       "3", None, True])
     def test_nonlinearity_fields_must_be_finite_reals(self, field, value):
         # an infinite amplitude used to be accepted and then sent
         # series_start_radius to 0.0 and the singular shot to a math
-        # domain error; a NaN amplitude failed the shot's log_u check
+        # domain error; a NaN amplitude failed the shot's log_u check, and
+        # amplitude = True constructed as amplitude = 1
+        rule = ("must be finite" if type(value) in (float, int)
+                else "must be a real number")
         term = Nonlinearity(**{"q": 3.0, field: value})
-        with pytest.raises(DomainError,
-                           match=f"nonlinearity.{field} must be a finite real"):
+        with pytest.raises(DomainError, match=f"nonlinearity.{field} {rule}"):
             ProblemParams(n=3, p=2.0, nonlinearity=term)
 
     def test_derived_quantities(self):
@@ -469,7 +474,8 @@ class TestProblemParams:
         optional={"nonlinearity": st.sampled_from(
             [None, Nonlinearity(q=2.5), Nonlinearity(q=50.0), 3.0,
              Nonlinearity(q=math.nan), Nonlinearity(q=2.5, amplitude=math.inf),
-             Nonlinearity(q=2.5, amplitude="1")])}))
+             Nonlinearity(q=2.5, amplitude="1"), Nonlinearity(q=True),
+             Nonlinearity(q=2.5, amplitude=False)])}))
     def test_checks_match_the_per_field_loop(self, fields):
         # the same exception type and message as per_field_checks, or
         # acceptance by both
@@ -516,6 +522,48 @@ class TestProblemParams:
         # constructed as a = 1 and lam = False as lam = 0
         with pytest.raises(DomainError, match=f"{field} must be a real number"):
             ProblemParams(n=4, p=2.0, **{field: value})
+
+    def test_replace_and_make_check_their_fields(self):
+        # a namedtuple's _make and _replace build with tuple.__new__ unless
+        # overridden, which returned p = 100 > n here
+        params = ProblemParams(n=3, p=2.0)
+        with pytest.raises(DomainError, match=r"p must lie in \(1, n\)"):
+            params._replace(p=100.0)
+        with pytest.raises(DomainError, match="lam must be >= 0"):
+            ProblemParams._make((3, 2.0, 0.0, 0.0, -1.0, None))
+        with pytest.raises(DomainError, match="mu must be a real number"):
+            params._replace(mu="x")
+        moved = params._replace(mu=np.float32(0.5))
+        assert moved == ProblemParams(n=3, p=2.0, mu=0.5)
+        assert type(moved.mu) is float
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips_give_an_equal_record(self, round_trip):
+        params = ProblemParams(n=np.int64(5), p=np.float32(2.5), a=-0.5,
+                               mu=1.0, lam=2.0,
+                               nonlinearity=Nonlinearity(q=3.0))
+        back = round_trip(params)
+        assert back == params and type(back) is ProblemParams
+        assert [type(v) for v in back[:5]] == [int, float, float, float, float]
+
+    @pytest.mark.parametrize("name", ["n", "p", "lam", "nonlinearity",
+                                      "other"])
+    def test_attributes_cannot_be_assigned(self, name):
+        params = ProblemParams(n=3, p=2.0)
+        with pytest.raises(AttributeError):
+            setattr(params, name, 1.5)
+        assert params == ProblemParams(n=3, p=2.0)
+
+    def test_record_is_a_tuple_of_its_fields(self):
+        # the record equals the plain tuple of its values and unpacks
+        params = ProblemParams(4, 2.0, mu=0.75)
+        assert params == (4, 2.0, 0.0, 0.75, 0.0, None)
+        n, p, a, mu, lam, term = params
+        assert (n, p, mu, term) == (4, 2.0, 0.75, None)
+        assert ProblemParams._fields == ("n", "p", "a", "mu", "lam",
+                                         "nonlinearity")
 
 
 def _placement_by_case(data, n, p, a):

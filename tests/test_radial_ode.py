@@ -804,6 +804,34 @@ class TestShootSingularProfile:
             shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
                                    1e-3, 1.0)
 
+    @pytest.mark.parametrize("grid_points", [1, 0, -5, 2.5, 800.0, "800"])
+    def test_grid_points_must_be_integer_of_at_least_two(self, grid_points):
+        # 1 gave a one-point profile at r_in, 0 and below numpy's
+        # ValueError, and 2.5 a TypeError
+        with pytest.raises(DomainError,
+                           match="grid_points must be an integer >= 2"):
+            shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
+                                   1e-3, 1.0, grid_points=grid_points)
+
+    def test_grid_points_above_cap_raise_before_allocating(self,
+                                                           monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the profile grid was allocated")
+
+        monkeypatch.setattr(radial_ode.np, "linspace", no_grid)
+        with pytest.raises(DomainError, match="exceeds the cap of 4194304 "
+                                              "profile points"):
+            shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
+                                   1e-3, 1.0,
+                                   grid_points=radial_ode.MAX_PROFILE_POINTS
+                                   + 1)
+
+    def test_two_grid_points_span_r_in_to_r_out(self):
+        prof = shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.0),
+                                      0.01, 1.0,
+                                      grid_points=np.int64(2)).profile
+        assert prof.r.tolist() == pytest.approx([0.01, 1.0], rel=1e-15)
+
 
 class TestFitDecayExponents:
     def test_exact_recovery_any_scale(self):

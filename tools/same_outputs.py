@@ -17,19 +17,23 @@ numbers.  The commands are:
 - `roots` and `grid` on README's example configs, `roots` at n = 8,
   p = 1.05, mu = -1e307 (a Newton step on gamma itself), at the critical
   weight n = 4, p = 2, a = 1, mu = -3 and at n = 5, p = 1.05, a = 0.5,
-  mu = 1e-300 (a root below the smallest double), and `grid` on a 49 x 74
-  interior, whose even axis the multigrid coarsens by the m // 2 rule, and
-  at xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
-  couplings;
+  mu = 1e-300 (a root below the smallest double) and with a float n = 4.0,
+  and `grid` on a 49 x 74 interior, whose even axis the multigrid coarsens
+  by the m // 2 rule, at xi = (1, 0) and at p = 2, whose Newton matrices
+  leave out exact-zero couplings, and at p = 1.05, lam = 1, h = 1/32,
+  xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
+  fallback of the refinement (a failed check, exit 1);
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
-- seven error paths, so that a change that moves an exit code shows up:
-  `roots` with mu above mu_bar and with a = true (a bool is not a number),
-  `shoot` with 30 grid points (6 in the decay fit's window), `martin` at
-  t = 1.5 (below r0 + 1) and `blowup` with window 20 (translates outside
-  the shot), each a config error, and two failed checks: `grid` on
-  boundary data that overflow float64, and `martin` at n = 2000, whose
-  direction e_1 has 2000 coordinates.
+- nine error paths, so that a change that moves an exit code shows up:
+  `roots` with mu above mu_bar, with a = true (a bool is not a number) and
+  with mu = inf (JSON's Infinity), `shoot` with 30 grid points (6 in the
+  decay fit's window), `martin` at t = 1.5 (below r0 + 1) and `blowup`
+  with window 20 (translates outside the shot), each a config error; two
+  failed checks, `grid` on boundary data that overflow float64 and
+  `martin` at n = 2000, whose direction e_1 has 2000 coordinates; and a
+  failed solve, `grid` at p = 1.05, lam = 2, h = 1/32, whose 40 Newton
+  steps all end in the refinement's stall-at-floor exit.
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
 The extracted tree and all outputs live under one temporary directory (set
 TMPDIR to move it), removed on exit; nothing is written under .git.
@@ -71,18 +75,24 @@ GRID_EXTRA = {
                     "rect": [0, 0, 1, 1], "h": 0.03125, "tol": 1e-9},
     "grid_p2": {"params": {"n": 4, "p": 2.0, "lam": 2.0}, "xi": [0.6, 0.8],
                 "rect": [0, 0, 1, 1], "h": 0.03125, "tol": 1e-9},
+    "grid_p105_lu_fallback": {"params": {"n": 4, "p": 1.05, "lam": 1.0},
+                              "xi": [math.cos(0.3), math.sin(0.3)],
+                              "rect": [0, 0, 1, 1], "h": 0.03125,
+                              "tol": 1e-9},
 }
 
 
 # roots on the branches plap all rarely draws: the Newton step on gamma
 # itself (one ulp of ln|gamma| above _ROOT_RTOL), the critical weight
-# a = (n-p)/p with its closed form, and a root below the smallest double
+# a = (n-p)/p with its closed form, a root below the smallest double, and
+# a float n, which ProblemParams keeps as a float
 ROOTS_EXTRA = {
     "roots_newton_on_gamma": {"params": {"n": 8, "p": 1.05, "mu": -1e307}},
     "roots_critical_weight": {"params": {"n": 4, "p": 2.0, "a": 1.0,
                                          "mu": -3.0}},
     "roots_tiny_root": {"params": {"n": 5, "p": 1.05, "a": 0.5,
                                    "mu": 1e-300}},
+    "roots_float_n": {"params": {"n": 4.0, "p": 2.0, "a": 0.0, "mu": 0.75}},
 }
 
 
@@ -90,12 +100,17 @@ ERROR_PATHS = {
     "roots_mu_above_mu_bar": ("roots",
                               {"params": {"n": 4, "p": 2.0, "mu": 5.0}}),
     "roots_a_true": ("roots", {"params": {"n": 4, "p": 2.0, "a": True}}),
+    # json.dumps writes Infinity, which plap reads back as inf
+    "roots_mu_inf": ("roots", {"params": {"n": 4, "p": 2.0,
+                                          "mu": math.inf}}),
     "shoot_grid_points_30": ("shoot", {**SHOT_PARAMS, "grid_points": 30}),
     "martin_t_1.5": ("martin", {**SHOT_PARAMS, "t": 1.5}),
     "blowup_window_20": ("blowup", {**SHOT_PARAMS, "window": 20}),
     "grid_overflowing_data": ("grid", {"params": {"n": 3, "p": 1.2,
                                                   "lam": 500}, "h": 0.125}),
     "martin_n2000": ("martin", {"params": {"n": 2000, "p": 2.0, "lam": 1.0}}),
+    "grid_p105_stall": ("grid", {"params": {"n": 4, "p": 1.05, "lam": 2.0},
+                                 "h": 0.03125, "tol": 1e-9}),
 }
 
 
