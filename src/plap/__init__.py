@@ -15,10 +15,9 @@ from .grid_pde import (Field2D, SolveStats, bochner_residual, directional_range,
                        exponential_field, gradient_log_sup, kappa,
                        kappa_bound_check, p_laplace_residual,
                        representation_field, solve_dirichlet)
-from .indicial import (IndicialData, Nonlinearity, ProblemParams, RootPlacement,
-                       auxiliary_f, eigen_rate_alpha, gamma_star,
-                       hardy_best_constant, indicial_roots,
-                       placement_satisfied)
+from .indicial import (IndicialData, ProblemParams, RootPlacement, auxiliary_f,
+                       eigen_rate_alpha, gamma_star, hardy_best_constant,
+                       indicial_roots, placement_satisfied)
 from .radial_ode import (DecayFit, RadialProfile, ShootClass, ShootResult,
                          fit_decay_exponents, hardy_power_residual,
                          radial_exterior_eigen, riccati_ratio_flow,

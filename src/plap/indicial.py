@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
 from typing import NamedTuple
@@ -52,16 +51,8 @@ def _real(value, name):
     return number
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Power-type zero-order term A*u^(q-1) with p < q < n*p/(n-p)."""
-
-    q: float
-    amplitude: float = 1.0
-
-
-class ProblemParams(namedtuple("ProblemParams", "n p a mu lam nonlinearity",
-                               defaults=(0.0, 0.0, 0.0, None))):
+class ProblemParams(namedtuple("ProblemParams", "n p a mu lam",
+                               defaults=(0.0, 0.0, 0.0))):
     """Equation parameters shared by every module, checked on construction.
 
     n    -- space dimension (integer, >= 2)
@@ -69,15 +60,14 @@ class ProblemParams(namedtuple("ProblemParams", "n p a mu lam nonlinearity",
     a    -- radial weight exponent (|x|^(-ap) under the divergence)
     mu   -- coefficient of the singular zero-order term
     lam  -- eigenvalue coefficient (>= 0 where used)
-    nonlinearity -- optional power-type source term descriptor
 
-    An immutable tuple of these six fields: _make and _replace, pickle and
+    An immutable tuple of these five fields: _make and _replace, pickle and
     copy all build it through __new__, so every record has passed its checks.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n, p, a=0.0, mu=0.0, lam=0.0, nonlinearity=None):
+    def __new__(cls, n, p, a=0.0, mu=0.0, lam=0.0):
         n, p, a, mu, lam = (_real(n, "n"), _real(p, "p"), _real(a, "a"),
                             _real(mu, "mu"), _real(lam, "lam"))
         if int(n) != n or n < 2:
@@ -86,23 +76,11 @@ class ProblemParams(namedtuple("ProblemParams", "n p a mu lam nonlinearity",
             raise DomainError("p must lie in (1, n)")
         if lam < 0.0:
             raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
-        if nonlinearity is not None:
-            if not isinstance(nonlinearity, Nonlinearity):
-                raise DomainError("nonlinearity must be None or a "
-                                  f"Nonlinearity, got {nonlinearity!r}")
-            q = _real(nonlinearity.q, "nonlinearity.q")
-            _real(nonlinearity.amplitude, "nonlinearity.amplitude")
-            if not (p < q < n * p / (n - p)):
-                raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
-        return tuple.__new__(cls, (n, p, a, mu, lam, nonlinearity))
+        return tuple.__new__(cls, (n, p, a, mu, lam))
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    @property
-    def sobolev_critical(self) -> float:
-        return self.n * self.p / (self.n - self.p)
 
 
 class RootPlacement(Enum):

@@ -66,7 +66,6 @@ MAX_PROFILE_POINTS = 2 ** 22
 class ShootClass(Enum):
     DECAYING = "decaying"
     TURNS_UP = "turns_up"
-    HIT_ZERO = "hit_zero"
 
 
 @dataclass
@@ -122,8 +121,8 @@ class RadialProfile:
 class ShootResult:
     """A shot profile with its classification and integration counters.
 
-    classification is DECAYING, TURNS_UP (u' turns positive: no ground
-    state) or HIT_ZERO (u provably reaches 0); see shoot_singular_profile.
+    classification is DECAYING or TURNS_UP (u' turns positive: no ground
+    state); see shoot_singular_profile.
     nfev is the number of right-hand-side evaluations of the shot's one
     integration pass; bisection_iters is always 0 (no shot bisects).
     """
@@ -394,50 +393,42 @@ def hardy_power_residual(n, p, a, mu, gamma, r_samples):
     return float(resid[0]) if not lengths else resid
 
 
-def series_start_radius(params: ProblemParams, c=1.0, rel=1e-8) -> float:
-    """Inner radius where the non-leading terms fall below `rel` relatively.
+def series_start_radius(params: ProblemParams, rel=1e-8) -> float:
+    """Inner radius where the non-leading term falls below `rel` relatively.
 
-    Near the origin the singular solution is c*r^(-gamma1) to leading order;
-    the eigenvalue and source terms perturb the balance by factors
-    lam*r^p/mu and (A c^(q-p)/mu) r^(p-(q-p)*gamma1).
+    Near the origin the singular solution is r^(-gamma1) to leading order;
+    the eigenvalue term perturbs the balance by the factor lam*r^p/mu.
     """
     if params.mu <= 0.0:
         raise DomainError("start-radius rule needs mu > 0")
-    g1 = indicial_roots(params).gamma1
-    r_in = math.inf
-    if params.lam > 0.0:
-        r_in = min(r_in, (rel * params.mu / params.lam) ** (1.0 / params.p))
-    if params.nonlinearity is not None:
-        q, amp = params.nonlinearity.q, params.nonlinearity.amplitude
-        expo = params.p - (q - params.p) * g1
-        if amp > 0.0 and expo > 0.0:
-            r_in = min(r_in, (rel * params.mu / (amp * c ** (q - params.p)))
-                       ** (1.0 / expo))
-    if not math.isfinite(r_in):
+    if params.lam <= 0.0:
         raise DomainError("no perturbation terms active; choose r_in directly")
-    return r_in
+    return (rel * params.mu / params.lam) ** (1.0 / params.p)
 
 
-def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
+def shoot_singular_profile(params: ProblemParams, r_in, r_out,
                            grid_points=600) -> ShootResult:
     """Outward integration of the singular radial problem from a power series.
 
-    Solves the radial form of the perturbed equation
-        -(r^(n-1)|u'|^(p-2)u')' = r^(n-1) [mu r^(-p) u^(p-1) - lam u^(p-1)
-                                           + A u^(q-1)]
+    Solves the radial form of
+        -(r^(n-1)|u'|^(p-2)u')' = r^(n-1) (mu r^(-p) - lam) u^(p-1)
     as (ln u, w = |sigma|^(p-2) sigma), sigma = u'/u, in t = ln r: one LSODA
-    pass (rtol 1e-10, atol 1e-12) from u = c r^(-gamma1), sigma = -gamma1/r
-    at r_in, or for mu = 0 from the regular start w = (lam - A c^(q-p)) r/n.
+    pass (rtol 1e-10, atol 1e-12) from u = r^(-gamma1), sigma = -gamma1/r
+    at r_in, or for mu = 0 from the regular start u = 1, w = lam r/n.  The
+    equation is homogeneous in u, so another scale only shifts ln u.
 
     TURNS_UP: w crosses 0 upwards, first at meta["r_turn"] (r_in if w starts
-    positive); the pass goes on to r_out.  HIT_ZERO: the pass stops where
-    sigma < 0, |sigma| >= max(4(n-1)/((p-1)r), (4B)^(1/p)) with
-    B = (lam + mu r^(-p) + A u^(q-p))/(p-1).  There sigma' <= -sigma^2/2 and
-    the region is invariant (r^-1, r^-p and u fall), so u reaches 0 before
-    r + 2/|sigma|.  DECAYING otherwise, as for lam = mu = A = 0 (w stays 0).
-    The profile samples t = ln r at grid_points equally spaced values from
+    positive); DECAYING otherwise, as for lam = mu = 0 (w stays 0).  Every
+    pass reaches r_out, and u stays positive: w' in r is
+        lam - mu r^-p - (n-1) w/r - (p-1)|w|^(p/(p-1)),
+    at least its lam = 0 value, which the power solution
+    w0 = -(gamma1/r)^(p-1) (w0 = 0 for mu = 0) solves from the same start.
+    So w >= w0 by comparison, r sigma >= -gamma1 and u >= r^(-gamma1).
+    Only at lam = 0 with w near the underflow threshold (mu/mu_bar below
+    about 1e-295) does the pass turn NaN, which RadialProfile refuses with
+    DomainError.  The profile samples t = ln r at grid_points equally spaced values from
     ln r_in to ln r_out (2 to MAX_PROFILE_POINTS of them, DomainError
-    otherwise), those the pass reached.
+    otherwise).
     """
     if not r_in < r_out:
         raise DomainError("r_in must be < r_out")
@@ -448,56 +439,41 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out, c=1.0,
     if not (0.0 <= params.mu < roots.mu_bar):
         raise DomainError("mu must lie in [0, mu_bar)")
     n, p, mu, lam, g1 = params.n, params.p, params.mu, params.lam, roots.gamma1
-    nl, e = params.nonlinearity, 1.0 / (p - 1.0)
-    amp, q = (nl.amplitude, nl.q) if nl is not None else (0.0, 0.0)
-
-    def sigma(w):
-        return math.copysign(abs(w) ** e, w)
-
-    def source(log_u):  # A u^(q-p)
-        return amp * math.exp((q - p) * log_u) if amp else 0.0
+    e = 1.0 / (p - 1.0)
 
     def rhs(t, y):
         # (ln u)' = sigma and, as |w|^(p/(p-1)) = |w sigma|,
-        # w' = lam - mu r^-p - A u^(q-p) - (n-1) w/r - (p-1)|w|^(p/(p-1)),
+        # w' = lam - mu r^-p - (n-1) w/r - (p-1)|w|^(p/(p-1)),
         # both times dr/dt = r; no division by |sigma|^(p-2)
-        log_u, w = y.tolist()
-        r, s = math.exp(t), sigma(w)
-        return (r * s, r * (lam - mu * r ** -p - source(log_u)
-                            - (p - 1.0) * abs(w * s)) - (n - 1.0) * w)
-
-    def vanish(t, y):
-        log_u, w = np.asarray(y).tolist()
+        _, w = y.tolist()
         r = math.exp(t)
-        b = (lam + mu * r ** -p + source(log_u)) * e
-        return -sigma(w) - max(4.0 * (n - 1.0) * e / r, (4.0 * b) ** (1.0 / p))
-    vanish.terminal = True
-    vanish.direction = 1
+        s = math.copysign(abs(w) ** e, w)
+        return (r * s, r * (lam - mu * r ** -p - (p - 1.0) * abs(w * s))
+                - (n - 1.0) * w)
 
-    def turn(_t, y):
-        return y[1]
+    def turn(t, y):
+        # solve_ivp brackets a turn with LSODA's interpolant, which gives a
+        # step's start only to within its error: a start w_in below that
+        # (mu/mu_bar below about 1e-21) could read as a turn made at r_in
+        return w_in if t == t_in else y[1]
     turn.direction = 1
 
     t_in, t_out = math.log(r_in), math.log(r_out)
-    w_in = (-(g1 / r_in) ** (p - 1.0) if g1 > 0.0
-            else (lam - source(math.log(c))) * r_in / n)
+    w_in = -(g1 / r_in) ** (p - 1.0) if g1 > 0.0 else lam * r_in / n
     # a turn event can be bracketed only from w < 0
-    events = [vanish, turn] if w_in < 0.0 else [vanish]
-    sol = solve_ivp(rhs, (t_in, t_out), [math.log(c) - g1 * t_in, w_in],
+    sol = solve_ivp(rhs, (t_in, t_out), [-g1 * t_in, w_in],
                     method="LSODA", rtol=1e-10, atol=1e-12,
                     t_eval=np.linspace(t_in, t_out, grid_points),
-                    events=events)
+                    events=turn if w_in < 0.0 else None)
     if sol.status < 0:
         raise StepFailure(sol.message)
-    turns = sol.t_events[1] if w_in < 0.0 else []
+    turns = sol.t_events[0] if w_in < 0.0 else ()
     r_turn = r_in if w_in > 0.0 else math.exp(turns[0]) if len(turns) else None
-    cls = (ShootClass.TURNS_UP if r_turn is not None else ShootClass.HIT_ZERO
-           if sol.status == 1 else ShootClass.DECAYING)
+    cls = ShootClass.DECAYING if r_turn is None else ShootClass.TURNS_UP
 
     meta = {"kind": "shoot_singular_profile", "n": n, "p": p, "mu": mu,
-            "lam": lam, "a": params.a, "q": q or None, "amplitude": amp or None,
-            "gamma1": g1, "c": c, "r_in": r_in, "r_out": r_out,
-            "r_turn": r_turn}
+            "lam": lam, "a": params.a, "gamma1": g1, "r_in": r_in,
+            "r_out": r_out, "r_turn": r_turn}
     log_u, w = sol.y
     profile = RadialProfile(r=np.exp(sol.t), log_u=log_u,
                             ratio=np.copysign(np.abs(w) ** e, w), meta=meta)

@@ -131,10 +131,9 @@ class TestRescaleNearZero:
 
     def test_singular_shoot_converges_to_power(self):
         # full perturbed profile: distances to the pure power shrink with R
-        from plap.indicial import Nonlinearity, ProblemParams
+        from plap.indicial import ProblemParams
         from plap.radial_ode import shoot_singular_profile
-        params = ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0,
-                               nonlinearity=Nonlinearity(q=3.0, amplitude=0.05))
+        params = ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0)
         res = shoot_singular_profile(params, 1e-5, 1.2, grid_points=1200)
         rep = rescale_near_zero(res.profile, [1e-1, 1e-2, 1e-3], 0.25)
         assert np.all(np.diff(rep.sup_distance) < 0)

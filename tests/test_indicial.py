@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from plap import cli, indicial
 from plap.errors import DomainError, NoRealRoot
 from plap.indicial import (CRITICAL_WEIGHT_ATOL, DOUBLE_ROOT_RTOL,
-                           PLACEMENT_TOL, IndicialData, Nonlinearity,
-                           ProblemParams, RootPlacement, auxiliary_f,
+                           PLACEMENT_TOL, IndicialData, ProblemParams,
+                           RootPlacement, auxiliary_f,
                            eigen_rate_alpha, gamma_star, hardy_best_constant,
                            indicial_roots, placement_satisfied)
 
@@ -399,16 +399,6 @@ def per_field_checks(params):
         raise DomainError("p must lie in (1, n)")
     if params.lam < 0.0:
         raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
-    if params.nonlinearity is not None:
-        if not isinstance(params.nonlinearity, Nonlinearity):
-            raise DomainError("nonlinearity must be None or a Nonlinearity, "
-                              f"got {params.nonlinearity!r}")
-        for name in ("q", "amplitude"):
-            real_number_check(getattr(params.nonlinearity, name),
-                              f"nonlinearity.{name}")
-        q = params.nonlinearity.q
-        if not (params.p < q < params.n * params.p / (params.n - params.p)):
-            raise DomainError("nonlinearity exponent q must lie in (p, n*p/(n-p))")
 
 
 class TestProblemParams:
@@ -437,45 +427,9 @@ class TestProblemParams:
         with pytest.raises(DomainError, match="must be finite"):
             ProblemParams(**kwargs)
 
-    def test_nonlinearity_window(self):
-        ProblemParams(n=3, p=2.0, nonlinearity=Nonlinearity(q=4.0))
-        with pytest.raises(DomainError):
-            ProblemParams(n=3, p=2.0, nonlinearity=Nonlinearity(q=6.5))
-        with pytest.raises(DomainError):
-            ProblemParams(n=3, p=2.0, nonlinearity=Nonlinearity(q=1.5))
-
-    def test_nonlinearity_must_be_a_nonlinearity(self):
-        with pytest.raises(DomainError, match="nonlinearity must be None or a "
-                           "Nonlinearity, got 3.0"):
-            ProblemParams(n=3, p=2.0, nonlinearity=3.0)
-
-    @pytest.mark.parametrize("field", ["q", "amplitude"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
-                                       pytest.param(10 ** 400, id="int_1e400"),
-                                       "3", None, True])
-    def test_nonlinearity_fields_must_be_finite_reals(self, field, value):
-        # an infinite amplitude used to be accepted and then sent
-        # series_start_radius to 0.0 and the singular shot to a math
-        # domain error; a NaN amplitude failed the shot's log_u check, and
-        # amplitude = True constructed as amplitude = 1
-        rule = ("must be finite" if type(value) in (float, int)
-                else "must be a real number")
-        term = Nonlinearity(**{"q": 3.0, field: value})
-        with pytest.raises(DomainError, match=f"nonlinearity.{field} {rule}"):
-            ProblemParams(n=3, p=2.0, nonlinearity=term)
-
-    def test_derived_quantities(self):
-        params = ProblemParams(n=4, p=2.0)
-        assert params.sobolev_critical == 4.0
-
     @settings(max_examples=400, deadline=None)
     @given(st.fixed_dictionaries(
-        {name: FIELD_VALUES for name in ("n", "p", "a", "mu", "lam")},
-        optional={"nonlinearity": st.sampled_from(
-            [None, Nonlinearity(q=2.5), Nonlinearity(q=50.0), 3.0,
-             Nonlinearity(q=math.nan), Nonlinearity(q=2.5, amplitude=math.inf),
-             Nonlinearity(q=2.5, amplitude="1"), Nonlinearity(q=True),
-             Nonlinearity(q=2.5, amplitude=False)])}))
+        {name: FIELD_VALUES for name in ("n", "p", "a", "mu", "lam")}))
     def test_checks_match_the_per_field_loop(self, fields):
         # the same exception type and message as per_field_checks, or
         # acceptance by both
@@ -486,7 +440,7 @@ class TestProblemParams:
                 return type(exc), str(exc)
             return None
 
-        record = SimpleNamespace(**{"nonlinearity": None, **fields})
+        record = SimpleNamespace(**fields)
         assert (outcome(lambda: ProblemParams(**fields))
                 == outcome(lambda: per_field_checks(record)))
 
@@ -530,7 +484,9 @@ class TestProblemParams:
         with pytest.raises(DomainError, match=r"p must lie in \(1, n\)"):
             params._replace(p=100.0)
         with pytest.raises(DomainError, match="lam must be >= 0"):
-            ProblemParams._make((3, 2.0, 0.0, 0.0, -1.0, None))
+            ProblemParams._make((3, 2.0, 0.0, 0.0, -1.0))
+        with pytest.raises(TypeError):
+            ProblemParams._make((3, 2.0, 0.0, 0.0, 1.0, None))
         with pytest.raises(DomainError, match="mu must be a real number"):
             params._replace(mu="x")
         moved = params._replace(mu=np.float32(0.5))
@@ -542,11 +498,10 @@ class TestProblemParams:
         ids=["pickle", "copy", "deepcopy"])
     def test_round_trips_give_an_equal_record(self, round_trip):
         params = ProblemParams(n=np.int64(5), p=np.float32(2.5), a=-0.5,
-                               mu=1.0, lam=2.0,
-                               nonlinearity=Nonlinearity(q=3.0))
+                               mu=1.0, lam=2.0)
         back = round_trip(params)
         assert back == params and type(back) is ProblemParams
-        assert [type(v) for v in back[:5]] == [int, float, float, float, float]
+        assert [type(v) for v in back] == [int, float, float, float, float]
 
     @pytest.mark.parametrize("name", ["n", "p", "lam", "nonlinearity",
                                       "other"])
@@ -559,11 +514,15 @@ class TestProblemParams:
     def test_record_is_a_tuple_of_its_fields(self):
         # the record equals the plain tuple of its values and unpacks
         params = ProblemParams(4, 2.0, mu=0.75)
-        assert params == (4, 2.0, 0.0, 0.75, 0.0, None)
-        n, p, a, mu, lam, term = params
-        assert (n, p, mu, term) == (4, 2.0, 0.75, None)
-        assert ProblemParams._fields == ("n", "p", "a", "mu", "lam",
-                                         "nonlinearity")
+        assert params == (4, 2.0, 0.0, 0.75, 0.0)
+        n, p, a, mu, lam = params
+        assert (n, p, a, mu, lam) == (4, 2.0, 0.0, 0.75, 0.0)
+        assert ProblemParams._fields == ("n", "p", "a", "mu", "lam")
+        # and has no sixth field, by position or by name
+        with pytest.raises(TypeError):
+            ProblemParams(4, 2.0, 0.0, 0.75, 0.0, None)
+        with pytest.raises(TypeError):
+            ProblemParams(4, 2.0, nonlinearity=None)
 
 
 def _placement_by_case(data, n, p, a):
