@@ -674,9 +674,12 @@ class TestShootSingularProfile:
         (SUITE_SHOTS[0], None, 1.2, 3e-8, 2e-9),
         (SUITE_SHOTS[1], None, 1.2, 3e-8, 2e-9),
         # long shots that turn up: measured gaps 7.4e-9 and 3.8e-9 (p = 2),
-        # 2.6e-8 and 1.8e-8 (p = 1.5)
+        # 2.6e-8 and 1.8e-8 (p = 1.5), 8.4e-9 and 1.1e-9 (p = 3)
         (ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0), 1e-3, 30.0, 3e-8, 2.5e-8),
         (ProblemParams(n=3, p=1.5, mu=0.05, lam=1.0), 1e-3, 30.0, 4e-8, 1e-7),
+        (ProblemParams(n=4, p=3.0, mu=0.02, lam=1.0), 1e-3, 30.0, 3e-8, 5e-9),
+        # the same p = 3 shot at lam = 0 decays: measured gaps 4.8e-9, 1.5e-9
+        (ProblemParams(n=4, p=3.0, mu=0.02, lam=0.0), 1e-3, 30.0, 3e-8, 5e-9),
     ])
     def test_matches_flux_form_reference(self, params, r_in, r_out, log_tol,
                                          rs_tol):
