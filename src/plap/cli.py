@@ -7,7 +7,11 @@ logged, never written to artifacts.
 Usage:  plap <subcommand> --config <file> --out <dir> [--seed N]
 Subcommands: roots | shoot | blowup | martin | grid | bochner | all
 Each subcommand takes the keys of its CONFIGS table; `all` takes none.
-Exit codes: 0 all checks pass, 1 check failure, 2 config/usage error.
+Exit codes: 0 all checks pass, 1 check failure, 2 config/usage error.  A
+DomainError (an input outside what an operation admits) raised in a
+targeted campaign is a config error, exit 2, as are cli's own config
+checks; every other error of a campaign, and a DomainError of `all`, whose
+inputs are pinned in source, is exit 1.
 PLAP_LOG in {error, info, debug} selects the log level.
 """
 
@@ -26,8 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blowup, grid_pde, radial_ode
-from .errors import (ConfigError, DomainError, IllConditioned, NoRealRoot,
-                     OutOfRange)
+from .errors import ConfigError, DomainError
 from .indicial import (IndicialData, ProblemParams, auxiliary_f,
                        eigen_rate_alpha, hardy_best_constant, indicial_roots,
                        placement_satisfied, step_change)
@@ -163,19 +166,9 @@ def _check_reals(values, key, size):
 
 
 def _check_spacings(h_list, key):
-    """A refinement sweep is two or more strictly decreasing spacings of the
-    unit square, each with the nodes per axis that the nested stencils of
-    the Bochner identity need."""
+    """A refinement sweep is two or more strictly decreasing spacings
+    (grid_pde checks that each one fits the unit square)."""
     _check_sweep(h_list, key, "two spacings for the refinement checks")
-    least = grid_pde.NESTED_STENCIL_NODES
-    for h in h_list:
-        try:
-            nodes = grid_pde._grid_shape(UNIT_SQUARE, h)[2]
-        except DomainError as exc:
-            raise ConfigError(f"{key} entry {h!r}: {exc}") from exc
-        if nodes < least:
-            raise ConfigError(f"{key} entry {h!r}: {nodes} nodes per axis, "
-                              f"the checks need at least {least}")
     # each refinement factor divides a residual by the next finer one
     if any(fine >= coarse for coarse, fine in zip(h_list, h_list[1:])):
         raise ConfigError(f"{key} must be strictly decreasing, got {h_list!r}")
@@ -203,8 +196,8 @@ REQUIRED = object()  # the default of a key that every config must set
 # The config of each subcommand: key -> (default, check, *extra check args).
 # _read_config runs the checks in this order; a rule that ties keys
 # together is its solver's own where one checks it (martin's t >= r0 + 1
-# is not), and each campaign turns a solver's range error into a
-# ConfigError before it writes any file.
+# is not), and main turns the solver's DomainError into a ConfigError.
+# Each campaign raises it before it writes any file.
 CONFIGS = {
     "roots": {"params": (REQUIRED, _params_from_config, False)},
     "shoot": {
@@ -250,15 +243,6 @@ def _read_config(cfg, subcommand) -> dict:
         built = check(value, key, *args)
         values[key] = value if built is None else built
     return values
-
-
-def _check_grid(xi, rect, h):
-    """The grid campaign's xi is a unit vector and h divides its rect."""
-    try:
-        grid_pde._check_unit(xi)
-        grid_pde._grid_shape(rect, h)
-    except DomainError as exc:
-        raise ConfigError(f"xi {xi!r}, rect {rect!r}, h {h!r}: {exc}") from exc
 
 
 # --- builders shared by the targeted campaigns and the acceptance steps ---
@@ -312,7 +296,7 @@ def _oracle_residual(h, lam):
     refinement row fails."""
     try:
         fld = grid_pde.representation_field(BOCHNER_ATOMS, lam, UNIT_SQUARE, h)
-    except DomainError:  # h and lam are checked by the config already
+    except OverflowError:
         return math.nan
     return grid_pde.bochner_residual(fld, 2.0, lam)
 
@@ -322,7 +306,7 @@ def _bochner_trend(h_list, lam):
     resid = [_oracle_residual(h, lam) for h in h_list]
     for h, r in zip(h_list, resid):
         if r == 0.0:
-            raise DomainError(
+            raise ZeroDivisionError(
                 f"no refinement factor: the bochner residual is 0 at h={h:g}, "
                 f"lam={lam:g} (no node has |grad w|^2 above the threshold, "
                 "or the discrete identity holds exactly)")
@@ -333,8 +317,13 @@ def _bochner_trend(h_list, lam):
 def _power_fixed_point(gamma, scales):
     """Origin dilations of the pure power r^-gamma, a rescaling fixed point."""
     r_pow = np.geomspace(1e-4, 1e2, 900)
+    with np.errstate(over="ignore", divide="ignore"):
+        log_u = np.log(r_pow ** -gamma)
+    if not np.all(np.isfinite(log_u)):
+        raise OverflowError(f"r^{-gamma:g} leaves the double range on "
+                            "[1e-4, 1e2]")
     power_profile = radial_ode.RadialProfile(
-        r=r_pow, log_u=np.log(r_pow ** -gamma), ratio=-gamma / r_pow,
+        r=r_pow, log_u=log_u, ratio=-gamma / r_pow,
         meta={"kind": "power", "gamma": gamma})
     return blowup.rescale_near_zero(power_profile, scales, gamma)
 
@@ -374,10 +363,7 @@ def _write_report(subcommand, rows, cfg, out_dir) -> ExperimentReport:
 
 def run_roots(cfg, out_dir) -> ExperimentReport:
     params = _read_config(cfg, "roots")["params"]
-    try:
-        data = indicial_roots(params)
-    except NoRealRoot as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
+    data = indicial_roots(params)
     n, p, a, mu = params.n, params.p, params.a, params.mu
     tol = 1e-12 * max(1.0, abs(mu))
     # no double can beat the change of f across one step at the root
@@ -399,14 +385,9 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "shoot")
     params, r0, r_max = c["params"], c["r0"], c["r_max"]
     alpha = eigen_rate_alpha(params.lam, params.p)
-    try:
-        shot = radial_ode.radial_exterior_eigen(
-            params.n, params.p, params.lam, r0, r_max,
-            grid_points=c["grid_points"])
-        fit = radial_ode.fit_decay_exponents(shot.profile)
-    except (DomainError, IllConditioned) as exc:
-        raise ConfigError(f"r0 {r0!r}, r_max {r_max!r}, grid_points "
-                          f"{c['grid_points']!r}: {exc}") from exc
+    shot = radial_ode.radial_exterior_eigen(
+        params.n, params.p, params.lam, r0, r_max, grid_points=c["grid_points"])
+    fit = radial_ode.fit_decay_exponents(shot.profile)
     power_ref = (params.n - 1.0) / (params.p * (params.p - 1.0))
     rows = [
         CheckRow("fit_rate", alpha, fit.rate, 5e-3 * max(1.0, alpha)),
@@ -429,19 +410,16 @@ def run_martin(cfg, out_dir) -> ExperimentReport:
     # tolerance carries the O(1/t) bias of the finite-shift ratio
     tol_rel = 5e-3 + 3.0 / t
     if alpha + math.log1p(tol_rel) > math.log(sys.float_info.max):
-        raise DomainError(f"kernel limit exp({alpha:g}) and its tolerance "
-                          "overflow float64")
+        raise OverflowError(f"kernel limit exp({alpha:g}) and its tolerance "
+                            "overflow float64")
     xi = np.zeros(params.n)  # e_1
     xi[0] = 1.0
     # radial_exterior_eigen needs t + 10 >= 10 r0, and martin_kernel_estimate
     # needs the radii |1 - t| and t on the shot's span [r0, t + 10]
-    try:
-        shot = radial_ode.radial_exterior_eigen(
-            params.n, params.p, params.lam, r0, t + 10.0,
-            grid_points=c["grid_points"])
-        est = blowup.martin_kernel_estimate(shot.profile, xi, xi, t)
-    except (DomainError, OutOfRange) as exc:
-        raise ConfigError(f"t {t!r}, r0 {r0!r}: {exc}") from exc
+    shot = radial_ode.radial_exterior_eigen(
+        params.n, params.p, params.lam, r0, t + 10.0,
+        grid_points=c["grid_points"])
+    est = blowup.martin_kernel_estimate(shot.profile, xi, xi, t)
     tol = math.exp(alpha) * tol_rel
     rows = [CheckRow("kernel_at_xi", math.exp(alpha), est, tol)]
     return _write_report("martin", rows, cfg, out_dir)
@@ -450,23 +428,13 @@ def run_martin(cfg, out_dir) -> ExperimentReport:
 def run_blowup(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "blowup")
     params, shifts, window = c["params"], c["shifts"], c["window"]
-    try:
-        rep_zero = _power_fixed_point(c["gamma"], c["scales"])
-    except OutOfRange as exc:
-        raise ConfigError(f"scales {c['scales']!r}: {exc}") from exc
+    rep_zero = _power_fixed_point(c["gamma"], c["scales"])
     alpha = eigen_rate_alpha(params.lam, params.p)
-    try:
-        shot = radial_ode.radial_exterior_eigen(
-            params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
-            grid_points=1400)
-    except DomainError as exc:
-        raise ConfigError(f"shifts {shifts!r}: {exc}") from exc
-    try:
-        rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts,
-                                                       alpha, window=window)
-    except OutOfRange as exc:
-        raise ConfigError(
-            f"shifts {shifts!r} with window {window!r}: {exc}") from exc
+    shot = radial_ode.radial_exterior_eigen(
+        params.n, params.p, params.lam, 1.0, max(shifts) + 10.0,
+        grid_points=1400)
+    rep_inf = blowup.translate_rescale_at_infinity(shot.profile, shifts,
+                                                   alpha, window=window)
     rows = [CheckRow("power_fixed_point_sup", 0.0,
                      float(rep_zero.sup_distance.max()), 1e-12),
             *_translate_rows(rep_zero, rep_inf, out_dir)]
@@ -476,7 +444,6 @@ def run_blowup(cfg, out_dir) -> ExperimentReport:
 def run_grid(cfg, out_dir) -> ExperimentReport:
     c = _read_config(cfg, "grid")
     params, xi, rect, h, tol = c["params"], c["xi"], c["rect"], c["h"], c["tol"]
-    _check_grid(xi, rect, h)
     alpha = eigen_rate_alpha(params.lam, params.p)
     fld, stats, _, sup_err = _exact_solve(params, alpha, xi, rect, h, tol)
     rows = [
@@ -879,7 +846,11 @@ def main(argv=None) -> int:
         if args.subcommand == "all":
             report = run_all(cfg, args.out, seed=args.seed)
         else:
-            report = CAMPAIGNS[args.subcommand](cfg, args.out)
+            try:
+                report = CAMPAIGNS[args.subcommand](cfg, args.out)
+            except DomainError as exc:
+                raise ConfigError(f"{args.subcommand} config "
+                                  f"{json.dumps(cfg)}: {exc}") from exc
     except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"plap: config error: {exc}", file=sys.stderr)
         return 2

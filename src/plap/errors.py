@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+DomainError and its subclasses mean one thing: an input lies outside what
+the operation admits.  Valid input whose numbers leave the double range
+raises an ArithmeticError instead (OverflowError, or ZeroDivisionError for
+a quotient with a zero divisor), and a step that fails on valid input a
+RuntimeError (StepFailure, SingularRatio, NoConvergence).  The `plap`
+command line turns a DomainError of a targeted campaign into a config
+error, exit code 2; every other error fails the campaign, exit code 1.
+"""
 
 
 class DomainError(ValueError):
-    """A parameter lies outside the admissible range of an operation."""
+    """An input lies outside what the operation admits."""
 
 
 class NoRealRoot(DomainError):
@@ -21,11 +30,11 @@ class NoConvergence(RuntimeError):
     """Damped Newton iteration exhausted its iteration or damping budget."""
 
 
-class OutOfRange(ValueError):
+class OutOfRange(DomainError):
     """A requested evaluation point lies outside the sampled profile domain."""
 
 
-class IllConditioned(ValueError):
+class IllConditioned(DomainError):
     """Too few samples in the fitting window for a stable least-squares fit."""
 
 

@@ -517,9 +517,11 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     The initial guess is the extension of the boundary data to the whole
     rectangle.  Regularization eps = 1e-8 * alpha * max(boundary data) is
     kept under |grad v| throughout.  Raises DomainError when tol is
-    negative or when tol, the boundary data or the initial residual are
-    not finite, and NoConvergence when MAX_NEWTON_ITERS steps or the
-    damping floor are exhausted before final_residual <= tol.
+    negative or not finite or scale is not positive and finite,
+    OverflowError when the boundary data overflow or underflow to 0 or the
+    initial residual is not finite, and NoConvergence when
+    MAX_NEWTON_ITERS steps or the damping floor are exhausted before
+    final_residual <= tol.
 
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the face terms of the residual that accepted
@@ -540,15 +542,18 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     """
     if not 0.0 <= tol < math.inf:  # NaN fails it too
         raise DomainError("tol must be finite and >= 0")
+    if not 0.0 < scale < math.inf:
+        raise DomainError("scale must be finite and > 0")
     p, lam = params.p, params.lam
     alpha = eigen_rate_alpha(lam, p)
     with np.errstate(over="ignore"):
         v = _exponential_values(alpha, xi, rect, h, scale=scale)
-    # checked before Field2D, which rejects the overflow without naming it
-    if not np.all(np.isfinite(v)):
-        raise DomainError(f"boundary data exp({alpha:g} <x, xi>) overflows "
-                          "on the rectangle")
-    field_from_values(v, rect, h)  # rejects data that are not positive
+    # named here, since Field2D rejects data outside the double range
+    # without naming why
+    if not _positive_finite(v):
+        how = "overflows" if np.any(v == math.inf) else "underflows to 0"
+        raise OverflowError(f"boundary data exp({alpha:g} <x, xi>) {how} "
+                            "on the rectangle")
     epsilon = 1e-8 * alpha * float(v.max())
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -559,16 +564,14 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         except OverflowError:  # epsilon**2 beyond the largest double
             res = math.inf
     if not math.isfinite(res):
-        raise DomainError(f"initial residual is {res:g}: the boundary data "
-                          "exceed the range of the discrete operator")
+        raise OverflowError(f"initial residual is {res:g}: the boundary "
+                            "data exceed the range of the discrete operator")
     iters = damping_events = linear_solves = float64_refactors = 0
     # `not res <= tol` also keeps iterating on a NaN residual
     while not res <= tol:
         if iters >= MAX_NEWTON_ITERS:
             raise NoConvergence(
-                f"residual {res:g} > tol {tol:g} after {iters} iterations "
-                "(h too coarse or damping floor hit)"
-            )
+                f"residual {res:g} > tol {tol:g} after {iters} iterations")
         sten = _newton_stencil(v, p, lam, h, faces)
         faces = None  # freed before the step's hierarchy is built
         x, solves, refactors = _solve_refined(sten, -resid.ravel(),
@@ -657,12 +660,14 @@ def bochner_residual(field: Field2D, p, lam) -> float:
                  + p f^(p/2-1) <grad w, grad f>.
     Both sides are discretized (third derivatives by nested second-order
     stencils, hence O(h) overall) and compared where f > 1e-6 * kappa.
-    Returns 0 when that mask is empty.
+    Returns 0 when that mask is empty.  Raises DomainError on a grid with
+    fewer than NESTED_STENCIL_NODES nodes per axis.
     """
     v, h = field.values, field.h
-    nx, ny = v.shape
-    if nx < NESTED_STENCIL_NODES or ny < NESTED_STENCIL_NODES:
-        raise DomainError("grid too small for nested stencils")
+    nodes = min(v.shape)
+    if nodes < NESTED_STENCIL_NODES:
+        raise DomainError(f"{nodes} nodes per axis, the checks need at least "
+                          f"{NESTED_STENCIL_NODES} for the nested stencils")
     w = -(p - 1.0) * np.log(v)
 
     wx, wy = _centered_grad(w, h)                      # nodes [1..nx-2]
@@ -692,13 +697,18 @@ def bochner_residual(field: Field2D, p, lam) -> float:
 
 def representation_field(atoms, lam, rect, h) -> Field2D:
     """Superposition sum_i w_i exp(sqrt(lam) <x, xi_i>) of (xi, w) atoms on
-    the rectangle grid; it solves -Lap v + lam v = 0, the p = 2 equation."""
+    the rectangle grid; it solves -Lap v + lam v = 0, the p = 2 equation.
+    Raises OverflowError when its values overflow."""
     if not 0.0 <= lam < math.inf:  # NaN fails it too
         raise DomainError(f"lam must be finite and >= 0, got {lam!r}")
     # math.sqrt, not eigen_rate_alpha: its lam ** 0.5 differs from sqrt in
     # the last bit at some lam (e.g. 2.315)
     alpha = math.sqrt(lam)
-    values = sum(_exponential_values(alpha, xi, rect, h, scale=w)
-                 for xi, w in atoms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sum(_exponential_values(alpha, xi, rect, h, scale=w)
+                     for xi, w in atoms)
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"field exp({alpha:g} <x, xi>) overflows on the "
+                            "rectangle")
     return field_from_values(values, rect, h)
 

@@ -265,8 +265,8 @@ def _solve_branches(mu, p, big_d):
             # bound of g2 is, and then both brackets can end at the largest
             # double
             if x_g2 > _LOG_HUGE:
-                raise DomainError(f"root gamma2 >= e^{x_g2:.6g} exceeds the "
-                                  "largest double")
+                raise OverflowError(f"root gamma2 >= e^{x_g2:.6g} exceeds "
+                                    "the largest double")
             x_hi = min(x_hi, _LOG_HUGE)
             x_top = _LOG_HUGE
         g1 = root(-1.0, x_lo, x_hi, 0.5 * (x_lo + x_hi))
@@ -318,7 +318,8 @@ def step_change(gamma, n, p, a=0.0):
 def indicial_roots(params: ProblemParams) -> IndicialData:
     """Both real roots of the index equation f(gamma) = mu, classified.
 
-    Raises NoRealRoot when mu exceeds mu_bar beyond tolerance.  A double root
+    Raises NoRealRoot when mu exceeds mu_bar beyond tolerance, and
+    OverflowError when gamma2 exceeds the largest double.  A double root
     gamma1 = gamma2 = gamma_star is reported when |mu - mu_bar| is within the
     detection tolerance (below it f(gamma_star) - mu, the sign that splits
     the two root brackets, is too close to rounding noise to trust).
@@ -348,8 +349,8 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         # mu < -DOUBLE_ROOT_RTOL
         x_mag = (math.log(-mu) - math.log(p - 1.0)) / p
         if x_mag > _LOG_HUGE:
-            raise DomainError(f"root gamma2 = e^{x_mag:.6g} exceeds the "
-                              "largest double")
+            raise OverflowError(f"root gamma2 = e^{x_mag:.6g} exceeds the "
+                                "largest double")
         ratio = -mu / (p - 1.0)
         # the ratio itself can overflow below a representable root
         mag = ratio ** (1.0 / p) if ratio < math.inf else math.exp(x_mag)

@@ -425,10 +425,10 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out,
     w0 = -(gamma1/r)^(p-1) (w0 = 0 for mu = 0) solves from the same start.
     So w >= w0 by comparison, r sigma >= -gamma1 and u >= r^(-gamma1).
     Only at lam = 0 with w near the underflow threshold (mu/mu_bar below
-    about 1e-295) does the pass turn NaN, which RadialProfile refuses with
-    DomainError.  The profile samples t = ln r at grid_points equally spaced values from
-    ln r_in to ln r_out (2 to MAX_PROFILE_POINTS of them, DomainError
-    otherwise).
+    about 1e-295) does the pass turn NaN; it then raises StepFailure naming
+    the first radius at which the state is no longer finite.  The profile
+    samples t = ln r at grid_points equally spaced values from ln r_in to
+    ln r_out (2 to MAX_PROFILE_POINTS of them, DomainError otherwise).
     """
     if not r_in < r_out:
         raise DomainError("r_in must be < r_out")
@@ -467,6 +467,11 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out,
                     events=turn if w_in < 0.0 else None)
     if sol.status < 0:
         raise StepFailure(sol.message)
+    # LSODA reports success on a state that turned NaN
+    bad = ~np.isfinite(sol.y).all(axis=0)
+    if bad.any():
+        raise StepFailure("outward pass is no longer finite at "
+                          f"r = {math.exp(sol.t[np.argmax(bad)]):g}")
     turns = sol.t_events[0] if w_in < 0.0 else ()
     r_turn = r_in if w_in > 0.0 else math.exp(turns[0]) if len(turns) else None
     cls = ShootClass.DECAYING if r_turn is None else ShootClass.TURNS_UP

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plap import cli, radial_ode
-from plap.errors import ConfigError, DomainError
+from plap.errors import (ConfigError, DomainError, IllConditioned, NoRealRoot,
+                         OutOfRange)
 from plap.indicial import (RESIDUAL_RTOL, RootPlacement, auxiliary_f,
                            hardy_best_constant)
 
@@ -173,7 +174,8 @@ class TestMainEntry:
         ({"h_list": [0.125]}, "h_list needs at least two spacings"),
         ({"h_list": ["a", "b"]}, "h_list must be a finite number > 0"),
         ({"h_list": [0.1, 0]}, "h_list must be a finite number > 0"),
-        ({"h_list": [0.3, 0.7]}, "h must divide the rectangle extents"),
+        # decreasing, so the rule that grid_pde checks is the one it breaks
+        ({"h_list": [0.3, 0.125]}, "h must divide the rectangle extents"),
         ({"h_list": [0.25, 0.125]}, "5 nodes per axis, the checks need "
                                     "at least 7"),
         # each refinement factor divides a residual by the next finer one,
@@ -242,7 +244,7 @@ class TestMainEntry:
         ({"scales": [1e-6]}, "radius 1e-07 outside sampled span"),
         ({"gamma": "x"}, "gamma must be a finite number"),
         ({"shifts": [10.0, 10 ** 400]}, "shifts must be a finite number > 0"),
-        ({"shifts": [10.0, 1e6]}, "shifts [10.0, 1000000.0]: p*alpha*r_max "
+        ({"shifts": [10.0, 1e6]}, '"shifts": [10.0, 1000000.0]}: p*alpha*r_max '
                                   "must be at most 200000"),
     ])
     def test_blowup_config_errors_exit_2(self, tmp_path, capsys, cfg,
@@ -274,22 +276,21 @@ class TestMainEntry:
                                   "number, got None"),
         ("shoot", {"r0": 10 ** 400}, "r0 must be a finite number > 0"),
         # range errors of the solvers, raised before any file is written
-        ("roots", {"n": 4, "mu": 5.0}, "invalid params: mu=5.0 exceeds the "
+        ("roots", {"n": 4, "mu": 5.0}, '"mu": 5.0}}: mu=5.0 exceeds the '
                                        "admissible maximum mu_bar=1.0"),
-        ("shoot", {"grid_points": 30}, "r0 1.0, r_max 40.0, grid_points 30: "
-                                       "only 6 samples in window"),
-        ("martin", {"t": 5, "r0": 2}, "t 5, r0 2: r_max must be at least "
-                                      "10*r0"),
+        ("shoot", {"grid_points": 30}, '"grid_points": 30}: only 6 samples '
+                                       "in window"),
+        ("martin", {"t": 5, "r0": 2}, '"t": 5, "r0": 2}: r_max must be at '
+                                      "least 10*r0"),
         # xi past the pole: both radii lie on the shot, so only cli's own
         # t >= r0 + 1 rejects it
         ("martin", {"t": 0.5, "r0": 0.1}, "t must be >= 1.1 (r0 + 1), "
                                           "got 0.5"),
         # past the span on which the shot's ln u quadrature is accurate
-        ("shoot", {"r_max": 1e12}, "r0 1.0, r_max 1000000000000.0, "
-                                   "grid_points 800: p*alpha*r_max must be "
-                                   "at most 200000, got 2e+12"),
-        ("martin", {"t": 1e6}, "t 1000000.0, r0 1.0: p*alpha*r_max must be "
-                               "at most 200000"),
+        ("shoot", {"r_max": 1e12}, '"r_max": 1000000000000.0}: p*alpha*r_max '
+                                   "must be at most 200000, got 2e+12"),
+        ("martin", {"t": 1e6}, '"t": 1000000.0}: p*alpha*r_max must be at '
+                               "most 200000"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):
@@ -441,9 +442,9 @@ class TestMainEntry:
                         "--out", str(tmp_path / "out")])
         assert code == 0
 
-    # at lam = 1e6 the oracle field overflows (numpy warns) and every
-    # residual is NaN, which must fail the refinement row rather than pass
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # at lam = 1e6 the oracle field overflows, without a numpy warning, and
+    # every residual is NaN, which must fail the refinement row rather than
+    # pass
     def test_bochner_nan_residuals_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"lam": 1e6}))
@@ -465,6 +466,44 @@ class TestMainEntry:
         assert code == 1
         assert ("no refinement factor: the bochner residual is 0 at "
                 "h=0.0625, lam=1e-300") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, cfg, key", [
+        ("roots", {"params": {"n": 4, "p": 2.0, "mu": 5.0}}, "mu"),
+        ("shoot", {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "r_max": 5},
+         "r_max"),
+        ("martin", {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "t": 5,
+                    "r0": 2}, "r0"),
+        ("blowup", {"params": {"n": 3, "p": 2.0, "lam": 1.0},
+                    "scales": [1e-6]}, "scales"),
+        ("grid", {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "xi": [0, 0]},
+         "xi"),
+        ("bochner", {"h_list": [0.25, 0.125]}, "h_list"),
+    ])
+    def test_solver_domain_error_names_config(self, tmp_path, capsys, sub,
+                                              cfg, key):
+        # main turns a targeted campaign's DomainError into a config error
+        # that quotes the config, so the key the user set is in the message
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main([sub, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"plap: config error: {sub} config {{")
+        assert f'"{key}": ' in err
+        assert not (tmp_path / "out").exists()
+
+    def test_all_domain_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the inputs of `all` are pinned in source, so a DomainError there
+        # is a failure of the campaign, not of the config
+        def pinned_input_rejected(values):
+            raise DomainError("pinned input rejected")
+
+        monkeypatch.setattr(cli, "_dirichlet_cache", pinned_input_rejected)
+        code = cli.main(["all", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("campaign 'all' failed: pinned input rejected"
+                in capsys.readouterr().err)
 
     def test_unknown_subcommand_exit_2(self, tmp_path):
         code = cli.main(["frobnicate", "--out", str(tmp_path)])
@@ -490,8 +529,8 @@ class TestMainEntry:
         assert "unknown key(s) ['seed']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sub, cfg, message", [
-        ("blowup", {"window": 20}, "with window 20: "),
-        ("blowup", {"shifts": [1, 2]}, "shifts [1, 2] with window 0.5: "),
+        ("blowup", {"window": 20}, '"window": 20}: '),
+        ("blowup", {"shifts": [1, 2]}, '"shifts": [1, 2]}: '),
     ])
     def test_translation_outside_profile_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):
@@ -663,6 +702,34 @@ class TestAllCampaign:
     def test_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError):
             cli.run_all({"typo_key": 1}, tmp_path, seed=0)
+
+
+class TestErrorClasses:
+    """A DomainError is an input outside what an operation admits; valid
+    input whose numbers leave the double range raises an ArithmeticError."""
+
+    def test_range_errors_are_domain_errors(self):
+        assert issubclass(OutOfRange, DomainError)
+        assert issubclass(IllConditioned, DomainError)
+        assert issubclass(NoRealRoot, DomainError)
+
+    def test_zero_bochner_residual_divides_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="no refinement factor"):
+            cli._bochner_trend([1 / 16, 1 / 32], 1e-300)
+
+    def test_martin_kernel_overflow(self, tmp_path):
+        with pytest.raises(OverflowError, match=re.escape(
+                "kernel limit exp(1000) and its tolerance overflow float64")):
+            cli.run_martin({"params": {"n": 3, "p": 2.0, "lam": 1e6}},
+                           tmp_path)
+
+    @pytest.mark.parametrize("gamma", [80.0, -200.0])
+    def test_power_profile_overflow(self, gamma):
+        # r^-gamma overflows (or underflows to 0) on [1e-4, 1e2], where
+        # numpy once warned and RadialProfile refused ln u = +-inf
+        with pytest.raises(OverflowError, match=re.escape(
+                f"r^{-gamma:g} leaves the double range")):
+            cli._power_fixed_point(gamma, [1e-1])
 
 
 class TestCheckRow:

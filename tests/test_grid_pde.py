@@ -218,8 +218,23 @@ class TestSolveDirichlet:
         params = ProblemParams(n=3, p=1.2, lam=lam)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=re.escape(message)):
+            with pytest.raises(OverflowError, match=re.escape(message)):
                 solve_dirichlet(params, xi, RECT, 0.125)
+
+    def test_underflowing_data_raises(self):
+        # exp(<x, xi>) is 0 in float64 on x in [-1000, -999]: valid input
+        # whose data leave the double range, once Field2D's unnamed "field
+        # values must be positive and finite" DomainError
+        with pytest.raises(OverflowError, match=re.escape(
+                "boundary data exp(1 <x, xi>) underflows to 0")):
+            solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), [1.0, 0.0],
+                            (-1000.0, 0.0, -999.0, 1.0), 0.125)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scale_raises(self, scale):
+        with pytest.raises(DomainError, match="scale must be finite and > 0"):
+            solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), XI, RECT,
+                            0.125, scale=scale)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -0.125])
     def test_bad_spacing_raises(self, h):
@@ -1017,7 +1032,8 @@ class TestBochnerResidual:
     def test_rejects_grid_below_nested_stencil_nodes(self, rect):
         # 5 x 5 and 7 x 5 nodes at h = 0.25: an axis has fewer than 7
         f = exponential_field(1.0, XI, rect, 0.25)
-        with pytest.raises(DomainError, match="grid too small"):
+        with pytest.raises(DomainError, match="5 nodes per axis, the checks "
+                                              "need at least 7"):
             bochner_residual(f, 3.0, 2.0)
 
     def test_threshold_masks_everything(self):
@@ -1112,3 +1128,12 @@ class TestRepresentationField:
         with pytest.raises(DomainError):
             representation_field([(np.array([1.0, 0.0]), -1.0)], 1.0, RECT,
                                  0.25)
+
+    def test_overflow_raises_without_warning(self):
+        # e^1000 is beyond the largest double: valid input, so an
+        # ArithmeticError rather than a DomainError, and numpy stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(
+                    "field exp(1000 <x, xi>) overflows")):
+                representation_field(cli.BOCHNER_ATOMS, 1e6, RECT, 0.25)

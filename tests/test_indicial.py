@@ -136,7 +136,7 @@ class TestIndicialRoots:
 
     def test_root_beyond_largest_double_is_named(self):
         # gamma2 ~ 10^309.7 has no double
-        with pytest.raises(DomainError, match="exceeds the largest double"):
+        with pytest.raises(OverflowError, match="exceeds the largest double"):
             indicial_roots(ProblemParams(n=8, p=1.001, mu=-1e307))
 
     def test_critical_weight_root_beyond_largest_double_is_named(self):
@@ -146,7 +146,7 @@ class TestIndicialRoots:
         p = 1.001
         params = ProblemParams(n=2, p=p, a=2.0 / p - 1.0, mu=-1e307)
         assert params.n - (params.a + 1.0) * p == 0.0
-        with pytest.raises(DomainError, match="exceeds the largest double"):
+        with pytest.raises(OverflowError, match="exceeds the largest double"):
             indicial_roots(params)
 
     def test_critical_weight_roots_with_overflowing_ratio(self):

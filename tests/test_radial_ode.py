@@ -723,7 +723,7 @@ class TestShootSingularProfile:
         assert np.all(prof.r * prof.ratio
                       >= -prof.r * (w0 + delta) ** (1.0 / (p - 1.0)))
 
-    @pytest.mark.xfail(raises=DomainError, strict=True,
+    @pytest.mark.xfail(raises=StepFailure, strict=True,
                        reason="LSODA's pass turns NaN where w is near the "
                               "underflow threshold")
     def test_vanishing_mu_at_lam_zero(self):

@@ -25,15 +25,25 @@ numbers.  The commands are:
   fallback of the refinement (a failed check, exit 1);
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
-- nine error paths, so that a change that moves an exit code shows up:
-  `roots` with mu above mu_bar, with a = true (a bool is not a number) and
-  with mu = inf (JSON's Infinity), `shoot` with 30 grid points (6 in the
-  decay fit's window), `martin` at t = 1.5 (below r0 + 1) and `blowup`
-  with window 20 (translates outside the shot), each a config error; two
-  failed checks, `grid` on boundary data that overflow float64 and
-  `martin` at n = 2000, whose direction e_1 has 2000 coordinates; and a
-  failed solve, `grid` at p = 1.05, lam = 2, h = 1/32, whose 40 Newton
-  steps all end in the refinement's stall-at-floor exit.
+- fifteen error paths, so that a change that moves an exit code shows up:
+  - config errors (exit 2): `roots` with mu above mu_bar, with a = true
+    (a bool is not a number) and with mu = inf (JSON's Infinity), `shoot`
+    with 30 grid points (6 in the decay fit's window), `martin` at t = 1.5
+    (below r0 + 1), `blowup` with window 20 (translates outside the shot)
+    and `bochner` with h_list [0.25, 0.125] (5 nodes per axis, fewer than
+    the nested stencils need);
+  - failed checks (exit 1) on valid configs whose numbers leave the
+    double range: `grid` on boundary data that overflow float64 and on
+    data that underflow to 0 (rect [-1000, 0, -999, 1], xi = (1, 0)),
+    `roots` at n = 8, p = 1.001, mu = -1e307 (gamma2 beyond the largest
+    double), `blowup` at gamma = 80 (r^-80 overflows on the power
+    profile), `bochner` at lam = 1e6 (the oracle field overflows, NaN
+    residuals) and at lam = 1e-300 (a zero residual, no refinement
+    factor);
+  - `martin` at n = 2000, whose direction e_1 has 2000 coordinates (a
+    failed check), and `grid` at p = 1.05, lam = 2, h = 1/32, whose 40
+    Newton steps all end in the refinement's stall-at-floor exit (a
+    failed solve).
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
 The extracted tree and all outputs live under one temporary directory (set
 TMPDIR to move it), removed on exit; nothing is written under .git.
@@ -106,8 +116,17 @@ ERROR_PATHS = {
     "shoot_grid_points_30": ("shoot", {**SHOT_PARAMS, "grid_points": 30}),
     "martin_t_1.5": ("martin", {**SHOT_PARAMS, "t": 1.5}),
     "blowup_window_20": ("blowup", {**SHOT_PARAMS, "window": 20}),
+    "bochner_5_nodes": ("bochner", {"h_list": [0.25, 0.125]}),
     "grid_overflowing_data": ("grid", {"params": {"n": 3, "p": 1.2,
                                                   "lam": 500}, "h": 0.125}),
+    "grid_underflowing_data": ("grid", {**SHOT_PARAMS,
+                                        "rect": [-1000, 0, -999, 1],
+                                        "xi": [1, 0], "h": 0.125}),
+    "roots_gamma2_overflow": ("roots", {"params": {"n": 8, "p": 1.001,
+                                                   "mu": -1e307}}),
+    "blowup_gamma_80": ("blowup", {**SHOT_PARAMS, "gamma": 80}),
+    "bochner_lam_1e6": ("bochner", {"lam": 1e6}),
+    "bochner_lam_1e-300": ("bochner", {"lam": 1e-300}),
     "martin_n2000": ("martin", {"params": {"n": 2000, "p": 2.0, "lam": 1.0}}),
     "grid_p105_stall": ("grid", {"params": {"n": 4, "p": 1.05, "lam": 2.0},
                                  "h": 0.03125, "tol": 1e-9}),
