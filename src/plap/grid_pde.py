@@ -108,7 +108,7 @@ class SolveStats:
 def _check_unit(vec):
     """vec as a float array; a direction must have norm 1 within 1e-14."""
     vec = np.asarray(vec, dtype=float)
-    if abs(float(np.linalg.norm(vec)) - 1.0) > 1e-14:
+    if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-14:  # NaN fails it
         raise DomainError("direction must be a unit vector")
     return vec
 
@@ -253,7 +253,8 @@ def _newton_stencil(v, p, lam, h, faces):
     Returns a (3, 3, mi, mj) array over the mi x mj interior nodes:
     sten[di + 1, dj + 1, k, l] couples node (k, l) to node (k + di, l + dj).
     Couplings to boundary nodes are zeroed, so the arrays hold the operator
-    on the interior alone.
+    on the interior alone.  They are stored as their own DIA data
+    (_stencil_storage).
     """
     c1x, c2x, c1y, c2y = _linearized_face_coeffs(faces, p)
     e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
@@ -263,7 +264,7 @@ def _newton_stencil(v, p, lam, h, faces):
     h2 = h * h
     mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
     # the Newton operator is -L_v + mass, L_v's stencil negated
-    sten = np.empty((3, 3) + mass.shape)
+    sten = _stencil_storage(*mass.shape, np.float64)
     sten[1, 1] = mass + (e1 + w1 + n1 + s1) / h2
     sten[2, 1] = -(e1 + 0.25 * (n2 - s2)) / h2
     sten[0, 1] = -(w1 - 0.25 * (n2 - s2)) / h2
@@ -280,26 +281,64 @@ def _newton_stencil(v, p, lam, h, faces):
     return sten
 
 
+def _stencil_layout(mi, mj):
+    """(buffer length, strides in elements) of _stencil_storage's arrays."""
+    width = mi * mj + mj + 1
+    return 9 * width + mj + 1, (3 * width + mj, width + 1, mj, 1)
+
+
+def _stencil_storage(mi, mj, dtype):
+    """(3, 3, mi, mj) stencil arrays, not yet filled, stored as their own
+    DIA data.
+
+    With W = mi * mj + mj + 1, entry (a, b, k, l) sits at element
+    a * (3W + mj) + b * (W + 1) + k * mj + l of a C-contiguous buffer of
+    9W + mj + 1 elements, the arrays' base.  Row 3a + b of the (9, W)
+    array buffer[mj + 1:] is then the data of diagonal
+    (a - 1) * mj + b - 1, and entry (a, b, k, l) lies in the column of the
+    node it couples to, as the DIA format places it.  The nine arrays do
+    not overlap; the buffer's elements between them lie outside the
+    matrix and are zeroed.
+    """
+    length, steps = _stencil_layout(mi, mj)
+    buffer = np.empty(length, dtype)
+    starts = [a * steps[0] + b * steps[1] for a, b in np.ndindex(3, 3)]
+    for start, following in zip(starts, starts[1:]):
+        buffer[start + mi * mj:following] = 0
+    return np.ndarray((3, 3, mi, mj), dtype, buffer,
+                      strides=[buffer.itemsize * n for n in steps])
+
+
 def _stencil_matrix(sten):
     """DIA matrix of the (3, 3, mi, mj) stencil arrays sten.
 
     Node (k, l) is row and column k * mj + l, so stencil entry (di, dj) lies
-    on diagonal di * mj + dj.  Arrays that share a diagonal (mj <= 2) are
-    summed.  Its products add each row's terms in ascending column order,
-    bit for bit as with its CSR form, which leaves exact zeros out.
+    on diagonal di * mj + dj.  Arrays from _stencil_storage are the
+    matrix's data, shared without a copy; other arrays are copied into that
+    layout first, as np.ascontiguousarray copies a strided array.  Arrays
+    that share a diagonal (mj <= 2) are summed, since a DIA matrix holds
+    each diagonal once.  Its products add each row's terms in ascending
+    column order, bit for bit as with its CSR form, which leaves exact
+    zeros out.
     """
     mi, mj = sten.shape[2:]
-    size = mi * mj
-    diagonals = {}
-    for a, b in np.ndindex(3, 3):
-        off = (a - 1) * mj + b - 1
-        if abs(off) >= size:  # no interior pair on it (mi = 1)
-            continue
-        flat = sten[a, b].ravel()
-        diag = flat[:size - off] if off >= 0 else flat[-off:]
-        diagonals[off] = diagonals[off] + diag if off in diagonals else diag
-    return sparse.diags(list(diagonals.values()), list(diagonals),
-                        shape=(size, size), format="dia")
+    length, steps = _stencil_layout(mi, mj)
+    buffer = sten.base
+    if not (isinstance(buffer, np.ndarray) and buffer.dtype == sten.dtype
+            and buffer.shape == (length,)
+            and sten.strides == tuple(sten.itemsize * n for n in steps)
+            and sten.ctypes.data == buffer.ctypes.data):
+        copy = _stencil_storage(mi, mj, sten.dtype)
+        copy[...] = sten
+        buffer = copy.base
+    data = buffer[mj + 1:].reshape(9, -1)
+    offsets = np.array([(a - 1) * mj + b - 1 for a, b in np.ndindex(3, 3)])
+    if mj <= 2:
+        diagonals = np.unique(offsets)
+        data = np.stack([data[offsets == off].sum(axis=0)
+                         for off in diagonals])
+        offsets = diagonals
+    return sparse.dia_matrix((data, offsets), shape=(mi * mj, mi * mj))
 
 
 # Coarse node I of an axis of m fine nodes sits on fine node 2I + 1 and
@@ -314,7 +353,8 @@ def _coarsen_axis(sten, axis):
     Along the axis, coarse entry D at node K sums w_a w_b S_d[2K + 1 + a]
     over the offsets a, d, b in {-1, 0, 1} with a + d = 2D + b, where
     w_0 = 1 and w_-1 = w_1 = 1/2; the other axis is left as it is.  Entries
-    that point past either end are zeroed.
+    that point past either end are zeroed.  The result is stored as its own
+    DIA data (_stencil_storage).
     """
     # the coarsened axis first: its offsets on axis 0, its nodes on axis 2
     s = sten.transpose(1, 0, 3, 2) if axis else sten
@@ -323,14 +363,16 @@ def _coarsen_axis(sten, axis):
         s = np.concatenate(
             [s, np.zeros(s.shape[:2] + (1,) + s.shape[3:], s.dtype)], axis=2)
     lo, mid, hi = s[:, :, 0:2 * n:2], s[:, :, 1::2], s[:, :, 2::2]
-    coarse = np.empty((3,) + mid.shape[1:], s.dtype)
+    out = _stencil_storage(*((s.shape[3], n) if axis else (n, s.shape[3])),
+                           s.dtype)
+    coarse = out.transpose(1, 0, 3, 2) if axis else out
     coarse[0] = 0.5 * (lo[0] + mid[0]) + 0.25 * lo[1]
     coarse[1] = (mid[1] + 0.25 * (lo[1] + hi[1])
                  + 0.5 * (lo[2] + mid[0] + mid[2] + hi[0]))
     coarse[2] = 0.5 * (mid[2] + hi[2]) + 0.25 * hi[1]
     coarse[0, :, 0] = 0.0
     coarse[2, :, -1] = 0.0
-    return coarse.transpose(1, 0, 3, 2) if axis else coarse
+    return out
 
 
 def _prolong(c, mi, mj):
@@ -379,17 +421,21 @@ def _multigrid_hierarchy(sten):
     on its mi x mj interior, its diagonal is their centre array, and the
     next level's arrays are the Galerkin product P_k^T A_k P_k, formed by
     _coarsen_axis along both axes since P_k interpolates kron-wise from the
-    (mi // 2, mj // 2) grid below.  Coarsening stops once an axis has at
-    most COARSEST_NODES nodes; that level is factored by splu in float32.
-    Returns (levels, coarsest factor, shift), or None when a Jacobi weight
-    is not finite (a centre entry is zero, or underflows float32) or the
-    coarsest matrix is exactly singular.
+    (mi // 2, mj // 2) grid below.  Every level's arrays are stored as
+    their own DIA data (_stencil_storage): the scaled float32 arrays are
+    written into that layout and _coarsen_axis coarsens into it, so each
+    A_k wraps its arrays without a copy.  Coarsening stops once an axis
+    has at most COARSEST_NODES nodes; that level is factored by splu in
+    float32.  Returns (levels, coarsest factor, shift), or None when a
+    Jacobi weight is not finite (a centre entry is zero, or underflows
+    float32) or the coarsest matrix is exactly singular.
     """
     shift = _binary_exponent(sten[1, 1])
     # scaled in float64, stored in float32: an entry beyond float32's range
     # becomes inf, and one below it zero, an infinite Jacobi weight
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sten = np.ldexp(sten, -shift, out=np.empty(sten.shape, np.float32))
+        sten = np.ldexp(sten, -shift,
+                        out=_stencil_storage(*sten.shape[2:], np.float32))
         levels = []
         while min(sten.shape[2:]) > COARSEST_NODES:
             weight = JACOBI_OMEGA / sten[1, 1].ravel()
@@ -456,10 +502,12 @@ def _solve_refined(sten, rhs, interior):
     step updates, and sten the Newton operator's (3, 3, mi, mj) stencil
     arrays on those nodes (_newton_stencil), node (k, l) being row
     k * mj + l of the float64 DIA matrix A = _stencil_matrix(sten).  The
-    Galerkin hierarchy (_multigrid_hierarchy) is built once from sten, in
-    float32.  The first correction is one full-multigrid pass (_fmg) on
-    rhs, and each later one is one V-cycle (_vcycle) on the float64
-    residual rhs - A @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
+    arrays of _newton_stencil are stored as A's DIA data
+    (_stencil_storage), so A shares them without a copy.  The Galerkin
+    hierarchy (_multigrid_hierarchy) is built once from sten, in float32,
+    in the same layout.  The first correction is one full-multigrid pass
+    (_fmg) on rhs, and each later one is one V-cycle (_vcycle) on the
+    float64 residual rhs - A @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
     Oosterlee & Schueller, Multigrid, 2001, ch. 2), each cast to float32
     and back by _correction.  The cycles only have to contract the error,
     and float32 suffices for that, since x, A and the residual that
@@ -526,8 +574,8 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the face terms of the residual that accepted
     v, and solves it with _solve_refined: a full-multigrid pass, then
-    V-cycles, in float32 on a hierarchy coarsened from a float32 copy of
-    those arrays, each on the float64 residual, until a correction is
+    V-cycles, in float32 on a hierarchy coarsened from those arrays scaled
+    to float32, each on the float64 residual, until a correction is
     within REFINE_ULPS ulps of the interior of v, the field the step
     updates, or one float64 LU when they fail.  v, its residual and the
     returned field are float64.  The updated field is then within a few ulps of the one an exact step
@@ -698,17 +746,27 @@ def bochner_residual(field: Field2D, p, lam) -> float:
 def representation_field(atoms, lam, rect, h) -> Field2D:
     """Superposition sum_i w_i exp(sqrt(lam) <x, xi_i>) of (xi, w) atoms on
     the rectangle grid; it solves -Lap v + lam v = 0, the p = 2 equation.
-    Raises OverflowError when its values overflow."""
+    The atoms are a positive measure on the directions: raises DomainError
+    when there is none or a weight is not positive and finite, and
+    OverflowError when the values overflow or underflow to 0."""
     if not 0.0 <= lam < math.inf:  # NaN fails it too
         raise DomainError(f"lam must be finite and >= 0, got {lam!r}")
+    atoms = list(atoms)
+    if not atoms or not all(0.0 < w < math.inf for _, w in atoms):
+        raise DomainError("atoms must be one or more, each weight positive "
+                          "and finite")
     # math.sqrt, not eigen_rate_alpha: its lam ** 0.5 differs from sqrt in
     # the last bit at some lam (e.g. 2.315)
     alpha = math.sqrt(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         values = sum(_exponential_values(alpha, xi, rect, h, scale=w)
                      for xi, w in atoms)
-    if not np.all(np.isfinite(values)):
-        raise OverflowError(f"field exp({alpha:g} <x, xi>) overflows on the "
+    # positive weights leave a value outside (0, inf) only by overflow or
+    # underflow, which Field2D would reject without naming
+    if not _positive_finite(values):
+        how = ("underflows to 0" if np.all(np.isfinite(values))
+               else "overflows")
+        raise OverflowError(f"field exp({alpha:g} <x, xi>) {how} on the "
                             "rectangle")
     return field_from_values(values, rect, h)
 

@@ -131,7 +131,11 @@ def eigen_rate_alpha(lam, p):
         raise DomainError("lam must be finite")
     if not 1.0 < p < math.inf:
         raise DomainError("p must exceed 1 and be finite")
-    return (lam / (p - 1.0)) ** (1.0 / p)
+    ratio = lam / (p - 1.0)
+    if not 0.0 < ratio < math.inf:
+        how = "overflows" if ratio == math.inf else "underflows to 0"
+        raise OverflowError(f"lam/(p-1) = {lam:g}/{p - 1.0:g} {how}")
+    return ratio ** (1.0 / p)
 
 
 def gamma_star(n, p, a=0.0):

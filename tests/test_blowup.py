@@ -43,6 +43,8 @@ class TestDirection:
         with pytest.raises(DomainError, match="direction must be a unit vector"):
             _check_unit(np.array([1.0, 1.0]))
         with pytest.raises(DomainError, match="direction must be a unit vector"):
+            _check_unit(np.array([math.nan, 0.0]))
+        with pytest.raises(DomainError, match="direction must be a unit vector"):
             martin_kernel_estimate(exp_over_r_profile(50.0), np.zeros(3),
                                    np.array([1.0, 1.0, 0.0]), 20.0)
 

@@ -421,6 +421,21 @@ class TestMainEntry:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sub", ["shoot", "blowup", "martin", "grid"])
+    def test_overflowing_rate_exit_1(self, tmp_path, capsys, sub):
+        # params that pass every config rule but whose rate lam/(p-1) =
+        # 1e311 is beyond the largest double: a number leaving the double
+        # range, exit 1 in each campaign that takes the rate
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 3, "p": 1.001, "lam": 1e308}}))
+        code = cli.main([sub, "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("lam/(p-1) = 1e+308/0.001 overflows"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_roots_near_one_p_exit_0(self, tmp_path):
         # gamma1 lies far below the smallest double, so the root solve
         # evaluates the index function at subnormal gamma

@@ -711,6 +711,29 @@ class TestNewtonLinearLayer:
                                  1 / 64, tol=1e-9)
         assert fld.values.dtype == np.float64
 
+    def test_matrices_share_the_stencil_arrays(self, monkeypatch):
+        # every DIA matrix of a Newton step holds its stencil arrays as its
+        # data, with no second copy: the fine float64 matrix of
+        # _solve_refined and each float32 level of _multigrid_hierarchy,
+        # the coarsest included
+        built = []
+
+        def spy(sten):
+            mat = stencil_matrix(sten)
+            built.append((sten, mat))
+            return mat
+
+        stencil_matrix = grid_pde._stencil_matrix
+        monkeypatch.setattr(grid_pde, "_stencil_matrix", spy)
+        sten, rhs, base = newton_system(2.7, 1 / 128)
+        grid_pde._solve_refined(sten, rhs, base)
+        assert built[0][0] is sten
+        assert [arrays.dtype for arrays, _ in built] == (
+            [np.float64] + [np.float32] * 4)  # 127, 63, 31 and 15 nodes
+        for arrays, mat in built:
+            assert mat.format == "dia"
+            assert np.shares_memory(arrays, mat.data)
+
     @pytest.mark.parametrize("a, b", [(150, -150), (-150, 150), (-200, -160),
                                       (170, 240)])
     @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
@@ -1128,6 +1151,23 @@ class TestRepresentationField:
         with pytest.raises(DomainError):
             representation_field([(np.array([1.0, 0.0]), -1.0)], 1.0, RECT,
                                  0.25)
+
+    @pytest.mark.parametrize("atoms", [[], [((1.0, 0.0), 0.0)],
+                                       [((1.0, 0.0), math.nan)],
+                                       [((1.0, 0.0), math.inf)]],
+                             ids=["none", "zero", "nan", "inf"])
+    def test_rejects_bad_atoms(self, atoms):
+        with pytest.raises(DomainError, match="each weight positive and "
+                                              "finite"):
+            representation_field(atoms, 1.0, RECT, 0.25)
+
+    def test_underflow_raises(self):
+        # exp(-1000 x) is 0 in float64 at x = 0.75 and 1: valid input whose
+        # values leave the double range, named rather than rejected by
+        # Field2D as non-positive
+        with pytest.raises(OverflowError, match=re.escape(
+                "field exp(1000 <x, xi>) underflows to 0")):
+            representation_field([((-1.0, 0.0), 1.0)], 1e6, RECT, 0.25)
 
     def test_overflow_raises_without_warning(self):
         # e^1000 is beyond the largest double: valid input, so an

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 import sys
 from fractions import Fraction
 from numbers import Real
@@ -66,6 +67,15 @@ class TestEigenRateAlpha:
             eigen_rate_alpha(0.0, 2)
         with pytest.raises(DomainError):
             eigen_rate_alpha(-1.0, 2)
+
+    @pytest.mark.parametrize("lam, p, how", [
+        (1e308, 1.001, "1e+308/0.001 overflows"),
+        (1e-320, 1e300, "underflows to 0")])
+    def test_ratio_leaving_double_range_raises(self, lam, p, how):
+        # valid lam and p whose lam/(p-1) leaves the double range: an
+        # infinite or zero rate would pass for a number
+        with pytest.raises(OverflowError, match=re.escape(how)):
+            eigen_rate_alpha(lam, p)
 
 
 class TestAuxiliaryF:

@@ -22,7 +22,9 @@ numbers.  The commands are:
   by the m // 2 rule, at xi = (1, 0) and at p = 2, whose Newton matrices
   leave out exact-zero couplings, and at p = 1.05, lam = 1, h = 1/32,
   xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
-  fallback of the refinement (a failed check, exit 1);
+  fallback of the refinement (a failed check, exit 1), and on the strips
+  rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
+  interior nodes on y, where stencil arrays share a DIA diagonal;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
 - fifteen error paths, so that a change that moves an exit code shows up:
@@ -89,6 +91,11 @@ GRID_EXTRA = {
                               "xi": [math.cos(0.3), math.sin(0.3)],
                               "rect": [0, 0, 1, 1], "h": 0.03125,
                               "tol": 1e-9},
+    "grid_strip_1_node": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
+                          "rect": [0, 0, 1, 0.125], "h": 0.0625, "tol": 1e-9},
+    "grid_strip_2_nodes": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
+                           "rect": [0, 0, 1, 0.1875], "h": 0.0625,
+                           "tol": 1e-9},
 }
 
 
