@@ -19,7 +19,7 @@ from .indicial import (IndicialData, ProblemParams, RootPlacement, auxiliary_f,
                        eigen_rate_alpha, gamma_star, hardy_best_constant,
                        indicial_roots, placement_satisfied)
 from .radial_ode import (DecayFit, RadialProfile, ShootClass, ShootResult,
-                         fit_decay_exponents, hardy_power_residual,
+                         decay_power, fit_decay_exponents, hardy_power_residual,
                          radial_exterior_eigen, riccati_ratio_flow,
                          series_start_radius, shoot_singular_profile)
 

@@ -388,7 +388,7 @@ def run_shoot(cfg, out_dir) -> ExperimentReport:
     shot = radial_ode.radial_exterior_eigen(
         params.n, params.p, params.lam, r0, r_max, grid_points=c["grid_points"])
     fit = radial_ode.fit_decay_exponents(shot.profile)
-    power_ref = (params.n - 1.0) / (params.p * (params.p - 1.0))
+    power_ref = radial_ode.decay_power(params.n, params.p)
     rows = [
         CheckRow("fit_rate", alpha, fit.rate, 5e-3 * max(1.0, alpha)),
         CheckRow("fit_power", power_ref, fit.power, 0.1),
@@ -628,16 +628,16 @@ def step_exterior(cfg, out_dir):
     _write_profile(shot3.profile, Path(out_dir) / "exterior_profile_n3.csv")
     return [
         CheckRow("n3_rate", 1.0, fit3.rate, 1e-3),
-        CheckRow("n3_power", 1.0, fit3.power, 5e-2),
+        CheckRow("n3_power", radial_ode.decay_power(3, 2.0), fit3.power, 5e-2),
         CheckRow("martin_at_xi", math.e, est, 5e-3),
-        CheckRow("n2_power", 0.5, fit2.power, 5e-2),
+        CheckRow("n2_power", radial_ode.decay_power(2, 2.0), fit2.power, 5e-2),
     ]
 
 
 def step_exterior_p15(cfg):
     r_max = cfg["shoot_r_max"]
     shot = radial_ode.radial_exterior_eigen(3, 1.5, 0.5, 1.0, r_max)
-    power_ref = 2.0 / (1.5 * 0.5)
+    power_ref = radial_ode.decay_power(3, 1.5)
     fit_a = radial_ode.fit_decay_exponents(shot.profile)
     fit_b = radial_ode.fit_decay_exponents(shot.profile,
                                            window=(r_max / 3.0, r_max))

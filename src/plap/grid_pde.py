@@ -143,29 +143,33 @@ def _grid_shape(rect, h):
     return x0, y0, nx, ny
 
 
-def _exponential_values(alpha, xi, rect, h, scale=1.0) -> np.ndarray:
-    """Values scale*exp(alpha*<x, xi>) at the rectangle grid's nodes."""
-    xi = _check_unit(xi)
+def _exponential_sum(rate, atoms, rect, h, what="field") -> Field2D:
+    """Field sum_i w_i exp(rate <x, xi_i>) of the (xi, w) atoms, each w > 0,
+    on the rectangle grid.  Checks the rate and directions, then the grid,
+    then the range: OverflowError names the values, `what`, overflowing or
+    underflowing to 0, which Field2D would reject without naming why."""
+    if not math.isfinite(rate):
+        raise DomainError(f"rate must be finite, got {rate!r}")
+    directions = [_check_unit(xi) for xi, _ in atoms]
     x0, y0, nx, ny = _grid_shape(rect, h)
     x = x0 + h * np.arange(nx)
     y = y0 + h * np.arange(ny)
-    phase = alpha * (xi[0] * x[:, None] + xi[1] * y[None, :])
-    return scale * np.exp(phase)
+    # a phase that overflows times a zero rate is NaN: named an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = sum(w * np.exp(rate * (xi[0] * x[:, None] + xi[1] * y[None, :]))
+                     for xi, (_, w) in zip(directions, atoms))
+    if not _positive_finite(values):
+        how = "underflows to 0" if np.isfinite(values).all() else "overflows"
+        raise OverflowError(f"{what} exp({rate:g} <x, xi>) {how} on the "
+                            "rectangle")
+    return Field2D(h=h, origin=(x0, y0), values=values)
 
 
 def exponential_field(alpha, xi, rect, h) -> Field2D:
-    """Field exp(alpha*<x, xi>) sampled on the rectangle grid."""
-    return field_from_values(_exponential_values(alpha, xi, rect, h), rect, h)
-
-
-def field_from_values(values, rect, h) -> Field2D:
-    """Field of values on the rectangle grid, one value per node."""
-    x0, y0, nx, ny = _grid_shape(rect, h)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (nx, ny):
-        raise DomainError(f"values of shape {values.shape} do not match the "
-                          f"grid's {nx} by {ny} nodes")
-    return Field2D(h=h, origin=(x0, y0), values=values)
+    """Field exp(alpha*<x, xi>) sampled on the rectangle grid.  Raises
+    DomainError on an alpha that is not finite, and OverflowError when the
+    field overflows or underflows to 0 there."""
+    return _exponential_sum(alpha, [(xi, 1.0)], rect, h)
 
 
 # --- face machinery -------------------------------------------------------
@@ -254,26 +258,29 @@ def _newton_stencil(v, p, lam, h, faces):
     sten[di + 1, dj + 1, k, l] couples node (k, l) to node (k + di, l + dj).
     Couplings to boundary nodes are zeroed, so the arrays hold the operator
     on the interior alone.  They are stored as their own DIA data
-    (_stencil_storage).
+    (_stencil_storage).  An entry that leaves the double range (c2's
+    product k (p-2) bn bt overflows before its division by s2) is left
+    inf or NaN, and named by _solve_refined if its float64 LU is reached.
     """
-    c1x, c2x, c1y, c2y = _linearized_face_coeffs(faces, p)
-    e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
-    w1, w2 = c1x[:-1, :], c2x[:-1, :]
-    n1, n2 = c1y[:, 1:], c2y[:, 1:]
-    s1, s2 = c1y[:, :-1], c2y[:, :-1]
-    h2 = h * h
-    mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
-    # the Newton operator is -L_v + mass, L_v's stencil negated
-    sten = _stencil_storage(*mass.shape, np.float64)
-    sten[1, 1] = mass + (e1 + w1 + n1 + s1) / h2
-    sten[2, 1] = -(e1 + 0.25 * (n2 - s2)) / h2
-    sten[0, 1] = -(w1 - 0.25 * (n2 - s2)) / h2
-    sten[1, 2] = -(n1 + 0.25 * (e2 - w2)) / h2
-    sten[1, 0] = -(s1 - 0.25 * (e2 - w2)) / h2
-    sten[2, 2] = -0.25 * (e2 + n2) / h2
-    sten[0, 0] = -0.25 * (w2 + s2) / h2
-    sten[2, 0] = 0.25 * (e2 + s2) / h2
-    sten[0, 2] = 0.25 * (w2 + n2) / h2
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1x, c2x, c1y, c2y = _linearized_face_coeffs(faces, p)
+        e1, e2 = c1x[1:, :], c2x[1:, :]  # east face of each interior node
+        w1, w2 = c1x[:-1, :], c2x[:-1, :]
+        n1, n2 = c1y[:, 1:], c2y[:, 1:]
+        s1, s2 = c1y[:, :-1], c2y[:, :-1]
+        h2 = h * h
+        mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
+        # the Newton operator is -L_v + mass, L_v's stencil negated
+        sten = _stencil_storage(*mass.shape, np.float64)
+        sten[1, 1] = mass + (e1 + w1 + n1 + s1) / h2
+        sten[2, 1] = -(e1 + 0.25 * (n2 - s2)) / h2
+        sten[0, 1] = -(w1 - 0.25 * (n2 - s2)) / h2
+        sten[1, 2] = -(n1 + 0.25 * (e2 - w2)) / h2
+        sten[1, 0] = -(s1 - 0.25 * (e2 - w2)) / h2
+        sten[2, 2] = -0.25 * (e2 + n2) / h2
+        sten[0, 0] = -0.25 * (w2 + s2) / h2
+        sten[2, 0] = 0.25 * (e2 + s2) / h2
+        sten[0, 2] = 0.25 * (w2 + n2) / h2
     sten[2, :, -1] = 0.0
     sten[0, :, 0] = 0.0
     sten[:, 2, :, -1] = 0.0
@@ -524,7 +531,8 @@ def _solve_refined(sten, rhs, interior):
     cannot be built (a Jacobi weight is not finite or the coarsest matrix
     is singular), or a correction is not finite or fails to halve the one
     before above STALL_ULPS ulps of x.  No hierarchy outlives the call, and
-    it is freed before the float64 LU is made.
+    it is freed before the float64 LU is made.  Raises OverflowError
+    instead of that LU when sten is not finite.
 
     Returns (x, corrections plus fallback solves, float64 factorizations).
     """
@@ -554,6 +562,9 @@ def _solve_refined(sten, rhs, interior):
         last = step
         resid = rhs - mat @ x
     hierarchy = None  # freed before the float64 LU is made
+    if not np.isfinite(sten).all():
+        raise OverflowError("Newton stencil is not finite: its face "
+                            "coefficients leave the double range")
     return (splu(mat.tocsc(), permc_spec=DIRECT_ORDERING).solve(rhs),
             cycles + 1, 1)
 
@@ -566,8 +577,9 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     rectangle.  Regularization eps = 1e-8 * alpha * max(boundary data) is
     kept under |grad v| throughout.  Raises DomainError when tol is
     negative or not finite or scale is not positive and finite,
-    OverflowError when the boundary data overflow or underflow to 0 or the
-    initial residual is not finite, and NoConvergence when
+    OverflowError when the boundary data overflow or underflow to 0, the
+    initial residual is not finite or a step's stencil is not finite where
+    it needs the float64 LU, and NoConvergence when
     MAX_NEWTON_ITERS steps or the damping floor are exhausted before
     final_residual <= tol.
 
@@ -594,14 +606,8 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         raise DomainError("scale must be finite and > 0")
     p, lam = params.p, params.lam
     alpha = eigen_rate_alpha(lam, p)
-    with np.errstate(over="ignore"):
-        v = _exponential_values(alpha, xi, rect, h, scale=scale)
-    # named here, since Field2D rejects data outside the double range
-    # without naming why
-    if not _positive_finite(v):
-        how = "overflows" if np.any(v == math.inf) else "underflows to 0"
-        raise OverflowError(f"boundary data exp({alpha:g} <x, xi>) {how} "
-                            "on the rectangle")
+    start = _exponential_sum(alpha, [(xi, scale)], rect, h, "boundary data")
+    v = start.values
     epsilon = 1e-8 * alpha * float(v.max())
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -653,7 +659,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                        damping_events=damping_events,
                        linear_solves=linear_solves,
                        float64_refactors=float64_refactors)
-    return field_from_values(v, rect, h), stats
+    return Field2D(h, start.origin, v), stats
 
 
 def gradient_log_sup(field: Field2D, via="log") -> float:
@@ -757,16 +763,4 @@ def representation_field(atoms, lam, rect, h) -> Field2D:
                           "and finite")
     # math.sqrt, not eigen_rate_alpha: its lam ** 0.5 differs from sqrt in
     # the last bit at some lam (e.g. 2.315)
-    alpha = math.sqrt(lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = sum(_exponential_values(alpha, xi, rect, h, scale=w)
-                     for xi, w in atoms)
-    # positive weights leave a value outside (0, inf) only by overflow or
-    # underflow, which Field2D would reject without naming
-    if not _positive_finite(values):
-        how = ("underflows to 0" if np.all(np.isfinite(values))
-               else "overflows")
-        raise OverflowError(f"field exp({alpha:g} <x, xi>) {how} on the "
-                            "rectangle")
-    return field_from_values(values, rect, h)
-
+    return _exponential_sum(math.sqrt(lam), atoms, rect, h)

@@ -486,6 +486,12 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out,
                        classification=cls, nfev=int(sol.nfev))
 
 
+def decay_power(n, p) -> float:
+    """Power c = (n-1)/(p(p-1)) of the exterior eigenfunction's far-field
+    decay u ~ r^-c exp(-alpha r); (n-1)/2 at p = 2, as r^-nu K_nu(r)."""
+    return (n - 1.0) / (p * (p - 1.0))
+
+
 def fit_decay_exponents(profile: RadialProfile, alpha=None, window=None) -> DecayFit:
     """Least-squares fit of ln u = -rate*r - power*ln r + c on a radial window.
 

@@ -398,6 +398,24 @@ class TestMainEntry:
         assert "PASS" not in captured.out
         assert not (tmp_path / "out").exists()
 
+    def test_grid_overflowing_stencil_exit_1(self, tmp_path, capsys):
+        # the data (up to 1.49e122) and the initial residual are finite,
+        # but the Newton stencil's c2 = k (p-2) bn bt / s2 overflows in its
+        # product; the float64 LU once failed on it as "Factor is exactly
+        # singular" after numpy's warnings, which the suite turns to errors
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"params": {"n": 4, "p": 3.0, "lam": 2.0},
+             "rect": [200, 200, 201, 201], "h": 0.0625, "tol": 1e-9}))
+        code = cli.main(["grid", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "plap: campaign 'grid' failed: Newton stencil is not finite: its "
+            "face coefficients leave the double range\n")
+        assert not (tmp_path / "out").exists()
+
     def test_martin_overflowing_kernel_exit_1(self, tmp_path, capsys):
         # alpha = 1000 at p = 2, lam = 1e6: e^alpha is beyond the largest
         # double, and the campaign names that before the shot

@@ -14,7 +14,7 @@ from plap.errors import DomainError, NoConvergence
 from plap.grid_pde import (Field2D, _apply_linearized, _face_terms,
                            _newton_stencil, _stencil_matrix, bochner_residual,
                            directional_range, exponential_field,
-                           field_from_values, gradient_log_sup, kappa,
+                           gradient_log_sup, kappa,
                            kappa_bound_check, p_laplace_residual,
                            representation_field, solve_dirichlet)
 from plap.indicial import ProblemParams, eigen_rate_alpha
@@ -41,7 +41,7 @@ def two_exp_field(h, lam=1.0):
     a = math.sqrt(lam)
     x = np.arange(int(round(1 / h)) + 1) * h
     vals = np.exp(a * x)[:, None] + np.exp(a * x)[None, :]
-    return field_from_values(vals, RECT, h)
+    return Field2D(h=h, origin=(0.0, 0.0), values=vals)
 
 
 def laplace_mass_solve(h, lam, xi):
@@ -77,11 +77,6 @@ class TestField2D:
             Field2D(h=-0.5, origin=(0, 0), values=np.ones((3, 3)))
         with pytest.raises(DomainError, match="values must be a 2-D array"):
             Field2D(h=0.5, origin=(0, 0), values=np.ones(9))
-        # the rect's grid has 4 x 3 nodes
-        with pytest.raises(DomainError, match=re.escape(
-                "values of shape (3, 3) do not match the grid's 4 by 3 "
-                "nodes")):
-            field_from_values(np.ones((3, 3)), (0.0, 0.0, 1.5, 1.0), 0.5)
 
     def test_shape_is_the_values_shape(self):
         # nx and ny are read from values, so a reassigned values cannot
@@ -109,7 +104,7 @@ class TestField2D:
     @pytest.mark.parametrize("origin", [(math.nan, 0.0), (0.0, math.inf),
                                         (-math.inf, math.nan)])
     def test_rejects_non_finite_origin(self, origin):
-        # the corners field_from_values takes are checked by _grid_shape; a
+        # the corners of a rectangle grid are checked by _grid_shape; a
         # field built directly once kept a NaN origin and all-NaN x_coords
         with pytest.raises(DomainError, match="origin must be finite"):
             Field2D(h=0.5, origin=origin, values=np.ones((3, 3)))
@@ -167,7 +162,7 @@ class TestPLaplaceResidual:
         assert errs[0] / errs[1] >= 3.0
 
     def test_constant_field_p_harmonic(self):
-        f = field_from_values(np.ones((9, 9)), RECT, 1 / 8)
+        f = Field2D(h=1 / 8, origin=(0.0, 0.0), values=np.ones((9, 9)))
         resid = p_laplace_residual(f, 3.0, 0.0)
         assert np.max(np.abs(resid)) == 0.0
 
@@ -428,7 +423,7 @@ def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
     newton_field, the field the step updates (noise = 0 gives the first
     Newton step of solve_dirichlet)."""
     v, eps = newton_field(p, h, lam, rect, noise)
-    resid = p_laplace_residual(field_from_values(v, rect, h), p, lam, eps)
+    resid = p_laplace_residual(Field2D(h, rect[:2], v), p, lam, eps)
     return (newton_stencil(v, p, lam, h, eps), -resid.ravel(),
             v[1:-1, 1:-1])
 
@@ -510,8 +505,7 @@ class TestNewtonStep:
         def spy(sten, rhs, interior):
             v = start.copy()
             v[1:-1, 1:-1] = interior
-            resid = p_laplace_residual(field_from_values(v, RECT, h), p, lam,
-                                       eps)
+            resid = p_laplace_residual(Field2D(h, RECT[:2], v), p, lam, eps)
             assert np.array_equal(sten, newton_stencil(v, p, lam, h, eps))
             assert np.array_equal(rhs, -resid.ravel())
             steps.append(interior)
@@ -562,7 +556,7 @@ class TestNewtonStep:
                            -resid.ravel()).reshape(resid.shape)
             values = ref.values.copy()
             values[1:-1, 1:-1] += step
-            ref = field_from_values(values, RECT, h)
+            ref = Field2D(h, ref.origin, values)
             resid = p_laplace_residual(ref, p, params.lam, eps)
             iters += 1
         assert (stats.newton_iters, stats.damping_events) == (iters, 0)
@@ -987,7 +981,7 @@ class TestGradientLogSup:
         assert abs(gradient_log_sup(f) - 1.0) <= 1e-10
 
     def test_constant(self):
-        f = field_from_values(np.full((9, 9), 2.5), RECT, 1 / 8)
+        f = Field2D(h=1 / 8, origin=(0.0, 0.0), values=np.full((9, 9), 2.5))
         assert gradient_log_sup(f) == 0.0
 
     def test_ratio_path_second_order(self):
@@ -1117,12 +1111,52 @@ class TestKappaBound:
             assert max_f / kap == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_below_bound(self):
-        f = field_from_values(np.full((9, 9), 3.0), RECT, 1 / 8)
+        f = Field2D(h=1 / 8, origin=(0.0, 0.0), values=np.full((9, 9), 3.0))
         max_f, kap = kappa_bound_check(f, 2.0, 1.0)
         assert max_f == 0.0 and max_f <= kap
 
     def test_kappa_value_p2(self):
         assert kappa(2.0, 1.0) == 1.0
+
+
+class TestExponentialField:
+    @pytest.mark.parametrize("rect, how", [
+        ((1000.0, 0.0, 1001.0, 1.0), "overflows"),
+        ((-1000.0, 0.0, -999.0, 1.0), "underflows to 0"),
+    ])
+    def test_out_of_range_raises_without_warning(self, rect, how):
+        # e^1000 is beyond the largest double and e^-1000 rounds to 0:
+        # valid input, so an ArithmeticError that names which, not
+        # Field2D's unnamed DomainError after numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(
+                    f"field exp(1 <x, xi>) {how} on the rectangle")):
+                exponential_field(1.0, [1, 0], rect, 0.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_raises(self, alpha):
+        with pytest.raises(DomainError, match="rate must be finite"):
+            exponential_field(alpha, XI, RECT, 0.25)
+
+    def test_checks_direction_then_grid_then_range(self):
+        with pytest.raises(DomainError, match="unit vector"):
+            exponential_field(1.0, [1, 1], (0, 0, math.nan, 1), 0.5)
+        with pytest.raises(DomainError, match="corners must be finite"):
+            exponential_field(1.0, [1, 0], (1000, 0, math.nan, 1), 0.5)
+
+    def test_matches_representation_and_start(self):
+        # the three builders of an exponential field agree bit for bit:
+        # one atom of weight 1 at sqrt(lam) = 1, and solve_dirichlet's
+        # start, returned unchanged when it already meets tol
+        f = exponential_field(1.0, XI, RECT, 0.125)
+        g = representation_field([(XI, 1.0)], 1.0, RECT, 0.125)
+        s, stats = solve_dirichlet(ProblemParams(n=3, p=2.0, lam=1.0), XI,
+                                   RECT, 0.125, tol=1.0)
+        assert stats.newton_iters == 0
+        for other in (g, s):
+            assert np.array_equal(other.values, f.values)
+            assert (other.h, other.origin) == (f.h, f.origin)
 
 
 class TestRepresentationField:

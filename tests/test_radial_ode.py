@@ -16,7 +16,8 @@ from plap.errors import (DomainError, IllConditioned, OutOfRange, SingularRatio,
 from plap.indicial import (ProblemParams, auxiliary_f, eigen_rate_alpha,
                            indicial_roots)
 from plap.radial_ode import (RICCATI_SAMPLES, RadialProfile, ShootClass,
-                             fit_decay_exponents, hardy_power_residual,
+                             decay_power, fit_decay_exponents,
+                             hardy_power_residual,
                              radial_exterior_eigen, riccati_ratio_flow,
                              series_start_radius, shoot_singular_profile)
 
@@ -851,6 +852,19 @@ class TestShootSingularProfile:
                                       0.01, 1.0,
                                       grid_points=np.int64(2)).profile
         assert prof.r.tolist() == pytest.approx([0.01, 1.0], rel=1e-15)
+
+
+class TestDecayPower:
+    def test_campaign_targets(self):
+        # the literals steps 06 and 07 used, double for double
+        assert decay_power(3, 2.0) == 1.0
+        assert decay_power(2, 2.0) == 0.5
+        assert decay_power(3, 1.5) == 2.0 / (1.5 * 0.5) == 2.6666666666666665
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_p2_bessel_power(self, n):
+        # r^-nu K_nu(r), nu = (n-2)/2, decays as r^-(nu + 1/2)
+        assert decay_power(n, 2.0) == (n - 2) / 2 + 0.5
 
 
 class TestFitDecayExponents:

@@ -1,5 +1,6 @@
 """The pure functions of tools/same_outputs.py: ulp distances, the split of
-CSV lines into text and numbers, and the per-file number comparison."""
+CSV lines into text and numbers, the per-file number comparison and the
+comparison of error lines."""
 
 import importlib.util
 import math
@@ -82,6 +83,32 @@ class TestNumberGaps:
     def test_other_files_are_none(self):
         assert same_outputs.number_gaps("p.json", b"1.0", b"2.0") is None
         assert same_outputs.number_gaps("p.csv", b"\xff", b"\xfe") is None
+
+
+class TestErrorLines:
+    # stderr of `plap grid` on the stencil-overflow config before that
+    # error was named: numpy's warning names the tree's own path, main's
+    # error line does not
+    STDERR = (b"/tmp/a/src/plap/grid_pde.py:231: RuntimeWarning: overflow "
+              b"encountered in multiply\n  c2 = k * pm2 * bn * bt / s2\n"
+              b"plap: campaign 'grid' failed: Factor is exactly singular\n")
+
+    def test_keeps_only_plap_lines(self):
+        assert same_outputs.error_lines(self.STDERR) == (
+            b"plap: campaign 'grid' failed: Factor is exactly singular\n")
+        assert same_outputs.error_lines(b"") == b""
+
+    def test_differences_compare_error_lines(self):
+        base = (1, b"", same_outputs.error_lines(self.STDERR), {})
+        other_path = self.STDERR.replace(b"/tmp/a/", b"/tmp/b/")
+        same = (1, b"", same_outputs.error_lines(other_path), {})
+        assert same_outputs.differences("g", base, same) == []
+        named = (1, b"", b"plap: campaign 'grid' failed: Newton stencil is "
+                         b"not finite\n", {})
+        assert same_outputs.differences("g", base, named) == [
+            "g: error lines \"plap: campaign 'grid' failed: Factor is exactly "
+            "singular\\n\" -> \"plap: campaign 'grid' failed: Newton "
+            "stencil is not finite\\n\""]
 
 
 bench_pairs = _load("bench_pairs")

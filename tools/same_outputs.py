@@ -4,7 +4,10 @@ Usage:  python tools/same_outputs.py REV
 
 Extracts REV's files with `git archive` into a temporary directory, runs
 the same plap commands on that tree and on the working tree, and compares
-their output trees, stdout and exit codes byte for byte.  Prints each
+their output trees, stdout, exit codes and error lines byte for byte.  The
+error lines are the stderr lines that start with `plap:`, the one line
+`main` prints per error; other stderr lines, such as numpy's
+RuntimeWarnings, carry each tree's own path and are left out.  Prints each
 difference; exits 1 if there is one and 0 otherwise.  A CSV file that
 differs only in its numbers is reported with how many of them differ and
 the largest gap in float64 ulps (the count of doubles from one value to the
@@ -27,7 +30,8 @@ numbers.  The commands are:
   interior nodes on y, where stencil arrays share a DIA diagonal;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
-- fifteen error paths, so that a change that moves an exit code shows up:
+- sixteen error paths, so that a change that moves an exit code or an
+  error message shows up:
   - config errors (exit 2): `roots` with mu above mu_bar, with a = true
     (a bool is not a number) and with mu = inf (JSON's Infinity), `shoot`
     with 30 grid points (6 in the decay fit's window), `martin` at t = 1.5
@@ -43,9 +47,11 @@ numbers.  The commands are:
     residuals) and at lam = 1e-300 (a zero residual, no refinement
     factor);
   - `martin` at n = 2000, whose direction e_1 has 2000 coordinates (a
-    failed check), and `grid` at p = 1.05, lam = 2, h = 1/32, whose 40
+    failed check), `grid` at p = 1.05, lam = 2, h = 1/32, whose 40
     Newton steps all end in the refinement's stall-at-floor exit (a
-    failed solve).
+    failed solve), and `grid` on rect [200, 200, 201, 201] at h = 1/16,
+    whose finite data give a Newton stencil that overflows (a failed
+    solve).
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
 The extracted tree and all outputs live under one temporary directory (set
 TMPDIR to move it), removed on exit; nothing is written under .git.
@@ -137,6 +143,10 @@ ERROR_PATHS = {
     "martin_n2000": ("martin", {"params": {"n": 2000, "p": 2.0, "lam": 1.0}}),
     "grid_p105_stall": ("grid", {"params": {"n": 4, "p": 1.05, "lam": 2.0},
                                  "h": 0.03125, "tol": 1e-9}),
+    "grid_stencil_overflow": ("grid", {"params": {"n": 4, "p": 3.0,
+                                                  "lam": 2.0},
+                                       "rect": [200, 200, 201, 201],
+                                       "h": 0.0625, "tol": 1e-9}),
 }
 
 
@@ -162,8 +172,15 @@ def read_tree(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def error_lines(stderr):
+    """The lines of stderr's bytes that start with `plap:`."""
+    return b"".join(line for line in stderr.splitlines(keepends=True)
+                    if line.startswith(b"plap:"))
+
+
 def run(tree, work, args, cfg):
-    """Exit code, stdout and output tree of one plap run from `tree`."""
+    """Exit code, stdout, error lines and output tree of one plap run from
+    `tree`."""
     work.mkdir(parents=True)
     argv = [sys.executable, "-m", "plap.cli", *args, "--out", str(work / "out")]
     if cfg is not None:
@@ -171,7 +188,8 @@ def run(tree, work, args, cfg):
         argv += ["--config", str(work / "config.json")]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
-    return proc.returncode, proc.stdout, read_tree(work / "out")
+    return (proc.returncode, proc.stdout, error_lines(proc.stderr),
+            read_tree(work / "out"))
 
 
 def csv_fields(data):
@@ -220,13 +238,18 @@ def number_gaps(path, old, new):
 
 
 def differences(name, base, head):
-    """One line per differing exit code, stdout or output file."""
-    (code_b, out_b, files_b), (code_h, out_h, files_h) = base, head
+    """One line per differing exit code, stdout, error lines or output
+    file."""
+    (code_b, out_b, err_b, files_b), (code_h, out_h, err_h, files_h) = (
+        base, head)
     diffs = []
     if code_b != code_h:
         diffs.append(f"{name}: exit code {code_b} -> {code_h}")
     if out_b != out_h:
         diffs.append(f"{name}: stdout differs")
+    if err_b != err_h:
+        diffs.append(f"{name}: error lines {err_b.decode(errors='replace')!r}"
+                     f" -> {err_h.decode(errors='replace')!r}")
     for path in sorted(set(files_b) | set(files_h)):
         if path not in files_h:
             diffs.append(f"{name}: {path} only at the revision")
