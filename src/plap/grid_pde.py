@@ -51,8 +51,10 @@ EPS64 = float(np.finfo(np.float64).eps)
 # is compared on nodes 2..nx-3
 NESTED_STENCIL_NODES = 7
 # largest grid, nx * ny nodes, that _grid_shape accepts: a Dirichlet solve
-# peaked at 220 MB at h = 1/512 (263 169 nodes), about 840 B per node, so
-# 2^22 nodes take about 3.5 GB
+# (n = 5, p = 2.5, lam = 1.5, xi = (0.6, 0.8), tol 1e-8, one Newton step)
+# raised the peak RSS 196 B per node above the import baseline at
+# h = 1/512 and at 1/1024 (263 169 and 1 050 625 nodes), so 2^22 nodes take
+# about 0.82 GB above it
 MAX_GRID_NODES = 2 ** 22
 
 
@@ -130,16 +132,18 @@ def _grid_shape(rect, h):
         raise DomainError("rectangle corners must be finite")
     if not (x1 > x0 and y1 > y0):
         raise DomainError("rectangle must have positive extent")
-    nx = int(round((x1 - x0) / h)) + 1
-    ny = int(round((y1 - y0) / h)) + 1
+    # the node counts in floating point first: a span too wide for h is
+    # inf there, which int() cannot convert
+    nx, ny = round((x1 - x0) / h, 0) + 1.0, round((y1 - y0) / h, 0) + 1.0
+    if nx * ny > MAX_GRID_NODES:
+        raise DomainError(f"grid of nx={nx:.10g} by ny={ny:.10g} nodes "
+                          f"exceeds the cap of {MAX_GRID_NODES} nodes")
+    nx, ny = int(nx), int(ny)
     if abs(x0 + (nx - 1) * h - x1) > 1e-9 * max(1.0, abs(x1)) or \
        abs(y0 + (ny - 1) * h - y1) > 1e-9 * max(1.0, abs(y1)):
         raise DomainError("h must divide the rectangle extents")
     if nx < 3 or ny < 3:
         raise DomainError("grid needs at least one interior node per axis")
-    if nx * ny > MAX_GRID_NODES:
-        raise DomainError(f"grid of nx={nx} by ny={ny} nodes exceeds the cap "
-                          f"of {MAX_GRID_NODES} nodes")
     return x0, y0, nx, ny
 
 
@@ -250,9 +254,9 @@ def _apply_linearized(base, g, p, h, epsilon):
     return (gx[1:, :] - gx[:-1, :]) / h + (gy[:, 1:] - gy[:, :-1]) / h
 
 
-def _newton_stencil(v, p, lam, h, faces):
+def _newton_stencil(v, p, lam, h, coeffs):
     """Stencil arrays of delta -> -L_v(delta) + (p-1) lam v^(p-2) delta,
-    from faces, the _face_terms of v.
+    from coeffs, the _linearized_face_coeffs of v's _face_terms.
 
     Returns a (3, 3, mi, mj) array over the mi x mj interior nodes:
     sten[di + 1, dj + 1, k, l] couples node (k, l) to node (k + di, l + dj).
@@ -261,9 +265,12 @@ def _newton_stencil(v, p, lam, h, faces):
     (_stencil_storage).  An entry that leaves the double range (c2's
     product k (p-2) bn bt overflows before its division by s2) is left
     inf or NaN, and named by _solve_refined if its float64 LU is reached.
+    solve_dirichlet frees the face terms before this call and the four
+    coefficient arrays after it, so the nine arrays are filled with no
+    face term alive beside them.
     """
+    c1x, c2x, c1y, c2y = coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        c1x, c2x, c1y, c2y = _linearized_face_coeffs(faces, p)
         e1, e2 = c1x[1:, :], c2x[1:, :]  # east face of each interior node
         w1, w2 = c1x[:-1, :], c2x[:-1, :]
         n1, n2 = c1y[:, 1:], c2y[:, 1:]
@@ -320,13 +327,12 @@ def _stencil_matrix(sten):
     """DIA matrix of the (3, 3, mi, mj) stencil arrays sten.
 
     Node (k, l) is row and column k * mj + l, so stencil entry (di, dj) lies
-    on diagonal di * mj + dj.  Arrays from _stencil_storage are the
-    matrix's data, shared without a copy; other arrays are copied into that
-    layout first, as np.ascontiguousarray copies a strided array.  Arrays
-    that share a diagonal (mj <= 2) are summed, since a DIA matrix holds
-    each diagonal once.  Its products add each row's terms in ascending
-    column order, bit for bit as with its CSR form, which leaves exact
-    zeros out.
+    on diagonal di * mj + dj.  sten must come from _stencil_storage, whose
+    buffer is the matrix's data, shared without a copy; other arrays raise
+    ValueError.  Arrays that share a diagonal (mj <= 2) are summed, since a
+    DIA matrix holds each diagonal once.  Its products add each row's terms
+    in ascending column order, bit for bit as with its CSR form, which
+    leaves exact zeros out.
     """
     mi, mj = sten.shape[2:]
     length, steps = _stencil_layout(mi, mj)
@@ -335,9 +341,7 @@ def _stencil_matrix(sten):
             and buffer.shape == (length,)
             and sten.strides == tuple(sten.itemsize * n for n in steps)
             and sten.ctypes.data == buffer.ctypes.data):
-        copy = _stencil_storage(mi, mj, sten.dtype)
-        copy[...] = sten
-        buffer = copy.base
+        raise ValueError("stencil arrays must be stored by _stencil_storage")
     data = buffer[mj + 1:].reshape(9, -1)
     offsets = np.array([(a - 1) * mj + b - 1 for a, b in np.ndindex(3, 3)])
     if mj <= 2:
@@ -457,6 +461,19 @@ def _multigrid_hierarchy(sten):
         return None
 
 
+def _defect(mat, x, rhs):
+    """rhs - mat @ x, computed in the product's own array."""
+    prod = mat @ x
+    return np.subtract(rhs, prod, out=prod)
+
+
+def _jacobi_sweep(mat, weight, rhs, x):
+    """x += weight * (rhs - mat @ x) in place, through one temporary."""
+    step = _defect(mat, x, rhs)
+    step *= weight
+    x += step
+
+
 def _vcycle(levels, coarsest, rhs):
     """One V-cycle from a zero guess for levels[0]'s matrix: PRE_SWEEPS
     damped Jacobi sweeps, the coarse-grid correction, POST_SWEEPS sweeps.
@@ -468,12 +485,12 @@ def _vcycle(levels, coarsest, rhs):
     mat, weight, (mi, mj) = levels[0]
     x = weight * rhs  # the first sweep from zero
     for _ in range(PRE_SWEEPS - 1):
-        x += weight * (rhs - mat @ x)
+        _jacobi_sweep(mat, weight, rhs, x)
     coarse = _vcycle(levels[1:], coarsest,
-                     _restrict((rhs - mat @ x).reshape(mi, mj)).ravel())
+                     _restrict(_defect(mat, x, rhs).reshape(mi, mj)).ravel())
     x += _prolong(coarse.reshape(mi // 2, mj // 2), mi, mj).ravel()
     for _ in range(POST_SWEEPS):
-        x += weight * (rhs - mat @ x)
+        _jacobi_sweep(mat, weight, rhs, x)
     return x
 
 
@@ -486,7 +503,8 @@ def _fmg(levels, coarsest, rhs):
     mat, _, (mi, mj) = levels[0]
     coarse = _fmg(levels[1:], coarsest, _restrict(rhs.reshape(mi, mj)).ravel())
     x = _prolong(coarse.reshape(mi // 2, mj // 2), mi, mj).ravel()
-    return x + _vcycle(levels, coarsest, rhs - mat @ x)
+    x += _vcycle(levels, coarsest, _defect(mat, x, rhs))
+    return x
 
 
 def _correction(cycle, hierarchy, resid):
@@ -532,13 +550,17 @@ def _solve_refined(sten, rhs, interior):
     is singular), or a correction is not finite or fails to halve the one
     before above STALL_ULPS ulps of x.  No hierarchy outlives the call, and
     it is freed before the float64 LU is made.  Raises OverflowError
-    instead of that LU when sten is not finite.
+    instead of that LU when sten is not finite.  The refinement holds x,
+    the residual, the current correction and the stop bound once each: x
+    and each residual are updated in place, the correction's array becomes
+    its sizes and then the next residual, and the V-cycles' Jacobi sweeps
+    take one temporary each (_jacobi_sweep).  rhs is not written.
 
     Returns (x, corrections plus fallback solves, float64 factorizations).
     """
     mat = _stencil_matrix(sten)
     hierarchy = _multigrid_hierarchy(sten)
-    done = REFINE_ULPS * EPS64 * interior.ravel()
+    done = (REFINE_ULPS * EPS64 * interior).ravel()
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
     while hierarchy is not None:
@@ -546,11 +568,12 @@ def _solve_refined(sten, rhs, interior):
         with np.errstate(invalid="ignore", over="ignore"):
             corr = _correction(_vcycle if cycles else _fmg, hierarchy, resid)
         cycles += 1
-        size = np.abs(corr)
+        # x is discarded if the correction is not finite
+        x += corr
+        size = np.abs(corr, out=corr)
         step = float(np.max(size))
         if not math.isfinite(step):
             break
-        x += corr
         if np.all(size <= done):
             return x, cycles, 0
         if step > 0.5 * last:
@@ -560,7 +583,8 @@ def _solve_refined(sten, rhs, interior):
                 return x, cycles, 0
             break
         last = step
-        resid = rhs - mat @ x
+        # in the array of the sizes, so no correction outlives its check
+        resid = np.subtract(rhs, mat @ x, out=size)
     hierarchy = None  # freed before the float64 LU is made
     if not np.isfinite(sten).all():
         raise OverflowError("Newton stencil is not finite: its face "
@@ -584,16 +608,22 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     final_residual <= tol.
 
     Each Newton step assembles the Jacobian as its nine stencil arrays
-    (_newton_stencil), from the face terms of the residual that accepted
-    v, and solves it with _solve_refined: a full-multigrid pass, then
-    V-cycles, in float32 on a hierarchy coarsened from those arrays scaled
-    to float32, each on the float64 residual, until a correction is
-    within REFINE_ULPS ulps of the interior of v, the field the step
-    updates, or one float64 LU when they fail.  v, its residual and the
-    returned field are float64.  The updated field is then within a few ulps of the one an exact step
-    gives, while the step itself may be accurate only to those ulps of v
-    rather than to its own.  The step's multigrid hierarchy is freed
-    before the next one is built.  SolveStats counts the corrections and
+    (_newton_stencil), from the coefficients (_linearized_face_coeffs) of
+    the face terms of the residual that accepted v, and solves it with
+    _solve_refined: a full-multigrid pass, then V-cycles, in float32 on a
+    hierarchy coarsened from those arrays scaled to float32, each on the
+    float64 residual, until a correction is within REFINE_ULPS ulps of the
+    interior of v, the field the step updates, or one float64 LU when they
+    fail.  v, its residual and the
+    returned field are float64.  The updated field is then within a few
+    ulps of the one an exact step gives, while the step itself may be
+    accurate only to those ulps of v rather than to its own.  A step holds
+    each grid-sized array once: the face terms are freed once their four
+    coefficient arrays are formed, and those once the stencil arrays are;
+    the residual is negated in place into the right-hand side; the stencil
+    arrays and the step's multigrid hierarchy are freed when
+    _solve_refined returns, before the damping trials compute their face
+    terms.  SolveStats counts the corrections and
     fallback solves (linear_solves; the full-multigrid pass counts as one
     correction) and the float64 fallbacks (float64_refactors).
 
@@ -626,10 +656,15 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         if iters >= MAX_NEWTON_ITERS:
             raise NoConvergence(
                 f"residual {res:g} > tol {tol:g} after {iters} iterations")
-        sten = _newton_stencil(v, p, lam, h, faces)
-        faces = None  # freed before the step's hierarchy is built
-        x, solves, refactors = _solve_refined(sten, -resid.ravel(),
-                                              v[1:-1, 1:-1])
+        with np.errstate(over="ignore"):  # left inf, as _newton_stencil says
+            coeffs = _linearized_face_coeffs(faces, p)
+        faces = None
+        sten = _newton_stencil(v, p, lam, h, coeffs)
+        coeffs = None
+        # the residual becomes the right-hand side in place
+        x, solves, refactors = _solve_refined(
+            sten, np.negative(resid, out=resid).ravel(), v[1:-1, 1:-1])
+        sten = None  # freed before the damping trials
         delta = x.reshape(resid.shape)
         linear_solves += solves
         float64_refactors += refactors

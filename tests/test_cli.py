@@ -224,6 +224,10 @@ class TestMainEntry:
         ({"h": 2 ** -20}, "grid of nx=1048577 by ny=1048577 nodes exceeds "
                           "the cap of 4194304 nodes"),
         ({"h": 1.0}, "grid needs at least one interior node per axis"),
+        # a node count beyond the doubles once failed as the check "cannot
+        # convert float infinity to integer" (exit 1)
+        ({"rect": [0, 0, 1e300, 1], "h": 1e-10},
+         "grid of nx=inf by ny=1e+10 nodes exceeds the cap"),
     ])
     def test_grid_config_errors_exit_2(self, tmp_path, capsys, cfg, message):
         cfg_path = tmp_path / "cfg.json"

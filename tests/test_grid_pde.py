@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -256,6 +257,18 @@ class TestSolveDirichlet:
         with pytest.raises(DomainError, match="rate defined for lam > 0 only"):
             solve_dirichlet(ProblemParams(n=3, p=2.0, lam=0.0), XI, RECT, 0.125)
 
+    @pytest.mark.parametrize("rect, h, counts", [
+        ((0, 0, 1e300, 1), 1e-10, "nx=inf by ny=1e+10"),
+        ((0, 0, 1, 1e300), 1e-3, "nx=1001 by ny=1e+303"),
+        ((-1e308, 0, 1e308, 1), 0.5, "nx=inf by ny=3"),
+    ])
+    def test_span_too_wide_for_h_raises(self, rect, h, counts):
+        # int(round(inf)) in _grid_shape once raised OverflowError on a
+        # span that h divides into more nodes than a double holds
+        with pytest.raises(DomainError, match=re.escape(
+                f"grid of {counts} nodes exceeds the cap")):
+            exponential_field(1.0, [1, 0], rect, h)
+
     def test_scaling_covariance(self):
         # the equation is (p-1)-homogeneous: C * data -> C * solution
         params = ProblemParams(n=4, p=3.0, lam=2.0)
@@ -372,8 +385,11 @@ def coo_newton_matrix(v, p, lam, h, eps):
 
 
 def newton_stencil(v, p, lam, h, eps):
-    """_newton_stencil from the face terms of v."""
-    return _newton_stencil(v, p, lam, h, _face_terms(v, p, h, eps))
+    """_newton_stencil from the face coefficients of v, formed as
+    solve_dirichlet forms them."""
+    with np.errstate(over="ignore"):
+        coeffs = grid_pde._linearized_face_coeffs(_face_terms(v, p, h, eps), p)
+    return _newton_stencil(v, p, lam, h, coeffs)
 
 
 def newton_matrix(v, p, lam, h, eps):
@@ -435,12 +451,14 @@ def direct_solve(mat, rhs):
 
 def spy_corrections(monkeypatch):
     """The corrections _solve_refined takes, in order: the float64 values
-    that _correction returns from the float32 cycles of _fmg and _vcycle."""
+    that _correction returns from the float32 cycles of _fmg and _vcycle.
+    Copies: _solve_refined reuses each correction's array once it has added
+    it to the step."""
     corrections = []
 
     def spy(cycle, hierarchy, resid):
         corr = correction(cycle, hierarchy, resid)
-        corrections.append(corr)
+        corrections.append(corr.copy())
         return corr
 
     correction = grid_pde._correction
@@ -462,6 +480,24 @@ def field_inputs(p, h, rect=RECT, noise=0.0, xi=XI):
 
 
 class TestNewtonStep:
+    @pytest.mark.parametrize("h", [1 / 128, 1 / 256])
+    def test_traced_peak_per_node(self, h):
+        # each grid array of a Newton step is held once: the face terms
+        # give way to their coefficients and those to the stencil arrays,
+        # which are freed before the damping trials, and the refinement
+        # updates in place.  The campaign's grid problem peaked at 184
+        # (h = 1/128) and 183 B/node (1/256), against 211 and 207 while
+        # the face terms, the stencil and duplicate vectors overlapped
+        params = ProblemParams(n=4, p=3.0, lam=2.0)
+        solve_dirichlet(params, XI, RECT, 1 / 32, tol=1e-9)  # first calls
+        tracemalloc.start()
+        try:
+            solve_dirichlet(params, XI, RECT, h, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / round(1 / h + 1) ** 2 <= 190.0
+
     def test_newton_step_matches_natural_spsolve(self, monkeypatch):
         # one step on a non-square rectangle against the natural-order
         # Jacobian solved by spsolve
@@ -728,6 +764,13 @@ class TestNewtonLinearLayer:
             assert mat.format == "dia"
             assert np.shares_memory(arrays, mat.data)
 
+    def test_matrix_of_other_arrays_raises(self):
+        # a C-contiguous copy of the stencil arrays is not DIA data: it
+        # raises rather than being copied into that layout
+        sten, _, _ = newton_system(2.7, 1 / 16)
+        with pytest.raises(ValueError, match="_stencil_storage"):
+            _stencil_matrix(sten.copy())
+
     @pytest.mark.parametrize("a, b", [(150, -150), (-150, 150), (-200, -160),
                                       (170, 240)])
     @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
@@ -737,8 +780,10 @@ class TestNewtonLinearLayer:
         # range, which an unscaled cast would overflow or flush to zero
         sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
         x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        scaled = np.ldexp(sten, a, out=grid_pde._stencil_storage(
+            *sten.shape[2:], np.float64))
         y, solves_y, refactors_y = grid_pde._solve_refined(
-            np.ldexp(sten, a), np.ldexp(rhs, b), np.ldexp(base, b - a))
+            scaled, np.ldexp(rhs, b), np.ldexp(base, b - a))
         assert refactors == refactors_y == 0 and solves_y == solves
         assert np.array_equal(y, np.ldexp(x, b - a))
 

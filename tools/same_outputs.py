@@ -30,14 +30,15 @@ numbers.  The commands are:
   interior nodes on y, where stencil arrays share a DIA diagonal;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
-- sixteen error paths, so that a change that moves an exit code or an
+- seventeen error paths, so that a change that moves an exit code or an
   error message shows up:
   - config errors (exit 2): `roots` with mu above mu_bar, with a = true
     (a bool is not a number) and with mu = inf (JSON's Infinity), `shoot`
     with 30 grid points (6 in the decay fit's window), `martin` at t = 1.5
-    (below r0 + 1), `blowup` with window 20 (translates outside the shot)
-    and `bochner` with h_list [0.25, 0.125] (5 nodes per axis, fewer than
-    the nested stencils need);
+    (below r0 + 1), `blowup` with window 20 (translates outside the shot),
+    `bochner` with h_list [0.25, 0.125] (5 nodes per axis, fewer than
+    the nested stencils need) and `grid` on rect [0, 0, 1e300, 1] at
+    h = 1e-10 (a node count of inf on x, over the grid cap);
   - failed checks (exit 1) on valid configs whose numbers leave the
     double range: `grid` on boundary data that overflow float64 and on
     data that underflow to 0 (rect [-1000, 0, -999, 1], xi = (1, 0)),
@@ -130,6 +131,8 @@ ERROR_PATHS = {
     "martin_t_1.5": ("martin", {**SHOT_PARAMS, "t": 1.5}),
     "blowup_window_20": ("blowup", {**SHOT_PARAMS, "window": 20}),
     "bochner_5_nodes": ("bochner", {"h_list": [0.25, 0.125]}),
+    "grid_rect_too_wide": ("grid", {**SHOT_PARAMS, "rect": [0, 0, 1e300, 1],
+                                    "h": 1e-10}),
     "grid_overflowing_data": ("grid", {"params": {"n": 3, "p": 1.2,
                                                   "lam": 500}, "h": 0.125}),
     "grid_underflowing_data": ("grid", {**SHOT_PARAMS,
