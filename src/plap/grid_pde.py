@@ -179,12 +179,24 @@ def exponential_field(alpha, xi, rect, h) -> Field2D:
 # --- face machinery -------------------------------------------------------
 
 def _face_gradients(v, h):
-    """Normal and transverse gradient components on x- and y-faces."""
-    dvx = (v[1:, 1:-1] - v[:-1, 1:-1]) / h                       # (nx-1, ny-2)
-    dvy_x = (v[:-1, 2:] - v[:-1, :-2] + v[1:, 2:] - v[1:, :-2]) / (4.0 * h)
-    dvy = (v[1:-1, 1:] - v[1:-1, :-1]) / h                       # (nx-2, ny-1)
-    dvx_y = (v[2:, :-1] - v[:-2, :-1] + v[2:, 1:] - v[:-2, 1:]) / (4.0 * h)
+    """Normal and transverse gradient components on x- and y-faces, each
+    formed in its own array."""
+    dvx = np.subtract(v[1:, 1:-1], v[:-1, 1:-1])                 # (nx-1, ny-2)
+    dvx /= h
+    dvy = np.subtract(v[1:-1, 1:], v[1:-1, :-1])                 # (nx-2, ny-1)
+    dvy /= h
+    dvy_x = _transverse(v[:-1, 2:], v[:-1, :-2], v[1:, 2:], v[1:, :-2], h)
+    dvx_y = _transverse(v[2:, :-1], v[:-2, :-1], v[2:, 1:], v[:-2, 1:], h)
     return dvx, dvy_x, dvy, dvx_y
+
+
+def _transverse(a, b, c, d, h):
+    """(a - b + c - d) / (4h), left to right, in one array."""
+    out = np.subtract(a, b)
+    out += c
+    out -= d
+    out /= 4.0 * h
+    return out
 
 
 def _centered_grad(w, h):
@@ -205,39 +217,64 @@ def p_laplace_residual(field: Field2D, p, lam, epsilon=0.0) -> np.ndarray:
 
 def _face_terms(v, p, h, epsilon):
     """(bn, bt, s2, k) on the x- and y-faces of v: normal and transverse
-    gradient, s2 = bn^2 + bt^2 + eps^2, k = s2^((p-2)/2)."""
+    gradient, s2 = bn^2 + bt^2 + eps^2, k = s2^((p-2)/2).  Each is formed
+    in its own array, k serving first as bt^2."""
     dvx, dvy_x, dvy, dvx_y = _face_gradients(v, h)
-    s2x = dvx ** 2 + dvy_x ** 2 + epsilon ** 2
-    s2y = dvy ** 2 + dvx_y ** 2 + epsilon ** 2
-    with np.errstate(divide="ignore"):  # k = inf on a flat face at p < 2
-        return ((dvx, dvy_x, s2x, s2x ** ((p - 2.0) / 2.0)),
-                (dvy, dvx_y, s2y, s2y ** ((p - 2.0) / 2.0)))
+    eps2 = epsilon ** 2
+    faces = []
+    for bn, bt in ((dvx, dvy_x), (dvy, dvx_y)):
+        k = np.square(bt)
+        s2 = np.square(bn)
+        s2 += k
+        s2 += eps2
+        np.copyto(k, s2)
+        with np.errstate(divide="ignore"):  # k = inf on a flat face at p < 2
+            k **= (p - 2.0) / 2.0
+        faces.append((bn, bt, s2, k))
+    return tuple(faces)
 
 
 def _residual(v, p, lam, h, faces):
-    """p_laplace_residual of the values v from their _face_terms."""
+    """p_laplace_residual of the values v from their _face_terms, formed in
+    the arrays of the two fluxes, the divergence and the result."""
     (dvx, _, _, kx), (dvy, _, _, ky) = faces
-    fx, fy = kx * dvx, ky * dvy
-    div = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
-    return -div + lam * v[1:-1, 1:-1] ** (p - 1.0)
+    fx, fy = np.multiply(kx, dvx), np.multiply(ky, dvy)
+    div = np.subtract(fx[1:, :], fx[:-1, :])
+    div /= h
+    dy = np.subtract(fy[:, 1:], fy[:, :-1], out=fx[1:, :])  # fx is spent
+    dy /= h
+    div += dy
+    np.negative(div, out=div)
+    mass = v[1:-1, 1:-1] ** (p - 1.0)
+    np.multiply(lam, mass, out=mass)
+    div += mass
+    return div
 
 
 def _linearized_face_coeffs(faces, p):
     """Per-face coefficients of the linearized diffusion tensor of a field
     whose _face_terms are faces.  On each face the linearized flux in
     direction g is c1 * (normal dg) + c2 * (transverse dg), with
-    c1 = k (1 + (p-2) bn^2/s2) and c2 = k (p-2) bn bt / s2.
+    c1 = k (1 + (p-2) bn^2/s2) and c2 = k (p-2) bn bt / s2, each formed in
+    its own array.
     """
     pm2 = p - 2.0
 
     def coeffs(bn, bt, s2, k):
         with np.errstate(divide="ignore", invalid="ignore"):
-            c1 = k * (1.0 + pm2 * bn ** 2 / s2)
-            c2 = k * pm2 * bn * bt / s2
-        flat = s2 == 0.0
-        if np.any(flat):
-            c1 = np.where(flat, 0.0, c1)
-            c2 = np.where(flat, 0.0, c2)
+            c1 = np.square(bn)
+            np.multiply(pm2, c1, out=c1)
+            c1 /= s2
+            np.add(1.0, c1, out=c1)
+            np.multiply(k, c1, out=c1)
+            c2 = np.multiply(k, pm2)
+            c2 *= bn
+            c2 *= bt
+            c2 /= s2
+        if not s2.all():  # a flat face, s2 == 0
+            flat = s2 == 0.0
+            c1[flat] = 0.0
+            c2[flat] = 0.0
         return c1, c2
 
     (c1x, c2x), (c1y, c2y) = (coeffs(*terms) for terms in faces)
@@ -276,18 +313,41 @@ def _newton_stencil(v, p, lam, h, coeffs):
         n1, n2 = c1y[:, 1:], c2y[:, 1:]
         s1, s2 = c1y[:, :-1], c2y[:, :-1]
         h2 = h * h
-        mass = (p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)
-        # the Newton operator is -L_v + mass, L_v's stencil negated
-        sten = _stencil_storage(*mass.shape, np.float64)
-        sten[1, 1] = mass + (e1 + w1 + n1 + s1) / h2
-        sten[2, 1] = -(e1 + 0.25 * (n2 - s2)) / h2
-        sten[0, 1] = -(w1 - 0.25 * (n2 - s2)) / h2
-        sten[1, 2] = -(n1 + 0.25 * (e2 - w2)) / h2
-        sten[1, 0] = -(s1 - 0.25 * (e2 - w2)) / h2
-        sten[2, 2] = -0.25 * (e2 + n2) / h2
-        sten[0, 0] = -0.25 * (w2 + s2) / h2
-        sten[2, 0] = 0.25 * (e2 + s2) / h2
-        sten[0, 2] = 0.25 * (w2 + n2) / h2
+        sten = _stencil_storage(v.shape[0] - 2, v.shape[1] - 2, np.float64)
+        # the Newton operator is -L_v + mass, L_v's stencil negated:
+        # mass + (e1 + w1 + n1 + s1) / h2, the mass formed in sten[0, 0]
+        # before that array is filled
+        centre, mass = sten[1, 1], sten[0, 0]
+        np.add(e1, w1, out=centre)
+        centre += n1
+        centre += s1
+        centre /= h2
+        np.copyto(mass, v[1:-1, 1:-1])
+        mass **= p - 2.0
+        np.multiply((p - 1.0) * lam, mass, out=mass)
+        np.add(mass, centre, out=centre)
+        # 0.25 (n2 - s2) and 0.25 (e2 - w2), each shared by two edge
+        # arrays and formed in the one that reads it last
+        ns = np.subtract(n2, s2, out=sten[0, 1])
+        np.multiply(0.25, ns, out=ns)
+        ew = np.subtract(e2, w2, out=sten[1, 0])
+        np.multiply(0.25, ew, out=ew)
+        # -(face +- shared) / h2
+        for (a, b), face, combine, shared in (((2, 1), e1, np.add, ns),
+                                              ((0, 1), w1, np.subtract, ns),
+                                              ((1, 2), n1, np.add, ew),
+                                              ((1, 0), s1, np.subtract, ew)):
+            out = combine(face, shared, out=sten[a, b])
+            np.negative(out, out=out)
+            out /= h2
+        # weight * (x + y) / h2
+        for (a, b), x, y, weight in (((2, 2), e2, n2, -0.25),
+                                     ((0, 0), w2, s2, -0.25),
+                                     ((2, 0), e2, s2, 0.25),
+                                     ((0, 2), w2, n2, 0.25)):
+            out = np.add(x, y, out=sten[a, b])
+            np.multiply(weight, out, out=out)
+            out /= h2
     sten[2, :, -1] = 0.0
     sten[0, :, 0] = 0.0
     sten[:, 2, :, -1] = 0.0
@@ -388,18 +448,69 @@ def _coarsen_axis(sten, axis):
 
 def _prolong(c, mi, mj):
     """P c: the (mi, mj) linear interpolation of the (mi // 2, mj // 2)
-    array c, one axis at a time, in c's dtype."""
-    for m in (mi, mj):
-        n = c.shape[0]
-        fine = np.empty((m,) + c.shape[1:], c.dtype)
-        half = 0.5 * c
-        fine[1::2] = c
-        fine[0] = half[0]
-        np.add(half[:-1], half[1:], out=fine[2:2 * n:2])
-        if m % 2:
-            fine[-1] = half[-1]
-        c = fine.T  # the next pass interpolates the other axis
-    return c
+    array c, in c's dtype and C order."""
+    return _by_axes(_linear_axis, c, mi, mj)
+
+
+def _interpolate_cubic(c, mi, mj):
+    """The (mi, mj) cubic interpolation of the (mi // 2, mj // 2) array c,
+    both axes at least 6 nodes, in c's dtype and C order."""
+    return _by_axes(_cubic_axis, c, mi, mj)
+
+
+def _by_axes(fill, c, mi, mj):
+    """The (mi, mj) C-ordered array that fill(coarse, fine) interpolates
+    from c along axis 0 and then along axis 1, where fill writes the
+    (m, k) array fine from the (m // 2, k) array coarse.  The only array
+    besides the result is the (mi, mj // 2) one between the passes."""
+    rows = np.empty((mi, c.shape[1]), c.dtype)
+    fill(c, rows)
+    out = np.empty((mi, mj), c.dtype)
+    fill(rows.T, out.T)
+    return out
+
+
+def _linear_axis(c, fine):
+    """fine from c along axis 0 with weights 1/2, 1, 1/2."""
+    n = len(c)
+    half = 0.5 * c
+    fine[1::2] = c
+    fine[0] = half[0]
+    np.add(half[:-1], half[1:], out=fine[2:2 * n:2])
+    if len(fine) % 2:
+        fine[-1] = half[-1]
+
+
+def _cubic_axis(c, fine):
+    """fine from c along axis 0 by cubic Lagrange interpolation, the zero
+    boundary counted as a node beyond either end.
+
+    Coarse node I sits on fine node 2I + 1 and the boundary on fine nodes
+    -1 and m, so a fine node 2I between coarse nodes I - 1 and I takes
+    (-c[I-2] + 9 c[I-1] + 9 c[I] - c[I+1]) / 16, with c[-1] the left
+    boundary and, on an odd axis, c[n] the right one.  Fine node 0 and, on
+    an odd axis, fine node m - 1 lie between the boundary and an end node:
+    they take the one-sided weights (5, 15, -5, 1) / 16 of the boundary
+    and the three nearest coarse nodes.  On an even axis fine node m - 2
+    lies between the last two coarse nodes with the boundary one fine step
+    past the last: it takes the weights (-1, 10, 15, -4) / 20 of the last
+    three coarse nodes and the boundary.
+    """
+    m, n = len(fine), len(c)
+    fine[1::2] = c
+    # fine nodes 2I for I = 1 .. last - 1, centred between coarse nodes
+    last = n if m % 2 else n - 1
+    mid = fine[2:2 * last:2]
+    np.add(c[:last - 1], c[1:last], out=mid)
+    mid *= 9.0
+    mid[1:] -= c[:last - 2]
+    mid[:n - 2] -= c[2:]
+    mid *= 1.0 / 16.0
+    fine[0] = (15.0 * c[0] - 5.0 * c[1] + c[2]) / 16.0
+    if m % 2:
+        fine[-1] = (15.0 * c[-1] - 5.0 * c[-2] + c[-3]) / 16.0
+    else:
+        fine[-2] = (15.0 * c[-1] + 10.0 * c[-2] - c[-3]) / 20.0
 
 
 def _restrict(r):
@@ -496,13 +607,18 @@ def _vcycle(levels, coarsest, rhs):
 
 def _fmg(levels, coarsest, rhs):
     """Full multigrid for levels[0]'s matrix: the coarsest LU solve, then on
-    each finer level the prolonged coarse solution plus one V-cycle.  Runs
-    in float32, as _vcycle does."""
+    each finer level the cubic interpolation of the coarse solution
+    (_interpolate_cubic) plus one V-cycle.  The start interpolates to a
+    higher order than the discretization's second, as full multigrid needs
+    to reach discretization accuracy (Trottenberg, Oosterlee & Schueller,
+    Multigrid, 2001, sec. 2.6); the V-cycles' coarse-grid corrections keep
+    the linear _prolong, whose transpose _restrict forms the Galerkin
+    levels.  Runs in float32, as _vcycle does."""
     if not levels:
         return coarsest.solve(rhs)
     mat, _, (mi, mj) = levels[0]
     coarse = _fmg(levels[1:], coarsest, _restrict(rhs.reshape(mi, mj)).ravel())
-    x = _prolong(coarse.reshape(mi // 2, mj // 2), mi, mj).ravel()
+    x = _interpolate_cubic(coarse.reshape(mi // 2, mj // 2), mi, mj).ravel()
     x += _vcycle(levels, coarsest, _defect(mat, x, rhs))
     return x
 
@@ -515,7 +631,9 @@ def _correction(cycle, hierarchy, resid):
     and by the levels' shift, both exactly."""
     levels, coarsest, shift = hierarchy
     scale = _binary_exponent(resid)
-    y = cycle(levels, coarsest, np.ldexp(resid, -scale).astype(np.float32))
+    cast = np.empty(resid.shape, np.float32)
+    y = cycle(levels, coarsest,
+              np.ldexp(resid, -scale, out=cast, casting="same_kind"))
     return np.ldexp(y, scale - shift, dtype=np.float64)
 
 
@@ -531,30 +649,32 @@ def _solve_refined(sten, rhs, interior):
     (_stencil_storage), so A shares them without a copy.  The Galerkin
     hierarchy (_multigrid_hierarchy) is built once from sten, in float32,
     in the same layout.  The first correction is one full-multigrid pass
-    (_fmg) on rhs, and each later one is one V-cycle (_vcycle) on the
-    float64 residual rhs - A @ x (Brandt, Math. Comp. 31, 1977; Trottenberg,
-    Oosterlee & Schueller, Multigrid, 2001, ch. 2), each cast to float32
-    and back by _correction.  The cycles only have to contract the error,
-    and float32 suffices for that, since x, A and the residual that
-    decide the answer stay float64: mixed-precision iterative refinement
-    (Goeddeke, Strzodka & Turek, IJPEDS 22, 2007; Carson & Higham, SIAM J.
-    Sci. Comput. 40, 2018).  Refinement stops once a correction is within
-    REFINE_ULPS float64 ulps of the field at every node,
-    |corr| <= REFINE_ULPS * eps * interior: the update interior + x rounds
-    finer digits of x away, so x is accurate to a few ulps of the field,
-    not of itself (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 12).  It also stops when a correction fails to halve the one
-    before while within STALL_ULPS ulps of x: that is the rounding floor
-    of x.  x comes from one float64 LU of A instead when the hierarchy
-    cannot be built (a Jacobi weight is not finite or the coarsest matrix
-    is singular), or a correction is not finite or fails to halve the one
-    before above STALL_ULPS ulps of x.  No hierarchy outlives the call, and
-    it is freed before the float64 LU is made.  Raises OverflowError
-    instead of that LU when sten is not finite.  The refinement holds x,
-    the residual, the current correction and the stop bound once each: x
-    and each residual are updated in place, the correction's array becomes
-    its sizes and then the next residual, and the V-cycles' Jacobi sweeps
-    take one temporary each (_jacobi_sweep).  rhs is not written.
+    (_fmg, which starts each finer level from the cubic interpolation of
+    the coarser one's solution) on rhs, and each later one is one V-cycle
+    (_vcycle) on the float64 residual rhs - A @ x (Brandt, Math. Comp. 31,
+    1977; Trottenberg, Oosterlee & Schueller, Multigrid, 2001, ch. 2),
+    each cast to float32 and back by _correction, which scales the float64
+    residual straight into a float32 array.  The cycles only have to
+    contract the error, and float32 suffices for that, since x, A and the
+    residual that decide the answer stay float64: mixed-precision iterative
+    refinement (Goeddeke, Strzodka & Turek, IJPEDS 22, 2007; Carson &
+    Higham, SIAM J. Sci. Comput. 40, 2018).  Refinement stops once a
+    correction is within REFINE_ULPS float64 ulps of the field at every
+    node, |corr| <= REFINE_ULPS * eps * interior: the update interior + x
+    rounds finer digits of x away, so x is accurate to a few ulps of the
+    field, not of itself (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 12).  It also stops when a correction fails to
+    halve the one before while within STALL_ULPS ulps of x: that is the
+    rounding floor of x.  x comes from one float64 LU of A instead when the
+    hierarchy cannot be built (a Jacobi weight is not finite or the coarsest
+    matrix is singular), or a correction is not finite or fails to halve the
+    one before above STALL_ULPS ulps of x.  No hierarchy outlives the call,
+    and it is freed before the float64 LU is made.  Raises OverflowError
+    instead of that LU when sten is not finite.  The refinement holds x, the
+    residual, the current correction and the stop bound once each: x and
+    each residual are updated in place, the correction's array becomes its
+    sizes and then the next residual, and the V-cycles' Jacobi sweeps take
+    one temporary each (_jacobi_sweep).  rhs is not written.
 
     Returns (x, corrections plus fallback solves, float64 factorizations).
     """
@@ -610,22 +730,26 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the coefficients (_linearized_face_coeffs) of
     the face terms of the residual that accepted v, and solves it with
-    _solve_refined: a full-multigrid pass, then V-cycles, in float32 on a
-    hierarchy coarsened from those arrays scaled to float32, each on the
-    float64 residual, until a correction is within REFINE_ULPS ulps of the
-    interior of v, the field the step updates, or one float64 LU when they
-    fail.  v, its residual and the
-    returned field are float64.  The updated field is then within a few
-    ulps of the one an exact step gives, while the step itself may be
-    accurate only to those ulps of v rather than to its own.  A step holds
+    _solve_refined: a full-multigrid pass that starts each finer level
+    from the cubic interpolation of the coarser solution, then V-cycles,
+    in float32 on a hierarchy coarsened from those arrays scaled to
+    float32, each on the float64 residual, until a correction is within
+    REFINE_ULPS ulps of the interior of v, the field the step updates, or
+    one float64 LU when they fail.  v, its residual and the returned field
+    are float64.  The updated field is then within a few ulps of the one
+    an exact step gives, while the step itself may be accurate only to
+    those ulps of v rather than to its own.  The face terms, the residual,
+    the coefficients and the stencil arrays are each formed in their own
+    array by in-place operations, in the order of operations that fixes
+    every bit.  A step holds
     each grid-sized array once: the face terms are freed once their four
     coefficient arrays are formed, and those once the stencil arrays are;
     the residual is negated in place into the right-hand side; the stencil
     arrays and the step's multigrid hierarchy are freed when
     _solve_refined returns, before the damping trials compute their face
-    terms.  SolveStats counts the corrections and
-    fallback solves (linear_solves; the full-multigrid pass counts as one
-    correction) and the float64 fallbacks (float64_refactors).
+    terms.  SolveStats counts the corrections and fallback solves
+    (linear_solves; the full-multigrid pass counts as one correction) and
+    the float64 fallbacks (float64_refactors).
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.

@@ -828,9 +828,10 @@ class TestNewtonLinearLayer:
     def test_refinement_stops_at_the_field_rounding(self, p, monkeypatch):
         # the returned step's last correction is the first within
         # REFINE_ULPS ulps of the field at every node; at this exact start
-        # that takes 8-9 corrections (9-10 V-cycles without the
-        # full-multigrid start), where stopping within REFINE_ULPS ulps of
-        # the step itself took 14-16
+        # that takes 7-9 corrections (8-9 with the full-multigrid pass
+        # started from linear interpolations, 9-10 V-cycles without it),
+        # where stopping within REFINE_ULPS ulps of the step itself took
+        # 14-16
         sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
         corrections = spy_corrections(monkeypatch)
         x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
@@ -862,6 +863,25 @@ class TestNewtonLinearLayer:
         assert solves < solves_plain
         for step in (x, x_plain):
             assert field_gap_ulps(base.ravel(), step, expected) <= FIELD_ULPS
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+    @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
+    def test_cubic_start_shrinks_the_second_correction(self, p, h,
+                                                        monkeypatch):
+        # the full-multigrid pass started from cubic interpolations leaves
+        # a smaller error for the first V-cycle than one started from the
+        # linear _prolong, and takes no more corrections
+        sten, rhs, base = newton_system(p, h, lam=2.5, noise=0.0)
+        runs = []
+        for start in (grid_pde._interpolate_cubic, grid_pde._prolong):
+            monkeypatch.setattr(grid_pde, "_interpolate_cubic", start)
+            corrections = spy_corrections(monkeypatch)
+            _, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+            assert refactors == 0
+            runs.append((float(np.max(np.abs(corrections[1]))), solves))
+        (cubic, solves), (linear, solves_linear) = runs
+        assert cubic <= 0.5 * linear
+        assert solves <= solves_linear
 
     def test_full_multigrid_start_keeps_the_fallbacks(self, monkeypatch):
         # on 1%-perturbed fields the V-cycle contracts slowly at large p
@@ -972,6 +992,161 @@ class TestNewtonLinearLayer:
             assert spy.alive_at_call == [0] * spy.calls
             assert stats.float64_refactors == 0
             assert stats.linear_solves >= 2 * stats.newton_iters
+
+
+def expression_face_terms(v, p, h, eps):
+    """_face_terms written as whole-array expressions, one temporary per
+    operation, in the order of operations that _face_terms keeps."""
+    dvx = (v[1:, 1:-1] - v[:-1, 1:-1]) / h
+    dvy_x = (v[:-1, 2:] - v[:-1, :-2] + v[1:, 2:] - v[1:, :-2]) / (4.0 * h)
+    dvy = (v[1:-1, 1:] - v[1:-1, :-1]) / h
+    dvx_y = (v[2:, :-1] - v[:-2, :-1] + v[2:, 1:] - v[:-2, 1:]) / (4.0 * h)
+    s2x = dvx ** 2 + dvy_x ** 2 + eps ** 2
+    s2y = dvy ** 2 + dvx_y ** 2 + eps ** 2
+    return ((dvx, dvy_x, s2x, s2x ** ((p - 2.0) / 2.0)),
+            (dvy, dvx_y, s2y, s2y ** ((p - 2.0) / 2.0)))
+
+
+def expression_residual(v, p, lam, h, faces):
+    (dvx, _, _, kx), (dvy, _, _, ky) = faces
+    fx, fy = kx * dvx, ky * dvy
+    div = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
+    return -div + lam * v[1:-1, 1:-1] ** (p - 1.0)
+
+
+def expression_coeffs(faces, p):
+    out = []
+    for bn, bt, s2, k in faces:
+        c1 = k * (1.0 + (p - 2.0) * bn ** 2 / s2)
+        c2 = k * (p - 2.0) * bn * bt / s2
+        out += [np.where(s2 == 0.0, 0.0, c1), np.where(s2 == 0.0, 0.0, c2)]
+    return out
+
+
+def boundary_quadratic(m):
+    """(x + 1)(m - x) on the m nodes of an axis: a quadratic that vanishes
+    on the boundary nodes -1 and m, sampled at the coarse nodes too."""
+    x = np.arange(m, dtype=float)
+    return (x + 1.0) * (m - x)
+
+
+class TestInPlaceAssembly:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 2.7])
+    @pytest.mark.parametrize("kind", ["smooth", "flat", "overflowing"])
+    def test_matches_the_expressions_bit_for_bit(self, p, kind):
+        # the face terms, the residual and the face coefficients formed in
+        # place hold the bytes of the whole-array expressions, through
+        # flat faces (s2 = 0 at eps = 0, k = inf at p < 2) and values
+        # whose products overflow to inf and NaN
+        rng = np.random.default_rng(9)
+        v = {"smooth": np.exp(rng.random((19, 24))),
+             "flat": np.where(rng.random((19, 24)) < 0.5, 1.0, 2.0),
+             "overflowing": np.exp(400.0 * rng.random((19, 24)))}[kind]
+        h, lam = 1 / 16, 1.7
+        with np.errstate(all="ignore"):
+            for eps in (0.0, 1e-8):
+                faces = _face_terms(v, p, h, eps)
+                expected = expression_face_terms(v, p, h, eps)
+                for new, old in zip(sum(faces, ()), sum(expected, ())):
+                    assert new.tobytes() == old.tobytes()
+                assert (grid_pde._residual(v, p, lam, h, faces).tobytes()
+                        == expression_residual(v, p, lam, h,
+                                               expected).tobytes())
+                coeffs = grid_pde._linearized_face_coeffs(faces, p)
+                for new, old in zip(coeffs, expression_coeffs(expected, p)):
+                    assert new.tobytes() == old.tobytes()
+
+
+class TestGridTransfers:
+    @pytest.mark.parametrize("mi, mj", [(255, 255), (49, 74), (18, 17)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prolong_is_c_ordered_and_bit_for_bit(self, mi, mj, dtype):
+        # the V-cycle ravels each prolonged correction: a C-ordered result
+        # ravels to a view, not a copy.  Each fine value sums at most two
+        # halved coarse ones per axis, as the kron product does
+        c = np.random.default_rng(2).standard_normal((mi // 2, mj // 2))
+        x = grid_pde._prolong(c.astype(dtype), mi, mj)
+        assert x.dtype == dtype and x.flags.c_contiguous
+        assert np.shares_memory(x, x.ravel())
+        if dtype == np.float64:
+            rows = prolongation(mi) @ c
+            expected = (prolongation(mj) @ rows.T).T
+            assert x.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("mi, mj", [(6, 7), (7, 6), (17, 18), (34, 33),
+                                        (255, 254)])
+    def test_cubic_reproduces_boundary_quadratics(self, mi, mj):
+        # coarse node I sits on fine node 2I + 1 and the zero boundary on
+        # fine nodes -1 and m of each axis: a quadratic vanishing there is
+        # reproduced on odd and even axes, the even axis's last interval
+        # by its non-uniform end weights
+        q = np.outer(boundary_quadratic(mi), boundary_quadratic(mj))
+        x = grid_pde._interpolate_cubic(q[1::2, 1::2], mi, mj)
+        assert np.max(np.abs(x - q)) <= 4 * grid_pde.EPS64 * np.max(q)
+
+    def test_cubic_error_is_fourth_order(self):
+        # on a smooth field that does not vanish on the boundary the error
+        # away from it falls by about 2^4 each time the coarse spacing
+        # halves
+        errors = []
+        for m in (31, 63, 127, 255):
+            t = np.arange(1, m + 1) / (m + 1)
+            f = np.exp(0.6 * t[:, None] + 0.8 * t[None, :]) \
+                * np.sin(3.0 * t[:, None] + 1.0)
+            x = grid_pde._interpolate_cubic(f[1::2, 1::2], m, m)
+            inner = slice(m // 4, m - m // 4)
+            errors.append(float(np.max(np.abs(x - f)[inner, inner])))
+        ratios = np.divide(errors[:-1], errors[1:])
+        assert np.all((14.0 <= ratios) & (ratios <= 17.0))
+
+    def test_cubic_output_and_working_set(self):
+        # the result is C-ordered in the coarse array's dtype, and the only
+        # array besides it is the half-size one between the axis passes
+        # (numpy's ufunc buffers add under 0.1 MB): the traced peak of a
+        # solve sits in the full-multigrid pass
+        mi, mj = 1023, 1023
+        c = np.ones((mi // 2, mj // 2), np.float32)
+        grid_pde._interpolate_cubic(c, mi, mj)  # first calls
+        tracemalloc.start()
+        try:
+            x = grid_pde._interpolate_cubic(c, mi, mj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert np.shares_memory(x, x.ravel())
+        assert peak <= 1.6 * x.nbytes
+
+    @pytest.mark.parametrize("special", [False, True])
+    def test_correction_casts_the_scaled_residual_as_before(self, special):
+        # the residual is scaled and cast to float32 in one step, with the
+        # bytes of the float64 scaling then the cast: entries that fall
+        # below float32's normal range become subnormal or zero, and with
+        # inf or NaN entries (no scaling) the ones beyond its range overflow
+        rng = np.random.default_rng(4)
+        resid = (rng.standard_normal(200_000)
+                 * 10.0 ** rng.uniform(-60.0, 0.0, 200_000))
+        if special:
+            resid[::7] *= 1e300
+            resid[::89] = math.inf
+            resid[::97] = math.nan
+        cycles = []
+
+        def cycle(levels, coarsest, rhs):
+            cycles.append(rhs)
+            return rhs
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            corr = grid_pde._correction(cycle, ([], None, 3), resid)
+            scale = grid_pde._binary_exponent(resid)
+            cast = np.ldexp(resid, -scale).astype(np.float32)
+        assert (scale == 0) == special
+        assert np.any(np.isinf(cast)) == special
+        assert np.any((cast != 0) & (np.abs(cast) < np.finfo(np.float32).tiny))
+        assert cycles[0].dtype == np.float32
+        assert cycles[0].tobytes() == cast.tobytes()
+        assert corr.tobytes() == np.ldexp(cast, scale - 3,
+                                          dtype=np.float64).tobytes()
 
 
 class TestLinearizedApply:

@@ -22,8 +22,11 @@ numbers.  The commands are:
   weight n = 4, p = 2, a = 1, mu = -3 and at n = 5, p = 1.05, a = 0.5,
   mu = 1e-300 (a root below the smallest double) and with a float n = 4.0,
   and `grid` on a 49 x 74 interior, whose even axis the multigrid coarsens
-  by the m // 2 rule, at xi = (1, 0) and at p = 2, whose Newton matrices
-  leave out exact-zero couplings, and at p = 1.05, lam = 1, h = 1/32,
+  by the m // 2 rule, on a 32 x 32 interior (h = 1/33 on the unit
+  square), whose full-multigrid start interpolates from 16 to 32 nodes
+  on both axes and so takes the cubic end weights of an even axis, at
+  xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
+  couplings, and at p = 1.05, lam = 1, h = 1/32,
   xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
   fallback of the refinement (a failed check, exit 1), and on the strips
   rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
@@ -90,6 +93,9 @@ GRID_EXTRA = {
     "grid_even_axis": {"params": {"n": 4, "p": 1.5, "lam": 2.5},
                        "xi": [0.6, 0.8], "rect": [0, 0, 1, 1.5], "h": 0.02,
                        "tol": 1e-9},
+    "grid_even_32": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
+                     "xi": [0.6, 0.8], "rect": [0, 0, 1, 1], "h": 1 / 33,
+                     "tol": 1e-9},
     "grid_xi_1_0": {"params": {"n": 4, "p": 3.0, "lam": 2.0}, "xi": [1.0, 0.0],
                     "rect": [0, 0, 1, 1], "h": 0.03125, "tol": 1e-9},
     "grid_p2": {"params": {"n": 4, "p": 2.0, "lam": 2.0}, "xi": [0.6, 0.8],
