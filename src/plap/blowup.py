@@ -120,9 +120,13 @@ def _hermite(x, y, d, xq):
 
 
 def martin_kernel_estimate(profile: RadialProfile, x, xi, t) -> float:
-    """Far-field kernel ratio u(|x - t*xi|)/u(t) from a radial profile."""
+    """Far-field kernel ratio u(|x - t*xi|)/u(t) from a radial profile.
+    Raises DomainError unless x and the unit vector xi have one shape."""
     x = np.asarray(x, dtype=float)
     xi = _check_unit(xi)
+    if x.shape != xi.shape:
+        raise DomainError(f"x has shape {x.shape} and xi {xi.shape}: "
+                          "they must be points of one space")
     t = float(t)
     r1 = float(np.linalg.norm(x - t * xi))
     _check_radius(profile, r1, "martin_kernel_estimate")

@@ -179,28 +179,20 @@ def exponential_field(alpha, xi, rect, h) -> Field2D:
 # --- face machinery -------------------------------------------------------
 
 def _face_gradients(v, h):
-    """Normal and transverse gradient components on x- and y-faces, each
-    formed in its own array."""
-    dvx = np.subtract(v[1:, 1:-1], v[:-1, 1:-1])                 # (nx-1, ny-2)
-    dvx /= h
-    dvy = np.subtract(v[1:-1, 1:], v[1:-1, :-1])                 # (nx-2, ny-1)
-    dvy /= h
-    dvy_x = _transverse(v[:-1, 2:], v[:-1, :-2], v[1:, 2:], v[1:, :-2], h)
-    dvx_y = _transverse(v[2:, :-1], v[:-2, :-1], v[2:, 1:], v[:-2, 1:], h)
+    """Normal and transverse gradient components on x- and y-faces."""
+    dvx = (v[1:, 1:-1] - v[:-1, 1:-1]) / h                       # (nx-1, ny-2)
+    dvy_x = (v[:-1, 2:] - v[:-1, :-2] + v[1:, 2:] - v[1:, :-2]) / (4.0 * h)
+    dvy = (v[1:-1, 1:] - v[1:-1, :-1]) / h                       # (nx-2, ny-1)
+    dvx_y = (v[2:, :-1] - v[:-2, :-1] + v[2:, 1:] - v[:-2, 1:]) / (4.0 * h)
     return dvx, dvy_x, dvy, dvx_y
 
 
-def _transverse(a, b, c, d, h):
-    """(a - b + c - d) / (4h), left to right, in one array."""
-    out = np.subtract(a, b)
-    out += c
-    out -= d
-    out /= 4.0 * h
-    return out
-
-
 def _centered_grad(w, h):
-    """Centred differences (w_x, w_y) at the interior nodes of w."""
+    """Centred differences (w_x, w_y) at the interior nodes of w.  Raises
+    DomainError when w has fewer than 3 nodes on an axis, so no interior."""
+    if min(w.shape) < 3:
+        raise DomainError(f"{w.shape[0]} x {w.shape[1]} nodes, centred "
+                          "differences need at least 3 per axis")
     return ((w[2:, 1:-1] - w[:-2, 1:-1]) / (2.0 * h),
             (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h))
 
@@ -217,21 +209,13 @@ def p_laplace_residual(field: Field2D, p, lam, epsilon=0.0) -> np.ndarray:
 
 def _face_terms(v, p, h, epsilon):
     """(bn, bt, s2, k) on the x- and y-faces of v: normal and transverse
-    gradient, s2 = bn^2 + bt^2 + eps^2, k = s2^((p-2)/2).  Each is formed
-    in its own array, k serving first as bt^2."""
+    gradient, s2 = bn^2 + bt^2 + eps^2, k = s2^((p-2)/2)."""
     dvx, dvy_x, dvy, dvx_y = _face_gradients(v, h)
-    eps2 = epsilon ** 2
-    faces = []
-    for bn, bt in ((dvx, dvy_x), (dvy, dvx_y)):
-        k = np.square(bt)
-        s2 = np.square(bn)
-        s2 += k
-        s2 += eps2
-        np.copyto(k, s2)
-        with np.errstate(divide="ignore"):  # k = inf on a flat face at p < 2
-            k **= (p - 2.0) / 2.0
-        faces.append((bn, bt, s2, k))
-    return tuple(faces)
+    s2x = dvx ** 2 + dvy_x ** 2 + epsilon ** 2
+    s2y = dvy ** 2 + dvx_y ** 2 + epsilon ** 2
+    with np.errstate(divide="ignore"):  # k = inf on a flat face at p < 2
+        return ((dvx, dvy_x, s2x, s2x ** ((p - 2.0) / 2.0)),
+                (dvy, dvx_y, s2y, s2y ** ((p - 2.0) / 2.0)))
 
 
 def _residual(v, p, lam, h, faces):
@@ -255,26 +239,18 @@ def _linearized_face_coeffs(faces, p):
     """Per-face coefficients of the linearized diffusion tensor of a field
     whose _face_terms are faces.  On each face the linearized flux in
     direction g is c1 * (normal dg) + c2 * (transverse dg), with
-    c1 = k (1 + (p-2) bn^2/s2) and c2 = k (p-2) bn bt / s2, each formed in
-    its own array.
+    c1 = k (1 + (p-2) bn^2/s2) and c2 = k (p-2) bn bt / s2.
     """
     pm2 = p - 2.0
 
     def coeffs(bn, bt, s2, k):
         with np.errstate(divide="ignore", invalid="ignore"):
-            c1 = np.square(bn)
-            np.multiply(pm2, c1, out=c1)
-            c1 /= s2
-            np.add(1.0, c1, out=c1)
-            np.multiply(k, c1, out=c1)
-            c2 = np.multiply(k, pm2)
-            c2 *= bn
-            c2 *= bt
-            c2 /= s2
-        if not s2.all():  # a flat face, s2 == 0
-            flat = s2 == 0.0
-            c1[flat] = 0.0
-            c2[flat] = 0.0
+            c1 = k * (1.0 + pm2 * bn ** 2 / s2)
+            c2 = k * pm2 * bn * bt / s2
+        flat = s2 == 0.0
+        if np.any(flat):
+            c1 = np.where(flat, 0.0, c1)
+            c2 = np.where(flat, 0.0, c2)
         return c1, c2
 
     (c1x, c2x), (c1y, c2y) = (coeffs(*terms) for terms in faces)
@@ -631,9 +607,7 @@ def _correction(cycle, hierarchy, resid):
     and by the levels' shift, both exactly."""
     levels, coarsest, shift = hierarchy
     scale = _binary_exponent(resid)
-    cast = np.empty(resid.shape, np.float32)
-    y = cycle(levels, coarsest,
-              np.ldexp(resid, -scale, out=cast, casting="same_kind"))
+    y = cycle(levels, coarsest, np.ldexp(resid, -scale).astype(np.float32))
     return np.ldexp(y, scale - shift, dtype=np.float64)
 
 
@@ -653,12 +627,12 @@ def _solve_refined(sten, rhs, interior):
     the coarser one's solution) on rhs, and each later one is one V-cycle
     (_vcycle) on the float64 residual rhs - A @ x (Brandt, Math. Comp. 31,
     1977; Trottenberg, Oosterlee & Schueller, Multigrid, 2001, ch. 2),
-    each cast to float32 and back by _correction, which scales the float64
-    residual straight into a float32 array.  The cycles only have to
-    contract the error, and float32 suffices for that, since x, A and the
-    residual that decide the answer stay float64: mixed-precision iterative
-    refinement (Goeddeke, Strzodka & Turek, IJPEDS 22, 2007; Carson &
-    Higham, SIAM J. Sci. Comput. 40, 2018).  Refinement stops once a
+    each scaled by a power of two and cast to float32 and back by
+    _correction.  The cycles only have to contract the error, and float32
+    suffices for that, since x, A and the residual that decide the answer
+    stay float64: mixed-precision iterative refinement (Goeddeke, Strzodka
+    & Turek, IJPEDS 22, 2007; Carson & Higham, SIAM J. Sci. Comput. 40,
+    2018).  Refinement stops once a
     correction is within REFINE_ULPS float64 ulps of the field at every
     node, |corr| <= REFINE_ULPS * eps * interior: the update interior + x
     rounds finer digits of x away, so x is accurate to a few ulps of the
@@ -738,11 +712,11 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     one float64 LU when they fail.  v, its residual and the returned field
     are float64.  The updated field is then within a few ulps of the one
     an exact step gives, while the step itself may be accurate only to
-    those ulps of v rather than to its own.  The face terms, the residual,
-    the coefficients and the stencil arrays are each formed in their own
-    array by in-place operations, in the order of operations that fixes
-    every bit.  A step holds
-    each grid-sized array once: the face terms are freed once their four
+    those ulps of v rather than to its own.  The residual and the stencil
+    arrays are each formed in their own array by in-place operations, in
+    the order of operations of the whole-array expressions; the face terms
+    and the coefficients are whole-array expressions.  A step holds each
+    grid-sized array once: the face terms are freed once their four
     coefficient arrays are formed, and those once the stencil arrays are;
     the residual is negated in place into the right-hand side; the stencil
     arrays and the step's multigrid hierarchy are freed when

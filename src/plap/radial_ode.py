@@ -171,13 +171,17 @@ def riccati_ratio_flow(lam, p, s0, t_span):
     so a flow that crosses zero goes on linearly instead of blowing up.  The
     pass is scipy's odeint (ODEPACK's LSODA, its step loop in compiled code)
     at rtol = 1e-12 and atol = 1e-14, with a diagonal banded Jacobian since
-    the flows are independent.  Raises StepFailure with ODEPACK's message if
+    the flows are independent.  Raises DomainError on an empty broadcast or
+    a t_span whose ends are equal, StepFailure with ODEPACK's message if
     the pass stops early, and SingularRatio naming the first sample time at
     which a flow is at or below 1e-12 (or not finite); lam < 0 drives every
     flow to zero by t0 + s0^(p-1)/|lam|.
     """
     lam, p, s0 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                        for v in (lam, p, s0)))
+    if lam.size == 0:
+        raise DomainError("lam, p and s0 broadcast to the empty shape "
+                          f"{lam.shape}")
     # written so that NaN fails each rule
     if not np.all(s0 > 0.0):
         raise DomainError("s0 must be positive")
@@ -185,6 +189,9 @@ def riccati_ratio_flow(lam, p, s0, t_span):
         raise DomainError("p must exceed 1 and be finite")
     if not (np.isfinite(lam).all() and np.isfinite(t_span).all()):
         raise DomainError("lam and t_span must be finite")
+    if t_span[0] == t_span[1]:
+        raise DomainError(f"t_span starts and ends at {float(t_span[0])!r}: "
+                          "its ends must differ")
     q = (p - 1.0).ravel()
     lam_flat, expo = lam.ravel(), p.ravel() / q
     with np.errstate(over="ignore"):
@@ -359,9 +366,13 @@ def hardy_power_residual(n, p, a, mu, gamma, r_samples):
 
     n, p, a, mu and gamma are scalars, giving a float, or sequences of one
     length m (scalars among them are repeated), giving an (m,) array whose
-    entry i equals the scalar call on the i-th values bit for bit.
+    entry i equals the scalar call on the i-th values bit for bit.  Raises
+    DomainError when r_samples is empty or a sample is not positive and
+    finite.
     """
     r = np.ravel(np.asarray(r_samples, dtype=float))
+    if r.size == 0:
+        raise DomainError("r_samples is empty")
     if not np.all((r > 0.0) & (r < math.inf)):
         raise DomainError("r_samples must be positive and finite")
     args = (n, p, a, mu, gamma)
@@ -429,9 +440,11 @@ def shoot_singular_profile(params: ProblemParams, r_in, r_out,
     the first radius at which the state is no longer finite.  The profile
     samples t = ln r at grid_points equally spaced values from ln r_in to
     ln r_out (2 to MAX_PROFILE_POINTS of them, DomainError otherwise).
+    Raises DomainError unless 0 < r_in < r_out < inf.
     """
-    if not r_in < r_out:
-        raise DomainError("r_in must be < r_out")
+    if not 0.0 < r_in < r_out < math.inf:  # NaN fails it too
+        raise DomainError(f"radii must satisfy 0 < r_in < r_out < inf, got "
+                          f"r_in = {r_in!r}, r_out = {r_out!r}")
     _check_grid_points(grid_points)
     if params.a != 0.0:
         raise DomainError("singular shoot is posed for the unweighted case a = 0")

@@ -87,6 +87,14 @@ class TestMartinKernelEstimate:
         with pytest.raises(OutOfRange):
             martin_kernel_estimate(prof, -xi, xi, 49.5)  # |x - t*xi| = 50.5
 
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(1), np.zeros((3, 1))])
+    def test_rejects_x_of_another_shape(self, x):
+        # not numpy's broadcast error, nor a silent broadcast
+        prof = exp_over_r_profile(50.0)
+        xi = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="must be points of one space"):
+            martin_kernel_estimate(prof, x, xi, 20.0)
+
 
 class TestRescaleNearZero:
     def test_power_is_fixed_point(self):

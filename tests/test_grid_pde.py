@@ -994,33 +994,11 @@ class TestNewtonLinearLayer:
             assert stats.linear_solves >= 2 * stats.newton_iters
 
 
-def expression_face_terms(v, p, h, eps):
-    """_face_terms written as whole-array expressions, one temporary per
-    operation, in the order of operations that _face_terms keeps."""
-    dvx = (v[1:, 1:-1] - v[:-1, 1:-1]) / h
-    dvy_x = (v[:-1, 2:] - v[:-1, :-2] + v[1:, 2:] - v[1:, :-2]) / (4.0 * h)
-    dvy = (v[1:-1, 1:] - v[1:-1, :-1]) / h
-    dvx_y = (v[2:, :-1] - v[:-2, :-1] + v[2:, 1:] - v[:-2, 1:]) / (4.0 * h)
-    s2x = dvx ** 2 + dvy_x ** 2 + eps ** 2
-    s2y = dvy ** 2 + dvx_y ** 2 + eps ** 2
-    return ((dvx, dvy_x, s2x, s2x ** ((p - 2.0) / 2.0)),
-            (dvy, dvx_y, s2y, s2y ** ((p - 2.0) / 2.0)))
-
-
 def expression_residual(v, p, lam, h, faces):
     (dvx, _, _, kx), (dvy, _, _, ky) = faces
     fx, fy = kx * dvx, ky * dvy
     div = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
     return -div + lam * v[1:-1, 1:-1] ** (p - 1.0)
-
-
-def expression_coeffs(faces, p):
-    out = []
-    for bn, bt, s2, k in faces:
-        c1 = k * (1.0 + (p - 2.0) * bn ** 2 / s2)
-        c2 = k * (p - 2.0) * bn * bt / s2
-        out += [np.where(s2 == 0.0, 0.0, c1), np.where(s2 == 0.0, 0.0, c2)]
-    return out
 
 
 def boundary_quadratic(m):
@@ -1034,10 +1012,9 @@ class TestInPlaceAssembly:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 2.7])
     @pytest.mark.parametrize("kind", ["smooth", "flat", "overflowing"])
     def test_matches_the_expressions_bit_for_bit(self, p, kind):
-        # the face terms, the residual and the face coefficients formed in
-        # place hold the bytes of the whole-array expressions, through
-        # flat faces (s2 = 0 at eps = 0, k = inf at p < 2) and values
-        # whose products overflow to inf and NaN
+        # the residual formed in place holds the bytes of the whole-array
+        # expression, through flat faces (s2 = 0 at eps = 0, k = inf at
+        # p < 2) and values whose products overflow to inf and NaN
         rng = np.random.default_rng(9)
         v = {"smooth": np.exp(rng.random((19, 24))),
              "flat": np.where(rng.random((19, 24)) < 0.5, 1.0, 2.0),
@@ -1046,15 +1023,26 @@ class TestInPlaceAssembly:
         with np.errstate(all="ignore"):
             for eps in (0.0, 1e-8):
                 faces = _face_terms(v, p, h, eps)
-                expected = expression_face_terms(v, p, h, eps)
-                for new, old in zip(sum(faces, ()), sum(expected, ())):
-                    assert new.tobytes() == old.tobytes()
                 assert (grid_pde._residual(v, p, lam, h, faces).tobytes()
-                        == expression_residual(v, p, lam, h,
-                                               expected).tobytes())
-                coeffs = grid_pde._linearized_face_coeffs(faces, p)
-                for new, old in zip(coeffs, expression_coeffs(expected, p)):
-                    assert new.tobytes() == old.tobytes()
+                        == expression_residual(v, p, lam, h, faces).tobytes())
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_coefficients_vanish_on_flat_faces(self, p):
+        # s2 == 0 at eps = 0 makes the formulas 0/0 (and k = inf at p < 2);
+        # the coefficients are exactly 0 there, finite elsewhere, and no
+        # floating-point warning escapes
+        rng = np.random.default_rng(9)
+        v = np.where(rng.random((19, 24)) < 0.5, 1.0, 2.0)
+        faces = _face_terms(v, p, 1 / 16, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs = grid_pde._linearized_face_coeffs(faces, p)
+        for (_, _, s2, _), c1, c2 in zip(faces, coeffs[::2], coeffs[1::2]):
+            flat = s2 == 0.0
+            assert flat.any() and not flat.all()
+            for c in (c1, c2):
+                assert np.all(c[flat] == 0.0)
+                assert np.isfinite(c[~flat]).all()
 
 
 class TestGridTransfers:
@@ -1119,10 +1107,10 @@ class TestGridTransfers:
 
     @pytest.mark.parametrize("special", [False, True])
     def test_correction_casts_the_scaled_residual_as_before(self, special):
-        # the residual is scaled and cast to float32 in one step, with the
-        # bytes of the float64 scaling then the cast: entries that fall
-        # below float32's normal range become subnormal or zero, and with
-        # inf or NaN entries (no scaling) the ones beyond its range overflow
+        # the residual is scaled in float64 and then cast to float32:
+        # entries that fall below float32's normal range become subnormal
+        # or zero, and with inf or NaN entries (no scaling) the ones beyond
+        # its range overflow
         rng = np.random.default_rng(4)
         resid = (rng.standard_normal(200_000)
                  * 10.0 ** rng.uniform(-60.0, 0.0, 200_000))
@@ -1195,6 +1183,11 @@ class TestLinearizedApply:
         assert np.max(np.abs(direct - via_matrix)) <= 1e-9 * np.max(np.abs(direct))
 
 
+def no_interior_field(shape):
+    """A positive field with fewer than 3 nodes on an axis."""
+    return Field2D(h=1 / 8, origin=(0.0, 0.0), values=np.full(shape, 2.5))
+
+
 class TestGradientLogSup:
     def test_exponential_equality_case(self):
         f = exponential_field(1.0, XI, RECT, 1 / 64)
@@ -1217,6 +1210,15 @@ class TestGradientLogSup:
         with pytest.raises(DomainError, match="via must be 'log' or 'ratio'"):
             gradient_log_sup(f, via="exp")
 
+    @pytest.mark.parametrize("shape, via", [((2, 5), "log"), ((1, 1), "log"),
+                                            ((5, 2), "ratio")])
+    def test_rejects_grid_without_interior(self, shape, via):
+        # not numpy's zero-size reduction error
+        f = no_interior_field(shape)
+        with pytest.raises(DomainError, match=rf"{shape[0]} x {shape[1]} "
+                                              "nodes, centred differences"):
+            gradient_log_sup(f, via=via)
+
 
 class TestDirectionalRange:
     def test_aligned(self):
@@ -1236,6 +1238,11 @@ class TestDirectionalRange:
         lo, hi = directional_range(f, [s, s])
         assert lo == pytest.approx(s, abs=1e-12)
         assert hi == pytest.approx(s, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 1)])
+    def test_rejects_grid_without_interior(self, shape):
+        with pytest.raises(DomainError, match="need at least 3 per axis"):
+            directional_range(no_interior_field(shape), [1.0, 0.0])
 
     def test_solve_output_range(self):
         params = ProblemParams(n=4, p=3.0, lam=2.0)
@@ -1337,6 +1344,11 @@ class TestKappaBound:
 
     def test_kappa_value_p2(self):
         assert kappa(2.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 1)])
+    def test_rejects_grid_without_interior(self, shape):
+        with pytest.raises(DomainError, match="need at least 3 per axis"):
+            kappa_bound_check(no_interior_field(shape), 2.0, 1.0)
 
 
 class TestExponentialField:

@@ -170,6 +170,16 @@ class TestRiccatiRatioFlow:
         with pytest.raises(DomainError):
             riccati_ratio_flow(1.0, p, s0, (0, 1))
 
+    def test_rejects_empty_broadcast(self):
+        # not ODEPACK's "Illegal input detected" on zero equations
+        with pytest.raises(DomainError, match=r"empty shape \(0,\)"):
+            riccati_ratio_flow(1.0, 2.0, np.array([]), (0, 1))
+
+    def test_rejects_empty_span(self):
+        # not ODEPACK's "Nothing was done" on a span of length 0
+        with pytest.raises(DomainError, match="its ends must differ"):
+            riccati_ratio_flow(1.0, 2.0, 1.0, (1, 1))
+
     def test_vector_call_matches_scalar_calls(self):
         # the (p, lam, s0) grid of acceptance criterion 08 in one call
         p = np.array([1.5, 2.0, 3.0])[:, None, None]
@@ -518,6 +528,11 @@ class TestHardyPowerResidual:
         assert resid == pytest.approx(abs(auxiliary_f(g, n, p, a) - mu), rel=1e-10)
         assert resid >= 1e-3
 
+    def test_rejects_empty_samples(self):
+        # not numpy's zero-size reduction error
+        with pytest.raises(DomainError, match="r_samples is empty"):
+            hardy_power_residual(5, 2.5, 0.3, 0.3, 1.0, [])
+
     def test_constant_solution(self):
         r = np.geomspace(0.1, 10, 7)
         assert hardy_power_residual(3, 2.0, 0.0, 0.0, 0.0, r) == 0.0
@@ -786,6 +801,16 @@ class TestShootSingularProfile:
         if a.classification is ShootClass.TURNS_UP:
             r_turn = a.profile.meta["r_turn"]
             assert abs(k * b.profile.meta["r_turn"] - r_turn) <= 1e-6 * r_turn
+
+    @pytest.mark.parametrize("r_in, r_out", [(0.0, 1.0), (-1.0, 1.0),
+                                             (1e-3, math.inf),
+                                             (math.nan, 1.0)])
+    def test_rejects_radii_outside_the_half_line(self, r_in, r_out):
+        # not the bare "math domain error" of log(r_in) or the overflow of
+        # exp(t) on the way to r_out = inf
+        params = ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0)
+        with pytest.raises(DomainError, match="0 < r_in < r_out < inf"):
+            shoot_singular_profile(params, r_in, r_out)
 
     def test_rejects_reversed_span(self):
         params = ProblemParams(n=3, p=2.0, mu=0.1, lam=0.0)

@@ -30,7 +30,9 @@ numbers.  The commands are:
   xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
   fallback of the refinement (a failed check, exit 1), and on the strips
   rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
-  interior nodes on y, where stencil arrays share a DIA diagonal;
+  interior nodes on y, where stencil arrays share a DIA diagonal, and on
+  the unit square at h = 1/2, whose one interior node gives the smallest
+  face arrays and a 1 x 1 stencil storage;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
 - `bochner` on {};
 - seventeen error paths, so that a change that moves an exit code or an
@@ -109,6 +111,8 @@ GRID_EXTRA = {
     "grid_strip_2_nodes": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
                            "rect": [0, 0, 1, 0.1875], "h": 0.0625,
                            "tol": 1e-9},
+    "grid_one_node": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
+                      "rect": [0, 0, 1, 1], "h": 0.5, "tol": 1e-9},
 }
 
 
