@@ -77,7 +77,11 @@ class Field2D:
         _check_spacing(self.h)
         if not _positive_finite(self.values):
             raise DomainError("field values must be positive and finite")
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
+        origin = np.asarray(self.origin, dtype=float)
+        if origin.shape != (2,):
+            raise DomainError("origin must be two numbers, got shape "
+                              f"{origin.shape}")
+        self.origin = (float(origin[0]), float(origin[1]))
         if not all(map(math.isfinite, self.origin)):
             raise DomainError("origin must be finite")
 
@@ -113,6 +117,14 @@ def _check_unit(vec):
     if not abs(float(np.linalg.norm(vec)) - 1.0) <= 1e-14:  # NaN fails it
         raise DomainError("direction must be a unit vector")
     return vec
+
+
+def _grid_direction(vec):
+    """vec as a unit vector of the plane of the grids, of shape (2,)."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (2,):
+        raise DomainError(f"a grid direction has shape (2,), got {vec.shape}")
+    return _check_unit(vec)
 
 
 def _positive_finite(values) -> bool:
@@ -154,7 +166,7 @@ def _exponential_sum(rate, atoms, rect, h, what="field") -> Field2D:
     underflowing to 0, which Field2D would reject without naming why."""
     if not math.isfinite(rate):
         raise DomainError(f"rate must be finite, got {rate!r}")
-    directions = [_check_unit(xi) for xi, _ in atoms]
+    directions = [_grid_direction(xi) for xi, _ in atoms]
     x0, y0, nx, ny = _grid_shape(rect, h)
     x = x0 + h * np.arange(nx)
     y = y0 + h * np.arange(ny)
@@ -817,7 +829,7 @@ def gradient_log_sup(field: Field2D, via="log") -> float:
 
 def directional_range(field: Field2D, nu):
     """(min, max) over interior nodes of <grad log v, nu> for a unit nu."""
-    nu = _check_unit(nu)
+    nu = _grid_direction(nu)
     w = np.log(field.values)
     h = field.h
     wx, wy = _centered_grad(w, h)
@@ -826,17 +838,23 @@ def directional_range(field: Field2D, nu):
 
 
 def kappa(p, lam) -> float:
-    """Sharp bound ((p-1)^(p-1) lam)^(2/p) on |grad(-(p-1) log v)|^2."""
+    """Sharp bound ((p-1)^(p-1) lam)^(2/p) on |grad(-(p-1) log v)|^2.
+    Raises DomainError unless 1 < p < inf and 0 <= lam < inf."""
+    if not (1.0 < p < math.inf and 0.0 <= lam < math.inf):  # NaN fails it
+        raise DomainError("kappa needs 1 < p < inf and 0 <= lam < inf, got "
+                          f"p={p!r}, lam={lam!r}")
     return ((p - 1.0) ** (p - 1.0) * lam) ** (2.0 / p)
 
 
 def kappa_bound_check(field: Field2D, p, lam):
-    """(max of f, kappa) where f = |grad w|^2, w = -(p-1) log v."""
+    """(max of f, kappa) where f = |grad w|^2, w = -(p-1) log v.  Raises
+    DomainError on the p and lam that kappa rejects."""
+    kap = kappa(p, lam)
     w = -(p - 1.0) * np.log(field.values)
     h = field.h
     wx, wy = _centered_grad(w, h)
     f = wx ** 2 + wy ** 2
-    return float(f.max()), kappa(p, lam)
+    return float(f.max()), kap
 
 
 def bochner_residual(field: Field2D, p, lam) -> float:
@@ -847,9 +865,11 @@ def bochner_residual(field: Field2D, p, lam) -> float:
                  + p f^(p/2-1) <grad w, grad f>.
     Both sides are discretized (third derivatives by nested second-order
     stencils, hence O(h) overall) and compared where f > 1e-6 * kappa.
-    Returns 0 when that mask is empty.  Raises DomainError on a grid with
-    fewer than NESTED_STENCIL_NODES nodes per axis.
+    Returns 0 when that mask is empty.  Raises DomainError on the p and lam
+    that kappa rejects and on a grid with fewer than NESTED_STENCIL_NODES
+    nodes per axis.
     """
+    kap = kappa(p, lam)
     v, h = field.values, field.h
     nodes = min(v.shape)
     if nodes < NESTED_STENCIL_NODES:
@@ -872,7 +892,7 @@ def bochner_residual(field: Field2D, p, lam) -> float:
     wf_dot = wx[1:-1, 1:-1] * fx + wy[1:-1, 1:-1] * fy
 
     f = f_int[1:-1, 1:-1]
-    mask = f > 1e-6 * kappa(p, lam)
+    mask = f > 1e-6 * kap
     if not np.any(mask):
         return 0.0
     fm = f[mask]

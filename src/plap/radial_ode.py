@@ -172,10 +172,10 @@ def riccati_ratio_flow(lam, p, s0, t_span):
     pass is scipy's odeint (ODEPACK's LSODA, its step loop in compiled code)
     at rtol = 1e-12 and atol = 1e-14, with a diagonal banded Jacobian since
     the flows are independent.  Raises DomainError on an empty broadcast or
-    a t_span whose ends are equal, StepFailure with ODEPACK's message if
-    the pass stops early, and SingularRatio naming the first sample time at
-    which a flow is at or below 1e-12 (or not finite); lam < 0 drives every
-    flow to zero by t0 + s0^(p-1)/|lam|.
+    a t_span that is not two distinct ends, StepFailure with ODEPACK's
+    message if the pass stops early, and SingularRatio naming the first
+    sample time at which a flow is at or below 1e-12 (or not finite);
+    lam < 0 drives every flow to zero by t0 + s0^(p-1)/|lam|.
     """
     lam, p, s0 = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                        for v in (lam, p, s0)))
@@ -187,6 +187,9 @@ def riccati_ratio_flow(lam, p, s0, t_span):
         raise DomainError("s0 must be positive")
     if not np.all((p > 1.0) & (p < math.inf)):
         raise DomainError("p must exceed 1 and be finite")
+    t_span = np.asarray(t_span, dtype=float)
+    if t_span.shape != (2,):
+        raise DomainError(f"t_span must be (t0, t1), got shape {t_span.shape}")
     if not (np.isfinite(lam).all() and np.isfinite(t_span).all()):
         raise DomainError("lam and t_span must be finite")
     if t_span[0] == t_span[1]:

@@ -110,6 +110,13 @@ class TestField2D:
         with pytest.raises(DomainError, match="origin must be finite"):
             Field2D(h=0.5, origin=origin, values=np.ones((3, 3)))
 
+    @pytest.mark.parametrize("origin", [(0.0,), (0.0, 0.0, 0.0), 0.0,
+                                        ((0.0, 0.0),)])
+    def test_rejects_origin_not_two_numbers(self, origin):
+        # one number raised a bare IndexError and three were cut to two
+        with pytest.raises(DomainError, match="origin must be two numbers"):
+            Field2D(h=0.5, origin=origin, values=np.ones((3, 3)))
+
     def test_coords(self):
         f = exponential_field(1.0, XI, RECT, 0.25)
         assert np.allclose(f.x_coords(), [0, 0.25, 0.5, 0.75, 1.0])
@@ -1345,6 +1352,19 @@ class TestKappaBound:
     def test_kappa_value_p2(self):
         assert kappa(2.0, 1.0) == 1.0
 
+    @pytest.mark.parametrize("p, lam", [
+        (0.5, 1.0), (1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+        (2.0, -1.0), (2.0, math.inf), (2.0, math.nan)])
+    def test_rejects_p_and_lam_out_of_range(self, p, lam):
+        # kappa(0.5, 1) was (4+9.8e-16j) and kappa(2, -1) was -1, and both
+        # checks passed such values on
+        f = exponential_field(1.0, XI, RECT, 1 / 8)
+        for check in (kappa, lambda p, lam: kappa_bound_check(f, p, lam),
+                      lambda p, lam: bochner_residual(f, p, lam)):
+            with pytest.raises(DomainError, match="kappa needs 1 < p < inf "
+                                                  "and 0 <= lam < inf"):
+                check(p, lam)
+
     @pytest.mark.parametrize("shape", [(2, 5), (1, 1)])
     def test_rejects_grid_without_interior(self, shape):
         with pytest.raises(DomainError, match="need at least 3 per axis"):
@@ -1389,6 +1409,24 @@ class TestExponentialField:
         for other in (g, s):
             assert np.array_equal(other.values, f.values)
             assert (other.h, other.origin) == (f.h, f.origin)
+
+
+@pytest.mark.parametrize("xi", [[0.0, 0.0, 1.0], [[0.6], [0.8]], [1.0], 1.0],
+                         ids=["3-vector", "column", "1-vector", "scalar"])
+@pytest.mark.parametrize("call", [
+    lambda xi: exponential_field(1.0, xi, RECT, 0.25),
+    lambda xi: representation_field([(xi, 1.0)], 1.0, RECT, 0.25),
+    lambda xi: solve_dirichlet(ProblemParams(n=4, p=3.0, lam=2.0), xi, RECT,
+                               0.25),
+    lambda xi: directional_range(exponential_field(1.0, XI, RECT, 0.25), xi),
+], ids=["exponential_field", "representation_field", "solve_dirichlet",
+        "directional_range"])
+def test_grid_direction_has_shape_2(call, xi):
+    # each has norm 1, and the grid read its first two coordinates:
+    # (0, 0, 1) gave the constant field 1 and a directional range (0, 0)
+    with pytest.raises(DomainError,
+                       match=r"a grid direction has shape \(2,\)"):
+        call(xi)
 
 
 class TestRepresentationField:

@@ -180,6 +180,13 @@ class TestRiccatiRatioFlow:
         with pytest.raises(DomainError, match="its ends must differ"):
             riccati_ratio_flow(1.0, 2.0, 1.0, (1, 1))
 
+    @pytest.mark.parametrize("t_span", [(0.0,), (0.0, 1.0, 2.0), 1.0,
+                                        ((0.0, 1.0),)])
+    def test_rejects_span_not_two_ends(self, t_span):
+        # one number raised a bare IndexError, three ran on the first two
+        with pytest.raises(DomainError, match=r"t_span must be \(t0, t1\)"):
+            riccati_ratio_flow(1.0, 2.0, 1.0, t_span)
+
     def test_vector_call_matches_scalar_calls(self):
         # the (p, lam, s0) grid of acceptance criterion 08 in one call
         p = np.array([1.5, 2.0, 3.0])[:, None, None]
