@@ -789,6 +789,70 @@ class TestOneSidedChecks:
         assert math.isnan(cli._order_shortfall([1.0, 0.25, math.nan]))
 
 
+class TestRowBounds:
+    """The bounds that sit inside a row's measured value (target 0, tol 0),
+    so that the acceptance table does not see them, each met just inside and
+    missed just outside."""
+
+    @pytest.mark.parametrize("order, shortfall", [
+        (1.8 + 1e-6, 0.0), (1.8 - 1e-6, 1e-6)])
+    def test_order_floor(self, order, shortfall):
+        errs = [1.0, 2.0 ** -2.5, 2.0 ** -(2.5 + order)]
+        assert cli._order_shortfall(errs) == pytest.approx(shortfall, abs=1e-12)
+
+    @pytest.mark.parametrize("ratio, shortfall", [
+        (1.5 + 1e-6, 0.0), (1.5 - 1e-6, 1e-6)])
+    def test_bochner_refinement_floor(self, monkeypatch, ratio, shortfall):
+        resid = {1 / 16: 1.0, 1 / 32: 1 / ratio}
+        monkeypatch.setattr(cli, "_oracle_residual", lambda h, lam: resid[h])
+        rows = {r.name: r for r in cli.step_bochner({"bochner_h": list(resid)})}
+        assert rows["refinement_factor_shortfall"].measured == pytest.approx(
+            shortfall, abs=1e-12)
+        assert rows["monotone_decrease"].measured == 0.0
+
+    @pytest.mark.parametrize("rise, excess", [(0.0, 0.0), (1e-6, 1e-6)])
+    def test_monotone_ceilings(self, monkeypatch, tmp_path, rise, excess):
+        resid = {1 / 16: 1.0, 1 / 32: 1.0 + rise}
+        monkeypatch.setattr(cli, "_oracle_residual", lambda h, lam: resid[h])
+        rows = {r.name: r for r in cli.step_bochner({"bochner_h": list(resid)})}
+        assert rows["monotone_decrease"].measured == pytest.approx(excess,
+                                                                   abs=1e-12)
+        rep = SimpleNamespace(scales=[1.0, 2.0], sup_distance=[0.5, 0.5 + rise],
+                              grad_distance=[0.0, 0.0])
+        rows = {r.name: r for r in cli._translate_rows(rep, rep, tmp_path)}
+        assert rows["translate_monotone"].measured == pytest.approx(excess,
+                                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("gap, excess", [(-1e-6, 0.0), (1e-6, 1e-6)])
+    def test_gradient_log_ceiling(self, monkeypatch, gap, excess):
+        # alpha + 5 sup_err / h = 1 + 5 * 2^-7 / 2^-3 = 1.3125, exactly
+        monkeypatch.setattr(cli.grid_pde, "gradient_log_sup",
+                            lambda fld: 1.3125 + gap)
+        got = cli._gradient_log_excess(None, 1.0, 2.0 ** -7, 2.0 ** -3)
+        assert got == pytest.approx(excess, abs=1e-12)
+
+    @pytest.mark.parametrize("max_f, excess", [
+        (101.0 - 1e-6, 0.0), (101.0 + 1e-6, 1e-6)])
+    def test_kappa_allowance(self, monkeypatch, max_f, excess):
+        # kappa 100 with a 1% allowance
+        monkeypatch.setattr(cli.grid_pde, "kappa_bound_check",
+                            lambda fld, p, lam: (max_f, 100.0))
+        got = cli._kappa_excess(None, 3.0, 2.0)
+        assert got == pytest.approx(excess, abs=1e-10)
+
+    @pytest.mark.parametrize("floor_gap, shortfall", [(1e-9, 0.0),
+                                                      (-1e-9, 1e-9)])
+    def test_perturbed_residual_floor(self, monkeypatch, floor_gap, shortfall):
+        calls = iter([0.0, 1e-3 + floor_gap])
+        monkeypatch.setattr(
+            cli.radial_ode, "hardy_power_residual",
+            lambda n, p, a, mu, gamma, r: np.full(np.shape(gamma), next(calls)))
+        rows = {r.name: r for r in cli.step_power_residual(
+            {"hardy_trials": 2}, np.random.default_rng(0))}
+        assert rows["min_perturbed_shortfall"].measured == pytest.approx(
+            shortfall, abs=1e-15)
+
+
 def _uniform_sample_root_instance(rng):
     """_sample_root_instance as written with Generator.uniform."""
     for _ in range(64):
