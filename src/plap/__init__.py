@@ -19,9 +19,10 @@ from .indicial import (IndicialData, ProblemParams, RootPlacement, auxiliary_f,
                        eigen_rate_alpha, gamma_star, hardy_best_constant,
                        indicial_roots, placement_satisfied)
 from .radial_ode import (DecayFit, RadialProfile, ShootClass, ShootResult,
-                         decay_power, fit_decay_exponents, hardy_power_residual,
-                         radial_exterior_eigen, riccati_ratio_flow,
-                         series_start_radius, shoot_singular_profile)
+                         decay_power, far_field_series, fit_decay_exponents,
+                         hardy_power_residual, radial_exterior_eigen,
+                         riccati_ratio_flow, series_start_radius,
+                         shoot_singular_profile)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -863,8 +863,14 @@ def bochner_residual(field: Field2D, p, lam) -> float:
     With w = -(p-1) log v the identity reads
         L_w(f) = 2 f^(p/2-1) w_ij^2 + (p/2-1) |grad f|^2 f^(p/2-2)
                  + p f^(p/2-1) <grad w, grad f>.
-    Both sides are discretized (third derivatives by nested second-order
-    stencils, hence O(h) overall) and compared where f > 1e-6 * kappa.
+    Both sides are discretized (third derivatives by nested centered
+    second-order stencils, which stay O(h^2) nested) and compared where
+    f > 1e-6 * kappa.  Measured refinement ratios of the result from
+    h = 1/16 to 1/128: 3.995-3.999 on criterion 05's p = 2 oracle field
+    e^x + e^y, and 4.01, 3.55 and 3.34 on solved p = 3 fields (n = 4,
+    lam = 2, xi = (0.6, 0.8), unit square, tol 1e-9), whose residual is the
+    solve's error, since the exact exponential field gives 4e-8 at
+    h = 1/128; at xi = (1, 0) the ratios are about 10.
     Returns 0 when that mask is empty.  Raises DomainError on the p and lam
     that kappa rejects and on a grid with fewer than NESTED_STENCIL_NODES
     nodes per axis.

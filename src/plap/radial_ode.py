@@ -5,15 +5,17 @@ and every profile is (r, ln u, ratio = u'/u); u and u' are derived from
 them.  u underflows float64 once ln(u) drops below about -745, while the
 pair stays finite on any span.  The ratio flow repels the decaying branch
 at rate exp(p*alpha*r) going outward and attracts it at the same rate going
-inward, so the branch is found by one inward integration from beyond r_max,
-seeded with its far-field limit -alpha; no outward shooting or bisection on
-the initial ratio is needed.  That inward pass is integrated with LSODA in
-s = 1/r, where the branch is a regular series: the attraction makes the
-flow stiff (an explicit Runge-Kutta method is held to steps |h| of order
-1/(p*alpha) in r by stability alone, although sigma itself varies slowly),
-and a stiff-switching method takes steps limited only by accuracy.  ln u is
-then a quadrature of sigma.  The singular outward shot carries
-w = |sigma|^(p-2) sigma, not sigma: the sigma equation divides by
+inward.  Far out the branch is its asymptotic series in s = 1/r
+(far_field_series), and inside the radius where that series is exact to
+rounding it is found by one inward integration seeded with the series; no
+outward shooting or bisection on the initial ratio is needed.  That inward
+pass is integrated with LSODA in s, where the branch is a regular series:
+the attraction makes the flow stiff (an explicit Runge-Kutta method is held
+to steps |h| of order 1/(p*alpha) in r by stability alone, although sigma
+itself varies slowly), and a stiff-switching method takes steps limited
+only by accuracy.  ln u is then a quadrature of sigma, and beyond the
+series' reach the series' closed-form integral.  The singular outward shot
+carries w = |sigma|^(p-2) sigma, not sigma: the sigma equation divides by
 |sigma|^(p-2), singular where u turns for p > 2, while the w equation only
 has the Hoelder term |w|^(1/(p-1)).
 """
@@ -35,8 +37,10 @@ from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
 
 # ODEPACK's cap on the steps between two output points of an odeint pass,
 # raised from its default of 500 so that no pass stops for it: the exterior
-# shot took about 2.3k steps between two outputs in r, and in s it still
-# takes up to about 210 (its first output interval at (6, 2.2, 0.7)).
+# shot took about 2.3k steps between two outputs in r.  In s from the far
+# field series' reach it takes at most 9 on the far-field workload, and up
+# to about 300 where the reach lies far beyond r_max (its first output
+# interval at (200, 1.5, 1), r_max = 40).
 _ODEINT_MXSTEP = 100_000
 _ODEINT_SUCCESS = "Integration successful."
 RICCATI_SAMPLES = 501  # points of t at which riccati_ratio_flow reports s
@@ -44,8 +48,8 @@ RICCATI_SAMPLES = 501  # points of t at which riccati_ratio_flow reports s
 # Uncapped, LSODA's BDF steps where sigma turns from -alpha to its 1/r
 # growth near r0 each spend the whole tolerance, and their errors add up to
 # 1.3e-12 in sigma(r0) at (n, p, lam) = (6, 2.2, 0.7) against a 20-digit
-# reference (1.9e-13 with the cap; about 2% more RHS evaluations on the
-# far-field workload).
+# reference (1.9e-13 with the cap, at about 4% more RHS evaluations on the
+# far-field workload: 505 against 486 per shot).
 _S_STEP_MAX = 1.0 / 400.0
 # its quadrature of ln u takes steps of ln r of at most 1/200
 _QUAD_STEPS_PER_UNIT_LOG_R = 200
@@ -56,6 +60,14 @@ _QUAD_STEPS_PER_UNIT_LOG_R = 200
 # cases with 1.05 <= p <= 10, 2.3e-3 at 2e10 and 29 at 2e12 (n = 3, p = 2,
 # lam = 1).  The far-field workload reaches about 7.6e4.
 _MAX_STIFF_SPAN = 2e5
+# Order K of far_field_series, from which the exterior shot takes its
+# profile beyond the series' reach.  On the far-field workload's 16 draws
+# of seed 1011 the shot's mean RHS evaluations fall with K: 629 at K = 8,
+# 519 at 16, 505 at 20, 486 at 25 and 479 at 40 (median reach 204, 26,
+# 20, 17, 15), while the coefficients take 0.06 ms at K = 20 and 0.17 ms
+# at 40.  Past K = 20 the saving no longer pays for the longer recurrence.
+SERIES_ORDER = 20
+_EPS = math.ulp(1.0)
 # largest profile that a shot returns, in grid_points radii:
 # `plap shoot` peaked at about 286 B per profile point (tracemalloc, 2e4
 # and 2e5 points) and took about 2.2 s per 1e5 points, so 2^22 points take
@@ -227,9 +239,9 @@ def _ratio_rhs_s(n, p, lam):
         dsigma/dr = k |sigma|^(2-p) - sigma^2 - c sigma / r,
     k = lam/(p-1) and c = (n-1)/(p-1), and with dr/ds = -1/s^2
         dsigma/ds = (sigma^2 + c sigma s - k |sigma|^(2-p)) / s^2,
-    whose decaying branch is the regular series -alpha - (c/p) s - ... near
-    s = 0.  It works on Python floats and returns a tuple, since a shot
-    evaluates it about a thousand times.
+    whose decaying branch has the series -alpha - (c/p) s - ... near s = 0
+    (far_field_series).  It works on Python floats and returns a tuple,
+    since a shot evaluates it about five hundred times.
     """
     k = lam / (p - 1.0)
     c = (n - 1.0) / (p - 1.0)
@@ -282,19 +294,30 @@ def _check_grid_points(grid_points):
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
-    One inward LSODA pass of the ratio flow sigma = u'/u in s = 1/r, seeded
-    with the far-field limit sigma = -alpha at r_start = r_max + 35/(p*alpha).
-    Going inward the decaying branch attracts the flow at rate
-    exp(p*alpha*(r_start - r)), so the seed's error is damped by about e^-35
-    before r_max and the profile on [r0, r_max] is the branch to integrator
-    precision.  The same attraction makes the pass stiff: an explicit
-    Runge-Kutta method must keep |h| below about 6/(p*alpha) in r for
-    stability whatever the accuracy asked, while LSODA switches to a BDF
-    method and takes steps limited only by the smoothness of sigma.  In s
-    the branch is the regular series -alpha - (n-1)/(p(p-1)) s - ..., where
-    in r its 1/r tail keeps the steps short: a shot to r_max = 2e4 takes
-    about a thousand RHS evaluations in s where one in r took about five
-    thousand.
+    Far out the decaying branch is the series sigma = u'/u = a_0 + a_1 s
+    + ... + a_K s^K in s = 1/r of far_field_series.  Its reach,
+    meta["series_radius"], is the smallest radius from which each of its
+    last two terms is at most eps/4 of alpha; meta["series_terms"] is the
+    number of coefficients (K + 1 = SERIES_ORDER + 1 unless one is not
+    finite).  Profile radii at or beyond the reach take sigma from the
+    series and ln u from its closed-form integral (see _series_log_u).  The
+    rest come from one inward LSODA pass of the ratio flow in s, seeded with
+    the series value at r_start: the first profile radius at or beyond the
+    reach, or min(reach, r_max + 35/(p*alpha)) when the reach lies beyond
+    r_max; there the seed is the series summed up to its smallest pair of
+    terms (see _series_seed).  Going inward the branch attracts the flow at
+    rate exp(p*alpha*(r_start - r)), so in the second case the seed's error
+    is damped by at least about e^-35 before r_max.  The same attraction makes
+    the pass stiff: an explicit Runge-Kutta method must keep |h| below about
+    6/(p*alpha) in r for stability whatever the accuracy asked, while LSODA
+    switches to a BDF method and takes steps limited only by the smoothness
+    of sigma.  In s the branch is a regular series, where in r its 1/r tail
+    keeps the steps short.  A far-field shot (r_max = 2e4, 1600 radii)
+    takes about 500 RHS evaluations (505 on average over the 16 far-field
+    benchmark draws of seed 1011, whose reaches lie between 11 and 30); a
+    pass from r_max + 35/(p*alpha) seeded with -alpha took about 980, and
+    one in r about five thousand.  At (n, p) = (3, 2) the series ends at
+    a_1, so its reach is 0, no pass runs and nfev is 0.
 
     The pass is scipy's odeint, ODEPACK's LSODA with the step loop and the
     output interpolation in compiled code, at rtol = 3e-14 and atol = 1e-16
@@ -302,19 +325,21 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     1/r_start to 1/r0 with steps of at most 1/(400 r0) (see _S_STEP_MAX).
     ln u is then the integral of sigma in r by a two-point quintic Hermite
     rule (see _log_u_quadrature) on an internal grid that holds every
-    profile radius and splits each profile interval into equal steps of
-    ln r of at most 1/200, so that a coarse profile grid does not set the
-    quadrature's error; sigma is read from the pass on that grid too.  The
-    rule's sigma' and sigma'' pass on the rounding of sigma amplified by
-    the flow's stiffness, so the relative error of ln u grows like
-    (alpha r_max)^2: about 4e-13 at alpha r_max = 1e5, 2e-7 at 1e8 and
-    2e-3 at 1e10.  The shot therefore takes p*alpha*r_max only up to 2e5
-    (see _MAX_STIFF_SPAN), where the error is below about 1e-11.  The
-    profile lives on a log-spaced grid of grid_points radii from r0 to
-    r_max, an integer from 2 to MAX_PROFILE_POINTS (DomainError otherwise),
-    and is normalized to u(r0) = 1; meta["shoot_param"] is the realized
-    initial ratio u'(r0)/u(r0) and nfev is ODEPACK's count of RHS
-    evaluations.
+    profile radius of the pass and splits each profile interval into equal
+    steps of ln r of at most 1/200, so that a coarse profile grid does not
+    set the quadrature's error; sigma is read from the pass on that grid
+    too.  The rule's sigma' and sigma'' pass on the rounding of sigma
+    amplified by the flow's stiffness, so where the pass spans the whole
+    profile the relative error of ln u grows like (alpha r_max)^2: about
+    4e-13 at alpha r_max = 1e5, 2e-7 at 1e8 and 2e-3 at 1e10.  The shot
+    therefore takes p*alpha*r_max only up to 2e5 (see _MAX_STIFF_SPAN),
+    where the error is below about 1e-11.  Where the reach lies inside the
+    profile the quadrature stops there (the Bessel branch at p = 2 is then
+    within 1.1e-14 relative in ln u at r_max = 1e5).  The profile lives on
+    a log-spaced grid of grid_points radii from r0 to r_max, an integer
+    from 2 to MAX_PROFILE_POINTS (DomainError otherwise), and is normalized
+    to u(r0) = 1; meta["shoot_param"] is the realized initial ratio
+    u'(r0)/u(r0) and nfev is ODEPACK's count of RHS evaluations.
     Raises StepFailure with ODEPACK's message if the pass stops early, and
     naming the first radius at which sigma is no longer finite if it leaves
     the double range (sigma ~ -c/r overflows its square near r ~ 1e-154).
@@ -328,32 +353,54 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     if not p * alpha * r_max <= _MAX_STIFF_SPAN:
         raise DomainError(f"p*alpha*r_max must be at most {_MAX_STIFF_SPAN:g}"
                           f", got {p * alpha * r_max:g}")
-    r_start = r_max + 35.0 / (p * alpha)
+    coef = far_field_series(n, p, lam)
+    reach = _series_reach(coef)
     r_grid = np.geomspace(r0, r_max, grid_points)
-    # the quadrature grid splits each profile interval into m equal steps
-    # of ln r, each at most 1/200, and holds every profile radius exactly
-    m = math.ceil(_QUAD_STEPS_PER_UNIT_LOG_R * math.log(r_max / r0)
-                  / (grid_points - 1))
-    r_fine = np.geomspace(r0, r_max, (grid_points - 1) * m + 1)
-    r_fine[::m] = r_grid
-    r_out = np.concatenate(([r_start], r_fine[::-1]))
-    s_out = 1.0 / r_out
-    y, nfev = _odeint(_ratio_rhs_s(n, p, lam), [-alpha], s_out,
-                      tcrit=s_out[-1:], hmax=_S_STEP_MAX / r0, rtol=3e-14,
-                      atol=1e-16)
-    # ODEPACK reports success on a state that overflowed to inf or NaN
-    bad = ~np.isfinite(y).all(axis=1)
-    if bad.any():
-        raise StepFailure("inward pass left the double range at "
-                          f"r = {r_out[np.argmax(bad)]:g}")
-    # row 0 is the seed at r_start; the rest run from r_max down to r0
-    sigma_fine = y[:0:-1, 0]
-    log_u = _log_u_quadrature(r_fine, sigma_fine, n, p, lam)[::m].copy()
-    sigma = sigma_fine[::m].copy()
+    # the profile radii from r_grid[k] on lie at or beyond the reach and
+    # take sigma and ln u from the series; the pass runs from r_grid[k]
+    # (from beyond r_max when k = grid_points) down to r0
+    k = int(np.searchsorted(r_grid, reach))
+    if k < grid_points:
+        sigma = np.polyval(coef[::-1], 1.0 / r_grid[k:])
+        log_u = _series_log_u(coef, r_grid[k:])
+    else:
+        sigma = log_u = np.empty(0)
+    nfev = 0
+    if k > 0:
+        j = min(k, grid_points - 1)
+        # the quadrature grid splits each profile interval into m equal
+        # steps of ln r, each at most 1/200, and holds every profile radius
+        # exactly
+        m = math.ceil(_QUAD_STEPS_PER_UNIT_LOG_R * math.log(r_max / r0)
+                      / (grid_points - 1))
+        r_fine = np.geomspace(r0, r_grid[j], j * m + 1)
+        r_fine[::m] = r_grid[:j + 1]
+        r_out = r_fine[::-1]
+        if k < grid_points:
+            seed = sigma[0]
+        else:
+            r_start = min(reach, r_max + 35.0 / (p * alpha))
+            seed = _series_seed(coef, 1.0 / r_start)
+            r_out = np.concatenate(([r_start], r_out))
+        s_out = 1.0 / r_out
+        y, nfev = _odeint(_ratio_rhs_s(n, p, lam), [seed], s_out,
+                          tcrit=s_out[-1:], hmax=_S_STEP_MAX / r0, rtol=3e-14,
+                          atol=1e-16)
+        # ODEPACK reports success on a state that overflowed to inf or NaN
+        bad = ~np.isfinite(y).all(axis=1)
+        if bad.any():
+            raise StepFailure("inward pass left the double range at "
+                              f"r = {r_out[np.argmax(bad)]:g}")
+        # the rows run from the start down to r0
+        sigma_fine = y[::-1, 0][:r_fine.size]
+        log_pass = _log_u_quadrature(r_fine, sigma_fine, n, p, lam)[::m]
+        sigma = np.concatenate((sigma_fine[::m][:k], sigma))
+        log_u = np.concatenate((log_pass[:k], log_pass[k:] + log_u))
 
     meta = {"kind": "radial_exterior_eigen", "n": n, "p": p, "lam": lam,
             "r0": r0, "r_max": r_max, "alpha": alpha,
-            "shoot_param": float(sigma[0])}
+            "shoot_param": float(sigma[0]), "series_radius": reach,
+            "series_terms": int(coef.size)}
     profile = RadialProfile(r=r_grid, log_u=log_u, ratio=sigma, meta=meta)
     return ShootResult(profile=profile, bisection_iters=0,
                        classification=ShootClass.DECAYING, nfev=nfev)
@@ -506,6 +553,85 @@ def decay_power(n, p) -> float:
     """Power c = (n-1)/(p(p-1)) of the exterior eigenfunction's far-field
     decay u ~ r^-c exp(-alpha r); (n-1)/2 at p = 2, as r^-nu K_nu(r)."""
     return (n - 1.0) / (p * (p - 1.0))
+
+
+def far_field_series(n, p, lam) -> np.ndarray:
+    """Coefficients a_0..a_K of the decaying branch's far-field series
+    sigma = u'/u = a_0 + a_1 s + ... + a_K s^K in s = 1/r, K = SERIES_ORDER.
+
+    a_0 = -alpha and a_1 = -c1/p = -decay_power(n, p), c1 = (n-1)/(p-1).
+    The rest follow from the flow of _ratio_rhs_s written as
+        s^2 sigma' = sigma^2 + c1 s sigma - alpha^2 (1 - tau/alpha)^e,
+    tau = sigma + alpha and e = 2 - p.  With f_0 = 1, f_j = -a_j/alpha and
+    (sum f_j s^j)^e = sum P_j s^j, J. C. P. Miller's recurrence for the
+    power (Knuth, TAOCP vol. 2, 4.7) gives P_j = R_j + e f_j with
+        R_j = (1/j) sum_{0<i<j} ((e+1) i - j) f_i P_{j-i},
+    and matching the powers s^j gives, for j >= 1,
+        p alpha a_j = sum_{0<i<j} a_i a_{j-i} + (c1 - j + 1) a_{j-1}
+                      - alpha^2 R_j.
+    At p = 2 the series ends after a_1 for n = 3 (u = exp(-alpha r)/r) and
+    is -s^2/(alpha + s) beyond it for n = 5; elsewhere it is asymptotic,
+    its coefficients growing about like j!/(p alpha)^j.  The list stops
+    before the first coefficient that is not finite, which happens for p
+    near 1 at large n.  Raises DomainError unless n is finite, and what
+    eigen_rate_alpha raises on lam and p.
+    """
+    if not math.isfinite(n):
+        raise DomainError("n must be finite")
+    alpha = eigen_rate_alpha(lam, p)
+    c1 = (n - 1.0) / (p - 1.0)
+    e = 2.0 - p
+    a, f, power = [-alpha], [1.0], [1.0]
+    for j in range(1, SERIES_ORDER + 1):
+        rest = sum(((e + 1.0) * i - j) * f[i] * power[j - i]
+                   for i in range(1, j)) / j
+        a_j = (sum(a[i] * a[j - i] for i in range(1, j))
+               + (c1 - j + 1.0) * a[j - 1]
+               - alpha * alpha * rest) / (p * alpha)
+        if not math.isfinite(a_j):
+            break
+        a.append(a_j)
+        f.append(-a_j / alpha)
+        power.append(rest + e * f[j])
+    return np.array(a)
+
+
+def _series_reach(coef):
+    """Smallest radius from which each of the last two terms of the series
+    coef is at most eps/4 of alpha = -coef[0], and inf for fewer than three
+    coefficients.  Two terms, not the smallest one: a single coefficient
+    can vanish (a_2 at n = 3) where the series goes on."""
+    if coef.size < 3:
+        return math.inf
+    return max((4.0 * abs(float(coef[j])) / (_EPS * -float(coef[0])))
+               ** (1.0 / j) for j in (coef.size - 2, coef.size - 1))
+
+
+def _series_seed(coef, s):
+    """The series coef at s, truncated after the order j whose last two
+    terms a_(j-1) s^(j-1) and a_j s^j are smallest (the larger of the two;
+    the highest such j on ties), the rule of _series_reach.  At or beyond
+    the reach that is the whole series.  Inside it an asymptotic series is
+    nearest the branch so truncated (Bender and Orszag, 3.8): summed in full
+    its growing terms can put the sum anywhere, even above zero (5.8e22 at
+    n = 2000, p = 2, r = 57.5, where sigma is -34.8), and truncated at its
+    smallest single term it stops at a vanishing a_2 (n = 3)."""
+    terms = coef * s ** np.arange(coef.size)
+    size = np.abs(terms)
+    last_two = np.maximum(size[:-1], size[1:])
+    j = last_two.size - int(np.argmin(last_two[::-1])) if last_two.size else 0
+    return float(np.sum(terms[:j + 1]))
+
+
+def _series_log_u(coef, r):
+    """ln u(r) - ln u(r[0]) on the radii r from the series coef, in closed
+    form: -alpha (r - r_a) + a_1 ln(r/r_a)
+    + sum_{j>=2} a_j (s^(j-1) - s_a^(j-1))/(1 - j), s = 1/r."""
+    s = 1.0 / r
+    higher = coef[2:] / (1.0 - np.arange(2, coef.size))
+    tail = s * np.polyval(higher[::-1], s)
+    return (coef[0] * (r - r[0]) + coef[1] * np.log(r / r[0])
+            + (tail - tail[0]))
 
 
 def fit_decay_exponents(profile: RadialProfile, alpha=None, window=None) -> DecayFit:

@@ -420,13 +420,15 @@ class TestMainEntry:
                 in capsys.readouterr().err)
 
     def test_shoot_leaving_double_range_exit_1(self, tmp_path, capsys):
+        # at (4, 2.5, 1) the series' reach lies inside the profile, so the
+        # inward pass runs; at (3, 2, 1) the exact series leaves none
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
-            {"params": {"n": 3, "p": 2.0, "lam": 1.0}, "r0": 1e-300}))
+            {"params": {"n": 4, "p": 2.5, "lam": 1.0}, "r0": 1e-300}))
         code = cli.main(["shoot", "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")])
         assert code == 1
-        assert ("inward pass left the double range at r = 2.44616e-154"
+        assert ("inward pass left the double range at r = 1.33656e-154"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 

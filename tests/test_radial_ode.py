@@ -15,8 +15,9 @@ from plap.errors import (DomainError, IllConditioned, OutOfRange, SingularRatio,
                          StepFailure)
 from plap.indicial import (ProblemParams, auxiliary_f, eigen_rate_alpha,
                            indicial_roots)
-from plap.radial_ode import (RICCATI_SAMPLES, RadialProfile, ShootClass,
-                             decay_power, fit_decay_exponents,
+from plap.radial_ode import (RICCATI_SAMPLES, SERIES_ORDER, RadialProfile,
+                             ShootClass, decay_power, far_field_series,
+                             fit_decay_exponents,
                              hardy_power_residual,
                              radial_exterior_eigen, riccati_ratio_flow,
                              series_start_radius, shoot_singular_profile)
@@ -241,7 +242,7 @@ class TestRadialExteriorEigen:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_p2_matches_bessel_oracle(self, n):
-        # measured gaps: 8.1e-14 in sigma and 5.0e-13 in ln u (n = 5)
+        # measured gaps: 8.3e-14 in sigma and 1.5e-13 in ln u (n = 5)
         prof = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 40.0).profile
         ratio, log_u = bessel_branch(n, prof.r)
         assert np.max(np.abs(prof.ratio - ratio)) <= 1e-12
@@ -250,8 +251,8 @@ class TestRadialExteriorEigen:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_p2_far_field_matches_bessel_oracle(self, n):
         # the far-field workload's span: ln u falls to about -2e4, so the
-        # log error is relative to |log_u|.  Measured gaps: 8.1e-14 in
-        # sigma and 3.6e-13 relative in ln u (n = 5)
+        # log error is relative to |log_u|.  Measured gaps: 8.0e-14 in
+        # sigma (n = 5) and 1.2e-14 relative in ln u (n = 2)
         prof = radial_exterior_eigen(n, 2.0, 1.0, 1.0, 20010.0).profile
         ratio, log_u = bessel_branch(n, prof.r)
         assert np.max(np.abs(prof.ratio - ratio)) <= 1e-12
@@ -265,8 +266,8 @@ class TestRadialExteriorEigen:
                                                   grid_points):
         # ln u is integrated on an internal grid of steps of ln r of at
         # most 1/200, not on the profile's: the quintic rule on 10 points
-        # over [1, 40] alone is off by about 1e-4.  Measured gaps: 8.0e-14
-        # in sigma and 4.9e-13 relative in ln u (n = 5)
+        # over [1, 40] alone is off by about 1e-4.  Measured gaps: 1.8e-14
+        # in sigma (n = 5) and 1.2e-14 relative in ln u (n = 2)
         prof = radial_exterior_eigen(n, 2.0, 1.0, 1.0, r_max,
                                      grid_points=grid_points).profile
         ratio, log_u = bessel_branch(n, prof.r)
@@ -294,10 +295,22 @@ class TestRadialExteriorEigen:
 
     def test_far_field_rhs_evaluations(self):
         # an explicit method is held to |h| ~ 1/(p*alpha) by stability over
-        # the whole span (about 118k evaluations here); the stiff-switching
-        # pass took about 4.9k in r and takes about 700 in s = 1/r
-        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0, grid_points=1600)
+        # the whole span (about 118k evaluations at (3, 2, 1)); the
+        # stiff-switching pass took about 4.9k in r and about 700 in s from
+        # beyond r_max at (3, 2, 1).  From the series' reach (about 18.7) it
+        # takes 458 here, where the pass from beyond r_max took 960
+        shot = radial_exterior_eigen(4, 2.5, 1.0, 1.0, 20010.0,
+                                     grid_points=1600)
         assert shot.nfev <= 1000
+
+    def test_exact_series_leaves_no_pass(self):
+        # at (3, 2, lam) the series ends at a_1, sigma = -sqrt(lam) - 1/r,
+        # so it reaches to 0 and covers the whole profile without a pass
+        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0,
+                                     grid_points=1600)
+        assert shot.nfev == 0
+        assert shot.profile.meta["series_radius"] == 0.0
+        assert shot.profile.meta["series_terms"] == radial_ode.SERIES_ORDER + 1
 
     @pytest.mark.parametrize("n,p,lam", [(3, 2.0, 1.0), (3, 1.5, 0.5),
                                          (5, 2.9, 2.0), (6, 2.2, 0.7),
@@ -325,14 +338,10 @@ class TestRadialExteriorEigen:
         # On r >= 5e3 the branch is sigma = -alpha + a1/r + a2/r^2 + a3/r^3
         # up to a4/r^4 < 1e-14, and ln u + alpha r - a1 ln r + a2/r
         # + a3/(2 r^2) is a constant, at p != 2 too.  Measured gaps over
-        # seven cases: 4.4e-14 in sigma and 7.3e-13 relative to |ln u| in
-        # the constant, at (5, 4.5, 3.0)
+        # these five cases: 6.2e-15 in sigma and 1.8e-15 relative to |ln u|
+        # in the constant
         alpha = eigen_rate_alpha(lam, p)
-        c = (n - 1.0) / (p - 1.0)
-        a1 = -c / p
-        a2 = c * (2.0 - (p - 1.0) * c) / (2.0 * alpha * p ** 2)
-        a3 = -c * ((p - 1.0) * (p - 2.0) * c * c - 3.0 * (2.0 * p - 3.0) * c
-                   + 6.0) / (3.0 * alpha ** 2 * p ** 3)
+        a1, a2, a3 = far_field_series(n, p, lam)[1:4]
         far = prof.r >= 5e3
         r, log_u = prof.r[far], prof.log_u[far]
         series = -alpha + a1 / r + a2 / r ** 2 + a3 / r ** 3
@@ -344,7 +353,8 @@ class TestRadialExteriorEigen:
         # nfev is ODEPACK's nfe, which counts every call of the RHS, the
         # finite-difference Jacobian columns included.  The pass runs in
         # s = 1/r from 1/r_start up to 1/r0 = 1, its critical point, so no
-        # call lies outside [1/r_start, 1/r0].
+        # call lies outside [1/r_start, 1/r0].  At (4, 2.5, 1) the series'
+        # reach (about 18.7) lies inside the profile, so a pass runs.
         real_odeint, args_s, seen = radial_ode.odeint, [], {}
 
         def recording_odeint(func, *args, **kwargs):
@@ -356,19 +366,19 @@ class TestRadialExteriorEigen:
             return out
 
         monkeypatch.setattr(radial_ode, "odeint", recording_odeint)
-        r_max, alpha = 20010.0, eigen_rate_alpha(1.0, 2.0)
-        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max,
+        r_max, alpha = 20010.0, eigen_rate_alpha(1.0, 2.5)
+        shot = radial_exterior_eigen(4, 2.5, 1.0, 1.0, r_max,
                                      grid_points=1600)
         assert shot.nfev == seen["nfe"] == len(args_s)
-        r_start = r_max + 35.0 / (2.0 * alpha)
+        r_start = r_max + 35.0 / (2.5 * alpha)
         assert 1.0 / r_start <= min(args_s)
         assert max(args_s) <= 1.0
 
     def test_early_stop_raises_step_failure(self, monkeypatch):
-        # a cap of 5 steps between output points, where the pass to
-        # r_max = 20010 takes about 130 before its first output, makes
-        # ODEPACK stop early; the failure surfaces as StepFailure with its
-        # message, and its ODEintWarning does not leak
+        # a cap of 5 steps between output points, where the pass at
+        # (4, 2.5, 1) takes 9 from the series' reach to its first output,
+        # makes ODEPACK stop early; the failure surfaces as StepFailure with
+        # its message, and its ODEintWarning does not leak
         real_odeint = radial_ode.odeint
 
         def capped_odeint(*args, **kwargs):
@@ -378,7 +388,7 @@ class TestRadialExteriorEigen:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match="Excess work done"):
-                radial_exterior_eigen(3, 2.0, 1.0, 1.0, 20010.0,
+                radial_exterior_eigen(4, 2.5, 1.0, 1.0, 20010.0,
                                       grid_points=10)
 
     def test_shoot_param_is_initial_ratio(self):
@@ -462,10 +472,11 @@ class TestRadialExteriorEigen:
 
     def test_leaving_double_range_raises_step_failure(self):
         # going inward sigma ~ -c/r, whose square overflows near r ~ 1e-154;
-        # ODEPACK still reports success, so the pass checks its state
-        with pytest.raises(StepFailure,
-                           match=r"left the double range at r = 2\.44616e-154"):
-            radial_exterior_eigen(3, 2.0, 1.0, 1e-300, 40.0)
+        # ODEPACK still reports success, so the pass checks its state.  At
+        # (3, 2, 1) the exact series covers the profile and no pass runs
+        with pytest.raises(StepFailure, match=r"left the double range at "
+                                              r"r = 1\.33656e-154"):
+            radial_exterior_eigen(4, 2.5, 1.0, 1e-300, 40.0)
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -515,6 +526,97 @@ class TestRadialExteriorEigen:
         # the limit is on the stiff span, so the eigenvalue moves it
         with pytest.raises(DomainError, match="got 400000"):
             radial_exterior_eigen(3, 2.0, 4.0, 1.0, 1e5)
+
+
+class TestFarFieldSeries:
+    @pytest.mark.parametrize("n,p,lam", [(3, 2.0, 1.0), (3, 1.5, 0.5),
+                                         (5, 2.9, 2.0), (6, 2.2, 0.7),
+                                         (5, 4.5, 3.0), (2, 1.2, 0.4)])
+    def test_first_coefficients_match_closed_forms(self, n, p, lam):
+        # a_1 to a_3 by hand from s^2 sigma' = sigma^2 + c s sigma
+        # - alpha^2 (1 - tau/alpha)^(2-p), tau = sigma + alpha
+        alpha = eigen_rate_alpha(lam, p)
+        c = (n - 1.0) / (p - 1.0)
+        a = far_field_series(n, p, lam)
+        assert a.shape == (SERIES_ORDER + 1,)
+        assert a[0] == -alpha
+        assert a[1] == pytest.approx(-decay_power(n, p), rel=1e-15)
+        assert a[2] == pytest.approx(
+            c * (2.0 - (p - 1.0) * c) / (2.0 * alpha * p ** 2),
+            rel=1e-14, abs=1e-15 * c * c / alpha)
+        assert a[3] == pytest.approx(
+            -c * ((p - 1.0) * (p - 2.0) * c * c - 3.0 * (2.0 * p - 3.0) * c
+                  + 6.0) / (3.0 * alpha ** 2 * p ** 3), rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_p2_n3_series_ends_at_first_order(self, lam):
+        # u = exp(-sqrt(lam) r)/r, so sigma = -sqrt(lam) - s exactly
+        a = far_field_series(3, 2.0, lam)
+        assert a[:2].tolist() == [-math.sqrt(lam), -1.0]
+        assert not a[2:].any()
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+    def test_p2_n5_matches_closed_form(self, lam):
+        # u ~ exp(-alpha r) (1 + 1/(alpha r)) / r^2, alpha = sqrt(lam), so
+        # sigma = -alpha - 2 s - s^2/(alpha + s) and, for j >= 2,
+        # a_j = -(-1)^j / alpha^(j-1).  The recurrence's sums are about j/2
+        # times a_j here and cancel, so the coefficients lose digits with
+        # the order: measured 7e-14 relative at a_10 and 1.7e-5 at a_20
+        # (exact at lam = 1).  The sum beyond the reach, where each term
+        # that carries those errors is below eps*alpha/4, keeps the closed
+        # form to 2.2e-16 relative
+        alpha = math.sqrt(lam)
+        a = far_field_series(5, 2.0, lam)
+        j = np.arange(2, a.size)
+        exact = -(-1.0) ** j / alpha ** (j - 1)
+        assert a[0] == -alpha and a[1] == -2.0
+        assert np.max(np.abs(a[2:12] / exact[:10] - 1.0)) <= 1e-12
+        assert np.max(np.abs(a[2:] / exact - 1.0)) <= 1e-4
+        s = 1.0 / np.geomspace(1.0, 100.0, 200) / radial_ode._series_reach(a)
+        sigma = -alpha - 2.0 * s - s * s / (alpha + s)
+        assert np.max(np.abs(np.polyval(a[::-1], s) / sigma - 1.0)) <= 1e-15
+
+    @given(n=st.integers(2, 8), p=st.floats(1.2, 4.0), lam=st.floats(0.3, 3.0))
+    @settings(max_examples=20, deadline=None)
+    def test_truncated_series_satisfies_flow(self, n, p, lam):
+        # The flow of _ratio_rhs_s times s^2, evaluated on the truncated
+        # series at 40 digits: its Taylor coefficients of orders 0..K vanish
+        # up to the rounding of the float coefficients, relative to the size
+        # of the products that make up each order.  Measured: at most about
+        # 5e-16; order K + 1 is of order one, the series' own remainder
+        a = far_field_series(n, p, lam)
+        K = a.size - 1
+        assert K == SERIES_ORDER
+        with mpmath.workdps(40):
+            coef = [mpmath.mpf(float(x)) for x in a]
+            k = mpmath.mpf(lam) / (mpmath.mpf(p) - 1)
+            c = (mpmath.mpf(n) - 1) / (mpmath.mpf(p) - 1)
+
+            def residual(s):
+                sig = mpmath.polyval(coef[::-1], s)
+                dsig = mpmath.polyval([j * coef[j] for j in range(K, 0, -1)],
+                                      s)
+                return (s * s * dsig - sig * (sig + c * s)
+                        + k * abs(sig) ** (2 - mpmath.mpf(p)))
+
+            taylor = mpmath.taylor(residual, 0, K)
+        size = [sum(abs(a[i] * a[j - i]) for i in range(j + 1))
+                + (float(c) + j) * abs(a[j - 1] if j else 0.0)
+                for j in range(K + 1)]
+        assert max(float(abs(t)) / m for t, m in zip(taylor, size)) <= 1e-13
+
+    def test_stops_before_first_non_finite_coefficient(self):
+        # p near 1 and n large: c1 = (n-1)/(p-1) is 1e21, and a_j grows
+        # about like c1^j / alpha^(j-1) (alpha = 993), past the largest
+        # double at j = 18; the shot then runs its pass over the whole span
+        a = far_field_series(1e18, 1.001, 1.0)
+        assert a.size == 18
+        assert np.all(np.isfinite(a))
+        assert not math.isfinite(radial_ode._series_reach(a))
+
+    def test_rejects_non_finite_n(self):
+        with pytest.raises(DomainError, match="n must be finite"):
+            far_field_series(math.inf, 2.0, 1.0)
 
 
 class TestHardyPowerResidual:

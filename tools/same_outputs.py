@@ -33,7 +33,12 @@ numbers.  The commands are:
   interior nodes on y, where stencil arrays share a DIA diagonal, and on
   the unit square at h = 1/2, whose one interior node gives the smallest
   face arrays and a 1 x 1 stencil storage;
-- `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}};
+- `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}},
+  where the far-field series is exact and covers the whole shot, and
+  `shoot` at (n, p, lam) = (4, 2.5, 1), whose series reach (about 18.7)
+  lies inside the profile, and at (50, 1.5, 1), whose reach (about 180)
+  lies beyond r_max + 35/(p alpha), so that the inward pass spans the
+  whole profile;
 - `bochner` on {};
 - seventeen error paths, so that a change that moves an exit code or an
   error message shows up:
@@ -116,6 +121,13 @@ GRID_EXTRA = {
 }
 
 
+# shots on both sides of the far-field series' reach (see the docstring)
+SHOOT_EXTRA = {
+    "shoot_reach_inside": {"params": {"n": 4, "p": 2.5, "lam": 1.0}},
+    "shoot_reach_beyond": {"params": {"n": 50, "p": 1.5, "lam": 1.0}},
+}
+
+
 # roots on the branches plap all rarely draws: the Newton step on gamma
 # itself (one ulp of ln|gamma| above _ROOT_RTOL), the critical weight
 # a = (n-p)/p with its closed form, a root below the smallest double, and
@@ -169,6 +181,8 @@ def commands():
         yield f"all_seed{seed}", ["all", "--seed", str(seed)], None
     for sub, cfg in CONFIGS.items():
         yield sub, [sub], cfg
+    for name, cfg in SHOOT_EXTRA.items():
+        yield name, ["shoot"], cfg
     for name, cfg in ROOTS_EXTRA.items():
         yield name, ["roots"], cfg
     for name, cfg in GRID_EXTRA.items():
