@@ -257,10 +257,15 @@ def _p2_roots(n, a, mu):
 
 
 def _write_profile(profile, path):
-    """Columns r,u,du under a comment carrying the profile's meta as JSON."""
+    """Columns r,u,du under a comment carrying the profile's meta as strict
+    JSON: a float that is not finite (a series reach of inf) is written as
+    its string "inf", "-inf" or "nan", since JSON has no such number."""
+    meta = {key: str(value) if isinstance(value, float)
+            and not math.isfinite(value) else value
+            for key, value in profile.meta.items()}
     _write_csv(path, ("r", "u", "du"),
                zip(profile.r, profile.u, profile.du),
-               [json.dumps(profile.meta, sort_keys=True, default=str)])
+               [json.dumps(meta, sort_keys=True, default=str, allow_nan=False)])
 
 
 def _exact_solve(params, alpha, xi, rect, h, tol):

@@ -35,6 +35,12 @@ REFINE_ULPS = 4.0
 # with float32 levels, on 320, 112 and 16 draws like the benchmark's
 # grid_fine ones
 STALL_ULPS = 1024.0
+# refinement of a Newton step also stops once its float64 residual
+# max|rhs - A x| is within this share of solve_dirichlet's tol (inexact
+# Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+# The rest of tol covers the step's quadratic remainder and the rounding
+# of the residual of the updated field, which the Newton test reads
+LINEAR_TOL_SHARE = 0.25
 # multigrid V-cycle of a Newton step: damped Jacobi smoothing with this
 # weight and sweep counts, coarsening while both axes have more than
 # COARSEST_NODES nodes.  The cycle contracts the error by 0.08-0.15 for
@@ -623,7 +629,7 @@ def _correction(cycle, hierarchy, resid):
     return np.ldexp(y, scale - shift, dtype=np.float64)
 
 
-def _solve_refined(sten, rhs, interior):
+def _solve_refined(sten, rhs, interior, tol):
     """Newton step x solving A x = rhs, by float32 multigrid corrections
     refined in float64, where A is the matrix of the stencil arrays sten.
 
@@ -651,7 +657,13 @@ def _solve_refined(sten, rhs, interior):
     field, not of itself (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, ch. 12).  It also stops when a correction fails to
     halve the one before while within STALL_ULPS ulps of x: that is the
-    rounding floor of x.  x comes from one float64 LU of A instead when the
+    rounding floor of x.  And it stops once the float64 residual formed for
+    the next correction has max|rhs - A x| <= LINEAR_TOL_SHARE * tol, tol
+    being solve_dirichlet's (inexact Newton): such a step lies within
+    ||A^-1||_inf * tol / 4 of the exact one, any other within a few ulps of
+    the field as above.  With tol = 0 that stop is reached only on an
+    exactly zero residual, whose next correction would be zero, so x is the
+    same.  x comes from one float64 LU of A instead when the
     hierarchy cannot be built (a Jacobi weight is not finite or the coarsest
     matrix is singular), or a correction is not finite or fails to halve the
     one before above STALL_ULPS ulps of x.  No hierarchy outlives the call,
@@ -667,6 +679,7 @@ def _solve_refined(sten, rhs, interior):
     mat = _stencil_matrix(sten)
     hierarchy = _multigrid_hierarchy(sten)
     done = (REFINE_ULPS * EPS64 * interior).ravel()
+    linear_tol = LINEAR_TOL_SHARE * tol
     x = np.zeros_like(rhs)
     resid, cycles, last = rhs, 0, math.inf
     while hierarchy is not None:
@@ -691,12 +704,29 @@ def _solve_refined(sten, rhs, interior):
         last = step
         # in the array of the sizes, so no correction outlives its check
         resid = np.subtract(rhs, mat @ x, out=size)
+        if max(-float(resid.min()), float(resid.max())) <= linear_tol:
+            return x, cycles, 0
     hierarchy = None  # freed before the float64 LU is made
     if not np.isfinite(sten).all():
         raise OverflowError("Newton stencil is not finite: its face "
                             "coefficients leave the double range")
     return (splu(mat.tocsc(), permc_spec=DIRECT_ORDERING).solve(rhs),
             cycles + 1, 1)
+
+
+def _exact_step_may_differ(res_try, res, tol):
+    """Whether the full update of a Newton step that refinement may have
+    ended on LINEAR_TOL_SHARE * tol (_solve_refined) could be judged
+    otherwise with the exact step.  Its residual res_try differs from the
+    exact step's by at most that share of tol, to first order: the updates
+    differ by A^-1 r, r the step's linearized residual.  So the judgement
+    can differ only where res_try exceeds tol by at most the share (the
+    exact step could have ended the solve) or lies that close above res,
+    the residual before the step (it could have been accepted without
+    damping)."""
+    share = LINEAR_TOL_SHARE * tol
+    return res_try > tol and (res_try <= tol + share
+                              or res <= res_try < res + share)
 
 
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
@@ -721,12 +751,21 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     in float32 on a hierarchy coarsened from those arrays scaled to
     float32, each on the float64 residual, until a correction is within
     REFINE_ULPS ulps of the interior of v, the field the step updates, or
+    the step's linearized residual is within LINEAR_TOL_SHARE * tol, or
     one float64 LU when they fail.  v, its residual and the returned field
-    are float64.  The updated field is then within a few ulps of the one
-    an exact step gives, while the step itself may be accurate only to
-    those ulps of v rather than to its own.  The residual and the stencil
-    arrays are each formed in their own array by in-place operations, in
-    the order of operations of the whole-array expressions; the face terms
+    are float64.  A step ended by the tol share lies within
+    ||J^-1||_inf * tol / 4 of an exact step, J the Newton matrix, since
+    final_residual <= tol is all the solve promises.  Any other step
+    updates the field to within a few ulps of the one an exact step gives,
+    while the step itself may be accurate only to those ulps of v rather
+    than to its own.  When the residual of a step's full update lies where
+    an exact step could have been judged otherwise (_exact_step_may_differ),
+    the step is solved again with tol 0 from v's face terms, formed anew,
+    so that, to first order, the share never costs a Newton step or a
+    damping; both solves count in SolveStats.  The residual and the
+    stencil arrays are each formed in
+    their own array by in-place operations, in the order of operations of
+    the whole-array expressions; the face terms
     and the coefficients are whole-array expressions.  A step holds each
     grid-sized array once: the face terms are freed once their four
     coefficient arrays are formed, and those once the stencil arrays are;
@@ -766,37 +805,49 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
         if iters >= MAX_NEWTON_ITERS:
             raise NoConvergence(
                 f"residual {res:g} > tol {tol:g} after {iters} iterations")
-        with np.errstate(over="ignore"):  # left inf, as _newton_stencil says
-            coeffs = _linearized_face_coeffs(faces, p)
-        faces = None
-        sten = _newton_stencil(v, p, lam, h, coeffs)
-        coeffs = None
         # the residual becomes the right-hand side in place
-        x, solves, refactors = _solve_refined(
-            sten, np.negative(resid, out=resid).ravel(), v[1:-1, 1:-1])
-        sten = None  # freed before the damping trials
-        delta = x.reshape(resid.shape)
-        linear_solves += solves
-        float64_refactors += refactors
-        theta = 1.0
+        rhs = np.negative(resid, out=resid).ravel()
+        step_tol = tol
         while True:
-            if theta < DAMPING_FLOOR:
-                raise NoConvergence("damping floor reached without residual decrease")
-            v_try = v.copy()
-            v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
-            # rounding is monotone: once theta * delta rounds away at every
-            # node it does so for every smaller theta, and the residual
-            # can never fall
-            if np.array_equal(v_try, v):
-                raise NoConvergence("damping floor reached without residual decrease")
-            if _positive_finite(v_try):
-                faces = _face_terms(v_try, p, h, epsilon)
-                resid_try = _residual(v_try, p, lam, h, faces)
-                res_try = float(np.max(np.abs(resid_try)))
-                if res_try < res or res_try <= tol:
-                    break
-            theta *= 0.5
-            damping_events += 1
+            with np.errstate(over="ignore"):  # left inf, as _newton_stencil says
+                coeffs = _linearized_face_coeffs(faces, p)
+            faces = None
+            sten = _newton_stencil(v, p, lam, h, coeffs)
+            coeffs = None
+            x, solves, refactors = _solve_refined(sten, rhs, v[1:-1, 1:-1],
+                                                  step_tol)
+            sten = None  # freed before the damping trials
+            delta = x.reshape(resid.shape)
+            linear_solves += solves
+            float64_refactors += refactors
+            theta, redo = 1.0, False
+            while True:
+                if theta < DAMPING_FLOOR:
+                    raise NoConvergence("damping floor reached without residual decrease")
+                v_try = v.copy()
+                v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
+                # rounding is monotone: once theta * delta rounds away at
+                # every node it does so for every smaller theta, and the
+                # residual can never fall
+                if np.array_equal(v_try, v):
+                    raise NoConvergence("damping floor reached without residual decrease")
+                if _positive_finite(v_try):
+                    faces = _face_terms(v_try, p, h, epsilon)
+                    resid_try = _residual(v_try, p, lam, h, faces)
+                    res_try = float(np.max(np.abs(resid_try)))
+                    redo = (theta == 1.0 and step_tol > 0.0
+                            and _exact_step_may_differ(res_try, res, tol))
+                    if redo or res_try < res or res_try <= tol:
+                        break
+                theta *= 0.5
+                damping_events += 1
+            if not redo:
+                break
+            # solved again to the field's rounding, from the face terms of
+            # v, once the trial's arrays and the first solve's are freed
+            faces = resid_try = v_try = x = delta = None
+            faces = _face_terms(v, p, h, epsilon)
+            step_tol = 0.0
         v = v_try
         resid, res = resid_try, res_try
         iters += 1

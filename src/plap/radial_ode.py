@@ -53,12 +53,14 @@ RICCATI_SAMPLES = 501  # points of t at which riccati_ratio_flow reports s
 _S_STEP_MAX = 1.0 / 400.0
 # its quadrature of ln u takes steps of ln r of at most 1/200
 _QUAD_STEPS_PER_UNIT_LOG_R = 200
-# The shot's span is capped at p*alpha*r_max <= 2e5.  The quadrature's
-# closed-form sigma' and sigma'' carry the rounding of sigma amplified by
-# about (p*alpha*r) and (p*alpha*r)^2, so the relative error of ln u grows
-# with the span: at most 7.3e-12 at 2e5 and up to 1.4e-9 at 2e6 over ten
-# cases with 1.05 <= p <= 10, 2.3e-3 at 2e10 and 29 at 2e12 (n = 3, p = 2,
-# lam = 1).  The far-field workload reaches about 7.6e4.
+# The span of the shot's ln u quadrature is capped at p*alpha*r <= 2e5.
+# Its closed-form sigma' and sigma'' carry the rounding of sigma amplified
+# by about (p*alpha*r) and (p*alpha*r)^2, so the relative error of ln u
+# grows with the span: at most 7.3e-12 at 2e5 and up to 1.4e-9 at 2e6 over
+# ten cases with 1.05 <= p <= 10, 2.3e-3 at 2e10 and 29 at 2e12 (n = 3,
+# p = 2, lam = 1, when the pass spanned the profile).  The far-field
+# workload reaches about 7.6e4.  The profile beyond the quadrature comes
+# from the far-field series' closed form, which the cap does not concern.
 _MAX_STIFF_SPAN = 2e5
 # Order K of far_field_series, from which the exterior shot takes its
 # profile beyond the series' reach.  On the far-field workload's 16 draws
@@ -331,16 +333,21 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     too.  The rule's sigma' and sigma'' pass on the rounding of sigma
     amplified by the flow's stiffness, so where the pass spans the whole
     profile the relative error of ln u grows like (alpha r_max)^2: about
-    4e-13 at alpha r_max = 1e5, 2e-7 at 1e8 and 2e-3 at 1e10.  The shot
-    therefore takes p*alpha*r_max only up to 2e5 (see _MAX_STIFF_SPAN),
-    where the error is below about 1e-11.  Where the reach lies inside the
-    profile the quadrature stops there (the Bessel branch at p = 2 is then
-    within 1.1e-14 relative in ln u at r_max = 1e5).  The profile lives on
+    4e-13 at alpha r_max = 1e5, 2e-7 at 1e8 and 2e-3 at 1e10.  Where the
+    reach lies inside the profile the quadrature stops at the first profile
+    radius at or beyond it, and the series' closed form takes over.  The
+    shot therefore raises DomainError when the quadrature's span, to that
+    radius or to r_max, reaches past p*alpha*r = 2e5 (see _MAX_STIFF_SPAN),
+    where the error is below about 1e-11; r_max itself is not bounded.  The
+    Bessel branch at p = 2 is within 2.3e-14 relative in ln u at
+    r_max = 1e8 (n = 2 and 4, reaches 24).  The profile lives on
     a log-spaced grid of grid_points radii from r0 to r_max, an integer
     from 2 to MAX_PROFILE_POINTS (DomainError otherwise), and is normalized
     to u(r0) = 1; meta["shoot_param"] is the realized initial ratio
     u'(r0)/u(r0) and nfev is ODEPACK's count of RHS evaluations.
-    Raises StepFailure with ODEPACK's message if the pass stops early, and
+    Raises OverflowError when the series' ln u, about -alpha r, leaves the
+    double range before r_max, and StepFailure with ODEPACK's message if
+    the pass stops early, and
     naming the first radius at which sigma is no longer finite if it leaves
     the double range (sigma ~ -c/r overflows its square near r ~ 1e-154).
     """
@@ -350,9 +357,6 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
         raise DomainError("r_max must be at least 10*r0")
     _check_grid_points(grid_points)
     alpha = eigen_rate_alpha(lam, p)
-    if not p * alpha * r_max <= _MAX_STIFF_SPAN:
-        raise DomainError(f"p*alpha*r_max must be at most {_MAX_STIFF_SPAN:g}"
-                          f", got {p * alpha * r_max:g}")
     coef = far_field_series(n, p, lam)
     reach = _series_reach(coef)
     r_grid = np.geomspace(r0, r_max, grid_points)
@@ -362,12 +366,22 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     k = int(np.searchsorted(r_grid, reach))
     if k < grid_points:
         sigma = np.polyval(coef[::-1], 1.0 / r_grid[k:])
-        log_u = _series_log_u(coef, r_grid[k:])
+        with np.errstate(over="ignore"):  # -alpha r past the double range
+            log_u = _series_log_u(coef, r_grid[k:])
+        if not np.isfinite(log_u[-1]):
+            raise OverflowError("ln u of the far-field series leaves the "
+                                f"double range before r_max = {r_max:g}")
     else:
         sigma = log_u = np.empty(0)
     nfev = 0
     if k > 0:
+        # the ln u quadrature spans the profile radii up to r_grid[j]
         j = min(k, grid_points - 1)
+        span = p * alpha * float(r_grid[j])
+        if not span <= _MAX_STIFF_SPAN:
+            raise DomainError(f"p*alpha*r must be at most {_MAX_STIFF_SPAN:g}"
+                              f" over the inward pass, got {span:g} at its "
+                              f"outer profile radius {r_grid[j]:g}")
         # the quadrature grid splits each profile interval into m equal
         # steps of ln r, each at most 1/200, and holds every profile radius
         # exactly

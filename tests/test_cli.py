@@ -19,7 +19,7 @@ from plap import cli, radial_ode
 from plap.errors import (ConfigError, DomainError, IllConditioned, NoRealRoot,
                          OutOfRange)
 from plap.indicial import (RESIDUAL_RTOL, RootPlacement, auxiliary_f,
-                           hardy_best_constant)
+                           eigen_rate_alpha, hardy_best_constant)
 
 # The nine config keys that `plap all` took, at their defaults; the campaign
 # now runs with exactly these settings and takes no key.
@@ -91,6 +91,24 @@ class TestOtherCampaigns:
         report = cli.run_shoot(cfg, tmp_path)
         assert report.all_passed
         assert (tmp_path / "exterior_profile.csv").exists()
+
+    # u = exp(ln u) overflows on this profile, whose fit is far off
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_shoot_profile_meta_is_strict_json(self, tmp_path):
+        # at n = 1e16, p = 1.001 the far-field series' reach is inf, once
+        # written as the token Infinity, which strict JSON readers reject
+        cfg = {"params": {"n": 10 ** 16, "p": 1.001, "lam": 1.0},
+               "r_max": 10.0, "grid_points": 50}
+        cli.run_shoot(cfg, tmp_path)
+        first = (tmp_path / "exterior_profile.csv").read_text().splitlines()[0]
+        assert first.startswith("# ")
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        meta = json.loads(first[2:], parse_constant=reject)
+        assert meta["series_radius"] == "inf"
+        assert meta["alpha"] == eigen_rate_alpha(1.0, 1.001)
 
     def test_blowup(self, tmp_path):
         cfg = {"params": {"n": 3, "p": 2.0, "lam": 1.0},
@@ -235,8 +253,12 @@ class TestMainEntry:
         ({"scales": [1e-6]}, "radius 1e-07 outside sampled span"),
         ({"gamma": "x"}, "gamma must be a finite number"),
         ({"shifts": [10.0, 10 ** 400]}, "shifts must be a finite number > 0"),
-        ({"shifts": [10.0, 1e6]}, '"shifts": [10.0, 1000000.0]}: p*alpha*r_max '
-                                  "must be at most 200000"),
+        # n = 1e5 puts the far-field series' reach at 2.6e5, so the shot's
+        # ln u quadrature runs past p*alpha*r = 2e5
+        ({"params": {"n": 100000, "p": 2.0, "lam": 1.0},
+          "shifts": [10.0, 1e6]},
+         '"shifts": [10.0, 1000000.0]}: p*alpha*r must be at most 200000 '
+         "over the inward pass"),
     ])
     def test_blowup_config_errors_exit_2(self, tmp_path, capsys, cfg,
                                          message):
@@ -277,11 +299,14 @@ class TestMainEntry:
         # t >= r0 + 1 rejects it
         ("martin", {"t": 0.5, "r0": 0.1}, "t must be >= 1.1 (r0 + 1), "
                                           "got 0.5"),
-        # past the span on which the shot's ln u quadrature is accurate
-        ("shoot", {"r_max": 1e12}, '"r_max": 1000000000000.0}: p*alpha*r_max '
-                                   "must be at most 200000, got 2e+12"),
-        ("martin", {"t": 1e6}, '"t": 1000000.0}: p*alpha*r_max must be at '
-                               "most 200000"),
+        # past the span on which the shot's ln u quadrature is accurate:
+        # n = 1e5 puts the far-field series' reach, where that quadrature
+        # ends, at 2.6e5
+        ("shoot", {"n": 100000, "r_max": 1e12},
+         '"r_max": 1000000000000.0}: p*alpha*r must be at most 200000 over '
+         "the inward pass, got 528211 at its outer profile radius 264105"),
+        ("martin", {"n": 100000, "t": 1e6}, '"t": 1000000.0}: p*alpha*r must '
+                                            "be at most 200000"),
     ])
     def test_rate_campaign_config_errors_exit_2(self, tmp_path, capsys, sub,
                                                 cfg, message):

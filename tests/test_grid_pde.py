@@ -507,9 +507,11 @@ class TestNewtonStep:
 
     def test_newton_step_matches_natural_spsolve(self, monkeypatch):
         # one step on a non-square rectangle against the natural-order
-        # Jacobian solved by spsolve
+        # Jacobian solved by spsolve.  At tol 1e-6 the solve's step ends
+        # on its linearized residual (2633 ulps of the field from spsolve's
+        # step); refined with tol 0 it ends at the field's rounding
         params = ProblemParams(n=4, p=3.0, lam=2.0)
-        h, rect = 1 / 32, (0.0, 0.0, 2.0, 1.0)
+        h, rect, tol = 1 / 32, (0.0, 0.0, 2.0, 1.0), 1e-6
         alpha = eigen_rate_alpha(params.lam, params.p)
         start = exponential_field(alpha, XI, rect, h)
         eps = 1e-8 * alpha * float(start.values.max())
@@ -518,20 +520,27 @@ class TestNewtonStep:
         expected = spsolve(mat, -resid.ravel()).reshape(resid.shape)
         solutions = []
 
-        def spy(sten, rhs, interior):
-            out = solve_refined(sten, rhs, interior)
+        def spy(sten, rhs, interior, tol):
+            out = solve_refined(sten, rhs, interior, tol)
             solutions.append(out[0])
             return out
 
         solve_refined = grid_pde._solve_refined
         monkeypatch.setattr(grid_pde, "_solve_refined", spy)
         monkeypatch.setattr(grid_pde, "MAX_NEWTON_ITERS", 1)
-        fld, stats = solve_dirichlet(params, XI, rect, h, tol=1e-6)
+        fld, stats = solve_dirichlet(params, XI, rect, h, tol=tol)
         assert (stats.newton_iters, stats.damping_events) == (1, 0)
-        step = solutions[0].reshape(resid.shape)
+        step = solutions[0]
+        linearized = np.max(np.abs(-resid.ravel() - mat @ step))
+        assert linearized <= grid_pde.LINEAR_TOL_SHARE * tol
         base = start.values[1:-1, 1:-1]
-        assert field_gap_ulps(base, step, expected) <= FIELD_ULPS
-        assert np.array_equal(fld.values[1:-1, 1:-1], base + step)
+        assert np.array_equal(fld.values[1:-1, 1:-1],
+                              base + step.reshape(resid.shape))
+        x, _, refactors = solve_refined(
+            newton_stencil(start.values, params.p, params.lam, h, eps),
+            -resid.ravel(), base, 0.0)
+        assert refactors == 0
+        assert field_gap_ulps(base.ravel(), x, expected.ravel()) <= FIELD_ULPS
 
     def test_steps_take_the_accepted_fields_face_terms(self, monkeypatch):
         # each step's stencil and right-hand side come from the face terms
@@ -545,14 +554,14 @@ class TestNewtonStep:
         eps = 1e-8 * alpha * float(start.max())
         steps = []
 
-        def spy(sten, rhs, interior):
+        def spy(sten, rhs, interior, tol):
             v = start.copy()
             v[1:-1, 1:-1] = interior
             resid = p_laplace_residual(Field2D(h, RECT[:2], v), p, lam, eps)
             assert np.array_equal(sten, newton_stencil(v, p, lam, h, eps))
             assert np.array_equal(rhs, -resid.ravel())
             steps.append(interior)
-            return solve_refined(sten, rhs, interior)
+            return solve_refined(sten, rhs, interior, tol)
 
         solve_refined = grid_pde._solve_refined
         monkeypatch.setattr(grid_pde, "_solve_refined", spy)
@@ -576,7 +585,7 @@ class TestNewtonStep:
 
         monkeypatch.setattr(grid_pde, "_face_terms", counting)
         monkeypatch.setattr(grid_pde, "_solve_refined",
-                            lambda sten, rhs, interior: (scale * rhs, 1, 0))
+                            lambda sten, rhs, interior, tol: (scale * rhs, 1, 0))
         with pytest.raises(NoConvergence, match="damping floor reached"):
             solve_dirichlet(ProblemParams(n=4, p=3.0, lam=2.0), XI, RECT,
                             1 / 16, tol=1e-9)
@@ -595,8 +604,8 @@ class TestNewtonStep:
         iters = 0
         resid = p_laplace_residual(ref, p, params.lam, eps)
         while np.max(np.abs(resid)) > tol and iters <= stats.newton_iters:
-            step = spsolve(coo_newton_matrix(ref.values, p, params.lam, h, eps),
-                           -resid.ravel()).reshape(resid.shape)
+            mat = coo_newton_matrix(ref.values, p, params.lam, h, eps)
+            step = spsolve(mat, -resid.ravel()).reshape(resid.shape)
             values = ref.values.copy()
             values[1:-1, 1:-1] += step
             ref = Field2D(h, ref.origin, values)
@@ -604,8 +613,15 @@ class TestNewtonStep:
             iters += 1
         assert (stats.newton_iters, stats.damping_events) == (iters, 0)
         assert iters >= 1
-        gap = np.abs(fld.values - ref.values) / np.spacing(ref.values)
-        assert float(np.max(gap)) <= FIELD_ULPS
+        # the last step may end on its linearized residual, within
+        # LINEAR_TOL_SHARE * tol, so within ||J^-1||_inf times that of the
+        # exact step, J the last step's Newton matrix; other steps update
+        # the field to within FIELD_ULPS of an exact one
+        inverse_norm = np.max(np.sum(np.abs(np.linalg.inv(mat.toarray())),
+                                     axis=1))
+        allowed = (FIELD_ULPS * np.spacing(ref.values)
+                   + inverse_norm * grid_pde.LINEAR_TOL_SHARE * tol)
+        assert np.all(np.abs(fld.values - ref.values) <= allowed)
 
     def test_splu_called_once_per_newton_step(self, monkeypatch):
         # the benchmark's tracer times grid_pde.splu by rebinding that name;
@@ -622,6 +638,79 @@ class TestNewtonStep:
         (iters_1, damped_1), (iters_2, damped_2) = runs
         assert (iters_1, damped_1) == (1, 0)
         assert iters_2 > 1 and damped_2 > 0
+
+    @staticmethod
+    def solve_draws(seed, count, h=1 / 64, tol=1e-9):
+        """(Newton iterations, damping events) of solve_dirichlet, or
+        "NoConvergence", on `count` draws from the grid_fine benchmark's
+        ranges: p in [1.5, 4], lam in [0.5, 3], xi uniform on the circle,
+        the unit square."""
+        rng = np.random.default_rng(seed)
+        outcomes = []
+        for _ in range(count):
+            p, lam = 1.5 + 2.5 * rng.random(), 0.5 + 2.5 * rng.random()
+            angle = 2.0 * math.pi * rng.random()
+            try:
+                _, stats = solve_dirichlet(
+                    ProblemParams(n=5, p=p, lam=lam),
+                    (math.cos(angle), math.sin(angle)), RECT, h, tol=tol)
+                outcomes.append((stats.newton_iters, stats.damping_events))
+            except NoConvergence:
+                outcomes.append("NoConvergence")
+        return outcomes
+
+    def test_linear_tol_share_keeps_the_newton_iteration(self, monkeypatch):
+        # 64 draws at h = 1/64 (102 Newton steps, 7 of them solved again
+        # by _exact_step_may_differ): the same Newton iterations, damping
+        # events and failures with the rule as with refinement to the
+        # field's rounding
+        with_share = self.solve_draws(4, 64)
+        monkeypatch.setattr(grid_pde, "LINEAR_TOL_SHARE", 0.0)
+        assert self.solve_draws(4, 64) == with_share
+
+    def test_doubtful_inexact_step_is_solved_again(self, monkeypatch):
+        # draw 44 of the set above: the exact step leaves 8.56e-10 <= tol
+        # and ends the solve, the step ended on its linearized residual
+        # leaves 1.007 tol, inside the share above tol.  Solved again to the
+        # field's rounding it gives the exact step's field bit for bit;
+        # kept, it would cost a second Newton step
+        params = ProblemParams(n=5, p=3.5829091416707226,
+                               lam=1.38447965904892)
+        xi = (math.cos(3.9830037047223485), math.sin(3.9830037047223485))
+        solves = []
+
+        def spy(sten, rhs, interior, tol):
+            solves.append(tol)
+            return solve_refined(sten, rhs, interior, tol)
+
+        solve_refined = grid_pde._solve_refined
+        monkeypatch.setattr(grid_pde, "_solve_refined", spy)
+        fld, stats = solve_dirichlet(params, xi, RECT, 1 / 64, tol=1e-9)
+        assert (stats.newton_iters, stats.damping_events) == (1, 0)
+        assert solves == [1e-9, 0.0]
+        with monkeypatch.context() as m:
+            m.setattr(grid_pde, "LINEAR_TOL_SHARE", 0.0)
+            exact, exact_stats = solve_dirichlet(params, xi, RECT, 1 / 64,
+                                                 tol=1e-9)
+        assert np.array_equal(fld.values, exact.values)
+        assert exact_stats.final_residual == stats.final_residual <= 1e-9
+        monkeypatch.setattr(grid_pde, "_exact_step_may_differ",
+                            lambda res_try, res, tol: False)
+        _, kept = solve_dirichlet(params, xi, RECT, 1 / 64, tol=1e-9)
+        assert (kept.newton_iters, kept.damping_events) == (2, 0)
+
+    @pytest.mark.parametrize("res_try, res, expected", [
+        (0.9e-9, 1e-3, False),     # ends the solve
+        (1.2e-9, 1e-3, True),      # an exact step could have ended it
+        (1.3e-9, 1e-3, False),     # an exact step leaves more than tol too
+        (5.1e-9, 5e-9, True),      # rejected; an exact step could pass
+        (5.3e-9, 5e-9, False),     # rejected either way
+        (4e-9, 5e-9, False),       # accepted either way
+    ])
+    def test_exact_step_may_differ(self, res_try, res, expected):
+        # tol 1e-9, share 2.5e-10: the judgement of the full update can
+        # change only within the share above tol or above res
+        assert grid_pde._exact_step_may_differ(res_try, res, 1e-9) is expected
 
 
 class TestNewtonLinearLayer:
@@ -725,7 +814,7 @@ class TestNewtonLinearLayer:
         expected = splu(mat.tocsc(), permc_spec="NATURAL").solve(rhs)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         # one float32 factor, of the coarsest level, and no fallback
         assert spy.dtypes == [np.float32] and refactors == 0
         assert spy.shapes[0][0] < mat.shape[0]
@@ -742,7 +831,7 @@ class TestNewtonLinearLayer:
             assert mat.format == "dia"
             assert mat.dtype == weight.dtype == np.float32
         assert coarsest.L.dtype == coarsest.U.dtype == np.float32
-        x, _, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, _, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert x.dtype == np.float64 and refactors == 0
         fld, _ = solve_dirichlet(ProblemParams(n=4, p=2.7, lam=2.5), XI, RECT,
                                  1 / 64, tol=1e-9)
@@ -763,7 +852,7 @@ class TestNewtonLinearLayer:
         stencil_matrix = grid_pde._stencil_matrix
         monkeypatch.setattr(grid_pde, "_stencil_matrix", spy)
         sten, rhs, base = newton_system(2.7, 1 / 128)
-        grid_pde._solve_refined(sten, rhs, base)
+        grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert built[0][0] is sten
         assert [arrays.dtype for arrays, _ in built] == (
             [np.float64] + [np.float32] * 4)  # 127, 63, 31 and 15 nodes
@@ -786,11 +875,11 @@ class TestNewtonLinearLayer:
         # and the residuals are scaled by powers of two into float32's
         # range, which an unscaled cast would overflow or flush to zero
         sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         scaled = np.ldexp(sten, a, out=grid_pde._stencil_storage(
             *sten.shape[2:], np.float64))
         y, solves_y, refactors_y = grid_pde._solve_refined(
-            scaled, np.ldexp(rhs, b), np.ldexp(base, b - a))
+            scaled, np.ldexp(rhs, b), np.ldexp(base, b - a), 0.0)
         assert refactors == refactors_y == 0 and solves_y == solves
         assert np.array_equal(y, np.ldexp(x, b - a))
 
@@ -806,7 +895,7 @@ class TestNewtonLinearLayer:
         sten[entry] = math.ldexp(sten[entry], power)
         expected = direct_solve(_stencil_matrix(sten), rhs)
         assert np.all(np.isfinite(expected))
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert refactors == 1 and solves >= 1
         assert np.array_equal(x, expected)
 
@@ -827,7 +916,7 @@ class TestNewtonLinearLayer:
         sten, rhs, base = newton_system(p, h, lam, rect, noise=0.0)
         assert base.shape == (mi, mj)
         expected = spsolve(_stencil_matrix(sten).tocsr(), rhs)
-        x, _, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, _, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert refactors == 0
         assert field_gap_ulps(base.ravel(), x, expected) <= FIELD_ULPS
 
@@ -841,7 +930,7 @@ class TestNewtonLinearLayer:
         # 14-16
         sten, rhs, base = newton_system(p, 1 / 64, lam=2.5, noise=0.0)
         corrections = spy_corrections(monkeypatch)
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         done = grid_pde.REFINE_ULPS * grid_pde.EPS64 * base.ravel()
         within = [bool(np.all(np.abs(c) <= done)) for c in corrections]
         assert within[-1] and not any(within[:-1])
@@ -854,6 +943,28 @@ class TestNewtonLinearLayer:
         last = float(np.max(np.abs(corrections[-1])))
         assert last > grid_pde.REFINE_ULPS * grid_pde.EPS64 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("p, lam", [(1.5, 0.5), (2.7, 2.5), (4.0, 3.0)])
+    def test_refinement_stops_at_the_linear_tol_share(self, p, lam,
+                                                      monkeypatch):
+        # a first Newton step like grid_fine's (exact start, tol 1e-9) at
+        # h = 1/64: refinement ends at the first correction after which
+        # max|rhs - A x| <= LINEAR_TOL_SHARE * tol, in fewer corrections
+        # than refinement to the field's rounding (3-7 against 6-9)
+        tol = 1e-9
+        sten, rhs, base = newton_system(p, 1 / 64, lam=lam, noise=0.0)
+        mat = _stencil_matrix(sten)
+        corrections = spy_corrections(monkeypatch)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, tol)
+        assert (solves, refactors) == (len(corrections), 0)
+        bound = grid_pde.LINEAR_TOL_SHARE * tol
+        assert np.max(np.abs(rhs - mat @ x)) <= bound
+        before = np.zeros_like(x)
+        for corr in corrections[:-1]:
+            before += corr
+        assert np.max(np.abs(rhs - mat @ before)) > bound
+        _, solves_exact, _ = grid_pde._solve_refined(sten, rhs, base, 0.0)
+        assert solves < solves_exact
+
     @pytest.mark.parametrize("h", [1 / 64, 1 / 128])
     @pytest.mark.parametrize("p", [1.5, 2.7, 4.0])
     def test_full_multigrid_start_takes_fewer_corrections(self, p, h,
@@ -862,9 +973,9 @@ class TestNewtonLinearLayer:
         # correction from _fmg and with plain V-cycles throughout
         sten, rhs, base = newton_system(p, h, lam=2.5, noise=0.0)
         expected = spsolve(_stencil_matrix(sten).tocsr(), rhs)
-        runs = [grid_pde._solve_refined(sten, rhs, base)]
+        runs = [grid_pde._solve_refined(sten, rhs, base, 0.0)]
         monkeypatch.setattr(grid_pde, "_fmg", grid_pde._vcycle)
-        runs.append(grid_pde._solve_refined(sten, rhs, base))
+        runs.append(grid_pde._solve_refined(sten, rhs, base, 0.0))
         (x, solves, refactors), (x_plain, solves_plain, refactors_plain) = runs
         assert refactors == refactors_plain == 0
         assert solves < solves_plain
@@ -883,7 +994,8 @@ class TestNewtonLinearLayer:
         for start in (grid_pde._interpolate_cubic, grid_pde._prolong):
             monkeypatch.setattr(grid_pde, "_interpolate_cubic", start)
             corrections = spy_corrections(monkeypatch)
-            _, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+            _, solves, refactors = grid_pde._solve_refined(sten, rhs, base,
+                                                           0.0)
             assert refactors == 0
             runs.append((float(np.max(np.abs(corrections[1]))), solves))
         (cubic, solves), (linear, solves_linear) = runs
@@ -898,7 +1010,8 @@ class TestNewtonLinearLayer:
                    for p in (1.5, 2.7, 3.9, 4.0) for lam in (0.3, 0.5, 2.0)]
 
         def fallbacks():
-            return [grid_pde._solve_refined(*system)[2] for system in systems]
+            return [grid_pde._solve_refined(*system, 0.0)[2]
+                    for system in systems]
 
         with_fmg = fallbacks()
         monkeypatch.setattr(grid_pde, "_fmg", grid_pde._vcycle)
@@ -915,7 +1028,7 @@ class TestNewtonLinearLayer:
         assert np.all(np.isfinite(expected))
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert spy.dtypes == [np.float64] and spy.shapes == [mat.shape]
         assert (solves, refactors) == (1, 1)
         assert np.array_equal(x, expected)
@@ -940,7 +1053,7 @@ class TestNewtonLinearLayer:
         monkeypatch.setattr(grid_pde, "splu", spy)
         # the first correction as well as the later ones
         monkeypatch.setattr(grid_pde, "_correction", slow_correction)
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         # the coarsest level's float32 factor, then the float64 fallback
         # after it is freed
         assert spy.dtypes == [np.float32, np.float64]
@@ -960,7 +1073,7 @@ class TestNewtonLinearLayer:
         monkeypatch.setattr(grid_pde, "_correction",
                             lambda cycle, hierarchy, resid:
                             np.full_like(resid, bad))
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert spy.dtypes == [np.float32, np.float64]
         assert spy.alive_at_call == [0, 0]
         assert (solves, refactors) == (1 + 1, 1)
@@ -976,7 +1089,7 @@ class TestNewtonLinearLayer:
         corrections = spy_corrections(monkeypatch)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
-        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base)
+        x, solves, refactors = grid_pde._solve_refined(sten, rhs, base, 0.0)
         assert spy.dtypes == [np.float32]
         assert (solves, refactors) == (len(corrections), 0)
         before, last = (float(np.max(np.abs(c))) for c in corrections[-2:])
@@ -998,7 +1111,9 @@ class TestNewtonLinearLayer:
             assert spy.calls == stats.newton_iters > 1
             assert spy.alive_at_call == [0] * spy.calls
             assert stats.float64_refactors == 0
-            assert stats.linear_solves >= 2 * stats.newton_iters
+            # a step may end on its full-multigrid pass, whose linearized
+            # residual can already be within LINEAR_TOL_SHARE * tol
+            assert stats.linear_solves >= stats.newton_iters
 
 
 def expression_residual(v, p, lam, h, faces):

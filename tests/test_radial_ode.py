@@ -512,20 +512,56 @@ class TestRadialExteriorEigen:
         assert prof.log_u[1] == pytest.approx(1.0 - 40.0 - math.log(40.0),
                                               rel=1e-12)
 
+    @pytest.mark.parametrize("r_max", [1e5, 1e12, 1e100])
+    def test_exact_series_takes_any_span(self, r_max):
+        # the span rule bounds the ln u quadrature, whose relative error
+        # grows like (p*alpha*r)^2 over the pass (29 at r_max = 1e12 when
+        # the pass spanned the profile, and at 1e100 a finite, wrong
+        # profile, ln u = +8e193).  At (3, 2, 1) the series is exact and no
+        # pass runs: the profile is exp(1 - r)/r to rounding
+        shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max)
+        prof = shot.profile
+        assert shot.nfev == 0
+        exact = 1.0 - prof.r - np.log(prof.r)
+        assert np.all(np.abs(prof.log_u - exact)
+                      <= 4 * math.ulp(1.0) * np.maximum(1.0, np.abs(exact)))
+        assert np.array_equal(prof.ratio, -1.0 - 1.0 / prof.r)
+
+    @pytest.mark.parametrize("n, lam, r_max", [(4, 1.0, 1e8), (2, 1.0, 1e8),
+                                               (6, 2.0, 1e7)])
+    def test_pass_to_the_reach_takes_a_wide_span(self, n, lam, r_max):
+        # the pass runs from the series' reach (17-24), so p*alpha*r_max far
+        # past 2e5 is accepted: against the p = 2 Bessel branch (at
+        # sqrt(lam) r) ln u is within 2.3e-14 relative and sigma within
+        # 3.1e-14, with 474-560 RHS evaluations
+        shot = radial_exterior_eigen(n, 2.0, lam, 1.0, r_max)
+        prof = shot.profile
+        assert prof.meta["series_radius"] < 25.0 and shot.nfev < 600
+        a = math.sqrt(lam)
+        sigma, log_u = bessel_branch(n, a * prof.r)
+        assert np.all(np.abs(prof.log_u - log_u)
+                      <= 5e-14 * np.maximum(1.0, np.abs(log_u)))
+        assert np.all(np.abs(prof.ratio - a * sigma) <= 5e-14 * a * -sigma)
+
+    def test_series_log_u_leaving_double_range_raises_overflow(self):
+        # with no span rule on r_max, ln u = 1 - alpha r - ln r reaches
+        # -2e308 at alpha = 2, r_max = 1e308: named, not a NaN profile
+        with pytest.raises(OverflowError, match="leaves the double range "
+                                                "before r_max = 1e"):
+            radial_exterior_eigen(3, 2.0, 4.0, 1.0, 1e308)
+        prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 1e308).profile
+        assert prof.log_u[-1] == -1e308
+
     def test_span_past_limit_raises_domain_error(self):
-        # the ln u quadrature's relative error grows like (p*alpha*r_max)^2:
-        # 4e-13 at the limit 2e5 here, 29 at r_max = 1e12, and at
-        # 1e100 the profile came out finite and wrong, ln u = +8e193
-        prof = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 1e5).profile
-        assert np.all(np.abs(prof.log_u - (1.0 - prof.r - np.log(prof.r)))
-                      <= 1e-11 * np.maximum(1.0, np.abs(prof.log_u)))
-        for r_max in (1.0001e5, 1e12, 1e100):
-            with pytest.raises(DomainError, match=r"p\*alpha\*r_max must be "
-                               r"at most 200000"):
-                radial_exterior_eigen(3, 2.0, 1.0, 1.0, r_max)
-        # the limit is on the stiff span, so the eigenvalue moves it
-        with pytest.raises(DomainError, match="got 400000"):
-            radial_exterior_eigen(3, 2.0, 4.0, 1.0, 1e5)
+        # n = 1e5 puts the reach at 2.57e5: beyond r_max = 2e5, so the
+        # quadrature spans the whole profile, and inside r_max = 1e6, where
+        # it stops at the first profile radius past the reach.  Both spans
+        # reach past p*alpha*r = 2e5
+        for r_max, got in ((2e5, "400000 at its outer profile radius 200000"),
+                           (1e6, "519156 at its outer profile radius 259578")):
+            with pytest.raises(DomainError, match=r"p\*alpha\*r must be at "
+                               r"most 200000 over the inward pass, got " + got):
+                radial_exterior_eigen(1e5, 2.0, 1.0, 1.0, r_max)
 
 
 class TestFarFieldSeries:

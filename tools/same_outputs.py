@@ -26,7 +26,10 @@ numbers.  The commands are:
   square), whose full-multigrid start interpolates from 16 to 32 nodes
   on both axes and so takes the cubic end weights of an even axis, at
   xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
-  couplings, and at p = 1.05, lam = 1, h = 1/32,
+  couplings, on README's example at tol 1e-6, whose only Newton step ends
+  on its linearized residual (LINEAR_TOL_SHARE * tol) after 3 corrections
+  where refinement to the field's rounding takes 7, and at p = 1.05,
+  lam = 1, h = 1/32,
   xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
   fallback of the refinement (a failed check, exit 1), and on the strips
   rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
@@ -38,7 +41,8 @@ numbers.  The commands are:
   `shoot` at (n, p, lam) = (4, 2.5, 1), whose series reach (about 18.7)
   lies inside the profile, and at (50, 1.5, 1), whose reach (about 180)
   lies beyond r_max + 35/(p alpha), so that the inward pass spans the
-  whole profile;
+  whole profile, and at (4, 2, 1) with r_max = 1e6, where p alpha r_max is
+  past 2e5 but the ln u quadrature stops at the series' reach (about 24);
 - `bochner` on {};
 - seventeen error paths, so that a change that moves an exit code or an
   error message shows up:
@@ -118,13 +122,17 @@ GRID_EXTRA = {
                            "tol": 1e-9},
     "grid_one_node": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
                       "rect": [0, 0, 1, 1], "h": 0.5, "tol": 1e-9},
+    "grid_inexact_step": {**CONFIGS["grid"], "tol": 1e-6},
 }
 
 
-# shots on both sides of the far-field series' reach (see the docstring)
+# shots on both sides of the far-field series' reach, and one whose
+# p alpha r_max lies past the quadrature's span cap (see the docstring)
 SHOOT_EXTRA = {
     "shoot_reach_inside": {"params": {"n": 4, "p": 2.5, "lam": 1.0}},
     "shoot_reach_beyond": {"params": {"n": 50, "p": 1.5, "lam": 1.0}},
+    "shoot_wide_span": {"params": {"n": 4, "p": 2.0, "lam": 1.0},
+                        "r_max": 1e6},
 }
 
 
