@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plap import cli, radial_ode
+from plap import cli, grid_pde, radial_ode
 from plap.errors import (ConfigError, DomainError, IllConditioned, NoRealRoot,
                          OutOfRange)
-from plap.indicial import (RESIDUAL_RTOL, RootPlacement, auxiliary_f,
-                           eigen_rate_alpha, hardy_best_constant)
+from plap.indicial import (RESIDUAL_RTOL, ProblemParams, RootPlacement,
+                           auxiliary_f, eigen_rate_alpha, hardy_best_constant,
+                           indicial_roots, step_change)
 
 # The nine config keys that `plap all` took, at their defaults; the campaign
 # now runs with exactly these settings and takes no key.
@@ -57,6 +58,22 @@ class TestRootsCampaign:
         assert rows["gamma2"].passed
         assert report.all_passed
         assert (tmp_path / "roots_report.csv").exists()
+
+    @pytest.mark.parametrize("n, p, mu, gamma1", [
+        (3, 1.001, 0.1, 0.0),     # residual 0.1, allowance 0.95
+        (3, 1.01, 1e-3, 5e-324),  # residual 1.6e-4, allowance 1.16e-3
+    ])
+    def test_one_double_residual_allowance(self, tmp_path, n, p, mu, gamma1):
+        # gamma1 lies at or below the smallest double, where f jumps by more
+        # than mu across one step: its residual passes only within
+        # step_change, the change of f across one double
+        report = cli.run_roots({"params": {"n": n, "p": p, "mu": mu}},
+                               tmp_path)
+        assert indicial_roots(ProblemParams(n=n, p=p, mu=mu)).gamma1 == gamma1
+        row = {r.name: r for r in report.rows}["residual_gamma1"]
+        assert row.measured > 1e-12 * max(1.0, abs(mu))
+        assert row.tolerance == step_change(gamma1, n, p)
+        assert report.all_passed
 
     def test_rejects_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -125,6 +142,34 @@ class TestOtherCampaigns:
         report = cli.run_grid(cfg, tmp_path)
         assert report.all_passed
         assert (tmp_path / "dirichlet_field.csv").exists()
+
+    def test_grid_sup_error_is_relative(self, tmp_path):
+        # at p = 1.1, alpha = 8.11 and the field runs from 1 to e^(1.4 alpha),
+        # about 8.5e4: the sup error 6.8 is at most 3.2e-3 of the field at
+        # any node, within 50 h^2 = 0.049, which the absolute error is not
+        cfg = {"params": {"n": 4, "p": 1.1, "lam": 1.0}, "h": 1 / 32,
+               "tol": 1e-9}
+        assert cli.run_grid(cfg, tmp_path).all_passed
+
+    def test_grid_sup_error_is_relative_at_each_node(self, tmp_path,
+                                                    monkeypatch):
+        # 10% off at the interior node where the data are least is 0.026 of
+        # the largest value, e^1.4, and fails: at p = 1.05, lam = 1 a
+        # converged field is 2.9 times off there, 1.6e-4 of its largest value
+        solve = grid_pde.solve_dirichlet
+
+        def off_at_least_node(*args, **kwargs):
+            fld, stats = solve(*args, **kwargs)
+            values = fld.values.copy()
+            values[1, 1] *= 1.1
+            return grid_pde.Field2D(fld.h, fld.origin, values), stats
+
+        monkeypatch.setattr(grid_pde, "solve_dirichlet", off_at_least_node)
+        cfg = {"params": {"n": 4, "p": 3.0, "lam": 2.0}, "h": 1 / 32,
+               "tol": 1e-9}
+        rows = {r.name: r for r in cli.run_grid(cfg, tmp_path).rows}
+        assert rows["sup_error_bound"].measured == pytest.approx(
+            0.1 - 50.0 / 32 ** 2, abs=1e-4)
 
     def test_grid_logs_solver_counters(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="plap")
