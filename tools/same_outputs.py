@@ -20,8 +20,10 @@ numbers.  The commands are:
 - `roots` and `grid` on README's example configs, `roots` at n = 8,
   p = 1.05, mu = -1e307 (a Newton step on gamma itself), at the critical
   weight n = 4, p = 2, a = 1, mu = -3 and at n = 5, p = 1.05, a = 0.5,
-  mu = 1e-300 (a root below the smallest double) and with a float n = 4.0,
-  and `grid` on a 49 x 74 interior, whose even axis the multigrid coarsens
+  mu = 1e-300 (a root below the smallest double), with a float n = 4.0
+  and at n = 3, p = 1.001, mu = 0.1, where gamma1 = 0 leaves a residual of
+  0.1 that passes only within the change of f across one double, and
+  `grid` on a 49 x 74 interior, whose even axis the multigrid coarsens
   by the m // 2 rule, on a 32 x 32 interior (h = 1/33 on the unit
   square), whose full-multigrid start interpolates from 16 to 32 nodes
   on both axes and so takes the cubic end weights of an even axis, at
@@ -35,7 +37,9 @@ numbers.  The commands are:
   rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
   interior nodes on y, where stencil arrays share a DIA diagonal, and on
   the unit square at h = 1/2, whose one interior node gives the smallest
-  face arrays and a 1 x 1 stencil storage;
+  face arrays and a 1 x 1 stencil storage, and at p = 1.1, lam = 1,
+  h = 1/32, whose field reaches about 8.5e4, so that its sup error of 6.8
+  passes the bound 50 h^2 only relative to the data;
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}},
   where the far-field series is exact and covers the whole shot, and
   `shoot` at (n, p, lam) = (4, 2.5, 1), whose series reach (about 18.7)
@@ -123,6 +127,9 @@ GRID_EXTRA = {
     "grid_one_node": {"params": {"n": 4, "p": 3.0, "lam": 2.0},
                       "rect": [0, 0, 1, 1], "h": 0.5, "tol": 1e-9},
     "grid_inexact_step": {**CONFIGS["grid"], "tol": 1e-6},
+    "grid_p11_large_data": {**CONFIGS["grid"],
+                            "params": {"n": 4, "p": 1.1, "lam": 1.0},
+                            "h": 0.03125},
 }
 
 
@@ -138,8 +145,9 @@ SHOOT_EXTRA = {
 
 # roots on the branches plap all rarely draws: the Newton step on gamma
 # itself (one ulp of ln|gamma| above _ROOT_RTOL), the critical weight
-# a = (n-p)/p with its closed form, a root below the smallest double, and
-# a float n, which ProblemParams keeps as a float
+# a = (n-p)/p with its closed form, a root below the smallest double, a
+# float n, which ProblemParams keeps as a float, and a root whose residual
+# passes only within the change of f across one double
 ROOTS_EXTRA = {
     "roots_newton_on_gamma": {"params": {"n": 8, "p": 1.05, "mu": -1e307}},
     "roots_critical_weight": {"params": {"n": 4, "p": 2.0, "a": 1.0,
@@ -147,6 +155,7 @@ ROOTS_EXTRA = {
     "roots_tiny_root": {"params": {"n": 5, "p": 1.05, "a": 0.5,
                                    "mu": 1e-300}},
     "roots_float_n": {"params": {"n": 4.0, "p": 2.0, "a": 0.0, "mu": 0.75}},
+    "roots_one_double_residual": {"params": {"n": 3, "p": 1.001, "mu": 0.1}},
 }
 
 
