@@ -630,18 +630,21 @@ def _solve_refined(sten, rhs, interior, tol):
     the next correction has max|rhs - A x| <= LINEAR_TOL_SHARE * tol, tol
     being solve_dirichlet's (inexact Newton): such a step lies within
     ||A^-1||_inf * tol / 4 of the exact one, any other within a few ulps of
-    the field as above.  With tol = 0 that stop is reached only on an
-    exactly zero residual, whose next correction would be zero, so x is the
-    same.  x comes from one float64 LU of A instead when the
-    hierarchy cannot be built (a Jacobi weight is not finite or the coarsest
-    matrix is singular), or a correction is not finite or fails to halve the
-    one before above STALL_ULPS ulps of x.  No hierarchy outlives the call,
-    and it is freed before the float64 LU is made.  Raises OverflowError
-    instead of that LU when sten is not finite.  The refinement holds x, the
-    residual, the current correction and the stop bound once each: x and
-    each residual are updated in place, the correction's array becomes its
-    sizes and then the next residual, and the V-cycles' Jacobi sweeps take
-    one temporary each (_jacobi_sweep).  rhs is not written.
+    the field as above.  On grid_fine's 640 draws of seeds 1011-1030, one
+    call per Newton step, that stop takes the corrections from 3413 with
+    tol 0 to 2489, and the failing draws from 20 to 19.  With tol = 0 that
+    stop is reached only on an exactly zero residual, whose next correction
+    would be zero, so x is the same.  x comes from one float64 LU of A
+    instead when the hierarchy cannot be built (a Jacobi weight is not
+    finite or the coarsest matrix is singular), or a correction is not
+    finite or fails to halve the one before above STALL_ULPS ulps of x.
+    No hierarchy outlives the call, and it is freed before the float64 LU
+    is made.  Raises OverflowError instead of that LU when sten is not
+    finite.  The refinement holds x, the residual, the current correction
+    and the stop bound once each: x and each residual are updated in place,
+    the correction's array becomes its sizes and then the next residual,
+    and the V-cycles' Jacobi sweeps take one temporary each
+    (_jacobi_sweep).  rhs is not written.
 
     Returns (x, corrections plus fallback solves, float64 factorizations).
     """
@@ -683,21 +686,6 @@ def _solve_refined(sten, rhs, interior, tol):
             cycles + 1, 1)
 
 
-def _exact_step_may_differ(res_try, res, tol):
-    """Whether the full update of a Newton step that refinement may have
-    ended on LINEAR_TOL_SHARE * tol (_solve_refined) could be judged
-    otherwise with the exact step.  Its residual res_try differs from the
-    exact step's by at most that share of tol, to first order: the updates
-    differ by A^-1 r, r the step's linearized residual.  So the judgement
-    can differ only where res_try exceeds tol by at most the share (the
-    exact step could have ended the solve) or lies that close above res,
-    the residual before the step (it could have been accepted without
-    damping)."""
-    share = LINEAR_TOL_SHARE * tol
-    return res_try > tol and (res_try <= tol + share
-                              or res <= res_try < res + share)
-
-
 def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                     scale=1.0):
     """Damped Newton solve with boundary data scale*exp(alpha <x, xi>).
@@ -727,24 +715,27 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     final_residual <= tol is all the solve promises.  Any other step
     updates the field to within a few ulps of the one an exact step gives,
     while the step itself may be accurate only to those ulps of v rather
-    than to its own.  When the residual of a step's full update lies where
-    an exact step could have been judged otherwise (_exact_step_may_differ),
-    the step is solved again with tol 0 from v's face terms, formed anew,
-    so that, to first order, the share never costs a Newton step or a
-    damping; both solves count in SolveStats.  The face terms, the
-    coefficients, the residual and the stencil arrays are whole-array
-    expressions, each stencil array assigned into its slot of the DIA
-    storage.  Forming the stencil in place, to the same bits, saved about
-    0.25 ms of a 1.8-1.9 ms call at h = 1/256 (README), about 1% of a
-    grid_fine solve, and the residual nothing.  A step holds each
-    grid-sized array once: the face terms are freed once their four
-    coefficient arrays are formed, and those once the stencil arrays are;
-    the residual is negated in place into the right-hand side; the stencil
-    arrays and the step's multigrid hierarchy are freed when
-    _solve_refined returns, before the damping trials compute their face
-    terms.  SolveStats counts the corrections and fallback solves
-    (linear_solves; the full-multigrid pass counts as one correction) and
-    the float64 fallbacks (float64_refactors).
+    than to its own.  Each step is solved once, and the damping search
+    judges it as refinement left it, so a step ended by the share can cost
+    a Newton step that an exact one would not: on 640 draws like
+    grid_fine's at h = 1/64 that happened on one draw.  Solving again with
+    tol 0 each step whose full update lies within the share of tol or of
+    the residual before it, where an exact step could be judged otherwise,
+    saved that step; on grid_fine's 640 draws of seeds 1011-1030 it moved
+    no failure and no Newton or damping count, and took 2569 corrections
+    against 2489 (README).  The face terms, the coefficients, the residual
+    and the stencil arrays are whole-array expressions, each stencil array
+    assigned into its slot of the DIA storage.  Forming the stencil in
+    place, to the same bits, saved about 0.25 ms of a 1.8-1.9 ms call at
+    h = 1/256 (README), about 1% of a grid_fine solve, and the residual
+    nothing.  A step holds each grid-sized array once: the face terms are
+    freed once their four coefficient arrays are formed, and those once the
+    stencil arrays are; the residual is negated in place into the
+    right-hand side; the stencil arrays and the step's multigrid hierarchy
+    are freed when _solve_refined returns, before the damping trials
+    compute their face terms.  SolveStats counts the corrections and
+    fallback solves (linear_solves; the full-multigrid pass counts as one
+    correction) and the float64 fallbacks (float64_refactors).
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
@@ -777,47 +768,35 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
                 f"residual {res:g} > tol {tol:g} after {iters} iterations")
         # the residual becomes the right-hand side in place
         rhs = np.negative(resid, out=resid).ravel()
-        step_tol = tol
+        with np.errstate(over="ignore"):  # left inf, as _newton_stencil says
+            coeffs = _linearized_face_coeffs(faces, p)
+        faces = None
+        sten = _newton_stencil(v, p, lam, h, coeffs)
+        coeffs = None
+        x, solves, refactors = _solve_refined(sten, rhs, v[1:-1, 1:-1], tol)
+        sten = None  # freed before the damping trials
+        delta = x.reshape(resid.shape)
+        linear_solves += solves
+        float64_refactors += refactors
+        theta = 1.0
         while True:
-            with np.errstate(over="ignore"):  # left inf, as _newton_stencil says
-                coeffs = _linearized_face_coeffs(faces, p)
-            faces = None
-            sten = _newton_stencil(v, p, lam, h, coeffs)
-            coeffs = None
-            x, solves, refactors = _solve_refined(sten, rhs, v[1:-1, 1:-1],
-                                                  step_tol)
-            sten = None  # freed before the damping trials
-            delta = x.reshape(resid.shape)
-            linear_solves += solves
-            float64_refactors += refactors
-            theta, redo = 1.0, False
-            while True:
-                if theta < DAMPING_FLOOR:
-                    raise NoConvergence("damping floor reached without residual decrease")
-                v_try = v.copy()
-                v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
-                # rounding is monotone: once theta * delta rounds away at
-                # every node it does so for every smaller theta, and the
-                # residual can never fall
-                if np.array_equal(v_try, v):
-                    raise NoConvergence("damping floor reached without residual decrease")
-                if _positive_finite(v_try):
-                    faces = _face_terms(v_try, p, h, epsilon)
-                    resid_try = _residual(v_try, p, lam, h, faces)
-                    res_try = float(np.max(np.abs(resid_try)))
-                    redo = (theta == 1.0 and step_tol > 0.0
-                            and _exact_step_may_differ(res_try, res, tol))
-                    if redo or res_try < res or res_try <= tol:
-                        break
-                theta *= 0.5
-                damping_events += 1
-            if not redo:
-                break
-            # solved again to the field's rounding, from the face terms of
-            # v, once the trial's arrays and the first solve's are freed
-            faces = resid_try = v_try = x = delta = None
-            faces = _face_terms(v, p, h, epsilon)
-            step_tol = 0.0
+            if theta < DAMPING_FLOOR:
+                raise NoConvergence("damping floor reached without residual decrease")
+            v_try = v.copy()
+            v_try[1:-1, 1:-1] = v[1:-1, 1:-1] + theta * delta
+            # rounding is monotone: once theta * delta rounds away at every
+            # node it does so for every smaller theta, and the residual
+            # can never fall
+            if np.array_equal(v_try, v):
+                raise NoConvergence("damping floor reached without residual decrease")
+            if _positive_finite(v_try):
+                faces = _face_terms(v_try, p, h, epsilon)
+                resid_try = _residual(v_try, p, lam, h, faces)
+                res_try = float(np.max(np.abs(resid_try)))
+                if res_try < res or res_try <= tol:
+                    break
+            theta *= 0.5
+            damping_events += 1
         v = v_try
         resid, res = resid_try, res_try
         iters += 1

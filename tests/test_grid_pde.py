@@ -668,21 +668,24 @@ class TestNewtonStep:
                 outcomes.append("NoConvergence")
         return outcomes
 
-    def test_linear_tol_share_keeps_the_newton_iteration(self, monkeypatch):
-        # 64 draws at h = 1/64 (102 Newton steps, 7 of them solved again
-        # by _exact_step_may_differ): the same Newton iterations, damping
-        # events and failures with the rule as with refinement to the
-        # field's rounding
+    def test_linear_tol_share_costs_one_newton_step_in_64_draws(
+            self, monkeypatch):
+        # 64 draws at h = 1/64, with the rule and with refinement to the
+        # field's rounding: the same failures and damping events, and the
+        # same Newton iterations but on draw 44, whose step ended on its
+        # linearized residual leaves 1.007 tol where the exact step leaves
+        # 0.856 tol, so it takes a second step
         with_share = self.solve_draws(4, 64)
         monkeypatch.setattr(grid_pde, "LINEAR_TOL_SHARE", 0.0)
-        assert self.solve_draws(4, 64) == with_share
+        exact = self.solve_draws(4, 64)
+        assert (with_share[44], exact[44]) == ((2, 0), (1, 0))
+        with_share[44] = exact[44]
+        assert with_share == exact
 
-    def test_doubtful_inexact_step_is_solved_again(self, monkeypatch):
-        # draw 44 of the set above: the exact step leaves 8.56e-10 <= tol
-        # and ends the solve, the step ended on its linearized residual
-        # leaves 1.007 tol, inside the share above tol.  Solved again to the
-        # field's rounding it gives the exact step's field bit for bit;
-        # kept, it would cost a second Newton step
+    def test_each_newton_step_is_solved_once(self, monkeypatch):
+        # draw 44 of the set above: its first step ends on the tol share and
+        # is judged as it is, one _solve_refined call with the solve's tol
+        # per Newton step
         params = ProblemParams(n=5, p=3.5829091416707226,
                                lam=1.38447965904892)
         xi = (math.cos(3.9830037047223485), math.sin(3.9830037047223485))
@@ -694,32 +697,10 @@ class TestNewtonStep:
 
         solve_refined = grid_pde._solve_refined
         monkeypatch.setattr(grid_pde, "_solve_refined", spy)
-        fld, stats = solve_dirichlet(params, xi, RECT, 1 / 64, tol=1e-9)
-        assert (stats.newton_iters, stats.damping_events) == (1, 0)
-        assert solves == [1e-9, 0.0]
-        with monkeypatch.context() as m:
-            m.setattr(grid_pde, "LINEAR_TOL_SHARE", 0.0)
-            exact, exact_stats = solve_dirichlet(params, xi, RECT, 1 / 64,
-                                                 tol=1e-9)
-        assert np.array_equal(fld.values, exact.values)
-        assert exact_stats.final_residual == stats.final_residual <= 1e-9
-        monkeypatch.setattr(grid_pde, "_exact_step_may_differ",
-                            lambda res_try, res, tol: False)
-        _, kept = solve_dirichlet(params, xi, RECT, 1 / 64, tol=1e-9)
-        assert (kept.newton_iters, kept.damping_events) == (2, 0)
-
-    @pytest.mark.parametrize("res_try, res, expected", [
-        (0.9e-9, 1e-3, False),     # ends the solve
-        (1.2e-9, 1e-3, True),      # an exact step could have ended it
-        (1.3e-9, 1e-3, False),     # an exact step leaves more than tol too
-        (5.1e-9, 5e-9, True),      # rejected; an exact step could pass
-        (5.3e-9, 5e-9, False),     # rejected either way
-        (4e-9, 5e-9, False),       # accepted either way
-    ])
-    def test_exact_step_may_differ(self, res_try, res, expected):
-        # tol 1e-9, share 2.5e-10: the judgement of the full update can
-        # change only within the share above tol or above res
-        assert grid_pde._exact_step_may_differ(res_try, res, 1e-9) is expected
+        _, stats = solve_dirichlet(params, xi, RECT, 1 / 64, tol=1e-9)
+        assert (stats.newton_iters, stats.damping_events) == (2, 0)
+        assert solves == [1e-9] * stats.newton_iters
+        assert stats.final_residual <= 1e-9
 
 
 class TestNewtonLinearLayer:
