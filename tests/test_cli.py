@@ -897,11 +897,51 @@ class TestRowBounds:
 
     @pytest.mark.parametrize("gap, excess", [(-1e-6, 0.0), (1e-6, 1e-6)])
     def test_gradient_log_ceiling(self, monkeypatch, gap, excess):
-        # alpha + 5 sup_err / h = 1 + 5 * 2^-7 / 2^-3 = 1.3125, exactly
+        # alpha + 5 rel_err / h = 1 + 5 * 2^-7 / 2^-3 = 1.3125, exactly
         monkeypatch.setattr(cli.grid_pde, "gradient_log_sup",
                             lambda fld: 1.3125 + gap)
         got = cli._gradient_log_excess(None, 1.0, 2.0 ** -7, 2.0 ** -3)
         assert got == pytest.approx(excess, abs=1e-12)
+
+    @staticmethod
+    def relative_error(fld, exact):
+        return float(np.max(np.abs(fld.values - exact.values) / exact.values))
+
+    def spy_gradient_allowance(self, monkeypatch):
+        """The (field, alpha, error, h) of each _gradient_log_excess call."""
+        calls = []
+        excess = cli._gradient_log_excess
+
+        def spy(fld, alpha, err, h):
+            calls.append((fld, alpha, err, h))
+            return excess(fld, alpha, err, h)
+
+        monkeypatch.setattr(cli, "_gradient_log_excess", spy)
+        return calls
+
+    def test_grid_gradient_allowance_is_relative(self, monkeypatch, tmp_path):
+        # the error in alpha + 5 err / h is relative to the exact field at
+        # each node, as sup_error_bound's: at p = 1.1, lam = 1 the field
+        # reaches 8.5e4 and sup |grad log v| = 8.12 sits under 8.62, where
+        # the absolute sup error 6.8 would allow 1103
+        calls = self.spy_gradient_allowance(monkeypatch)
+        cfg = {"params": {"n": 4, "p": 1.1, "lam": 1.0}, "h": 1 / 32,
+               "tol": 1e-9}
+        cli.run_grid(cfg, tmp_path)
+        [(fld, alpha, err, h)] = calls
+        exact = grid_pde.exponential_field(alpha, (0.6, 0.8), cli.UNIT_SQUARE,
+                                           h)
+        assert err == self.relative_error(fld, exact)
+        glog = grid_pde.gradient_log_sup(fld)
+        assert glog <= alpha + 5.0 * err / h < glog + 1.0
+
+    def test_gradient_bound_step_allowance_is_relative(self, monkeypatch):
+        # criterion 03 takes the same relative error of each solve
+        calls = self.spy_gradient_allowance(monkeypatch)
+        solves = cli._dirichlet_cache({"grid_h": [1 / 16, 1 / 32]})
+        cli.step_gradient_bound(solves)
+        assert [err for _, _, err, _ in calls] == [
+            self.relative_error(c["field"], c["exact"]) for c in solves]
 
     @pytest.mark.parametrize("max_f, excess", [
         (101.0 - 1e-6, 0.0), (101.0 + 1e-6, 1e-6)])
