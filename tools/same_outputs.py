@@ -30,8 +30,12 @@ numbers.  The commands are:
   xi = (1, 0) and at p = 2, whose Newton matrices leave out exact-zero
   couplings, on README's example at tol 1e-6, whose only Newton step ends
   on its linearized residual (LINEAR_TOL_SHARE * tol) after 3 corrections
-  where refinement to the field's rounding takes 7, and at p = 1.05,
-  lam = 1, h = 1/32,
+  where refinement to the field's rounding takes 7, at n = 5,
+  p = 3.5829091416707226, lam = 1.38447965904892, xi at angle
+  3.9830037047223485, h = 1/64 (draw 44 of seed 4 in tests/test_grid_pde.py),
+  whose first step, ended on its linearized residual, leaves 1.007 tol, so
+  that the solve takes a second Newton step an exact first step would not,
+  and at p = 1.05, lam = 1, h = 1/32,
   xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
   fallback of the refinement (a failed check, exit 1), and on the strips
   rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
@@ -39,7 +43,9 @@ numbers.  The commands are:
   the unit square at h = 1/2, whose one interior node gives the smallest
   face arrays and a 1 x 1 stencil storage, and at p = 1.1, lam = 1,
   h = 1/32, whose field reaches about 8.5e4, so that its sup error of 6.8
-  passes the bound 50 h^2 only relative to the data;
+  passes the bound 50 h^2 only relative to the data, and its
+  sup |grad log v| of 8.12 meets an allowance of 8.62 (1103 with the
+  absolute error);
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}},
   where the far-field series is exact and covers the whole shot, and
   `shoot` at (n, p, lam) = (4, 2.5, 1), whose series reach (about 18.7)
@@ -130,6 +136,10 @@ GRID_EXTRA = {
     "grid_p11_large_data": {**CONFIGS["grid"],
                             "params": {"n": 4, "p": 1.1, "lam": 1.0},
                             "h": 0.03125},
+    "grid_share_second_step": {
+        **CONFIGS["grid"],
+        "params": {"n": 5, "p": 3.5829091416707226, "lam": 1.38447965904892},
+        "xi": [math.cos(3.9830037047223485), math.sin(3.9830037047223485)]},
 }
 
 
