@@ -3,10 +3,13 @@
 Discretization is the standard 5-point divergence form: face-centered
 gradients (normal component by direct difference, transverse component by
 averaging the four neighboring centered differences), nonlinear diffusivity
-(|grad v|^2 + eps^2)^((p-2)/2) evaluated per face, divergence by face-flux
-differences.  The formally linearized operator uses the same face geometry
-with the rank-one tensor correction, which makes the damped Newton iteration
-and the second-order (Bochner) identity check share one discretization.
+|grad v|^(p-2) evaluated per face, divergence by face-flux differences.  A
+flat face (grad v = 0 there) carries no flux: its diffusivity is taken as 0
+at p < 2, where |grad v|^(p-2) is inf, since the flux |grad v|^(p-2) grad v
+tends to 0 with grad v for every p > 1.  The formally linearized operator
+uses the same face geometry with the rank-one tensor correction, which makes
+the damped Newton iteration and the second-order (Bochner) identity check
+share one discretization.
 """
 
 from __future__ import annotations
@@ -215,25 +218,33 @@ def _centered_grad(w, h):
             (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h))
 
 
-def p_laplace_residual(field: Field2D, p, lam, epsilon=0.0) -> np.ndarray:
-    """Interior residual of -div((|grad v|^2+eps^2)^((p-2)/2) grad v) + lam v^(p-1).
+def p_laplace_residual(field: Field2D, p, lam) -> np.ndarray:
+    """Interior residual of -div(|grad v|^(p-2) grad v) + lam v^(p-1).
 
     Returns an (nx-2, ny-2) array over the interior nodes; O(h^2) consistent
-    for smooth positive fields away from critical points when epsilon = 0.
+    for smooth positive fields away from critical points.  A flat face
+    carries no flux, so a node whose four faces are flat has residual
+    lam v^(p-1) at every p.
     """
     v, h = field.values, field.h
-    return _residual(v, p, lam, h, _face_terms(v, p, h, epsilon))
+    return _residual(v, p, lam, h, _face_terms(v, p, h))
 
 
-def _face_terms(v, p, h, epsilon):
+def _face_terms(v, p, h):
     """(bn, bt, s2, k) on the x- and y-faces of v: normal and transverse
-    gradient, s2 = bn^2 + bt^2 + eps^2, k = s2^((p-2)/2)."""
+    gradient, s2 = bn^2 + bt^2, k = s2^((p-2)/2), and k = 0 where s2 = 0 at
+    p < 2, so that a flat face's flux k bn is 0 rather than inf * 0."""
+
+    def terms(bn, bt):
+        s2 = bn ** 2 + bt ** 2
+        with np.errstate(divide="ignore"):  # k = inf where s2 = 0 at p < 2
+            k = s2 ** ((p - 2.0) / 2.0)
+        if p < 2.0:
+            k[s2 == 0.0] = 0.0
+        return bn, bt, s2, k
+
     dvx, dvy_x, dvy, dvx_y = _face_gradients(v, h)
-    s2x = dvx ** 2 + dvy_x ** 2 + epsilon ** 2
-    s2y = dvy ** 2 + dvx_y ** 2 + epsilon ** 2
-    with np.errstate(divide="ignore"):  # k = inf on a flat face at p < 2
-        return ((dvx, dvy_x, s2x, s2x ** ((p - 2.0) / 2.0)),
-                (dvy, dvx_y, s2y, s2y ** ((p - 2.0) / 2.0)))
+    return terms(dvx, dvy_x), terms(dvy, dvx_y)
 
 
 def _residual(v, p, lam, h, faces):
@@ -266,10 +277,9 @@ def _linearized_face_coeffs(faces, p):
     return c1x, c2x, c1y, c2y
 
 
-def _apply_linearized(base, g, p, h, epsilon):
+def _apply_linearized(base, g, p, h):
     """Matrix-free action of the linearized divergence operator on g (interior)."""
-    c1x, c2x, c1y, c2y = _linearized_face_coeffs(
-        _face_terms(base, p, h, epsilon), p)
+    c1x, c2x, c1y, c2y = _linearized_face_coeffs(_face_terms(base, p, h), p)
     dgx, dgy_x, dgy, dgx_y = _face_gradients(g, h)
     gx = c1x * dgx + c2x * dgy_x
     gy = c1y * dgy + c2y * dgx_y
@@ -691,14 +701,14 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     """Damped Newton solve with boundary data scale*exp(alpha <x, xi>).
 
     The initial guess is the extension of the boundary data to the whole
-    rectangle.  Regularization eps = 1e-8 * alpha * max(boundary data) is
-    kept under |grad v| throughout.  Raises DomainError when tol is
-    negative or not finite or scale is not positive and finite,
-    OverflowError when the boundary data overflow or underflow to 0, the
-    initial residual is not finite or a step's stencil is not finite where
-    it needs the float64 LU, and NoConvergence when
-    MAX_NEWTON_ITERS steps or the damping floor are exhausted before
-    final_residual <= tol.
+    rectangle.  The residual is p_laplace_residual's, in which a flat face
+    carries no flux; its linearized coefficients are 0 too.  Raises
+    DomainError when tol is negative or not finite or scale is not positive
+    and finite, OverflowError when the boundary data overflow or underflow
+    to 0, their initial residual or a squared face gradient is not finite,
+    or a step's stencil is not finite where it needs the float64 LU, and
+    NoConvergence when MAX_NEWTON_ITERS steps or the damping floor are
+    exhausted before final_residual <= tol.
 
     Each Newton step assembles the Jacobian as its nine stencil arrays
     (_newton_stencil), from the coefficients (_linearized_face_coeffs) of
@@ -717,25 +727,15 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     while the step itself may be accurate only to those ulps of v rather
     than to its own.  Each step is solved once, and the damping search
     judges it as refinement left it, so a step ended by the share can cost
-    a Newton step that an exact one would not: on 640 draws like
-    grid_fine's at h = 1/64 that happened on one draw.  Solving again with
-    tol 0 each step whose full update lies within the share of tol or of
-    the residual before it, where an exact step could be judged otherwise,
-    saved that step; on grid_fine's 640 draws of seeds 1011-1030 it moved
-    no failure and no Newton or damping count, and took 2569 corrections
-    against 2489 (README).  The face terms, the coefficients, the residual
-    and the stencil arrays are whole-array expressions, each stencil array
-    assigned into its slot of the DIA storage.  Forming the stencil in
-    place, to the same bits, saved about 0.25 ms of a 1.8-1.9 ms call at
-    h = 1/256 (README), about 1% of a grid_fine solve, and the residual
-    nothing.  A step holds each grid-sized array once: the face terms are
-    freed once their four coefficient arrays are formed, and those once the
-    stencil arrays are; the residual is negated in place into the
-    right-hand side; the stencil arrays and the step's multigrid hierarchy
-    are freed when _solve_refined returns, before the damping trials
-    compute their face terms.  SolveStats counts the corrections and
-    fallback solves (linear_solves; the full-multigrid pass counts as one
-    correction) and the float64 fallbacks (float64_refactors).
+    a Newton step that an exact one would not (README).  A step holds each
+    grid-sized array once: the face terms are freed once their four
+    coefficient arrays are formed, and those once the stencil arrays are;
+    the residual is negated in place into the right-hand side; the stencil
+    arrays and the step's multigrid hierarchy are freed when _solve_refined
+    returns, before the damping trials compute their face terms.
+    SolveStats counts the corrections and fallback solves (linear_solves;
+    the full-multigrid pass counts as one correction) and the float64
+    fallbacks (float64_refactors).
 
     Only params.p and params.lam enter; the grid realization is 2-D
     regardless of params.n.
@@ -748,18 +748,17 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
     alpha = eigen_rate_alpha(lam, p)
     start = _exponential_sum(alpha, [(xi, scale)], rect, h, "boundary data")
     v = start.values
-    epsilon = 1e-8 * alpha * float(v.max())
 
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            faces = _face_terms(v, p, h, epsilon)
-            resid = _residual(v, p, lam, h, faces)
-            res = float(np.max(np.abs(resid)))
-        except OverflowError:  # epsilon**2 beyond the largest double
-            res = math.inf
-    if not math.isfinite(res):
-        raise OverflowError(f"initial residual is {res:g}: the boundary "
-                            "data exceed the range of the discrete operator")
+        faces = _face_terms(v, p, h)
+        resid = _residual(v, p, lam, h, faces)
+    res = float(np.max(np.abs(resid)))
+    # at p < 2 a face whose s2 overflows gets k = 0, a finite wrong flux
+    s2_max = max(float(faces[0][2].max()), float(faces[1][2].max()))
+    if not math.isfinite(res + s2_max):
+        raise OverflowError("the boundary data exceed the range of the "
+                            "discrete operator: squared face gradients reach "
+                            f"{s2_max:g}, the initial residual {res:g}")
     iters = damping_events = linear_solves = float64_refactors = 0
     # `not res <= tol` also keeps iterating on a NaN residual
     while not res <= tol:
@@ -790,7 +789,7 @@ def solve_dirichlet(params: ProblemParams, xi, rect, h, tol=1e-10,
             if np.array_equal(v_try, v):
                 raise NoConvergence("damping floor reached without residual decrease")
             if _positive_finite(v_try):
-                faces = _face_terms(v_try, p, h, epsilon)
+                faces = _face_terms(v_try, p, h)
                 resid_try = _residual(v_try, p, lam, h, faces)
                 res_try = float(np.max(np.abs(resid_try)))
                 if res_try < res or res_try <= tol:
@@ -886,7 +885,7 @@ def bochner_residual(field: Field2D, p, lam) -> float:
     wx, wy = _centered_grad(w, h)                      # nodes [1..nx-2]
     f_int = wx ** 2 + wy ** 2                          # shape (nx-2, ny-2)
     # L_w(f) at nodes [2..nx-3] reads w and f at nodes [1..nx-2] only
-    lhs = _apply_linearized(w[1:-1, 1:-1], f_int, p, h, 0.0)
+    lhs = _apply_linearized(w[1:-1, 1:-1], f_int, p, h)
 
     wxx = (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / h ** 2
     wyy = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / h ** 2

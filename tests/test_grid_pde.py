@@ -174,6 +174,27 @@ class TestPLaplaceResidual:
         resid = p_laplace_residual(f, 3.0, 0.0)
         assert np.max(np.abs(resid)) == 0.0
 
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    @pytest.mark.parametrize("kind", ["constant", "patches"])
+    def test_flat_faces_carry_no_flux(self, p, kind):
+        # at p < 2 |grad v|^(p-2) is inf on a flat face, whose flux is
+        # taken as its limit 0, not inf * 0 = NaN: a node whose 3 x 3
+        # neighbourhood is constant has residual lam v^(p-1), and every
+        # node a finite one
+        levels = np.random.default_rng(9).choice([1.0, 2.0, 3.5], (4, 5))
+        v = {"constant": np.full((20, 25), 2.5),
+             "patches": np.kron(levels, np.ones((5, 5)))}[kind]
+        lam = 1.7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resid = p_laplace_residual(Field2D(1 / 16, (0.0, 0.0), v), p, lam)
+        blocks = np.lib.stride_tricks.sliding_window_view(v, (3, 3))
+        flat = blocks.min(axis=(2, 3)) == blocks.max(axis=(2, 3))
+        assert flat.any() and (kind == "constant" or not flat.all())
+        assert np.array_equal(resid[flat],
+                              lam * v[1:-1, 1:-1][flat] ** (p - 1.0))
+        assert np.isfinite(resid).all()
+
 
 class TestSolveDirichlet:
     def test_p2_matches_direct_linear_solve(self):
@@ -194,6 +215,28 @@ class TestSolveDirichlet:
             errs.append(float(np.max(np.abs(fld.values - exact.values))))
         assert errs[0] / errs[1] >= 3.0
 
+    @pytest.mark.parametrize("p, lam, xi", [
+        (1.02, 1.0, (0.6, 0.8)),
+        (1.05, 1.0, (0.6, 0.8)),
+        (1.05, 1.0, (math.cos(0.3), math.sin(0.3))),
+        (1.05, 2.0, (0.6, 0.8)),
+        (1.1, 2.0, (0.6, 0.8)),
+        (1.2, 5.0, (0.6, 0.8)),
+    ])
+    def test_error_falls_at_second_order_near_p_1(self, p, lam, xi):
+        # alpha = 14.6 to 46.3: the data span e^20 to e^65, so |grad v| =
+        # alpha v at the low corner lies below 1e-8 of its largest value,
+        # where a flux regularized on the scale of max(v) solves another
+        # equation and the error no longer falls with h
+        alpha = eigen_rate_alpha(lam, p)
+        errs = []
+        for h in (1 / 32, 1 / 64):
+            fld, _ = solve_dirichlet(ProblemParams(n=4, p=p, lam=lam), xi,
+                                     RECT, h, tol=1e-9)
+            exact = exponential_field(alpha, xi, RECT, h).values
+            errs.append(float(np.max(np.abs(fld.values - exact) / exact)))
+        assert errs[0] / errs[1] >= 3.0
+
     def test_no_convergence_with_one_iteration(self, monkeypatch):
         params = ProblemParams(n=4, p=3.0, lam=2.0)
         monkeypatch.setattr(grid_pde, "MAX_NEWTON_ITERS", 1)
@@ -211,9 +254,10 @@ class TestSolveDirichlet:
     @pytest.mark.parametrize("lam, xi, message", [
         # alpha = 678.6: exp(alpha <x, xi>) overflows where <x, xi> > 1.05
         (500.0, XI, "boundary data exp(678.604 <x, xi>) overflows"),
-        # finite data up to e^678.6, but |grad v|^2 overflows
-        (500.0, [1.0, 0.0], "initial residual is inf"),
-        (300.0, XI, "initial residual is inf"),
+        # finite data up to e^678.6, but |grad v|^2 overflows; at p < 2
+        # such a face would get k = 0 and a finite, wrong residual
+        (500.0, [1.0, 0.0], "squared face gradients reach inf"),
+        (300.0, XI, "squared face gradients reach inf"),
     ])
     def test_non_finite_data_raises(self, lam, xi, message):
         # a NaN residual fails `res > tol`, so the solve once returned the
@@ -348,11 +392,11 @@ class Factor:
         self.solve = lu.solve
 
 
-def stencil_coefficients(v, p, h, eps):
+def stencil_coefficients(v, p, h):
     """3x3 stencil of the linearized operator L_v at each interior node,
     by offset (di, dj), from the face coefficients of the flux."""
     c1x, c2x, c1y, c2y = grid_pde._linearized_face_coeffs(
-        _face_terms(v, p, h, eps), p)
+        _face_terms(v, p, h), p)
     e1, e2 = c1x[1:, :], c2x[1:, :]      # east face of each interior node
     w1, w2 = c1x[:-1, :], c2x[:-1, :]
     n1, n2 = c1y[:, 1:], c2y[:, 1:]
@@ -371,12 +415,12 @@ def stencil_coefficients(v, p, h, eps):
     }
 
 
-def coo_newton_matrix(v, p, lam, h, eps):
+def coo_newton_matrix(v, p, lam, h):
     """The Newton matrix built through COO, each stencil block and the mass
     diagonal as separate triplets that tocsr sums.  Interior node (k, l) is
     numbered k * mj + l."""
     mi, mj = v.shape[0] - 2, v.shape[1] - 2
-    sten = stencil_coefficients(v, p, h, eps)
+    sten = stencil_coefficients(v, p, h)
     idx = np.arange(mi * mj).reshape(mi, mj)
     rows, cols, vals = [idx.ravel()], [idx.ravel()], [
         ((p - 1.0) * lam * v[1:-1, 1:-1] ** (p - 2.0)).ravel()]
@@ -391,18 +435,18 @@ def coo_newton_matrix(v, p, lam, h, eps):
         shape=(mi * mj, mi * mj)).tocsr()
 
 
-def newton_stencil(v, p, lam, h, eps):
+def newton_stencil(v, p, lam, h):
     """_newton_stencil from the face coefficients of v, formed as
     solve_dirichlet forms them."""
     with np.errstate(over="ignore"):
-        coeffs = grid_pde._linearized_face_coeffs(_face_terms(v, p, h, eps), p)
+        coeffs = grid_pde._linearized_face_coeffs(_face_terms(v, p, h), p)
     return _newton_stencil(v, p, lam, h, coeffs)
 
 
-def newton_matrix(v, p, lam, h, eps):
+def newton_matrix(v, p, lam, h):
     """The Newton matrix that _solve_refined builds from the stencil, in
     CSR."""
-    return _stencil_matrix(newton_stencil(v, p, lam, h, eps)).tocsr()
+    return _stencil_matrix(newton_stencil(v, p, lam, h)).tocsr()
 
 
 def prolongation(m):
@@ -434,20 +478,18 @@ def transfer_matrices(mi, mj):
 
 def newton_field(p, h, lam=2.0, rect=RECT, noise=0.01, xi=XI):
     """solve_dirichlet's boundary data extended to the rectangle, perturbed
-    by up to `noise` relative at each node, and its epsilon."""
-    alpha = eigen_rate_alpha(lam, p)
-    v = exponential_field(alpha, xi, rect, h).values
-    v = v * (1.0 + noise * np.random.default_rng(7).random(v.shape))
-    return v, 1e-8 * alpha * float(v.max())
+    by up to `noise` relative at each node."""
+    v = exponential_field(eigen_rate_alpha(lam, p), xi, rect, h).values
+    return v * (1.0 + noise * np.random.default_rng(7).random(v.shape))
 
 
 def newton_system(p, h, lam=2.0, rect=RECT, noise=0.01):
     """Newton stencil arrays, right-hand side and the interior of
     newton_field, the field the step updates (noise = 0 gives the first
     Newton step of solve_dirichlet)."""
-    v, eps = newton_field(p, h, lam, rect, noise)
-    resid = p_laplace_residual(Field2D(h, rect[:2], v), p, lam, eps)
-    return (newton_stencil(v, p, lam, h, eps), -resid.ravel(),
+    v = newton_field(p, h, lam, rect, noise)
+    resid = p_laplace_residual(Field2D(h, rect[:2], v), p, lam)
+    return (newton_stencil(v, p, lam, h), -resid.ravel(),
             v[1:-1, 1:-1])
 
 
@@ -477,22 +519,21 @@ def random_inputs(shape):
     """newton_stencil arguments at a random positive field of the given
     shape, for p in 1.5, 3 and 4."""
     v = np.exp(np.random.default_rng(11).random(shape))
-    return [(v, p, 2.0, 1 / 64, 1e-8) for p in (1.5, 3.0, 4.0)]
+    return [(v, p, 2.0, 1 / 64) for p in (1.5, 3.0, 4.0)]
 
 
 def field_inputs(p, h, rect=RECT, noise=0.0, xi=XI):
     """newton_stencil arguments at newton_field with lam = 2."""
-    v, eps = newton_field(p, h, 2.0, rect, noise, xi)
-    return [(v, p, 2.0, h, eps)]
+    return [(newton_field(p, h, 2.0, rect, noise, xi), p, 2.0, h)]
 
 
 def edge_inputs(kind, p):
-    """newton_stencil arguments at eps = 0 on a 19 x 24 field that is flat
+    """newton_stencil arguments on a 19 x 24 field that is flat
     (two levels, so s2 = 0 on many faces) or overflowing (its face
     coefficients leave the double range as inf and NaN)."""
     r = np.random.default_rng(9).random((19, 24))
     v = np.where(r < 0.5, 1.0, 2.0) if kind == "flat" else np.exp(400.0 * r)
-    return [(v, p, 1.7, 1 / 16, 0.0)]
+    return [(v, p, 1.7, 1 / 16)]
 
 
 class TestNewtonStep:
@@ -523,9 +564,8 @@ class TestNewtonStep:
         h, rect, tol = 1 / 32, (0.0, 0.0, 2.0, 1.0), 1e-6
         alpha = eigen_rate_alpha(params.lam, params.p)
         start = exponential_field(alpha, XI, rect, h)
-        eps = 1e-8 * alpha * float(start.values.max())
-        resid = p_laplace_residual(start, params.p, params.lam, eps)
-        mat = coo_newton_matrix(start.values, params.p, params.lam, h, eps)
+        resid = p_laplace_residual(start, params.p, params.lam)
+        mat = coo_newton_matrix(start.values, params.p, params.lam, h)
         expected = spsolve(mat, -resid.ravel()).reshape(resid.shape)
         solutions = []
 
@@ -546,7 +586,7 @@ class TestNewtonStep:
         assert np.array_equal(fld.values[1:-1, 1:-1],
                               base + step.reshape(resid.shape))
         x, _, refactors = solve_refined(
-            newton_stencil(start.values, params.p, params.lam, h, eps),
+            newton_stencil(start.values, params.p, params.lam, h),
             -resid.ravel(), base, 0.0)
         assert refactors == 0
         assert field_gap_ulps(base.ravel(), x, expected.ravel()) <= FIELD_ULPS
@@ -560,14 +600,13 @@ class TestNewtonStep:
         xi = np.array([math.cos(0.3), math.sin(0.3)])
         alpha = eigen_rate_alpha(lam, p)
         start = exponential_field(alpha, xi, RECT, h).values
-        eps = 1e-8 * alpha * float(start.max())
         steps = []
 
         def spy(sten, rhs, interior, tol):
             v = start.copy()
             v[1:-1, 1:-1] = interior
-            resid = p_laplace_residual(Field2D(h, RECT[:2], v), p, lam, eps)
-            assert np.array_equal(sten, newton_stencil(v, p, lam, h, eps))
+            resid = p_laplace_residual(Field2D(h, RECT[:2], v), p, lam)
+            assert np.array_equal(sten, newton_stencil(v, p, lam, h))
             assert np.array_equal(rhs, -resid.ravel())
             steps.append(interior)
             return solve_refined(sten, rhs, interior, tol)
@@ -609,16 +648,15 @@ class TestNewtonStep:
         fld, stats = solve_dirichlet(params, XI, RECT, h, tol=tol)
         alpha = eigen_rate_alpha(params.lam, p)
         ref = exponential_field(alpha, XI, RECT, h)
-        eps = 1e-8 * alpha * float(ref.values.max())
         iters = 0
-        resid = p_laplace_residual(ref, p, params.lam, eps)
+        resid = p_laplace_residual(ref, p, params.lam)
         while np.max(np.abs(resid)) > tol and iters <= stats.newton_iters:
-            mat = coo_newton_matrix(ref.values, p, params.lam, h, eps)
+            mat = coo_newton_matrix(ref.values, p, params.lam, h)
             step = spsolve(mat, -resid.ravel()).reshape(resid.shape)
             values = ref.values.copy()
             values[1:-1, 1:-1] += step
             ref = Field2D(h, ref.origin, values)
-            resid = p_laplace_residual(ref, p, params.lam, eps)
+            resid = p_laplace_residual(ref, p, params.lam)
             iters += 1
         assert (stats.newton_iters, stats.damping_events) == (iters, 0)
         assert iters >= 1
@@ -725,10 +763,10 @@ class TestNewtonLinearLayer:
         pytest.param(edge_inputs("overflowing", 3.0), 0, id="overflowing_p3"),
     ])
     def test_matrix_matches_coo_build_bit_for_bit(self, inputs, dropped):
-        for v, p, lam, h, eps in inputs:
+        for args in inputs:
             with np.errstate(over="ignore", invalid="ignore"):
-                new = newton_matrix(v, p, lam, h, eps)
-                ref = coo_newton_matrix(v, p, lam, h, eps)
+                new = newton_matrix(*args)
+                ref = coo_newton_matrix(*args)
             assert ref.nnz - new.nnz == dropped
             ref.eliminate_zeros()
             assert np.array_equal(new.indptr, ref.indptr)
@@ -751,8 +789,8 @@ class TestNewtonLinearLayer:
         # the order the CSR product does, whose matrix leaves exact zeros
         # out (xi_1_0), on each level down to a single node on an axis
         x = np.random.default_rng(5).standard_normal(64 * 32)
-        for v, p, lam, h, eps in inputs:
-            sten = newton_stencil(v, p, lam, h, eps)
+        for args in inputs:
+            sten = newton_stencil(*args)
             while True:
                 mat = _stencil_matrix(sten)
                 assert mat.format == "dia"
@@ -792,8 +830,8 @@ class TestNewtonLinearLayer:
         # each coarsening down to a single node on an axis, against P^T A P
         # with the kron prolongation: within a few ulps of each row's
         # largest entry, with the same entries once exact zeros are dropped
-        for v, p, lam, h, eps in inputs:
-            sten = newton_stencil(v, p, lam, h, eps)
+        for args in inputs:
+            sten = newton_stencil(*args)
             while min(sten.shape[2:]) >= 2:
                 mi, mj = sten.shape[2:]
                 prol = sparse.kron(prolongation(mi), prolongation(mj),
@@ -1084,11 +1122,11 @@ class TestNewtonLinearLayer:
 
     def test_stall_at_rounding_floor_keeps_the_refined_step(self,
                                                             monkeypatch):
-        # a field perturbed by up to 30% at p = 1.5, lam = 1: the
+        # a field perturbed by up to 25% at p = 1.5, lam = 1: the
         # corrections stop halving a few ulps of x above the field's
         # rounding, which is x's own floor, so the step is kept and no
         # float64 LU is made
-        sten, rhs, base = newton_system(1.5, 1 / 64, lam=1.0, noise=0.3)
+        sten, rhs, base = newton_system(1.5, 1 / 64, lam=1.0, noise=0.25)
         corrections = spy_corrections(monkeypatch)
         spy = SpyLU()
         monkeypatch.setattr(grid_pde, "splu", spy)
@@ -1141,27 +1179,25 @@ class TestInPlaceAssembly:
     @pytest.mark.parametrize("kind", ["smooth", "flat", "overflowing"])
     def test_matches_the_expressions_bit_for_bit(self, p, kind):
         # the residual keeps the order of operations of the reference
-        # expression, so its bytes, through flat faces (s2 = 0 at eps = 0,
-        # k = inf at p < 2) and values whose products overflow to inf and NaN
+        # expression, so its bytes, through flat faces (s2 = 0, k = 0 at
+        # p < 2) and values whose products overflow to inf and NaN
         rng = np.random.default_rng(9)
         v = {"smooth": np.exp(rng.random((19, 24))),
              "flat": np.where(rng.random((19, 24)) < 0.5, 1.0, 2.0),
              "overflowing": np.exp(400.0 * rng.random((19, 24)))}[kind]
         h, lam = 1 / 16, 1.7
         with np.errstate(all="ignore"):
-            for eps in (0.0, 1e-8):
-                faces = _face_terms(v, p, h, eps)
-                assert (grid_pde._residual(v, p, lam, h, faces).tobytes()
-                        == expression_residual(v, p, lam, h, faces).tobytes())
+            faces = _face_terms(v, p, h)
+            assert (grid_pde._residual(v, p, lam, h, faces).tobytes()
+                    == expression_residual(v, p, lam, h, faces).tobytes())
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_coefficients_vanish_on_flat_faces(self, p):
-        # s2 == 0 at eps = 0 makes the formulas 0/0 (and k = inf at p < 2);
-        # the coefficients are exactly 0 there, finite elsewhere, and no
-        # floating-point warning escapes
+        # s2 == 0 makes the formulas 0/0; the coefficients are exactly 0
+        # there, finite elsewhere, and no floating-point warning escapes
         rng = np.random.default_rng(9)
         v = np.where(rng.random((19, 24)) < 0.5, 1.0, 2.0)
-        faces = _face_terms(v, p, 1 / 16, 0.0)
+        faces = _face_terms(v, p, 1 / 16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             coeffs = grid_pde._linearized_face_coeffs(faces, p)
@@ -1273,7 +1309,7 @@ class TestLinearizedApply:
         for h in (1 / 16, 1 / 32):
             f = exponential_field(1.0, np.array([1.0, 0.0]), RECT, h)
             g = 1.0 * f.values  # d/dx1 of e^(x1)
-            out = _apply_linearized(f.values, g, p, f.h, 0.0)
+            out = _apply_linearized(f.values, g, p, f.h)
             resid = -out + (p - 1) * lam * f.values[1:-1, 1:-1] ** (p - 2) \
                 * g[1:-1, 1:-1]
             gaps.append(float(np.max(np.abs(resid))))
@@ -1284,14 +1320,14 @@ class TestLinearizedApply:
         gaps = []
         for h in (1 / 16, 1 / 32):
             f = exponential_field(1.0, XI, RECT, h)
-            out = _apply_linearized(f.values, f.values, p, f.h, 0.0)
+            out = _apply_linearized(f.values, f.values, p, f.h)
             resid = -out + (p - 1) * lam * f.values[1:-1, 1:-1] ** (p - 1)
             gaps.append(float(np.max(np.abs(resid))))
         assert gaps[0] / gaps[1] >= 3.0
 
     def test_zero_direction(self):
         f = exponential_field(1.0, XI, RECT, 1 / 8)
-        out = _apply_linearized(f.values, np.zeros_like(f.values), 3.0, f.h, 0.0)
+        out = _apply_linearized(f.values, np.zeros_like(f.values), 3.0, f.h)
         assert np.max(np.abs(out)) == 0.0
 
     def test_newton_matrix_matches_apply(self):
@@ -1301,11 +1337,11 @@ class TestLinearizedApply:
         f = exponential_field(1.0, XI, RECT, h)
         g = np.zeros_like(f.values)
         g[1:-1, 1:-1] = rng.normal(size=g[1:-1, 1:-1].shape)
-        p, lam, eps = 3.0, 2.0, 1e-8
-        direct = (-_apply_linearized(f.values, g, p, h, eps)
+        p, lam = 3.0, 2.0
+        direct = (-_apply_linearized(f.values, g, p, h)
                   + (p - 1) * lam * f.values[1:-1, 1:-1] ** (p - 2)
                   * g[1:-1, 1:-1])
-        mat = newton_matrix(f.values, p, lam, h, eps)
+        mat = newton_matrix(f.values, p, lam, h)
         # the matrix numbers interior node (k, l) as k * mj + l
         via_matrix = (mat @ g[1:-1, 1:-1].ravel()).reshape(direct.shape)
         assert np.max(np.abs(direct - via_matrix)) <= 1e-9 * np.max(np.abs(direct))
@@ -1428,7 +1464,7 @@ class TestBochnerResidual:
             f_full[1:-1, 1:-1] = f_int
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                lhs = _apply_linearized(w, f_full, p, h, 0.0)[1:-1, 1:-1]
+                lhs = _apply_linearized(w, f_full, p, h)[1:-1, 1:-1]
             wxx = (w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / h ** 2
             wyy = (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / h ** 2
             wxy = (w[2:, 2:] - w[2:, :-2] - w[:-2, 2:] + w[:-2, :-2]) / (

@@ -36,8 +36,8 @@ numbers.  The commands are:
   whose first step, ended on its linearized residual, leaves 1.007 tol, so
   that the solve takes a second Newton step an exact first step would not,
   and at p = 1.05, lam = 1, h = 1/32,
-  xi = (cos 0.3, sin 0.3), where every Newton step ends in the float64 LU
-  fallback of the refinement (a failed check, exit 1), and on the strips
+  xi = (cos 0.3, sin 0.3), where two of its three Newton steps end in the
+  float64 LU fallback of the refinement (exit 0), and on the strips
   rect [0, 0, 1, 0.125] and [0, 0, 1, 0.1875] at h = 1/16, with 1 and 2
   interior nodes on y, where stencil arrays share a DIA diagonal, and on
   the unit square at h = 1/2, whose one interior node gives the smallest
@@ -45,7 +45,11 @@ numbers.  The commands are:
   h = 1/32, whose field reaches about 8.5e4, so that its sup error of 6.8
   passes the bound 50 h^2 only relative to the data, and its
   sup |grad log v| of 8.12 meets an allowance of 8.62 (1103 with the
-  absolute error);
+  absolute error), and at p = 1.1, lam = 2 and p = 1.2, lam = 5 (h = 1/32),
+  whose data span e^21 and e^20, so that |grad v| at the low corner lies
+  below 1e-8 of its largest value: their errors, 0.036 and 0.039 of the
+  exact field, fall at order 2 with h, and each fails only kappa_bound, by
+  0.0040 and 0.0095 (exit 1);
 - `shoot`, `martin` and `blowup` on {"params": {"n": 3, "p": 2.0, "lam": 1.0}},
   where the far-field series is exact and covers the whole shot, and
   `shoot` at (n, p, lam) = (4, 2.5, 1), whose series reach (about 18.7)
@@ -72,9 +76,10 @@ numbers.  The commands are:
     residuals) and at lam = 1e-300 (a zero residual, no refinement
     factor);
   - `martin` at n = 2000, whose direction e_1 has 2000 coordinates (a
-    failed check), `grid` at p = 1.05, lam = 2, h = 1/32, whose 40
-    Newton steps all end in the refinement's stall-at-floor exit (a
-    failed solve), and `grid` on rect [200, 200, 201, 201] at h = 1/16,
+    failed check), `grid` at p = 1.05, lam = 2, h = 1/32, which converges
+    in 5 Newton steps and fails sup_error_bound by 0.375, a discretization
+    error of order 2 in h (alpha h = 1.05), and kappa_bound by 0.171 (a
+    failed check), and `grid` on rect [200, 200, 201, 201] at h = 1/16,
     whose finite data give a Newton stencil that overflows (a failed
     solve).
 Each tree runs as `python -m plap.cli` with only its own src/ on PYTHONPATH.
@@ -136,6 +141,12 @@ GRID_EXTRA = {
     "grid_p11_large_data": {**CONFIGS["grid"],
                             "params": {"n": 4, "p": 1.1, "lam": 1.0},
                             "h": 0.03125},
+    "grid_p11_lam2": {**CONFIGS["grid"],
+                      "params": {"n": 4, "p": 1.1, "lam": 2.0},
+                      "h": 0.03125},
+    "grid_p12_lam5": {**CONFIGS["grid"],
+                      "params": {"n": 4, "p": 1.2, "lam": 5.0},
+                      "h": 0.03125},
     "grid_share_second_step": {
         **CONFIGS["grid"],
         "params": {"n": 5, "p": 3.5829091416707226, "lam": 1.38447965904892},
