@@ -17,6 +17,8 @@ import math
 import sys
 from collections import namedtuple
 from enum import Enum
+# bound to names once for _root's loop, which calls them at every iterate
+from math import exp, inf, ulp
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -33,18 +35,15 @@ _FMAX = sys.float_info.max
 
 def _real(value, name):
     """value as an int or a float; DomainError unless a finite real number."""
-    number = value
-    # plain ints and floats, all that step 01 draws, skip the type tests
-    if type(value) is not float and type(value) is not int:
-        # a bool is an Integral, but not a number here
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
-        try:
-            # numpy scalars and other reals become int or float, so that a
-            # float32 field does not carry its rounding into the roots
-            number = int(value) if isinstance(value, Integral) else float(value)
-        except OverflowError:  # a Fraction beyond the float range
-            number = math.inf
+    # a bool is an Integral, but not a number here
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        # numpy scalars and other reals become int or float, so that a
+        # float32 field does not carry its rounding into the roots
+        number = int(value) if isinstance(value, Integral) else float(value)
+    except OverflowError:  # a Fraction beyond the float range
+        number = math.inf
     # an int beyond the float range is not finite either
     if not -_FMAX <= number <= _FMAX:
         raise DomainError(f"{name} must be finite, got {value!r}")
@@ -68,8 +67,15 @@ class ProblemParams(namedtuple("ProblemParams", "n p a mu lam",
     __slots__ = ()
 
     def __new__(cls, n, p, a=0.0, mu=0.0, lam=0.0):
-        n, p, a, mu, lam = (_real(n, "n"), _real(p, "p"), _real(a, "a"),
-                            _real(mu, "mu"), _real(lam, "lam"))
+        # a draw of an int n and float p, a, mu and lam within the double
+        # range, as steps 01 and 09 make, is already what _real would
+        # return; any other draw goes through it field by field
+        if not (type(n) is int and type(p) is type(a) is type(mu)
+                is type(lam) is float and -_FMAX <= n <= _FMAX
+                and -_FMAX <= p <= _FMAX and -_FMAX <= a <= _FMAX
+                and -_FMAX <= mu <= _FMAX and -_FMAX <= lam <= _FMAX):
+            n, p, a, mu, lam = (_real(n, "n"), _real(p, "p"), _real(a, "a"),
+                                _real(mu, "mu"), _real(lam, "lam"))
         if int(n) != n or n < 2:
             raise DomainError("n must be an integer >= 2")
         if not (1.0 < p < n):
@@ -174,71 +180,30 @@ _MAX_STEPS = 200
 
 
 def _solve_branches(mu, p, big_d):
-    """Both roots of the index equation for mu < mu_bar, mu != 0.
+    """Both roots of the index equation for mu < mu_bar, mu != 0, each with
+    its residual f - mu, or None for a root polished on gamma:
+    (gamma1, gamma2, residual1, residual2).
 
     Works on the canonical orientation D > 0 (the index function is even
-    under (gamma, D) -> (-gamma, -D)) and solves g(x) = f(+-e^x) - mu in
-    x = ln|gamma|, which resolves the extreme root magnitudes that appear
-    for p close to 1.  Each root is bracketed in closed form from the
-    power-law bounds of the index function and found by a safeguarded
-    Newton iteration (rtsafe, Numerical Recipes 9.4) on the closed-form
-    slope dg/dx = (p-1)(f - |gamma|^p).  Every evaluation narrows the
-    bracket by the sign of g; a Newton step that would leave the bracket is
-    replaced by bisection.  The iteration starts from the power-law estimate
-    of the root clipped to its bracket, stops after evaluating the first
-    step within 4 ulp of x, and returns the iterate of smallest |g|; over
-    the draws of `plap all` a root takes 6.3 evaluations of f on average.
-    Where one ulp of x exceeds _ROOT_RTOL, one Newton step on gamma itself
-    follows (_newton_on_gamma).
+    under (gamma, D) -> (-gamma, -D), so D < 0 negates and swaps the roots
+    and swaps their residuals, which the symmetry leaves bit for bit the
+    same) and solves g(x) = f(+-e^x) - mu in x = ln|gamma|, which resolves
+    the extreme root magnitudes that appear for p close to 1.  Each root is
+    bracketed in closed form from the power-law bounds of the index function
+    and found by _root's safeguarded Newton iteration.  The residual check
+    of indicial_roots reads the iteration's own residual, so f is computed
+    once per iterate: 6.3 times per root on average over the draws of
+    `plap all`.
     Logs of ratios are taken as differences, so they stay finite when mu is
     near the smallest double.
     """
-    if big_d < 0.0:
-        m1, m2 = _solve_branches(mu, p, -big_d)
-        return -m2, -m1
+    flip = big_d < 0.0
+    if flip:
+        big_d = -big_d
     q = p - 1.0
     log_d, log_p, log_q = math.log(big_d), math.log(p), math.log(q)
     x_star = log_d - log_p
     x_edge = log_d - log_q
-    exp, ulp, inf = math.exp, math.ulp, math.inf
-
-    def root(sign, x_lo, x_hi, x, rising=False):
-        """The root sign * e^x with x in [x_lo, x_hi], started from x; g
-        rises with x on the bracket if rising and falls on it otherwise."""
-        x = min(max(x, x_lo), x_hi)
-        best_x, best_g = x, inf
-        last = False
-        positive = sign > 0.0
-        for _ in range(_MAX_STEPS):
-            t = exp(x)
-            a = t ** q
-            # sign * a * (D - q * sign * t); negating is exact
-            f = a * (big_d - q * t) if positive else -(a * (big_d + q * t))
-            g = f - mu
-            size = abs(g)
-            if size < best_g:
-                best_x, best_g = x, size
-            if g == 0.0 or last:
-                break
-            if (g < 0.0) == rising:
-                x_lo = x
-            else:
-                x_hi = x
-            slope = q * (f - a * t)
-            # a slope that vanishes (gamma below the smallest double) or
-            # overflows (|gamma|^p near the largest double) gives no step
-            step = -g / slope if 0.0 < abs(slope) < inf else inf
-            tol = 4.0 * ulp(x)
-            # a step this small lands within rounding of the root: take it,
-            # evaluate there once more and stop
-            last = -tol <= step <= tol
-            if not last and not x_lo < x + step < x_hi:
-                step = 0.5 * (x_lo + x_hi) - x
-                last = -tol <= step <= tol
-            x += step
-        if ulp(best_x) > _ROOT_RTOL:
-            return _newton_on_gamma(sign * exp(best_x), mu, q, big_d)
-        return sign * exp(best_x)
 
     if mu > 0.0:
         # both roots positive.  On (0, g_star), D g^q / p <= f <= D g^q puts
@@ -247,10 +212,11 @@ def _solve_branches(mu, p, big_d):
         # (g_star, edge), whose end is pushed past the zero crossing so its
         # sign does not ride on rounding noise when mu is tiny.
         x_mu = (math.log(mu) - log_d) / q
-        g1 = root(1.0, x_mu - 1.0,
-                  min(x_star, max(x_mu + log_p / q + 1.0, _LOG_TINY)),
-                  x_mu, rising=True)
-        g2 = root(1.0, x_star, x_edge + 1e-7, x_edge)
+        g1, r1 = _root(1.0, x_mu - 1.0,
+                       min(x_star, max(x_mu + log_p / q + 1.0, _LOG_TINY)),
+                       x_mu, True, mu, q, big_d)
+        g2, r2 = _root(1.0, x_star, x_edge + 1e-7, x_edge, False, mu, q,
+                       big_d)
     else:
         # g1 < 0 with |g1| solving D g^q + q g^p = M, M = -mu: at the root
         # neither term exceeds M and the larger is at least M/2.  A root
@@ -273,9 +239,69 @@ def _solve_branches(mu, p, big_d):
                                     "the largest double")
             x_hi = min(x_hi, _LOG_HUGE)
             x_top = _LOG_HUGE
-        g1 = root(-1.0, x_lo, x_hi, 0.5 * (x_lo + x_hi))
-        g2 = root(1.0, x_edge - 1e-7, x_top, x_g2)
-    return g1, g2
+        g1, r1 = _root(-1.0, x_lo, x_hi, 0.5 * (x_lo + x_hi), False, mu, q,
+                       big_d)
+        g2, r2 = _root(1.0, x_edge - 1e-7, x_top, x_g2, False, mu, q, big_d)
+    if flip:
+        return -g2, -g1, r2, r1
+    return g1, g2, r1, r2
+
+
+def _root(sign, x_lo, x_hi, x, rising, mu, q, big_d):
+    """The root sign * e^x of f = mu with x in [x_lo, x_hi], started from
+    x, and its residual f - mu, or None for a root polished on gamma (or
+    for one where no iterate gave a finite |g|); g rises with x on the
+    bracket if rising and falls on it otherwise.  D > 0.
+
+    A safeguarded Newton iteration (rtsafe, Numerical Recipes 9.4) on the
+    closed-form slope dg/dx = (p-1)(f - |gamma|^p).  Every evaluation
+    narrows the bracket by the sign of g; a Newton step that would leave
+    the bracket is replaced by bisection.  The iteration starts from x
+    clipped to its bracket, stops after evaluating the first step within
+    4 ulp of x, and returns the iterate of smallest |g| with the g it
+    computed there.  Where one ulp of x exceeds _ROOT_RTOL, one Newton step
+    on gamma itself follows (_newton_on_gamma).
+    """
+    # ulp(x) grows with |x|, so no step beyond 4 ulp of the bracket's
+    # largest |x| (x_hi or -x_lo, as x_lo < x_hi) can stop the loop, and
+    # ulp(x) is taken only below that.  Conditionals rather than min and
+    # max, whose calls cost more than the comparisons.
+    near = 4.0 * ulp(x_hi if x_hi >= -x_lo else x_lo)
+    x = x_lo if x < x_lo else x_hi if x > x_hi else x
+    best_x, best_size, best_g = x, inf, None
+    signed_q = sign * q
+    last = False
+    for _ in range(_MAX_STEPS):
+        t = exp(x)
+        a = t ** q
+        # sign * a * (D - q * sign * t), the bits of _index_f(sign * t, q, D)
+        # as negating is exact
+        f = sign * (a * (big_d - signed_q * t))
+        g = f - mu
+        size = abs(g)
+        if size < best_size:
+            best_x, best_size, best_g = x, size, g
+        if g == 0.0 or last:
+            break
+        if (g < 0.0) == rising:
+            x_lo = x
+        else:
+            x_hi = x
+        slope = q * (f - a * t)
+        # a slope that vanishes (gamma below the smallest double) or
+        # overflows (|gamma|^p near the largest double) gives no step
+        step = -g / slope if 0.0 < abs(slope) < inf else inf
+        # a step this small lands within rounding of the root: take it,
+        # evaluate there once more and stop
+        last = -near <= step <= near and abs(step) <= 4.0 * ulp(x)
+        if not last and not x_lo < x + step < x_hi:
+            step = 0.5 * (x_lo + x_hi) - x
+            last = -near <= step <= near and abs(step) <= 4.0 * ulp(x)
+        x += step
+    root = sign * exp(best_x)
+    if ulp(best_x) > _ROOT_RTOL:
+        return _newton_on_gamma(root, mu, q, big_d), None
+    return root, best_g
 
 
 def _newton_on_gamma(gamma, mu, q, big_d):
@@ -327,20 +353,29 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
     gamma1 = gamma2 = gamma_star is reported when |mu - mu_bar| is within the
     detection tolerance (below it f(gamma_star) - mu, the sign that splits
     the two root brackets, is too close to rounding noise to trust).
+
+    Each root's residual f - mu is checked against RESIDUAL_RTOL.  For a
+    root of the iteration the check reads the residual the iteration
+    computed at that root (f is computed once per iterate, 6.3 times per
+    root over the draws of `plap all`); the closed-form roots and the roots
+    polished on gamma are evaluated with _index_f.
     """
-    n, p, a, mu = params.n, params.p, params.a, params.mu
+    n, p, a, mu, _ = params
     # the expressions of gamma_star and hardy_best_constant, whose range
     # check ProblemParams has made
     big_d = n - (a + 1.0) * p
     gs = big_d / p
     mu_bar = abs(gs) ** p
+    scale = mu_bar if mu_bar > 1.0 else 1.0  # max(1.0, mu_bar)
 
-    if mu > mu_bar + RESIDUAL_RTOL * max(1.0, mu_bar):
+    if mu > mu_bar + RESIDUAL_RTOL * scale:
         raise NoRealRoot(
             f"mu={mu!r} exceeds the admissible maximum mu_bar={mu_bar!r}"
         )
 
-    if abs(mu - mu_bar) <= DOUBLE_ROOT_RTOL * max(1.0, mu_bar):
+    # the closed forms leave their residuals to the check below
+    r1 = r2 = None
+    if abs(mu - mu_bar) <= DOUBLE_ROOT_RTOL * scale:
         g1 = g2 = gs
         double = True
     elif mu == 0.0:
@@ -361,15 +396,16 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         g1, g2 = -mag, mag
         double = False
     else:
-        g1, g2 = _solve_branches(mu, p, big_d)
+        g1, g2, r1, r2 = _solve_branches(mu, p, big_d)
         double = False
 
     bound = RESIDUAL_RTOL * max(1.0, abs(mu))
     if double:
-        bound = max(bound, DOUBLE_ROOT_RTOL * max(1.0, mu_bar))
+        bound = max(bound, DOUBLE_ROOT_RTOL * scale)
     q = p - 1.0
-    for root in (g1, g2):
-        resid = _index_f(root, q, big_d) - mu
+    for root, resid in ((g1, r1), (g2, r2)):
+        if resid is None:
+            resid = _index_f(root, q, big_d) - mu
         # a sign change of f - mu between root and an adjacent double
         # resolves the root to one representable step, whatever the residual;
         # both tests are written to fail on a NaN residual
@@ -388,7 +424,9 @@ def indicial_roots(params: ProblemParams) -> IndicialData:
         placement = (RootPlacement.ABOVE_CRITICAL_NONNEG_MU if mu >= 0.0
                      else RootPlacement.ABOVE_CRITICAL_NEG_MU)
 
-    return IndicialData(mu_bar, gs, g1, g2, placement, double)
+    # tuple.__new__ skips the generated __new__'s keyword handling
+    return tuple.__new__(IndicialData,
+                         (mu_bar, gs, g1, g2, placement, double))
 
 
 def placement_satisfied(data: IndicialData, n, p, a):

@@ -170,7 +170,7 @@ class TestIndicialRoots:
     def test_nan_root_fails_residual_check(self, monkeypatch):
         # abs(nan) > bound is false: the check must not read NaN as a pass
         monkeypatch.setattr(indicial, "_solve_branches",
-                            lambda mu, p, big_d: (math.nan, math.nan))
+                            lambda mu, p, big_d: (math.nan,) * 4)
         with pytest.raises(RuntimeError, match="root residual nan"):
             indicial_roots(ProblemParams(n=3, p=2.5, mu=0.01))
 
@@ -380,11 +380,14 @@ def test_newton_roots_match_mpmath_sweep():
 
 
 # each field's draws for the check oracle: non-finite floats, ints beyond
-# the float range, the largest doubles, bools, strings and in-range values
+# the float range, the largest doubles, bools, strings, numpy scalars,
+# Fractions and in-range values
 FIELD_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
                      sys.float_info.max, -sys.float_info.max, True, False,
-                     "3", "x", ""]),
+                     "3", "x", "", np.float64(2.5), np.float64(math.inf),
+                     np.int64(3), np.int64(-1), Fraction(1, 3),
+                     Fraction(10 ** 400)]),
     st.integers(-3, 10),
     st.floats(-12.0, 12.0))
 
@@ -409,6 +412,15 @@ def per_field_checks(params):
         raise DomainError("p must lie in (1, n)")
     if params.lam < 0.0:
         raise DomainError("lam must be >= 0 (no positive solutions otherwise)")
+
+
+def outcome(check):
+    """(exception type, message) of check(), or None if it returns."""
+    try:
+        check()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestProblemParams:
@@ -443,16 +455,35 @@ class TestProblemParams:
     def test_checks_match_the_per_field_loop(self, fields):
         # the same exception type and message as per_field_checks, or
         # acceptance by both
-        def outcome(check):
-            try:
-                check()
-            except Exception as exc:
-                return type(exc), str(exc)
-            return None
-
         record = SimpleNamespace(**fields)
         assert (outcome(lambda: ProblemParams(**fields))
                 == outcome(lambda: per_field_checks(record)))
+
+    @pytest.mark.parametrize("fields", [
+        {"n": True}, {"p": True}, {"n": 10 ** 400},
+        *({name: value} for name in ("n", "p", "a", "mu", "lam")
+          for value in (math.inf, -math.inf, math.nan)),
+        {"n": np.int64(4)}, {"n": np.float64(4.0)},
+        *({name: np.float64(0.5)} for name in ("a", "mu", "lam")),
+        {"p": np.float64(2.5)}, {"p": np.int64(3), "n": 5},
+        *({name: np.int64(1)} for name in ("a", "mu", "lam")),
+        {"mu": Fraction(1, 3)}, {"mu": Fraction(10 ** 400)}],
+        ids=repr)
+    def test_plain_draw_gate_refuses_or_converts_as_real(self, fields):
+        # only a draw of int n and float p, a, mu, lam within the double
+        # range skips _real: every other draw is refused with the per-field
+        # loop's message, or accepted with each field as _real returns it
+        fields = {"n": 4, "p": 2.0, **fields}
+        record = SimpleNamespace(**{"a": 0.0, "mu": 0.0, "lam": 0.0,
+                                    **fields})
+        got = outcome(lambda: ProblemParams(**fields))
+        assert got == outcome(lambda: per_field_checks(record))
+        if got is None:
+            params = ProblemParams(**fields)
+            want = [indicial._real(getattr(record, name), name)
+                    for name in ProblemParams._fields]
+            assert list(params) == want
+            assert [type(v) for v in params] == [type(v) for v in want]
 
     @pytest.mark.parametrize("field", ["n", "p", "a", "mu", "lam"])
     # numpy's float32(inf) compares <= the largest double, which numpy casts
@@ -644,6 +675,44 @@ class TestSharedIndexKernel:
     def solved(self):
         draws = _step01_draws()
         return draws, [indicial_roots(ProblemParams(*draw)) for draw in draws]
+
+    def test_iteration_residuals_are_the_kernels(self, solved, monkeypatch):
+        # each residual _solve_branches returns is the f - mu the iteration
+        # computed at the root it returns, bit for bit the residual check's
+        # own, and None only for a root _newton_on_gamma polished
+        branches, newton = indicial._solve_branches, indicial._newton_on_gamma
+        polished, seen = [], set()
+
+        def record_newton(gamma, mu, q, big_d):
+            polished.append(newton(gamma, mu, q, big_d))
+            return polished[-1]
+
+        monkeypatch.setattr(indicial, "_newton_on_gamma", record_newton)
+        draws = _step01_draws() + _newton_sweep_draws()
+        reached = polished_roots = 0
+        for n, p, a, mu in draws:
+            big_d = n - (a + 1.0) * p
+            data = indicial_roots(ProblemParams(n, p, a, mu))
+            if data.double_root or mu == 0.0 or big_d == 0.0:
+                continue
+            reached += 1
+            del polished[:]
+            g1, g2, r1, r2 = branches(mu, p, big_d)
+            assert (g1, g2) == (data.gamma1, data.gamma2)
+            assert [r is None for r in (r1, r2)].count(True) == len(polished)
+            polished_roots += len(polished)
+            for root, resid in ((g1, r1), (g2, r2)):
+                if resid is None:
+                    assert root in polished
+                    continue
+                kernel = indicial._index_f(root, p - 1.0, big_d) - mu
+                assert np.float64(resid).view(np.uint64) \
+                    == np.float64(kernel).view(np.uint64), (n, p, a, mu)
+            seen.add((big_d > 0.0, mu > 0.0))
+        # 65 608 draws reach the iteration; 101 of their roots are polished
+        assert reached > 60_000 and polished_roots > 0
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
     def test_roots_unchanged(self, solved):
         # sha256 of the float64 roots (gamma1, gamma2 per draw) computed

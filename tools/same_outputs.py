@@ -23,6 +23,9 @@ numbers.  The commands are:
   mu = 1e-300 (a root below the smallest double), with a float n = 4.0
   and at n = 3, p = 1.001, mu = 0.1, where gamma1 = 0 leaves a residual of
   0.1 that passes only within the change of f across one double, and
+  above the critical weight, where D = n - (a+1)p < 0 and the roots are
+  solved in the flipped orientation: n = 3, p = 2, a = 1, mu = 0.1, with
+  the p = 2 closed-form rows, and n = 3, p = 1.5, a = 2, mu = -1, and
   `grid` on a 49 x 74 interior, whose even axis the multigrid coarsens
   by the m // 2 rule, on a 32 x 32 interior (h = 1/33 on the unit
   square), whose full-multigrid start interpolates from 16 to 32 nodes
@@ -168,7 +171,9 @@ SHOOT_EXTRA = {
 # itself (one ulp of ln|gamma| above _ROOT_RTOL), the critical weight
 # a = (n-p)/p with its closed form, a root below the smallest double, a
 # float n, which ProblemParams keeps as a float, and a root whose residual
-# passes only within the change of f across one double
+# passes only within the change of f across one double; then two `roots`
+# configs above the critical weight, where D = n - (a+1)p < 0 and the root
+# solve flips to D > 0 (plap all draws there, no other config does)
 ROOTS_EXTRA = {
     "roots_newton_on_gamma": {"params": {"n": 8, "p": 1.05, "mu": -1e307}},
     "roots_critical_weight": {"params": {"n": 4, "p": 2.0, "a": 1.0,
@@ -177,6 +182,10 @@ ROOTS_EXTRA = {
                                    "mu": 1e-300}},
     "roots_float_n": {"params": {"n": 4.0, "p": 2.0, "a": 0.0, "mu": 0.75}},
     "roots_one_double_residual": {"params": {"n": 3, "p": 1.001, "mu": 0.1}},
+    "roots_above_critical_p2": {"params": {"n": 3, "p": 2.0, "a": 1.0,
+                                           "mu": 0.1}},
+    "roots_above_critical_neg_mu": {"params": {"n": 3, "p": 1.5, "a": 2.0,
+                                               "mu": -1.0}},
 }
 
 
