@@ -14,10 +14,8 @@ the attraction makes the flow stiff (an explicit Runge-Kutta method is held
 to steps |h| of order 1/(p*alpha) in r by stability alone, although sigma
 itself varies slowly), and a stiff-switching method takes steps limited
 only by accuracy.  ln u is then a quadrature of sigma, and beyond the
-series' reach the series' closed-form integral.  The singular outward shot
-carries w = |sigma|^(p-2) sigma, not sigma: the sigma equation divides by
-|sigma|^(p-2), singular where u turns for p > 2, while the w equation only
-has the Hoelder term |w|^(1/(p-1)).
+series' reach the series' closed-form integral.  Every pass here, the ratio
+flow's included, runs through the one ODEPACK driver _odeint.
 """
 
 from __future__ import annotations
@@ -25,15 +23,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
+# solve_ivp is not called here: bench/spans.py wraps radial_ode.solve_ivp
 from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from .errors import DomainError, IllConditioned, SingularRatio, StepFailure
-from .indicial import ProblemParams, eigen_rate_alpha, indicial_roots
+from .indicial import eigen_rate_alpha
 
 # ODEPACK's cap on the steps between two output points of an odeint pass,
 # raised from its default of 500 so that no pass stops for it: the exterior
@@ -75,11 +73,6 @@ _EPS = math.ulp(1.0)
 # and 2e5 points) and took about 2.2 s per 1e5 points, so 2^22 points take
 # about 1.2 GB and 90 s
 MAX_PROFILE_POINTS = 2 ** 22
-
-
-class ShootClass(Enum):
-    DECAYING = "decaying"
-    TURNS_UP = "turns_up"
 
 
 @dataclass
@@ -133,17 +126,14 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class ShootResult:
-    """A shot profile with its classification and integration counters.
+    """An exterior shot's decaying profile with its integration counters.
 
-    classification is DECAYING or TURNS_UP (u' turns positive: no ground
-    state); see shoot_singular_profile.
     nfev is the number of right-hand-side evaluations of the shot's one
     integration pass; bisection_iters is always 0 (no shot bisects).
     """
 
     profile: RadialProfile
     bisection_iters: int
-    classification: ShootClass
     nfev: int
 
 
@@ -282,17 +272,6 @@ def _log_u_quadrature(r, sigma, n, p, lam):
     return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
-def _check_grid_points(grid_points):
-    """DomainError unless a shot's grid_points is an integer from 2 to
-    MAX_PROFILE_POINTS."""
-    if not (isinstance(grid_points, Integral) and grid_points >= 2):
-        raise DomainError("grid_points must be an integer >= 2, "
-                          f"got {grid_points!r}")
-    if grid_points > MAX_PROFILE_POINTS:
-        raise DomainError(f"grid_points {grid_points} exceeds the cap of "
-                          f"{MAX_PROFILE_POINTS} profile points")
-
-
 def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
     """Decaying positive exterior solution of the radial eigen-equation.
 
@@ -355,7 +334,12 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
         raise DomainError("n and r_max must be finite and r0 positive")
     if r_max < 10.0 * r0:
         raise DomainError("r_max must be at least 10*r0")
-    _check_grid_points(grid_points)
+    if not (isinstance(grid_points, Integral) and grid_points >= 2):
+        raise DomainError("grid_points must be an integer >= 2, "
+                          f"got {grid_points!r}")
+    if grid_points > MAX_PROFILE_POINTS:
+        raise DomainError(f"grid_points {grid_points} exceeds the cap of "
+                          f"{MAX_PROFILE_POINTS} profile points")
     alpha = eigen_rate_alpha(lam, p)
     coef = far_field_series(n, p, lam)
     reach = _series_reach(coef)
@@ -416,8 +400,7 @@ def radial_exterior_eigen(n, p, lam, r0, r_max, grid_points=800) -> ShootResult:
             "shoot_param": float(sigma[0]), "series_radius": reach,
             "series_terms": int(coef.size)}
     profile = RadialProfile(r=r_grid, log_u=log_u, ratio=sigma, meta=meta)
-    return ShootResult(profile=profile, bisection_iters=0,
-                       classification=ShootClass.DECAYING, nfev=nfev)
+    return ShootResult(profile=profile, bisection_iters=0, nfev=nfev)
 
 
 def hardy_power_residual(n, p, a, mu, gamma, r_samples):
@@ -466,101 +449,6 @@ def hardy_power_residual(n, p, a, mu, gamma, r_samples):
     rhs = np.array(columns[3])[:, None] * norm  # mu r^e_rhs
     resid = np.max(np.abs((lhs - rhs) / norm), axis=1)
     return float(resid[0]) if not lengths else resid
-
-
-def series_start_radius(params: ProblemParams, rel=1e-8) -> float:
-    """Inner radius where the non-leading term falls below `rel` relatively.
-
-    Near the origin the singular solution is r^(-gamma1) to leading order;
-    the eigenvalue term perturbs the balance by the factor lam*r^p/mu.
-    """
-    if params.mu <= 0.0:
-        raise DomainError("start-radius rule needs mu > 0")
-    if params.lam <= 0.0:
-        raise DomainError("no perturbation terms active; choose r_in directly")
-    return (rel * params.mu / params.lam) ** (1.0 / params.p)
-
-
-def shoot_singular_profile(params: ProblemParams, r_in, r_out,
-                           grid_points=600) -> ShootResult:
-    """Outward integration of the singular radial problem from a power series.
-
-    Solves the radial form of
-        -(r^(n-1)|u'|^(p-2)u')' = r^(n-1) (mu r^(-p) - lam) u^(p-1)
-    as (ln u, w = |sigma|^(p-2) sigma), sigma = u'/u, in t = ln r: one LSODA
-    pass (rtol 1e-10, atol 1e-12) from u = r^(-gamma1), sigma = -gamma1/r
-    at r_in, or for mu = 0 from the regular start u = 1, w = lam r/n.  The
-    equation is homogeneous in u, so another scale only shifts ln u.
-
-    TURNS_UP: w crosses 0 upwards, first at meta["r_turn"] (r_in if w starts
-    positive); DECAYING otherwise, as for lam = mu = 0 (w stays 0).  Every
-    pass reaches r_out, and u stays positive: w' in r is
-        lam - mu r^-p - (n-1) w/r - (p-1)|w|^(p/(p-1)),
-    at least its lam = 0 value, which the power solution
-    w0 = -(gamma1/r)^(p-1) (w0 = 0 for mu = 0) solves from the same start.
-    So w >= w0 by comparison, r sigma >= -gamma1 and u >= r^(-gamma1).
-    Only at lam = 0 with w near the underflow threshold (mu/mu_bar below
-    about 1e-295) does the pass turn NaN; it then raises StepFailure naming
-    the first radius at which the state is no longer finite.  The profile
-    samples t = ln r at grid_points equally spaced values from ln r_in to
-    ln r_out (2 to MAX_PROFILE_POINTS of them, DomainError otherwise).
-    Raises DomainError unless 0 < r_in < r_out < inf.
-    """
-    if not 0.0 < r_in < r_out < math.inf:  # NaN fails it too
-        raise DomainError(f"radii must satisfy 0 < r_in < r_out < inf, got "
-                          f"r_in = {r_in!r}, r_out = {r_out!r}")
-    _check_grid_points(grid_points)
-    if params.a != 0.0:
-        raise DomainError("singular shoot is posed for the unweighted case a = 0")
-    roots = indicial_roots(params)  # NoRealRoot above mu_bar
-    if not (0.0 <= params.mu < roots.mu_bar):
-        raise DomainError("mu must lie in [0, mu_bar)")
-    n, p, mu, lam, g1 = params.n, params.p, params.mu, params.lam, roots.gamma1
-    e = 1.0 / (p - 1.0)
-
-    def rhs(t, y):
-        # (ln u)' = sigma and, as |w|^(p/(p-1)) = |w sigma|,
-        # w' = lam - mu r^-p - (n-1) w/r - (p-1)|w|^(p/(p-1)),
-        # both times dr/dt = r; no division by |sigma|^(p-2)
-        _, w = y.tolist()
-        r = math.exp(t)
-        s = math.copysign(abs(w) ** e, w)
-        return (r * s, r * (lam - mu * r ** -p - (p - 1.0) * abs(w * s))
-                - (n - 1.0) * w)
-
-    def turn(t, y):
-        # solve_ivp brackets a turn with LSODA's interpolant, which gives a
-        # step's start only to within its error: a start w_in below that
-        # (mu/mu_bar below about 1e-21) could read as a turn made at r_in
-        return w_in if t == t_in else y[1]
-    turn.direction = 1
-
-    t_in, t_out = math.log(r_in), math.log(r_out)
-    w_in = -(g1 / r_in) ** (p - 1.0) if g1 > 0.0 else lam * r_in / n
-    # a turn event can be bracketed only from w < 0
-    sol = solve_ivp(rhs, (t_in, t_out), [-g1 * t_in, w_in],
-                    method="LSODA", rtol=1e-10, atol=1e-12,
-                    t_eval=np.linspace(t_in, t_out, grid_points),
-                    events=turn if w_in < 0.0 else None)
-    if sol.status < 0:
-        raise StepFailure(sol.message)
-    # LSODA reports success on a state that turned NaN
-    bad = ~np.isfinite(sol.y).all(axis=0)
-    if bad.any():
-        raise StepFailure("outward pass is no longer finite at "
-                          f"r = {math.exp(sol.t[np.argmax(bad)]):g}")
-    turns = sol.t_events[0] if w_in < 0.0 else ()
-    r_turn = r_in if w_in > 0.0 else math.exp(turns[0]) if len(turns) else None
-    cls = ShootClass.DECAYING if r_turn is None else ShootClass.TURNS_UP
-
-    meta = {"kind": "shoot_singular_profile", "n": n, "p": p, "mu": mu,
-            "lam": lam, "a": params.a, "gamma1": g1, "r_in": r_in,
-            "r_out": r_out, "r_turn": r_turn}
-    log_u, w = sol.y
-    profile = RadialProfile(r=np.exp(sol.t), log_u=log_u,
-                            ratio=np.copysign(np.abs(w) ** e, w), meta=meta)
-    return ShootResult(profile=profile, bisection_iters=0,
-                       classification=cls, nfev=int(sol.nfev))
 
 
 def decay_power(n, p) -> float:

@@ -139,15 +139,6 @@ class TestRescaleNearZero:
         rep = rescale_near_zero(prof, [1e-1, 1e-2, 1e-3, 1e-4], gamma)
         assert np.all(np.diff(rep.sup_distance) < 0)
 
-    def test_singular_shoot_converges_to_power(self):
-        # full perturbed profile: distances to the pure power shrink with R
-        from plap.indicial import ProblemParams
-        from plap.radial_ode import shoot_singular_profile
-        params = ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0)
-        res = shoot_singular_profile(params, 1e-5, 1.2, grid_points=1200)
-        rep = rescale_near_zero(res.profile, [1e-1, 1e-2, 1e-3], 0.25)
-        assert np.all(np.diff(rep.sup_distance) < 0)
-
 
 class TestTranslateRescaleAtInfinity:
     def test_exponential_is_fixed_point(self):

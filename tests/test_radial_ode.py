@@ -1,6 +1,8 @@
+import dis
 import math
+import types
 import warnings
-from types import SimpleNamespace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,11 +18,9 @@ from plap.errors import (DomainError, IllConditioned, OutOfRange, SingularRatio,
 from plap.indicial import (ProblemParams, auxiliary_f, eigen_rate_alpha,
                            indicial_roots)
 from plap.radial_ode import (RICCATI_SAMPLES, SERIES_ORDER, RadialProfile,
-                             ShootClass, decay_power, far_field_series,
-                             fit_decay_exponents,
-                             hardy_power_residual,
-                             radial_exterior_eigen, riccati_ratio_flow,
-                             series_start_radius, shoot_singular_profile)
+                             decay_power, far_field_series,
+                             fit_decay_exponents, hardy_power_residual,
+                             radial_exterior_eigen, riccati_ratio_flow)
 
 
 NAN, INF = math.nan, math.inf
@@ -131,6 +131,26 @@ def test_non_finite_input_fails_its_range_rule(call, error):
     assert type(caught.value) is error
 
 
+def test_every_pass_runs_through_odeint():
+    # radial_ode's one ODE driver is _odeint: no code object of the module,
+    # nested functions and methods included, loads the global solve_ivp,
+    # which stays importable because bench/spans.py wraps it
+    def code_objects(code):
+        yield code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                yield from code_objects(const)
+
+    source = Path(radial_ode.__file__).read_text()
+    loads = [code.co_name
+             for code in code_objects(compile(source, radial_ode.__file__,
+                                              "exec"))
+             for ins in dis.get_instructions(code)
+             if ins.opname == "LOAD_GLOBAL" and ins.argval == "solve_ivp"]
+    assert loads == []
+    assert radial_ode.solve_ivp is solve_ivp
+
+
 class TestRiccatiRatioFlow:
     def test_rest_point_is_fixed(self):
         lam, p = 3.0, 1.5
@@ -235,7 +255,6 @@ class TestRadialExteriorEigen:
     def test_n3_matches_closed_form(self):
         shot = radial_exterior_eigen(3, 2.0, 1.0, 1.0, 40.0)
         prof = shot.profile
-        assert shot.classification is ShootClass.DECAYING
         target = np.exp(1.0 - prof.r) / prof.r  # normalized to u(1) = 1
         rel = np.abs(prof.u / target - 1.0)
         assert np.max(rel[prof.r <= 20.0]) <= 1e-5
@@ -660,7 +679,6 @@ class TestFarFieldSeries:
 class TestHardyPowerResidual:
     def test_root_residual_vanishes(self):
         n, p, a, mu = 5, 2.5, 0.3, 0.3
-        from plap.indicial import indicial_roots
         data = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu))
         r = np.geomspace(1e-2, 1e2, 9)
         assert hardy_power_residual(n, p, a, mu, data.gamma1, r) <= 1e-12
@@ -668,7 +686,6 @@ class TestHardyPowerResidual:
 
     def test_perturbed_root_matches_index_gap(self):
         n, p, a, mu = 5, 2.5, 0.3, 0.3
-        from plap.indicial import indicial_roots
         g = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu)).gamma1 + 0.1
         r = np.geomspace(1e-2, 1e2, 9)
         resid = hardy_power_residual(n, p, a, mu, g, r)
@@ -687,7 +704,6 @@ class TestHardyPowerResidual:
     def test_scale_invariance(self):
         # normalized residual of the power family is independent of rescaling
         n, p, a, mu, g = 4, 1.8, -0.5, 0.7, None
-        from plap.indicial import indicial_roots
         g = indicial_roots(ProblemParams(n=n, p=p, a=a, mu=mu)).gamma2
         r = np.geomspace(0.5, 50, 11)
         r1 = hardy_power_residual(n, p, a, mu, g, r)
@@ -747,283 +763,6 @@ class TestHardyPowerResidual:
     def test_nonpositive_radius_raises(self, gamma):
         with pytest.raises(DomainError, match="must be positive"):
             hardy_power_residual(3, 2.0, 0.0, 0.0, gamma, [1.0, 0.0])
-
-
-def flux_shot(params, r_in, r_out, grid_points=600):
-    """(r, ln u, u'/u) of the singular shot integrated as (u, m) in ln r.
-
-    The earlier form of shoot_singular_profile, m = r^(n-1)|u'|^(p-2)u'
-    with DOP853 at rtol 1e-10, atol 1e-12, kept as an independent
-    reference for shots that do not overflow (its barriers at u = 1e150
-    and 1e-150 are left out).
-    """
-    n, p, mu, lam = params.n, params.p, params.mu, params.lam
-    pm1 = p - 1.0
-    g1 = indicial_roots(params).gamma1
-
-    def rhs(t, y):
-        u, m = y
-        r = math.exp(t)
-        du_dt = math.copysign(abs(m) ** (1.0 / pm1), m) * r ** (1.0 - (n - 1.0) / pm1)
-        return [du_dt, r ** n * (lam - mu * r ** (-p)) * u ** pm1]
-
-    t_in, t_out = math.log(r_in), math.log(r_out)
-    u_in = r_in ** (-g1)
-    m_in = -(g1 ** pm1) * r_in ** (n - 1.0 - (g1 + 1.0) * pm1) if g1 > 0.0 else 0.0
-    sol = solve_ivp(rhs, (t_in, t_out), [u_in, m_in], method="DOP853",
-                    rtol=1e-10, atol=1e-12,
-                    t_eval=np.linspace(t_in, t_out, grid_points))
-    assert sol.success
-    u, m = sol.y
-    r = np.exp(sol.t)
-    du = np.sign(m) * np.abs(m) ** (1.0 / pm1) * r ** (-(n - 1.0) / pm1)
-    return r, np.log(u), du / u
-
-
-SUITE_SHOTS = [ProblemParams(n=3, p=2.0, mu=0.1875, lam=1.0),
-               ProblemParams(n=3, p=1.5, mu=0.01, lam=0.5)]
-
-
-@st.composite
-def singular_shots(draw):
-    """(n, p, mu, lam) of a singular shot: mu in [0, mu_bar), lam >= 0.
-
-    At lam = 0, mu/mu_bar is 0 or at least 1e-12: below about 1e-20, w
-    stays within rounding of 0 along the whole shot, where its Hoelder
-    term |w|^(1/(p-1)) costs LSODA about 2e5 steps (3 s) at 2 < p < 3, and
-    near the underflow threshold the pass turns NaN (see
-    test_vanishing_mu_at_lam_zero).
-    """
-    n = draw(st.integers(2, 8))
-    p = draw(st.floats(1.05, min(n - 0.05, 6.0)))
-    lam = draw(st.one_of(st.just(0.0), st.floats(1e-3, 30.0)))
-    low = 1e-12 if lam == 0.0 else 0.0
-    mu_frac = draw(st.one_of(st.just(0.0), st.floats(low, 0.98)))
-    return n, p, mu_frac * ((n - p) / p) ** p, lam
-
-
-class TestShootSingularProfile:
-    def test_constant_solution_exact(self):
-        params = ProblemParams(n=3, p=2.0, mu=0.0, lam=0.0)
-        res = shoot_singular_profile(params, 0.01, 1.0)
-        assert res.classification is ShootClass.DECAYING
-        assert res.profile.meta["r_turn"] is None
-        assert np.max(np.abs(res.profile.u - 1.0)) == 0.0
-
-    def test_pure_power_propagates(self):
-        # gamma(1 - gamma) = 0.1875 has roots 1/4 and 3/4
-        params = ProblemParams(n=3, p=2.0, mu=0.1875, lam=0.0)
-        res = shoot_singular_profile(params, 1e-3, 1e-1)
-        drift = np.abs(res.profile.u * res.profile.r ** 0.25 - 1.0)
-        assert np.max(drift) <= 1e-7
-
-    def test_turning_shot_stays_positive(self):
-        # u' turns positive inside the span: the reference's ratio changes
-        # sign between two grid radii near 0.81, and the turn lies there
-        params = SUITE_SHOTS[0]
-        r_in = series_start_radius(params)
-        res = shoot_singular_profile(params, r_in, 1.0)
-        assert res.classification is ShootClass.TURNS_UP
-        # the shot starts on the power solution, r sigma = -gamma1 = -1/4
-        assert res.profile.r[0] * res.profile.ratio[0] == pytest.approx(
-            -0.25, rel=1e-14)
-        assert np.all(res.profile.u > 0)
-        r, _, ratio = flux_shot(params, r_in, 1.0)
-        up = np.argmax(ratio > 0.0)
-        assert r[up - 1] < res.profile.meta["r_turn"] < r[up]
-
-    @pytest.mark.parametrize("params,r_in,r_out,log_tol,rs_tol", [
-        # the suite's shots: measured gaps 8.8e-9 (ln u), 5.9e-10 (r sigma)
-        (SUITE_SHOTS[0], None, 1.2, 3e-8, 2e-9),
-        (SUITE_SHOTS[1], None, 1.2, 3e-8, 2e-9),
-        # long shots that turn up: measured gaps 7.4e-9 and 3.8e-9 (p = 2),
-        # 2.6e-8 and 1.8e-8 (p = 1.5), 8.4e-9 and 1.1e-9 (p = 3)
-        (ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0), 1e-3, 30.0, 3e-8, 2.5e-8),
-        (ProblemParams(n=3, p=1.5, mu=0.05, lam=1.0), 1e-3, 30.0, 4e-8, 1e-7),
-        (ProblemParams(n=4, p=3.0, mu=0.02, lam=1.0), 1e-3, 30.0, 3e-8, 5e-9),
-        # the same p = 3 shot at lam = 0 decays: measured gaps 4.8e-9, 1.5e-9
-        (ProblemParams(n=4, p=3.0, mu=0.02, lam=0.0), 1e-3, 30.0, 3e-8, 5e-9),
-    ])
-    def test_matches_flux_form_reference(self, params, r_in, r_out, log_tol,
-                                         rs_tol):
-        r_in = r_in or series_start_radius(params)
-        prof = shoot_singular_profile(params, r_in, r_out).profile
-        r, log_u, ratio = flux_shot(params, r_in, r_out)
-        assert np.array_equal(prof.r, r)
-        assert np.max(np.abs(prof.log_u - log_u)) <= log_tol
-        assert np.max(np.abs(r * (prof.ratio - ratio))) <= rs_tol
-
-    @given(shot=singular_shots())
-    @example(shot=(4, 3.0, 0.02, 1.0))  # p = 3, turns up near 0.48
-    # turns in LSODA's first step from w_in of about -6e-39
-    @example(shot=(2, 1.5, 1e-40, 1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_power_solution_bounds_every_shot(self, shot):
-        # w' in r is lam - mu r^-p - (n-1) w/r - (p-1)|w|^(p/(p-1)), at
-        # least its lam = 0 value, which w0 = -(gamma1/r)^(p-1) solves from
-        # the shot's start; so w >= w0, r sigma >= -gamma1, u never reaches
-        # 0 and every pass runs to r_out.
-        # Tolerance: LSODA holds each step's local error in w to
-        # rtol |w| + atol (rtol = 1e-10, atol = 1e-12), and a shot takes at
-        # most nfev steps.  About w0 the error does not grow: the
-        # linearized w' is (p gamma1 - (n-1)) w/r with p gamma1 <= n - p.
-        # So w >= w0 - delta, delta = nfev (rtol |w0| + atol), and
-        # sigma = -|w|^(1/(p-1)) gives
-        #     r sigma >= -r (|w0| + delta)^(1/(p-1))
-        #              ~ -gamma1 (1 + delta / ((p-1) |w0|)),
-        # the rounding of w amplified by 1/(p-1).  Over 400 random shots
-        # the largest share of this slack used was 3.2%.
-        n, p, mu, lam = shot
-        params = ProblemParams(n=n, p=p, mu=mu, lam=lam)
-        g1 = indicial_roots(params).gamma1
-        res = shoot_singular_profile(params, 1e-3, 30.0)
-        assert res.classification in (ShootClass.TURNS_UP,
-                                      ShootClass.DECAYING)
-        prof = res.profile
-        assert prof.r[-1] == pytest.approx(30.0, rel=1e-14)
-        w0 = (g1 / prof.r) ** (p - 1.0)
-        delta = res.nfev * (1e-10 * w0 + 1e-12)
-        assert np.all(prof.r * prof.ratio
-                      >= -prof.r * (w0 + delta) ** (1.0 / (p - 1.0)))
-
-    @pytest.mark.xfail(raises=StepFailure, strict=True,
-                       reason="LSODA's pass turns NaN where w is near the "
-                              "underflow threshold")
-    def test_vanishing_mu_at_lam_zero(self):
-        # gamma1 = (mu/D)^2 of about 1e-600 underflows to 0, so the shot
-        # takes the regular start w = 0, and mu r^-p drives w to about
-        # -1e-300; the exact solution is the power r^(-gamma1), u = 1
-        params = ProblemParams(n=3, p=1.5, mu=1e-300 * 0.5 ** 1.5)
-        res = shoot_singular_profile(params, 1e-3, 30.0)
-        assert res.classification is ShootClass.DECAYING
-        assert np.max(np.abs(res.profile.log_u)) <= 1e-12
-
-    def test_regular_start_at_mu_zero(self):
-        # mu = 0 gives gamma1 = 0, and w starts from lam r_in / n > 0, so
-        # the shot rises from r_in
-        params = ProblemParams(n=3, p=2.0, mu=0.0, lam=1.0)
-        rising = shoot_singular_profile(params, 1e-3, 5.0)
-        assert rising.classification is ShootClass.TURNS_UP
-        assert rising.profile.meta["r_turn"] == 1e-3
-        assert rising.profile.ratio[0] > 0.0
-
-    @given(n=st.integers(2, 5), p_frac=st.floats(0.0, 1.0),
-           mu_frac=st.floats(0.05, 0.9), lam=st.floats(0.5, 2.0),
-           log_k=st.floats(-1.0, 1.0))
-    @settings(max_examples=25, deadline=None)
-    def test_lambda_scaling(self, n, p_frac, mu_frac, lam, log_k):
-        # u_k(r) = k^gamma1 u(kr) solves the problem with lam k^p from
-        # r^(-gamma1) at r_in/k, so ln u_k(r) = ln u(kr) + gamma1 ln k,
-        # ratio_k(r) = k ratio(kr) and the turn radius scales by 1/k.  The
-        # ratio is compared through W = |r sigma|^(p-2) r sigma, the
-        # dimensionless form of the flux w that the integrator carries: at
-        # p > 2 the map W -> r sigma is only Hoelder at a turn.
-        # Tolerance: LSODA holds each step's local error to rtol = 1e-10 of
-        # the state, and a shot here takes at most a few thousand steps, so
-        # with at most linear error growth each shot is within 5e3 rtol and
-        # the pair within 1e4 rtol = 1e-6, relative to max(1, |value|).
-        # Over 800 random draws the largest gaps were 3.0e-9 (ln u),
-        # 4.4e-10 (W) and 9.4e-11 (turn radius).
-        p = 1.3 + p_frac * (min(n - 0.3, 3.0) - 1.3)
-        mu = mu_frac * ((n - p) / p) ** p
-        k = math.exp(log_k)
-        params = ProblemParams(n=n, p=p, mu=mu, lam=lam)
-        scaled = ProblemParams(n=n, p=p, mu=mu, lam=lam * k ** p)
-        g1 = indicial_roots(params).gamma1
-        a = shoot_singular_profile(params, 1e-3, 5.0)
-        b = shoot_singular_profile(scaled, 1e-3 / k, 5.0 / k)
-        assert a.classification is b.classification
-        pa, pb = a.profile, b.profile
-
-        def gap(x, y):
-            return np.max(np.abs(x - y) / np.maximum(1.0, np.abs(x)))
-
-        def flux(prof):
-            rs = prof.r * prof.ratio
-            return np.sign(rs) * np.abs(rs) ** (p - 1.0)
-
-        assert np.allclose(pb.r * k, pa.r, rtol=1e-13, atol=0.0)
-        assert gap(pa.log_u, pb.log_u - g1 * log_k) <= 1e-6
-        assert gap(flux(pa), flux(pb)) <= 1e-6
-        if a.classification is ShootClass.TURNS_UP:
-            r_turn = a.profile.meta["r_turn"]
-            assert abs(k * b.profile.meta["r_turn"] - r_turn) <= 1e-6 * r_turn
-
-    @pytest.mark.parametrize("r_in, r_out", [(0.0, 1.0), (-1.0, 1.0),
-                                             (1e-3, math.inf),
-                                             (math.nan, 1.0)])
-    def test_rejects_radii_outside_the_half_line(self, r_in, r_out):
-        # not the bare "math domain error" of log(r_in) or the overflow of
-        # exp(t) on the way to r_out = inf
-        params = ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0)
-        with pytest.raises(DomainError, match="0 < r_in < r_out < inf"):
-            shoot_singular_profile(params, r_in, r_out)
-
-    def test_rejects_reversed_span(self):
-        params = ProblemParams(n=3, p=2.0, mu=0.1, lam=0.0)
-        with pytest.raises(DomainError):
-            shoot_singular_profile(params, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            shoot_singular_profile(params, 2.0, 1.0)
-
-    @pytest.mark.parametrize("params, message", [
-        (ProblemParams(n=3, p=2.0, a=0.5, mu=0.01), "unweighted case a = 0"),
-        # mu_bar = 0.25 here
-        (ProblemParams(n=3, p=2.0, mu=-0.5), r"mu must lie in \[0, mu_bar\)"),
-        (ProblemParams(n=3, p=2.0, mu=0.25), r"mu must lie in \[0, mu_bar\)"),
-    ])
-    def test_rejects_params_outside_the_singular_problem(self, params,
-                                                         message):
-        with pytest.raises(DomainError, match=message):
-            shoot_singular_profile(params, 1e-3, 1.0)
-
-    @pytest.mark.parametrize("params, message", [
-        (ProblemParams(n=3, p=2.0, mu=0.0, lam=1.0), "needs mu > 0"),
-        (ProblemParams(n=3, p=2.0, mu=-0.5, lam=1.0), "needs mu > 0"),
-        # lam = 0 leaves no term that perturbs the leading power
-        (ProblemParams(n=3, p=2.0, mu=0.1), "no perturbation terms active"),
-    ])
-    def test_series_start_radius_preconditions(self, params, message):
-        with pytest.raises(DomainError, match=message):
-            series_start_radius(params)
-
-    def test_failed_pass_raises_step_failure(self, monkeypatch):
-        def failed(*args, **kwargs):
-            return SimpleNamespace(status=-1, message="Required step size "
-                                   "is less than spacing between numbers.")
-
-        monkeypatch.setattr(radial_ode, "solve_ivp", failed)
-        with pytest.raises(StepFailure, match="Required step size"):
-            shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
-                                   1e-3, 1.0)
-
-    @pytest.mark.parametrize("grid_points", [1, 0, -5, 2.5, 800.0, "800"])
-    def test_grid_points_must_be_integer_of_at_least_two(self, grid_points):
-        # 1 gave a one-point profile at r_in, 0 and below numpy's
-        # ValueError, and 2.5 a TypeError
-        with pytest.raises(DomainError,
-                           match="grid_points must be an integer >= 2"):
-            shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
-                                   1e-3, 1.0, grid_points=grid_points)
-
-    def test_grid_points_above_cap_raise_before_allocating(self,
-                                                           monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the profile grid was allocated")
-
-        monkeypatch.setattr(radial_ode.np, "linspace", no_grid)
-        with pytest.raises(DomainError, match="exceeds the cap of 4194304 "
-                                              "profile points"):
-            shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.1, lam=1.0),
-                                   1e-3, 1.0,
-                                   grid_points=radial_ode.MAX_PROFILE_POINTS
-                                   + 1)
-
-    def test_two_grid_points_span_r_in_to_r_out(self):
-        prof = shoot_singular_profile(ProblemParams(n=3, p=2.0, mu=0.0),
-                                      0.01, 1.0,
-                                      grid_points=np.int64(2)).profile
-        assert prof.r.tolist() == pytest.approx([0.01, 1.0], rel=1e-15)
 
 
 class TestDecayPower:
@@ -1100,15 +839,10 @@ class TestRadialProfile:
                 RadialProfile(r=r, log_u=log_u, ratio=ratio, meta={})
 
     def test_ratio_is_log_derivative_of_shots(self):
-        # d(log_u)/d(ln r) of a cubic spline through log_u against r * ratio,
-        # on exterior shots and on singular shots at p <= 2, where
-        # u' = sign(m)|m|^(1/(p-1)) stays smooth through a zero of the flux m
+        # d(log_u)/d(ln r) of a cubic spline through log_u against r * ratio
         profiles = [radial_exterior_eigen(n, p, lam, 1.0, 40.0).profile
                     for n, p, lam in [(3, 2.0, 1.0), (3, 1.5, 0.5),
                                       (5, 2.9, 0.5)]]
-        for params in SUITE_SHOTS:
-            profiles.append(shoot_singular_profile(
-                params, series_start_radius(params), 1.2).profile)
         for prof in profiles:
             t = np.log(prof.r)
             slope = CubicSpline(t, prof.log_u).derivative()(t)

@@ -173,3 +173,18 @@ class TestVerdict:
             == "no gain shown, within bound"
         assert self.word([10.0] + [9.9] * 9, parent=split, bound=0.05) \
             == "unresolved"
+
+
+class TestTracedEntry:
+    def test_runs_and_median_per_metric(self):
+        def result(us, calls, correct=True):
+            return {"correct": correct, "failed": 0 if correct else 1,
+                    "metrics": {"us_per_call": {"value": us, "unit": "us"},
+                                "calls": {"value": calls, "unit": "count"}}}
+        entry = bench_pairs.traced_entry([result(11.45, 11000.0),
+                                          result(14.21, 11000.0, False),
+                                          result(12.0, 11000.0)])
+        assert entry == {
+            "correct": [True, False, True], "failed": [0, 1, 0],
+            "us_per_call": {"runs": [11.45, 14.21, 12.0], "median": 12.0},
+            "calls": {"runs": [11000.0] * 3, "median": 11000.0}}

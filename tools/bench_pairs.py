@@ -10,16 +10,20 @@ runs `bench/run.py` from the root of that tree and of the working tree,
 each importing plap from its own src/, for BENCHMARK.json's `run_seconds`.
 For each workload the pairs use seeds 1011, 1012, ...; REV runs first in
 the 1st, 3rd, ... pair and the working tree first in the others.  Then
-each side runs once with `--trace 1` on seed 1011.  The pairs and the
-traced runs go workload by workload, in the order given.
+each side runs three times with `--trace 1` on seed 1011, REV first in the
+1st and 3rd round: one traced run's per-layer timings can move by a
+quarter from the next one's.  The pairs and the traced runs go workload by
+workload, in the order given.
 
 The JSON file written holds, per workload: the seeds; each side's `failed`
 and `correct` per run and the raw `# seconds:` line bench/run.py prints;
 whether the lines naming failed operations are the same on both sides in
 every pair; and for each end-to-end metric of
 BENCHMARK.json each side's runs, quartiles and median, and the number of
-pairs in which the working tree reads lower and higher.  It also holds both
-sides' traced metrics per workload, and one summary line per workload and
+pairs in which the working tree reads lower and higher.  It also holds,
+per workload, both sides' traced runs: `correct` and `failed` per run, and
+for each traced metric the three values and their median (see
+`traced_entry`), and one summary line per workload and
 end-to-end metric with the median ratio, the pair counts and the parent's
 interquartile range (the gap a claimed gain must exceed), each followed by
 a verdict line (see `verdict`).
@@ -103,6 +107,17 @@ def workload_entry(seeds, runs, metric_units):
             "runs_change": vals["change"],
         }
     return entry
+
+
+def traced_entry(results):
+    """One side's record of its traced bench results: `correct` and
+    `failed` per run, and per metric the runs' values and their median."""
+    values = {name: [r["metrics"][name]["value"] for r in results]
+              for name in results[0]["metrics"]}
+    return {"correct": [r["correct"] for r in results],
+            "failed": [r["failed"] for r in results],
+            **{name: {"runs": runs, "median": statistics.median(runs)}
+               for name, runs in values.items()}}
 
 
 def summary(workload, name, m):
@@ -193,7 +208,9 @@ def main(argv=None) -> int:
                f"seeds {FIRST_SEED}, {FIRST_SEED + 1}, ..., one "
                "pair per seed, parent first in the 1st, 3rd, ... pair; "
                f"workloads in the order {', '.join(pairs)}. Traced rows: "
-               f"--trace 1, seed {FIRST_SEED}, one run per side."),
+               f"--trace 1, seed {FIRST_SEED}, three runs per side, parent "
+               "first in the 1st and 3rd round; each metric's runs and "
+               "median."),
            "machine": None, "workloads": {},
            f"traced_seed_{FIRST_SEED}": {}, "notes": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -216,14 +233,13 @@ def main(argv=None) -> int:
                 out["notes"] += [summary(workload, name, m),
                                  verdict(workload, name, m,
                                          *metric_rules[name])]
-            traced = {}
-            for side in SIDES:
-                result, _, _, _ = bench(trees[side], workload, FIRST_SEED,
-                                        seconds, 1)
-                traced[side] = {
-                    "correct": result["correct"], "failed": result["failed"],
-                    **{k: v["value"] for k, v in result["metrics"].items()}}
-            out[f"traced_seed_{FIRST_SEED}"][workload] = traced
+            traced = {s: [] for s in SIDES}
+            for i in range(3):
+                for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                    traced[side].append(bench(trees[side], workload,
+                                              FIRST_SEED, seconds, 1)[0])
+            out[f"traced_seed_{FIRST_SEED}"][workload] = {
+                s: traced_entry(traced[s]) for s in SIDES}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     for line in out["notes"]:
         print(line)

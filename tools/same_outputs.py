@@ -26,6 +26,10 @@ numbers.  The commands are:
   above the critical weight, where D = n - (a+1)p < 0 and the roots are
   solved in the flipped orientation: n = 3, p = 2, a = 1, mu = 0.1, with
   the p = 2 closed-form rows, and n = 3, p = 1.5, a = 2, mu = -1, and
+  `roots` at n = 3, p = 2, mu = 0.24999999999, within DOUBLE_ROOT_RTOL of
+  mu_bar = 1/4, which reports the double root 0.5 for both roots, 3.2e-6
+  from each true root, and fails its residual and closed-form rows (exit
+  1), so that a change to the double-root rule shows, and
   `grid` on a 49 x 74 interior, whose even axis the multigrid coarsens
   by the m // 2 rule, on a 32 x 32 interior (h = 1/33 on the unit
   square), whose full-multigrid start interpolates from 16 to 32 nodes
@@ -186,6 +190,8 @@ ROOTS_EXTRA = {
                                            "mu": 0.1}},
     "roots_above_critical_neg_mu": {"params": {"n": 3, "p": 1.5, "a": 2.0,
                                                "mu": -1.0}},
+    "roots_near_double_root": {"params": {"n": 3, "p": 2.0,
+                                          "mu": 0.24999999999}},
 }
 
 
